@@ -7,9 +7,7 @@ memory runs, logical-circuit scheduling/cost, and the full desk-scale
 `ledger` that runs every check and emits one stable pass/fail row each.
 
 All stochastic subcommands require an explicit seed, and a fixed
-(config, seed) pair produces byte-identical artifacts.  The environment
-variable QSURG_THREADS caps worker parallelism; this implementation is
-sequential (one worker), which always satisfies the cap.
+(config, seed) pair produces byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -38,6 +36,20 @@ def _write(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
+
+
+def _probability(text: str) -> float:
+    p = float(text)
+    if not 0 <= p < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a probability in [0, 1)")
+    return p
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return n
 
 
 # ── individual subcommands ──────────────────────────────────────────────
@@ -561,8 +573,8 @@ def main(argv=None) -> int:
     msub = p.add_subparsers(dest="sim_cmd", required=True)
     pb = msub.add_parser("run")
     pb.add_argument("--circuit", required=True)
-    pb.add_argument("--p", type=float, required=True)
-    pb.add_argument("--trials", type=int, required=True)
+    pb.add_argument("--p", type=_probability, required=True)
+    pb.add_argument("--trials", type=_count, required=True)
     pb.add_argument("--seed", type=int, required=True)
     pb.add_argument("--out", default=None)
     pb.set_defaults(func=cmd_sim_run)
@@ -582,7 +594,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None)
     p.add_argument("--max-weight", type=int, default=2)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--trials", type=_count, default=100000)
     p.set_defaults(func=cmd_ledger)
 
     args = parser.parse_args(argv)

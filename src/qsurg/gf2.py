@@ -263,6 +263,22 @@ def _unpack(bits: int, n: int) -> np.ndarray:
     return v
 
 
+def pack_words(m) -> np.ndarray:
+    """Rows of a 0/1 matrix as uint64 words: bit j of a row is bit j % 64
+    of its word j // 64 (at least one word per row)."""
+    m = np.asarray(m, dtype=np.uint8)
+    words = max(1, -(-m.shape[1] // 64))
+    padded = np.zeros((m.shape[0], 64 * words), dtype=np.uint8)
+    padded[:, :m.shape[1]] = m
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`pack_words`: the first n bits of each word row."""
+    as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :n]
+
+
 def standard_form(g: np.ndarray):
     """Column-permute a full-row-rank generator matrix into (E_k | P) form.
 

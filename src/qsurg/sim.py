@@ -2,9 +2,15 @@
 
 The noise model is local stochastic: every quantum location suffers an X
 and, independently, a Z error each with probability ≤ p_phy, and every
-outcome bit flips with probability ≤ p_phy.  Sampling is counter-based
-(Philox keyed by the run seed, one counter block per trial), so serial and
-parallel execution of the same trial list give bit-identical results.
+outcome bit flips with probability ≤ p_phy.  Sampling is counter-based:
+`trial_rng(seed, index)` is a Philox stream at a fixed counter offset.
+
+Monte Carlo is shot-batched.  Each fault cell (an X or Z fault on a
+quantum location, or an outcome flip) is propagated once and folded into
+packed words; trials then run in blocks of BLOCK_CELLS cells, block b
+drawing its faults from trial_rng(seed, b), and each trial XORs the words
+of its faults and decodes them with sorted-array table lookups.  A given
+(experiment, p_phy, trials, seed) therefore gives byte-identical results.
 """
 
 from __future__ import annotations
@@ -96,6 +102,59 @@ def reduced_error_params(p_phy: float, s1: int = 1, s2: int = 1) -> dict:
 # ── lookup decoding ─────────────────────────────────────────────────────
 
 TABLE_CAP = 1 << 22
+BUILD_CHUNK = 1 << 16  # combinations per vectorised table-build step
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per packed row: the word itself, or the row's bytes
+    as one np.void value when it spans several words."""
+    rows = np.ascontiguousarray(rows)
+    if rows.shape[1] == 1:
+        return rows.reshape(-1)
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}").reshape(-1)
+
+
+class _Table:
+    """Syndrome → error map as packed rows sorted by syndrome key."""
+
+    def __init__(self, keys: np.ndarray, errors: np.ndarray) -> None:
+        self.keys = keys        # (entries, syndrome words) uint64
+        self.errors = errors    # (entries, error words) uint64
+        self._sorted = _row_keys(keys)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def _locate(self, rows: np.ndarray):
+        pos = np.searchsorted(self._sorted, _row_keys(rows))
+        idx = np.minimum(pos, len(self) - 1)
+        return pos, idx, (self.keys[idx] == rows).all(axis=1)
+
+    def find(self, rows: np.ndarray):
+        """Row index of each packed syndrome and whether it is present."""
+        _, idx, hit = self._locate(rows)
+        return idx, hit
+
+    def add(self, keys: np.ndarray, errors: np.ndarray) -> None:
+        """Register the first error of each syndrome not yet present."""
+        _, first = np.unique(_row_keys(keys), return_index=True)
+        keys, errors = keys[first], errors[first]
+        pos, _, hit = self._locate(keys)
+        self.keys = np.insert(self.keys, pos[~hit], keys[~hit], axis=0)
+        self.errors = np.insert(self.errors, pos[~hit], errors[~hit], axis=0)
+        self._sorted = _row_keys(self.keys)
+
+
+def _chunks(counts: np.ndarray, size: int):
+    """Consecutive slices of `counts` whose sums stay within `size` (at
+    least one entry each)."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + size, side="right")))
+        yield slice(lo, hi)
+        lo = hi
 
 
 class LookupDecoder:
@@ -119,22 +178,39 @@ class LookupDecoder:
         self._z_table = self._build(code.h_x, t)
 
     @staticmethod
-    def _build(checks: np.ndarray, t: int) -> dict:
-        from itertools import combinations
+    def _build(checks: np.ndarray, t: int) -> _Table:
+        """Errors of weight ≤ t, in (weight, lexicographic) order, keyed by
+        syndrome; the first error of each syndrome is kept.
+
+        The weight-w combinations, in lexicographic order, extend each
+        weight-(w−1) combination in turn by every larger index; each weight
+        is generated in chunks of BUILD_CHUNK and only the lower weights,
+        which seed the next, are kept whole.
+        """
         n = checks.shape[1]
         size = sum(math.comb(n, w) for w in range(t + 1))
         if size > TABLE_CAP:
             raise SearchTooLarge(f"lookup table of {size} entries refused")
-        cols = [gf2._pack(col) for col in checks.T]
-        table: dict[int, int] = {0: 0}
-        for w in range(1, t + 1):
-            for combo in combinations(range(n), w):
-                syn = 0
-                err = 0
-                for c in combo:
-                    syn ^= cols[c]
-                    err |= 1 << c
-                table.setdefault(syn, err)
+        cols = gf2.pack_words(checks.T)
+        units = gf2.pack_words(gf2.eye(n))
+        table = _Table(np.zeros((1, cols.shape[1]), dtype=np.uint64),
+                       np.zeros((1, units.shape[1]), dtype=np.uint64))
+        last, syn, err = np.array([-1]), table.keys, table.errors
+        for w in range(1, min(t, n) + 1):
+            grown = []
+            counts = n - 1 - last
+            for part in _chunks(counts, BUILD_CHUNK):
+                parent = np.repeat(np.arange(part.start, part.stop),
+                                   counts[part])
+                offset = np.arange(parent.size) - np.repeat(
+                    np.cumsum(counts[part]) - counts[part], counts[part])
+                nxt = last[parent] + 1 + offset
+                s, e = syn[parent] ^ cols[nxt], err[parent] ^ units[nxt]
+                table.add(s, e)
+                if w < t:
+                    grown.append((nxt, s, e))
+            if w < t:
+                last, syn, err = (np.concatenate(a) for a in zip(*grown))
         return table
 
     def decode_x(self, syndrome: np.ndarray) -> Optional[np.ndarray]:
@@ -143,12 +219,11 @@ class LookupDecoder:
     def decode_z(self, syndrome: np.ndarray) -> Optional[np.ndarray]:
         return self._lookup(self._z_table, syndrome)
 
-    def _lookup(self, table: dict, syndrome: np.ndarray) -> Optional[np.ndarray]:
-        key = gf2._pack(np.asarray(syndrome, dtype=np.uint8))
-        err = table.get(key)
-        if err is None:
+    def _lookup(self, table: _Table, syndrome: np.ndarray) -> Optional[np.ndarray]:
+        idx, hit = table.find(gf2.pack_words(np.asarray(syndrome)[None]))
+        if not hit[0]:
             return None
-        return gf2._unpack(err, self.code.n)
+        return gf2.unpack_words(table.errors[idx], self.code.n)[0]
 
 
 def lookup_decoder(code: CssCode) -> LookupDecoder:
@@ -178,7 +253,7 @@ def deep_decoder(code: CssCode, cap: int = TABLE_CAP) -> LookupDecoder:
 
 @dataclass
 class _BasisView:
-    """One basis of the memory experiment, ready for fast trial loops.
+    """One basis of the memory experiment, ready for batched decoding.
 
     A |0…0⟩-logical preparation scores logical X failures (corrupted Z
     readout); the |+…+⟩ preparation scores logical Z failures.  Decoding
@@ -188,29 +263,68 @@ class _BasisView:
 
     circuit: Circuit
     mem_out: np.ndarray
-    syn_rows: list            # packed outcome combinations -> mid syndrome
+    syn: np.ndarray           # outcome combinations -> mid syndrome
     checks: np.ndarray        # final-syndrome check matrix
-    logical_rows: list        # packed logical rows tested on the residue
+    logicals: np.ndarray      # logical rows tested on the residue
     frame_is_x: bool
-    cols: Optional[list] = None
+    # Filled by compile_faults: the fault cells as (channel, Loc), and per
+    # cell the packed words [mid syndrome | final syndrome | frame], each
+    # syndrome `syn_words` wide; the logical rows packed likewise.
+    cells: Optional[list] = None
+    words: Optional[np.ndarray] = None
+    syn_words: int = 0
+    logical_words: Optional[np.ndarray] = None
 
     def compile_faults(self) -> None:
-        if self.cols is not None:
+        """Fold every fault cell, an X or Z fault on a quantum location or
+        a flip of an outcome bit, into packed words: its mid syndrome, the
+        final syndrome of its frame, and its frame on mem_out."""
+        if self.words is not None:
             return
-        cols = []
+        cells, flips, frames = [], [], []
         for loc in self.circuit.locations():
             if loc.kind == "flip":
-                r = frame.run_frames(self.circuit, flip_locs=[loc])
-                cols.append((self._pack(r), None))
+                runs = [("flip", frame.run_frames(self.circuit, flip_locs=[loc]))]
             else:
-                rx = frame.run_frames(self.circuit, x_locs=[loc])
-                rz = frame.run_frames(self.circuit, z_locs=[loc])
-                cols.append((self._pack(rx), self._pack(rz)))
-        self.cols = cols
+                runs = [("X", frame.run_frames(self.circuit, x_locs=[loc])),
+                        ("Z", frame.run_frames(self.circuit, z_locs=[loc]))]
+            for channel, res in runs:
+                cells.append((channel, loc))
+                flips.append(res.outcome_flips)
+                frames.append(res.x_on(self.mem_out) if self.frame_is_x
+                              else res.z_on(self.mem_out))
+        frames = np.array(frames, dtype=np.uint8)
+        mid = gf2.pack_words(gf2.mul(np.array(flips), self.syn.T))
+        final = gf2.pack_words(gf2.mul(frames, self.checks.T))
+        self.syn_words = mid.shape[1]
+        self.logical_words = gf2.pack_words(self.logicals)
+        self.cells = cells
+        self.words = np.hstack([mid, final, gf2.pack_words(frames)])
 
-    def _pack(self, res: frame.FrameResult):
-        fr = res.x_on(self.mem_out) if self.frame_is_x else res.z_on(self.mem_out)
-        return (gf2._pack(res.outcome_flips), gf2._pack(fr))
+    def failures(self, dec: LookupDecoder, trial: np.ndarray,
+                 cell: np.ndarray, trials: int) -> np.ndarray:
+        """Per-trial failure bits, given each fault's trial (sorted) and cell.
+
+        A trial fails when either decoding stage misses its table (a
+        heralded failure) or the corrected residue flips a logical.
+        """
+        out = np.zeros(trials, dtype=bool)
+        if not trial.size:
+            return out
+        starts = np.flatnonzero(np.diff(trial, prepend=-1))
+        acc = np.bitwise_xor.reduceat(self.words[cell], starts, axis=0)
+        mid, final, fr = np.split(acc, [self.syn_words, 2 * self.syn_words],
+                                  axis=1)
+        table = dec._x_table if self.frame_is_x else dec._z_table
+        i1, hit1 = table.find(mid)
+        # checks·(fr ^ c1) = checks·fr ^ mid: the first correction c1 has
+        # syndrome `mid` by construction of the table.
+        i2, hit2 = table.find(final ^ mid)
+        resid = fr ^ table.errors[i1] ^ table.errors[i2]
+        parity = np.bitwise_count(resid[:, None, :]
+                                  & self.logical_words[None]).sum(axis=2) & 1
+        out[trial[starts]] = ~(hit1 & hit2) | parity.any(axis=1)
+        return out
 
 
 @dataclass
@@ -227,7 +341,7 @@ class MemoryExperiment:
         self.x_basis.compile_faults()
 
 
-def _build_basis(code: CssCode, basis: str, dec: LookupDecoder) -> _BasisView:
+def _build_basis(code: CssCode, basis: str) -> _BasisView:
     circ = Circuit()
     mem = circ.new_block("M", code.n)
     if basis == "z":
@@ -245,32 +359,20 @@ def _build_basis(code: CssCode, basis: str, dec: LookupDecoder) -> _BasisView:
     if basis == "z":
         syn = gf2.zeros(code.h_z.shape[0], circ.n_outcomes)
         syn[:, mu_z1: mu_z1 + code.n] = code.h_z
-        return _BasisView(circuit=circ, mem_out=mem3,
-                          syn_rows=[gf2._pack(r) for r in syn],
-                          checks=code.h_z,
-                          logical_rows=[gf2._pack(r) for r in code.j_z],
+        return _BasisView(circuit=circ, mem_out=mem3, syn=syn,
+                          checks=code.h_z, logicals=code.j_z,
                           frame_is_x=True)
     syn = gf2.zeros(code.h_x.shape[0], circ.n_outcomes)
     syn[:, mu_z2: mu_z2 + code.n] = code.h_x
-    return _BasisView(circuit=circ, mem_out=mem3,
-                      syn_rows=[gf2._pack(r) for r in syn],
-                      checks=code.h_x,
-                      logical_rows=[gf2._pack(r) for r in code.j_x],
+    return _BasisView(circuit=circ, mem_out=mem3, syn=syn,
+                      checks=code.h_x, logicals=code.j_x,
                       frame_is_x=False)
 
 
 def build_memory_experiment(code: CssCode) -> MemoryExperiment:
-    dec = deep_decoder(code)
-    return MemoryExperiment(code=code, decoder=dec,
-                            z_basis=_build_basis(code, "z", dec),
-                            x_basis=_build_basis(code, "x", dec))
-
-
-def _unpack_bits(mask: int, rows: list) -> np.ndarray:
-    out = np.zeros(len(rows), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        out[i] = (mask & row).bit_count() & 1
-    return out
+    return MemoryExperiment(code=code, decoder=deep_decoder(code),
+                            z_basis=_build_basis(code, "z"),
+                            x_basis=_build_basis(code, "x"))
 
 
 @dataclass
@@ -280,9 +382,6 @@ class RateEstimate:
     rate: float
     ci_low: float
     ci_high: float
-
-    def overlaps(self, other: "RateEstimate") -> bool:
-        return not (self.ci_high < other.ci_low or other.ci_high < self.ci_low)
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
@@ -298,32 +397,31 @@ def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
     return lo, hi
 
 
-def _basis_trial(view: _BasisView, dec: LookupDecoder, n: int,
-                 u: np.ndarray, p_phy: float) -> bool:
-    o = fr = 0
-    for i in np.nonzero(u[:, 0] < p_phy)[0]:
-        col = view.cols[i][0]
-        o ^= col[0]
-        fr ^= col[1]
-    for i in np.nonzero(u[:, 1] < p_phy)[0]:
-        col = view.cols[i][1]
-        if col is not None:
-            o ^= col[0]
-            fr ^= col[1]
-    if not (o or fr):
-        return False
-    decode = dec.decode_x if view.frame_is_x else dec.decode_z
-    s1 = _unpack_bits(o, view.syn_rows)
-    c1 = decode(s1)
-    if c1 is None:
-        return True
-    resid = fr ^ gf2._pack(c1)
-    s2 = gf2.mul(view.checks, gf2._unpack(resid, n))
-    c2 = decode(s2)
-    if c2 is None:
-        return True
-    resid ^= gf2._pack(c2)
-    return any((resid & l).bit_count() & 1 for l in view.logical_rows)
+BLOCK_CELLS = 1 << 20  # fault cells (trials × cells per trial) per block
+
+
+def _stream_position(rng: np.random.Generator) -> int:
+    """Philox counter of a trial_rng stream, as one integer."""
+    counter = rng.bit_generator.state["state"]["counter"]
+    return sum(int(w) << (64 * i) for i, w in enumerate(counter))
+
+
+def _sample_block(seed: int, block: int, p_phy: float, trials: int,
+                 cells: int):
+    """The faults of one block: i.i.d. Bernoulli(p_phy) over its trials ×
+    cells, drawn from trial_rng(seed, block) as a binomial count followed
+    by that many distinct positions.  Returns (trial, cell) index arrays
+    sorted by trial, then cell."""
+    if p_phy == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    rng = trial_rng(seed, block)
+    total = trials * cells
+    count = rng.binomial(total, p_phy)
+    pos = np.sort(rng.choice(total, size=count, replace=False, shuffle=False))
+    used = _stream_position(rng) - block * _TRIAL_STRIDE
+    assert used < _TRIAL_STRIDE, f"block used {used} Philox counters"
+    return np.divmod(pos, cells)
 
 
 def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
@@ -332,19 +430,27 @@ def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
 
     Each trial runs the |0…0⟩-basis and |+…+⟩-basis circuits on
     independent fault draws; it fails on a heralded decode, a logical X
-    flip in the first, or a logical Z flip in the second.
+    flip in the first, or a logical Z flip in the second.  Trials run in
+    blocks of BLOCK_CELLS fault cells; block b draws from
+    trial_rng(seed, b).
     """
+    if not 0 <= p_phy < 1:
+        raise ValueError("p_phy must lie in [0, 1)")
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
     exp.compile_faults()
-    n = exp.code.n
-    n1 = len(exp.z_basis.circuit.locations())
-    n2 = len(exp.x_basis.circuit.locations())
+    z_cells = len(exp.z_basis.cells)
+    cells = z_cells + len(exp.x_basis.cells)
+    block = max(1, BLOCK_CELLS // cells)
     failures = 0
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        u = rng.random((n1 + n2, 2))
-        if _basis_trial(exp.z_basis, exp.decoder, n, u[:n1], p_phy) or \
-                _basis_trial(exp.x_basis, exp.decoder, n, u[n1:], p_phy):
-            failures += 1
+    for b, start in enumerate(range(0, trials, block)):
+        size = min(block, trials - start)
+        trial, cell = _sample_block(seed, b, p_phy, size, cells)
+        in_z = cell < z_cells
+        fail = exp.z_basis.failures(exp.decoder, trial[in_z], cell[in_z], size)
+        fail |= exp.x_basis.failures(exp.decoder, trial[~in_z],
+                                     cell[~in_z] - z_cells, size)
+        failures += int(np.count_nonzero(fail))
     lo, hi = wilson_interval(failures, trials)
     return RateEstimate(trials=trials, failures=failures,
                         rate=failures / trials if trials else 0.0,

@@ -67,6 +67,19 @@ class TestSimCommand:
                       "--trials", "5"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--p", "2"), ("--p", "-0.1"),
+                                            ("--trials", "-5")])
+    def test_rejects_bad_flags(self, tmp_path, capsys, flag, value):
+        spec = tmp_path / "mem.spec"
+        spec.write_text("kind=surface_memory\nd=3\n")
+        args = {"--p": "0.001", "--trials": "10"}
+        args[flag] = value
+        with pytest.raises(SystemExit) as err:
+            cli.main(["sim", "run", "--circuit", str(spec), "--seed", "1",
+                      *(x for kv in args.items() for x in kv)])
+        assert err.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
 
 class TestCompileCommand:
     def test_outputs(self, tmp_path, capsys):

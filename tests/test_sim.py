@@ -1,7 +1,12 @@
 """Noise sampling, wait merging, reduced rates, decoding, Monte Carlo."""
 
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsurg import codes, gf2, sim
 from qsurg.circuit import Circuit
@@ -146,3 +151,200 @@ class TestWilson:
     def test_zero_failures(self):
         lo, hi = sim.wilson_interval(0, 1000)
         assert lo == 0.0 and hi < 0.01
+
+
+# ── lookup tables ───────────────────────────────────────────────────────
+
+
+def dict_table(checks, t):
+    """Reference table: the first error of each syndrome over the
+    combinations of weight <= t, in (weight, lexicographic) order."""
+    cols = [gf2._pack(col) for col in checks.T]
+    table = {0: 0}
+    for w in range(1, t + 1):
+        for combo in combinations(range(checks.shape[1]), w):
+            syn = err = 0
+            for c in combo:
+                syn ^= cols[c]
+                err |= 1 << c
+            table.setdefault(syn, err)
+    return table
+
+
+def as_int(words):
+    return sum(int(w) << (64 * i) for i, w in enumerate(words))
+
+
+def assert_table_equals_dict(checks, t):
+    table = sim.LookupDecoder._build(checks, t)
+    ref = dict_table(checks, t)
+    assert len(table) == len(ref)
+    got = {as_int(k): as_int(e) for k, e in zip(table.keys, table.errors)}
+    assert got == ref
+
+
+class TestTableBuild:
+    def test_surface3_whole_space(self):
+        code = codes.surface_code_via_hgp(3)
+        for checks in (code.h_z, code.h_x):
+            assert_table_equals_dict(checks, code.n)
+
+    def test_surface5_depth5(self):
+        code = codes.surface_code_via_hgp(5)
+        table = sim.LookupDecoder._build(code.h_z, 5)
+        assert len(table) == 228461
+        assert_table_equals_dict(code.h_z, 5)
+
+    def test_hamming_every_depth(self):
+        h = codes.hamming_743().h
+        for t in range(8):
+            assert_table_equals_dict(h, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 90), st.integers(1, 90), st.integers(0, 3),
+           st.integers(1, 50), st.integers(0, 2**32 - 1))
+    def test_random_checks(self, rows, cols, t, chunk, seed):
+        # Wide shapes take several words per key or error; tiny chunks
+        # split every weight across many build steps.
+        while t and sum(math.comb(cols, w) for w in range(t + 1)) > 5000:
+            t -= 1
+        checks = np.random.default_rng(seed).integers(
+            0, 2, size=(rows, cols)).astype(np.uint8)
+        old = sim.BUILD_CHUNK
+        try:
+            sim.BUILD_CHUNK = chunk
+            assert_table_equals_dict(checks, t)
+        finally:
+            sim.BUILD_CHUNK = old
+
+    def test_decode_reads_the_table(self):
+        code = codes.surface_code_via_hgp(3)
+        dec = sim.deep_decoder(code)
+        for key, err in dict_table(code.h_z, dec.t).items():
+            syn = gf2._unpack(key, code.h_z.shape[0])
+            assert gf2._pack(dec.decode_x(syn)) == err
+
+
+# ── batched Monte Carlo against per-trial decoding ──────────────────────
+
+
+@pytest.fixture(scope="module")
+def experiments():
+    out = {d: sim.build_memory_experiment(codes.surface_code_via_hgp(d))
+           for d in (3, 5)}
+    code7 = codes.surface_code_via_hgp(7)
+    dec7 = sim.LookupDecoder(code7, max_weight=1)
+    out[7] = sim.MemoryExperiment(code=code7, decoder=dec7,
+                                  z_basis=sim._build_basis(code7, "z"),
+                                  x_basis=sim._build_basis(code7, "x"))
+    for exp in out.values():
+        exp.compile_faults()
+    return out
+
+
+def reference_failure(view, dec, faults):
+    """One trial decoded on its own: frame run of the sampled fault set,
+    two table lookups, then the logical parity of the residue."""
+    path = sim.FaultPath(
+        x_locs=tuple(loc for ch, loc in faults if ch == "X"),
+        z_locs=tuple(loc for ch, loc in faults if ch == "Z"),
+        flip_locs=tuple(loc for ch, loc in faults if ch == "flip"))
+    res = sim.propagate(view.circuit, path)
+    fr = res.x_on(view.mem_out) if view.frame_is_x else res.z_on(view.mem_out)
+    decode = dec.decode_x if view.frame_is_x else dec.decode_z
+    c1 = decode(gf2.mul(view.syn, res.outcome_flips))
+    if c1 is None:
+        return True
+    resid = fr ^ c1
+    c2 = decode(gf2.mul(view.checks, resid))
+    if c2 is None:
+        return True
+    return bool(gf2.mul(view.logicals, resid ^ c2).any())
+
+
+@pytest.mark.parametrize("d,p,trials", [(3, 5e-3, 400), (3, 2e-2, 400),
+                                        (5, 5e-3, 200), (5, 2e-2, 200),
+                                        (7, 1e-4, 100)])
+def test_batched_matches_per_trial(experiments, d, p, trials):
+    exp = experiments[d]
+    if d == 7:
+        assert exp.z_basis.words.shape[1] > 3  # frames span two words
+    seed = 31
+    z_cells = len(exp.z_basis.cells)
+    cells = z_cells + len(exp.x_basis.cells)
+    trial, cell = sim._sample_block(seed, 0, p, trials, cells)
+    bits = np.zeros(trials, dtype=bool)
+    ref = np.zeros(trials, dtype=bool)
+    for view, sel, offset in ((exp.z_basis, cell < z_cells, 0),
+                              (exp.x_basis, cell >= z_cells, z_cells)):
+        got = view.failures(exp.decoder, trial[sel], cell[sel] - offset,
+                            trials)
+        want = [reference_failure(view, exp.decoder,
+                                  [view.cells[c] for c in
+                                   cell[sel & (trial == t)] - offset])
+                for t in range(trials)]
+        assert np.array_equal(got, want)
+        bits |= got
+        ref |= want
+    assert ref.any() and not ref.all()
+    assert sim.logical_error_rate(exp, p, trials, seed).failures == ref.sum()
+
+
+class TestSampling:
+    def test_bernoulli_counts(self):
+        trials, cells, p = 500, 300, 0.02
+        per_trial = np.zeros(0, dtype=int)
+        per_cell = np.zeros(cells, dtype=int)
+        for block in range(20):
+            trial, cell = sim._sample_block(5, block, p, trials, cells)
+            key = trial * cells + cell
+            assert np.all(np.diff(key) > 0)  # distinct and sorted
+            per_trial = np.concatenate(
+                [per_trial, np.bincount(trial, minlength=trials)])
+            per_cell += np.bincount(cell, minlength=cells)
+        n = len(per_trial)
+        assert abs(per_trial.mean() - cells * p) < 4 * np.sqrt(
+            cells * p * (1 - p) / n)
+        assert per_trial.var() == pytest.approx(cells * p * (1 - p), rel=0.1)
+        expect = n * p
+        chi2 = ((per_cell - expect) ** 2 / expect).sum()
+        assert chi2 < cells + 5 * np.sqrt(2 * cells)
+
+    def test_blocks_are_independent_streams(self):
+        a = sim._sample_block(5, 0, 0.1, 50, 40)
+        b = sim._sample_block(5, 1, 0.1, 50, 40)
+        again = sim._sample_block(5, 0, 0.1, 50, 40)
+        assert not np.array_equal(a[1], b[1])
+        assert all(np.array_equal(x, y) for x, y in zip(a, again))
+
+    def test_stride_overrun_is_caught(self, monkeypatch):
+        monkeypatch.setattr(sim, "_TRIAL_STRIDE", 1)
+        with pytest.raises(AssertionError):
+            sim._sample_block(5, 0, 0.1, 100, 100)
+
+    def test_p_zero_draws_nothing(self, monkeypatch):
+        exp = sim.build_memory_experiment(codes.surface_code_via_hgp(3))
+
+        def no_draws(*args):
+            raise AssertionError("p = 0 must not draw")
+
+        monkeypatch.setattr(sim, "trial_rng", no_draws)
+        assert sim.logical_error_rate(exp, 0.0, 5000, seed=3).failures == 0
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("p", [-1.0, 1.0, 1.5, float("nan")])
+    def test_rate_rejects_bad_p(self, p):
+        exp = sim.build_memory_experiment(codes.surface_code_via_hgp(3))
+        with pytest.raises(ValueError):
+            sim.logical_error_rate(exp, p, 10, seed=1)
+
+    def test_rate_rejects_negative_trials(self):
+        exp = sim.build_memory_experiment(codes.surface_code_via_hgp(3))
+        with pytest.raises(ValueError):
+            sim.logical_error_rate(exp, 1e-3, -1, seed=1)
+
+    def test_zero_trials(self):
+        exp = sim.build_memory_experiment(codes.surface_code_via_hgp(3))
+        est = sim.logical_error_rate(exp, 1e-3, 0, seed=1)
+        assert est.trials == est.failures == 0
