@@ -321,7 +321,9 @@ def from_text(text: str) -> np.ndarray:
         row = lines[1 + i].strip()
         if len(row) != cols:
             raise ValueError(f"row {i} has {len(row)} entries, expected {cols}")
-        m[i] = [1 if ch == "1" else 0 for ch in row]
+        if row.strip("01"):
+            raise ValueError(f"row {i} has entries other than 0 and 1: {row!r}")
+        m[i] = [ch == "1" for ch in row]
     return m
 
 

@@ -16,7 +16,7 @@ drivers that verify them exhaustively at low weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -289,6 +289,8 @@ class SpPropagation:
     source: CssCode
     f: ClassicalCode
     rs: ResourceStateSpec
+    _amplification: Optional[Fraction] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def omega_dz(self) -> int:
@@ -296,12 +298,17 @@ class SpPropagation:
         return max(wp.max_row_weight, wp.max_col_weight)
 
     def amplification(self) -> Fraction:
-        """max{1, n_F / (r_F·s)} with the exact computed soundness."""
-        from .codes import soundness
-        s = self.f.soundness or soundness(self.f)
-        if s is None:
-            return Fraction(1)
-        return max(Fraction(1), Fraction(self.f.n, self.f.h.shape[0]) / s)
+        """max{1, n_F / (r_F·s)} with the exact computed soundness.
+
+        The soundness sweep is exhaustive over F's syndromes, so the
+        factor is computed on first use and kept.
+        """
+        if self._amplification is None:
+            from .codes import soundness
+            s = self.f.soundness or soundness(self.f)
+            self._amplification = Fraction(1) if s is None else max(
+                Fraction(1), Fraction(self.f.n, self.f.h.shape[0]) / s)
+        return self._amplification
 
     def threshold(self) -> Fraction:
         """Fault-weight threshold below which the X-error bound is proved."""

@@ -4,6 +4,13 @@ Standard destabilizer/stabilizer tableau with sign tracking.  Supports the
 circuit IR directly, general commuting-Pauli-set measurements, and forced
 outcomes; `force_zero` runs validate the all-zero reference trajectory that
 the Pauli-frame simulator relies on.
+
+A measurement costs no Python loop over tableau rows: anticommutation is
+read from the measured Pauli's support columns, a random outcome multiplies
+the pivot stabilizer into every anticommuting row in one vectorised
+phase-tracked rowsum, and a deterministic sign is accumulated over prefix
+XORs of the contributing stabilizer rows (Aaronson–Gottesman,
+arXiv:quant-ph/0406196).
 """
 
 from __future__ import annotations
@@ -51,25 +58,39 @@ class Tableau:
 
     @staticmethod
     def _g(x1, z1, x2, z2):
+        """Per-column exponent of i picked up by the product P1·P2."""
         x1, z1 = x1.astype(np.int8), z1.astype(np.int8)
         x2, z2 = x2.astype(np.int8), z2.astype(np.int8)
         return (x1 & z1) * (z2 - x2) \
             + (x1 & ~z1 & 1) * (z2 * (2 * x2 - 1)) \
             + (~x1 & 1 & z1) * (x2 * (1 - 2 * z2))
 
-    def _rowsum_into(self, xh, zh, rh, i: int):
-        gs = int(self._g(self.x[i], self.z[i], xh, zh).sum())
-        total = (2 * int(rh) + 2 * int(self.r[i]) + gs) % 4
-        return xh ^ self.x[i], zh ^ self.z[i], np.uint8(total // 2)
-
-    def _rowsum(self, h: int, i: int) -> None:
-        self.x[h], self.z[h], self.r[h] = self._rowsum_into(
-            self.x[h], self.z[h], self.r[h], i)
-
     # ── measurement ─────────────────────────────────────────────────
 
     def _anticommute(self, xv, zv) -> np.ndarray:
-        return ((self.x @ zv.astype(np.int64)) + (self.z @ xv.astype(np.int64))) % 2 == 1
+        """Rows anticommuting with P, read from P's support columns only."""
+        supp = np.flatnonzero(xv | zv)
+        odd = (self.x[:, supp] & zv[supp]) ^ (self.z[:, supp] & xv[supp])
+        return np.bitwise_xor.reduce(odd, axis=1)
+
+    def _stabilizer_sign(self, anti, xv, zv) -> int:
+        """Sign bit of +P from the stabilizers paired with `anti` destabilizers.
+
+        The stabilizer rows s_1..s_m whose destabilizers anticommute with P
+        multiply to ±P.  Row k is multiplied into the product of the rows
+        before it, so its phase term is g(s_k, s_1·…·s_{k-1}); an exclusive
+        prefix XOR gives every such partial product at once.
+        """
+        rows = self.n + np.flatnonzero(anti[:self.n])
+        xs, zs = self.x[rows], self.z[rows]
+        px = np.bitwise_xor.accumulate(xs, axis=0)
+        pz = np.bitwise_xor.accumulate(zs, axis=0)
+        xh = px[-1] if rows.size else np.zeros(self.n, dtype=bool)
+        zh = pz[-1] if rows.size else np.zeros(self.n, dtype=bool)
+        if not (np.array_equal(xh, xv) and np.array_equal(zh, zv)):
+            raise ValueError("operator is not in the stabilizer group")
+        gs = int(self._g(xs[1:], zs[1:], px[:-1], pz[:-1]).sum())
+        return (2 * int(self.r[rows].sum()) + gs) % 4 // 2
 
     def deterministic_value(self, xv, zv) -> Optional[int]:
         """Sign bit of +P in the stabilizer group, or None if P is random."""
@@ -78,37 +99,41 @@ class Tableau:
         anti = self._anticommute(xv, zv)
         if anti[self.n:].any():
             return None
-        xh = np.zeros(self.n, dtype=bool)
-        zh = np.zeros(self.n, dtype=bool)
-        rh = np.uint8(0)
-        for i in range(self.n):
-            if anti[i]:
-                xh, zh, rh = self._rowsum_into(xh, zh, rh, self.n + i)
-        if not (np.array_equal(xh, xv) and np.array_equal(zh, zv)):
-            raise ValueError("operator is not in the stabilizer group")
-        return int(rh)
+        return self._stabilizer_sign(anti, xv, zv)
 
     def measure_pauli(self, xv, zv, rng=None, forced: Optional[int] = None):
-        """Measure +P for P given by support vectors; returns (bit, deterministic)."""
+        """Measure +P for P given by support vectors; returns (bit, deterministic).
+
+        A random outcome is `forced` if given, else drawn from `rng`; both
+        are ignored when the outcome is deterministic.
+        """
         xv = np.asarray(xv, dtype=bool)
         zv = np.asarray(zv, dtype=bool)
         anti = self._anticommute(xv, zv)
-        stab_anti = np.nonzero(anti[self.n:])[0]
+        stab_anti = np.flatnonzero(anti[self.n:])
         if stab_anti.size == 0:
-            return self.deterministic_value(xv, zv), True
-        p = self.n + int(stab_anti[0])
-        for i in np.nonzero(anti)[0]:
-            if int(i) != p:
-                self._rowsum(int(i), p)
-        self.x[p - self.n] = self.x[p]
-        self.z[p - self.n] = self.z[p]
-        self.r[p - self.n] = self.r[p]
+            return self._stabilizer_sign(anti, xv, zv), True
         if forced is not None:
             bit = int(forced)
         elif rng is not None:
             bit = int(rng.integers(0, 2))
         else:
             raise ValueError("random outcome requires rng or forced value")
+        # Multiply pivot stabilizer p into every other anticommuting row.
+        # Row p itself is not among them, so the rows update independently.
+        p = self.n + int(stab_anti[0])
+        rows = np.flatnonzero(anti)
+        rows = rows[rows != p]
+        cols = np.flatnonzero(self.x[p] | self.z[p])
+        block = np.ix_(rows, cols)
+        gs = self._g(self.x[p, cols], self.z[p, cols],
+                     self.x[block], self.z[block]).sum(axis=1)
+        self.r[rows] = (2 * self.r[rows] + 2 * int(self.r[p]) + gs) % 4 // 2
+        self.x[rows] ^= self.x[p]
+        self.z[rows] ^= self.z[p]
+        self.x[p - self.n] = self.x[p]
+        self.z[p - self.n] = self.z[p]
+        self.r[p - self.n] = self.r[p]
         self.x[p] = xv
         self.z[p] = zv
         self.r[p] = bit
@@ -162,28 +187,31 @@ def run_tableau(
         xv = np.zeros(circ.n_qubits, dtype=bool)
         zv = np.zeros(circ.n_qubits, dtype=bool)
         vec = xv if sigma == "X" else zv
-        for q in qubits:
-            vec[int(q)] = True
+        vec[np.asarray(qubits, dtype=np.intp)] = True
         flip = 1 if slot in flips else 0
-        if sim._anticommute(xv, zv)[sim.n:].any():
-            if forced_outcomes is not None:
-                reported = int(forced_outcomes[slot])
-            elif force_zero:
-                reported = 0
-            elif rng is not None:
-                reported = (int(rng.integers(0, 2)) ^ flip)
-            else:
-                raise ValueError("random outcome needs rng or forcing")
-            sim.measure_pauli(xv, zv, forced=reported ^ flip)
-            outcomes[slot] = reported
+        # A random outcome reports the forced bit; the projection follows
+        # the true bit, i.e. the reported one XOR the flip.
+        if forced_outcomes is not None:
+            forced = int(forced_outcomes[slot]) ^ flip
+        elif force_zero:
+            forced = flip
         else:
-            bit, _ = sim.measure_pauli(xv, zv, forced=0)
-            outcomes[slot] = bit ^ flip
-            deterministic[slot] = True
+            forced = None
+        bit, det = sim.measure_pauli(xv, zv, rng=rng, forced=forced)
+        outcomes[slot] = bit ^ flip
+        deterministic[slot] = det
 
+    # The tableau starts every qubit in |0⟩ and never resets one, so an
+    # init is only valid on a qubit no earlier op (or the input) has used.
+    used = np.zeros(circ.n_qubits, dtype=bool)
+    used[circ.input_qubits] = True
     apply_errors(-1)
     for step, op in enumerate(circ.ops):
         if isinstance(op, InitOp):
+            reused = np.asarray(op.qubits, dtype=np.intp)[used[op.qubits]]
+            if reused.size:
+                raise ValueError(f"init at op {step} names qubit "
+                                 f"{int(reused[0])}, which is already in use")
             if op.basis == "+":
                 for q in op.qubits:
                     sim.h(int(q))
@@ -210,6 +238,10 @@ def run_tableau(
                     sim.pauli_z(q)
         else:
             raise TypeError(f"unknown op {op!r}")
+        if isinstance(op, GCnotOp):
+            used[op.controls] = used[op.targets] = True
+        else:
+            used[op.qubits] = True
         apply_errors(step)
     return TableauResult(outcomes=outcomes, deterministic=deterministic, sim=sim)
 

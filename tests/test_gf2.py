@@ -202,3 +202,8 @@ class TestTextFormat:
     def test_bit_exact_layout(self):
         m = gf2.bitmat([[1, 0, 1], [0, 1, 1]])
         assert gf2.to_text(m) == "2 3\n101\n011\n"
+
+    @pytest.mark.parametrize("row", ["1a1", "1 1", "1.0", "121", "-11"])
+    def test_rejects_non_binary_entries(self, row):
+        with pytest.raises(ValueError, match="row 1"):
+            gf2.from_text(f"2 3\n101\n{row}\n")

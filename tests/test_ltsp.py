@@ -207,3 +207,26 @@ class TestXBound:
     def test_sampled_weight_two(self, spp13):
         rep = ltsp.sweep_x_lemma(spp13, max_weight=0, samples=300, seed=3)
         assert rep.clean
+
+    def test_amplification_computed_once(self, memory13, monkeypatch):
+        from fractions import Fraction
+        calls = []
+        real_soundness = codes.soundness
+
+        def counted(code):
+            calls.append(code)
+            return real_soundness(code)
+
+        def uncached(spp):
+            s = codes.soundness(spp.f)
+            return max(Fraction(1), Fraction(spp.f.n, spp.f.h.shape[0]) / s)
+
+        monkeypatch.setattr(codes, "soundness", counted)
+        spp = ltsp.sp_matrices(memory13, codes.hamming_743(), copy_j=1)
+        cached = ltsp.sweep_x_lemma(spp, max_weight=1, samples=200, seed=5)
+        assert len(calls) <= 1
+        calls.clear()
+        monkeypatch.setattr(ltsp.SpPropagation, "amplification", uncached)
+        plain = ltsp.sweep_x_lemma(spp, max_weight=1, samples=200, seed=5)
+        assert len(calls) > 1
+        assert cached == plain and cached.checked > cached.detected

@@ -1,8 +1,13 @@
 """Circuit IR, frame simulation vs tableau oracle, primitive decompositions."""
 
 import itertools
+from typing import Optional
+from unittest import mock
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsurg import frame, gf2, tableau
 from qsurg.circuit import Circuit, Loc
@@ -185,3 +190,218 @@ class TestProjectiveDecomposition:
             r = frame.run_frames(c, z_locs=[Loc("q", -1, 5 + q)])
             spread = r.z_final.bit_count() - 1
             assert spread <= wp.max_col_weight
+
+
+# ── vectorised tableau vs a row-by-row reference ────────────────────────
+
+
+class RowByRowTableau(tableau.Tableau):
+    """Reference measurement path: a full matmul for anticommutation and one
+    Aaronson–Gottesman rowsum per row, in row order."""
+
+    def _anticommute(self, xv, zv):
+        return ((self.x @ zv.astype(np.int64))
+                + (self.z @ xv.astype(np.int64))) % 2 == 1
+
+    def _rowsum_into(self, xh, zh, rh, i):
+        gs = int(self._g(self.x[i], self.z[i], xh, zh).sum())
+        total = (2 * int(rh) + 2 * int(self.r[i]) + gs) % 4
+        return xh ^ self.x[i], zh ^ self.z[i], np.uint8(total // 2)
+
+    def _rowsum(self, h, i):
+        self.x[h], self.z[h], self.r[h] = self._rowsum_into(
+            self.x[h], self.z[h], self.r[h], i)
+
+    def deterministic_value(self, xv, zv) -> Optional[int]:
+        xv = np.asarray(xv, dtype=bool)
+        zv = np.asarray(zv, dtype=bool)
+        anti = self._anticommute(xv, zv)
+        if anti[self.n:].any():
+            return None
+        xh = np.zeros(self.n, dtype=bool)
+        zh = np.zeros(self.n, dtype=bool)
+        rh = np.uint8(0)
+        for i in range(self.n):
+            if anti[i]:
+                xh, zh, rh = self._rowsum_into(xh, zh, rh, self.n + i)
+        if not (np.array_equal(xh, xv) and np.array_equal(zh, zv)):
+            raise ValueError("operator is not in the stabilizer group")
+        return int(rh)
+
+    def measure_pauli(self, xv, zv, rng=None, forced=None):
+        xv = np.asarray(xv, dtype=bool)
+        zv = np.asarray(zv, dtype=bool)
+        anti = self._anticommute(xv, zv)
+        stab_anti = np.nonzero(anti[self.n:])[0]
+        if stab_anti.size == 0:
+            return self.deterministic_value(xv, zv), True
+        if forced is not None:
+            bit = int(forced)
+        elif rng is not None:
+            bit = int(rng.integers(0, 2))
+        else:
+            raise ValueError("random outcome requires rng or forced value")
+        p = self.n + int(stab_anti[0])
+        for i in np.nonzero(anti)[0]:
+            if int(i) != p:
+                self._rowsum(int(i), p)
+        self.x[p - self.n] = self.x[p]
+        self.z[p - self.n] = self.z[p]
+        self.r[p - self.n] = self.r[p]
+        self.x[p] = xv
+        self.z[p] = zv
+        self.r[p] = bit
+        return bit, False
+
+
+def same_state(a: tableau.Tableau, b: tableau.Tableau) -> bool:
+    return (np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z)
+            and np.array_equal(a.r, b.r))
+
+
+def bits(draw, n, min_weight=0):
+    return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                         .filter(lambda v: sum(v) >= min_weight)), dtype=bool)
+
+
+@st.composite
+def tableau_programs(draw):
+    """Gate, Pauli, measurement and feedback steps on 1-6 qubits."""
+    n = draw(st.integers(1, 6))
+    steps = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["h", "cnot", "x", "z", "m", "m", "fb"]))
+        if kind in ("h", "x", "z"):
+            steps.append((kind, draw(st.integers(0, n - 1))))
+        elif kind == "cnot" and n > 1:
+            c, t = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                 max_size=2, unique=True))
+            steps.append(("cnot", c, t))
+        elif kind == "m":
+            xv = bits(draw, n)
+            zv = bits(draw, n, min_weight=0 if xv.any() else 1)
+            steps.append(("m", xv, zv, draw(st.integers(0, 1))))
+        elif kind == "fb":
+            steps.append(("fb", draw(st.integers(0, 99)),
+                          draw(st.sampled_from("xz")),
+                          draw(st.integers(0, n - 1))))
+    probe = (bits(draw, n), bits(draw, n))
+    return n, steps, probe
+
+
+def run_program(sim, steps):
+    results = []
+    for step in steps:
+        kind = step[0]
+        if kind == "h":
+            sim.h(step[1])
+        elif kind == "cnot":
+            sim.cnot(step[1], step[2])
+        elif kind == "x":
+            sim.pauli_x(step[1])
+        elif kind == "z":
+            sim.pauli_z(step[1])
+        elif kind == "m":
+            results.append(sim.measure_pauli(step[1], step[2], forced=step[3]))
+        elif results and results[step[1] % len(results)][0]:
+            (sim.pauli_x if step[2] == "x" else sim.pauli_z)(step[3])
+    return results
+
+
+@st.composite
+def random_circuits(draw):
+    """Fresh qubits, H layers, GCNOTs, Z/X checks and outcome feedback."""
+    n = draw(st.integers(2, 7))
+    c = Circuit()
+    q = c.new_block("q", n)
+    c.init(q, draw(st.sampled_from("0+")))
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["h", "gcnot", "check", "check", "fb"]))
+        if kind == "h":
+            c.h_layer(q[bits(draw, n, min_weight=1)])
+        elif kind == "gcnot":
+            k = draw(st.integers(1, n - 1))
+            perm = np.array(draw(st.permutations(range(n))))
+            ctl, tgt = q[perm[:k]], q[perm[k:]]
+            a = [bits(draw, len(tgt)) for _ in ctl]
+            c.gcnot(ctl, tgt, np.array(a, dtype=np.uint8))
+        elif kind == "check":
+            rows = [bits(draw, n, min_weight=1)
+                    for _ in range(draw(st.integers(1, 3)))]
+            sigma = draw(st.sampled_from("XZ"))
+            # Rows of one projective op must commute: keep them one type.
+            c.measure_pauli(sigma, np.array(rows, dtype=np.uint8), q)
+        elif c.n_outcomes:
+            count = draw(st.integers(1, c.n_outcomes))
+            src = draw(st.integers(0, c.n_outcomes - count))
+            m = [bits(draw, n) for _ in range(count)]
+            c.feedback(draw(st.sampled_from("XZ")), q,
+                       np.array(m, dtype=np.uint8), src, count)
+    c.measure(q, draw(st.sampled_from("XZ")))
+    forced = np.array(draw(st.lists(st.integers(0, 1), min_size=c.n_outcomes,
+                                    max_size=c.n_outcomes)), dtype=np.uint8)
+    return c, forced, draw(st.integers(0, 2**32 - 1))
+
+
+class TestVectorisedTableau:
+    @settings(max_examples=200, deadline=None)
+    @given(tableau_programs())
+    def test_matches_row_by_row_reference(self, program):
+        n, steps, (px, pz) = program
+        fast, ref = tableau.Tableau(n), RowByRowTableau(n)
+        assert run_program(fast, steps) == run_program(ref, steps)
+        assert same_state(fast, ref)
+        assert fast.deterministic_value(px, pz) == ref.deterministic_value(px, pz)
+
+    @settings(max_examples=50, deadline=None)
+    @given(tableau_programs(), st.data())
+    def test_broken_pairing_raises(self, program, data):
+        # Clearing destabilizer k leaves stabilizer k commuting with every
+        # stabilizer row but outside the product the tableau reconstructs.
+        n, steps, _ = program
+        for cls in (tableau.Tableau, RowByRowTableau):
+            sim = cls(n)
+            run_program(sim, steps)
+            k = data.draw(st.integers(0, n - 1))
+            sim.x[k] = sim.z[k] = False
+            with pytest.raises(ValueError, match="stabilizer group"):
+                sim.deterministic_value(sim.x[n + k], sim.z[n + k])
+            assert tableau.stabilizer_phase(
+                sim, range(n), sim.x[n + k], sim.z[n + k]) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_circuits())
+    def test_run_tableau_matches_reference(self, drawn):
+        circ, forced, seed = drawn
+        runs = [
+            lambda: tableau.run_tableau(circ, forced_outcomes=forced),
+            lambda: tableau.run_tableau(circ, rng=np.random.default_rng(seed)),
+            lambda: tableau.run_tableau(circ, force_zero=True,
+                                        flip_locs=circ.locations()[-1:]),
+        ]
+        for run in runs:
+            fast = run()
+            with mock.patch.object(tableau, "Tableau", RowByRowTableau):
+                ref = run()
+            assert np.array_equal(fast.outcomes, ref.outcomes)
+            assert np.array_equal(fast.deterministic, ref.deterministic)
+            assert same_state(fast.sim, ref.sim)
+
+
+class TestInitReuse:
+    def test_reinitialised_qubit_rejected(self):
+        c = Circuit()
+        a = c.new_block("a", 2)
+        c.init(a, "+")
+        c.measure(a[:1], "X")
+        c.init(a[:1], "0")
+        with pytest.raises(ValueError, match="qubit 0"):
+            tableau.run_tableau(c, force_zero=True)
+
+    def test_initialised_input_rejected(self):
+        c = Circuit()
+        a = c.new_block("a", 1)
+        c.mark_input(a)
+        c.init(a, "0")
+        with pytest.raises(ValueError, match="qubit 0"):
+            tableau.run_tableau(c, force_zero=True)
