@@ -121,7 +121,6 @@ class Circuit:
         self.ops: list = []
         self.blocks: dict[str, np.ndarray] = {}
         self.input_qubits: list[int] = []
-        self.groups: dict[str, list[int]] = {}
         self._locs: Optional[list[Loc]] = None
 
     # ── construction ────────────────────────────────────────────────
@@ -203,17 +202,3 @@ class Circuit:
                 raise TypeError(f"unknown op {op!r}")
         self._locs = locs
         return locs
-
-    def loc_index(self) -> dict[Loc, int]:
-        return {loc: i for i, loc in enumerate(self.locations())}
-
-    def add_group(self, name: str, locs: list[Loc]) -> None:
-        idx = self.loc_index()
-        self.groups[name] = [idx[l] for l in locs]
-
-    def measurement_kind(self, loc: Loc) -> Optional[str]:
-        """Basis of the measurement a flip location belongs to."""
-        if loc.kind != "flip":
-            return None
-        op = self.ops[loc.step]
-        return op.basis if isinstance(op, MeasureOp) else op.sigma

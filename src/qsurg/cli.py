@@ -52,6 +52,16 @@ def _count(text: str) -> int:
     return n
 
 
+def _weight_upto(top: int):
+    """argparse type: an exhaustive sweep weight in 0..top."""
+    def weight(text: str) -> int:
+        n = int(text)
+        if not 0 <= n <= top:
+            raise argparse.ArgumentTypeError(f"{text} is not in 0..{top}")
+        return n
+    return weight
+
+
 # ── individual subcommands ──────────────────────────────────────────────
 
 
@@ -124,10 +134,10 @@ def cmd_ltsp_verify(args) -> int:
     rows.append(("ltsp.noiseless", noiseless, "all-zero reference"))
     for j in range(f.k):
         spp = ltsp.sp_matrices(source, f, j)
-        rz = ltsp.sweep_z_lemma(spp, max_weight=min(args.max_weight, 2))
+        rz = ltsp.sweep_z_lemma(spp, max_weight=args.max_weight)
         rows.append((f"lemma.ltsp.spX.copy{j}", rz.clean,
                      f"checked={rz.checked}"))
-        rx = ltsp.sweep_x_lemma(spp, max_weight=min(args.max_weight, 1),
+        rx = ltsp.sweep_x_lemma(spp, max_weight=args.max_weight,
                                 samples=args.samples, seed=args.seed + j)
         rows.append((f"lemma.ltsp.spZ.copy{j}", rx.clean,
                      f"checked={rx.checked} detected={rx.detected}"))
@@ -555,7 +565,9 @@ def main(argv=None) -> int:
     pb = lsub.add_parser("verify")
     pb.add_argument("--source", required=True)
     pb.add_argument("--fcode", required=True)
-    pb.add_argument("--max-weight", type=int, default=2)
+    pb.add_argument("--max-weight", type=_weight_upto(2), default=2,
+                    help="Z sweep exhaustive to this weight; X sweep "
+                         "exhaustive at weight 1 when it is at least 1")
     pb.add_argument("--samples", type=int, default=1000)
     pb.add_argument("--seed", type=int, required=True)
     pb.set_defaults(func=cmd_ltsp_verify)
@@ -564,7 +576,7 @@ def main(argv=None) -> int:
     psub = p.add_subparsers(dest="protocol_cmd", required=True)
     pb = psub.add_parser("check")
     pb.add_argument("--deformed", required=True)
-    pb.add_argument("--max-weight", type=int, default=1)
+    pb.add_argument("--max-weight", type=_weight_upto(1), default=1)
     pb.add_argument("--samples", type=int, default=1000)
     pb.add_argument("--seed", type=int, required=True)
     pb.set_defaults(func=cmd_protocol_check)
@@ -592,7 +604,7 @@ def main(argv=None) -> int:
     p.add_argument("--preset", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--max-weight", type=int, default=2)
+    p.add_argument("--max-weight", type=_weight_upto(2), default=2)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--trials", type=_count, default=100000)
     p.set_defaults(func=cmd_ledger)

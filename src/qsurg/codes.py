@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -161,52 +160,25 @@ def css_from_checks(h_x, h_z, d: Optional[int] = None) -> CssCode:
 # ── distance ────────────────────────────────────────────────────────────
 
 
-def _pack_rows(m: np.ndarray) -> list[int]:
-    return [gf2._pack(row) for row in m]
-
-
 def _min_weight_flagged(basis: np.ndarray, flag: np.ndarray) -> Optional[int]:
     """Min weight over span(basis) of vectors v with flag·vᵀ != 0.
 
-    Gray-code walk; `flag` rows are tracked incrementally alongside v.
+    Each basis row v is packed as [v | flag·vᵀ], so one span walk carries
+    both the vector and its flags.
     """
     dim = basis.shape[0]
     if dim > gf2.MIN_WEIGHT_KERNEL_CAP:
         raise SearchTooLarge(f"span dimension {dim} exceeds cap")
-    vec_masks = _pack_rows(basis)
-    flag_cols = _pack_rows(gf2.mul(flag, basis.T).T) if flag.shape[0] else [0] * dim
-    cur_v, cur_f = 0, 0
+    vecs = gf2.pack_words(basis)
+    rows = np.hstack([vecs, gf2.pack_words(gf2.mul(flag, basis.T).T)])
+    k = vecs.shape[1]
     best: Optional[int] = None
-    gray_prev = 0
-    for i in range(1, 1 << dim):
-        gray = i ^ (i >> 1)
-        j = (gray ^ gray_prev).bit_length() - 1
-        gray_prev = gray
-        cur_v ^= vec_masks[j]
-        cur_f ^= flag_cols[j]
-        if cur_f:
-            w = cur_v.bit_count()
-            if best is None or w < best:
-                best = w
+    for words in gf2.span_walk(rows):
+        flagged = words[:, k:].any(axis=1)
+        if flagged.any():
+            w = int(np.bitwise_count(words[flagged, :k]).sum(axis=1).min())
+            best = w if best is None else min(best, w)
     return best
-
-
-def _sweep_bounded(n: int, budget: int, checks: np.ndarray, flag: np.ndarray):
-    """First weight-≤budget vector in ker(checks) with flag·vᵀ != 0, else None."""
-    check_cols = _pack_rows(checks.T)
-    flag_cols = _pack_rows(flag.T)
-    for w in range(1, budget + 1):
-        for combo in combinations(range(n), w):
-            syn = 0
-            fl = 0
-            for c in combo:
-                syn ^= check_cols[c]
-                fl ^= flag_cols[c]
-            if syn == 0 and fl:
-                v = gf2.zeros(1, n)[0]
-                v[list(combo)] = 1
-                return v
-    return None
 
 
 def distance(code, budget: Optional[int] = None) -> DistanceResult:
@@ -241,17 +213,18 @@ def distance(code, budget: Optional[int] = None) -> DistanceResult:
     except SearchTooLarge:
         if budget is None:
             raise
-    # Weight-bounded sweep fallback.
+    # Weight-bounded sweep fallback: every side at weight w before w + 1.
     if isinstance(code, ClassicalCode):
-        hit = _sweep_bounded(n, budget, code.h, gf2.eye(n))
+        sides = [(code.h, gf2.eye(n))]
     else:
-        hit = None
-        for checks, flag in ((code.h_z, code.j_z), (code.h_x, code.j_x)):
-            hit = _sweep_bounded(n, budget, checks, flag)
-            if hit is not None:
-                break
-    if hit is not None:
-        return DistanceResult(d=int(gf2.weight(hit)), floor=int(gf2.weight(hit)) - 1)
+        sides = [(code.h_z, code.j_z), (code.h_x, code.j_x)]
+    parts = [gf2.pack_words(m.T) for side in sides for m in side]
+    edges = np.cumsum([p.shape[1] for p in parts])[:-1]
+    for w, words in gf2.combination_sweep(np.hstack(parts), budget):
+        split = np.split(words, edges, axis=1)
+        for syn, flags in zip(split[::2], split[1::2]):
+            if (~syn.any(axis=1) & flags.any(axis=1)).any():
+                return DistanceResult(d=w, floor=w - 1)
     return DistanceResult(d=None, floor=budget)
 
 
@@ -259,7 +232,7 @@ def distance(code, budget: Optional[int] = None) -> DistanceResult:
 
 
 def soundness(code: ClassicalCode) -> Optional[Fraction]:
-    """Largest s with (1/r)·|H uᵀ| ≥ (s/n)·dist(u, C) for all u ∉ C.
+    """Largest s with (1/r)·|H uᵀ| ≥ (s/n)·dist(u, C) for all u ∉ C = ker H.
 
     Exact rational from a full 2^n sweep (n ≤ cap).  None when the code has
     no checks (every word is a codeword, so the bound is vacuous).
@@ -269,38 +242,24 @@ def soundness(code: ClassicalCode) -> Optional[Fraction]:
         return None
     if n > gf2.MIN_WEIGHT_KERNEL_CAP:
         raise SearchTooLarge(f"soundness sweep over 2^{n} refused")
-    words = _codewords_packed(code)
-    h_cols = _pack_rows(code.h.T)
-    best: Optional[Fraction] = None
-    for u in range(1, 1 << n):
-        if u in words:
-            continue
-        syn = 0
-        rem = u
-        while rem:
-            low = rem & -rem
-            syn ^= h_cols[low.bit_length() - 1]
-            rem ^= low
-        dist_u = min((u ^ c).bit_count() for c in words)
-        ratio = Fraction(n * syn.bit_count(), r * dist_u)
-        if best is None or ratio < best:
-            best = ratio
-    return best
-
-
-def _codewords_packed(code: ClassicalCode) -> set[int]:
-    if code.k > gf2.MIN_WEIGHT_KERNEL_CAP:
-        raise SearchTooLarge("codeword enumeration refused")
-    masks = _pack_rows(code.g)
-    words = {0}
-    cur = 0
-    gray_prev = 0
-    for i in range(1, 1 << code.k):
-        gray = i ^ (i >> 1)
-        cur ^= masks[(gray ^ gray_prev).bit_length() - 1]
-        gray_prev = gray
-        words.add(cur)
-    return words
+    # dist(u, C) is the least weight in u's syndrome class u + C, so one
+    # walk over all 2^n words and their syndromes gives every class's
+    # least weight, and the ratio is the same for all u in a class.
+    units = gf2.pack_words(gf2.eye(n))
+    syn_cols = gf2.pack_words(code.h.T)
+    k = units.shape[1]
+    classes = np.zeros((0, syn_cols.shape[1]), dtype=np.uint64)
+    least = np.zeros(0, dtype=np.int64)
+    for words in gf2.span_walk(np.hstack([units, syn_cols])):
+        syn = np.concatenate([classes, words[:, k:]])
+        wt = np.concatenate([least, np.bitwise_count(words[:, :k]).sum(axis=1)])
+        classes, inv = np.unique(syn, axis=0, return_inverse=True)
+        least = np.full(len(classes), n + 1, dtype=np.int64)
+        np.minimum.at(least, inv.reshape(-1), wt)
+    syn_w = np.bitwise_count(classes).sum(axis=1)
+    pairs = np.unique(np.stack([syn_w, least], axis=1)[syn_w > 0], axis=0)
+    return min((Fraction(n * int(a), r * int(b)) for a, b in pairs),
+               default=None)
 
 
 # ── example constructors ────────────────────────────────────────────────

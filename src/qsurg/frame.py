@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (Circuit, FeedbackOp, GCnotOp, HLayerOp, InitOp, Loc,
+from .circuit import (Circuit, FeedbackOp, GCnotOp, HLayerOp, InitOp,
                       MeasureOp, ProjectiveOp)
 
 
@@ -165,20 +165,3 @@ def run_frames(circ: Circuit, x_locs=(), z_locs=(), flip_locs=()) -> FrameResult
         z ^= zq.get(step, 0)
 
     return FrameResult(outcome_flips=outcomes, x_final=x, z_final=z)
-
-
-def probe_columns(circ: Circuit, locs: list[Loc], fault: str):
-    """Unit-fault transfer columns: one frame run per location.
-
-    fault "X"/"Z" for quantum locations, "flip" for classical ones.
-    Returns a list of FrameResult objects aligned with *locs*.
-    """
-    out = []
-    for loc in locs:
-        if fault == "X":
-            out.append(run_frames(circ, x_locs=[loc]))
-        elif fault == "Z":
-            out.append(run_frames(circ, z_locs=[loc]))
-        else:
-            out.append(run_frames(circ, flip_locs=[loc]))
-    return out

@@ -206,9 +206,10 @@ def solve_linear(
 
     mode="any" returns one solution (or None when the system is
     inconsistent).  mode="min_weight" returns a minimum-Hamming-weight
-    solution, found by exhaustively enumerating the solution coset; if the
-    kernel dimension exceeds *kernel_cap* the search is refused with
-    :class:`SearchTooLarge` rather than answered heuristically.
+    solution, the first one in the Gray-code walk (:func:`span_walk`) of
+    the solution coset; if the kernel dimension exceeds *kernel_cap* the
+    search is refused with :class:`SearchTooLarge` rather than answered
+    heuristically.
     """
     a = bitmat(a)
     b = bitvec(b)
@@ -232,19 +233,16 @@ def solve_linear(
     dim = kern.shape[0]
     if dim > kernel_cap:
         raise SearchTooLarge(f"kernel dimension {dim} exceeds cap {kernel_cap}")
-    # Gray-code walk over the coset x0 + span(kern), on packed integers.
-    basis = [_pack(row) for row in kern]
-    cur = _pack(x0)
-    best, best_w = cur, cur.bit_count()
-    gray_prev = 0
-    for i in range(1, 1 << dim):
-        gray = i ^ (i >> 1)
-        cur ^= basis[(gray ^ gray_prev).bit_length() - 1]
-        gray_prev = gray
-        w = cur.bit_count()
-        if w < best_w:
-            best, best_w = cur, w
-    return _unpack(best, ncols)
+    # First minimum of x0 + span(kern) in Gray order.
+    x = pack_words(x0[None])
+    best, best_w = None, ncols + 1
+    for words in span_walk(pack_words(kern)):
+        words ^= x
+        wt = np.bitwise_count(words).sum(axis=1)
+        i = int(np.argmin(wt))
+        if wt[i] < best_w:
+            best, best_w = words[i], wt[i]
+    return unpack_words(best[None], ncols)[0]
 
 
 def _pack(v: np.ndarray) -> int:
@@ -277,6 +275,74 @@ def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`pack_words`: the first n bits of each word row."""
     as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
     return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :n]
+
+
+# Rows per vectorised step of the two enumerators below.
+ENUM_CHUNK = 1 << 16
+
+
+def span_walk(basis: np.ndarray):
+    """XORs of all 2^dim subsets of the packed rows `basis` (dim × words),
+    yielded in chunks of at most ENUM_CHUNK rows, in Gray-code order: entry
+    i is the XOR of the rows at the set bits of gray(i) = i ^ (i >> 1).
+
+    A table of the 2^m subsets of the first m rows (2^m ≤ ENUM_CHUNK) is
+    built once.  For a multiple a of 2^m and j < 2^m,
+    gray(a + j) = gray(a) ^ gray(j), so each chunk is that table XOR the
+    rows at the set bits of gray(a); these can include row m − 1.
+    """
+    dim = basis.shape[0]
+    m = min(dim, ENUM_CHUNK.bit_length() - 1)
+    low = np.zeros((1, basis.shape[1]), dtype=np.uint64)
+    for b in range(m):
+        low = np.concatenate([low, low[::-1] ^ basis[b]])
+    for a in range(0, 1 << dim, 1 << m):
+        gray = a ^ (a >> 1)
+        rows = [b for b in range(dim) if gray >> b & 1]
+        yield low ^ np.bitwise_xor.reduce(basis[rows], axis=0)
+
+
+def _chunks(counts: np.ndarray, size: int):
+    """Consecutive slices of `counts` whose sums stay within `size` (at
+    least one entry each)."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + size, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
+def combination_sweep(cols: np.ndarray, t: int):
+    """XORs of every set of at most t of the packed rows `cols` (n × words),
+    yielded as (w, chunk) in (weight, lexicographic) order, chunk holding
+    XORs of w rows; the empty set comes first as (0, one zero row).
+
+    The weight-w sets, in lexicographic order, extend each weight-(w−1)
+    set in turn by every larger index; each weight is generated in chunks
+    of about ENUM_CHUNK sets and only the lower weights, which seed the
+    next, are kept whole; callers must not write to a yielded chunk.
+    """
+    n = cols.shape[0]
+    last = np.array([-1])
+    acc = np.zeros((1, cols.shape[1]), dtype=np.uint64)
+    yield 0, acc
+    for w in range(1, min(t, n) + 1):
+        grown = []
+        counts = n - 1 - last
+        for part in _chunks(counts, ENUM_CHUNK):
+            parent = np.repeat(np.arange(part.start, part.stop), counts[part])
+            offset = np.arange(parent.size) - np.repeat(
+                np.cumsum(counts[part]) - counts[part], counts[part])
+            nxt = last[parent] + 1 + offset
+            words = np.take(acc, parent, axis=0)
+            words ^= np.take(cols, nxt, axis=0)
+            yield w, words
+            if w < t:
+                grown.append((nxt, words))
+        if w < t:
+            last, acc = (np.concatenate(a) for a in zip(*grown))
 
 
 def standard_form(g: np.ndarray):

@@ -529,8 +529,9 @@ def sweep_z_lemma(spp: SpPropagation, max_weight: int = 2) -> LemmaSweepReport:
     rep = LemmaSweepReport()
     lay = spp.layout_z
     n = lay.total
-    # Per-location residual contributions; |u_eff| ≤ Σ contributions ≤ w,
-    # but the sweep recomputes the weights explicitly.
+    # Per-location residual contributions, each checked against the bound.
+    # The residual map is linear, so a weight-w fault's residual is the XOR
+    # of its locations' contributions and must weigh at most w.
     contrib = []
     for i in range(n):
         e = np.zeros(n, dtype=np.uint8)
@@ -539,16 +540,15 @@ def sweep_z_lemma(spp: SpPropagation, max_weight: int = 2) -> LemmaSweepReport:
         rep.checked += 1
         rep.ok += 1 if ok else 0
         rep.violations += 0 if ok else 1
-        contrib.append(gf2._pack(e_rs))
-    if max_weight >= 2:
-        for i in range(n):
-            ci = contrib[i]
-            for j in range(i + 1, n):
-                rep.checked += 1
-                if (ci ^ contrib[j]).bit_count() <= 2:
-                    rep.ok += 1
-                else:
-                    rep.violations += 1
+        contrib.append(e_rs)
+    cols = gf2.pack_words(np.array(contrib))
+    for w, words in gf2.combination_sweep(cols, max_weight):
+        if w < 2:
+            continue
+        good = int(np.count_nonzero(np.bitwise_count(words).sum(axis=1) <= w))
+        rep.checked += len(words)
+        rep.ok += good
+        rep.violations += len(words) - good
     return rep
 
 

@@ -102,7 +102,6 @@ def reduced_error_params(p_phy: float, s1: int = 1, s2: int = 1) -> dict:
 # ── lookup decoding ─────────────────────────────────────────────────────
 
 TABLE_CAP = 1 << 22
-BUILD_CHUNK = 1 << 16  # combinations per vectorised table-build step
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -145,18 +144,6 @@ class _Table:
         self._sorted = _row_keys(self.keys)
 
 
-def _chunks(counts: np.ndarray, size: int):
-    """Consecutive slices of `counts` whose sums stay within `size` (at
-    least one entry each)."""
-    ends = np.cumsum(counts)
-    lo = 0
-    while lo < len(counts):
-        base = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + size, side="right")))
-        yield slice(lo, hi)
-        lo = hi
-
-
 class LookupDecoder:
     """Minimum-weight table decoder, complete up to a chosen error weight.
 
@@ -179,38 +166,19 @@ class LookupDecoder:
 
     @staticmethod
     def _build(checks: np.ndarray, t: int) -> _Table:
-        """Errors of weight ≤ t, in (weight, lexicographic) order, keyed by
-        syndrome; the first error of each syndrome is kept.
-
-        The weight-w combinations, in lexicographic order, extend each
-        weight-(w−1) combination in turn by every larger index; each weight
-        is generated in chunks of BUILD_CHUNK and only the lower weights,
-        which seed the next, are kept whole.
-        """
+        """Errors of weight ≤ t, in (weight, lexicographic) order
+        (gf2.combination_sweep over the packed columns [syndrome | unit]),
+        keyed by syndrome; the first error of each syndrome is kept."""
         n = checks.shape[1]
         size = sum(math.comb(n, w) for w in range(t + 1))
         if size > TABLE_CAP:
             raise SearchTooLarge(f"lookup table of {size} entries refused")
-        cols = gf2.pack_words(checks.T)
-        units = gf2.pack_words(gf2.eye(n))
-        table = _Table(np.zeros((1, cols.shape[1]), dtype=np.uint64),
-                       np.zeros((1, units.shape[1]), dtype=np.uint64))
-        last, syn, err = np.array([-1]), table.keys, table.errors
-        for w in range(1, min(t, n) + 1):
-            grown = []
-            counts = n - 1 - last
-            for part in _chunks(counts, BUILD_CHUNK):
-                parent = np.repeat(np.arange(part.start, part.stop),
-                                   counts[part])
-                offset = np.arange(parent.size) - np.repeat(
-                    np.cumsum(counts[part]) - counts[part], counts[part])
-                nxt = last[parent] + 1 + offset
-                s, e = syn[parent] ^ cols[nxt], err[parent] ^ units[nxt]
-                table.add(s, e)
-                if w < t:
-                    grown.append((nxt, s, e))
-            if w < t:
-                last, syn, err = (np.concatenate(a) for a in zip(*grown))
+        syn = gf2.pack_words(checks.T)
+        cols = np.hstack([syn, gf2.pack_words(gf2.eye(n))])
+        sweep = gf2.combination_sweep(cols, t)
+        table = _Table(*np.hsplit(next(sweep)[1], [syn.shape[1]]))
+        for _, words in sweep:
+            table.add(*np.hsplit(words, [syn.shape[1]]))
         return table
 
     def decode_x(self, syndrome: np.ndarray) -> Optional[np.ndarray]:

@@ -407,30 +407,28 @@ def verify_distance_bound(dc: DeformedCode, budget: int) -> DistanceCertificate:
     """Exhaustively certify that no tracked logical error of weight ≤ budget exists.
 
     X side: u with h_z^D·uᵀ = 0 and j_z^D·uᵀ != 0; Z side dual.  The budget
-    must stay below the claimed floor min{d, d_R}.
+    must stay below the claimed floor min{d, d_R}.  A violation returned is
+    the first in (weight, lexicographic) order, the whole X side first.
     """
     floor = dc.css.d
     if floor is not None and budget > floor - 1:
         raise ValueError(f"budget {budget} exceeds certifiable floor {floor} - 1")
     if budget <= 0:
         return DistanceCertificate(budget=budget, ok=True)
-    from itertools import combinations
     n = dc.css.n
+    units = gf2.pack_words(gf2.eye(n))
     for side, checks, flags in (("X", dc.css.h_z, dc.css.j_z),
                                 ("Z", dc.css.h_x, dc.css.j_x)):
         if flags.shape[0] == 0:
             continue
-        ccols = [gf2._pack(col) for col in checks.T]
-        fcols = [gf2._pack(col) for col in flags.T]
-        for w in range(1, budget + 1):
-            for combo in combinations(range(n), w):
-                syn = flag = 0
-                for c in combo:
-                    syn ^= ccols[c]
-                    flag ^= fcols[c]
-                if syn == 0 and flag:
-                    v = gf2.zeros(1, n)[0]
-                    v[list(combo)] = 1
-                    return DistanceCertificate(budget=budget, ok=False,
-                                               side=side, violation=v)
+        syn, fl = gf2.pack_words(checks.T), gf2.pack_words(flags.T)
+        a, b = syn.shape[1], syn.shape[1] + fl.shape[1]
+        for _, words in gf2.combination_sweep(np.hstack([syn, fl, units]),
+                                              budget):
+            hit = np.flatnonzero(~words[:, :a].any(axis=1)
+                                 & words[:, a:b].any(axis=1))
+            if hit.size:
+                v = gf2.unpack_words(words[hit[:1], b:], n)[0]
+                return DistanceCertificate(budget=budget, ok=False,
+                                           side=side, violation=v)
     return DistanceCertificate(budget=budget, ok=True)

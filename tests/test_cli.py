@@ -81,6 +81,30 @@ class TestSimCommand:
         assert f"argument {flag}" in capsys.readouterr().err
 
 
+class TestMaxWeightFlag:
+    @pytest.mark.parametrize("command,value", [
+        (["ltsp", "verify", "--source", "s", "--fcode", "f"], "3"),
+        (["ltsp", "verify", "--source", "s", "--fcode", "f"], "-1"),
+        (["ledger", "--preset", "desk"], "3"),
+        (["ledger", "--preset", "desk"], "-1"),
+        (["protocol", "check", "--deformed", "d"], "2"),
+        (["protocol", "check", "--deformed", "d"], "-1"),
+    ])
+    def test_out_of_range_rejected(self, capsys, command, value):
+        with pytest.raises(SystemExit) as err:
+            cli.main(command + ["--seed", "1", "--max-weight", value])
+        assert err.value.code == 2
+        assert "argument --max-weight" in capsys.readouterr().err
+
+    def test_ltsp_weight_zero(self, manifests, capsys):
+        assert cli.main(["ltsp", "verify",
+                         "--source", str(manifests / "surface3.manifest"),
+                         "--fcode", str(manifests / "hamming.manifest"),
+                         "--max-weight", "0", "--samples", "0",
+                         "--seed", "1"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+
 class TestCompileCommand:
     def test_outputs(self, tmp_path, capsys):
         ops = tmp_path / "ops.txt"

@@ -1,12 +1,51 @@
 """Code objects: validation, distance vs brute force, soundness, constructors."""
 
 import itertools
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsurg import codes, gf2
+
+
+@contextmanager
+def span_cap(cap):
+    """gf2.MIN_WEIGHT_KERNEL_CAP set to `cap` inside the block."""
+    old = gf2.MIN_WEIGHT_KERNEL_CAP
+    gf2.MIN_WEIGHT_KERNEL_CAP = cap
+    try:
+        yield
+    finally:
+        gf2.MIN_WEIGHT_KERNEL_CAP = old
+
+
+def random_classical(seed, rows, n):
+    h = np.random.default_rng(seed).integers(
+        0, 2, size=(rows, n)).astype(np.uint8)
+    g = gf2.null_space(h)
+    return codes.ClassicalCode(h=h, g=g, n=n, k=g.shape[0])
+
+
+def brute_classical_distance(code):
+    """Least weight of a nonzero word with h·uᵀ = 0, over all 2^n words."""
+    weights = [sum(bits) for bits in itertools.product([0, 1], repeat=code.n)
+               if any(bits) and not gf2.mul(code.h, gf2.bitvec(bits)).any()]
+    return min(weights, default=None)
+
+
+def check_both_paths(code, d, budget):
+    """codes.distance against the true distance d (None: no logical), on
+    the exact path and, with the span cap at 0, on the budget path."""
+    want = codes.DistanceResult(d, d - 1) if d else codes.DistanceResult(None, code.n)
+    assert codes.distance(code) == want
+    if d is not None and d > budget:
+        want = codes.DistanceResult(None, budget)
+    with span_cap(0):
+        assert codes.distance(code, budget=budget) == want
 
 
 def brute_css_distance(code):
@@ -85,6 +124,32 @@ class TestDistance:
             gf2.MIN_WEIGHT_KERNEL_CAP = old
         assert not res.exact and res.floor == 2
 
+    def test_bounded_sweep_sees_both_sides(self):
+        # Weight 3 on the X side, weight 2 on the Z side: the sweep must
+        # reach the Z side's weight-2 error before the X side's weight 3.
+        code = codes.hypergraph_product(codes.repetition(2), codes.repetition(3))
+        assert brute_css_distance(code) == 2
+        with span_cap(0):
+            assert codes.distance(code, budget=3) == codes.DistanceResult(2, 1)
+            ham = codes.hamming_743()
+            assert codes.distance(ham, budget=3) == codes.DistanceResult(3, 2)
+            assert codes.distance(ham, budget=2) == codes.DistanceResult(None, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 9), st.integers(1, 9),
+           st.integers(0, 2**32 - 1))
+    def test_classical_vs_brute_force(self, rows, n, budget, seed):
+        code = random_classical(seed, rows, n)
+        check_both_paths(code, brute_classical_distance(code), budget)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2),
+           st.integers(1, 3), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_css_vs_brute_force(self, r1, n1, r2, n2, budget, seed):
+        code = codes.hypergraph_product(random_classical(seed, r1, n1),
+                                        random_classical(seed + 1, r2, n2))
+        check_both_paths(code, brute_css_distance(code), budget)
+
 
 class TestSoundness:
     def test_identity_checks(self):
@@ -119,6 +184,21 @@ class TestSoundness:
             u = gf2.bitvec(bits)
             dist = min(gf2.weight(u ^ c) for c in words)
             assert Fraction(int(gf2.mul(code.h, u).sum()), r) >= Fraction(s * dist, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 7), st.integers(0, 2**32 - 1))
+    def test_random_vs_definition(self, rows, n, seed):
+        code = random_classical(seed, rows, n)
+        words = [gf2.bitvec(b) for b in itertools.product([0, 1], repeat=n)
+                 if not gf2.mul(code.h, gf2.bitvec(b)).any()]
+        ratios = []
+        for bits in itertools.product([0, 1], repeat=n):
+            u = gf2.bitvec(bits)
+            syn = int(gf2.mul(code.h, u).sum())
+            if syn:
+                dist = min(gf2.weight(u ^ c) for c in words)
+                ratios.append(Fraction(n * syn, rows * dist))
+        assert codes.soundness(code) == min(ratios, default=None)
 
     def test_preimage_bound_all_syndromes(self):
         # For every v in colsp(h): min-weight u with h·uᵀ = v has

@@ -1,9 +1,12 @@
 """GF(2) kernel: oracle-checked elimination, inverses, kron, vec, solving."""
 
 import itertools
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsurg import gf2
 
@@ -207,3 +210,122 @@ class TestTextFormat:
     def test_rejects_non_binary_entries(self, row):
         with pytest.raises(ValueError, match="row 1"):
             gf2.from_text(f"2 3\n101\n{row}\n")
+
+
+def random_bits(seed, rows, cols):
+    return np.random.default_rng(seed).integers(
+        0, 2, size=(rows, cols)).astype(np.uint8)
+
+
+def gray_loop_min_weight(a, b):
+    """solve_linear(mode="min_weight") as a Python Gray-code loop over
+    integer-packed vectors: the first minimum of the coset in Gray order."""
+    x0 = gf2.solve_linear(a, b)
+    if x0 is None:
+        return None
+    basis = [gf2._pack(row) for row in gf2.null_space(a)]
+    cur = gf2._pack(x0)
+    best, best_w = cur, cur.bit_count()
+    gray_prev = 0
+    for i in range(1, 1 << len(basis)):
+        gray = i ^ (i >> 1)
+        cur ^= basis[(gray ^ gray_prev).bit_length() - 1]
+        gray_prev = gray
+        if cur.bit_count() < best_w:
+            best, best_w = cur, cur.bit_count()
+    return gf2._unpack(best, a.shape[1])
+
+
+@contextmanager
+def enum_chunk(size):
+    """gf2.ENUM_CHUNK set to `size` inside the block."""
+    old = gf2.ENUM_CHUNK
+    gf2.ENUM_CHUNK = size
+    try:
+        yield
+    finally:
+        gf2.ENUM_CHUNK = old
+
+
+class TestEnumerators:
+    # Small chunks split every walk and every weight across many steps;
+    # widths above 64 bits take several words per row.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8), st.integers(1, 130), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    def test_span_walk_vs_product(self, dim, width, chunk, seed):
+        basis = random_bits(seed, dim, width)
+        with enum_chunk(chunk):
+            parts = list(gf2.span_walk(gf2.pack_words(basis)))
+        assert all(len(p) <= chunk for p in parts)
+        got = gf2.unpack_words(np.concatenate(parts), width)
+        by_subset = {}
+        for coeffs in itertools.product([0, 1], repeat=dim):
+            v = np.zeros(width, dtype=np.uint8)
+            for c, row in zip(coeffs, basis):
+                if c:
+                    v ^= row
+            by_subset[sum(c << b for b, c in enumerate(coeffs))] = v
+        want = np.array([by_subset[i ^ (i >> 1)] for i in range(1 << dim)])
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10), st.integers(1, 130), st.integers(0, 4),
+           st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_combination_sweep_vs_combinations(self, n, width, t, chunk,
+                                               seed):
+        cols = random_bits(seed, n, width)
+        with enum_chunk(chunk):
+            parts = list(gf2.combination_sweep(gf2.pack_words(cols), t))
+        got_w = [w for w, words in parts for _ in words]
+        got = gf2.unpack_words(np.concatenate([p for _, p in parts]), width)
+        want_w, want = [], []
+        for w in range(min(t, n) + 1):
+            for combo in itertools.combinations(range(n), w):
+                want_w.append(w)
+                want.append(np.bitwise_xor.reduce(
+                    cols[list(combo)], axis=0, initial=0))
+        assert got_w == want_w
+        assert np.array_equal(got, np.array(want, dtype=np.uint8))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 14), st.integers(1, 40),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_min_weight_matches_gray_loop(self, rows, cols, chunk,
+                                          consistent, seed):
+        a = random_bits(seed, rows, cols)
+        rng = np.random.default_rng(seed + 1)
+        b = (gf2.mul(a, rng.integers(0, 2, size=cols)) if consistent
+             else rng.integers(0, 2, size=rows).astype(np.uint8))
+        with enum_chunk(chunk):
+            got = gf2.solve_linear(a, b, mode="min_weight")
+        want = gray_loop_min_weight(a, b)
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, want)
+
+
+class TestIdentities:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_rank_kernel_right_inverse(self, rows, cols, seed):
+        m = random_bits(seed, rows, cols)
+        r = gf2.rank(m)
+        assert span_size(m) == 2 ** r
+        assert r == gf2.rank(m.T) <= min(rows, cols)
+        ker = gf2.null_space(m)
+        assert ker.shape == (cols - r, cols)
+        assert gf2.rank(ker) == cols - r
+        assert not gf2.mul(m, ker.T).any()
+        inv = gf2.right_inverse(m)
+        if r < rows:
+            assert inv is None
+        else:
+            assert np.array_equal(gf2.mul(m, inv), gf2.eye(rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 7), st.integers(0, 2**32 - 1))
+    def test_unvec_inverts_vec(self, rows, cols, seed):
+        a = random_bits(seed, rows, cols)
+        assert np.array_equal(gf2.unvec(gf2.vec(a), rows), a)

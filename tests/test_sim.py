@@ -210,12 +210,12 @@ class TestTableBuild:
             t -= 1
         checks = np.random.default_rng(seed).integers(
             0, 2, size=(rows, cols)).astype(np.uint8)
-        old = sim.BUILD_CHUNK
+        old = gf2.ENUM_CHUNK
         try:
-            sim.BUILD_CHUNK = chunk
+            gf2.ENUM_CHUNK = chunk
             assert_table_equals_dict(checks, t)
         finally:
-            sim.BUILD_CHUNK = old
+            gf2.ENUM_CHUNK = old
 
     def test_decode_reads_the_table(self):
         code = codes.surface_code_via_hgp(3)

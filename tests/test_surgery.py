@@ -1,7 +1,11 @@
 """Deformed-code construction: glue conditions, block structure, distance."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsurg import codes, gf2, surgery
 
@@ -124,7 +128,41 @@ class TestExtraction:
         assert coeff.shape == (1, dc.css.h_z.shape[0])
 
 
+def first_violation(css, budget):
+    """(side, vector) of the first weight-≤budget logical error in
+    (weight, lexicographic) order, the whole X side first, else None."""
+    for side, checks, flags in (("X", css.h_z, css.j_z),
+                                ("Z", css.h_x, css.j_x)):
+        if flags.shape[0] == 0:
+            continue
+        for w in range(1, budget + 1):
+            for combo in combinations(range(css.n), w):
+                u = gf2.zeros(1, css.n)[0]
+                u[list(combo)] = 1
+                if not gf2.mul(checks, u).any() and gf2.mul(flags, u).any():
+                    return side, u
+    return None
+
+
 class TestDistanceBound:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.integers(0, 3), st.integers(0, 3),
+           st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_first_violation_vs_combinations(self, n, rows, k, budget, seed):
+        # Arbitrary matrices: the sweep's order does not depend on them
+        # forming a valid CSS code.
+        rng = np.random.default_rng(seed)
+        bits = lambda r: rng.integers(0, 2, size=(r, n)).astype(np.uint8)
+        css = codes.CssCode(h_x=bits(rows), h_z=bits(rows), j_x=bits(k),
+                            j_z=bits(k), n=n, k=k)
+        dc = surgery.DeformedCode(css=css, glue=None, r_code=None, target=None)
+        cert = surgery.verify_distance_bound(dc, budget)
+        want = first_violation(css, budget)
+        assert cert.ok == (want is None)
+        if want is not None:
+            assert cert.side == want[0]
+            assert np.array_equal(cert.violation, want[1])
+
     def test_budget_zero(self, deformed13):
         assert surgery.verify_distance_bound(deformed13, 0).ok
 
