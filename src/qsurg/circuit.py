@@ -15,6 +15,7 @@ and builders may tag index groups with names.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,7 +112,13 @@ class Layout:
         return v
 
     def part(self, v: np.ndarray, name: str) -> np.ndarray:
-        return np.asarray(v, dtype=np.uint8)[self.sl(name)]
+        """Group `name` of a fault vector, or of each row of a fault matrix."""
+        return np.asarray(v, dtype=np.uint8)[..., self.sl(name)]
+
+    def xor(self, v: np.ndarray, *names: str) -> np.ndarray:
+        """XOR of the named groups (all of one width) of v, as in part()."""
+        return functools.reduce(np.bitwise_xor,
+                                (self.part(v, name) for name in names))
 
 
 class Circuit:

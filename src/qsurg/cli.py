@@ -242,75 +242,32 @@ def _protocol_ledger(dc, target, max_weight, samples, seed):
     return rows, zero_ok and ones_ok and czm[0] and cxm[0]
 
 
-def _sweep_residual_z(run, lay, max_weight, samples, seed):
-    mea = run.h_ls_x.shape[1] - lay.total
-    checked = 0
-    ok = True
-    before_names = ("M1", "M2", "M3", "A1", "A2")
-    if max_weight >= 1:
-        for name in before_names:
-            off = lay.offsets[name]
-            for i in range(dict(lay.groups)[name]):
-                e = lay.vector()
-                e[off + i] = 1
-                full = np.concatenate([e, np.zeros(mea, np.uint8)])
-                if gf2.mul(run.h_ls_x, full).any():
-                    continue
-                res = protocol.surgery_residual_z(
-                    run, e, np.zeros(run.n_mem, np.uint8))
-                checked += 1
-                ok &= res.status == "ok" and bool(res.bound_ok)
+def _surgery_faults(h, lay, names, max_weight, samples, seed):
+    """The faults on the named groups that h misses (outcome flips zero):
+    every single location when max_weight ≥ 1 (no larger weight is swept
+    exhaustively), then `samples` random pairs."""
+    idx = np.concatenate([np.arange(lay.total)[lay.sl(nm)] for nm in names])
     rng = np.random.default_rng(seed)
-    idx = [lay.offsets[nm] + i for nm in before_names
-           for i in range(dict(lay.groups)[nm])]
-    for _ in range(samples):
-        e = lay.vector()
-        for p in rng.choice(len(idx), size=2, replace=False):
-            e[idx[p]] = 1
-        full = np.concatenate([e, np.zeros(mea, np.uint8)])
-        if gf2.mul(run.h_ls_x, full).any():
-            continue
-        res = protocol.surgery_residual_z(run, e, np.zeros(run.n_mem, np.uint8))
-        checked += 1
-        ok &= res.status == "ok" and bool(res.bound_ok)
-    return ok, f"checked={checked}"
+    e = gf2.fault_rows(lay.total, idx if max_weight >= 1 else idx[:0],
+                       samples,
+                       lambda: idx[rng.choice(len(idx), size=2, replace=False)])
+    return e[~gf2.row_images(h[:, :lay.total], e).any(axis=1)]
+
+
+def _sweep_residual_z(run, lay, max_weight, samples, seed):
+    e = _surgery_faults(run.h_ls_x, lay, ("M1", "M2", "M3", "A1", "A2"),
+                        max_weight, samples, seed)
+    res = protocol.surgery_residual_z(run, e, gf2.zeros(len(e), run.n_mem))
+    return bool(np.all((res.status == "ok") & res.bound_ok)), f"checked={len(e)}"
 
 
 def _sweep_outcome_x(run, lay, max_weight, samples, seed):
-    mea = run.h_ls_z.shape[1] - lay.total
-    checked = 0
-    correct = 0
-    ok = True
-    before_names = ("M1", "A1")
-    if max_weight >= 1:
-        for name in before_names:
-            off = lay.offsets[name]
-            for i in range(dict(lay.groups)[name]):
-                e = lay.vector()
-                e[off + i] = 1
-                full = np.concatenate([e, np.zeros(mea, np.uint8)])
-                if gf2.mul(run.h_ls_z, full).any():
-                    continue
-                res = protocol.surgery_outcome_x(run, e, lay.vector())
-                checked += 1
-                correct += res.outcome_correct
-                ok &= res.outcome_correct and res.bound_ok
-    rng = np.random.default_rng(seed)
-    idx = [lay.offsets[nm] + i for nm in before_names
-           for i in range(dict(lay.groups)[nm])]
-    for _ in range(samples):
-        e = lay.vector()
-        for p in rng.choice(len(idx), size=2, replace=False):
-            e[idx[p]] = 1
-        full = np.concatenate([e, np.zeros(mea, np.uint8)])
-        if gf2.mul(run.h_ls_z, full).any():
-            continue
-        res = protocol.surgery_outcome_x(run, e, lay.vector())
-        checked += 1
-        correct += res.outcome_correct
-        ok &= res.outcome_correct and res.bound_ok
-    rate = 1.0 if checked == 0 else correct / checked
-    return ok and rate == 1.0, f"checked={checked} outcome_rate={rate:.6f}"
+    e = _surgery_faults(run.h_ls_z, lay, ("M1", "A1"),
+                        max_weight, samples, seed)
+    res = protocol.surgery_outcome_x(run, e, np.zeros_like(e))
+    rate = np.count_nonzero(res.outcome_correct) / len(e) if len(e) else 1.0
+    ok = bool(np.all(res.outcome_correct & res.bound_ok))
+    return ok, f"checked={len(e)} outcome_rate={rate:.6f}"
 
 
 def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
@@ -394,23 +351,15 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
 
     # 5. teleported measurement
     tm = protocol.build_tele_measurement(target)
-    eff_ok = True
     n_tot = tm.layout.total
-    if max_weight >= 1:
-        for p in range(n_tot):
-            e = np.zeros(n_tot, np.uint8)
-            e[p] = 1
-            eff_ok &= protocol.effective_z_error(tm, e)[1]
-            eff_ok &= protocol.effective_x_error(tm, e)[1]
     rng = np.random.default_rng(seed + 100)
-    for _ in range(samples):
-        w = int(rng.integers(1, 5))
-        e = np.zeros(n_tot, np.uint8)
-        e[rng.choice(n_tot, size=w, replace=False)] = 1
-        eff_ok &= protocol.effective_z_error(tm, e)[1]
-        eff_ok &= protocol.effective_x_error(tm, e)[1]
-    add("lemma.tele.effZ", eff_ok, "weight-1 exhaustive + sampled")
-    add("lemma.tele.effX", eff_ok, "weight-1 exhaustive + sampled")
+    faults = gf2.fault_rows(
+        n_tot, np.arange(n_tot if max_weight >= 1 else 0), samples,
+        lambda: rng.choice(n_tot, size=int(rng.integers(1, 5)), replace=False))
+    for key, kernel in (("lemma.tele.effZ", protocol.effective_z_error),
+                        ("lemma.tele.effX", protocol.effective_x_error)):
+        add(key, kernel(tm, faults)[1].all(), "weight-1 exhaustive + sampled")
+    del faults
     mis = 0
     for _ in range(frames):
         x_in = rng.integers(0, 2, size=target.n).astype(np.uint8)
@@ -604,7 +553,12 @@ def main(argv=None) -> int:
     p.add_argument("--preset", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--max-weight", type=_weight_upto(2), default=2)
+    p.add_argument("--max-weight", type=_weight_upto(2), default=2,
+                   help="exhaustive weight of the ltsp and pcs sweeps; the "
+                        "lemma.tele and lemma.cs rows check weight-1 faults "
+                        "exhaustively when it is at least 1, plus sampled "
+                        "faults (pairs for lemma.cs), and sweep no higher "
+                        "weight exhaustively")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--trials", type=_count, default=100000)
     p.set_defaults(func=cmd_ledger)

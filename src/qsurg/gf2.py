@@ -55,6 +55,39 @@ def weight(v) -> int:
     return int(np.count_nonzero(np.asarray(v)))
 
 
+def as_rows(e) -> tuple[np.ndarray, bool]:
+    """A fault vector or fault matrix as a uint8 matrix with one fault per
+    row, and whether it was a single vector."""
+    e = np.asarray(e, dtype=np.uint8)
+    return np.atleast_2d(e), e.ndim == 1
+
+
+def fault_rows(n: int, units, samples: int, draw) -> np.ndarray:
+    """An n-column fault matrix: a unit row for each index in `units`, then
+    `samples` rows with ones at the indices of one draw() call each."""
+    m = zeros(len(units) + samples, n)
+    m[np.arange(len(units)), units] = 1
+    for row in m[len(units):]:
+        row[draw()] = 1
+    return m
+
+
+def row_images(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The image m·xᵀ of every row x of the 0/1 matrix e, one per row.
+
+    Equal to mul(e, m.T); each image is the XOR of m's packed columns at
+    the row's set entries, so e is never widened to a wider integer type.
+    """
+    cols = pack_words(bitmat(m).T)
+    rows, at = np.nonzero(e)
+    counts = np.bincount(rows, minlength=len(e))
+    hit = np.flatnonzero(counts)
+    out = np.zeros((len(e), cols.shape[1]), dtype=np.uint64)
+    out[hit] = np.bitwise_xor.reduceat(
+        np.take(cols, at, axis=0), (np.cumsum(counts) - counts)[hit], axis=0)
+    return unpack_words(out, len(m))
+
+
 @dataclass(frozen=True)
 class WeightProfile:
     """Maximum row and column Hamming weights of a matrix."""
@@ -185,30 +218,36 @@ def vec(a: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray, rows: int) -> np.ndarray:
-    """Inverse of :func:`vec`; the length of v must be a multiple of rows."""
-    v = bitvec(v)
+    """Inverse of :func:`vec`; the length of v must be a multiple of rows.
+
+    A matrix is taken as one vector per row and gives a stack of matrices,
+    shape (len(v), rows, cols).
+    """
+    v = bitvec(v) if np.ndim(v) < 2 else bitmat(v)
+    size = v.shape[-1]
     if rows == 0:
-        if v.size != 0:
+        if size != 0:
             raise ValueError("cannot unvec a nonempty vector into 0 rows")
-        return zeros(0, 0)
-    if v.size % rows != 0:
-        raise ValueError(f"length {v.size} not divisible by {rows} rows")
-    return v.reshape((rows, v.size // rows), order="F").copy()
+        return np.zeros(v.shape[:-1] + (0, 0), dtype=np.uint8)
+    if size % rows != 0:
+        raise ValueError(f"length {size} not divisible by {rows} rows")
+    return v.reshape(v.shape[:-1] + (size // rows, rows)).swapaxes(-1, -2).copy()
 
 
 def solve_linear(
     a: np.ndarray,
     b: np.ndarray,
     mode: str = "any",
-    kernel_cap: int = MIN_WEIGHT_KERNEL_CAP,
+    kernel_cap: Optional[int] = None,
 ) -> Optional[np.ndarray]:
     """Solve a·xᵀ = bᵀ over GF(2).
 
     mode="any" returns one solution (or None when the system is
     inconsistent).  mode="min_weight" returns a minimum-Hamming-weight
     solution, the first one in the Gray-code walk (:func:`span_walk`) of
-    the solution coset; if the kernel dimension exceeds *kernel_cap* the
-    search is refused with :class:`SearchTooLarge` rather than answered
+    the solution coset; if the kernel dimension exceeds *kernel_cap*
+    (default: MIN_WEIGHT_KERNEL_CAP, read at call time) the search is
+    refused with :class:`SearchTooLarge` rather than answered
     heuristically.
     """
     a = bitmat(a)
@@ -231,6 +270,8 @@ def solve_linear(
         raise ValueError(f"unknown mode {mode!r}")
     kern = null_space(a)
     dim = kern.shape[0]
+    if kernel_cap is None:
+        kernel_cap = MIN_WEIGHT_KERNEL_CAP
     if dim > kernel_cap:
         raise SearchTooLarge(f"kernel dimension {dim} exceeds cap {kernel_cap}")
     # First minimum of x0 + span(kern) in Gray order.

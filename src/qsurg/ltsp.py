@@ -121,36 +121,27 @@ class PrepCircuit:
         B and C parity outcomes, the B/C outcome-consistency family, and
         the readout-consistency family tying D to the C parity outcomes.
         """
-        n_d, r_z = self.source.n, self.source.h_z.shape[0]
-        f = self.f
-        r_f, n_f = f.h.shape
-        h_fm = gf2.left_null_space(f.h)
-        rows = []
-        for start_list in (self.mea_b_start, self.mea_c_start):
-            for phi2 in range(h_fm.shape[0]):
-                for a in range(n_d):
-                    row = gf2.zeros(1, self.circuit.n_outcomes)[0]
-                    for phi in range(r_f):
-                        row[start_list[a] + phi] = h_fm[phi2, phi]
-                    rows.append(row)
-        for phi in range(r_f):
-            for a in range(n_d):
-                row = gf2.zeros(1, self.circuit.n_outcomes)[0]
-                row[self.mea_b_start[a] + phi] ^= 1
-                row[self.mea_c_start[a] + phi] ^= 1
-                rows.append(row)
-        for phi in range(r_f):
-            for b in range(r_z):
-                row = gf2.zeros(1, self.circuit.n_outcomes)[0]
-                for fi in range(n_f):
-                    row[self.d_start + fi * r_z + b] ^= f.h[phi, fi]
-                for a in range(n_d):
-                    if self.source.h_z[b, a]:
-                        row[self.mea_c_start[a] + phi] ^= 1
-                rows.append(row)
-        if not rows:
-            return gf2.zeros(0, self.circuit.n_outcomes)
-        return np.array(rows, dtype=np.uint8)
+        n_d, h_z, f = self.source.n, self.source.h_z, self.f
+        r_f = f.h.shape[0]
+        # Parity outcome phi of block a at phi·n_D + a, D readout bit
+        # (level, check b) at level·r_Z + b: the h_sp_z column orders.
+        mea_b = np.add.outer(np.arange(r_f), self.mea_b_start).ravel()
+        mea_c = np.add.outer(np.arange(r_f), self.mea_c_start).ravel()
+        d = self.d_start + np.arange(f.n * h_z.shape[0])
+        meta = gf2.kron(gf2.left_null_space(f.h), gf2.eye(n_d))
+        same = gf2.eye(r_f * n_d)
+
+        def rows(*blocks):
+            out = gf2.zeros(blocks[0][0].shape[0], self.circuit.n_outcomes)
+            for m, cols in blocks:
+                out[:, cols] ^= m
+            return out
+
+        return np.concatenate([
+            rows((meta, mea_b)), rows((meta, mea_c)),
+            rows((same, mea_b), (same, mea_c)),
+            rows((gf2.kron(f.h, gf2.eye(h_z.shape[0])), d),
+                 (gf2.kron(gf2.eye(r_f), h_z), mea_c))])
 
 
 def build_prep_circuit(source: CssCode, f: ClassicalCode) -> PrepCircuit:
@@ -416,26 +407,25 @@ def sp_matrices(source: CssCode, f: ClassicalCode, copy_j: int) -> SpPropagation
 
 
 def check_z_bound(spp: SpPropagation, e_sp_z: np.ndarray):
-    """Residual Z error on the output copy for a spacetime Z fault vector.
+    """Residual Z error on the output copy for spacetime Z faults.
 
+    e_sp_z is one fault vector or a fault matrix with one fault per row.
     Returns (e_rs_z, ok): the equivalent residual (0 | u_eff) satisfying
-    h_rs_x·e_rsᵀ = j_sp_x·e_spᵀ, and ok = (|e_rs| ≤ |e_sp|).
+    h_rs_x·e_rsᵀ = j_sp_x·e_spᵀ, and ok = (|e_rs| ≤ |e_sp|), one row and
+    one entry per fault for a matrix.
     """
     lay = spp.layout_z
-    e = np.asarray(e_sp_z, dtype=np.uint8)
-    n_d = spp.source.n
-    acc = np.zeros(lay.groups[0][1], dtype=np.uint8)
-    for name in ("B2", "B3", "B4", "B5", "C1", "C2", "C3", "C4", "C5"):
-        acc = acc ^ lay.part(e, name)
-    u = gf2.unvec(acc, n_d)
-    u6 = gf2.unvec(lay.part(e, "B6") ^ lay.part(e, "C6"), n_d)
-    g_j = spp.f.g[spp.copy_j]
-    e_jv = gf2.eye(spp.f.k)[spp.copy_j]
-    u_eff = gf2.mul(u, g_j) ^ gf2.mul(u6, e_jv)
-    e_rs = np.concatenate([np.zeros(n_d, dtype=np.uint8), u_eff])
-    if not np.array_equal(gf2.mul(spp.rs.h_rs_x, e_rs), gf2.mul(spp.j_sp_x, e)):
+    e, single = gf2.as_rows(e_sp_z)
+    u = gf2.unvec(lay.xor(e, "B2", "B3", "B4", "B5",
+                          "C1", "C2", "C3", "C4", "C5"), spp.source.n)
+    u6 = gf2.unvec(lay.xor(e, "B6", "C6"), spp.source.n)
+    u_eff = gf2.mul(u, spp.f.g[spp.copy_j]) ^ u6[:, :, spp.copy_j]
+    e_rs = np.concatenate([np.zeros_like(u_eff), u_eff], axis=1)
+    if (gf2.row_images(spp.rs.h_rs_x, e_rs)
+            != gf2.row_images(spp.j_sp_x, e)).any():
         raise ResourceStateError("Z-residual equivalence identity failed")
-    return e_rs, gf2.weight(e_rs) <= gf2.weight(e)
+    ok = np.count_nonzero(e_rs, axis=1) <= np.count_nonzero(e, axis=1)
+    return (e_rs[0], bool(ok[0])) if single else (e_rs, ok)
 
 
 @dataclass
@@ -445,67 +435,82 @@ class XBoundResult:
     bound_ok: Optional[bool] = None
 
 
+_X_FAILURES = {1: "undetected flips outside colsp(h_f)",
+               2: "min-weight preimage beats the soundness bound??",
+               3: "X-residual equivalence identity failed"}
+
+
 def check_x_bound(spp: SpPropagation, e_sp_x: np.ndarray) -> XBoundResult:
     """Residual X error construction with the soundness-controlled bound.
 
-    Detected faults (nonzero h_sp_z syndrome) return "detected".  For
-    undetected faults the F-syndrome preimages are taken minimum-weight per
-    block; the two test-code equalities behind the construction are then
-    checked, and hold whenever the fault weight is below threshold().
+    e_sp_x is one fault vector or a fault matrix with one fault per row;
+    for a matrix each result field holds one entry per fault (e_rs_x zero
+    and bound_ok False unless the status is "ok").  Detected faults
+    (nonzero h_sp_z syndrome) are "detected".  For undetected faults the
+    F-syndrome preimages are taken minimum-weight per block, solved once
+    per distinct syndrome; the two test-code equalities behind the
+    construction are then checked, and hold whenever the fault weight is
+    below threshold().  A failed check raises ResourceStateError for the
+    first fault that fails one, as a row-by-row run would.
     """
     lay = spp.layout_x
-    e = np.asarray(e_sp_x, dtype=np.uint8)
-    if gf2.mul(spp.h_sp_z, e).any():
-        return XBoundResult(status="detected")
-    n_d, r_z = spp.source.n, spp.source.h_z.shape[0]
-    f = spp.f
-
-    def um(*names):
-        acc = np.zeros(dict(lay.groups)[names[0]], dtype=np.uint8)
-        for nm in names:
-            acc = acc ^ lay.part(e, nm)
-        return acc
-
-    u_b = gf2.unvec(um("B1", "B2", "B3", "B4", "C2"), n_d)
-    up_b = gf2.unvec(lay.part(e, "B5"), n_d)
-    upp_b = gf2.unvec(lay.part(e, "B6"), n_d)
-    u_c = gf2.unvec(um("C3", "C4"), n_d)
-    up_c = gf2.unvec(lay.part(e, "C5"), n_d)
-    upp_c = gf2.unvec(lay.part(e, "C6"), n_d)
-    u_d = gf2.unvec(um("D1", "D2", "D3"), r_z)
-
+    e, single = gf2.as_rows(e_sp_x)
+    detected = gf2.row_images(spp.h_sp_z, e).any(axis=1)
+    u = e[~detected]
+    n_d, r_z, f = spp.source.n, spp.source.h_z.shape[0], spp.f
     amp = spp.amplification()
-    ws = {}
-    for tag in ("B", "C"):
-        v = gf2.unvec(lay.part(e, f"mea{tag}"), n_d)  # n_d × r_f flip patterns
-        w = gf2.zeros(n_d, f.n)
-        for a in range(n_d):
-            if not v[a].any():
-                continue
-            sol = gf2.solve_linear(f.h, v[a], mode="min_weight")
-            if sol is None:
-                raise ResourceStateError("undetected flips outside colsp(h_f)")
-            if gf2.weight(sol) > amp * gf2.weight(v[a]):
-                raise ResourceStateError(
-                    "min-weight preimage beats the soundness bound??")
-            w[a] = sol
-        ws[tag] = w
 
-    eq1 = np.array_equal(u_b ^ u_c, ws["B"] ^ ws["C"])
-    eq2 = np.array_equal(gf2.mul(spp.source.h_z, u_c) ^ u_d,
-                         gf2.mul(spp.source.h_z, ws["C"]))
-    if not (eq1 and eq2):
-        return XBoundResult(status="inequivalent")
+    # Flip patterns per (fault, B/C, block a); each nonzero one maps to its
+    # minimum-weight preimage under h_F.
+    v = np.stack([gf2.unvec(lay.part(u, "meaB"), n_d),
+                  gf2.unvec(lay.part(u, "meaC"), n_d)], axis=1)
+    syndromes, which = np.unique(v.reshape(len(u) * 2 * n_d, f.h.shape[0]),
+                                 axis=0, return_inverse=True)
+    which = which.reshape(len(u), 2 * n_d)
+    table = gf2.zeros(len(syndromes), f.n)
+    failure = np.zeros(len(syndromes), dtype=np.int8)
+    for i, syn in enumerate(syndromes):
+        sol = gf2.solve_linear(f.h, syn, mode="min_weight") if syn.any() else 0
+        if sol is None:
+            failure[i] = 1
+        elif gf2.weight(sol) > amp * gf2.weight(syn):
+            failure[i] = 2
+        else:
+            table[i] = sol
+    w_b, w_c = table[which[:, :n_d]], table[which[:, n_d:]]
+
+    u_b = gf2.unvec(lay.xor(u, "B1", "B2", "B3", "B4", "C2"), n_d)
+    u_c = gf2.unvec(lay.xor(u, "C3", "C4"), n_d)
+    u_d = gf2.unvec(lay.xor(u, "D1", "D2", "D3"), r_z)
+    equivalent = ((u_b ^ u_c == w_b ^ w_c).all(axis=(1, 2))
+                  & (gf2.mul(spp.source.h_z, u_c ^ w_c) == u_d).all(axis=(1, 2)))
 
     gr_j = gf2.right_inverse(f.g).T[spp.copy_j]
-    e_jv = gf2.eye(f.k)[spp.copy_j]
-    u_eff_b = gf2.mul(ws["B"] ^ up_b, gr_j) ^ gf2.mul(upp_b, e_jv)
-    u_eff_c = gf2.mul(ws["C"] ^ up_c, gr_j) ^ gf2.mul(upp_c, e_jv)
-    e_rs = np.concatenate([u_eff_b, u_eff_c])
-    if not np.array_equal(gf2.mul(spp.rs.h_rs_z, e_rs), gf2.mul(spp.j_sp_z, e)):
-        raise ResourceStateError("X-residual equivalence identity failed")
-    bound_ok = Fraction(int(gf2.weight(e_rs))) <= amp * gf2.weight(e)
-    return XBoundResult(status="ok", e_rs_x=e_rs, bound_ok=bool(bound_ok))
+    e_rs = np.concatenate([
+        gf2.mul(w_t ^ gf2.unvec(lay.part(u, f"{t}5"), n_d), gr_j)
+        ^ gf2.unvec(lay.part(u, f"{t}6"), n_d)[:, :, spp.copy_j]
+        for t, w_t in (("B", w_b), ("C", w_c))], axis=1)
+    broken = (gf2.row_images(spp.rs.h_rs_z, e_rs)
+              != gf2.row_images(spp.j_sp_z, u)).any(axis=1)
+    # Row-major order of the checks a row-by-row run makes: each fault's B
+    # then C blocks, then its identity (when equivalent).
+    codes = np.column_stack([failure[which], 3 * (equivalent & broken)])
+    if codes.any():
+        raise ResourceStateError(_X_FAILURES[int(codes[codes != 0][0])])
+    bound_ok = equivalent & (np.count_nonzero(e_rs, axis=1) * amp.denominator
+                             <= amp.numerator * np.count_nonzero(u, axis=1))
+
+    status = np.full(len(e), "detected", dtype="<U12")
+    status[~detected] = np.where(equivalent, "ok", "inequivalent")
+    e_rs_x = gf2.zeros(len(e), 2 * n_d)
+    e_rs_x[~detected] = e_rs * equivalent[:, None]
+    bound = np.zeros(len(e), dtype=bool)
+    bound[~detected] = bound_ok
+    if not single:
+        return XBoundResult(status=status, e_rs_x=e_rs_x, bound_ok=bound)
+    if status[0] != "ok":
+        return XBoundResult(status=str(status[0]))
+    return XBoundResult(status="ok", e_rs_x=e_rs_x[0], bound_ok=bool(bound[0]))
 
 
 # ── sweep drivers ───────────────────────────────────────────────────────
@@ -527,23 +532,14 @@ class LemmaSweepReport:
 def sweep_z_lemma(spp: SpPropagation, max_weight: int = 2) -> LemmaSweepReport:
     """Exhaustive weight ≤ max_weight check of the Z-residual bound."""
     rep = LemmaSweepReport()
-    lay = spp.layout_z
-    n = lay.total
+    if max_weight < 1:
+        return rep
     # Per-location residual contributions, each checked against the bound.
     # The residual map is linear, so a weight-w fault's residual is the XOR
     # of its locations' contributions and must weigh at most w.
-    contrib = []
-    for i in range(n):
-        e = np.zeros(n, dtype=np.uint8)
-        e[i] = 1
-        e_rs, ok = check_z_bound(spp, e)
-        rep.checked += 1
-        rep.ok += 1 if ok else 0
-        rep.violations += 0 if ok else 1
-        contrib.append(e_rs)
-    cols = gf2.pack_words(np.array(contrib))
-    for w, words in gf2.combination_sweep(cols, max_weight):
-        if w < 2:
+    contrib, _ = check_z_bound(spp, gf2.eye(spp.layout_z.total))
+    for w, words in gf2.combination_sweep(gf2.pack_words(contrib), max_weight):
+        if w == 0:
             continue
         good = int(np.count_nonzero(np.bitwise_count(words).sum(axis=1) <= w))
         rep.checked += len(words)
@@ -554,34 +550,19 @@ def sweep_z_lemma(spp: SpPropagation, max_weight: int = 2) -> LemmaSweepReport:
 
 def sweep_x_lemma(spp: SpPropagation, max_weight: int = 1,
                   samples: int = 0, seed: int = 0) -> LemmaSweepReport:
-    """Weight-1 exhaustive plus sampled weight-2 checks of the X bound."""
+    """Weight-1 exhaustive plus sampled weight-2 checks of the X bound,
+    checked as one batch."""
     rep = LemmaSweepReport()
-    lay = spp.layout_x
-    n = lay.total
-
-    def run(e):
-        res = check_x_bound(spp, e)
-        rep.checked += 1
-        if res.status == "detected":
-            rep.detected += 1
-        elif res.status == "inequivalent":
-            rep.inequivalent += 1
-            rep.violations += 1
-        else:
-            rep.ok += 1
-            if not res.bound_ok:
-                rep.violations += 1
-
-    if max_weight >= 1:
-        for i in range(n):
-            e = np.zeros(n, dtype=np.uint8)
-            e[i] = 1
-            run(e)
-    if samples:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            i, j = rng.choice(n, size=2, replace=False)
-            e = np.zeros(n, dtype=np.uint8)
-            e[i] = e[j] = 1
-            run(e)
+    n = spp.layout_x.total
+    units = np.arange(n if max_weight >= 1 else 0)
+    if not len(units) + samples:
+        return rep
+    rng = np.random.default_rng(seed)
+    res = check_x_bound(spp, gf2.fault_rows(
+        n, units, samples, lambda: rng.choice(n, size=2, replace=False)))
+    count = lambda mask: int(np.count_nonzero(mask))
+    rep.checked, rep.ok = len(res.status), count(res.status == "ok")
+    rep.detected = count(res.status == "detected")
+    rep.inequivalent = count(res.status == "inequivalent")
+    rep.violations = rep.inequivalent + rep.ok - count(res.bound_ok)
     return rep

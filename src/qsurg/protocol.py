@@ -140,37 +140,39 @@ def build_tele_measurement(source: CssCode) -> TeleMeasurement:
 
 
 def effective_z_error(tm: TeleMeasurement, e_m_z: np.ndarray):
-    """Push a spacetime Z fault of the gadget to the end of block C.
+    """Push spacetime Z faults of the gadget to the end of block C.
 
+    e_m_z is one fault vector or a fault matrix with one fault per row.
     Returns (e_eff, ok): e_eff supported on C3 only, equivalent under
-    j_m_x, with ok = (|e_eff| ≤ |e|).
+    j_m_x, with ok = (|e_eff| ≤ |e|), one row and one entry per fault.
     """
     lay = tm.layout
-    e = np.asarray(e_m_z, dtype=np.uint8)
-    u_eff = np.zeros(tm.source.n, dtype=np.uint8)
-    for name in ("A1", "A2", "B1", "C1", "C2", "C3"):
-        u_eff = u_eff ^ lay.part(e, name)
-    e_eff = lay.vector({"C3": u_eff})
-    if not np.array_equal(gf2.mul(tm.j_m_x, e_eff), gf2.mul(tm.j_m_x, e)):
+    e, single = gf2.as_rows(e_m_z)
+    e_eff = np.zeros_like(e)
+    e_eff[:, lay.sl("C3")] = lay.xor(e, "A1", "A2", "B1", "C1", "C2", "C3")
+    if (gf2.row_images(tm.j_m_x, e_eff) != gf2.row_images(tm.j_m_x, e)).any():
         raise AssertionError("Z effective-error equivalence failed")
-    return e_eff, gf2.weight(e_eff) <= gf2.weight(e)
+    ok = np.count_nonzero(e_eff, axis=1) <= np.count_nonzero(e, axis=1)
+    return (e_eff[0], bool(ok[0])) if single else (e_eff, ok)
 
 
 def effective_x_error(tm: TeleMeasurement, e_m_x: np.ndarray):
-    """Push a spacetime X fault to the start of A plus the end of C.
+    """Push spacetime X faults to the start of A plus the end of C.
 
     Equivalence is preserved for all three trackers (unmeasured Z
-    operators, measured Z operators, and the reported outcome).
+    operators, measured Z operators, and the reported outcome).  Input and
+    result are as in effective_z_error.
     """
     lay = tm.layout
-    e = np.asarray(e_m_x, dtype=np.uint8)
-    u_a = lay.part(e, "A1") ^ lay.part(e, "B1") ^ lay.part(e, "B2")
-    u_c = lay.part(e, "C1") ^ lay.part(e, "C2") ^ lay.part(e, "C3")
-    e_eff = lay.vector({"A1": u_a, "C3": u_c})
+    e, single = gf2.as_rows(e_m_x)
+    e_eff = np.zeros_like(e)
+    e_eff[:, lay.sl("A1")] = lay.xor(e, "A1", "B1", "B2")
+    e_eff[:, lay.sl("C3")] = lay.xor(e, "C1", "C2", "C3")
     for m in (tm.j_m_z, tm.j_m_mz, tm.j_m_oc):
-        if not np.array_equal(gf2.mul(m, e_eff), gf2.mul(m, e)):
+        if (gf2.row_images(m, e_eff) != gf2.row_images(m, e)).any():
             raise AssertionError("X effective-error equivalence failed")
-    return e_eff, gf2.weight(e_eff) <= gf2.weight(e)
+    ok = np.count_nonzero(e_eff, axis=1) <= np.count_nonzero(e, axis=1)
+    return (e_eff[0], bool(ok[0])) if single else (e_eff, ok)
 
 
 # ── full surgery run ────────────────────────────────────────────────────
@@ -404,11 +406,6 @@ def build_surgery_circuit(dc: DeformedCode, prepare: Optional[str] = "0") -> Sur
                       extract=extract)
 
 
-def _pad(run: SurgeryRun, e: np.ndarray, mea: int) -> np.ndarray:
-    return np.concatenate([np.asarray(e, dtype=np.uint8),
-                           np.zeros(mea, dtype=np.uint8)])
-
-
 @dataclass
 class ResidualZ:
     status: str                     # "ok" or "failure"
@@ -418,31 +415,44 @@ class ResidualZ:
 
 def surgery_residual_z(run: SurgeryRun, e_before: np.ndarray,
                        e_after: np.ndarray) -> ResidualZ:
-    """Residual Z error of an undetectable fault split (before | after).
+    """Residual Z error of undetectable fault splits (before | after).
 
-    e_before covers (M1, M2, M3, A1, A2), e_after covers M4.  Requires the
-    padded fault to pass h_ls_x; when |e_before| is below the certified
-    deformed distance floor the residual is exactly the M4 part.
+    e_before covers (M1, M2, M3, A1, A2), e_after covers M4; each is one
+    vector or a matrix with one fault per row, and then each result field
+    holds one entry per fault (residual zero and bound_ok False on
+    "failure" rows).  Requires every padded fault to pass h_ls_x; when
+    |e_before| is below the certified deformed distance floor the residual
+    is exactly the M4 part.  A failed check raises for the first fault
+    that fails one, as a row-by-row run would.
     """
     lay = run.layout
-    e = np.asarray(e_before, dtype=np.uint8) ^ lay.vector({"M4": e_after})
-    full = _pad(run, e, run.h_ls_x.shape[1] - lay.total)
-    if gf2.mul(run.h_ls_x, full).any():
-        raise ValueError("fault is detectable; lemma precondition violated")
-    u_eff_m = lay.part(e, "M1") ^ lay.part(e, "M2") ^ lay.part(e, "M3")
-    u_eff_a = lay.part(e, "A1") ^ lay.part(e, "A2")
-    u_eff = np.concatenate([u_eff_m, u_eff_a])
+    e, single = gf2.as_rows(e_before)
+    after = gf2.as_rows(e_after)[0]
+    e = e.copy()
+    e[:, lay.sl("M4")] ^= after
+    detected = gf2.row_images(run.h_ls_x[:, :lay.total], e).any(axis=1)
+    u_eff = np.concatenate([lay.xor(e, "M1", "M2", "M3"),
+                            lay.xor(e, "A1", "A2")], axis=1)
     u_res = lay.part(e, "M4")
     dc = run.deformed
-    logical_flip = gf2.mul(dc.css.j_x, u_eff)
-    if logical_flip.any():
-        return ResidualZ(status="failure", residual=None)
-    want = gf2.mul(run.j_ls_x, full)
-    got = gf2.mul(gf2.mul(dc.tilde_alpha_perp(), dc.tilde_j_x()), u_res)
-    if not np.array_equal(want, got):
+    failure = gf2.row_images(dc.css.j_x, u_eff).any(axis=1)
+    want = gf2.row_images(run.j_ls_x[:, :lay.total], e)
+    got = gf2.row_images(gf2.mul(dc.tilde_alpha_perp(), dc.tilde_j_x()), u_res)
+    bad = detected | ~failure & (want != got).any(axis=1)
+    if bad.any() and detected[np.argmax(bad)]:
+        raise ValueError("fault is detectable; lemma precondition violated")
+    if bad.any():
         raise AssertionError("residual decomposition identity failed")
-    return ResidualZ(status="ok", residual=u_res,
-                     bound_ok=gf2.weight(u_res) <= gf2.weight(e_after))
+    residual = np.where(failure[:, None], np.uint8(0), u_res)
+    bound_ok = ~failure & (np.count_nonzero(u_res, axis=1)
+                           <= np.count_nonzero(after, axis=1))
+    if not single:
+        return ResidualZ(status=np.where(failure, "failure", "ok"),
+                         residual=residual, bound_ok=bound_ok)
+    if failure[0]:
+        return ResidualZ(status="failure", residual=None)
+    return ResidualZ(status="ok", residual=residual[0],
+                     bound_ok=bool(bound_ok[0]))
 
 
 @dataclass
@@ -454,19 +464,26 @@ class OutcomeX:
 
 def surgery_outcome_x(run: SurgeryRun, e_before: np.ndarray,
                       e_after: np.ndarray) -> OutcomeX:
-    """Outcome correctness and residual X error for an undetectable split.
+    """Outcome correctness and residual X error for undetectable splits.
 
-    e_before covers (M1, A1), e_after covers (M2, M3, M4, A2).  Requires
-    the padded fault to pass h_ls_z; when |e_before| is below the target
-    distance the reported logical outcomes are unflipped.
+    e_before covers (M1, A1), e_after covers (M2, M3, M4, A2); each is one
+    vector or a matrix with one fault per row, and then each result field
+    holds one entry per fault.  Requires every padded fault
+    to pass h_ls_z (ValueError otherwise); when |e_before| is below the
+    target distance the reported logical outcomes are unflipped.
     """
     lay = run.layout
-    e = np.asarray(e_before, dtype=np.uint8) ^ np.asarray(e_after, dtype=np.uint8)
-    full = _pad(run, e, run.h_ls_z.shape[1] - lay.total)
-    if gf2.mul(run.h_ls_z, full).any():
+    e, single = gf2.as_rows(e_before)
+    after = gf2.as_rows(e_after)[0]
+    e = e ^ after
+    if gf2.row_images(run.h_ls_z[:, :lay.total], e).any():
         raise ValueError("fault is detectable; lemma precondition violated")
-    flip = gf2.mul(run.j_ls_oc, full)
-    u_res = (lay.part(e, "M2") ^ lay.part(e, "M3") ^ lay.part(e, "M4"))
-    after_weight = gf2.weight(e_after)
-    return OutcomeX(outcome_correct=not flip.any(), residual=u_res,
-                    bound_ok=gf2.weight(u_res) <= after_weight)
+    correct = ~gf2.row_images(run.j_ls_oc[:, :lay.total], e).any(axis=1)
+    u_res = lay.xor(e, "M2", "M3", "M4")
+    bound_ok = (np.count_nonzero(u_res, axis=1)
+                <= np.count_nonzero(after, axis=1))
+    if not single:
+        return OutcomeX(outcome_correct=correct, residual=u_res,
+                        bound_ok=bound_ok)
+    return OutcomeX(outcome_correct=bool(correct[0]), residual=u_res[0],
+                    bound_ok=bool(bound_ok[0]))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qsurg import cli, gf2
+from qsurg import cli, gf2, protocol
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +102,12 @@ class TestMaxWeightFlag:
                          "--fcode", str(manifests / "hamming.manifest"),
                          "--max-weight", "0", "--samples", "0",
                          "--seed", "1"]) == 0
-        assert "FAIL" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        rows = [line.split("\t") for line in out.splitlines()]
+        sweeps = [r for r in rows if r[0].startswith("lemma.ltsp.")]
+        assert len(sweeps) == 8
+        assert all(r[2].split()[0] == "checked=0" for r in sweeps)
 
 
 class TestCompileCommand:
@@ -129,6 +134,20 @@ class TestLedgerCommand:
         assert code == 0
         text = (tmp_path / "out" / "ledger.tsv").read_text()
         assert "FAIL" not in text
+
+    def test_tele_rows_have_their_own_results(self, monkeypatch):
+        real = protocol.effective_x_error
+
+        def one_row_fails(tm, faults):
+            e_eff, ok = real(tm, faults)
+            ok[0] = False
+            return e_eff, ok
+
+        monkeypatch.setattr(protocol, "effective_x_error", one_row_fails)
+        rows = {key: good for key, good, _ in cli.run_desk_ledger(
+            seed=5, out_dir=None, max_weight=1, samples=10, trials=1000,
+            frames=10)}
+        assert rows["lemma.tele.effZ"] and not rows["lemma.tele.effX"]
 
     def test_unknown_preset(self):
         assert cli.main(["ledger", "--preset", "galaxy", "--seed", "1"]) == 2

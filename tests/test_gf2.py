@@ -172,6 +172,11 @@ class TestSolveLinear:
         with pytest.raises(gf2.SearchTooLarge):
             gf2.solve_linear(gf2.zeros(1, 30), [0], mode="min_weight", kernel_cap=24)
 
+    def test_default_cap_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(gf2, "MIN_WEIGHT_KERNEL_CAP", 0)
+        with pytest.raises(gf2.SearchTooLarge):
+            gf2.solve_linear(HAMMING_H, [1, 0, 0], mode="min_weight")
+
 
 class TestKernelsAndForms:
     def test_null_space(self):
@@ -329,3 +334,39 @@ class TestIdentities:
     def test_unvec_inverts_vec(self, rows, cols, seed):
         a = random_bits(seed, rows, cols)
         assert np.array_equal(gf2.unvec(gf2.vec(a), rows), a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_unvec_rows_unvec_each_row(self, count, rows, seed):
+        m = random_bits(seed, count, rows * 3)
+        stack = gf2.unvec(m, rows)
+        assert stack.shape == (count, rows, 3)
+        for got, v in zip(stack, m):
+            assert np.array_equal(got, gf2.unvec(v, rows))
+
+
+class TestFaultMatrices:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 9), st.integers(0, 70), st.integers(1, 140),
+           st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def test_row_images_equal_mul(self, rows, count, cols, density, seed):
+        rng = np.random.default_rng(seed)
+        m = random_bits(seed, rows, cols)
+        e = (rng.random((count, cols)) < density).astype(np.uint8)
+        got = gf2.row_images(m, e)
+        assert got.shape == (count, rows) and got.dtype == np.uint8
+        assert np.array_equal(got, gf2.mul(e, m.T).reshape(count, rows))
+
+    def test_fault_rows(self):
+        draws = iter([np.array([0, 3]), [], [1, 2, 3]])
+        m = gf2.fault_rows(4, np.array([2, 0]), 3, lambda: next(draws))
+        assert np.array_equal(m, gf2.bitmat([[0, 0, 1, 0], [1, 0, 0, 0],
+                                             [1, 0, 0, 1], [0, 0, 0, 0],
+                                             [0, 1, 1, 1]]))
+        assert gf2.fault_rows(3, [], 0, None).shape == (0, 3)
+
+    def test_as_rows(self):
+        rows, single = gf2.as_rows([1, 0, 1])
+        assert single and rows.shape == (1, 3) and rows.dtype == np.uint8
+        rows, single = gf2.as_rows(gf2.zeros(2, 3))
+        assert not single and rows.shape == (2, 3)

@@ -1,0 +1,460 @@
+"""Batched lemma kernels against their row-by-row references.
+
+Each kernel takes a fault matrix (one fault per row).  The references
+below are the per-vector implementations the kernels replaced; every
+batched result must equal the reference applied row by row (statuses,
+residuals, ok / bound_ok flags), and a batch with a failing row must raise
+what the first failing row raises.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qsurg import codes, gf2, ltsp, protocol, surgery
+
+SETTINGS = settings(max_examples=40, deadline=None)
+ERRORS = (ltsp.ResourceStateError, AssertionError, ValueError)
+
+
+# ── references: the per-vector kernels ─────────────────────────────────
+
+
+def ref_check_z_bound(spp, e_sp_z):
+    lay = spp.layout_z
+    e = np.asarray(e_sp_z, dtype=np.uint8)
+    n_d = spp.source.n
+    acc = np.zeros(lay.groups[0][1], dtype=np.uint8)
+    for name in ("B2", "B3", "B4", "B5", "C1", "C2", "C3", "C4", "C5"):
+        acc = acc ^ lay.part(e, name)
+    u = gf2.unvec(acc, n_d)
+    u6 = gf2.unvec(lay.part(e, "B6") ^ lay.part(e, "C6"), n_d)
+    g_j = spp.f.g[spp.copy_j]
+    e_jv = gf2.eye(spp.f.k)[spp.copy_j]
+    u_eff = gf2.mul(u, g_j) ^ gf2.mul(u6, e_jv)
+    e_rs = np.concatenate([np.zeros(n_d, dtype=np.uint8), u_eff])
+    if not np.array_equal(gf2.mul(spp.rs.h_rs_x, e_rs), gf2.mul(spp.j_sp_x, e)):
+        raise ltsp.ResourceStateError("Z-residual equivalence identity failed")
+    return e_rs, gf2.weight(e_rs) <= gf2.weight(e)
+
+
+def ref_check_x_bound(spp, e_sp_x):
+    lay = spp.layout_x
+    e = np.asarray(e_sp_x, dtype=np.uint8)
+    if gf2.mul(spp.h_sp_z, e).any():
+        return ltsp.XBoundResult(status="detected")
+    n_d, r_z = spp.source.n, spp.source.h_z.shape[0]
+    f = spp.f
+
+    def um(*names):
+        acc = np.zeros(dict(lay.groups)[names[0]], dtype=np.uint8)
+        for nm in names:
+            acc = acc ^ lay.part(e, nm)
+        return acc
+
+    u_b = gf2.unvec(um("B1", "B2", "B3", "B4", "C2"), n_d)
+    up_b = gf2.unvec(lay.part(e, "B5"), n_d)
+    upp_b = gf2.unvec(lay.part(e, "B6"), n_d)
+    u_c = gf2.unvec(um("C3", "C4"), n_d)
+    up_c = gf2.unvec(lay.part(e, "C5"), n_d)
+    upp_c = gf2.unvec(lay.part(e, "C6"), n_d)
+    u_d = gf2.unvec(um("D1", "D2", "D3"), r_z)
+
+    amp = spp.amplification()
+    ws = {}
+    for tag in ("B", "C"):
+        v = gf2.unvec(lay.part(e, f"mea{tag}"), n_d)
+        w = gf2.zeros(n_d, f.n)
+        for a in range(n_d):
+            if not v[a].any():
+                continue
+            sol = gf2.solve_linear(f.h, v[a], mode="min_weight")
+            if sol is None:
+                raise ltsp.ResourceStateError(
+                    "undetected flips outside colsp(h_f)")
+            if gf2.weight(sol) > amp * gf2.weight(v[a]):
+                raise ltsp.ResourceStateError(
+                    "min-weight preimage beats the soundness bound??")
+            w[a] = sol
+        ws[tag] = w
+
+    eq1 = np.array_equal(u_b ^ u_c, ws["B"] ^ ws["C"])
+    eq2 = np.array_equal(gf2.mul(spp.source.h_z, u_c) ^ u_d,
+                         gf2.mul(spp.source.h_z, ws["C"]))
+    if not (eq1 and eq2):
+        return ltsp.XBoundResult(status="inequivalent")
+
+    gr_j = gf2.right_inverse(f.g).T[spp.copy_j]
+    e_jv = gf2.eye(f.k)[spp.copy_j]
+    u_eff_b = gf2.mul(ws["B"] ^ up_b, gr_j) ^ gf2.mul(upp_b, e_jv)
+    u_eff_c = gf2.mul(ws["C"] ^ up_c, gr_j) ^ gf2.mul(upp_c, e_jv)
+    e_rs = np.concatenate([u_eff_b, u_eff_c])
+    if not np.array_equal(gf2.mul(spp.rs.h_rs_z, e_rs), gf2.mul(spp.j_sp_z, e)):
+        raise ltsp.ResourceStateError("X-residual equivalence identity failed")
+    bound_ok = Fraction(int(gf2.weight(e_rs))) <= amp * gf2.weight(e)
+    return ltsp.XBoundResult(status="ok", e_rs_x=e_rs, bound_ok=bool(bound_ok))
+
+
+def ref_effective_z_error(tm, e_m_z):
+    lay = tm.layout
+    e = np.asarray(e_m_z, dtype=np.uint8)
+    u_eff = np.zeros(tm.source.n, dtype=np.uint8)
+    for name in ("A1", "A2", "B1", "C1", "C2", "C3"):
+        u_eff = u_eff ^ lay.part(e, name)
+    e_eff = lay.vector({"C3": u_eff})
+    if not np.array_equal(gf2.mul(tm.j_m_x, e_eff), gf2.mul(tm.j_m_x, e)):
+        raise AssertionError("Z effective-error equivalence failed")
+    return e_eff, gf2.weight(e_eff) <= gf2.weight(e)
+
+
+def ref_effective_x_error(tm, e_m_x):
+    lay = tm.layout
+    e = np.asarray(e_m_x, dtype=np.uint8)
+    u_a = lay.part(e, "A1") ^ lay.part(e, "B1") ^ lay.part(e, "B2")
+    u_c = lay.part(e, "C1") ^ lay.part(e, "C2") ^ lay.part(e, "C3")
+    e_eff = lay.vector({"A1": u_a, "C3": u_c})
+    for m in (tm.j_m_z, tm.j_m_mz, tm.j_m_oc):
+        if not np.array_equal(gf2.mul(m, e_eff), gf2.mul(m, e)):
+            raise AssertionError("X effective-error equivalence failed")
+    return e_eff, gf2.weight(e_eff) <= gf2.weight(e)
+
+
+def _pad(e, width):
+    return np.concatenate([np.asarray(e, dtype=np.uint8),
+                           np.zeros(width - len(e), dtype=np.uint8)])
+
+
+def ref_surgery_residual_z(run, e_before, e_after):
+    lay = run.layout
+    e = np.asarray(e_before, dtype=np.uint8) ^ lay.vector({"M4": e_after})
+    full = _pad(e, run.h_ls_x.shape[1])
+    if gf2.mul(run.h_ls_x, full).any():
+        raise ValueError("fault is detectable; lemma precondition violated")
+    u_eff_m = lay.part(e, "M1") ^ lay.part(e, "M2") ^ lay.part(e, "M3")
+    u_eff_a = lay.part(e, "A1") ^ lay.part(e, "A2")
+    u_eff = np.concatenate([u_eff_m, u_eff_a])
+    u_res = lay.part(e, "M4")
+    dc = run.deformed
+    if gf2.mul(dc.css.j_x, u_eff).any():
+        return protocol.ResidualZ(status="failure", residual=None)
+    want = gf2.mul(run.j_ls_x, full)
+    got = gf2.mul(gf2.mul(dc.tilde_alpha_perp(), dc.tilde_j_x()), u_res)
+    if not np.array_equal(want, got):
+        raise AssertionError("residual decomposition identity failed")
+    return protocol.ResidualZ(status="ok", residual=u_res,
+                              bound_ok=gf2.weight(u_res) <= gf2.weight(e_after))
+
+
+def ref_surgery_outcome_x(run, e_before, e_after):
+    lay = run.layout
+    e = np.asarray(e_before, dtype=np.uint8) ^ np.asarray(e_after, dtype=np.uint8)
+    full = _pad(e, run.h_ls_z.shape[1])
+    if gf2.mul(run.h_ls_z, full).any():
+        raise ValueError("fault is detectable; lemma precondition violated")
+    flip = gf2.mul(run.j_ls_oc, full)
+    u_res = lay.part(e, "M2") ^ lay.part(e, "M3") ^ lay.part(e, "M4")
+    return protocol.OutcomeX(outcome_correct=not flip.any(), residual=u_res,
+                             bound_ok=gf2.weight(u_res) <= gf2.weight(e_after))
+
+
+# ── fixtures and fault matrices ─────────────────────────────────────────
+
+
+@pytest.fixture(scope="module")
+def memory13():
+    return codes.surface_code_via_hgp(3)
+
+
+@pytest.fixture(scope="module")
+def spp13(memory13):
+    return ltsp.sp_matrices(memory13, codes.hamming_743(), copy_j=1)
+
+
+@pytest.fixture(scope="module")
+def tm13(memory13):
+    return protocol.build_tele_measurement(memory13)
+
+
+@pytest.fixture(scope="module")
+def run_pair(memory13):
+    # The composite target tracks logicals, so "failure" rows exist.
+    two = codes.direct_sum_css(memory13, memory13)
+    dc = surgery.build_deformed(two, gf2.bitmat([[1, 1]]), codes.hamming_743())
+    return protocol.build_surgery_circuit(dc)
+
+
+def plain_row(kind, n, rng):
+    e = np.zeros(n, dtype=np.uint8)
+    if kind == "sparse":
+        e[rng.choice(n, size=int(rng.integers(1, 4)), replace=False)] = 1
+    elif kind == "dense":
+        e[:] = rng.integers(0, 2, n)
+    return e
+
+
+def x_row(kind, spp, rng):
+    """One spacetime X fault of the given kind (zero, sparse, dense,
+    inequivalent or repaired)."""
+    lay = spp.layout_x
+    n_d, f = spp.source.n, spp.f
+    if kind not in ("inequivalent", "repaired"):
+        return plain_row(kind, lay.total, rng)
+    e = lay.vector()
+    a = int(rng.integers(n_d))
+    if kind == "inequivalent":
+        # A codeword of F on one B1 block passes every check round but
+        # breaks the B/C equality.
+        c = f.g[int(rng.integers(f.k))]
+        e[lay.offsets["B1"] + np.nonzero(c)[0] * n_d + a] = 1
+        return e
+    # One flip pattern on block a of both parity rounds plus the readout
+    # flips its minimum-weight preimage predicts: undetected and
+    # equivalent.  Sparse B5/C5/B6/C6 bits give it a residual.
+    r_f = f.h.shape[0]
+    v = rng.integers(0, 2, r_f).astype(np.uint8)
+    v[int(rng.integers(r_f))] = 1
+    for tag in ("meaB", "meaC"):
+        e[lay.offsets[tag] + np.arange(r_f) * n_d + a] = v
+    w = gf2.solve_linear(f.h, v, mode="min_weight")
+    e[lay.sl("D3")] = gf2.vec(np.outer(spp.source.h_z[:, a], w))
+    for name in ("B5", "C5", "B6", "C6"):
+        part = e[lay.sl(name)]
+        part ^= (rng.random(part.size) < 0.05).astype(np.uint8)
+    return e
+
+
+def undetectable_rows(h, total, count, rng):
+    """Random sums of about three kernel vectors of h's fault columns."""
+    basis = gf2.null_space(h[:, :total])
+    return gf2.mul(rng.random((count, len(basis))) < 3 / len(basis), basis)
+
+
+def first_error(reference, rows):
+    """The error a row-by-row run of the reference raises first, or None."""
+    for row in rows:
+        try:
+            reference(row)
+        except ERRORS as err:
+            return err
+    return None
+
+
+def assert_raises_as(err, call):
+    with pytest.raises(ERRORS) as got:
+        call()
+    assert type(got.value) is type(err) and str(got.value) == str(err)
+
+
+KINDS_X = st.lists(st.sampled_from(
+    ["zero", "sparse", "dense", "inequivalent", "repaired"]),
+    min_size=1, max_size=10)
+KINDS = st.lists(st.sampled_from(["zero", "sparse", "dense"]),
+                 min_size=1, max_size=10)
+SEED = st.integers(0, 2**32 - 1)
+
+
+# ── ltsp ────────────────────────────────────────────────────────────────
+
+
+def compare_x(spp, faults):
+    err = first_error(lambda row: ref_check_x_bound(spp, row), faults)
+    if err is not None:
+        assert_raises_as(err, lambda: ltsp.check_x_bound(spp, faults))
+        return None
+    got = ltsp.check_x_bound(spp, faults)
+    for i, row in enumerate(faults):
+        want = ref_check_x_bound(spp, row)
+        assert got.status[i] == want.status, i
+        if want.status == "ok":
+            assert np.array_equal(got.e_rs_x[i], want.e_rs_x), i
+            assert got.bound_ok[i] == want.bound_ok, i
+        else:
+            assert not got.e_rs_x[i].any() and not got.bound_ok[i]
+        one = ltsp.check_x_bound(spp, row)
+        assert one.status == want.status and one.bound_ok == want.bound_ok
+        assert (one.e_rs_x is None) == (want.e_rs_x is None)
+        assert want.e_rs_x is None or np.array_equal(one.e_rs_x, want.e_rs_x)
+    return got
+
+
+@SETTINGS
+@given(kinds=KINDS_X, seed=SEED)
+def test_check_x_bound_matches_rows(spp13, kinds, seed):
+    rng = np.random.default_rng(seed)
+    faults = np.array([x_row(k, spp13, rng) for k in kinds])
+    got = compare_x(spp13, faults)
+    want = {"zero": "ok", "inequivalent": "inequivalent", "repaired": "ok"}
+    for k, status in zip(kinds, got.status):
+        assert want.get(k, status) == status
+
+
+def test_x_rows_cover_every_status(spp13):
+    rng = np.random.default_rng(0)
+    kinds = ["zero", "sparse", "inequivalent", "repaired"] * 5
+    got = compare_x(spp13, np.array([x_row(k, spp13, rng) for k in kinds]))
+    assert set(got.status) == {"ok", "detected", "inequivalent"}
+    assert got.e_rs_x.any() and not got.bound_ok.all()
+
+
+def corrupted(spp, how):
+    """spp with one internal check made to fail on some faults."""
+    bad = dataclasses.replace(spp, j_sp_z=spp.j_sp_z.copy())
+    bad._amplification = spp.amplification()
+    if how == "colsp":
+        h = spp.f.h.copy()
+        h[-1] = h[0] ^ h[1]
+        bad.f = dataclasses.replace(spp.f, h=h)
+    elif how == "bound":
+        bad._amplification = Fraction(1, 10)
+    else:
+        bad.j_sp_z[0] ^= 1
+    return bad
+
+
+@SETTINGS
+@given(kinds=KINDS_X, seed=SEED,
+       how=st.sampled_from(["colsp", "bound", "identity"]))
+def test_check_x_bound_raises_like_rows(spp13, kinds, seed, how):
+    rng = np.random.default_rng(seed)
+    faults = np.array([x_row(k, spp13, rng) for k in kinds + ["repaired"]])
+    compare_x(corrupted(spp13, how), faults[rng.permutation(len(faults))])
+
+
+@pytest.mark.parametrize("how", ["colsp", "bound", "identity"])
+def test_each_corruption_raises(spp13, how):
+    rng = np.random.default_rng(1)
+    faults = np.array([x_row("repaired", spp13, rng) for _ in range(8)])
+    bad = corrupted(spp13, how)
+    err = first_error(lambda row: ref_check_x_bound(bad, row), faults)
+    assert err is not None
+    assert_raises_as(err, lambda: ltsp.check_x_bound(bad, faults))
+
+
+@SETTINGS
+@given(kinds=KINDS, seed=SEED, corrupt=st.booleans())
+def test_check_z_bound_matches_rows(spp13, kinds, seed, corrupt):
+    rng = np.random.default_rng(seed)
+    spp = spp13
+    if corrupt:
+        spp = dataclasses.replace(spp13, j_sp_x=spp13.j_sp_x.copy())
+        spp.j_sp_x[0] ^= 1
+    faults = np.array([plain_row(k, spp.layout_z.total, rng) for k in kinds])
+    err = first_error(lambda row: ref_check_z_bound(spp, row), faults)
+    if err is not None:
+        assert_raises_as(err, lambda: ltsp.check_z_bound(spp, faults))
+        return
+    e_rs, ok = ltsp.check_z_bound(spp, faults)
+    for i, row in enumerate(faults):
+        want_rs, want_ok = ref_check_z_bound(spp, row)
+        assert np.array_equal(e_rs[i], want_rs) and ok[i] == want_ok
+        one_rs, one_ok = ltsp.check_z_bound(spp, row)
+        assert np.array_equal(one_rs, want_rs) and one_ok is want_ok
+
+
+# ── teleported measurement ──────────────────────────────────────────────
+
+
+@SETTINGS
+@given(kinds=KINDS, seed=SEED, corrupt=st.booleans(),
+       basis=st.sampled_from(["Z", "X"]))
+def test_effective_errors_match_rows(tm13, kinds, seed, corrupt, basis):
+    rng = np.random.default_rng(seed)
+    tm = tm13
+    if corrupt:
+        name = "j_m_x" if basis == "Z" else "j_m_oc"
+        tm = dataclasses.replace(tm13, **{name: getattr(tm13, name).copy()})
+        getattr(tm, name)[0] ^= 1
+    kernel, ref = {"Z": (protocol.effective_z_error, ref_effective_z_error),
+                   "X": (protocol.effective_x_error, ref_effective_x_error)}[basis]
+    faults = np.array([plain_row(k, tm.layout.total, rng) for k in kinds])
+    err = first_error(lambda row: ref(tm, row), faults)
+    if err is not None:
+        assert_raises_as(err, lambda: kernel(tm, faults))
+        return
+    e_eff, ok = kernel(tm, faults)
+    for i, row in enumerate(faults):
+        want_eff, want_ok = ref(tm, row)
+        assert np.array_equal(e_eff[i], want_eff) and ok[i] == want_ok
+        one_eff, one_ok = kernel(tm, row)
+        assert np.array_equal(one_eff, want_eff) and one_ok is want_ok
+
+
+# ── surgery ─────────────────────────────────────────────────────────────
+
+
+@SETTINGS
+@given(count=st.integers(1, 8), seed=SEED,
+       detectable=st.sampled_from([None, 0, -1]), corrupt=st.booleans())
+def test_surgery_residual_z_matches_rows(run_pair, count, seed, detectable,
+                                         corrupt):
+    rng = np.random.default_rng(seed)
+    run = run_pair
+    if corrupt:
+        run = dataclasses.replace(run_pair, j_ls_x=run_pair.j_ls_x.copy())
+        run.j_ls_x[0] ^= 1
+    lay = run.layout
+    before = undetectable_rows(run.h_ls_x, lay.total, count, rng)
+    before[:, lay.sl("M4")] = 0
+    if detectable is not None:
+        before[detectable] = plain_row("sparse", lay.total, rng)
+    after = (rng.random((count, run.n_mem)) < 0.05).astype(np.uint8)
+    pairs = list(zip(before, after))
+    err = first_error(lambda p: ref_surgery_residual_z(run, *p), pairs)
+    if err is not None:
+        assert_raises_as(err, lambda: protocol.surgery_residual_z(
+            run, before, after))
+        return
+    got = protocol.surgery_residual_z(run, before, after)
+    for i, (b, a) in enumerate(pairs):
+        want = ref_surgery_residual_z(run, b, a)
+        assert got.status[i] == want.status
+        if want.status == "ok":
+            assert np.array_equal(got.residual[i], want.residual)
+            assert got.bound_ok[i] == want.bound_ok
+        else:
+            assert not got.residual[i].any() and not got.bound_ok[i]
+        one = protocol.surgery_residual_z(run, b, a)
+        assert one.status == want.status and one.bound_ok == want.bound_ok
+        assert (one.residual is None) == (want.residual is None)
+
+
+def test_surgery_rows_cover_both_statuses(run_pair):
+    rng = np.random.default_rng(2)
+    lay = run_pair.layout
+    before = undetectable_rows(run_pair.h_ls_x, lay.total, 40, rng)
+    before[:, lay.sl("M4")] = 0
+    got = protocol.surgery_residual_z(run_pair, before,
+                                      gf2.zeros(40, run_pair.n_mem))
+    assert set(got.status) == {"ok", "failure"}
+
+
+@SETTINGS
+@given(count=st.integers(1, 8), seed=SEED,
+       detectable=st.sampled_from([None, 0, -1]))
+def test_surgery_outcome_x_matches_rows(run_pair, count, seed, detectable):
+    rng = np.random.default_rng(seed)
+    run = run_pair
+    lay = run.layout
+    faults = undetectable_rows(run.h_ls_z, lay.total, count, rng)
+    if detectable is not None:
+        faults[detectable] = plain_row("sparse", lay.total, rng)
+    cut = rng.integers(0, 2, lay.total).astype(np.uint8)
+    before, after = faults & cut, faults & (1 - cut)
+    pairs = list(zip(before, after))
+    err = first_error(lambda p: ref_surgery_outcome_x(run, *p), pairs)
+    if err is not None:
+        assert_raises_as(err, lambda: protocol.surgery_outcome_x(
+            run, before, after))
+        return
+    got = protocol.surgery_outcome_x(run, before, after)
+    for i, (b, a) in enumerate(pairs):
+        want = ref_surgery_outcome_x(run, b, a)
+        assert got.outcome_correct[i] == want.outcome_correct
+        assert np.array_equal(got.residual[i], want.residual)
+        assert got.bound_ok[i] == want.bound_ok
+        one = protocol.surgery_outcome_x(run, b, a)
+        assert one.outcome_correct is want.outcome_correct
+        assert one.bound_ok is want.bound_ok

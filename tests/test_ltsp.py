@@ -160,6 +160,9 @@ class TestZBound:
         rep = ltsp.sweep_z_lemma(spp13, max_weight=1)
         assert rep.clean and rep.checked == spp13.layout_z.total
 
+    def test_weight_zero_checks_nothing(self, spp13):
+        assert ltsp.sweep_z_lemma(spp13, max_weight=0) == ltsp.LemmaSweepReport()
+
     def test_random_weight_three(self, spp13):
         rng = np.random.default_rng(31)
         n = spp13.layout_z.total
@@ -221,12 +224,18 @@ class TestXBound:
             s = codes.soundness(spp.f)
             return max(Fraction(1), Fraction(spp.f.n, spp.f.h.shape[0]) / s)
 
+        def sweeps(spp):
+            # A sweep checks its faults in one batch: two sweeps make two
+            # check_x_bound calls.
+            return [ltsp.sweep_x_lemma(spp, max_weight=1, samples=200, seed=5)
+                    for _ in range(2)]
+
         monkeypatch.setattr(codes, "soundness", counted)
         spp = ltsp.sp_matrices(memory13, codes.hamming_743(), copy_j=1)
-        cached = ltsp.sweep_x_lemma(spp, max_weight=1, samples=200, seed=5)
+        cached = sweeps(spp)
         assert len(calls) <= 1
         calls.clear()
         monkeypatch.setattr(ltsp.SpPropagation, "amplification", uncached)
-        plain = ltsp.sweep_x_lemma(spp, max_weight=1, samples=200, seed=5)
+        plain = sweeps(spp)
         assert len(calls) > 1
-        assert cached == plain and cached.checked > cached.detected
+        assert cached == plain and cached[0].checked > cached[0].detected
