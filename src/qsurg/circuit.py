@@ -128,7 +128,7 @@ class Circuit:
         self.ops: list = []
         self.blocks: dict[str, np.ndarray] = {}
         self.input_qubits: list[int] = []
-        self._locs: Optional[list[Loc]] = None
+        self._cache: dict = {}
 
     # ── construction ────────────────────────────────────────────────
 
@@ -139,10 +139,11 @@ class Circuit:
         return ids
 
     def mark_input(self, qubits) -> None:
+        self._cache = {}
         self.input_qubits.extend(int(q) for q in qubits)
 
     def _append(self, op) -> int:
-        self._locs = None
+        self._cache = {}
         self.ops.append(op)
         return len(self.ops) - 1
 
@@ -184,28 +185,75 @@ class Circuit:
 
     # ── locations ───────────────────────────────────────────────────
 
+    def cached(self, key: str, build):
+        """build(self), kept until the next op or input is added."""
+        if key not in self._cache:
+            self._cache[key] = build(self)
+        return self._cache[key]
+
     def locations(self) -> list[Loc]:
-        if self._locs is not None:
-            return self._locs
+        return self.cached("locations", Circuit._enumerate)[0]
+
+    def columns(self) -> "Columns":
+        """Where each location sits in a fault matrix over locations()."""
+        return self.cached("locations", Circuit._enumerate)[1]
+
+    def _enumerate(self) -> tuple[list[Loc], "Columns"]:
         locs: list[Loc] = [Loc("q", -1, q) for q in self.input_qubits]
+        spans = [(0, len(locs))]
+        at = {loc: c for c, loc in enumerate(locs)}
+        latest = {loc.index: c for loc, c in at.items()}  # qubit -> column
         for step, op in enumerate(self.ops):
             if isinstance(op, FeedbackOp):
                 # Conditioned Pauli layers are classical frame bookkeeping;
-                # their fault layer merges into the adjacent wait location.
-                continue
-            if isinstance(op, (InitOp, HLayerOp)):
-                locs.extend(Loc("q", step, int(q)) for q in op.qubits)
+                # their fault layer merges into the adjacent wait location
+                # (each qubit's latest), which a Loc right after them names.
+                qubits, flips = (), 0
+                at.update((Loc("q", step, int(q)), latest[int(q)])
+                          for q in op.qubits if int(q) in latest)
+            elif isinstance(op, (InitOp, HLayerOp)):
+                qubits, flips = op.qubits, 0
             elif isinstance(op, GCnotOp):
-                locs.extend(Loc("q", step, int(q)) for q in op.controls)
-                locs.extend(Loc("q", step, int(q)) for q in op.targets)
+                qubits, flips = np.concatenate([op.controls, op.targets]), 0
             elif isinstance(op, MeasureOp):
-                locs.extend(Loc("flip", step, op.start + i)
-                            for i in range(len(op.qubits)))
+                qubits, flips = (), len(op.qubits)
+                for q in op.qubits:
+                    latest.pop(int(q), None)
             elif isinstance(op, ProjectiveOp):
-                locs.extend(Loc("flip", step, op.start + i)
-                            for i in range(op.a.shape[0]))
-                locs.extend(Loc("q", step, int(q)) for q in op.qubits)
+                qubits, flips = op.qubits, op.a.shape[0]
             else:
                 raise TypeError(f"unknown op {op!r}")
-        self._locs = locs
-        return locs
+            locs.extend(Loc("flip", step, op.start + i) for i in range(flips))
+            start = len(locs)
+            for q in qubits:
+                at[Loc("q", step, int(q))] = latest[int(q)] = len(locs)
+                locs.append(Loc("q", step, int(q)))
+            spans.append((start, len(locs)))
+        qubit = np.array([loc.index if loc.kind == "q" else -1 for loc in locs],
+                         dtype=np.intp)
+        return locs, Columns(qubit, np.flatnonzero(qubit < 0), spans, at)
+
+
+@dataclass(frozen=True)
+class Columns:
+    """The columns of a fault matrix over Circuit.locations().
+
+    qubit: the qubit of each column, −1 at a flip location.  flips: the
+    column of each outcome bit's flip location, in outcome order.  spans:
+    the (start, stop) columns of the quantum locations right after each
+    op, the circuit input first.  at: the column of each quantum Loc, and
+    of each Loc right after a FeedbackOp (see Circuit._enumerate).
+    """
+
+    qubit: np.ndarray
+    flips: np.ndarray
+    spans: list
+    at: dict
+
+    def column(self, loc: Loc) -> int:
+        """A flip Loc is found by its outcome bit alone, whatever its step."""
+        if loc.kind == "flip" and 0 <= loc.index < len(self.flips):
+            return int(self.flips[loc.index])
+        if loc.kind == "q" and loc in self.at:
+            return self.at[loc]
+        raise ValueError(f"{loc} is not a location of the circuit")

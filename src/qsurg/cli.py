@@ -360,21 +360,17 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
                         ("lemma.tele.effX", protocol.effective_x_error)):
         add(key, kernel(tm, faults)[1].all(), "weight-1 exhaustive + sampled")
     del faults
-    mis = 0
-    for _ in range(frames):
-        x_in = rng.integers(0, 2, size=target.n).astype(np.uint8)
-        z_in = rng.integers(0, 2, size=target.n).astype(np.uint8)
-        locs = tm.col_locs["A1"]
-        fr = frame.run_frames(
-            tm.circuit,
-            x_locs=[locs[i] for i in np.nonzero(x_in)[0]],
-            z_locs=[locs[i] for i in np.nonzero(z_in)[0]])
-        if not np.array_equal(tm.derived_outcome(fr.outcome_flips),
-                              gf2.mul(target.h_z, x_in)):
-            mis += 1
-        if not (np.array_equal(fr.x_on(tm.c_ids), x_in)
-                and np.array_equal(fr.z_on(tm.c_ids), z_in)):
-            mis += 1
+    # One lane per frame: random X and Z inputs on A1, drawn X then Z.
+    draws = np.array([rng.integers(0, 2, size=target.n)
+                      for _ in range(2 * frames)], dtype=np.uint8)
+    x_in, z_in = draws.reshape(frames, 2, target.n).transpose(1, 0, 2)
+    fr = frame.run_lanes(tm.circuit, frame.fault_matrix(
+        tm.circuit, tm.col_locs["A1"], x_in * frame.X | z_in * frame.Z))
+    mis = int(np.count_nonzero(
+        (tm.derived_outcome(fr.outcome_flips)
+         != gf2.row_images(target.h_z, x_in)).any(axis=1)))
+    mis += int(np.count_nonzero((fr.x_on(tm.c_ids) != x_in).any(axis=1)
+                                | (fr.z_on(tm.c_ids) != z_in).any(axis=1)))
     add("tele.projective_equiv", mis == 0, f"frames={frames} mismatches={mis}")
 
     # 6. surgery end to end

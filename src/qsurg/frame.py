@@ -1,4 +1,4 @@
-"""Pauli-frame forward simulation of circuits.
+"""Pauli-frame forward simulation of circuits, many fault sets per pass.
 
 Frames are tracked relative to the all-zero-outcome reference run, which is
 a valid noiseless trajectory for every circuit built in this package (the
@@ -7,6 +7,12 @@ is GF(2)-linear: outcome bits and final frames are XOR-accumulated from the
 injected fault locations, X frames flip Z-type outcomes and propagate along
 generalized-CNOT couplings, Z frames behave dually, and outcome-conditioned
 Pauli feedback turns outcome flips back into frame updates.
+
+`run_lanes` pushes a batch of fault sets through the op list in one pass,
+as Stim's frame simulator does (Gidney, arXiv:2103.02202): fault set i is
+lane i; the X frame and Z frame of each qubit and the flip of each outcome
+bit are rows of lane bits packed into uint64 words, so every op is a few
+row XORs for all lanes at once.  `run_frames` is its one-lane call.
 """
 
 from __future__ import annotations
@@ -15,153 +21,125 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf2
 from .circuit import (Circuit, FeedbackOp, GCnotOp, HLayerOp, InitOp,
                       MeasureOp, ProjectiveOp)
 
 
+# Fault codes, the entries of a run_lanes fault matrix: an X or Z fault on
+# a quantum location (X | Z: both), a flip of a flip location's outcome bit.
+X, Z, FLIP = 1, 2, 1
+
+
 @dataclass
 class FrameResult:
-    outcome_flips: np.ndarray  # uint8, length circuit.n_outcomes
-    x_final: int               # bitmask over qubit ids
-    z_final: int
+    """Outcome flips and final frames: one uint8 row per lane, or a single
+    row (1-D) from run_frames."""
+
+    outcome_flips: np.ndarray  # (..., circuit.n_outcomes)
+    x_final: np.ndarray        # (..., circuit.n_qubits), over qubit ids
+    z_final: np.ndarray
 
     def x_on(self, qubits) -> np.ndarray:
-        return np.array([(self.x_final >> int(q)) & 1 for q in qubits], dtype=np.uint8)
+        return self.x_final[..., np.asarray(qubits, dtype=np.intp)]
 
     def z_on(self, qubits) -> np.ndarray:
-        return np.array([(self.z_final >> int(q)) & 1 for q in qubits], dtype=np.uint8)
+        return self.z_final[..., np.asarray(qubits, dtype=np.intp)]
 
 
-def _mask(qubits) -> int:
-    m = 0
-    for q in qubits:
-        m |= 1 << int(q)
-    return m
+def _maps(circ: Circuit) -> list[tuple]:
+    """The GF(2) maps each op applies to rows of lane bits: a GCNOT's X
+    forward (controls to targets) and Z back (targets to controls), a
+    check measurement's rows, a feedback's outcome-to-qubit map."""
+    return [(gf2.xor_map(op.a.T), gf2.xor_map(op.a)) if isinstance(op, GCnotOp)
+            else (gf2.xor_map(op.a),) if isinstance(op, ProjectiveOp)
+            else (gf2.xor_map(op.m.T),) if isinstance(op, FeedbackOp)
+            else () for op in circ.ops]
 
 
-class _Compiled:
-    """Per-op integer masks, cached on the circuit object."""
+def run_lanes(circ: Circuit, faults) -> FrameResult:
+    """Propagate fault sets, one per row (lane) of `faults`, whose columns
+    are circ.locations() and entries fault codes.  Input faults act before
+    the first op, other quantum faults right after their op.  Returns each
+    lane's outcome flips relative to the all-zero reference and its final
+    frames."""
+    cols = circ.columns()
+    faults = np.asarray(faults, dtype=np.uint8)
+    if faults.ndim != 2 or faults.shape[1] != len(cols.qubit):
+        raise ValueError(f"fault matrix of shape {faults.shape}: it needs "
+                         f"one row per lane and one column per location, "
+                         f"{len(cols.qubit)}")
+    allowed = np.where(cols.qubit >= 0, X | Z, FLIP)
+    bad = np.flatnonzero(faults.max(axis=0, initial=0) & ~allowed)
+    if bad.size:
+        raise ValueError(f"fault code {faults[:, bad[0]].max()} at "
+                         f"location {circ.locations()[bad[0]]}")
+    fx, fz = (gf2.pack_words((faults >> bit & 1).T) for bit in (0, 1))
+    xs = np.zeros((circ.n_qubits, fx.shape[1]), dtype=np.uint64)
+    zs = np.zeros_like(xs)
+    out = fx[cols.flips]
 
-    def __init__(self, circ: Circuit) -> None:
-        self.steps = []
-        for op in circ.ops:
-            if isinstance(op, InitOp):
-                self.steps.append(("init", _mask(op.qubits)))
-            elif isinstance(op, HLayerOp):
-                self.steps.append(("h", _mask(op.qubits)))
-            elif isinstance(op, GCnotOp):
-                tmask_of = {}
-                cmask_of = {}
-                for j, c in enumerate(op.controls):
-                    tm = _mask(op.targets[np.nonzero(op.a[j])[0]])
-                    if tm:
-                        tmask_of[int(c)] = tm
-                for i, t in enumerate(op.targets):
-                    cm = _mask(op.controls[np.nonzero(op.a[:, i])[0]])
-                    if cm:
-                        cmask_of[int(t)] = cm
-                self.steps.append(("gcnot", _mask(op.controls), _mask(op.targets),
-                                   tmask_of, cmask_of))
-            elif isinstance(op, MeasureOp):
-                self.steps.append(("meas", op.basis, [int(q) for q in op.qubits],
-                                   op.start, _mask(op.qubits)))
-            elif isinstance(op, ProjectiveOp):
-                masks = [_mask(op.qubits[np.nonzero(row)[0]]) for row in op.a]
-                self.steps.append(("proj", op.sigma, masks, op.start))
-            elif isinstance(op, FeedbackOp):
-                col_masks = [_mask(op.qubits[np.nonzero(col)[0]]) for col in op.m]
-                self.steps.append(("fb", op.pauli, col_masks, op.src, op.count))
-            else:
-                raise TypeError(f"unknown op {op!r}")
+    def inject(step: int) -> None:
+        start, stop = cols.spans[step + 1]
+        if stop > start:
+            qubits = cols.qubit[start:stop]
+            xs[qubits] ^= fx[start:stop]
+            zs[qubits] ^= fz[start:stop]
 
-
-def _compiled(circ: Circuit) -> _Compiled:
-    comp = getattr(circ, "_frame_compiled", None)
-    if comp is None or getattr(circ, "_frame_compiled_len", -1) != len(circ.ops):
-        comp = _Compiled(circ)
-        circ._frame_compiled = comp
-        circ._frame_compiled_len = len(circ.ops)
-    return comp
+    inject(-1)
+    for step, (op, maps) in enumerate(zip(circ.ops, circ.cached("frame", _maps))):
+        if isinstance(op, InitOp):
+            xs[op.qubits] = zs[op.qubits] = 0
+        elif isinstance(op, HLayerOp):
+            xs[op.qubits], zs[op.qubits] = zs[op.qubits], xs[op.qubits]
+        elif isinstance(op, GCnotOp):
+            forward, back = maps
+            xs[op.targets] ^= forward(xs[op.controls])
+            zs[op.controls] ^= back(zs[op.targets])
+        elif isinstance(op, MeasureOp):
+            src = xs if op.basis == "Z" else zs
+            out[op.start:op.start + len(op.qubits)] ^= src[op.qubits]
+            xs[op.qubits] = zs[op.qubits] = 0
+        elif isinstance(op, ProjectiveOp):
+            src = xs if op.sigma == "Z" else zs
+            out[op.start:op.start + len(op.a)] ^= maps[0](src[op.qubits])
+        elif isinstance(op, FeedbackOp):
+            dst = xs if op.pauli == "X" else zs
+            dst[op.qubits] ^= maps[0](out[op.src:op.src + op.count])
+        else:
+            raise TypeError(f"unknown op {op!r}")
+        inject(step)
+    return FrameResult(*(
+        np.ascontiguousarray(gf2.unpack_words(rows, len(faults)).T)
+        for rows in (out, xs, zs)))
 
 
 def run_frames(circ: Circuit, x_locs=(), z_locs=(), flip_locs=()) -> FrameResult:
     """Propagate the faults at the given locations through the circuit.
 
     x_locs / z_locs are iterables of quantum :class:`Loc` entries (X / Z
-    faults); flip_locs are classical flip locations.  Returns outcome flips
-    relative to the all-zero reference plus the final frames.
+    faults); flip_locs are classical flip locations.  The one-lane call of
+    run_lanes: outcome flips and final frames as 1-D rows.
     """
-    comp = _compiled(circ)
-    xq: dict[int, int] = {}
-    zq: dict[int, int] = {}
-    flips = np.zeros(circ.n_outcomes, dtype=np.uint8)
-    for loc in x_locs:
-        if loc.kind != "q":
-            raise ValueError(f"X fault on non-qubit location {loc}")
-        xq[loc.step] = xq.get(loc.step, 0) ^ (1 << loc.index)
-    for loc in z_locs:
-        if loc.kind != "q":
-            raise ValueError(f"Z fault on non-qubit location {loc}")
-        zq[loc.step] = zq.get(loc.step, 0) ^ (1 << loc.index)
-    for loc in flip_locs:
-        if loc.kind != "flip":
-            raise ValueError(f"flip fault on non-classical location {loc}")
-        flips[loc.index] ^= 1
+    locs, codes = [], []
+    for given, kind, code, fault in (
+            (x_locs, "q", X, "X fault on non-qubit"),
+            (z_locs, "q", Z, "Z fault on non-qubit"),
+            (flip_locs, "flip", FLIP, "flip fault on non-classical")):
+        for loc in given:
+            if loc.kind != kind:
+                raise ValueError(f"{fault} location {loc}")
+            locs.append(loc)
+            codes.append(code)
+    res = run_lanes(circ, fault_matrix(circ, locs, [codes]))
+    return FrameResult(res.outcome_flips[0], res.x_final[0], res.z_final[0])
 
-    x = xq.get(-1, 0)
-    z = zq.get(-1, 0)
-    outcomes = flips.copy()
 
-    for step, spec in enumerate(comp.steps):
-        kind = spec[0]
-        if kind == "init":
-            mask = spec[1]
-            x &= ~mask
-            z &= ~mask
-        elif kind == "h":
-            mask = spec[1]
-            xm, zm = x & mask, z & mask
-            x = (x & ~mask) | zm
-            z = (z & ~mask) | xm
-        elif kind == "gcnot":
-            _, cmask, tmask, tmask_of, cmask_of = spec
-            dx = 0
-            rem = x & cmask
-            while rem:
-                low = rem & -rem
-                dx ^= tmask_of.get(low.bit_length() - 1, 0)
-                rem ^= low
-            dz = 0
-            rem = z & tmask
-            while rem:
-                low = rem & -rem
-                dz ^= cmask_of.get(low.bit_length() - 1, 0)
-                rem ^= low
-            x ^= dx
-            z ^= dz
-        elif kind == "meas":
-            _, basis, qubits, start, mask = spec
-            src = x if basis == "Z" else z
-            for i, q in enumerate(qubits):
-                outcomes[start + i] ^= (src >> q) & 1
-            x &= ~mask
-            z &= ~mask
-        elif kind == "proj":
-            _, sigma, masks, start = spec
-            src = x if sigma == "Z" else z
-            for i, m in enumerate(masks):
-                outcomes[start + i] ^= (src & m).bit_count() & 1
-        elif kind == "fb":
-            _, pauli, col_masks, src, count = spec
-            delta = 0
-            for i in range(count):
-                if outcomes[src + i]:
-                    delta ^= col_masks[i]
-            if pauli == "X":
-                x ^= delta
-            else:
-                z ^= delta
-        x ^= xq.get(step, 0)
-        z ^= zq.get(step, 0)
-
-    return FrameResult(outcome_flips=outcomes, x_final=x, z_final=z)
+def fault_matrix(circ: Circuit, locs, rows) -> np.ndarray:
+    """A run_lanes fault matrix, one lane per row of fault codes `rows`,
+    with rows[:, i] XORed into the column of locs[i]."""
+    cols = circ.columns()
+    at = np.array([cols.column(loc) for loc in locs], dtype=np.intp)
+    m = gf2.zeros(len(cols.qubit), len(rows))
+    np.bitwise_xor.at(m, at, np.asarray(rows, dtype=np.uint8).T)
+    return m.T

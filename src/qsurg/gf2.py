@@ -72,20 +72,30 @@ def fault_rows(n: int, units, samples: int, draw) -> np.ndarray:
     return m
 
 
+def xor_map(sel: np.ndarray):
+    """The GF(2) product rows ↦ sel · rows for a fixed 0/1 matrix sel, on
+    rows of packed bits of any width: row i of the image is the XOR of the
+    rows at the set entries of sel[i]."""
+    row, at = np.nonzero(sel)
+    counts = np.bincount(row, minlength=len(sel))
+    hit = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[hit]
+
+    def image(rows: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(sel),) + rows.shape[1:], dtype=rows.dtype)
+        out[hit] = np.bitwise_xor.reduceat(np.take(rows, at, axis=0), starts,
+                                           axis=0)
+        return out
+    return image
+
+
 def row_images(m: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The image m·xᵀ of every row x of the 0/1 matrix e, one per row.
 
     Equal to mul(e, m.T); each image is the XOR of m's packed columns at
     the row's set entries, so e is never widened to a wider integer type.
     """
-    cols = pack_words(bitmat(m).T)
-    rows, at = np.nonzero(e)
-    counts = np.bincount(rows, minlength=len(e))
-    hit = np.flatnonzero(counts)
-    out = np.zeros((len(e), cols.shape[1]), dtype=np.uint64)
-    out[hit] = np.bitwise_xor.reduceat(
-        np.take(cols, at, axis=0), (np.cumsum(counts) - counts)[hit], axis=0)
-    return unpack_words(out, len(m))
+    return unpack_words(xor_map(e)(pack_words(bitmat(m).T)), len(m))
 
 
 @dataclass(frozen=True)

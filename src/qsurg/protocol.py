@@ -52,10 +52,10 @@ class TeleMeasurement:
     j_m_oc: np.ndarray
 
     def derived_outcome(self, outcome_bits: np.ndarray) -> np.ndarray:
-        """Measured Z(h_z) values: h_z · mu_z."""
-        n = self.source.n
-        mu_z = np.asarray(outcome_bits)[self.mu_z_start: self.mu_z_start + n]
-        return gf2.mul(self.source.h_z, mu_z)
+        """Measured Z(h_z) values h_z · mu_z, of one run or of each row."""
+        start = self.mu_z_start
+        mu_z = np.asarray(outcome_bits)[..., start: start + self.source.n]
+        return gf2.mul(mu_z, self.source.h_z.T)
 
 
 def _append_resource_prep(circ: Circuit, h_z: np.ndarray, n: int):

@@ -5,12 +5,12 @@ and, independently, a Z error each with probability ≤ p_phy, and every
 outcome bit flips with probability ≤ p_phy.  Sampling is counter-based:
 `trial_rng(seed, index)` is a Philox stream at a fixed counter offset.
 
-Monte Carlo is shot-batched.  Each fault cell (an X or Z fault on a
-quantum location, or an outcome flip) is propagated once and folded into
-packed words; trials then run in blocks of BLOCK_CELLS cells, block b
-drawing its faults from trial_rng(seed, b), and each trial XORs the words
-of its faults and decodes them with sorted-array table lookups.  A given
-(experiment, p_phy, trials, seed) therefore gives byte-identical results.
+Monte Carlo is shot-batched.  One frame.run_lanes pass propagates every
+fault cell (an X or Z fault on a quantum location, or an outcome flip)
+into packed words; trials then run in blocks of BLOCK_CELLS cells, block
+b drawing its faults from trial_rng(seed, b), and each trial XORs the
+words of its faults and decodes them with sorted-array table lookups.
+A given (experiment, p_phy, trials, seed) thus gives byte-identical results.
 """
 
 from __future__ import annotations
@@ -34,41 +34,6 @@ def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
     bg = np.random.Philox(key=seed)
     bg.advance(trial * _TRIAL_STRIDE)
     return np.random.Generator(bg)
-
-
-@dataclass
-class FaultPath:
-    x_locs: tuple
-    z_locs: tuple
-    flip_locs: tuple
-
-    def weight(self) -> int:
-        return len(self.x_locs) + len(self.z_locs) + len(self.flip_locs)
-
-
-def sample_faults(circ: Circuit, p_phy: float, seed: int, trial: int = 0) -> FaultPath:
-    """Draw one i.i.d. fault path over the circuit's locations."""
-    if not 0 <= p_phy < 1:
-        raise ValueError("p_phy must lie in [0, 1)")
-    locs = circ.locations()
-    rng = trial_rng(seed, trial)
-    u = rng.random((len(locs), 2))
-    xs, zs, fs = [], [], []
-    for i, loc in enumerate(locs):
-        if loc.kind == "q":
-            if u[i, 0] < p_phy:
-                xs.append(loc)
-            if u[i, 1] < p_phy:
-                zs.append(loc)
-        elif u[i, 0] < p_phy:
-            fs.append(loc)
-    return FaultPath(x_locs=tuple(xs), z_locs=tuple(zs), flip_locs=tuple(fs))
-
-
-def propagate(circ: Circuit, path: FaultPath) -> frame.FrameResult:
-    """Forward the fault path through the circuit (outcome flips + frames)."""
-    return frame.run_frames(circ, x_locs=path.x_locs, z_locs=path.z_locs,
-                            flip_locs=path.flip_locs)
 
 
 # ── closed-form reduced noise parameters ────────────────────────────────
@@ -249,24 +214,24 @@ class _BasisView:
         final syndrome of its frame, and its frame on mem_out."""
         if self.words is not None:
             return
-        cells, flips, frames = [], [], []
-        for loc in self.circuit.locations():
-            if loc.kind == "flip":
-                runs = [("flip", frame.run_frames(self.circuit, flip_locs=[loc]))]
-            else:
-                runs = [("X", frame.run_frames(self.circuit, x_locs=[loc])),
-                        ("Z", frame.run_frames(self.circuit, z_locs=[loc]))]
-            for channel, res in runs:
-                cells.append((channel, loc))
-                flips.append(res.outcome_flips)
-                frames.append(res.x_on(self.mem_out) if self.frame_is_x
-                              else res.z_on(self.mem_out))
-        frames = np.array(frames, dtype=np.uint8)
-        mid = gf2.pack_words(gf2.mul(np.array(flips), self.syn.T))
-        final = gf2.pack_words(gf2.mul(frames, self.checks.T))
+        locs = self.circuit.locations()
+        self.cells = [(ch, loc) for loc in locs
+                      for ch in (("X", "Z") if loc.kind == "q" else ("flip",))]
+        # One lane per cell, in location order: a flip, or an X then a Z.
+        on_q = self.circuit.columns().qubit >= 0
+        first = np.cumsum(1 + on_q) - (1 + on_q)
+        faults = np.zeros((len(self.cells), len(locs)), dtype=np.uint8)
+        q, f = np.flatnonzero(on_q), np.flatnonzero(~on_q)
+        faults[first[q], q], faults[first[q] + 1, q] = frame.X, frame.Z
+        faults[first[f], f] = frame.FLIP
+        res = frame.run_lanes(self.circuit, faults)
+        del faults
+        frames = (res.x_on(self.mem_out) if self.frame_is_x
+                  else res.z_on(self.mem_out))
+        mid = gf2.pack_words(gf2.row_images(self.syn, res.outcome_flips))
+        final = gf2.pack_words(gf2.row_images(self.checks, frames))
         self.syn_words = mid.shape[1]
         self.logical_words = gf2.pack_words(self.logicals)
-        self.cells = cells
         self.words = np.hstack([mid, final, gf2.pack_words(frames)])
 
     def failures(self, dec: LookupDecoder, trial: np.ndarray,

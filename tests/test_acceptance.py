@@ -116,33 +116,26 @@ def test_criterion_5_teleported_measurement():
     tm = protocol.build_tele_measurement(source)
     ok = True
     n_tot = tm.layout.total
-    for p in range(n_tot):
-        e = np.zeros(n_tot, np.uint8)
-        e[p] = 1
-        ok &= protocol.effective_z_error(tm, e)[1]
-        ok &= protocol.effective_x_error(tm, e)[1]
     rng = np.random.default_rng(SEED)
-    for _ in range(10000):
-        w = int(rng.integers(1, 5))
-        e = np.zeros(n_tot, np.uint8)
-        e[rng.choice(n_tot, size=w, replace=False)] = 1
-        ok &= protocol.effective_z_error(tm, e)[1]
-        ok &= protocol.effective_x_error(tm, e)[1]
-    mismatches = 0
+    e = gf2.fault_rows(
+        n_tot, np.arange(n_tot), 10000,
+        lambda: rng.choice(n_tot, size=int(rng.integers(1, 5)), replace=False))
+    ok &= bool(protocol.effective_z_error(tm, e)[1].all())
+    ok &= bool(protocol.effective_x_error(tm, e)[1].all())
+    x_in = gf2.zeros(1000, source.n)
+    z_in = gf2.zeros(1000, source.n)
+    for x_row, z_row in zip(x_in, z_in):
+        x_row[:] = rng.integers(0, 2, size=source.n)
+        z_row[:] = rng.integers(0, 2, size=source.n)
     locs = tm.col_locs["A1"]
-    for _ in range(1000):
-        x_in = rng.integers(0, 2, size=source.n).astype(np.uint8)
-        z_in = rng.integers(0, 2, size=source.n).astype(np.uint8)
-        r = frame.run_frames(
-            tm.circuit,
-            x_locs=[locs[i] for i in np.nonzero(x_in)[0]],
-            z_locs=[locs[i] for i in np.nonzero(z_in)[0]])
-        if not np.array_equal(tm.derived_outcome(r.outcome_flips),
-                              gf2.mul(source.h_z, x_in)):
-            mismatches += 1
-        if not (np.array_equal(r.x_on(tm.c_ids), x_in)
-                and np.array_equal(r.z_on(tm.c_ids), z_in)):
-            mismatches += 1
+    r = frame.run_lanes(tm.circuit, frame.fault_matrix(
+        tm.circuit, locs, x_in * frame.X | z_in * frame.Z))
+    mismatches = int(np.count_nonzero(
+        (tm.derived_outcome(r.outcome_flips)
+         != gf2.mul(x_in, source.h_z.T)).any(axis=1)))
+    mismatches += int(np.count_nonzero(
+        (r.x_on(tm.c_ids) != x_in).any(axis=1)
+        | (r.z_on(tm.c_ids) != z_in).any(axis=1)))
     ok &= mismatches == 0
     report(5, "teleported measurement", ok, elapsed=time.time() - t0,
            budget=600, detail=f"mismatches={mismatches}")

@@ -90,6 +90,15 @@ def layout_position(layout, prep, pos):
     raise IndexError(pos)
 
 
+def probes(circ, locs, pauli):
+    """One frame lane per location: a `pauli` fault on a quantum location,
+    a flip on a flip location."""
+    codes = [getattr(frame, pauli) if loc.kind == "q" else frame.FLIP
+             for loc in locs]
+    return frame.run_lanes(circ, frame.fault_matrix(
+        circ, locs, gf2.eye(len(locs)) * np.array(codes, dtype=np.uint8)))
+
+
 class TestDisplayedMatricesVsFrameProbes:
     """Unit-fault frame runs must reproduce every displayed matrix column."""
 
@@ -97,6 +106,7 @@ class TestDisplayedMatricesVsFrameProbes:
         lay = spp13.layout_z
         rs = spp13.rs
         b, c = prep13.copy_qubits(spp13.copy_j)
+        probed = []
         for pos in range(lay.total):
             name, loc = layout_position(lay, prep13, pos)
             if name.startswith("D"):
@@ -104,25 +114,24 @@ class TestDisplayedMatricesVsFrameProbes:
                 assert not spp13.j_sp_x[:, pos].any()
                 if name == "D3":
                     continue
-            r = frame.run_frames(prep13.circuit, z_locs=[loc])
-            zc = np.concatenate([r.z_on(b), r.z_on(c)])
-            flips = gf2.mul(rs.h_rs_x, zc)
-            assert np.array_equal(flips, spp13.j_sp_x[:, pos]), (name, pos)
+            probed.append((name, pos, loc))
+        r = probes(prep13.circuit, [loc for _, _, loc in probed], "Z")
+        flips = gf2.mul(np.hstack([r.z_on(b), r.z_on(c)]), rs.h_rs_x.T)
+        for (name, pos, _), got in zip(probed, flips):
+            assert np.array_equal(got, spp13.j_sp_x[:, pos]), (name, pos)
 
     def test_x_faults_match_j_sp_z_and_h_sp_z(self, prep13, spp13):
         lay = spp13.layout_x
         rs = spp13.rs
         b, c = prep13.copy_qubits(spp13.copy_j)
         det = prep13.detector_matrix()
-        for pos in range(lay.total):
-            name, loc = layout_position(lay, prep13, pos)
-            kwargs = {"flip_locs": [loc]} if loc.kind == "flip" else {"x_locs": [loc]}
-            r = frame.run_frames(prep13.circuit, **kwargs)
-            xc = np.concatenate([r.x_on(b), r.x_on(c)])
-            flips = gf2.mul(rs.h_rs_z, xc)
-            assert np.array_equal(flips, spp13.j_sp_z[:, pos]), (name, pos)
-            syndrome = gf2.mul(det, r.outcome_flips)
-            assert np.array_equal(syndrome, spp13.h_sp_z[:, pos]), (name, pos)
+        probed = [layout_position(lay, prep13, pos) for pos in range(lay.total)]
+        r = probes(prep13.circuit, [loc for _, loc in probed], "X")
+        flips = gf2.mul(np.hstack([r.x_on(b), r.x_on(c)]), rs.h_rs_z.T)
+        syndromes = gf2.mul(r.outcome_flips, det.T)
+        for pos, (name, _) in enumerate(probed):
+            assert np.array_equal(flips[pos], spp13.j_sp_z[:, pos]), (name, pos)
+            assert np.array_equal(syndromes[pos], spp13.h_sp_z[:, pos]), (name, pos)
 
     def test_no_propagation_identity(self, memory13):
         g = codes.hamming_743().g

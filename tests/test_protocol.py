@@ -26,12 +26,14 @@ def run13(deformed13):
     return protocol.build_surgery_circuit(deformed13)
 
 
-def probe(circ, loc):
-    if loc.kind == "flip":
-        return (frame.run_frames(circ, flip_locs=[loc]),
-                frame.run_frames(circ, flip_locs=[loc]))
-    return (frame.run_frames(circ, x_locs=[loc]),
-            frame.run_frames(circ, z_locs=[loc]))
+def probes(circ, locs):
+    """Frame runs with one lane per location, X faults then Z faults: a
+    flip on a flip location in both."""
+    unit = gf2.eye(len(locs))
+    return tuple(frame.run_lanes(circ, frame.fault_matrix(
+        circ, locs, unit * np.array([code if loc.kind == "q" else frame.FLIP
+                                     for loc in locs], dtype=np.uint8)))
+        for code in (frame.X, frame.Z))
 
 
 class TestTeleMeasurement:
@@ -41,19 +43,20 @@ class TestTeleMeasurement:
 
     def test_outcome_equals_direct_projection(self, tm13, memory13):
         rng = np.random.default_rng(23)
-        for _ in range(200):
-            x_in = rng.integers(0, 2, size=memory13.n).astype(np.uint8)
-            z_in = rng.integers(0, 2, size=memory13.n).astype(np.uint8)
-            locs = tm13.col_locs["A1"]
-            xl = [locs[i] for i in np.nonzero(x_in)[0]]
-            zl = [locs[i] for i in np.nonzero(z_in)[0]]
-            r = frame.run_frames(tm13.circuit, x_locs=xl, z_locs=zl)
-            # Reported check values match the direct projective syndrome.
-            assert np.array_equal(tm13.derived_outcome(r.outcome_flips),
-                                  gf2.mul(memory13.h_z, x_in))
-            # The input frame is transferred to the output block exactly.
-            assert np.array_equal(r.x_on(tm13.c_ids), x_in)
-            assert np.array_equal(r.z_on(tm13.c_ids), z_in)
+        x_in = gf2.zeros(200, memory13.n)
+        z_in = gf2.zeros(200, memory13.n)
+        for x_row, z_row in zip(x_in, z_in):
+            x_row[:] = rng.integers(0, 2, size=memory13.n)
+            z_row[:] = rng.integers(0, 2, size=memory13.n)
+        locs = tm13.col_locs["A1"]
+        r = frame.run_lanes(tm13.circuit, frame.fault_matrix(
+            tm13.circuit, locs, x_in * frame.X | z_in * frame.Z))
+        # Reported check values match the direct projective syndrome.
+        assert np.array_equal(tm13.derived_outcome(r.outcome_flips),
+                              gf2.mul(x_in, memory13.h_z.T))
+        # The input frame is transferred to the output block exactly.
+        assert np.array_equal(r.x_on(tm13.c_ids), x_in)
+        assert np.array_equal(r.z_on(tm13.c_ids), z_in)
 
     def test_operator_transfer_audit(self, tm13, memory13):
         # X(h)⊗X(h)⊗X(h) at the start maps to X(h) on the output block.
@@ -70,19 +73,21 @@ class TestTeleMeasurement:
         hx_r = gf2.right_inverse(memory13.h_x)
         zj = np.concatenate([hx_r.T, memory13.j_z])
         lay = tm13.layout
-        for name, _ in lay.groups:
-            for i, loc in enumerate(tm13.col_locs[name]):
-                pos = lay.offsets[name] + i
-                rz = frame.run_frames(tm13.circuit, z_locs=[loc])
-                assert np.array_equal(gf2.mul(hj, rz.z_on(tm13.c_ids)),
-                                      tm13.j_m_x[:, pos]), (name, i, "j_m_x")
-                rx = frame.run_frames(tm13.circuit, x_locs=[loc])
-                xc = rx.x_on(tm13.c_ids)
-                assert np.array_equal(gf2.mul(zj, xc), tm13.j_m_z[:, pos])
-                assert np.array_equal(gf2.mul(memory13.h_z, xc),
-                                      tm13.j_m_mz[:, pos])
-                assert np.array_equal(tm13.derived_outcome(rx.outcome_flips),
-                                      tm13.j_m_oc[:, pos]), (name, i, "j_m_oc")
+        probed = [(name, i, lay.offsets[name] + i)
+                  for name, _ in lay.groups
+                  for i in range(len(tm13.col_locs[name]))]
+        rx, rz = probes(tm13.circuit, [tm13.col_locs[name][i]
+                                       for name, i, _ in probed])
+        zc, xc = rz.z_on(tm13.c_ids), rx.x_on(tm13.c_ids)
+        for lane, (name, i, pos) in enumerate(probed):
+            assert np.array_equal(gf2.mul(hj, zc[lane]),
+                                  tm13.j_m_x[:, pos]), (name, i, "j_m_x")
+            assert np.array_equal(gf2.mul(zj, xc[lane]), tm13.j_m_z[:, pos])
+            assert np.array_equal(gf2.mul(memory13.h_z, xc[lane]),
+                                  tm13.j_m_mz[:, pos])
+            assert np.array_equal(
+                tm13.derived_outcome(rx.outcome_flips[lane]),
+                tm13.j_m_oc[:, pos]), (name, i, "j_m_oc")
 
     def test_effective_errors_weight1_exhaustive(self, tm13):
         n_tot = tm13.layout.total
@@ -204,39 +209,36 @@ class TestSurgeryDisplayedMatrices:
         ta_jz = gf2.mul(dc.tilde_alpha(), dc.tilde_j_z())
         d12_rows = run.h_ls_x.shape[0]
         names = [n for n, _ in lay.groups] + ["meaX", "meaZ"]
-        for name in names:
-            for i, loc in enumerate(view.col_locs[name]):
-                if name in dict(lay.groups):
-                    pos_z = lay.offsets[name] + i
-                    pos_x = pos_z
-                elif name == "meaX":
-                    pos_z = lay.total + i
-                    pos_x = None
-                else:
-                    pos_z = None
-                    pos_x = lay.total + i
-                if loc.kind == "flip":
-                    r = frame.run_frames(view.circuit, flip_locs=[loc])
-                    rz = rx = r
-                else:
-                    rz = frame.run_frames(view.circuit, z_locs=[loc])
-                    rx = frame.run_frames(view.circuit, x_locs=[loc])
-                if pos_z is not None:
-                    det = run.detector_bits(view, rz.outcome_flips)
-                    assert np.array_equal(det[:d12_rows],
-                                          run.h_ls_x[:, pos_z]), (name, i)
-                    got = gf2.mul(tap_jx, rz.z_on(view.mem_out))
-                    assert np.array_equal(got, run.j_ls_x[:, pos_z])
-                if pos_x is not None:
-                    det = run.detector_bits(view, rx.outcome_flips)
-                    assert np.array_equal(det[d12_rows:],
-                                          run.h_ls_z[:, pos_x]), (name, i)
-                    oc = run.measured_bits(view, rx.outcome_flips)
-                    assert np.array_equal(oc, run.j_ls_oc[:, pos_x])
-                    got = gf2.mul(tapr_jz, rx.x_on(view.mem_out))
-                    assert np.array_equal(got, run.j_ls_z[:, pos_x])
-                    got = gf2.mul(ta_jz, rx.x_on(view.mem_out))
-                    assert np.array_equal(got, run.j_ls_mz[:, pos_x])
+        probed = [(name, i) for name in names
+                  for i in range(len(view.col_locs[name]))]
+        rx, rz = probes(view.circuit, [view.col_locs[name][i]
+                                       for name, i in probed])
+        for lane, (name, i) in enumerate(probed):
+            if name in dict(lay.groups):
+                pos_z = lay.offsets[name] + i
+                pos_x = pos_z
+            elif name == "meaX":
+                pos_z = lay.total + i
+                pos_x = None
+            else:
+                pos_z = None
+                pos_x = lay.total + i
+            if pos_z is not None:
+                det = run.detector_bits(view, rz.outcome_flips[lane])
+                assert np.array_equal(det[:d12_rows],
+                                      run.h_ls_x[:, pos_z]), (name, i)
+                got = gf2.mul(tap_jx, rz.z_on(view.mem_out)[lane])
+                assert np.array_equal(got, run.j_ls_x[:, pos_z])
+            if pos_x is not None:
+                det = run.detector_bits(view, rx.outcome_flips[lane])
+                assert np.array_equal(det[d12_rows:],
+                                      run.h_ls_z[:, pos_x]), (name, i)
+                oc = run.measured_bits(view, rx.outcome_flips[lane])
+                assert np.array_equal(oc, run.j_ls_oc[:, pos_x])
+                got = gf2.mul(tapr_jz, rx.x_on(view.mem_out)[lane])
+                assert np.array_equal(got, run.j_ls_z[:, pos_x])
+                got = gf2.mul(ta_jz, rx.x_on(view.mem_out)[lane])
+                assert np.array_equal(got, run.j_ls_mz[:, pos_x])
 
 
 @pytest.fixture(scope="module")

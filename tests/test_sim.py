@@ -1,5 +1,6 @@
-"""Noise sampling, wait merging, reduced rates, decoding, Monte Carlo."""
+"""Wait merging, reduced rates, decoding, Monte Carlo."""
 
+import hashlib
 import math
 from itertools import combinations
 
@@ -8,45 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsurg import codes, gf2, sim
-from qsurg.circuit import Circuit
-
-
-def small_circuit():
-    c = Circuit()
-    a = c.new_block("a", 6)
-    c.init(a, "0")
-    c.gcnot(a[:3], a[3:], gf2.eye(3))
-    c.measure(a, "Z")
-    return c
-
-
-class TestSampleFaults:
-    def test_p_zero_empty(self):
-        path = sim.sample_faults(small_circuit(), 0.0, seed=1)
-        assert path.weight() == 0
-
-    def test_seed_reproducibility(self):
-        c = small_circuit()
-        p1 = sim.sample_faults(c, 0.3, seed=5, trial=7)
-        p2 = sim.sample_faults(c, 0.3, seed=5, trial=7)
-        assert p1 == p2
-        p3 = sim.sample_faults(c, 0.3, seed=5, trial=8)
-        assert p1 != p3
-
-    def test_high_p_mean_matches_location_count(self):
-        c = small_circuit()
-        locs = c.locations()
-        n_q = sum(1 for l in locs if l.kind == "q")
-        n_f = len(locs) - n_q
-        p = 0.9
-        trials = 400
-        total = sum(sim.sample_faults(c, p, seed=11, trial=t).weight()
-                    for t in range(trials))
-        mean = total / trials
-        expect = p * (2 * n_q + n_f)
-        sigma = np.sqrt((2 * n_q + n_f) * p * (1 - p) / trials)
-        assert abs(mean - expect) <= 3 * sigma
+from qsurg import codes, frame, gf2, sim
 
 
 class TestWaitMerge:
@@ -242,24 +205,60 @@ def experiments():
     return out
 
 
-def reference_failure(view, dec, faults):
-    """One trial decoded on its own: frame run of the sampled fault set,
-    two table lookups, then the logical parity of the residue."""
-    path = sim.FaultPath(
-        x_locs=tuple(loc for ch, loc in faults if ch == "X"),
-        z_locs=tuple(loc for ch, loc in faults if ch == "Z"),
-        flip_locs=tuple(loc for ch, loc in faults if ch == "flip"))
-    res = sim.propagate(view.circuit, path)
-    fr = res.x_on(view.mem_out) if view.frame_is_x else res.z_on(view.mem_out)
+# sha256 of compile_faults' output (see compiled_digest) as the earlier
+# engine, one big-int frame run per fault cell, computed it.
+COMPILED_DIGESTS = {
+    (3, "z"): "17b211e55b580e458f55f50ad4bd2f87c7f646e924329d47d0c8a36aab8ec75c",
+    (3, "x"): "3a79d4bba5c97f73748470d8ef62ccae70d70ff126990b238c46e84d4b7f2453",
+    (5, "z"): "81b1ac601c0f99851bda872eec524ee0b3350d21750b0964bd432b4975276faf",
+    (5, "x"): "09886ac34d200e19478503815f5503ec2a9025286ed4e8740763bfc5b34b1fa5",
+    (7, "z"): "a6c45ca2b2b32a686ab23b4a7976a1c9b0cb624b98502ecc193b8aeffed95de0",
+    (7, "x"): "543af64a6dc49dab52186ade17f2e496a3bc67e7aad11e39e616b7554dff3876",
+}
+
+
+def compiled_digest(view):
+    h = hashlib.sha256()
+    for part in (view.words, view.logical_words):
+        h.update(repr((part.dtype.str, part.shape)).encode())
+        h.update(part.tobytes())
+    h.update(repr(view.syn_words).encode())
+    h.update("".join(f"{ch} {loc.kind} {loc.step} {loc.index}\n"
+                     for ch, loc in view.cells).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_compiled_faults_unchanged(experiments, d):
+    exp = experiments[d]
+    for basis, view in (("z", exp.z_basis), ("x", exp.x_basis)):
+        assert compiled_digest(view) == COMPILED_DIGESTS[d, basis]
+
+
+def reference_failures(view, dec, trial_faults):
+    """Each trial decoded on its own: the frame run of its sampled fault set
+    (one lane per trial, built from the cells' locations), two table
+    lookups, then the logical parity of the residue."""
+    code = {"X": frame.X, "Z": frame.Z, "flip": frame.FLIP}
+    lanes = np.zeros((len(trial_faults), len(view.circuit.locations())),
+                     dtype=np.uint8)
+    for t, faults in enumerate(trial_faults):
+        for ch, loc in faults:
+            lanes[t] ^= frame.fault_matrix(view.circuit, [loc], [[code[ch]]])[0]
+    res = frame.run_lanes(view.circuit, lanes)
+    frames = (res.x_on(view.mem_out) if view.frame_is_x
+              else res.z_on(view.mem_out))
     decode = dec.decode_x if view.frame_is_x else dec.decode_z
-    c1 = decode(gf2.mul(view.syn, res.outcome_flips))
-    if c1 is None:
-        return True
-    resid = fr ^ c1
-    c2 = decode(gf2.mul(view.checks, resid))
-    if c2 is None:
-        return True
-    return bool(gf2.mul(view.logicals, resid ^ c2).any())
+    out = []
+    for flips, fr in zip(res.outcome_flips, frames):
+        c1 = decode(gf2.mul(view.syn, flips))
+        if c1 is None:
+            out.append(True)
+            continue
+        resid = fr ^ c1
+        c2 = decode(gf2.mul(view.checks, resid))
+        out.append(c2 is None or bool(gf2.mul(view.logicals, resid ^ c2).any()))
+    return out
 
 
 @pytest.mark.parametrize("d,p,trials", [(3, 5e-3, 400), (3, 2e-2, 400),
@@ -279,10 +278,10 @@ def test_batched_matches_per_trial(experiments, d, p, trials):
                               (exp.x_basis, cell >= z_cells, z_cells)):
         got = view.failures(exp.decoder, trial[sel], cell[sel] - offset,
                             trials)
-        want = [reference_failure(view, exp.decoder,
-                                  [view.cells[c] for c in
-                                   cell[sel & (trial == t)] - offset])
-                for t in range(trials)]
+        want = reference_failures(
+            view, exp.decoder, [[view.cells[c] for c in
+                                 cell[sel & (trial == t)] - offset]
+                                for t in range(trials)])
         assert np.array_equal(got, want)
         bits |= got
         ref |= want

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsurg import frame, gf2, tableau
-from qsurg.circuit import Circuit, Loc
+from qsurg.circuit import (Circuit, FeedbackOp, GCnotOp, HLayerOp, InitOp, Loc,
+                           MeasureOp, ProjectiveOp)
 
 
 def build_mixed_circuit():
@@ -33,11 +34,19 @@ def build_mixed_circuit():
     return c
 
 
-def frame_vs_tableau(circ, x_locs=(), z_locs=(), flip_locs=()):
-    fr = frame.run_frames(circ, x_locs=x_locs, z_locs=z_locs, flip_locs=flip_locs)
-    tr = tableau.run_tableau(circ, forced_outcomes=fr.outcome_flips,
-                             x_errors=x_locs, z_errors=z_locs, flip_locs=flip_locs)
-    return np.array_equal(tr.outcomes, fr.outcome_flips)
+def frame_vs_tableau(circ, x_locs=(), z_locs=(), flip_locs=(), flips=None):
+    """Whether the frame outcome flips (of run_frames, or `flips`) are what
+    the faults do in the tableau: its run with the faults, its random
+    outcomes forced to the noiseless run's XOR the flips, reports exactly
+    the noiseless outcomes XOR the flips.  The noiseless run forces random
+    outcomes to zero, so on this package's circuits it reads all zero."""
+    if flips is None:
+        flips = frame.run_frames(circ, x_locs=x_locs, z_locs=z_locs,
+                                 flip_locs=flip_locs).outcome_flips
+    want = tableau.run_tableau(circ, force_zero=True).outcomes ^ flips
+    tr = tableau.run_tableau(circ, forced_outcomes=want, x_errors=x_locs,
+                             z_errors=z_locs, flip_locs=flip_locs)
+    return np.array_equal(tr.outcomes, want)
 
 
 class TestTableauBasics:
@@ -114,8 +123,8 @@ class TestFrameProperties:
             r12 = frame.run_frames(circ, x_locs=f1 + f2)
             assert np.array_equal(r12.outcome_flips,
                                   r1.outcome_flips ^ r2.outcome_flips)
-            assert r12.x_final == r1.x_final ^ r2.x_final
-            assert r12.z_final == r1.z_final ^ r2.z_final
+            assert np.array_equal(r12.x_final, r1.x_final ^ r2.x_final)
+            assert np.array_equal(r12.z_final, r1.z_final ^ r2.z_final)
 
     def test_xz_decoupling(self):
         # Z-only fault paths never flip X-type outcomes, and conversely —
@@ -184,11 +193,11 @@ class TestProjectiveDecomposition:
         c.gcnot(u, v, a)
         for q in range(5):
             r = frame.run_frames(c, x_locs=[Loc("q", -1, q)])
-            spread = r.x_final.bit_count() - 1
+            spread = np.count_nonzero(r.x_final) - 1
             assert spread <= wp.max_row_weight
         for q in range(6):
             r = frame.run_frames(c, z_locs=[Loc("q", -1, 5 + q)])
-            spread = r.z_final.bit_count() - 1
+            spread = np.count_nonzero(r.z_final) - 1
             assert spread <= wp.max_col_weight
 
 
@@ -309,12 +318,16 @@ def run_program(sim, steps):
 
 
 @st.composite
-def random_circuits(draw):
-    """Fresh qubits, H layers, GCNOTs, Z/X checks and outcome feedback."""
+def random_circuits(draw, inputs=False):
+    """Fresh qubits, H layers, GCNOTs, Z/X checks and outcome feedback;
+    with inputs, a leading part of the qubits is circuit input instead of
+    freshly initialised."""
     n = draw(st.integers(2, 7))
     c = Circuit()
     q = c.new_block("q", n)
-    c.init(q, draw(st.sampled_from("0+")))
+    k = draw(st.integers(0, n - 1)) if inputs else 0
+    c.mark_input(q[:k])
+    c.init(q[k:], draw(st.sampled_from("0+")))
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(["h", "gcnot", "check", "check", "fb"]))
         if kind == "h":
@@ -405,3 +418,198 @@ class TestInitReuse:
         c.init(a, "0")
         with pytest.raises(ValueError, match="qubit 0"):
             tableau.run_tableau(c, force_zero=True)
+
+
+# ── the lane engine against one-lane calls, linearity, the tableau and the
+#    big-int engine it replaced ─────────────────────────────────────────
+
+
+def _mask(qubits) -> int:
+    m = 0
+    for q in qubits:
+        m |= 1 << int(q)
+    return m
+
+
+def bigint_run_frames(circ, x_locs=(), z_locs=(), flip_locs=()):
+    """The earlier frame engine: one fault set as Python big-int masks over
+    qubit ids, stepped op by op.  Returns (outcome flips, X mask, Z mask)."""
+    xq: dict[int, int] = {}
+    zq: dict[int, int] = {}
+    for loc in x_locs:
+        xq[loc.step] = xq.get(loc.step, 0) ^ (1 << loc.index)
+    for loc in z_locs:
+        zq[loc.step] = zq.get(loc.step, 0) ^ (1 << loc.index)
+    outcomes = np.zeros(circ.n_outcomes, dtype=np.uint8)
+    for loc in flip_locs:
+        outcomes[loc.index] ^= 1
+    x = xq.get(-1, 0)
+    z = zq.get(-1, 0)
+    for step, op in enumerate(circ.ops):
+        if isinstance(op, InitOp):
+            x &= ~_mask(op.qubits)
+            z &= ~_mask(op.qubits)
+        elif isinstance(op, HLayerOp):
+            mask = _mask(op.qubits)
+            xm, zm = x & mask, z & mask
+            x = (x & ~mask) | zm
+            z = (z & ~mask) | xm
+        elif isinstance(op, GCnotOp):
+            dx = dz = 0
+            for j, c in enumerate(op.controls):
+                if (x >> int(c)) & 1:
+                    dx ^= _mask(op.targets[np.nonzero(op.a[j])[0]])
+            for i, t in enumerate(op.targets):
+                if (z >> int(t)) & 1:
+                    dz ^= _mask(op.controls[np.nonzero(op.a[:, i])[0]])
+            x ^= dx
+            z ^= dz
+        elif isinstance(op, MeasureOp):
+            src = x if op.basis == "Z" else z
+            for i, q in enumerate(op.qubits):
+                outcomes[op.start + i] ^= (src >> int(q)) & 1
+            x &= ~_mask(op.qubits)
+            z &= ~_mask(op.qubits)
+        elif isinstance(op, ProjectiveOp):
+            src = x if op.sigma == "Z" else z
+            for i, row in enumerate(op.a):
+                m = _mask(op.qubits[np.nonzero(row)[0]])
+                outcomes[op.start + i] ^= (src & m).bit_count() & 1
+        elif isinstance(op, FeedbackOp):
+            delta = 0
+            for i in range(op.count):
+                if outcomes[op.src + i]:
+                    delta ^= _mask(op.qubits[np.nonzero(op.m[i])[0]])
+            if op.pauli == "X":
+                x ^= delta
+            else:
+                z ^= delta
+        x ^= xq.get(step, 0)
+        z ^= zq.get(step, 0)
+    return outcomes, x, z
+
+
+@st.composite
+def lane_batches(draw):
+    """A random circuit with input qubits, and 1-4 lanes of X, Z and flip
+    faults.  Quantum faults sit on its locations and right after its
+    feedback layers; flips are keyed by outcome bit."""
+    circ, _, _ = draw(random_circuits(inputs=True))
+    qlocs = list(circ.columns().at)
+    flocs = [loc for loc in circ.locations() if loc.kind == "flip"]
+    lanes = draw(st.integers(1, 4))
+    rows = [np.array([bits(draw, len(locs)) for _ in range(lanes)],
+                     dtype=np.uint8).reshape(lanes, len(locs))
+            for locs in (qlocs, qlocs, flocs)]
+    return circ, qlocs, flocs, rows
+
+
+def lane_locs(qlocs, flocs, rows, lane):
+    """The x_locs, z_locs and flip_locs of one lane."""
+    return [[locs[i] for i in np.nonzero(m[lane])[0]]
+            for locs, m in zip((qlocs, qlocs, flocs), rows)]
+
+
+class TestLaneEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(lane_batches())
+    def test_lane_properties(self, batch):
+        """Each lane equals its one-lane call, the big-int engine's frames
+        and the tableau's outcomes; XORing lanes XORs their results."""
+        circ, qlocs, flocs, rows = batch
+        xr, zr, fr = rows
+        faults = frame.fault_matrix(
+            circ, qlocs + qlocs + flocs,
+            np.hstack([xr * frame.X, zr * frame.Z, fr * frame.FLIP]))
+        res = frame.run_lanes(circ, faults)
+        fields = ("outcome_flips", "x_final", "z_final")
+        n = circ.n_qubits
+        for lane in range(len(faults)):
+            xl, zl, fl = lane_locs(qlocs, flocs, rows, lane)
+            one = frame.run_frames(circ, x_locs=xl, z_locs=zl, flip_locs=fl)
+            for field in fields:
+                assert np.array_equal(getattr(res, field)[lane],
+                                      getattr(one, field))
+            outcomes, x, z = bigint_run_frames(circ, xl, zl, fl)
+            assert np.array_equal(one.outcome_flips, outcomes)
+            assert np.array_equal(one.x_final, gf2._unpack(x, n))
+            assert np.array_equal(one.z_final, gf2._unpack(z, n))
+            assert frame_vs_tableau(circ, xl, zl, fl, flips=one.outcome_flips)
+        perm = np.roll(np.arange(len(faults)), 1)
+        mixed = frame.run_lanes(circ, faults ^ faults[perm])
+        for field in fields:
+            got = getattr(res, field)
+            assert np.array_equal(getattr(mixed, field), got ^ got[perm])
+
+
+    def test_unit_lanes_through_unsymmetric_couplings(self):
+        """Every single X or Z fault through a square and a non-square
+        coupling, neither symmetric, against the big-int engine."""
+        c = Circuit()
+        u, v, w = (c.new_block(name, size) for name, size in
+                   (("u", 3), ("v", 3), ("w", 2)))
+        c.mark_input(np.concatenate([u, v, w]))
+        c.gcnot(u, v, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+        c.gcnot(v, w, [[1, 0], [1, 1], [0, 1]])
+        locs = c.locations()
+        codes = [frame.X] * len(locs) + [frame.Z] * len(locs)
+        res = frame.run_lanes(c, frame.fault_matrix(
+            c, locs + locs, gf2.eye(len(codes)) * np.array(codes, np.uint8)))
+        for lane, loc in enumerate(locs + locs):
+            paulis = ([loc], []) if lane < len(locs) else ([], [loc])
+            _, x, z = bigint_run_frames(c, *paulis)
+            assert np.array_equal(res.x_final[lane], gf2._unpack(x, 8))
+            assert np.array_equal(res.z_final[lane], gf2._unpack(z, 8))
+
+
+class TestFrameInputs:
+    @staticmethod
+    def circuit():
+        c = Circuit()
+        a = c.new_block("a", 2)
+        c.mark_input(a)
+        c.gcnot(a[:1], a[1:], gf2.eye(1))
+        c.measure(a, "Z")
+        return c
+
+    def test_pauli_fault_on_flip_location(self):
+        c = self.circuit()
+        flip = [loc for loc in c.locations() if loc.kind == "flip"][0]
+        with pytest.raises(ValueError, match="X fault on non-qubit"):
+            frame.run_frames(c, x_locs=[flip])
+        with pytest.raises(ValueError, match="Z fault on non-qubit"):
+            frame.run_frames(c, z_locs=[flip])
+
+    def test_flip_on_qubit_location(self):
+        c = self.circuit()
+        with pytest.raises(ValueError, match="flip fault on non-classical"):
+            frame.run_frames(c, flip_locs=[c.locations()[0]])
+
+    def test_fault_matrix_shape_and_codes(self):
+        c = self.circuit()
+        width = len(c.locations())
+        flip = c.columns().flips[0]
+        frame.run_lanes(c, gf2.zeros(3, width))
+        for bad in (gf2.zeros(3, width - 1), gf2.zeros(3, width + 1),
+                    np.zeros(width, dtype=np.uint8)):
+            with pytest.raises(ValueError, match="one row per lane"):
+                frame.run_lanes(c, bad)
+        for col, code in ((0, 4), (flip, frame.Z), (flip, frame.X | frame.Z)):
+            faults = gf2.zeros(3, width)
+            faults[1, col] = code
+            with pytest.raises(ValueError, match=f"fault code {code} at"):
+                frame.run_lanes(c, faults)
+
+    def test_input_marked_after_enumeration(self):
+        c = self.circuit()
+        width = len(c.locations())
+        extra = c.new_block("extra", 1)
+        c.mark_input(extra)
+        assert len(c.locations()) == width + 1
+        r = frame.run_frames(c, x_locs=[Loc("q", -1, int(extra[0]))])
+        assert np.array_equal(r.x_on(extra), [1])
+
+    def test_unknown_location(self):
+        c = self.circuit()
+        with pytest.raises(ValueError, match="not a location"):
+            frame.run_frames(c, x_locs=[Loc("q", 1, 0)])
