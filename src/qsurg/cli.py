@@ -7,7 +7,8 @@ memory runs, logical-circuit scheduling/cost, and the full desk-scale
 `ledger` that runs every check and emits one stable pass/fail row each.
 
 All stochastic subcommands require an explicit seed, and a fixed
-(config, seed) pair produces byte-identical artifacts.
+(config, seed) pair produces byte-identical artifacts.  Every draw comes
+from sim.trial_rng(seed, index), at the indices of _SITES.
 """
 
 from __future__ import annotations
@@ -60,6 +61,20 @@ def _weight_upto(top: int):
             raise argparse.ArgumentTypeError(f"{text} is not in 0..{top}")
         return n
     return weight
+
+
+# ── random streams ──────────────────────────────────────────────────────
+
+# Site i owns trial_rng indices [i·2^32, (i+1)·2^32), so no two draws of one
+# ledger run share a (seed, index) stream; "sim.d3" starts at index 0.
+_SITES = {site: i << 32 for i, site in enumerate((
+    "sim.d3", "sim.d5", "prep.tableau", "ltsp.spZ", "tele.faults",
+    "tele.frames", "surgery.tableau", "cs.residualZ", "cs.outcomeX",
+    "compile.schedule", "compile.batch"))}
+
+
+def _rng(seed: int, site: str, i: int = 0) -> np.random.Generator:
+    return sim.trial_rng(seed, _SITES[site] + i)
 
 
 # ── individual subcommands ──────────────────────────────────────────────
@@ -122,29 +137,26 @@ def cmd_surgery_build(args) -> int:
     return 0 if not report and not lifted else 1
 
 
+def _print_rows(rows) -> int:
+    """Print (key, pass, detail) rows; exit code 0 iff every row passed."""
+    for key, good, detail in rows:
+        print(f"{key}\t{'pass' if good else 'FAIL'}\t{detail}")
+    return 0 if all(good for _, good, _ in rows) else 1
+
+
 def cmd_ltsp_verify(args) -> int:
     source = codes.load_manifest(args.source)
     f = codes.load_manifest(args.fcode)
-    rows = []
-    ok = True
     prep = ltsp.build_prep_circuit(source, f)
     res = tableau.run_tableau(prep.circuit, force_zero=True)
-    noiseless = not res.outcomes.any()
-    ok &= noiseless
-    rows.append(("ltsp.noiseless", noiseless, "all-zero reference"))
-    for j in range(f.k):
-        spp = ltsp.sp_matrices(source, f, j)
-        rz = ltsp.sweep_z_lemma(spp, max_weight=args.max_weight)
+    rows = [("ltsp.noiseless", not res.outcomes.any(), "all-zero reference")]
+    for j, (rz, rx) in enumerate(_ltsp_sweeps(source, f, args.max_weight,
+                                              args.samples, args.seed)):
         rows.append((f"lemma.ltsp.spX.copy{j}", rz.clean,
                      f"checked={rz.checked}"))
-        rx = ltsp.sweep_x_lemma(spp, max_weight=args.max_weight,
-                                samples=args.samples, seed=args.seed + j)
         rows.append((f"lemma.ltsp.spZ.copy{j}", rx.clean,
                      f"checked={rx.checked} detected={rx.detected}"))
-        ok &= rz.clean and rx.clean
-    for key, good, detail in rows:
-        print(f"{key}\t{'pass' if good else 'FAIL'}\t{detail}")
-    return 0 if ok else 1
+    return _print_rows(rows)
 
 
 def cmd_protocol_check(args) -> int:
@@ -152,12 +164,8 @@ def cmd_protocol_check(args) -> int:
     r_code = codes.load_manifest(os.path.join(args.deformed, "rcode.manifest"))
     alpha = gf2.load_matrix(os.path.join(args.deformed, "alpha.txt"))
     dc = surgery.build_deformed(target, alpha, r_code)
-    rows, ok = _protocol_ledger(dc, target, args.max_weight, args.samples,
-                                args.seed)
-    for key, good, detail in rows:
-        print(f"{key}\t{'pass' if good else 'FAIL'}\t{detail}")
-        ok &= good
-    return 0 if ok else 1
+    return _print_rows(_protocol_ledger(dc, args.max_weight, args.samples,
+                                        args.seed))
 
 
 def _load_sim_spec(path: str) -> dict:
@@ -216,58 +224,70 @@ def cmd_compile(args) -> int:
 # ── desk ledger ─────────────────────────────────────────────────────────
 
 
-def _protocol_ledger(dc, target, max_weight, samples, seed):
-    rows = []
+def _ltsp_sweeps(source, f, max_weight, samples, seed):
+    """(Z sweep, X sweep) reports of every output copy."""
+    for j in range(f.k):
+        spp = ltsp.sp_matrices(source, f, j)
+        yield (ltsp.sweep_z_lemma(spp, max_weight=max_weight),
+               ltsp.sweep_x_lemma(spp, max_weight=max_weight, samples=samples,
+                                  seed=seed, stream=_SITES["ltsp.spZ"] + j))
+
+
+def _protocol_ledger(dc, max_weight, samples, seed):
     run = protocol.build_surgery_circuit(dc)
-    rng = np.random.default_rng(seed)
-    res = tableau.run_tableau(run.expanded.circuit, rng=rng)
+    res = tableau.run_tableau(run.expanded.circuit,
+                              rng=_rng(seed, "surgery.tableau"))
     zero_ok = (not run.measured_bits(run.expanded, res.outcomes).any()
                and not run.detector_bits(run.expanded, res.outcomes).any())
-    jx = target.j_x
-    view = run.expanded
-    locs = []
-    n = target.n
-    for copy in range(dc.k_r):
-        locs += [view.col_locs["M1"][copy * n + i]
-                 for i in np.nonzero(jx[0])[0]]
-    res1 = tableau.run_tableau(view.circuit, rng=rng, x_errors=locs)
+    view, n = run.expanded, dc.target.n
+    locs = [view.col_locs["M1"][copy * n + i] for copy in range(dc.k_r)
+            for i in np.flatnonzero(dc.target.j_x[0])]
+    res1 = tableau.run_tableau(view.circuit, x_errors=locs,
+                               rng=_rng(seed, "surgery.tableau", 1))
     ones_ok = bool(run.measured_bits(view, res1.outcomes).all())
-    rows.append(("surgery.noiseless", zero_ok and ones_ok,
-                 "outcomes +1 on |0>, -1 on |1>"))
     lay = run.layout
-    czm = _sweep_residual_z(run, lay, max_weight, samples, seed)
-    rows.append(("lemma.cs.residualZ", czm[0], czm[1]))
-    cxm = _sweep_outcome_x(run, lay, max_weight, samples, seed + 1)
-    rows.append(("lemma.cs.outcomeX", cxm[0], cxm[1]))
-    return rows, zero_ok and ones_ok and czm[0] and cxm[0]
+    return [("surgery.noiseless", zero_ok and ones_ok,
+             "outcomes +1 on |0>, -1 on |1>"),
+            ("lemma.cs.residualZ", *_sweep_residual_z(
+                run, lay, max_weight, samples, _rng(seed, "cs.residualZ"))),
+            ("lemma.cs.outcomeX", *_sweep_outcome_x(
+                run, lay, max_weight, samples, _rng(seed, "cs.outcomeX")))]
 
 
-def _surgery_faults(h, lay, names, max_weight, samples, seed):
+def _swept(checked: int, max_weight: int, samples: int) -> str:
+    """Detail of a weight-1 exhaustive plus sampled sweep."""
+    return (f"checked={checked} exhaustive_w={min(max_weight, 1)} "
+            f"samples={samples}")
+
+
+def _surgery_faults(h, lay, names, max_weight, samples, rng):
     """The faults on the named groups that h misses (outcome flips zero):
     every single location when max_weight ≥ 1 (no larger weight is swept
     exhaustively), then `samples` random pairs."""
     idx = np.concatenate([np.arange(lay.total)[lay.sl(nm)] for nm in names])
-    rng = np.random.default_rng(seed)
-    e = gf2.fault_rows(lay.total, idx if max_weight >= 1 else idx[:0],
-                       samples,
-                       lambda: idx[rng.choice(len(idx), size=2, replace=False)])
-    return e[~gf2.row_images(h[:, :lay.total], e).any(axis=1)]
+    units = np.arange(len(idx) * min(max_weight, 1))
+    sub = gf2.fault_rows(rng, len(idx), units, np.full(samples, 2))
+    sub = sub[~gf2.row_images(h[:, idx], sub).any(axis=1)]
+    e = gf2.zeros(len(sub), lay.total)
+    e[:, idx] = sub
+    return e
 
 
-def _sweep_residual_z(run, lay, max_weight, samples, seed):
+def _sweep_residual_z(run, lay, max_weight, samples, rng):
     e = _surgery_faults(run.h_ls_x, lay, ("M1", "M2", "M3", "A1", "A2"),
-                        max_weight, samples, seed)
+                        max_weight, samples, rng)
     res = protocol.surgery_residual_z(run, e, gf2.zeros(len(e), run.n_mem))
-    return bool(np.all((res.status == "ok") & res.bound_ok)), f"checked={len(e)}"
+    return (bool(np.all((res.status == "ok") & res.bound_ok)),
+            _swept(len(e), max_weight, samples))
 
 
-def _sweep_outcome_x(run, lay, max_weight, samples, seed):
+def _sweep_outcome_x(run, lay, max_weight, samples, rng):
     e = _surgery_faults(run.h_ls_z, lay, ("M1", "A1"),
-                        max_weight, samples, seed)
+                        max_weight, samples, rng)
     res = protocol.surgery_outcome_x(run, e, np.zeros_like(e))
     rate = np.count_nonzero(res.outcome_correct) / len(e) if len(e) else 1.0
     ok = bool(np.all(res.outcome_correct & res.bound_ok))
-    return ok, f"checked={len(e)} outcome_rate={rate:.6f}"
+    return ok, f"{_swept(len(e), max_weight, samples)} outcome_rate={rate:.6f}"
 
 
 def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
@@ -318,13 +338,11 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
     add("lemma.pcs.distance", cert.ok, f"no logical error of weight<={budget}")
 
     # 4. preparation circuit
-    f = codes.hamming_743()
-    prep = ltsp.build_prep_circuit(target, f)
+    prep = ltsp.build_prep_circuit(target, ham)
     res = tableau.run_tableau(prep.circuit, force_zero=True)
     noiseless = not res.outcomes.any()
     rs = ltsp.resource_state(target)
-    rng = np.random.default_rng(seed)
-    tres = tableau.run_tableau(prep.circuit, rng=rng)
+    tres = tableau.run_tableau(prep.circuit, rng=_rng(seed, "prep.tableau"))
     for j in range(prep.k_f):
         b, c = prep.copy_qubits(j)
         qubits = np.concatenate([b, c])
@@ -335,34 +353,26 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
             noiseless &= tableau.stabilizer_phase(
                 tres.sim, qubits, np.zeros(2 * target.n), row) == 0
     add("ltsp.noiseless", noiseless, "all copies exactly stabilized")
-    spx_ok = spz_ok = True
-    spx_n = spz_n = 0
-    for j in range(f.k):
-        spp = ltsp.sp_matrices(target, f, j)
-        rz = ltsp.sweep_z_lemma(spp, max_weight=min(max_weight, 2))
-        spx_ok &= rz.clean
-        spx_n += rz.checked
-        rx = ltsp.sweep_x_lemma(spp, max_weight=min(max_weight, 1),
-                                samples=samples // 4, seed=seed + j)
-        spz_ok &= rx.clean
-        spz_n += rx.checked
-    add("lemma.ltsp.spX", spx_ok, f"checked={spx_n}")
-    add("lemma.ltsp.spZ", spz_ok, f"checked={spz_n}")
+    sweeps = list(_ltsp_sweeps(target, ham, min(max_weight, 2), samples // 4,
+                               seed))
+    for key, reps in zip(("lemma.ltsp.spX", "lemma.ltsp.spZ"), zip(*sweeps)):
+        add(key, all(r.clean for r in reps),
+            f"checked={sum(r.checked for r in reps)}")
 
     # 5. teleported measurement
     tm = protocol.build_tele_measurement(target)
     n_tot = tm.layout.total
-    rng = np.random.default_rng(seed + 100)
-    faults = gf2.fault_rows(
-        n_tot, np.arange(n_tot if max_weight >= 1 else 0), samples,
-        lambda: rng.choice(n_tot, size=int(rng.integers(1, 5)), replace=False))
+    rng = _rng(seed, "tele.faults")
+    faults = gf2.fault_rows(rng, n_tot, np.arange(n_tot * min(max_weight, 1)),
+                            rng.integers(1, 5, size=samples))
     for key, kernel in (("lemma.tele.effZ", protocol.effective_z_error),
                         ("lemma.tele.effX", protocol.effective_x_error)):
-        add(key, kernel(tm, faults)[1].all(), "weight-1 exhaustive + sampled")
+        add(key, kernel(tm, faults)[1].all(),
+            _swept(len(faults), max_weight, samples))
     del faults
     # One lane per frame: random X and Z inputs on A1, drawn X then Z.
-    draws = np.array([rng.integers(0, 2, size=target.n)
-                      for _ in range(2 * frames)], dtype=np.uint8)
+    draws = _rng(seed, "tele.frames").integers(
+        0, 2, size=(2 * frames, target.n), dtype=np.uint8)
     x_in, z_in = draws.reshape(frames, 2, target.n).transpose(1, 0, 2)
     fr = frame.run_lanes(tm.circuit, frame.fault_matrix(
         tm.circuit, tm.col_locs["A1"], x_in * frame.X | z_in * frame.Z))
@@ -374,16 +384,16 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
     add("tele.projective_equiv", mis == 0, f"frames={frames} mismatches={mis}")
 
     # 6. surgery end to end
-    prows, pok = _protocol_ledger(dc, target, max_weight, samples, seed + 200)
-    rows.extend((k, g, d) for k, g, d in prows)
+    rows.extend(_protocol_ledger(dc, max_weight, samples, seed))
 
     # 7. Monte Carlo trend
     est = {}
     sim_lines = ["d\tp\ttrials\tfailures\testimate\tci_low\tci_high"]
     for d in (3, 5):
         exp = sim.build_memory_experiment(codes.surface_code_via_hgp(d))
-        zero = sim.logical_error_rate(exp, 0.0, min(trials, 1000), seed)
-        est[d] = sim.logical_error_rate(exp, 1e-3, trials, seed)
+        stream = _SITES[f"sim.d{d}"]
+        zero = sim.logical_error_rate(exp, 0.0, min(trials, 1000), seed, stream)
+        est[d] = sim.logical_error_rate(exp, 1e-3, trials, seed, stream)
         add(f"sim.memory.d{d}.p0", zero.failures == 0, "exact zero")
         e = est[d]
         sim_lines.append(f"{d}\t0.001\t{e.trials}\t{e.failures}"
@@ -395,7 +405,7 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
         f"d5={est[5].rate:.6g} ({est[5].ci_low:.6g},{est[5].ci_high:.6g})")
 
     # 8. scheduler
-    rng = np.random.default_rng(seed + 300)
+    rng = _rng(seed, "compile.schedule")
     sched_ok = True
     for _ in range(200):
         k = int(rng.integers(1, 7))
@@ -406,15 +416,11 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
     add("compile.schedule", sched_ok, "200 random layers")
 
     # 9. cost arithmetic + static tables
-    rng = np.random.default_rng(seed + 400)
-    cost_ok = True
-    for _ in range(1000):
-        numv = int(rng.integers(0, 5000))
-        k_r = int(rng.integers(1, 9))
-        k_f = int(rng.integers(1, 9))
-        d_s = int(rng.integers(1, 6))
-        cost_ok &= qcompile.batch(numv, k_r, k_f, d_s) <= \
-            qcompile.batch_bound(numv, k_r, k_f, d_s)
+    rng = _rng(seed, "compile.batch")
+    grid = [rng.integers(lo, hi, size=1000).tolist()
+            for lo, hi in ((0, 5000), (1, 9), (1, 9), (1, 6))]
+    cost_ok = all(qcompile.batch(*pt) <= qcompile.batch_bound(*pt)
+                  for pt in zip(*grid))
     add("compile.batch", cost_ok, "1000-point grid")
     table_ok = (qcompile.decompose("MEA").measurements == ("Zj",)
                 and qcompile.decompose("CNOT").measurements
@@ -466,14 +472,9 @@ def cmd_ledger(args) -> int:
     if args.preset != "desk":
         print("only --preset desk is available", file=sys.stderr)
         return 2
-    rows = run_desk_ledger(seed=args.seed, out_dir=args.out,
-                           max_weight=args.max_weight, samples=args.samples,
-                           trials=args.trials)
-    ok = True
-    for key, good, detail in rows:
-        print(f"{key}\t{'pass' if good else 'FAIL'}\t{detail}")
-        ok &= good
-    return 0 if ok else 1
+    return _print_rows(run_desk_ledger(
+        seed=args.seed, out_dir=args.out, max_weight=args.max_weight,
+        samples=args.samples, trials=args.trials))
 
 
 def main(argv=None) -> int:
@@ -553,8 +554,9 @@ def main(argv=None) -> int:
                    help="exhaustive weight of the ltsp and pcs sweeps; the "
                         "lemma.tele and lemma.cs rows check weight-1 faults "
                         "exhaustively when it is at least 1, plus sampled "
-                        "faults (pairs for lemma.cs), and sweep no higher "
-                        "weight exhaustively")
+                        "faults (pairs for lemma.cs), sweep no higher "
+                        "weight exhaustively, and print exhaustive_w= and "
+                        "samples=")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--trials", type=_count, default=100000)
     p.set_defaults(func=cmd_ledger)

@@ -28,7 +28,7 @@ class ClassicalCode:
     n: int
     k: int
     d: Optional[int] = None
-    soundness: Optional[Fraction] = None
+    soundness: Optional[Fraction] = None  # from a manifest or soundness()
 
 
 @dataclass
@@ -234,8 +234,9 @@ def distance(code, budget: Optional[int] = None) -> DistanceResult:
 def soundness(code: ClassicalCode) -> Optional[Fraction]:
     """Largest s with (1/r)·|H uᵀ| ≥ (s/n)·dist(u, C) for all u ∉ C = ker H.
 
-    Exact rational from a full 2^n sweep (n ≤ cap).  None when the code has
-    no checks (every word is a codeword, so the bound is vacuous).
+    Exact rational from a full 2^n sweep (n ≤ cap), also kept in
+    `code.soundness`.  None when the code has no checks (every word is a
+    codeword, so the bound is vacuous).
     """
     r, n = code.h.shape
     if r == 0:
@@ -258,8 +259,9 @@ def soundness(code: ClassicalCode) -> Optional[Fraction]:
         np.minimum.at(least, inv.reshape(-1), wt)
     syn_w = np.bitwise_count(classes).sum(axis=1)
     pairs = np.unique(np.stack([syn_w, least], axis=1)[syn_w > 0], axis=0)
-    return min((Fraction(n * int(a), r * int(b)) for a, b in pairs),
-               default=None)
+    code.soundness = min((Fraction(n * int(a), r * int(b)) for a, b in pairs),
+                         default=None)
+    return code.soundness
 
 
 # ── example constructors ────────────────────────────────────────────────

@@ -1,12 +1,13 @@
 """Pauli-frame forward simulation of circuits, many fault sets per pass.
 
-Frames are tracked relative to the all-zero-outcome reference run, which is
-a valid noiseless trajectory for every circuit built in this package (the
-tableau simulator re-checks that property in the test suite).  Everything
-is GF(2)-linear: outcome bits and final frames are XOR-accumulated from the
-injected fault locations, X frames flip Z-type outcomes and propagate along
-generalized-CNOT couplings, Z frames behave dually, and outcome-conditioned
-Pauli feedback turns outcome flips back into frame updates.
+Frames and outcome flips are relative to the zero-forced noiseless run (every
+random outcome forced to zero), which reads all zeros for every circuit built
+in this package (the tableau simulator re-checks that in the test suite) but
+not for every Circuit.  Everything is GF(2)-linear: outcome bits and final
+frames are XOR-accumulated from the injected fault locations, X frames flip
+Z-type outcomes and propagate along generalized-CNOT couplings, Z frames
+behave dually, and outcome-conditioned Pauli feedback turns outcome flips
+back into frame updates.
 
 `run_lanes` pushes a batch of fault sets through the op list in one pass,
 as Stim's frame simulator does (Gidney, arXiv:2103.02202): fault set i is
@@ -61,8 +62,8 @@ def run_lanes(circ: Circuit, faults) -> FrameResult:
     """Propagate fault sets, one per row (lane) of `faults`, whose columns
     are circ.locations() and entries fault codes.  Input faults act before
     the first op, other quantum faults right after their op.  Returns each
-    lane's outcome flips relative to the all-zero reference and its final
-    frames."""
+    lane's outcome flips relative to the zero-forced noiseless run and its
+    final frames."""
     cols = circ.columns()
     faults = np.asarray(faults, dtype=np.uint8)
     if faults.ndim != 2 or faults.shape[1] != len(cols.qubit):

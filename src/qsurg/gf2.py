@@ -62,13 +62,27 @@ def as_rows(e) -> tuple[np.ndarray, bool]:
     return np.atleast_2d(e), e.ndim == 1
 
 
-def fault_rows(n: int, units, samples: int, draw) -> np.ndarray:
+def fault_rows(rng: np.random.Generator, n: int, units, sizes) -> np.ndarray:
     """An n-column fault matrix: a unit row for each index in `units`, then
-    `samples` rows with ones at the indices of one draw() call each."""
-    m = zeros(len(units) + samples, n)
+    one row per entry of `sizes` with that many distinct ones, uniform over
+    the C(n, size) subsets.  A row's k-th one is drawn uniform on [0, n − k)
+    and shifted up past each earlier one in ascending order (for pairs:
+    j uniform on n − 1, j += j ≥ i); all rows are drawn at once."""
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+    top = int(sizes.max(initial=0))
+    if sizes.min(initial=0) < 0 or top > n:
+        raise ValueError(f"set sizes must lie in 0..{n}")
+    m = zeros(len(units) + len(sizes), n)
     m[np.arange(len(units)), units] = 1
-    for row in m[len(units):]:
-        row[draw()] = 1
+    picks = rng.integers(0, n - np.arange(top), size=(len(sizes), top),
+                         dtype=np.int32)
+    for k in range(1, top):
+        taken = np.sort(picks[:, :k], axis=1)
+        for i in range(k):
+            picks[:, k] += picks[:, k] >= taken[:, i]
+    for k in range(top):
+        row = np.flatnonzero(sizes > k)
+        m[len(units) + row, picks[row, k]] = 1
     return m
 
 

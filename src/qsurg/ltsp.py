@@ -291,8 +291,8 @@ class SpPropagation:
     def amplification(self) -> Fraction:
         """max{1, n_F / (r_F·s)} with the exact computed soundness.
 
-        The soundness sweep is exhaustive over F's syndromes, so the
-        factor is computed on first use and kept.
+        The soundness sweep is exhaustive over F's syndromes, so it runs
+        only when F has none yet (codes.soundness keeps it on F).
         """
         if self._amplification is None:
             from .codes import soundness
@@ -549,17 +549,18 @@ def sweep_z_lemma(spp: SpPropagation, max_weight: int = 2) -> LemmaSweepReport:
 
 
 def sweep_x_lemma(spp: SpPropagation, max_weight: int = 1,
-                  samples: int = 0, seed: int = 0) -> LemmaSweepReport:
+                  samples: int = 0, seed: int = 0,
+                  stream: int = 0) -> LemmaSweepReport:
     """Weight-1 exhaustive plus sampled weight-2 checks of the X bound,
-    checked as one batch."""
+    checked as one batch; the pairs come from sim.trial_rng(seed, stream)."""
+    from . import sim  # sim imports protocol, which imports this module
     rep = LemmaSweepReport()
     n = spp.layout_x.total
     units = np.arange(n if max_weight >= 1 else 0)
     if not len(units) + samples:
         return rep
-    rng = np.random.default_rng(seed)
     res = check_x_bound(spp, gf2.fault_rows(
-        n, units, samples, lambda: rng.choice(n, size=2, replace=False)))
+        sim.trial_rng(seed, stream), n, units, np.full(samples, 2)))
     count = lambda mask: int(np.count_nonzero(mask))
     rep.checked, rep.ok = len(res.status), count(res.status == "ok")
     rep.detected = count(res.status == "detected")

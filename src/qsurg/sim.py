@@ -358,14 +358,14 @@ def _sample_block(seed: int, block: int, p_phy: float, trials: int,
 
 
 def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
-                       seed: int) -> RateEstimate:
+                       seed: int, stream: int = 0) -> RateEstimate:
     """Monte Carlo failure-rate estimate with a 95% Wilson interval.
 
     Each trial runs the |0…0⟩-basis and |+…+⟩-basis circuits on
     independent fault draws; it fails on a heralded decode, a logical X
     flip in the first, or a logical Z flip in the second.  Trials run in
     blocks of BLOCK_CELLS fault cells; block b draws from
-    trial_rng(seed, b).
+    trial_rng(seed, stream + b).
     """
     if not 0 <= p_phy < 1:
         raise ValueError("p_phy must lie in [0, 1)")
@@ -378,7 +378,7 @@ def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
     failures = 0
     for b, start in enumerate(range(0, trials, block)):
         size = min(block, trials - start)
-        trial, cell = _sample_block(seed, b, p_phy, size, cells)
+        trial, cell = _sample_block(seed, stream + b, p_phy, size, cells)
         in_z = cell < z_cells
         fail = exp.z_basis.failures(exp.decoder, trial[in_z], cell[in_z], size)
         fail |= exp.x_basis.failures(exp.decoder, trial[~in_z],

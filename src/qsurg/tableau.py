@@ -160,8 +160,8 @@ def run_tableau(
 
     Random outcomes are drawn from rng, forced to 0 (force_zero=True), or
     forced to the entries of `forced_outcomes`; forcing picks one valid
-    trajectory.  force_zero on a noiseless circuit validates the all-zero
-    reference the frame simulator assumes.  Pauli errors are injected at
+    trajectory.  force_zero gives the zero-forced noiseless run that frame
+    simulator flips are relative to.  Pauli errors are injected at
     quantum locations (interval after Loc.step); flip_locs invert the
     *reported* bit of an outcome location, with any physical projection
     following the true bit.

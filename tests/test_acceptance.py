@@ -85,7 +85,7 @@ def test_criterion_4_preparation_circuit():
     res = tableau.run_tableau(prep.circuit, force_zero=True)
     ok = not res.outcomes.any()
     rs = ltsp.resource_state(source)
-    tres = tableau.run_tableau(prep.circuit, rng=np.random.default_rng(SEED))
+    tres = tableau.run_tableau(prep.circuit, rng=cli._rng(SEED, "prep.tableau"))
     for j in range(prep.k_f):
         b, c = prep.copy_qubits(j)
         qubits = np.concatenate([b, c])
@@ -101,7 +101,7 @@ def test_criterion_4_preparation_circuit():
         spp = ltsp.sp_matrices(source, f, j)
         rz = ltsp.sweep_z_lemma(spp, max_weight=2)
         rx = ltsp.sweep_x_lemma(spp, max_weight=1, samples=10000 // f.k,
-                                seed=SEED + j)
+                                seed=SEED, stream=cli._SITES["ltsp.spZ"] + j)
         violations += rz.violations + rx.violations
         checked += rz.checked + rx.checked
     ok &= violations == 0
@@ -116,17 +116,14 @@ def test_criterion_5_teleported_measurement():
     tm = protocol.build_tele_measurement(source)
     ok = True
     n_tot = tm.layout.total
-    rng = np.random.default_rng(SEED)
-    e = gf2.fault_rows(
-        n_tot, np.arange(n_tot), 10000,
-        lambda: rng.choice(n_tot, size=int(rng.integers(1, 5)), replace=False))
+    rng = cli._rng(SEED, "tele.faults")
+    e = gf2.fault_rows(rng, n_tot, np.arange(n_tot),
+                       rng.integers(1, 5, size=10000))
     ok &= bool(protocol.effective_z_error(tm, e)[1].all())
     ok &= bool(protocol.effective_x_error(tm, e)[1].all())
-    x_in = gf2.zeros(1000, source.n)
-    z_in = gf2.zeros(1000, source.n)
-    for x_row, z_row in zip(x_in, z_in):
-        x_row[:] = rng.integers(0, 2, size=source.n)
-        z_row[:] = rng.integers(0, 2, size=source.n)
+    draws = cli._rng(SEED, "tele.frames").integers(
+        0, 2, size=(2000, source.n), dtype=np.uint8)
+    x_in, z_in = draws.reshape(1000, 2, source.n).transpose(1, 0, 2)
     locs = tm.col_locs["A1"]
     r = frame.run_lanes(tm.circuit, frame.fault_matrix(
         tm.circuit, locs, x_in * frame.X | z_in * frame.Z))
@@ -146,18 +143,21 @@ def test_criterion_6_surgery_end_to_end(deformed13):
     dc = deformed13
     target = dc.target
     run = protocol.build_surgery_circuit(dc)
-    rng = np.random.default_rng(SEED)
-    res0 = tableau.run_tableau(run.expanded.circuit, rng=rng)
+    res0 = tableau.run_tableau(run.expanded.circuit,
+                               rng=cli._rng(SEED, "surgery.tableau"))
     ok = not run.measured_bits(run.expanded, res0.outcomes).any()
     ok &= not run.detector_bits(run.expanded, res0.outcomes).any()
     locs = []
     for copy in range(dc.k_r):
         locs += [run.expanded.col_locs["M1"][copy * target.n + i]
                  for i in np.nonzero(target.j_x[0])[0]]
-    res1 = tableau.run_tableau(run.expanded.circuit, rng=rng, x_errors=locs)
+    res1 = tableau.run_tableau(run.expanded.circuit, x_errors=locs,
+                               rng=cli._rng(SEED, "surgery.tableau", 1))
     ok &= bool(run.measured_bits(run.expanded, res1.outcomes).all())
-    okz, dz = cli._sweep_residual_z(run, run.layout, 1, 10000, SEED)
-    okx, dx = cli._sweep_outcome_x(run, run.layout, 1, 10000, SEED + 1)
+    okz, dz = cli._sweep_residual_z(run, run.layout, 1, 10000,
+                                    cli._rng(SEED, "cs.residualZ"))
+    okx, dx = cli._sweep_outcome_x(run, run.layout, 1, 10000,
+                                   cli._rng(SEED, "cs.outcomeX"))
     ok &= okz and okx
     report(6, "surgery end to end", ok, elapsed=time.time() - t0, budget=600,
            detail=f"residualZ {dz}; outcomeX {dx}")
@@ -169,9 +169,10 @@ def test_criterion_7_monte_carlo_trend():
     ok = True
     for d in (3, 5):
         exp = sim.build_memory_experiment(codes.surface_code_via_hgp(d))
-        zero = sim.logical_error_rate(exp, 0.0, 1000, SEED)
+        stream = cli._SITES[f"sim.d{d}"]
+        zero = sim.logical_error_rate(exp, 0.0, 1000, SEED, stream)
         ok &= zero.failures == 0
-        est[d] = sim.logical_error_rate(exp, 1e-3, 100000, SEED)
+        est[d] = sim.logical_error_rate(exp, 1e-3, 100000, SEED, stream)
     ok &= est[5].rate < est[3].rate
     ok &= est[5].ci_high < est[3].ci_low  # non-overlapping Wilson intervals
     report(7, "Monte Carlo distance trend", ok, budget=900,
@@ -183,7 +184,7 @@ def test_criterion_7_monte_carlo_trend():
 
 def test_criterion_8_scheduler():
     t0 = time.time()
-    rng = np.random.default_rng(SEED)
+    rng = cli._rng(SEED, "compile.schedule")
     ok = True
     for _ in range(200):
         k = int(rng.integers(1, 7))
@@ -200,14 +201,11 @@ def test_criterion_8_scheduler():
 
 def test_criterion_9_cost_arithmetic():
     t0 = time.time()
-    rng = np.random.default_rng(SEED)
+    rng = cli._rng(SEED, "compile.batch")
+    grid = [rng.integers(lo, hi, size=1000).tolist()
+            for lo, hi in ((0, 5000), (1, 9), (1, 9), (1, 6))]
     ok = True
-    total = fams = 0
-    for _ in range(1000):
-        numv = int(rng.integers(0, 5000))
-        k_r = int(rng.integers(1, 9))
-        k_f = int(rng.integers(1, 9))
-        d_s = int(rng.integers(1, 6))
+    for numv, k_r, k_f, d_s in zip(*grid):
         ok &= qcompile.batch(numv, k_r, k_f, d_s) <= \
             qcompile.batch_bound(numv, k_r, k_f, d_s)
     ops = [qcompile.LogicalOp("CNOT", (f"u{i}", f"v{i}"), (0, 0))

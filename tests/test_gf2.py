@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsurg import gf2
+from qsurg import gf2, sim
 
 HAMMING_H = gf2.bitmat(
     [
@@ -357,13 +357,48 @@ class TestFaultMatrices:
         assert got.shape == (count, rows) and got.dtype == np.uint8
         assert np.array_equal(got, gf2.mul(e, m.T).reshape(count, rows))
 
-    def test_fault_rows(self):
-        draws = iter([np.array([0, 3]), [], [1, 2, 3]])
-        m = gf2.fault_rows(4, np.array([2, 0]), 3, lambda: next(draws))
-        assert np.array_equal(m, gf2.bitmat([[0, 0, 1, 0], [1, 0, 0, 0],
-                                             [1, 0, 0, 1], [0, 0, 0, 0],
-                                             [0, 1, 1, 1]]))
-        assert gf2.fault_rows(3, [], 0, None).shape == (0, 3)
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(0, 70), st.integers(0, 2**32 - 1))
+    def test_fault_rows(self, data, n, seed):
+        units = data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                   max_size=n and 12))
+        sizes = data.draw(st.lists(st.integers(0, min(n, 5)), max_size=40))
+        m = gf2.fault_rows(sim.trial_rng(seed), n, np.array(units, dtype=int),
+                           np.array(sizes, dtype=int))
+        assert m.shape == (len(units) + len(sizes), n) and m.dtype == np.uint8
+        assert set(np.unique(m)) <= {0, 1}
+        head = gf2.zeros(len(units), n)
+        head[np.arange(len(units)), units] = 1
+        assert np.array_equal(m[:len(units)], head)
+        # Each set is written as ones, so `size` ones means `size` distinct
+        # locations inside [0, n).
+        assert np.array_equal(m[len(units):].sum(axis=1), sizes)
+
+    def test_fault_rows_keyed_by_stream(self):
+        draw = lambda seed, index: gf2.fault_rows(
+            sim.trial_rng(seed, index), 50, np.arange(3), np.arange(200) % 5)
+        assert np.array_equal(draw(7, 2), draw(7, 2))
+        assert not np.array_equal(draw(7, 2), draw(7, 3))
+        assert not np.array_equal(draw(7, 2), draw(8, 2))
+
+    @pytest.mark.parametrize("size, bound", [(2, 54.64), (3, 63.68)])
+    def test_fault_rows_uniform(self, size, bound):
+        # Every one of the C(6, size) sets, 20,000 draws: the chi-square
+        # statistic stays below its 1 - 1e-6 quantile (14 and 19 degrees of
+        # freedom), which a sampler off by one in the shift rule exceeds.
+        m = gf2.fault_rows(sim.trial_rng(2024), 6, [], np.full(20000, size))
+        sets = [gf2._pack(row) for row in m]
+        keys = [sum(1 << i for i in c)
+                for c in itertools.combinations(range(6), size)]
+        counts = np.array([sets.count(k) for k in keys])
+        assert counts.sum() == 20000
+        expected = 20000 / len(keys)
+        assert ((counts - expected) ** 2 / expected).sum() < bound
+
+    def test_fault_rows_rejects_sizes(self):
+        for sizes in ([4], [-1]):
+            with pytest.raises(ValueError, match="sizes"):
+                gf2.fault_rows(sim.trial_rng(1), 3, [], sizes)
 
     def test_as_rows(self):
         rows, single = gf2.as_rows([1, 0, 1])

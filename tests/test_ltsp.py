@@ -248,3 +248,16 @@ class TestXBound:
         plain = sweeps(spp)
         assert len(calls) > 1
         assert cached == plain and cached[0].checked > cached[0].detected
+
+    def test_soundness_once_per_code(self, memory13, monkeypatch):
+        # Every output copy of one test code reads the soundness that the
+        # first sweep (or an earlier codes.soundness call) left on the code.
+        calls = []
+        real_soundness = codes.soundness
+        monkeypatch.setattr(codes, "soundness",
+                            lambda code: calls.append(code) or real_soundness(code))
+        f = codes.hamming_743()
+        amps = [ltsp.sp_matrices(memory13, f, j).amplification()
+                for j in range(f.k)]
+        assert len(calls) == 1 and calls[0] is f and len(set(amps)) == 1
+        assert f.soundness == real_soundness(codes.hamming_743())
