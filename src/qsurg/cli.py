@@ -8,7 +8,8 @@ memory runs, logical-circuit scheduling/cost, and the full desk-scale
 
 All stochastic subcommands require an explicit seed, and a fixed
 (config, seed) pair produces byte-identical artifacts.  Every draw comes
-from sim.trial_rng(seed, index), at the indices of _SITES.
+from sim.trial_rng(seed, index), at the indices of _SITES, through
+sim.checked_rng, which raises when a site's draws overrun its stream.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ _SITES = {site: i << 32 for i, site in enumerate((
     "compile.schedule", "compile.batch"))}
 
 
-def _rng(seed: int, site: str, i: int = 0) -> np.random.Generator:
-    return sim.trial_rng(seed, _SITES[site] + i)
+def _rng(seed: int, site: str, i: int = 0):
+    """The site's i-th stream, checked against overrun after the with-block."""
+    return sim.checked_rng(seed, _SITES[site] + i)
 
 
 # ── individual subcommands ──────────────────────────────────────────────
@@ -188,8 +190,10 @@ def cmd_sim_run(args) -> int:
     exp = sim.build_memory_experiment(codes.surface_code_via_hgp(d))
     est = sim.logical_error_rate(exp, args.p, args.trials, args.seed)
     line = (f"{args.p:.10g}\t{est.trials}\t{est.failures}\t{est.rate:.10g}"
-            f"\t{est.ci_low:.10g}\t{est.ci_high:.10g}")
-    header = "p\ttrials\tfailures\testimate\tci_low\tci_high"
+            f"\t{est.ci_low:.10g}\t{est.ci_high:.10g}\t{est.z_heralded}"
+            f"\t{est.z_silent}\t{est.x_heralded}\t{est.x_silent}")
+    header = ("p\ttrials\tfailures\testimate\tci_low\tci_high"
+              "\tz_heralded\tz_silent\tx_heralded\tx_silent")
     text = header + "\n" + line + "\n"
     if args.out:
         _write(args.out, text)
@@ -235,23 +239,25 @@ def _ltsp_sweeps(source, f, max_weight, samples, seed):
 
 def _protocol_ledger(dc, max_weight, samples, seed):
     run = protocol.build_surgery_circuit(dc)
-    res = tableau.run_tableau(run.expanded.circuit,
-                              rng=_rng(seed, "surgery.tableau"))
+    with _rng(seed, "surgery.tableau") as rng:
+        res = tableau.run_tableau(run.expanded.circuit, rng=rng)
     zero_ok = (not run.measured_bits(run.expanded, res.outcomes).any()
                and not run.detector_bits(run.expanded, res.outcomes).any())
     view, n = run.expanded, dc.target.n
     locs = [view.col_locs["M1"][copy * n + i] for copy in range(dc.k_r)
             for i in np.flatnonzero(dc.target.j_x[0])]
-    res1 = tableau.run_tableau(view.circuit, x_errors=locs,
-                               rng=_rng(seed, "surgery.tableau", 1))
+    with _rng(seed, "surgery.tableau", 1) as rng:
+        res1 = tableau.run_tableau(view.circuit, x_errors=locs, rng=rng)
     ones_ok = bool(run.measured_bits(view, res1.outcomes).all())
     lay = run.layout
+    with _rng(seed, "cs.residualZ") as rng:
+        residual = _sweep_residual_z(run, lay, max_weight, samples, rng)
+    with _rng(seed, "cs.outcomeX") as rng:
+        outcome = _sweep_outcome_x(run, lay, max_weight, samples, rng)
     return [("surgery.noiseless", zero_ok and ones_ok,
              "outcomes +1 on |0>, -1 on |1>"),
-            ("lemma.cs.residualZ", *_sweep_residual_z(
-                run, lay, max_weight, samples, _rng(seed, "cs.residualZ"))),
-            ("lemma.cs.outcomeX", *_sweep_outcome_x(
-                run, lay, max_weight, samples, _rng(seed, "cs.outcomeX")))]
+            ("lemma.cs.residualZ", *residual),
+            ("lemma.cs.outcomeX", *outcome)]
 
 
 def _swept(checked: int, max_weight: int, samples: int) -> str:
@@ -342,7 +348,8 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
     res = tableau.run_tableau(prep.circuit, force_zero=True)
     noiseless = not res.outcomes.any()
     rs = ltsp.resource_state(target)
-    tres = tableau.run_tableau(prep.circuit, rng=_rng(seed, "prep.tableau"))
+    with _rng(seed, "prep.tableau") as rng:
+        tres = tableau.run_tableau(prep.circuit, rng=rng)
     for j in range(prep.k_f):
         b, c = prep.copy_qubits(j)
         qubits = np.concatenate([b, c])
@@ -362,17 +369,19 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
     # 5. teleported measurement
     tm = protocol.build_tele_measurement(target)
     n_tot = tm.layout.total
-    rng = _rng(seed, "tele.faults")
-    faults = gf2.fault_rows(rng, n_tot, np.arange(n_tot * min(max_weight, 1)),
-                            rng.integers(1, 5, size=samples))
+    with _rng(seed, "tele.faults") as rng:
+        faults = gf2.fault_rows(rng, n_tot,
+                                np.arange(n_tot * min(max_weight, 1)),
+                                rng.integers(1, 5, size=samples))
     for key, kernel in (("lemma.tele.effZ", protocol.effective_z_error),
                         ("lemma.tele.effX", protocol.effective_x_error)):
         add(key, kernel(tm, faults)[1].all(),
             _swept(len(faults), max_weight, samples))
     del faults
     # One lane per frame: random X and Z inputs on A1, drawn X then Z.
-    draws = _rng(seed, "tele.frames").integers(
-        0, 2, size=(2 * frames, target.n), dtype=np.uint8)
+    with _rng(seed, "tele.frames") as rng:
+        draws = rng.integers(0, 2, size=(2 * frames, target.n),
+                             dtype=np.uint8)
     x_in, z_in = draws.reshape(frames, 2, target.n).transpose(1, 0, 2)
     fr = frame.run_lanes(tm.circuit, frame.fault_matrix(
         tm.circuit, tm.col_locs["A1"], x_in * frame.X | z_in * frame.Z))
@@ -405,20 +414,20 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
         f"d5={est[5].rate:.6g} ({est[5].ci_low:.6g},{est[5].ci_high:.6g})")
 
     # 8. scheduler
-    rng = _rng(seed, "compile.schedule")
     sched_ok = True
-    for _ in range(200):
-        k = int(rng.integers(1, 7))
-        blocks = int(rng.integers(2, 33))
-        ops = _random_layer(rng, blocks, k)
-        sched = qcompile.serialize(ops, k)
-        sched_ok &= sched.validate(ops) == [] and sched.colors <= 2 * k - 1
+    with _rng(seed, "compile.schedule") as rng:
+        for _ in range(200):
+            k = int(rng.integers(1, 7))
+            blocks = int(rng.integers(2, 33))
+            ops = _random_layer(rng, blocks, k)
+            sched = qcompile.serialize(ops, k)
+            sched_ok &= sched.validate(ops) == [] and sched.colors <= 2 * k - 1
     add("compile.schedule", sched_ok, "200 random layers")
 
     # 9. cost arithmetic + static tables
-    rng = _rng(seed, "compile.batch")
-    grid = [rng.integers(lo, hi, size=1000).tolist()
-            for lo, hi in ((0, 5000), (1, 9), (1, 9), (1, 6))]
+    with _rng(seed, "compile.batch") as rng:
+        grid = [rng.integers(lo, hi, size=1000).tolist()
+                for lo, hi in ((0, 5000), (1, 9), (1, 9), (1, 6))]
     cost_ok = all(qcompile.batch(*pt) <= qcompile.batch_bound(*pt)
                   for pt in zip(*grid))
     add("compile.batch", cost_ok, "1000-point grid")
@@ -514,7 +523,7 @@ def main(argv=None) -> int:
     pb.add_argument("--max-weight", type=_weight_upto(2), default=2,
                     help="Z sweep exhaustive to this weight; X sweep "
                          "exhaustive at weight 1 when it is at least 1")
-    pb.add_argument("--samples", type=int, default=1000)
+    pb.add_argument("--samples", type=_count, default=1000)
     pb.add_argument("--seed", type=int, required=True)
     pb.set_defaults(func=cmd_ltsp_verify)
 
@@ -523,7 +532,7 @@ def main(argv=None) -> int:
     pb = psub.add_parser("check")
     pb.add_argument("--deformed", required=True)
     pb.add_argument("--max-weight", type=_weight_upto(1), default=1)
-    pb.add_argument("--samples", type=int, default=1000)
+    pb.add_argument("--samples", type=_count, default=1000)
     pb.add_argument("--seed", type=int, required=True)
     pb.set_defaults(func=cmd_protocol_check)
 
@@ -557,7 +566,7 @@ def main(argv=None) -> int:
                         "faults (pairs for lemma.cs), sweep no higher "
                         "weight exhaustively, and print exhaustive_w= and "
                         "samples=")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_count, default=10000)
     p.add_argument("--trials", type=_count, default=100000)
     p.set_defaults(func=cmd_ledger)
 

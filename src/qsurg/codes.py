@@ -249,14 +249,12 @@ def soundness(code: ClassicalCode) -> Optional[Fraction]:
     units = gf2.pack_words(gf2.eye(n))
     syn_cols = gf2.pack_words(code.h.T)
     k = units.shape[1]
-    classes = np.zeros((0, syn_cols.shape[1]), dtype=np.uint64)
-    least = np.zeros(0, dtype=np.int64)
+    classes, least = syn_cols[:0], np.zeros(0, dtype=np.int64)
     for words in gf2.span_walk(np.hstack([units, syn_cols])):
-        syn = np.concatenate([classes, words[:, k:]])
-        wt = np.concatenate([least, np.bitwise_count(words[:, :k]).sum(axis=1)])
-        classes, inv = np.unique(syn, axis=0, return_inverse=True)
-        least = np.full(len(classes), n + 1, dtype=np.int64)
-        np.minimum.at(least, inv.reshape(-1), wt)
+        wt = np.bitwise_count(words[:, :k]).sum(axis=1, dtype=np.int64)
+        classes, least = gf2.least_per_key(
+            np.concatenate([classes, words[:, k:]]),
+            np.concatenate([least, wt]))
     syn_w = np.bitwise_count(classes).sum(axis=1)
     pairs = np.unique(np.stack([syn_w, least], axis=1)[syn_w > 0], axis=0)
     code.soundness = min((Fraction(n * int(a), r * int(b)) for a, b in pairs),

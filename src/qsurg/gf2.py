@@ -410,6 +410,47 @@ def combination_sweep(cols: np.ndarray, t: int):
             last, acc = (np.concatenate(a) for a in zip(*grown))
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per packed row, a view of a C-contiguous `rows`: the
+    word itself, or the row's bytes as one np.void when it has several."""
+    rows = np.ascontiguousarray(rows)
+    if rows.shape[1] == 1:
+        return rows.reshape(-1)
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}").reshape(-1)
+
+
+def least_per_key(keys: np.ndarray, values: Optional[np.ndarray] = None):
+    """Distinct packed rows of `keys` in key order and the least of `values`
+    (default: the positions) over each.  A C-contiguous `keys` is sorted in
+    place beside one argsort, so the peak is the keys plus an int64 a row."""
+    keys = np.ascontiguousarray(keys)
+    flat = _row_keys(keys)
+    order = np.argsort(flat)
+    flat.sort()
+    starts = np.flatnonzero(np.r_[len(flat) > 0, flat[1:] != flat[:-1]])
+    least = np.minimum.reduceat(
+        order if values is None else np.asarray(values)[order], starts)
+    del order
+    return keys[starts], least
+
+
+@dataclass(eq=False)
+class SyndromeTable:
+    """Syndrome → error map, looked up by binary search on the keys."""
+
+    keys: np.ndarray    # (entries, syndrome words) uint64, distinct, sorted
+    errors: np.ndarray  # (entries, error words) uint64
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def find(self, rows: np.ndarray):
+        """Row index of each packed syndrome and whether it is present."""
+        pos = np.searchsorted(_row_keys(self.keys), _row_keys(rows))
+        idx = np.minimum(pos, len(self) - 1)
+        return idx, (self.keys[idx] == rows).all(axis=1)
+
+
 def standard_form(g: np.ndarray):
     """Column-permute a full-row-rank generator matrix into (E_k | P) form.
 

@@ -552,15 +552,17 @@ def sweep_x_lemma(spp: SpPropagation, max_weight: int = 1,
                   samples: int = 0, seed: int = 0,
                   stream: int = 0) -> LemmaSweepReport:
     """Weight-1 exhaustive plus sampled weight-2 checks of the X bound,
-    checked as one batch; the pairs come from sim.trial_rng(seed, stream)."""
+    checked as one batch; the pairs come from
+    sim.checked_rng(seed, stream)."""
     from . import sim  # sim imports protocol, which imports this module
     rep = LemmaSweepReport()
     n = spp.layout_x.total
     units = np.arange(n if max_weight >= 1 else 0)
     if not len(units) + samples:
         return rep
-    res = check_x_bound(spp, gf2.fault_rows(
-        sim.trial_rng(seed, stream), n, units, np.full(samples, 2)))
+    with sim.checked_rng(seed, stream) as rng:
+        faults = gf2.fault_rows(rng, n, units, np.full(samples, 2))
+    res = check_x_bound(spp, faults)
     count = lambda mask: int(np.count_nonzero(mask))
     rep.checked, rep.ok = len(res.status), count(res.status == "ok")
     rep.detected = count(res.status == "detected")

@@ -16,6 +16,7 @@ A given (experiment, p_phy, trials, seed) thus gives byte-identical results.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +35,35 @@ def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
     bg = np.random.Philox(key=seed)
     bg.advance(trial * _TRIAL_STRIDE)
     return np.random.Generator(bg)
+
+
+class StreamOverrun(RuntimeError):
+    """A draw used more Philox counters than the stride between streams, so
+    it read into the stream of the next index."""
+
+
+def _stream_position(rng: np.random.Generator) -> int:
+    """Philox counter of a trial_rng stream, as one integer."""
+    counter = rng.bit_generator.state["state"]["counter"]
+    return sum(int(w) << (64 * i) for i, w in enumerate(counter))
+
+
+def _check_stream(rng: np.random.Generator, index: int) -> None:
+    """Raise StreamOverrun when the draws from trial_rng(seed, index) ran
+    past the stream's stride."""
+    used = _stream_position(rng) - index * _TRIAL_STRIDE
+    if used >= _TRIAL_STRIDE:
+        raise StreamOverrun(f"stream {index} used {used} Philox counters "
+                            f"of {_TRIAL_STRIDE}")
+
+
+@contextmanager
+def checked_rng(seed: int, index: int):
+    """trial_rng(seed, index) for the draws of the with-block, checked by
+    _check_stream after them."""
+    rng = trial_rng(seed, index)
+    yield rng
+    _check_stream(rng, index)
 
 
 # ── closed-form reduced noise parameters ────────────────────────────────
@@ -69,46 +99,6 @@ def reduced_error_params(p_phy: float, s1: int = 1, s2: int = 1) -> dict:
 TABLE_CAP = 1 << 22
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One sortable key per packed row: the word itself, or the row's bytes
-    as one np.void value when it spans several words."""
-    rows = np.ascontiguousarray(rows)
-    if rows.shape[1] == 1:
-        return rows.reshape(-1)
-    return rows.view(f"V{rows.itemsize * rows.shape[1]}").reshape(-1)
-
-
-class _Table:
-    """Syndrome → error map as packed rows sorted by syndrome key."""
-
-    def __init__(self, keys: np.ndarray, errors: np.ndarray) -> None:
-        self.keys = keys        # (entries, syndrome words) uint64
-        self.errors = errors    # (entries, error words) uint64
-        self._sorted = _row_keys(keys)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def _locate(self, rows: np.ndarray):
-        pos = np.searchsorted(self._sorted, _row_keys(rows))
-        idx = np.minimum(pos, len(self) - 1)
-        return pos, idx, (self.keys[idx] == rows).all(axis=1)
-
-    def find(self, rows: np.ndarray):
-        """Row index of each packed syndrome and whether it is present."""
-        _, idx, hit = self._locate(rows)
-        return idx, hit
-
-    def add(self, keys: np.ndarray, errors: np.ndarray) -> None:
-        """Register the first error of each syndrome not yet present."""
-        _, first = np.unique(_row_keys(keys), return_index=True)
-        keys, errors = keys[first], errors[first]
-        pos, _, hit = self._locate(keys)
-        self.keys = np.insert(self.keys, pos[~hit], keys[~hit], axis=0)
-        self.errors = np.insert(self.errors, pos[~hit], errors[~hit], axis=0)
-        self._sorted = _row_keys(self.keys)
-
-
 class LookupDecoder:
     """Minimum-weight table decoder, complete up to a chosen error weight.
 
@@ -124,27 +114,36 @@ class LookupDecoder:
         if code.d is None:
             raise ValueError("code distance must be known")
         self.code = code
-        t = (code.d - 1) // 2 if max_weight is None else max_weight
-        self.t = t
+        self.t = t = (code.d - 1) // 2 if max_weight is None else max_weight
         self._x_table = self._build(code.h_z, t)
         self._z_table = self._build(code.h_x, t)
 
     @staticmethod
-    def _build(checks: np.ndarray, t: int) -> _Table:
-        """Errors of weight ≤ t, in (weight, lexicographic) order
-        (gf2.combination_sweep over the packed columns [syndrome | unit]),
-        keyed by syndrome; the first error of each syndrome is kept."""
+    def _build(checks: np.ndarray, t: int) -> gf2.SyndromeTable:
+        """Errors of weight ≤ t keyed by syndrome, the first of each in
+        gf2.combination_sweep's order: a sweep of the syndrome columns and
+        one sort pick the positions, a sweep of the unit columns writes them."""
         n = checks.shape[1]
         size = sum(math.comb(n, w) for w in range(t + 1))
         if size > TABLE_CAP:
             raise SearchTooLarge(f"lookup table of {size} entries refused")
         syn = gf2.pack_words(checks.T)
-        cols = np.hstack([syn, gf2.pack_words(gf2.eye(n))])
-        sweep = gf2.combination_sweep(cols, t)
-        table = _Table(*np.hsplit(next(sweep)[1], [syn.shape[1]]))
-        for _, words in sweep:
-            table.add(*np.hsplit(words, [syn.shape[1]]))
-        return table
+        keys = np.empty((size, syn.shape[1]), dtype=np.uint64)
+        at = 0
+        for _, words in gf2.combination_sweep(syn, t):
+            keys[at: at + len(words)] = words
+            at += len(words)
+        keys, first = gf2.least_per_key(keys)
+        slot = np.argsort(first)
+        first = first[slot]
+        units = gf2.pack_words(gf2.eye(n))
+        errors = np.empty((len(keys), units.shape[1]), dtype=np.uint64)
+        at = lo = 0
+        for _, words in gf2.combination_sweep(units, t):
+            hi = np.searchsorted(first, at + len(words))
+            errors[slot[lo:hi]] = words[first[lo:hi] - at]
+            at, lo = at + len(words), hi
+        return gf2.SyndromeTable(keys, errors)
 
     def decode_x(self, syndrome: np.ndarray) -> Optional[np.ndarray]:
         return self._lookup(self._x_table, syndrome)
@@ -152,11 +151,9 @@ class LookupDecoder:
     def decode_z(self, syndrome: np.ndarray) -> Optional[np.ndarray]:
         return self._lookup(self._z_table, syndrome)
 
-    def _lookup(self, table: _Table, syndrome: np.ndarray) -> Optional[np.ndarray]:
+    def _lookup(self, table: gf2.SyndromeTable, syndrome: np.ndarray) -> Optional[np.ndarray]:
         idx, hit = table.find(gf2.pack_words(np.asarray(syndrome)[None]))
-        if not hit[0]:
-            return None
-        return gf2.unpack_words(table.errors[idx], self.code.n)[0]
+        return gf2.unpack_words(table.errors[idx], self.code.n)[0] if hit[0] else None
 
 
 def lookup_decoder(code: CssCode) -> LookupDecoder:
@@ -169,15 +166,9 @@ def deep_decoder(code: CssCode, cap: int = TABLE_CAP) -> LookupDecoder:
     Scattered multi-fault configurations then decode to their true
     minimum-weight class instead of heralding.
     """
-    t = (code.d - 1) // 2
-    w = t
-    total = sum(math.comb(code.n, i) for i in range(t + 1))
-    while w < code.n:
-        nxt = total + math.comb(code.n, w + 1)
-        if nxt > cap:
-            break
+    w = (code.d - 1) // 2
+    while w < code.n and sum(math.comb(code.n, i) for i in range(w + 2)) <= cap:
         w += 1
-        total = nxt
     return LookupDecoder(code, max_weight=w)
 
 
@@ -235,15 +226,17 @@ class _BasisView:
         self.words = np.hstack([mid, final, gf2.pack_words(frames)])
 
     def failures(self, dec: LookupDecoder, trial: np.ndarray,
-                 cell: np.ndarray, trials: int) -> np.ndarray:
-        """Per-trial failure bits, given each fault's trial (sorted) and cell.
+                 cell: np.ndarray, trials: int):
+        """Per-trial failure bits, given each fault's trial (sorted) and cell,
+        and how many trials failed heralded and how many silently.
 
-        A trial fails when either decoding stage misses its table (a
-        heralded failure) or the corrected residue flips a logical.
+        A trial fails heralded when either decoding stage misses its table
+        and silently when both hit and the corrected residue flips a
+        logical; a trial without faults never fails.
         """
         out = np.zeros(trials, dtype=bool)
         if not trial.size:
-            return out
+            return out, 0, 0
         starts = np.flatnonzero(np.diff(trial, prepend=-1))
         acc = np.bitwise_xor.reduceat(self.words[cell], starts, axis=0)
         mid, final, fr = np.split(acc, [self.syn_words, 2 * self.syn_words],
@@ -256,8 +249,10 @@ class _BasisView:
         resid = fr ^ table.errors[i1] ^ table.errors[i2]
         parity = np.bitwise_count(resid[:, None, :]
                                   & self.logical_words[None]).sum(axis=2) & 1
-        out[trial[starts]] = ~(hit1 & hit2) | parity.any(axis=1)
-        return out
+        hit, flip = hit1 & hit2, parity.any(axis=1)
+        out[trial[starts]] = ~hit | flip
+        return (out, len(hit) - int(np.count_nonzero(hit)),
+                int(np.count_nonzero(hit & flip)))
 
 
 @dataclass
@@ -310,11 +305,19 @@ def build_memory_experiment(code: CssCode) -> MemoryExperiment:
 
 @dataclass
 class RateEstimate:
+    """Failures among the trials, with the 95% Wilson interval of the rate,
+    and per basis ("z": |0…0⟩, "x": |+…+⟩) the trials that failed heralded
+    (a table miss) or silently (a logical flip past both table hits)."""
+
     trials: int
     failures: int
     rate: float
     ci_low: float
     ci_high: float
+    z_heralded: int
+    z_silent: int
+    x_heralded: int
+    x_silent: int
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
@@ -333,12 +336,6 @@ def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
 BLOCK_CELLS = 1 << 20  # fault cells (trials × cells per trial) per block
 
 
-def _stream_position(rng: np.random.Generator) -> int:
-    """Philox counter of a trial_rng stream, as one integer."""
-    counter = rng.bit_generator.state["state"]["counter"]
-    return sum(int(w) << (64 * i) for i, w in enumerate(counter))
-
-
 def _sample_block(seed: int, block: int, p_phy: float, trials: int,
                  cells: int):
     """The faults of one block: i.i.d. Bernoulli(p_phy) over its trials ×
@@ -348,12 +345,11 @@ def _sample_block(seed: int, block: int, p_phy: float, trials: int,
     if p_phy == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
-    rng = trial_rng(seed, block)
+    rng = trial_rng(seed, block)  # checked_rng's with-block costs µs per block
     total = trials * cells
     count = rng.binomial(total, p_phy)
     pos = np.sort(rng.choice(total, size=count, replace=False, shuffle=False))
-    used = _stream_position(rng) - block * _TRIAL_STRIDE
-    assert used < _TRIAL_STRIDE, f"block used {used} Philox counters"
+    _check_stream(rng, block)
     return np.divmod(pos, cells)
 
 
@@ -363,7 +359,8 @@ def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
 
     Each trial runs the |0…0⟩-basis and |+…+⟩-basis circuits on
     independent fault draws; it fails on a heralded decode, a logical X
-    flip in the first, or a logical Z flip in the second.  Trials run in
+    flip in the first, or a logical Z flip in the second, and each basis's
+    heralded and silent failures are counted apart.  Trials run in
     blocks of BLOCK_CELLS fault cells; block b draws from
     trial_rng(seed, stream + b).
     """
@@ -375,16 +372,21 @@ def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
     z_cells = len(exp.z_basis.cells)
     cells = z_cells + len(exp.x_basis.cells)
     block = max(1, BLOCK_CELLS // cells)
-    failures = 0
+    failures = z_heralded = z_silent = x_heralded = x_silent = 0
     for b, start in enumerate(range(0, trials, block)):
         size = min(block, trials - start)
         trial, cell = _sample_block(seed, stream + b, p_phy, size, cells)
         in_z = cell < z_cells
-        fail = exp.z_basis.failures(exp.decoder, trial[in_z], cell[in_z], size)
-        fail |= exp.x_basis.failures(exp.decoder, trial[~in_z],
-                                     cell[~in_z] - z_cells, size)
-        failures += int(np.count_nonzero(fail))
+        fail, heralded, silent = exp.z_basis.failures(
+            exp.decoder, trial[in_z], cell[in_z], size)
+        z_heralded, z_silent = z_heralded + heralded, z_silent + silent
+        fail_x, heralded, silent = exp.x_basis.failures(
+            exp.decoder, trial[~in_z], cell[~in_z] - z_cells, size)
+        x_heralded, x_silent = x_heralded + heralded, x_silent + silent
+        failures += int(np.count_nonzero(fail | fail_x))
     lo, hi = wilson_interval(failures, trials)
     return RateEstimate(trials=trials, failures=failures,
                         rate=failures / trials if trials else 0.0,
-                        ci_low=lo, ci_high=hi)
+                        ci_low=lo, ci_high=hi, z_heralded=z_heralded,
+                        z_silent=z_silent, x_heralded=x_heralded,
+                        x_silent=x_silent)

@@ -85,7 +85,8 @@ def test_criterion_4_preparation_circuit():
     res = tableau.run_tableau(prep.circuit, force_zero=True)
     ok = not res.outcomes.any()
     rs = ltsp.resource_state(source)
-    tres = tableau.run_tableau(prep.circuit, rng=cli._rng(SEED, "prep.tableau"))
+    with cli._rng(SEED, "prep.tableau") as rng:
+        tres = tableau.run_tableau(prep.circuit, rng=rng)
     for j in range(prep.k_f):
         b, c = prep.copy_qubits(j)
         qubits = np.concatenate([b, c])
@@ -116,13 +117,13 @@ def test_criterion_5_teleported_measurement():
     tm = protocol.build_tele_measurement(source)
     ok = True
     n_tot = tm.layout.total
-    rng = cli._rng(SEED, "tele.faults")
-    e = gf2.fault_rows(rng, n_tot, np.arange(n_tot),
-                       rng.integers(1, 5, size=10000))
+    with cli._rng(SEED, "tele.faults") as rng:
+        e = gf2.fault_rows(rng, n_tot, np.arange(n_tot),
+                           rng.integers(1, 5, size=10000))
     ok &= bool(protocol.effective_z_error(tm, e)[1].all())
     ok &= bool(protocol.effective_x_error(tm, e)[1].all())
-    draws = cli._rng(SEED, "tele.frames").integers(
-        0, 2, size=(2000, source.n), dtype=np.uint8)
+    with cli._rng(SEED, "tele.frames") as rng:
+        draws = rng.integers(0, 2, size=(2000, source.n), dtype=np.uint8)
     x_in, z_in = draws.reshape(1000, 2, source.n).transpose(1, 0, 2)
     locs = tm.col_locs["A1"]
     r = frame.run_lanes(tm.circuit, frame.fault_matrix(
@@ -143,21 +144,22 @@ def test_criterion_6_surgery_end_to_end(deformed13):
     dc = deformed13
     target = dc.target
     run = protocol.build_surgery_circuit(dc)
-    res0 = tableau.run_tableau(run.expanded.circuit,
-                               rng=cli._rng(SEED, "surgery.tableau"))
+    with cli._rng(SEED, "surgery.tableau") as rng:
+        res0 = tableau.run_tableau(run.expanded.circuit, rng=rng)
     ok = not run.measured_bits(run.expanded, res0.outcomes).any()
     ok &= not run.detector_bits(run.expanded, res0.outcomes).any()
     locs = []
     for copy in range(dc.k_r):
         locs += [run.expanded.col_locs["M1"][copy * target.n + i]
                  for i in np.nonzero(target.j_x[0])[0]]
-    res1 = tableau.run_tableau(run.expanded.circuit, x_errors=locs,
-                               rng=cli._rng(SEED, "surgery.tableau", 1))
+    with cli._rng(SEED, "surgery.tableau", 1) as rng:
+        res1 = tableau.run_tableau(run.expanded.circuit, x_errors=locs,
+                                   rng=rng)
     ok &= bool(run.measured_bits(run.expanded, res1.outcomes).all())
-    okz, dz = cli._sweep_residual_z(run, run.layout, 1, 10000,
-                                    cli._rng(SEED, "cs.residualZ"))
-    okx, dx = cli._sweep_outcome_x(run, run.layout, 1, 10000,
-                                   cli._rng(SEED, "cs.outcomeX"))
+    with cli._rng(SEED, "cs.residualZ") as rng:
+        okz, dz = cli._sweep_residual_z(run, run.layout, 1, 10000, rng)
+    with cli._rng(SEED, "cs.outcomeX") as rng:
+        okx, dx = cli._sweep_outcome_x(run, run.layout, 1, 10000, rng)
     ok &= okz and okx
     report(6, "surgery end to end", ok, elapsed=time.time() - t0, budget=600,
            detail=f"residualZ {dz}; outcomeX {dx}")
@@ -184,26 +186,26 @@ def test_criterion_7_monte_carlo_trend():
 
 def test_criterion_8_scheduler():
     t0 = time.time()
-    rng = cli._rng(SEED, "compile.schedule")
     ok = True
-    for _ in range(200):
-        k = int(rng.integers(1, 7))
-        blocks = int(rng.integers(2, 33))
-        ops = cli._random_layer(rng, blocks, k)
-        sched = qcompile.serialize(ops, k)
-        ok &= sched.validate(ops) == []
-        ok &= all(qcompile.is_block_disjoint(cls) for cls in sched.classes)
-        ok &= sched.colors <= 2 * k - 1
-        flat = [op for cls in sched.classes for op in cls]
-        ok &= sorted(map(id, flat)) == sorted(map(id, ops))
+    with cli._rng(SEED, "compile.schedule") as rng:
+        for _ in range(200):
+            k = int(rng.integers(1, 7))
+            blocks = int(rng.integers(2, 33))
+            ops = cli._random_layer(rng, blocks, k)
+            sched = qcompile.serialize(ops, k)
+            ok &= sched.validate(ops) == []
+            ok &= all(qcompile.is_block_disjoint(cls) for cls in sched.classes)
+            ok &= sched.colors <= 2 * k - 1
+            flat = [op for cls in sched.classes for op in cls]
+            ok &= sorted(map(id, flat)) == sorted(map(id, ops))
     report(8, "scheduler", ok, elapsed=time.time() - t0, budget=120)
 
 
 def test_criterion_9_cost_arithmetic():
     t0 = time.time()
-    rng = cli._rng(SEED, "compile.batch")
-    grid = [rng.integers(lo, hi, size=1000).tolist()
-            for lo, hi in ((0, 5000), (1, 9), (1, 9), (1, 6))]
+    with cli._rng(SEED, "compile.batch") as rng:
+        grid = [rng.integers(lo, hi, size=1000).tolist()
+                for lo, hi in ((0, 5000), (1, 9), (1, 9), (1, 6))]
     ok = True
     for numv, k_r, k_f, d_s in zip(*grid):
         ok &= qcompile.batch(numv, k_r, k_f, d_s) <= \

@@ -56,8 +56,10 @@ class TestSimCommand:
                          "--trials", "50", "--seed", "1",
                          "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "p\ttrials\tfailures\testimate\tci_low\tci_high"
+        assert lines[0] == ("p\ttrials\tfailures\testimate\tci_low\tci_high"
+                            "\tz_heralded\tz_silent\tx_heralded\tx_silent")
         assert lines[1].split("\t")[2] == "0"
+        assert lines[1].split("\t")[6:] == ["0", "0", "0", "0"]
 
     def test_seed_required(self, tmp_path):
         spec = tmp_path / "mem.spec"
@@ -108,6 +110,21 @@ class TestMaxWeightFlag:
         sweeps = [r for r in rows if r[0].startswith("lemma.ltsp.")]
         assert len(sweeps) == 8
         assert all(r[2].split()[0] == "checked=0" for r in sweeps)
+
+
+class TestSamplesFlag:
+    @pytest.mark.parametrize("command", [
+        ["ltsp", "verify", "--source", "s", "--fcode", "f"],
+        ["protocol", "check", "--deformed", "d"],
+        ["ledger", "--preset", "desk"],
+    ])
+    def test_negative_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            cli.main(command + ["--seed", "1", "--samples", "-4"])
+        assert err.value.code == 2
+        msg = capsys.readouterr().err
+        assert "argument --samples: -4 is negative" in msg
+        assert "Traceback" not in msg
 
 
 class TestCompileCommand:

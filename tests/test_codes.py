@@ -212,6 +212,34 @@ class TestSoundness:
             assert u is not None
             assert gf2.weight(u) <= Fraction(n, r) / s * gf2.weight(v)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 130), st.integers(1, 8), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    def test_chunked_wide_vs_brute_force(self, rows, n, chunk, seed):
+        # Tiny walk chunks fold the classes over many steps; more than 64
+        # checks take several words per syndrome.
+        code = random_classical(seed, rows, n)
+        words = [sum(b << i for i, b in enumerate(bits))
+                 for bits in itertools.product([0, 1], repeat=n)]
+        cols = [gf2._pack(col) for col in code.h.T]
+        syn = {}
+        for u in words:
+            s = 0
+            for i in range(n):
+                if u >> i & 1:
+                    s ^= cols[i]
+            syn[u] = s
+        code_words = [u for u in words if not syn[u]]
+        ratios = [Fraction(n * syn[u].bit_count(),
+                           rows * min((u ^ c).bit_count() for c in code_words))
+                  for u in words if syn[u]]
+        old = gf2.ENUM_CHUNK
+        try:
+            gf2.ENUM_CHUNK = chunk
+            assert codes.soundness(code) == min(ratios, default=None)
+        finally:
+            gf2.ENUM_CHUNK = old
+
 
 class TestConstructors:
     def test_repetition5(self):

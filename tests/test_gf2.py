@@ -405,3 +405,42 @@ class TestFaultMatrices:
         assert single and rows.shape == (1, 3) and rows.dtype == np.uint8
         rows, single = gf2.as_rows(gf2.zeros(2, 3))
         assert not single and rows.shape == (2, 3)
+
+
+class TestLeastPerKey:
+    # Keys are drawn from a small pool of distinct rows, so most repeat;
+    # with `first_high` the first row of every key carries the largest
+    # value, so no least value sits at its key's first row.
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 8), st.integers(1, 200),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_vs_dict(self, words, pool, rows, first_high, seed):
+        rng = np.random.default_rng(seed)
+        distinct = rng.integers(0, 2**64, size=(pool, words), dtype=np.uint64)
+        keys = distinct[rng.integers(0, pool, size=rows)]
+        values = rng.integers(-3, 4, size=rows)
+        seen = set()
+        for i, row in enumerate(keys):
+            if row.tobytes() not in seen:
+                seen.add(row.tobytes())
+                values[i] = 10 if first_high else values[i]
+        least, first = {}, {}
+        for i, (row, v) in enumerate(zip(keys, values)):
+            least[row.tobytes()] = min(v, least.get(row.tobytes(), v))
+            first.setdefault(row.tobytes(), i)
+        # Key order: the word for one-word rows, else the row's bytes.
+        order = sorted(least, key=lambda b: (
+            int(np.frombuffer(b, np.uint64)[0]) if words == 1 else b))
+        strided = np.hstack([keys, keys])[:, :words]
+        got_keys, got = gf2.least_per_key(strided, values)
+        assert np.array_equal(strided, keys)  # a strided view is copied
+        assert [k.tobytes() for k in got_keys] == order
+        assert got.tolist() == [least[b] for b in order]
+        got_keys, got = gf2.least_per_key(keys.copy())
+        assert [k.tobytes() for k in got_keys] == order
+        assert got.tolist() == [first[b] for b in order]
+        table = gf2.SyndromeTable(got_keys, got[:, None])
+        idx, hit = table.find(keys)
+        assert hit.all() and np.array_equal(got_keys[idx], keys)
+        _, hit = table.find(~distinct)
+        assert hit.tolist() == [r.tobytes() in first for r in ~distinct]

@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsurg import codes, frame, gf2, sim
+from qsurg import cli, codes, frame, gf2, sim
+
+SRC = pathlib.Path(sim.__file__).resolve().parents[1]
 
 
 class TestWaitMerge:
@@ -187,6 +193,21 @@ class TestTableBuild:
             syn = gf2._unpack(key, code.h_z.shape[0])
             assert gf2._pack(dec.decode_x(syn)) == err
 
+    def test_cap_refuses_before_sweeping(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a refused table must not be swept")
+
+        h = codes.surface_code_via_hgp(5).h_z  # 41 columns
+        monkeypatch.setattr(gf2, "combination_sweep", no_work)
+        monkeypatch.setattr(gf2, "pack_words", no_work)
+        monkeypatch.setattr(sim, "TABLE_CAP", 41)
+        with pytest.raises(gf2.SearchTooLarge):
+            sim.LookupDecoder._build(h, 1)  # 42 combinations
+        monkeypatch.setattr(sim, "TABLE_CAP", sum(
+            math.comb(41, w) for w in range(6)) - 1)
+        with pytest.raises(gf2.SearchTooLarge):
+            sim.LookupDecoder._build(h, 5)
+
 
 # ── batched Monte Carlo against per-trial decoding ──────────────────────
 
@@ -235,10 +256,35 @@ def test_compiled_faults_unchanged(experiments, d):
         assert compiled_digest(view) == COMPILED_DIGESTS[d, basis]
 
 
+# sha256 of deep_decoder(surface5)'s tables (see table_digest) as the
+# chunk-by-chunk merge of the sweep into a growing table built them.
+DEEP_TABLE_DIGESTS = {
+    "_x_table": "227b2f4b4afe7ac8ff4e51c3b80431c82fcbf75722a3526344b33e01d42db954",
+    "_z_table": "7d64864b65c6350d6e9db76e3d6cedbbb97b0a021b025eb2961de1e0e877c573",
+}
+
+
+def table_digest(table):
+    h = hashlib.sha256()
+    for part in (table.keys, table.errors):
+        h.update(repr((part.dtype.str, part.shape)).encode())
+        h.update(part.tobytes())
+    return h.hexdigest()
+
+
+def test_deep_tables_unchanged(experiments):
+    dec = experiments[5].decoder
+    assert dec.t == 5
+    for name, digest in DEEP_TABLE_DIGESTS.items():
+        assert table_digest(getattr(dec, name)) == digest
+
+
 def reference_failures(view, dec, trial_faults):
     """Each trial decoded on its own: the frame run of its sampled fault set
     (one lane per trial, built from the cells' locations), two table
-    lookups, then the logical parity of the residue."""
+    lookups, then the logical parity of the residue.  Per trial, its kind
+    of failure: "heralded" (a table miss), "silent" (a logical flip) or
+    None."""
     code = {"X": frame.X, "Z": frame.Z, "flip": frame.FLIP}
     lanes = np.zeros((len(trial_faults), len(view.circuit.locations())),
                      dtype=np.uint8)
@@ -252,12 +298,13 @@ def reference_failures(view, dec, trial_faults):
     out = []
     for flips, fr in zip(res.outcome_flips, frames):
         c1 = decode(gf2.mul(view.syn, flips))
-        if c1 is None:
-            out.append(True)
-            continue
-        resid = fr ^ c1
-        c2 = decode(gf2.mul(view.checks, resid))
-        out.append(c2 is None or bool(gf2.mul(view.logicals, resid ^ c2).any()))
+        c2 = None if c1 is None else decode(gf2.mul(view.checks, fr ^ c1))
+        if c2 is None:
+            out.append("heralded")
+        elif gf2.mul(view.logicals, fr ^ c1 ^ c2).any():
+            out.append("silent")
+        else:
+            out.append(None)
     return out
 
 
@@ -272,21 +319,27 @@ def test_batched_matches_per_trial(experiments, d, p, trials):
     z_cells = len(exp.z_basis.cells)
     cells = z_cells + len(exp.x_basis.cells)
     trial, cell = sim._sample_block(seed, 0, p, trials, cells)
-    bits = np.zeros(trials, dtype=bool)
     ref = np.zeros(trials, dtype=bool)
-    for view, sel, offset in ((exp.z_basis, cell < z_cells, 0),
-                              (exp.x_basis, cell >= z_cells, z_cells)):
-        got = view.failures(exp.decoder, trial[sel], cell[sel] - offset,
-                            trials)
+    counts = {}
+    for basis, view, sel, offset in (("z", exp.z_basis, cell < z_cells, 0),
+                                     ("x", exp.x_basis, cell >= z_cells,
+                                      z_cells)):
+        got, heralded, silent = view.failures(
+            exp.decoder, trial[sel], cell[sel] - offset, trials)
         want = reference_failures(
             view, exp.decoder, [[view.cells[c] for c in
                                  cell[sel & (trial == t)] - offset]
                                 for t in range(trials)])
-        assert np.array_equal(got, want)
-        bits |= got
-        ref |= want
+        assert np.array_equal(got, [kind is not None for kind in want])
+        assert (heralded, silent) == (want.count("heralded"),
+                                      want.count("silent"))
+        counts[f"{basis}_heralded"] = heralded
+        counts[f"{basis}_silent"] = silent
+        ref |= got
     assert ref.any() and not ref.all()
-    assert sim.logical_error_rate(exp, p, trials, seed).failures == ref.sum()
+    est = sim.logical_error_rate(exp, p, trials, seed)
+    assert est.failures == ref.sum()
+    assert {key: getattr(est, key) for key in counts} == counts
 
 
 class TestSampling:
@@ -318,8 +371,29 @@ class TestSampling:
 
     def test_stride_overrun_is_caught(self, monkeypatch):
         monkeypatch.setattr(sim, "_TRIAL_STRIDE", 1)
-        with pytest.raises(AssertionError):
+        with pytest.raises(sim.StreamOverrun):
             sim._sample_block(5, 0, 0.1, 100, 100)
+
+    def test_overrun_caught_under_optimize(self):
+        # The check is not an assert, so python -O keeps it.
+        code = ("from qsurg import sim\n"
+                "sim._TRIAL_STRIDE = 1\n"
+                "try:\n"
+                "    sim._sample_block(5, 0, 0.1, 100, 100)\n"
+                "except sim.StreamOverrun:\n"
+                "    print('raised', __debug__)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout == "raised False\n", out.stderr
+
+    def test_ledger_site_overrun_is_caught(self, monkeypatch):
+        monkeypatch.setattr(sim, "_TRIAL_STRIDE", 1)
+        with pytest.raises(sim.StreamOverrun,
+                           match=f"stream {cli._SITES['prep.tableau']} "):
+            cli.run_desk_ledger(seed=5, out_dir=None, max_weight=1,
+                                samples=10, trials=1000, frames=10)
 
     def test_p_zero_draws_nothing(self, monkeypatch):
         exp = sim.build_memory_experiment(codes.surface_code_via_hgp(3))
