@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,21 @@ def _count(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"{text} is negative")
     return n
+
+
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return n
+
+
+def _path_pair(text: str) -> tuple[str, str]:
+    paths = text.split(",")
+    if len(paths) != 2 or not all(paths):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not two comma-separated paths")
+    return paths[0], paths[1]
 
 
 def _weight_upto(top: int):
@@ -166,8 +182,8 @@ def cmd_protocol_check(args) -> int:
     r_code = codes.load_manifest(os.path.join(args.deformed, "rcode.manifest"))
     alpha = gf2.load_matrix(os.path.join(args.deformed, "alpha.txt"))
     dc = surgery.build_deformed(target, alpha, r_code)
-    return _print_rows(_protocol_ledger(dc, args.max_weight, args.samples,
-                                        args.seed))
+    return _print_rows(check_surgery(Desk(args.seed, args.max_weight,
+                                          args.samples, dc=dc)))
 
 
 def _load_sim_spec(path: str) -> dict:
@@ -186,8 +202,12 @@ def cmd_sim_run(args) -> int:
     if spec.get("kind") != "surface_memory":
         print("circuit spec must set kind=surface_memory", file=sys.stderr)
         return 2
-    d = int(spec["d"])
-    exp = sim.build_memory_experiment(codes.surface_code_via_hgp(d))
+    d = spec.get("d", "").strip()
+    if not (d.isdigit() and int(d) % 2 == 1):
+        print(f"circuit spec must set d=<odd positive integer>, not d={d!r}",
+              file=sys.stderr)
+        return 2
+    exp = sim.build_memory_experiment(codes.surface_code_via_hgp(int(d)))
     est = sim.logical_error_rate(exp, args.p, args.trials, args.seed)
     line = (f"{args.p:.10g}\t{est.trials}\t{est.failures}\t{est.rate:.10g}"
             f"\t{est.ci_low:.10g}\t{est.ci_high:.10g}\t{est.z_heralded}"
@@ -203,10 +223,15 @@ def cmd_sim_run(args) -> int:
 
 def cmd_compile(args) -> int:
     with open(args.circuit, encoding="ascii") as fh:
-        ops = qcompile.parse_circuit(fh.read())
-    sched = qcompile.serialize(ops, args.k)
+        text = fh.read()
+    try:
+        ops = qcompile.parse_circuit(text)
+        sched = qcompile.serialize(ops, args.k)
+    except ValueError as err:
+        print(f"compile: {err}", file=sys.stderr)
+        return 2
     bad = sched.validate(ops)
-    sched_path, cost_path = args.out.split(",")
+    sched_path, cost_path = args.out
     lines = ["class\tkind\tblocks\tqubits"]
     for i, cls in enumerate(sched.classes):
         for op in cls:
@@ -237,39 +262,17 @@ def _ltsp_sweeps(source, f, max_weight, samples, seed):
                                   seed=seed, stream=_SITES["ltsp.spZ"] + j))
 
 
-def _protocol_ledger(dc, max_weight, samples, seed):
-    run = protocol.build_surgery_circuit(dc)
-    with _rng(seed, "surgery.tableau") as rng:
-        res = tableau.run_tableau(run.expanded.circuit, rng=rng)
-    zero_ok = (not run.measured_bits(run.expanded, res.outcomes).any()
-               and not run.detector_bits(run.expanded, res.outcomes).any())
-    view, n = run.expanded, dc.target.n
-    locs = [view.col_locs["M1"][copy * n + i] for copy in range(dc.k_r)
-            for i in np.flatnonzero(dc.target.j_x[0])]
-    with _rng(seed, "surgery.tableau", 1) as rng:
-        res1 = tableau.run_tableau(view.circuit, x_errors=locs, rng=rng)
-    ones_ok = bool(run.measured_bits(view, res1.outcomes).all())
-    lay = run.layout
-    with _rng(seed, "cs.residualZ") as rng:
-        residual = _sweep_residual_z(run, lay, max_weight, samples, rng)
-    with _rng(seed, "cs.outcomeX") as rng:
-        outcome = _sweep_outcome_x(run, lay, max_weight, samples, rng)
-    return [("surgery.noiseless", zero_ok and ones_ok,
-             "outcomes +1 on |0>, -1 on |1>"),
-            ("lemma.cs.residualZ", *residual),
-            ("lemma.cs.outcomeX", *outcome)]
-
-
 def _swept(checked: int, max_weight: int, samples: int) -> str:
     """Detail of a weight-1 exhaustive plus sampled sweep."""
     return (f"checked={checked} exhaustive_w={min(max_weight, 1)} "
             f"samples={samples}")
 
 
-def _surgery_faults(h, lay, names, max_weight, samples, rng):
-    """The faults on the named groups that h misses (outcome flips zero):
-    every single location when max_weight ≥ 1 (no larger weight is swept
-    exhaustively), then `samples` random pairs."""
+def _surgery_faults(run, h, names, max_weight, samples, rng):
+    """The faults on the named groups of the run's layout that h misses
+    (outcome flips zero): every single location when max_weight ≥ 1 (no
+    larger weight is swept exhaustively), then `samples` random pairs."""
+    lay = run.layout
     idx = np.concatenate([np.arange(lay.total)[lay.sl(nm)] for nm in names])
     units = np.arange(len(idx) * min(max_weight, 1))
     sub = gf2.fault_rows(rng, len(idx), units, np.full(samples, 2))
@@ -279,35 +282,43 @@ def _surgery_faults(h, lay, names, max_weight, samples, rng):
     return e
 
 
-def _sweep_residual_z(run, lay, max_weight, samples, rng):
-    e = _surgery_faults(run.h_ls_x, lay, ("M1", "M2", "M3", "A1", "A2"),
+def _sweep_residual_z(run, max_weight, samples, rng):
+    e = _surgery_faults(run, run.h_ls_x, ("M1", "M2", "M3", "A1", "A2"),
                         max_weight, samples, rng)
     res = protocol.surgery_residual_z(run, e, gf2.zeros(len(e), run.n_mem))
     return (bool(np.all((res.status == "ok") & res.bound_ok)),
             _swept(len(e), max_weight, samples))
 
 
-def _sweep_outcome_x(run, lay, max_weight, samples, rng):
-    e = _surgery_faults(run.h_ls_z, lay, ("M1", "A1"),
-                        max_weight, samples, rng)
+def _sweep_outcome_x(run, max_weight, samples, rng):
+    e = _surgery_faults(run, run.h_ls_z, ("M1", "A1"), max_weight, samples,
+                        rng)
     res = protocol.surgery_outcome_x(run, e, np.zeros_like(e))
     rate = np.count_nonzero(res.outcome_correct) / len(e) if len(e) else 1.0
     ok = bool(np.all(res.outcome_correct & res.bound_ok))
     return ok, f"{_swept(len(e), max_weight, samples)} outcome_rate={rate:.6f}"
 
 
-def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
-                    samples: int = 10000, trials: int = 100000,
-                    frames: int = 1000) -> list[tuple]:
-    """Run every desk-scale check; returns (key, pass, detail) rows."""
-    rows: list[tuple] = []
+@dataclass
+class Desk:
+    """The desk checks' shared inputs: seed, sizes (the ledger defaults) and
+    the alpha=[[1]] deformed code of surface3 with the Hamming R code, built
+    once.  A check's table beside ledger.tsv goes to `tables` by file name."""
+    seed: int
+    max_weight: int = 2
+    samples: int = 10000
+    trials: int = 100000
+    frames: int = 1000
+    dc: surgery.DeformedCode = field(default_factory=lambda: (
+        surgery.build_deformed(codes.surface_code_via_hgp(3), [[1]],
+                               codes.hamming_743())))
+    tables: dict = field(default_factory=dict)
 
-    def add(key, good, detail=""):
-        rows.append((key, bool(good), detail))
 
-    # 1. code suite
+def check_code_suite(desk: Desk) -> list[tuple]:
+    """1. The example codes are valid and have their exact distances."""
     suite = [codes.repetition(3), codes.repetition(5), codes.hamming_743(),
-             codes.steane(), codes.surface_code_via_hgp(3)]
+             codes.steane(), desk.dc.target]
     want_d = (3, 5, 3, 3, 3)
     good = True
     for code, d in zip(suite, want_d):
@@ -316,10 +327,12 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
         else:
             good &= codes.validate_css(code) == []
         good &= codes.distance(code).d == d
-    add("code.suite", good, "distances (3,5,3,3,3) exhaustively verified")
+    return [("code.suite", good, "distances (3,5,3,3,3) exhaustively verified")]
 
-    # 2. soundness + preimage bound
-    ham = codes.hamming_743()
+
+def check_soundness(desk: Desk) -> list[tuple]:
+    """2. The Hamming code's exact soundness and the LTC preimage bound."""
+    ham = desk.dc.r_code
     s = codes.soundness(ham)
     good = s == Fraction(7, 3)
     r, n = ham.h.shape
@@ -327,28 +340,30 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
         v = gf2._unpack(bits, r)
         u = gf2.solve_linear(ham.h, v, mode="min_weight")
         good &= u is not None and gf2.weight(u) <= Fraction(n, r) / s * gf2.weight(v)
-    add("soundness.hamming", s == Fraction(7, 3), f"s={s}")
-    add("lemma.ltc.preimage", good, "all 8 syndromes")
+    return [("soundness.hamming", s == Fraction(7, 3), f"s={s}"),
+            ("lemma.ltc.preimage", good, "all 8 syndromes")]
 
-    # 3. deformed-code build
-    target = codes.surface_code_via_hgp(3)
-    r_code = codes.hamming_743()
-    glue = surgery.build_glue(target, [[1]])
-    add("lemma.pcs.glue", surgery.verify_glue(target, glue) == [])
-    dc = surgery.build_deformed(target, [[1]], r_code, glue)
-    add("lemma.pcs.lifted", surgery.verify_lifted_conditions(dc) == [])
-    surgery.measured_extraction(dc)
-    add("lemma.pcs.extraction", True, "identity bit-exact")
-    budget = min(max_weight, min(target.d, r_code.d) - 1)
+
+def check_deformed(desk: Desk) -> list[tuple]:
+    """3. The deformed code's coupling conditions and distance floor."""
+    dc = desk.dc
+    surgery.measured_extraction(dc)  # raises on failure
+    budget = min(desk.max_weight, min(dc.target.d, dc.r_code.d) - 1)
     cert = surgery.verify_distance_bound(dc, budget)
-    add("lemma.pcs.distance", cert.ok, f"no logical error of weight<={budget}")
+    return [("lemma.pcs.glue", surgery.verify_glue(dc.target, dc.glue) == [], ""),
+            ("lemma.pcs.lifted", surgery.verify_lifted_conditions(dc) == [], ""),
+            ("lemma.pcs.extraction", True, "identity bit-exact"),
+            ("lemma.pcs.distance", cert.ok, f"no logical error of weight<={budget}")]
 
-    # 4. preparation circuit
+
+def check_preparation(desk: Desk) -> list[tuple]:
+    """4. The preparation circuit's noiseless run and residual bounds."""
+    target, ham = desk.dc.target, desk.dc.r_code
     prep = ltsp.build_prep_circuit(target, ham)
     res = tableau.run_tableau(prep.circuit, force_zero=True)
     noiseless = not res.outcomes.any()
     rs = ltsp.resource_state(target)
-    with _rng(seed, "prep.tableau") as rng:
+    with _rng(desk.seed, "prep.tableau") as rng:
         tres = tableau.run_tableau(prep.circuit, rng=rng)
     for j in range(prep.k_f):
         b, c = prep.copy_qubits(j)
@@ -359,27 +374,31 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
         for row in rs.h_rs_z:
             noiseless &= tableau.stabilizer_phase(
                 tres.sim, qubits, np.zeros(2 * target.n), row) == 0
-    add("ltsp.noiseless", noiseless, "all copies exactly stabilized")
-    sweeps = list(_ltsp_sweeps(target, ham, min(max_weight, 2), samples // 4,
-                               seed))
+    rows = [("ltsp.noiseless", noiseless, "all copies exactly stabilized")]
+    sweeps = list(_ltsp_sweeps(target, ham, min(desk.max_weight, 2),
+                               desk.samples // 4, desk.seed))
     for key, reps in zip(("lemma.ltsp.spX", "lemma.ltsp.spZ"), zip(*sweeps)):
-        add(key, all(r.clean for r in reps),
-            f"checked={sum(r.checked for r in reps)}")
+        rows.append((key, all(r.clean for r in reps),
+                     f"checked={sum(r.checked for r in reps)}"))
+    return rows
 
-    # 5. teleported measurement
+
+def check_teleported(desk: Desk) -> list[tuple]:
+    """5. The teleported measurement's error reductions and frames."""
+    target, frames = desk.dc.target, desk.frames
     tm = protocol.build_tele_measurement(target)
     n_tot = tm.layout.total
-    with _rng(seed, "tele.faults") as rng:
+    with _rng(desk.seed, "tele.faults") as rng:
         faults = gf2.fault_rows(rng, n_tot,
-                                np.arange(n_tot * min(max_weight, 1)),
-                                rng.integers(1, 5, size=samples))
-    for key, kernel in (("lemma.tele.effZ", protocol.effective_z_error),
-                        ("lemma.tele.effX", protocol.effective_x_error)):
-        add(key, kernel(tm, faults)[1].all(),
-            _swept(len(faults), max_weight, samples))
+                                np.arange(n_tot * min(desk.max_weight, 1)),
+                                rng.integers(1, 5, size=desk.samples))
+    rows = [(key, kernel(tm, faults)[1].all(),
+             _swept(len(faults), desk.max_weight, desk.samples))
+            for key, kernel in (("lemma.tele.effZ", protocol.effective_z_error),
+                                ("lemma.tele.effX", protocol.effective_x_error))]
     del faults
     # One lane per frame: random X and Z inputs on A1, drawn X then Z.
-    with _rng(seed, "tele.frames") as rng:
+    with _rng(desk.seed, "tele.frames") as rng:
         draws = rng.integers(0, 2, size=(2 * frames, target.n),
                              dtype=np.uint8)
     x_in, z_in = draws.reshape(frames, 2, target.n).transpose(1, 0, 2)
@@ -390,66 +409,121 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = 2,
          != gf2.row_images(target.h_z, x_in)).any(axis=1)))
     mis += int(np.count_nonzero((fr.x_on(tm.c_ids) != x_in).any(axis=1)
                                 | (fr.z_on(tm.c_ids) != z_in).any(axis=1)))
-    add("tele.projective_equiv", mis == 0, f"frames={frames} mismatches={mis}")
+    return rows + [("tele.projective_equiv", mis == 0,
+                    f"frames={frames} mismatches={mis}")]
 
-    # 6. surgery end to end
-    rows.extend(_protocol_ledger(dc, max_weight, samples, seed))
 
-    # 7. Monte Carlo trend
-    est = {}
+def check_surgery(desk: Desk) -> list[tuple]:
+    """6. Surgery end to end on the deformed code."""
+    dc, seed = desk.dc, desk.seed
+    run = protocol.build_surgery_circuit(dc)
+    view, n = run.expanded, dc.target.n
+    with _rng(seed, "surgery.tableau") as rng:
+        res = tableau.run_tableau(view.circuit, rng=rng)
+    zero_ok = (not run.measured_bits(view, res.outcomes).any()
+               and not run.detector_bits(view, res.outcomes).any())
+    locs = [view.col_locs["M1"][copy * n + i] for copy in range(dc.k_r)
+            for i in np.flatnonzero(dc.target.j_x[0])]
+    with _rng(seed, "surgery.tableau", 1) as rng:
+        res1 = tableau.run_tableau(view.circuit, x_errors=locs, rng=rng)
+    ones_ok = bool(run.measured_bits(view, res1.outcomes).all())
+    with _rng(seed, "cs.residualZ") as rng:
+        residual = _sweep_residual_z(run, desk.max_weight, desk.samples, rng)
+    with _rng(seed, "cs.outcomeX") as rng:
+        outcome = _sweep_outcome_x(run, desk.max_weight, desk.samples, rng)
+    return [("surgery.noiseless", zero_ok and ones_ok,
+             "outcomes +1 on |0>, -1 on |1>"),
+            ("lemma.cs.residualZ", *residual),
+            ("lemma.cs.outcomeX", *outcome)]
+
+
+def check_monte_carlo(desk: Desk) -> list[tuple]:
+    """7. The Monte Carlo distance trend; the rates go to sim_memory.tsv."""
+    seed, trials = desk.seed, desk.trials
+    rows, est = [], {}
     sim_lines = ["d\tp\ttrials\tfailures\testimate\tci_low\tci_high"]
     for d in (3, 5):
         exp = sim.build_memory_experiment(codes.surface_code_via_hgp(d))
         stream = _SITES[f"sim.d{d}"]
         zero = sim.logical_error_rate(exp, 0.0, min(trials, 1000), seed, stream)
         est[d] = sim.logical_error_rate(exp, 1e-3, trials, seed, stream)
-        add(f"sim.memory.d{d}.p0", zero.failures == 0, "exact zero")
+        rows.append((f"sim.memory.d{d}.p0", zero.failures == 0, "exact zero"))
         e = est[d]
         sim_lines.append(f"{d}\t0.001\t{e.trials}\t{e.failures}"
                          f"\t{e.rate:.10g}\t{e.ci_low:.10g}\t{e.ci_high:.10g}")
+    desk.tables["sim_memory.tsv"] = sim_lines
     trend = (est[5].rate < est[3].rate
              and est[5].ci_high < est[3].ci_low)
-    add("sim.trend", trend,
+    return rows + [(
+        "sim.trend", trend,
         f"d3={est[3].rate:.6g} ({est[3].ci_low:.6g},{est[3].ci_high:.6g}) "
-        f"d5={est[5].rate:.6g} ({est[5].ci_low:.6g},{est[5].ci_high:.6g})")
+        f"d5={est[5].rate:.6g} ({est[5].ci_low:.6g},{est[5].ci_high:.6g})")]
 
-    # 8. scheduler
+
+def check_scheduler(desk: Desk) -> list[tuple]:
+    """8. Random layers serialize into at most 2k − 1 valid classes."""
     sched_ok = True
-    with _rng(seed, "compile.schedule") as rng:
+    with _rng(desk.seed, "compile.schedule") as rng:
         for _ in range(200):
             k = int(rng.integers(1, 7))
             blocks = int(rng.integers(2, 33))
             ops = _random_layer(rng, blocks, k)
             sched = qcompile.serialize(ops, k)
             sched_ok &= sched.validate(ops) == [] and sched.colors <= 2 * k - 1
-    add("compile.schedule", sched_ok, "200 random layers")
+    return [("compile.schedule", sched_ok, "200 random layers")]
 
-    # 9. cost arithmetic + static tables
-    with _rng(seed, "compile.batch") as rng:
+
+def check_costs(desk: Desk) -> list[tuple]:
+    """9. Batch counts within their bounds, and the static tables."""
+    with _rng(desk.seed, "compile.batch") as rng:
         grid = [rng.integers(lo, hi, size=1000).tolist()
                 for lo, hi in ((0, 5000), (1, 9), (1, 9), (1, 6))]
-    cost_ok = all(qcompile.batch(*pt) <= qcompile.batch_bound(*pt)
-                  for pt in zip(*grid))
-    add("compile.batch", cost_ok, "1000-point grid")
-    table_ok = (qcompile.decompose("MEA").measurements == ("Zj",)
-                and qcompile.decompose("CNOT").measurements
-                == ("Za*Z1", "Xb*X1", "Z1")
+    cnots = [qcompile.LogicalOp("CNOT", (f"u{i}", f"v{i}"), (0, 0))
+             for i in range(10)]
+    rep = qcompile.sublayer_cost(cnots, k_r=4, k_f=4, d_s=3)
+    cost_ok = (all(qcompile.batch(*pt) <= qcompile.batch_bound(*pt)
+                   for pt in zip(*grid))
+               and rep.sum_batches <= rep.sum_bound)
+    measured = {"MEA": ("Zj",), "H": ("Zj*Z1", "Xj", "Zj*X1", "Z1"),
+                "S": ("Z1*Z1", "Zj*Z1*X1", "X1"),
+                "T": ("Zj*Z1", "X1", "X1", "Z1*Z1", "Zj*Z1*X1"),
+                "CNOT": ("Za*Z1", "Xb*X1", "Z1")}
+    table_ok = (all(qcompile.decompose(kind).measurements == m
+                    for kind, m in measured.items())
                 and qcompile.decompose("T").consumes_t_magic
                 and qcompile.decompose("S").uses_s_magic
                 and qcompile.decompose("INIT").extra_resources == ("HM_X",))
-    add("compile.tableIV", table_ok, "decomposition rows verbatim")
     rows_t = qcompile.overhead_exponents(1.5)
-    add("compile.tableI",
-        rows_t["this scheme"] == ("0", "1.5")
-        and rows_t["DS"] == ("1", "1") and rows_t["LS (surface code)"] == ("2", "1"),
-        "overhead exponent rows")
+    exp_ok = (rows_t["DS"] == ("1", "1")
+              and rows_t["LS (surface code)"] == ("2", "1")
+              and all(qcompile.overhead_exponents(a)["this scheme"]
+                      == ("0", f"{a:g}") for a in (1, 1.5, 2)))
+    return [("compile.batch", cost_ok, "1000-point grid"),
+            ("compile.tableIV", table_ok, "decomposition rows verbatim"),
+            ("compile.tableI", exp_ok, "overhead exponent rows")]
 
+
+# The desk ledger's sections, in ledger order; each returns its
+# (key, pass, detail) rows.
+DESK_CHECKS = (check_code_suite, check_soundness, check_deformed,
+               check_preparation, check_teleported, check_surgery,
+               check_monte_carlo, check_scheduler, check_costs)
+
+
+def run_desk_ledger(seed: int, out_dir: str, max_weight: int = Desk.max_weight,
+                    samples: int = Desk.samples, trials: int = Desk.trials,
+                    frames: int = Desk.frames) -> list[tuple]:
+    """Run DESK_CHECKS in order; returns their (key, pass, detail) rows."""
+    desk = Desk(seed, max_weight, samples, trials, frames)
+    rows = [(key, bool(good), detail) for check in DESK_CHECKS
+            for key, good, detail in check(desk)]
     if out_dir:
         lines = ["key\tstatus\tdetail"]
         lines += [f"{k}\t{'pass' if g else 'FAIL'}\t{d}" for k, g, d in rows]
         _write(os.path.join(out_dir, "ledger.tsv"), "\n".join(lines) + "\n")
-        _write(os.path.join(out_dir, "sim_memory.tsv"),
-               "\n".join(sim_lines) + "\n")
+        for name, table in desk.tables.items():
+            _write(os.path.join(out_dir, name), "\n".join(table) + "\n")
+        dc = desk.dc
         for name, m in (("hdx", dc.css.h_x), ("hdz", dc.css.h_z),
                         ("jdx", dc.css.j_x), ("jdz", dc.css.j_z)):
             gf2.save_matrix(os.path.join(out_dir, f"deformed_{name}.txt"), m)
@@ -499,7 +573,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("distance", help="exact or certified code distance")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_count, default=None)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("soundness", help="exact local-testability constant")
@@ -548,11 +622,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("compile", help="schedule and cost a logical circuit")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--k-r", type=int, default=4)
-    p.add_argument("--k-f", type=int, default=4)
-    p.add_argument("--d-s", type=int, default=3)
-    p.add_argument("--out", required=True)
+    p.add_argument("--k", type=_positive, required=True)
+    p.add_argument("--k-r", type=_positive, default=4)
+    p.add_argument("--k-f", type=_positive, default=4)
+    p.add_argument("--d-s", type=_positive, default=3)
+    p.add_argument("--out", type=_path_pair, required=True,
+                   help="schedule and cost paths, comma-separated")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("ledger", help="run the full desk-scale check suite")

@@ -190,6 +190,8 @@ def distance(code, budget: Optional[int] = None) -> DistanceResult:
     relevant span dimension ≤ the gf2 cap; otherwise a weight-bounded sweep
     up to *budget* runs, and `floor = budget` is certified.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget={budget} is negative")
     n = code.n
     if isinstance(code, ClassicalCode):
         # Nonzero codewords: span of g, flagged by any nonzero coordinate.
@@ -255,9 +257,11 @@ def soundness(code: ClassicalCode) -> Optional[Fraction]:
         classes, least = gf2.least_per_key(
             np.concatenate([classes, words[:, k:]]),
             np.concatenate([least, wt]))
-    syn_w = np.bitwise_count(classes).sum(axis=1)
-    pairs = np.unique(np.stack([syn_w, least], axis=1)[syn_w > 0], axis=0)
-    code.soundness = min((Fraction(n * int(a), r * int(b)) for a, b in pairs),
+    syn_w = np.bitwise_count(classes).sum(axis=1, dtype=np.int64)
+    # least ≤ n, so syn_w·(n + 1) + least keys each (syn_w, least) pair.
+    pairs = np.unique((syn_w * (n + 1) + least)[syn_w > 0])
+    code.soundness = min((Fraction(n * int(a), r * int(b))
+                          for a, b in zip(*np.divmod(pairs, n + 1))),
                          default=None)
     return code.soundness
 

@@ -10,6 +10,7 @@ into resource-state batch counts and check the closed-form batch bound.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -44,7 +45,11 @@ def parse_op(line: str) -> LogicalOp:
     if kind not in KINDS:
         raise ValueError(f"unknown operation {kind!r}")
     if kind == "INIT":
+        if len(parts) != 2:
+            raise ValueError("INIT takes one block")
         return LogicalOp(kind, (parts[1],), ())
+    if not all("." in p for p in parts[1:]):
+        raise ValueError(f"{line!r}: operands are block.qubit")
     operands = [tuple(p.rsplit(".", 1)) for p in parts[1:]]
     blocks = tuple(b for b, _ in operands)
     qubits = tuple(int(j) for _, j in operands)
@@ -166,12 +171,24 @@ class Schedule:
 def serialize(ops, k: int) -> Schedule:
     """Greedy proper edge coloring of the block multigraph.
 
-    The input layer must be qubit-disjoint, so every block hosts at most k
-    operations and greedy needs at most 2k − 1 colors.
+    The input layer must be qubit-disjoint with qubit indices in 0..k−1
+    (k ≥ 1), and hold at most k operations per block (an INIT counts as one
+    but holds no qubit index); then greedy needs at most 2k − 1 colors.
+    Raises ValueError otherwise.
     """
     ops = list(ops)
+    if k < 1:
+        raise ValueError(f"k={k}: a block holds at least one logical qubit")
+    for op in ops:
+        if any(not 0 <= j < k for j in op.qubits):
+            raise ValueError(f"{op.kind} on {op.blocks} qubits {op.qubits}: "
+                             f"an index is outside 0..{k - 1}")
     if not is_qubit_disjoint(ops):
         raise ValueError("operation set is not qubit-disjoint")
+    load = Counter(b for op in ops for b in op.block_support())
+    for b, m in load.items():
+        if m > k:
+            raise ValueError(f"block {b} hosts {m} operations, more than k={k}")
     color_of: dict[int, int] = {}
     by_block: dict[str, list[int]] = {}
     for idx, op in enumerate(ops):

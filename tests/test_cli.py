@@ -25,6 +25,13 @@ class TestCodesCommands:
                          str(manifests / "surface3.manifest")]) == 0
         assert "d=3 exact" in capsys.readouterr().out
 
+    def test_negative_budget_rejected(self, manifests, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["distance", "--manifest",
+                      str(manifests / "surface3.manifest"), "--budget", "-3"])
+        assert err.value.code == 2
+        assert "argument --budget: -3 is negative" in capsys.readouterr().err
+
     def test_soundness(self, manifests, capsys):
         assert cli.main(["soundness", "--manifest",
                          str(manifests / "hamming.manifest")]) == 0
@@ -83,6 +90,22 @@ class TestSimCommand:
         assert f"argument {flag}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text,says", [
+        ("kind=surface_memory\n", "d=''"),
+        ("kind=surface_memory\nd=three\n", "d='three'"),
+        ("kind=surface_memory\nd=4\n", "d='4'"),
+        ("kind=surface_memory\nd=-3\n", "d='-3'"),
+    ])
+    def test_rejects_bad_spec(self, tmp_path, capsys, text, says):
+        spec = tmp_path / "mem.spec"
+        spec.write_text(text)
+        assert cli.main(["sim", "run", "--circuit", str(spec), "--p", "0",
+                         "--trials", "5", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"circuit spec must set d=<odd positive integer>, not {says}" in err
+        assert "Traceback" not in err
+
+
 class TestMaxWeightFlag:
     @pytest.mark.parametrize("command,value", [
         (["ltsp", "verify", "--source", "s", "--fcode", "f"], "3"),
@@ -138,6 +161,41 @@ class TestCompileCommand:
         assert sched.read_text().startswith("class\t")
         assert "CNOT" in sched.read_text()
         assert cost.read_text().startswith("class\tfamily")
+
+    @pytest.mark.parametrize("text,k,says", [
+        ("CNOT a.0 b.0\nCNOT a.1 c.0\n", "1", "outside 0..0"),
+        ("H b.5\n", "2", "outside 0..1"),
+        ("INIT a\nINIT a\n", "1", "block a hosts 2 operations"),
+        ("INIT\n", "2", "INIT takes one block"),
+        ("H a\n", "2", "operands are block.qubit"),
+    ])
+    def test_rejects_bad_circuit(self, tmp_path, capsys, text, k, says):
+        ops = tmp_path / "ops.txt"
+        ops.write_text(text)
+        assert cli.main(["compile", "--circuit", str(ops), "--k", k, "--out",
+                         f"{tmp_path / 's.tsv'},{tmp_path / 'c.tsv'}"]) == 2
+        err = capsys.readouterr().err
+        assert says in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value,says", [
+        ("--k", "0", "0 is not a positive integer"),
+        ("--k-r", "0", "0 is not a positive integer"),
+        ("--k-f", "-1", "-1 is not a positive integer"),
+        ("--d-s", "0", "0 is not a positive integer"),
+        ("--out", "a.tsv", "'a.tsv' is not two comma-separated paths"),
+        ("--out", "a.tsv,", "'a.tsv,' is not two comma-separated paths"),
+    ])
+    def test_rejects_bad_flags(self, tmp_path, capsys, flag, value, says):
+        ops = tmp_path / "ops.txt"
+        ops.write_text("H u.0\n")
+        args = {"--k": "2", "--out": f"{tmp_path / 's.tsv'},{tmp_path / 'c.tsv'}"}
+        args[flag] = value
+        with pytest.raises(SystemExit) as err:
+            cli.main(["compile", "--circuit", str(ops),
+                      *(x for kv in args.items() for x in kv)])
+        assert err.value.code == 2
+        msg = capsys.readouterr().err
+        assert f"argument {flag}: {says}" in msg and "Traceback" not in msg
 
 
 class TestLedgerCommand:

@@ -135,6 +135,11 @@ class TestDistance:
             assert codes.distance(ham, budget=3) == codes.DistanceResult(3, 2)
             assert codes.distance(ham, budget=2) == codes.DistanceResult(None, 2)
 
+    def test_negative_budget_rejected(self):
+        # Out of the exact search's reach, budget -3 once certified d > -3.
+        with span_cap(0), pytest.raises(ValueError, match="budget=-3"):
+            codes.distance(codes.hamming_743(), budget=-3)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 4), st.integers(1, 9), st.integers(1, 9),
            st.integers(0, 2**32 - 1))
@@ -156,8 +161,12 @@ class TestSoundness:
         code = codes.ClassicalCode(h=gf2.eye(4), g=gf2.zeros(0, 4), n=4, k=0)
         assert codes.soundness(code) == Fraction(1)
 
-    def test_repetition3_chain(self):
-        assert codes.soundness(codes.repetition(3)) == Fraction(3, 2)
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_repetition_chain(self, n):
+        # Least at a run of n // 2 ones: one violated check, distance n // 2.
+        # n = 20 walks 2^20 words in many chunks.
+        assert codes.soundness(codes.repetition(n)) == Fraction(
+            n, (n - 1) * (n // 2))
 
     def test_hamming_vs_plain_oracle(self):
         code = codes.hamming_743()

@@ -122,6 +122,14 @@ class TestSerialize:
         with pytest.raises(ValueError):
             qc.serialize(ops, k=2)
 
+    @pytest.mark.parametrize("text,k,match", [
+        ("H u.0", 0, "k=0"),  # the CLI's --k stops this before serialize
+        ("MEA u.-1", 2, "outside 0..1"),
+    ])
+    def test_rejects_out_of_range(self, text, k, match):
+        with pytest.raises(ValueError, match=match):
+            qc.serialize(qc.parse_circuit(text), k)
+
 
 class TestEdgeColoring:
     @staticmethod

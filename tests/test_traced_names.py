@@ -1,10 +1,14 @@
 """The benchmark's traced run (bench/layers.py) wraps qsurg functions by
-name and fails when one is gone; check here that every name still exists,
-so a refactor that drops one fails the test suite as well."""
+name and fails when one is gone, and its desk check (bench/checks.py)
+wants every ledger key; check both here, so a refactor that drops a name
+or a key fails the test suite as well."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+from qsurg import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -26,3 +30,15 @@ def test_traced_targets_resolve(monkeypatch):
         if owner is None or vars(owner).get(leaf) is None:
             missing.append(target.path)
     assert layers.TARGETS and not missing
+
+
+def test_ledger_keys_are_the_benchmarks(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_checks",
+                                                  BENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while the module executes.
+    monkeypatch.setitem(sys.modules, spec.name, checks)
+    spec.loader.exec_module(checks)
+    desk = cli.Desk(5, max_weight=1, samples=10, trials=1000, frames=10)
+    keys = [key for check in cli.DESK_CHECKS for key, _, _ in check(desk)]
+    assert keys == list(checks.DESK_KEYS)
