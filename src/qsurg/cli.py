@@ -347,12 +347,16 @@ def check_soundness(desk: Desk) -> list[tuple]:
 def check_deformed(desk: Desk) -> list[tuple]:
     """3. The deformed code's coupling conditions and distance floor."""
     dc = desk.dc
-    surgery.measured_extraction(dc)  # raises on failure
+    try:
+        surgery.measured_extraction(dc)
+        extraction = (True, "identity bit-exact")
+    except surgery.InternalConsistencyError as err:
+        extraction = (False, str(err))
     budget = min(desk.max_weight, min(dc.target.d, dc.r_code.d) - 1)
     cert = surgery.verify_distance_bound(dc, budget)
     return [("lemma.pcs.glue", surgery.verify_glue(dc.target, dc.glue) == [], ""),
             ("lemma.pcs.lifted", surgery.verify_lifted_conditions(dc) == [], ""),
-            ("lemma.pcs.extraction", True, "identity bit-exact"),
+            ("lemma.pcs.extraction", *extraction),
             ("lemma.pcs.distance", cert.ok, f"no logical error of weight<={budget}")]
 
 

@@ -29,8 +29,8 @@ class LogicalOp:
     qubits: tuple            # logical indices within the blocks
 
     def qubit_support(self) -> frozenset:
-        if self.kind == "INIT":
-            return frozenset((self.blocks[0], j) for j in self.qubits)
+        """The (block, index) pairs named; empty for an INIT, which
+        occupies its whole block (see is_qubit_disjoint)."""
         return frozenset(zip(self.blocks, self.qubits))
 
     def block_support(self) -> frozenset:
@@ -133,6 +133,12 @@ def measurement_resources(label: str, k_r: int) -> dict:
 
 
 def is_qubit_disjoint(ops) -> bool:
+    """No two operations share a logical qubit.  An INIT prepares every
+    qubit of its block, so it shares one with any other op on that block."""
+    ops = list(ops)
+    load = Counter(b for op in ops for b in op.block_support())
+    if any(load[op.blocks[0]] > 1 for op in ops if op.kind == "INIT"):
+        return False
     seen: set = set()
     for op in ops:
         sup = op.qubit_support()
@@ -171,10 +177,10 @@ class Schedule:
 def serialize(ops, k: int) -> Schedule:
     """Greedy proper edge coloring of the block multigraph.
 
-    The input layer must be qubit-disjoint with qubit indices in 0..k−1
-    (k ≥ 1), and hold at most k operations per block (an INIT counts as one
-    but holds no qubit index); then greedy needs at most 2k − 1 colors.
-    Raises ValueError otherwise.
+    The input layer must hold at most k operations per block and be
+    qubit-disjoint with qubit indices in 0..k−1 (k ≥ 1; an INIT occupies
+    its whole block); then greedy needs at most 2k − 1 colors.  Raises
+    ValueError otherwise, the block load checked before disjointness.
     """
     ops = list(ops)
     if k < 1:
@@ -183,12 +189,12 @@ def serialize(ops, k: int) -> Schedule:
         if any(not 0 <= j < k for j in op.qubits):
             raise ValueError(f"{op.kind} on {op.blocks} qubits {op.qubits}: "
                              f"an index is outside 0..{k - 1}")
-    if not is_qubit_disjoint(ops):
-        raise ValueError("operation set is not qubit-disjoint")
     load = Counter(b for op in ops for b in op.block_support())
     for b, m in load.items():
         if m > k:
             raise ValueError(f"block {b} hosts {m} operations, more than k={k}")
+    if not is_qubit_disjoint(ops):
+        raise ValueError("operation set is not qubit-disjoint")
     color_of: dict[int, int] = {}
     by_block: dict[str, list[int]] = {}
     for idx, op in enumerate(ops):

@@ -89,9 +89,16 @@ def fault_rows(rng: np.random.Generator, n: int, units, sizes) -> np.ndarray:
 def xor_map(sel: np.ndarray):
     """The GF(2) product rows ↦ sel · rows for a fixed 0/1 matrix sel, on
     rows of packed bits of any width: row i of the image is the XOR of the
-    rows at the set entries of sel[i]."""
-    row, at = np.nonzero(sel)
-    counts = np.bincount(row, minlength=len(sel))
+    rows at the set entries of sel[i].
+
+    The set entries are found on sel packed eight to a byte: first the
+    nonzero bytes, then the set bits of each, in row-major order."""
+    packed = np.packbits(sel, axis=1)
+    nonzero = np.flatnonzero(packed)
+    byte, bit = np.nonzero(np.unpackbits(packed.reshape(-1)[nonzero, None],
+                                         axis=1))
+    at = (nonzero[byte] % packed.shape[1]) * 8 + bit
+    counts = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
     hit = np.flatnonzero(counts)
     starts = (np.cumsum(counts) - counts)[hit]
 
@@ -421,17 +428,56 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 def least_per_key(keys: np.ndarray, values: Optional[np.ndarray] = None):
     """Distinct packed rows of `keys` in key order and the least of `values`
-    (default: the positions) over each.  A C-contiguous `keys` is sorted in
-    place beside one argsort, so the peak is the keys plus an int64 a row."""
+    (default: the positions) over each.  A C-contiguous `keys` ends sorted in
+    place.
+
+    One-word keys whose bits plus the value bits fit in 64, with no negative
+    value, are sorted as the single words key << b | value: the first word
+    of each key then holds its least value, and the peak is the keys alone.
+    Other keys (several words, or a key and value too wide together) take an
+    argsort of the rows beside the sort, an int64 a row more."""
     keys = np.ascontiguousarray(keys)
     flat = _row_keys(keys)
+    n = len(flat)
+    if values is not None:
+        values = np.asarray(values)
+    b = (n - 1 if values is None else int(values.max(initial=0))).bit_length()
+    if (flat.dtype == np.uint64
+            and (values is None or values.min(initial=0) >= 0)
+            and int(flat.max(initial=0)).bit_length() + b <= 64):
+        return _least_per_word(keys, flat, values, b)
     order = np.argsort(flat)
     flat.sort()
-    starts = np.flatnonzero(np.r_[len(flat) > 0, flat[1:] != flat[:-1]])
+    starts = np.flatnonzero(np.r_[n > 0, flat[1:] != flat[:-1]])
     least = np.minimum.reduceat(
-        order if values is None else np.asarray(values)[order], starts)
+        order if values is None else values[order], starts)
     del order
     return keys[starts], least
+
+
+def _least_per_word(keys, flat, values, b):
+    """least_per_key on the words `flat` of one-word `keys`, sorted as
+    key << b | value; the values are written, and the key changes found,
+    ENUM_CHUNK words at a time."""
+    n = len(flat)
+    flat <<= b
+    for lo in range(0, n, ENUM_CHUNK):
+        hi = min(lo + ENUM_CHUNK, n)
+        part = np.arange(lo, hi) if values is None else values[lo:hi]
+        flat[lo:hi] |= part.astype(np.uint64)
+    flat.sort()
+    new = np.ones(n, dtype=bool)
+    for lo in range(1, n, ENUM_CHUNK):
+        hi = min(lo + ENUM_CHUNK, n)
+        new[lo:hi] = (flat[lo:hi] ^ flat[lo - 1:hi - 1]) >> b != 0
+    starts = np.flatnonzero(new)
+    del new
+    # Within a key the words rise with the value: its first is its least.
+    least = flat[starts]
+    least &= np.uint64((1 << b) - 1)
+    flat >>= b
+    return keys[starts], least.astype(np.int64 if values is None
+                                      else values.dtype)
 
 
 @dataclass(eq=False)

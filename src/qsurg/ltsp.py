@@ -464,9 +464,10 @@ def check_x_bound(spp: SpPropagation, e_sp_x: np.ndarray) -> XBoundResult:
     # minimum-weight preimage under h_F.
     v = np.stack([gf2.unvec(lay.part(u, "meaB"), n_d),
                   gf2.unvec(lay.part(u, "meaC"), n_d)], axis=1)
-    syndromes, which = np.unique(v.reshape(len(u) * 2 * n_d, f.h.shape[0]),
-                                 axis=0, return_inverse=True)
-    which = which.reshape(len(u), 2 * n_d)
+    v = v.reshape(len(u) * 2 * n_d, f.h.shape[0])
+    _, first, which = np.unique(gf2._row_keys(gf2.pack_words(v)),
+                                return_index=True, return_inverse=True)
+    syndromes, which = v[first], which.reshape(len(u), 2 * n_d)
     table = gf2.zeros(len(syndromes), f.n)
     failure = np.zeros(len(syndromes), dtype=np.int8)
     for i, syn in enumerate(syndromes):

@@ -134,8 +134,10 @@ class LookupDecoder:
             keys[at: at + len(words)] = words
             at += len(words)
         keys, first = gf2.least_per_key(keys)
-        slot = np.argsort(first)
-        first = first[slot]
+        # The first positions are distinct, so the least position of each
+        # is its slot in the table: one packed sort puts them in sweep order.
+        first, slot = gf2.least_per_key(first.astype(np.uint64)[:, None])
+        first = first[:, 0]
         units = gf2.pack_words(gf2.eye(n))
         errors = np.empty((len(keys), units.shape[1]), dtype=np.uint64)
         at = lo = 0

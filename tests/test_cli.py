@@ -2,7 +2,7 @@
 
 import pytest
 
-from qsurg import cli, gf2, protocol
+from qsurg import cli, gf2, protocol, surgery
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +166,7 @@ class TestCompileCommand:
         ("CNOT a.0 b.0\nCNOT a.1 c.0\n", "1", "outside 0..0"),
         ("H b.5\n", "2", "outside 0..1"),
         ("INIT a\nINIT a\n", "1", "block a hosts 2 operations"),
+        ("INIT a\nMEA a.0\n", "2", "not qubit-disjoint"),
         ("INIT\n", "2", "INIT takes one block"),
         ("H a\n", "2", "operands are block.qubit"),
     ])
@@ -223,6 +224,16 @@ class TestLedgerCommand:
             seed=5, out_dir=None, max_weight=1, samples=10, trials=1000,
             frames=10)}
         assert rows["lemma.tele.effZ"] and not rows["lemma.tele.effX"]
+
+    def test_extraction_failure_is_a_fail_row(self, monkeypatch):
+        def fails(dc):
+            raise surgery.InternalConsistencyError("identity broken")
+
+        monkeypatch.setattr(surgery, "measured_extraction", fails)
+        rows = {key: (good, detail)
+                for key, good, detail in cli.check_deformed(cli.Desk(5))}
+        assert rows["lemma.pcs.extraction"] == (False, "identity broken")
+        assert rows["lemma.pcs.lifted"][0] and rows["lemma.pcs.distance"][0]
 
     def test_unknown_preset(self):
         assert cli.main(["ledger", "--preset", "galaxy", "--seed", "1"]) == 2

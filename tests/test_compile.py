@@ -79,6 +79,15 @@ class TestDisjointness:
         assert qc.is_qubit_disjoint([a, b])
         assert not qc.is_block_disjoint([a, b])
 
+    def test_init_occupies_its_block(self):
+        init = qc.LogicalOp("INIT", ("a",), ())
+        assert not qc.is_qubit_disjoint([init, qc.LogicalOp("MEA", ("a",), (0,))])
+        assert not qc.is_qubit_disjoint(
+            [qc.LogicalOp("CNOT", ("b", "a"), (0, 1)), init])
+        assert qc.is_qubit_disjoint([init, qc.LogicalOp("MEA", ("b",), (0,))])
+        with pytest.raises(ValueError, match="not qubit-disjoint"):
+            qc.serialize([init, qc.LogicalOp("H", ("a",), (1,))], k=2)
+
     def test_empty_set(self):
         assert qc.is_qubit_disjoint([]) and qc.is_block_disjoint([])
 

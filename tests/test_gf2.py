@@ -2,6 +2,7 @@
 
 import itertools
 from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -346,13 +347,18 @@ class TestIdentities:
 
 
 class TestFaultMatrices:
-    @settings(max_examples=60, deadline=None)
+    # Widths off a multiple of 8 and, with `edges`, rows of no set byte
+    # and of only set bytes are the edges of xor_map's byte-wise scan.
+    @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 9), st.integers(0, 70), st.integers(1, 140),
-           st.floats(0, 1), st.integers(0, 2**32 - 1))
-    def test_row_images_equal_mul(self, rows, count, cols, density, seed):
+           st.floats(0, 1), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_row_images_equal_mul(self, rows, count, cols, density, edges,
+                                  seed):
         rng = np.random.default_rng(seed)
         m = random_bits(seed, rows, cols)
         e = (rng.random((count, cols)) < density).astype(np.uint8)
+        if edges:
+            e[::3], e[1::3] = 0, 1
         got = gf2.row_images(m, e)
         assert got.shape == (count, rows) and got.dtype == np.uint8
         assert np.array_equal(got, gf2.mul(e, m.T).reshape(count, rows))
@@ -444,3 +450,57 @@ class TestLeastPerKey:
         assert hit.all() and np.array_equal(got_keys[idx], keys)
         _, hit = table.find(~distinct)
         assert hit.tolist() == [r.tobytes() in first for r in ~distinct]
+
+    @staticmethod
+    def check_one_word(keys, values, packed):
+        """least_per_key on one-word keys against a dict, with the path it
+        must take: one packed word per row, or the argsort of the rows when
+        the key and value bits exceed 64 or a value is negative."""
+        least = {}
+        pairs = zip(keys[:, 0].tolist(),
+                    range(len(keys)) if values is None else values.tolist())
+        for key, v in pairs:
+            least[key] = min(v, least.get(key, v))
+        order = sorted(least)
+        given_keys = keys.copy()
+        with patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            got_keys, got = gf2.least_per_key(keys, values)
+        assert argsort.called != packed
+        assert got_keys[:, 0].tolist() == order
+        assert got.tolist() == [least[k] for k in order]
+        assert got.dtype == (np.int64 if values is None else values.dtype)
+        assert np.array_equal(keys, np.sort(given_keys, axis=0))  # in place
+
+    # One-word keys below 2^bits drawn from a small pool, with the positions
+    # or with values of up to value_bits bits, some of them negative.
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 64), st.integers(1, 8), st.integers(0, 300),
+           st.none() | st.integers(0, 63), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_one_word_vs_dict(self, bits, pool, rows, value_bits, negative,
+                              seed):
+        rng = np.random.default_rng(seed)
+        distinct = rng.integers(0, 1 << bits, size=pool, dtype=np.uint64)
+        keys = distinct[rng.integers(0, pool, size=rows)][:, None]
+        values = None
+        if value_bits is not None:
+            values = rng.integers(-(1 << value_bits) if negative else 0,
+                                  1 << value_bits, size=rows, dtype=np.int64)
+        top = rows - 1 if values is None else int(values.max(initial=0))
+        packed = ((values is None or values.min(initial=0) >= 0)
+                  and int(keys.max(initial=0)).bit_length()
+                  + top.bit_length() <= 64)
+        self.check_one_word(keys, values, packed)
+
+    @pytest.mark.parametrize("bits, with_values, packed", [
+        (20, False, True), (20, True, True), (60, False, False)])
+    def test_one_word_longer_than_a_chunk(self, bits, with_values, packed):
+        # More rows than ENUM_CHUNK, so the values are written and the key
+        # changes found over several chunks.
+        rng = np.random.default_rng(bits)
+        rows = 2 * gf2.ENUM_CHUNK + 5
+        keys = rng.integers(0, 1 << bits, size=(rows, 1), dtype=np.uint64)
+        keys[1::3] = keys[::3][: len(keys[1::3])]  # repeats across chunks
+        keys[gf2.ENUM_CHUNK - 1: gf2.ENUM_CHUNK + 2] = 12345
+        values = rng.integers(0, 1000, size=rows) if with_values else None
+        self.check_one_word(keys, values, packed)
