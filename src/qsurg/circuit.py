@@ -88,6 +88,19 @@ class Loc:
     index: int
 
 
+def fault_locs(x_locs, z_locs, flip_locs) -> tuple[list, list, list]:
+    """The X, Z and flip locations as lists, each checked for its kind."""
+    out = []
+    for given, kind, fault in ((x_locs, "q", "X fault on non-qubit"),
+                               (z_locs, "q", "Z fault on non-qubit"),
+                               (flip_locs, "flip", "flip fault on non-classical")):
+        out.append(list(given))
+        for loc in out[-1]:
+            if loc.kind != kind:
+                raise ValueError(f"{fault} location {loc}")
+    return tuple(out)
+
+
 class Layout:
     """Named, ordered column groups of a lemma-level fault vector."""
 

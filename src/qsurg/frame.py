@@ -24,7 +24,7 @@ import numpy as np
 
 from . import gf2
 from .circuit import (Circuit, FeedbackOp, GCnotOp, HLayerOp, InitOp,
-                      MeasureOp, ProjectiveOp)
+                      MeasureOp, ProjectiveOp, fault_locs)
 
 
 # Fault codes, the entries of a run_lanes fault matrix: an X or Z fault on
@@ -122,17 +122,9 @@ def run_frames(circ: Circuit, x_locs=(), z_locs=(), flip_locs=()) -> FrameResult
     faults); flip_locs are classical flip locations.  The one-lane call of
     run_lanes: outcome flips and final frames as 1-D rows.
     """
-    locs, codes = [], []
-    for given, kind, code, fault in (
-            (x_locs, "q", X, "X fault on non-qubit"),
-            (z_locs, "q", Z, "Z fault on non-qubit"),
-            (flip_locs, "flip", FLIP, "flip fault on non-classical")):
-        for loc in given:
-            if loc.kind != kind:
-                raise ValueError(f"{fault} location {loc}")
-            locs.append(loc)
-            codes.append(code)
-    res = run_lanes(circ, fault_matrix(circ, locs, [codes]))
+    xs, zs, fs = fault_locs(x_locs, z_locs, flip_locs)
+    codes = [X] * len(xs) + [Z] * len(zs) + [FLIP] * len(fs)
+    res = run_lanes(circ, fault_matrix(circ, xs + zs + fs, [codes]))
     return FrameResult(res.outcome_flips[0], res.x_final[0], res.z_final[0])
 
 

@@ -1,16 +1,16 @@
 """Stabilizer-tableau simulator (independent oracle for the frame simulator).
 
-Standard destabilizer/stabilizer tableau with sign tracking.  Supports the
-circuit IR directly, general commuting-Pauli-set measurements, and forced
-outcomes; `force_zero` runs validate the all-zero reference trajectory that
-the Pauli-frame simulator relies on.
+Destabilizer/stabilizer tableau with sign tracking (Aaronson–Gottesman,
+arXiv:quant-ph/0406196) that runs the circuit IR, measures general
+commuting Pauli sets and forces outcomes; `force_zero` runs validate the
+all-zero reference trajectory that the Pauli-frame simulator relies on.
 
-A measurement costs no Python loop over tableau rows: anticommutation is
-read from the measured Pauli's support columns, a random outcome multiplies
-the pivot stabilizer into every anticommuting row in one vectorised
-phase-tracked rowsum, and a deterministic sign is accumulated over prefix
-XORs of the contributing stabilizer rows (Aaronson–Gottesman,
-arXiv:quant-ph/0406196).
+The circuits it checks leave the tableau sparse, so it is kept as Python-int
+bitsets both ways round (cf. Stim, arXiv:2103.02202) and each op costs the
+bits it touches: `xr[h]`, `zr[h]` hold generator h's X and Z qubit bits,
+`xc[q]`, `zc[q]` the same bits transposed, and bit h of `r` is its sign.
+Generators 0..n-1 are destabilizers, n..2n-1 stabilizers.  Paulis are
+passed as X and Z qubit bitmasks.
 """
 
 from __future__ import annotations
@@ -22,7 +22,26 @@ import numpy as np
 
 from . import gf2
 from .circuit import (Circuit, FeedbackOp, GCnotOp, HLayerOp, InitOp,
-                      MeasureOp, ProjectiveOp)
+                      MeasureOp, ProjectiveOp, fault_locs)
+
+
+class NotStabilized(ValueError):
+    """The Pauli commutes with the stabilizer group but is not in it."""
+
+
+def _ones(m: int):
+    """Indices of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _mask(indices) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << int(i)
+    return m
 
 
 class Tableau:
@@ -30,113 +49,106 @@ class Tableau:
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.x = np.zeros((2 * n, n), dtype=bool)
-        self.z = np.zeros((2 * n, n), dtype=bool)
-        self.r = np.zeros(2 * n, dtype=np.uint8)
-        for i in range(n):
-            self.x[i, i] = True
-            self.z[n + i, i] = True
-
-    # ── gates ───────────────────────────────────────────────────────
+        self.xr = [1 << h for h in range(n)] + [0] * n
+        self.zr = [0] * n + [1 << q for q in range(n)]
+        self.xc = [1 << q for q in range(n)]
+        self.zc = [1 << (n + q) for q in range(n)]
+        self.r = 0
 
     def h(self, q: int) -> None:
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
+        x, z = self.xc[q], self.zc[q]
+        self.r ^= x & z
+        for h in _ones(x ^ z):
+            self.xr[h] ^= 1 << q
+            self.zr[h] ^= 1 << q
+        self.xc[q], self.zc[q] = z, x
 
     def cnot(self, c: int, t: int) -> None:
-        self.r ^= self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ True)
-        self.x[:, t] ^= self.x[:, c]
-        self.z[:, c] ^= self.z[:, t]
+        xc, zc = self.xc, self.zc
+        self.r ^= xc[c] & zc[t] & ~(xc[t] ^ zc[c])
+        for h in _ones(xc[c]):
+            self.xr[h] ^= 1 << t
+        for h in _ones(zc[t]):
+            self.zr[h] ^= 1 << c
+        xc[t] ^= xc[c]
+        zc[c] ^= zc[t]
 
     def pauli_x(self, q: int) -> None:
-        self.r ^= self.z[:, q].astype(np.uint8)
+        self.r ^= self.zc[q]
 
     def pauli_z(self, q: int) -> None:
-        self.r ^= self.x[:, q].astype(np.uint8)
+        self.r ^= self.xc[q]
 
-    # ── phase-tracked row multiplication ────────────────────────────
+    def _anticommuting(self, x: int, z: int) -> int:
+        """Generators anticommuting with P, as bits."""
+        anti = 0
+        for q in _ones(z):
+            anti ^= self.xc[q]
+        for q in _ones(x):
+            anti ^= self.zc[q]
+        return anti
 
-    @staticmethod
-    def _g(x1, z1, x2, z2):
-        """Per-column exponent of i picked up by the product P1·P2."""
-        x1, z1 = x1.astype(np.int8), z1.astype(np.int8)
-        x2, z2 = x2.astype(np.int8), z2.astype(np.int8)
-        return (x1 & z1) * (z2 - x2) \
-            + (x1 & ~z1 & 1) * (z2 * (2 * x2 - 1)) \
-            + (~x1 & 1 & z1) * (x2 * (1 - 2 * z2))
+    def _sign(self, anti: int, x: int, z: int) -> int:
+        """Sign bit of +P, the product of the stabilizers paired with `anti`
+        destabilizers, kept as i^e X^xa Z^za: multiplying in (-1)^r i^|x&z|
+        X^x Z^z adds 2r + |x&z| + 2|za&x| to e, and ±P = i^(e - |x&z|) P."""
+        xa = za = e = 0
+        for h in _ones(anti << self.n):
+            xh, zh = self.xr[h], self.zr[h]
+            e += (2 * (self.r >> h & 1) + (xh & zh).bit_count()
+                  + 2 * (za & xh).bit_count())
+            xa ^= xh
+            za ^= zh
+        if xa != x or za != z:
+            raise NotStabilized("operator is not in the stabilizer group")
+        return (e - (x & z).bit_count()) % 4 // 2
 
-    # ── measurement ─────────────────────────────────────────────────
-
-    def _anticommute(self, xv, zv) -> np.ndarray:
-        """Rows anticommuting with P, read from P's support columns only."""
-        supp = np.flatnonzero(xv | zv)
-        odd = (self.x[:, supp] & zv[supp]) ^ (self.z[:, supp] & xv[supp])
-        return np.bitwise_xor.reduce(odd, axis=1)
-
-    def _stabilizer_sign(self, anti, xv, zv) -> int:
-        """Sign bit of +P from the stabilizers paired with `anti` destabilizers.
-
-        The stabilizer rows s_1..s_m whose destabilizers anticommute with P
-        multiply to ±P.  Row k is multiplied into the product of the rows
-        before it, so its phase term is g(s_k, s_1·…·s_{k-1}); an exclusive
-        prefix XOR gives every such partial product at once.
-        """
-        rows = self.n + np.flatnonzero(anti[:self.n])
-        xs, zs = self.x[rows], self.z[rows]
-        px = np.bitwise_xor.accumulate(xs, axis=0)
-        pz = np.bitwise_xor.accumulate(zs, axis=0)
-        xh = px[-1] if rows.size else np.zeros(self.n, dtype=bool)
-        zh = pz[-1] if rows.size else np.zeros(self.n, dtype=bool)
-        if not (np.array_equal(xh, xv) and np.array_equal(zh, zv)):
-            raise ValueError("operator is not in the stabilizer group")
-        gs = int(self._g(xs[1:], zs[1:], px[:-1], pz[:-1]).sum())
-        return (2 * int(self.r[rows].sum()) + gs) % 4 // 2
-
-    def deterministic_value(self, xv, zv) -> Optional[int]:
+    def deterministic_value(self, x: int, z: int) -> Optional[int]:
         """Sign bit of +P in the stabilizer group, or None if P is random."""
-        xv = np.asarray(xv, dtype=bool)
-        zv = np.asarray(zv, dtype=bool)
-        anti = self._anticommute(xv, zv)
-        if anti[self.n:].any():
-            return None
-        return self._stabilizer_sign(anti, xv, zv)
+        anti = self._anticommuting(x, z)
+        return None if anti >> self.n else self._sign(anti, x, z)
 
-    def measure_pauli(self, xv, zv, rng=None, forced: Optional[int] = None):
-        """Measure +P for P given by support vectors; returns (bit, deterministic).
+    def measure_pauli(self, x: int, z: int, rng=None,
+                      forced: Optional[int] = None):
+        """Measure +P; returns (bit, deterministic).
 
         A random outcome is `forced` if given, else drawn from `rng`; both
         are ignored when the outcome is deterministic.
         """
-        xv = np.asarray(xv, dtype=bool)
-        zv = np.asarray(zv, dtype=bool)
-        anti = self._anticommute(xv, zv)
-        stab_anti = np.flatnonzero(anti[self.n:])
-        if stab_anti.size == 0:
-            return self._stabilizer_sign(anti, xv, zv), True
-        if forced is not None:
-            bit = int(forced)
-        elif rng is not None:
-            bit = int(rng.integers(0, 2))
-        else:
+        anti = self._anticommuting(x, z)
+        stab = anti >> self.n
+        if not stab:
+            return self._sign(anti, x, z), True
+        if forced is None and rng is None:
             raise ValueError("random outcome requires rng or forced value")
-        # Multiply pivot stabilizer p into every other anticommuting row.
-        # Row p itself is not among them, so the rows update independently.
-        p = self.n + int(stab_anti[0])
-        rows = np.flatnonzero(anti)
-        rows = rows[rows != p]
-        cols = np.flatnonzero(self.x[p] | self.z[p])
-        block = np.ix_(rows, cols)
-        gs = self._g(self.x[p, cols], self.z[p, cols],
-                     self.x[block], self.z[block]).sum(axis=1)
-        self.r[rows] = (2 * self.r[rows] + 2 * int(self.r[p]) + gs) % 4 // 2
-        self.x[rows] ^= self.x[p]
-        self.z[rows] ^= self.z[p]
-        self.x[p - self.n] = self.x[p]
-        self.z[p - self.n] = self.z[p]
-        self.r[p - self.n] = self.r[p]
-        self.x[p] = xv
-        self.z[p] = zv
-        self.r[p] = bit
+        bit = int(rng.integers(0, 2)) if forced is None else int(forced)
+        if bit not in (0, 1):
+            raise ValueError(f"forced outcome {forced!r} is not 0 or 1")
+        # Multiply pivot stabilizer p into each other anticommuting row h, all
+        # from the same row p; P_p·P_h is i^e times a Hermitian Pauli.
+        p = self.n + (stab & -stab).bit_length() - 1
+        xp, zp, rp = self.xr[p], self.zr[p], self.r >> p & 1
+        rows = anti ^ (1 << p)
+        base = 2 * rp + (xp & zp).bit_count()
+        for h in _ones(rows):
+            xh, zh = self.xr[h], self.zr[h]
+            e = (base + (xh & zh).bit_count() + 2 * (zp & xh).bit_count()
+                 - ((xh ^ xp) & (zh ^ zp)).bit_count())
+            self.r ^= (e >> 1 & 1) << h
+            self.xr[h], self.zr[h] = xh ^ xp, zh ^ zp
+        for q in _ones(xp):
+            self.xc[q] ^= rows
+        for q in _ones(zp):
+            self.zc[q] ^= rows
+        # The pivot becomes its destabilizer, and +P or -P the stabilizer.
+        d = p - self.n
+        for g, gx, gz in ((d, xp, zp), (p, x, z)):
+            for q in _ones(self.xr[g] ^ gx):
+                self.xc[q] ^= 1 << g
+            for q in _ones(self.zr[g] ^ gz):
+                self.zc[q] ^= 1 << g
+            self.xr[g], self.zr[g] = gx, gz
+        self.r = self.r & ~(1 << d | 1 << p) | rp << d | bit << p
         return bit, False
 
 
@@ -147,71 +159,61 @@ class TableauResult:
     sim: Tableau
 
 
-def run_tableau(
-    circ: Circuit,
-    rng=None,
-    force_zero: bool = False,
-    forced_outcomes=None,
-    x_errors=(),
-    z_errors=(),
-    flip_locs=(),
-) -> TableauResult:
+def run_tableau(circ: Circuit, rng=None, force_zero: bool = False,
+                forced_outcomes=None, x_errors=(), z_errors=(),
+                flip_locs=()) -> TableauResult:
     """Execute a circuit on the tableau simulator.
 
-    Random outcomes are drawn from rng, forced to 0 (force_zero=True), or
-    forced to the entries of `forced_outcomes`; forcing picks one valid
-    trajectory.  force_zero gives the zero-forced noiseless run that frame
-    simulator flips are relative to.  Pauli errors are injected at
-    quantum locations (interval after Loc.step); flip_locs invert the
-    *reported* bit of an outcome location, with any physical projection
-    following the true bit.
+    Random outcomes are drawn from rng, forced to 0 (force_zero=True, the
+    noiseless run that frame simulator flips are relative to), or forced to
+    `forced_outcomes`, one bit per circuit outcome.  Pauli errors sit at
+    quantum locations (interval after Loc.step); flip_locs, outcome
+    locations, invert the *reported* bit; projections follow the true bit.
     """
+    x_errors, z_errors, flip_locs = fault_locs(x_errors, z_errors, flip_locs)
+    if forced_outcomes is not None:
+        forced_outcomes = np.asarray(forced_outcomes)
+        if (forced_outcomes.shape != (circ.n_outcomes,)
+                or not np.isin(forced_outcomes, (0, 1)).all()):
+            raise ValueError(f"forced_outcomes must be {circ.n_outcomes} bits,"
+                             f" each 0 or 1; got shape {forced_outcomes.shape}")
+    elif force_zero:
+        forced_outcomes = np.zeros(circ.n_outcomes, dtype=np.uint8)
     sim = Tableau(circ.n_qubits)
     outcomes = np.zeros(circ.n_outcomes, dtype=np.uint8)
     deterministic = np.zeros(circ.n_outcomes, dtype=bool)
-    xq: dict[int, list[int]] = {}
-    zq: dict[int, list[int]] = {}
-    for loc in x_errors:
-        xq.setdefault(loc.step, []).append(loc.index)
-    for loc in z_errors:
-        zq.setdefault(loc.step, []).append(loc.index)
+    errors: dict[int, list] = {}
+    for locs, pauli in ((x_errors, sim.pauli_x), (z_errors, sim.pauli_z)):
+        for loc in locs:
+            errors.setdefault(loc.step, []).append((pauli, loc.index))
     flips = {loc.index for loc in flip_locs}
 
     def apply_errors(step: int) -> None:
-        for q in xq.get(step, ()):
-            sim.pauli_x(q)
-        for q in zq.get(step, ()):
-            sim.pauli_z(q)
+        for pauli, q in errors.get(step, ()):
+            pauli(q)
 
-    def measure_row(qubits, sigma, slot):
-        xv = np.zeros(circ.n_qubits, dtype=bool)
-        zv = np.zeros(circ.n_qubits, dtype=bool)
-        vec = xv if sigma == "X" else zv
-        vec[np.asarray(qubits, dtype=np.intp)] = True
-        flip = 1 if slot in flips else 0
-        # A random outcome reports the forced bit; the projection follows
-        # the true bit, i.e. the reported one XOR the flip.
-        if forced_outcomes is not None:
-            forced = int(forced_outcomes[slot]) ^ flip
-        elif force_zero:
-            forced = flip
-        else:
-            forced = None
-        bit, det = sim.measure_pauli(xv, zv, rng=rng, forced=forced)
-        outcomes[slot] = bit ^ flip
-        deterministic[slot] = det
+    def measure(sigma: str, masks, start: int) -> None:
+        for slot, mask in enumerate(masks, start):
+            flip = 1 if slot in flips else 0
+            # A random outcome reports the forced bit; the projection
+            # follows the true bit, i.e. the reported one XOR the flip.
+            forced = (None if forced_outcomes is None
+                      else int(forced_outcomes[slot]) ^ flip)
+            x, z = (mask, 0) if sigma == "X" else (0, mask)
+            bit, det = sim.measure_pauli(x, z, rng=rng, forced=forced)
+            outcomes[slot] = bit ^ flip
+            deterministic[slot] = det
 
     # The tableau starts every qubit in |0⟩ and never resets one, so an
     # init is only valid on a qubit no earlier op (or the input) has used.
-    used = np.zeros(circ.n_qubits, dtype=bool)
-    used[circ.input_qubits] = True
+    used = set(circ.input_qubits)
     apply_errors(-1)
     for step, op in enumerate(circ.ops):
         if isinstance(op, InitOp):
-            reused = np.asarray(op.qubits, dtype=np.intp)[used[op.qubits]]
-            if reused.size:
+            reused = [int(q) for q in op.qubits if int(q) in used]
+            if reused:
                 raise ValueError(f"init at op {step} names qubit "
-                                 f"{int(reused[0])}, which is already in use")
+                                 f"{reused[0]}, which is already in use")
             if op.basis == "+":
                 for q in op.qubits:
                     sim.h(int(q))
@@ -222,41 +224,33 @@ def run_tableau(
             for j, i in zip(*np.nonzero(op.a)):
                 sim.cnot(int(op.controls[j]), int(op.targets[i]))
         elif isinstance(op, MeasureOp):
-            for i, q in enumerate(op.qubits):
-                measure_row([q], op.basis, op.start + i)
+            measure(op.basis, [1 << int(q) for q in op.qubits], op.start)
         elif isinstance(op, ProjectiveOp):
-            for i, row in enumerate(op.a):
-                measure_row(op.qubits[np.nonzero(row)[0]], op.sigma, op.start + i)
+            measure(op.sigma, [_mask(op.qubits[np.nonzero(row)[0]])
+                               for row in op.a], op.start)
         elif isinstance(op, FeedbackOp):
-            bits = outcomes[op.src: op.src + op.count]
-            supp = gf2.mul(bits, op.m)
-            for i in np.nonzero(supp)[0]:
-                q = int(op.qubits[i])
-                if op.pauli == "X":
-                    sim.pauli_x(q)
-                else:
-                    sim.pauli_z(q)
+            supp = gf2.mul(outcomes[op.src: op.src + op.count], op.m)
+            pauli = sim.pauli_x if op.pauli == "X" else sim.pauli_z
+            for q in op.qubits[np.nonzero(supp)[0]]:
+                pauli(int(q))
         else:
             raise TypeError(f"unknown op {op!r}")
-        if isinstance(op, GCnotOp):
-            used[op.controls] = used[op.targets] = True
-        else:
-            used[op.qubits] = True
+        used.update(map(int, np.concatenate([op.controls, op.targets])
+                        if isinstance(op, GCnotOp) else op.qubits))
         apply_errors(step)
     return TableauResult(outcomes=outcomes, deterministic=deterministic, sim=sim)
 
 
 def stabilizer_phase(sim: Tableau, qubits, x_support, z_support) -> Optional[int]:
-    """Phase bit of the Pauli with the given supports on `qubits`, if stabilized."""
-    xv = np.zeros(sim.n, dtype=bool)
-    zv = np.zeros(sim.n, dtype=bool)
-    for q, b in zip(qubits, np.asarray(x_support).reshape(-1)):
-        if b:
-            xv[int(q)] = True
-    for q, b in zip(qubits, np.asarray(z_support).reshape(-1)):
-        if b:
-            zv[int(q)] = True
+    """Phase bit of the Pauli with the given supports (one 0/1 entry per
+    entry of `qubits`) on `qubits`, or None if it is not stabilized."""
+    qubits = np.asarray(qubits, dtype=np.intp).reshape(-1)
+    xs, zs = (np.asarray(s).reshape(-1) for s in (x_support, z_support))
+    if xs.size != qubits.size or zs.size != qubits.size:
+        raise ValueError(f"supports of {xs.size} and {zs.size} entries "
+                         f"for {qubits.size} qubits")
     try:
-        return sim.deterministic_value(xv, zv)
-    except ValueError:
+        return sim.deterministic_value(_mask(qubits[xs != 0]),
+                                       _mask(qubits[zs != 0]))
+    except NotStabilized:
         return None

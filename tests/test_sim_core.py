@@ -201,12 +201,50 @@ class TestProjectiveDecomposition:
             assert spread <= wp.max_col_weight
 
 
-# ── vectorised tableau vs a row-by-row reference ────────────────────────
+# ── bitset tableau vs a row-by-row bool reference ───────────────────────
 
 
-class RowByRowTableau(tableau.Tableau):
-    """Reference measurement path: a full matmul for anticommutation and one
-    Aaronson–Gottesman rowsum per row, in row order."""
+class RowByRowTableau:
+    """Reference tableau on bool arrays: one Aaronson–Gottesman g function
+    per entry, a full matmul for anticommutation and one rowsum per row, in
+    row order.  Takes Paulis as qubit bitmasks, as tableau.Tableau does."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.x = np.zeros((2 * n, n), dtype=bool)
+        self.z = np.zeros((2 * n, n), dtype=bool)
+        self.r = np.zeros(2 * n, dtype=np.uint8)
+        for i in range(n):
+            self.x[i, i] = True
+            self.z[n + i, i] = True
+
+    def h(self, q):
+        self.r ^= self.x[:, q] & self.z[:, q]
+        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
+
+    def cnot(self, c, t):
+        self.r ^= self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ True)
+        self.x[:, t] ^= self.x[:, c]
+        self.z[:, c] ^= self.z[:, t]
+
+    def pauli_x(self, q):
+        self.r ^= self.z[:, q].astype(np.uint8)
+
+    def pauli_z(self, q):
+        self.r ^= self.x[:, q].astype(np.uint8)
+
+    @staticmethod
+    def _g(x1, z1, x2, z2):
+        """Per-column exponent of i picked up by the product P1·P2."""
+        x1, z1 = x1.astype(np.int8), z1.astype(np.int8)
+        x2, z2 = x2.astype(np.int8), z2.astype(np.int8)
+        return (x1 & z1) * (z2 - x2) \
+            + (x1 & ~z1 & 1) * (z2 * (2 * x2 - 1)) \
+            + (~x1 & 1 & z1) * (x2 * (1 - 2 * z2))
+
+    def _vectors(self, x, z):
+        return (gf2._unpack(x, self.n).astype(bool),
+                gf2._unpack(z, self.n).astype(bool))
 
     def _anticommute(self, xv, zv):
         return ((self.x @ zv.astype(np.int64))
@@ -221,9 +259,8 @@ class RowByRowTableau(tableau.Tableau):
         self.x[h], self.z[h], self.r[h] = self._rowsum_into(
             self.x[h], self.z[h], self.r[h], i)
 
-    def deterministic_value(self, xv, zv) -> Optional[int]:
-        xv = np.asarray(xv, dtype=bool)
-        zv = np.asarray(zv, dtype=bool)
+    def deterministic_value(self, x, z) -> Optional[int]:
+        xv, zv = self._vectors(x, z)
         anti = self._anticommute(xv, zv)
         if anti[self.n:].any():
             return None
@@ -234,16 +271,15 @@ class RowByRowTableau(tableau.Tableau):
             if anti[i]:
                 xh, zh, rh = self._rowsum_into(xh, zh, rh, self.n + i)
         if not (np.array_equal(xh, xv) and np.array_equal(zh, zv)):
-            raise ValueError("operator is not in the stabilizer group")
+            raise tableau.NotStabilized("operator is not in the stabilizer group")
         return int(rh)
 
-    def measure_pauli(self, xv, zv, rng=None, forced=None):
-        xv = np.asarray(xv, dtype=bool)
-        zv = np.asarray(zv, dtype=bool)
+    def measure_pauli(self, x, z, rng=None, forced=None):
+        xv, zv = self._vectors(x, z)
         anti = self._anticommute(xv, zv)
         stab_anti = np.nonzero(anti[self.n:])[0]
         if stab_anti.size == 0:
-            return self.deterministic_value(xv, zv), True
+            return self.deterministic_value(x, z), True
         if forced is not None:
             bit = int(forced)
         elif rng is not None:
@@ -263,9 +299,29 @@ class RowByRowTableau(tableau.Tableau):
         return bit, False
 
 
-def same_state(a: tableau.Tableau, b: tableau.Tableau) -> bool:
-    return (np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z)
-            and np.array_equal(a.r, b.r))
+def bool_view(sim):
+    """x, z and r of a tableau as bool/uint8 arrays, one row per generator."""
+    if isinstance(sim, RowByRowTableau):
+        return sim.x, sim.z, sim.r
+    n = sim.n
+    x, z = (np.array([gf2._unpack(row, n) for row in rows],
+                     dtype=bool).reshape(2 * n, n) for rows in (sim.xr, sim.zr))
+    return x, z, gf2._unpack(sim.r, 2 * n)
+
+
+def same_state(a, b) -> bool:
+    return all(np.array_equal(u, v) for u, v in zip(bool_view(a), bool_view(b)))
+
+
+def clear_destabilizer(sim, k):
+    """Set destabilizer k to the identity, breaking the tableau's pairing."""
+    if isinstance(sim, RowByRowTableau):
+        sim.x[k] = sim.z[k] = False
+        return
+    for q in range(sim.n):
+        sim.xc[q] &= ~(1 << k)
+        sim.zc[q] &= ~(1 << k)
+    sim.xr[k] = sim.zr[k] = 0
 
 
 def bits(draw, n, min_weight=0):
@@ -275,7 +331,8 @@ def bits(draw, n, min_weight=0):
 
 @st.composite
 def tableau_programs(draw):
-    """Gate, Pauli, measurement and feedback steps on 1-6 qubits."""
+    """Gate, Pauli, measurement and feedback steps on 1-6 qubits; Paulis
+    are qubit bitmasks."""
     n = draw(st.integers(1, 6))
     steps = []
     for _ in range(draw(st.integers(0, 40))):
@@ -289,12 +346,13 @@ def tableau_programs(draw):
         elif kind == "m":
             xv = bits(draw, n)
             zv = bits(draw, n, min_weight=0 if xv.any() else 1)
-            steps.append(("m", xv, zv, draw(st.integers(0, 1))))
+            steps.append(("m", gf2._pack(xv), gf2._pack(zv),
+                          draw(st.integers(0, 1))))
         elif kind == "fb":
             steps.append(("fb", draw(st.integers(0, 99)),
                           draw(st.sampled_from("xz")),
                           draw(st.integers(0, n - 1))))
-    probe = (bits(draw, n), bits(draw, n))
+    probe = (gf2._pack(bits(draw, n)), gf2._pack(bits(draw, n)))
     return n, steps, probe
 
 
@@ -372,15 +430,27 @@ class TestVectorisedTableau:
         # Clearing destabilizer k leaves stabilizer k commuting with every
         # stabilizer row but outside the product the tableau reconstructs.
         n, steps, _ = program
+        k = data.draw(st.integers(0, n - 1))
         for cls in (tableau.Tableau, RowByRowTableau):
             sim = cls(n)
             run_program(sim, steps)
-            k = data.draw(st.integers(0, n - 1))
-            sim.x[k] = sim.z[k] = False
-            with pytest.raises(ValueError, match="stabilizer group"):
-                sim.deterministic_value(sim.x[n + k], sim.z[n + k])
+            clear_destabilizer(sim, k)
+            x, z, _ = bool_view(sim)
+            with pytest.raises(tableau.NotStabilized, match="stabilizer group"):
+                sim.deterministic_value(gf2._pack(x[n + k]), gf2._pack(z[n + k]))
             assert tableau.stabilizer_phase(
-                sim, range(n), sim.x[n + k], sim.z[n + k]) is None
+                sim, range(n), x[n + k], z[n + k]) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(tableau_programs())
+    def test_rows_and_columns_are_transposes(self, program):
+        n, steps, _ = program
+        sim = tableau.Tableau(n)
+        run_program(sim, steps)
+        x, z, _ = bool_view(sim)
+        for q in range(n):
+            assert sim.xc[q] == gf2._pack(x[:, q])
+            assert sim.zc[q] == gf2._pack(z[:, q])
 
     @settings(max_examples=100, deadline=None)
     @given(random_circuits())
@@ -418,6 +488,51 @@ class TestInitReuse:
         c.init(a, "0")
         with pytest.raises(ValueError, match="qubit 0"):
             tableau.run_tableau(c, force_zero=True)
+
+
+class TestTableauInputs:
+    @staticmethod
+    def circuit():
+        c = Circuit()
+        a = c.new_block("a", 2)
+        c.init(a, "0")
+        c.measure(a, "Z")
+        return c
+
+    def test_pauli_error_on_flip_location(self):
+        c = self.circuit()
+        flip = [loc for loc in c.locations() if loc.kind == "flip"][1]
+        with pytest.raises(ValueError, match="X fault on non-qubit"):
+            tableau.run_tableau(c, force_zero=True, x_errors=[flip])
+        with pytest.raises(ValueError, match="Z fault on non-qubit"):
+            tableau.run_tableau(c, force_zero=True, z_errors=[flip])
+
+    def test_flip_on_qubit_location(self):
+        c = self.circuit()
+        with pytest.raises(ValueError, match="flip fault on non-classical"):
+            tableau.run_tableau(c, force_zero=True,
+                                flip_locs=[c.locations()[0]])
+
+    @pytest.mark.parametrize("forced", [[0], [0, 0, 0], [[0, 0]], [0, 2]])
+    def test_forced_outcomes_must_be_one_bit_each(self, forced):
+        with pytest.raises(ValueError, match="forced_outcomes must be 2 bits"):
+            tableau.run_tableau(self.circuit(), forced_outcomes=forced)
+
+    def test_forced_outcome_must_be_a_bit(self):
+        sim = tableau.Tableau(2)
+        sim.h(0)
+        with pytest.raises(ValueError, match="not 0 or 1"):
+            sim.measure_pauli(0, 1, forced=2)
+
+    def test_stabilizer_phase_support_lengths(self):
+        c = Circuit()
+        a = c.new_block("a", 2)
+        c.init(a, "+")
+        sim = tableau.run_tableau(c, force_zero=True).sim
+        assert tableau.stabilizer_phase(sim, a, [1, 1], [0, 0]) == 0
+        for xs, zs in (([1], [0, 0]), ([1, 1], [0]), ([1, 1, 0], [0, 0, 0])):
+            with pytest.raises(ValueError, match="supports of"):
+                tableau.stabilizer_phase(sim, a, xs, zs)
 
 
 # ── the lane engine against one-lane calls, linearity, the tableau and the
