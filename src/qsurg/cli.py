@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -98,6 +99,21 @@ def _rng(seed: int, site: str, i: int = 0):
 # ── individual subcommands ──────────────────────────────────────────────
 
 
+class _InputError(Exception):
+    """A command's input files could not be read or built from."""
+
+
+@contextmanager
+def _reading():
+    """Report an OSError, ValueError or GlueConstructionError raised inside
+    the block, which reads or builds from a command's input files, as an
+    _InputError: main prints it and exits 2."""
+    try:
+        yield
+    except (OSError, ValueError, surgery.GlueConstructionError) as err:
+        raise _InputError(err) from err
+
+
 def cmd_codes_build(args) -> int:
     builder = _CODE_BUILDERS.get(args.name)
     if builder is None:
@@ -114,7 +130,8 @@ def cmd_codes_build(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    code = codes.load_manifest(args.manifest)
+    with _reading():
+        code = codes.load_manifest(args.manifest)
     res = codes.distance(code, budget=args.budget)
     if res.exact:
         print(f"d={res.d} exact")
@@ -124,19 +141,23 @@ def cmd_distance(args) -> int:
 
 
 def cmd_soundness(args) -> int:
-    code = codes.load_manifest(args.manifest)
+    with _reading():
+        code = codes.load_manifest(args.manifest)
+        if not isinstance(code, codes.ClassicalCode):
+            raise ValueError(f"{args.manifest} is not a classical code")
     s = codes.soundness(code)
     print("undefined" if s is None else f"{s.numerator}/{s.denominator}")
     return 0
 
 
 def cmd_surgery_build(args) -> int:
-    target = codes.load_manifest(args.target)
-    r_code = codes.load_manifest(args.rcode)
-    alpha = gf2.load_matrix(args.alpha)
-    glue = surgery.build_glue(target, alpha)
+    with _reading():
+        target = codes.load_manifest(args.target)
+        r_code = codes.load_manifest(args.rcode)
+        alpha = gf2.load_matrix(args.alpha)
+        glue = surgery.build_glue(target, alpha)
+        dc = surgery.build_deformed(target, alpha, r_code, glue)
     report = surgery.verify_glue(target, glue)
-    dc = surgery.build_deformed(target, alpha, r_code, glue)
     lifted = surgery.verify_lifted_conditions(dc)
     surgery.measured_extraction(dc)
     os.makedirs(args.out, exist_ok=True)
@@ -163,9 +184,10 @@ def _print_rows(rows) -> int:
 
 
 def cmd_ltsp_verify(args) -> int:
-    source = codes.load_manifest(args.source)
-    f = codes.load_manifest(args.fcode)
-    prep = ltsp.build_prep_circuit(source, f)
+    with _reading():
+        source = codes.load_manifest(args.source)
+        f = codes.load_manifest(args.fcode)
+        prep = ltsp.build_prep_circuit(source, f)
     res = tableau.run_tableau(prep.circuit, force_zero=True)
     rows = [("ltsp.noiseless", not res.outcomes.any(), "all-zero reference")]
     for j, (rz, rx) in enumerate(_ltsp_sweeps(source, f, args.max_weight,
@@ -178,10 +200,13 @@ def cmd_ltsp_verify(args) -> int:
 
 
 def cmd_protocol_check(args) -> int:
-    target = codes.load_manifest(os.path.join(args.deformed, "target.manifest"))
-    r_code = codes.load_manifest(os.path.join(args.deformed, "rcode.manifest"))
-    alpha = gf2.load_matrix(os.path.join(args.deformed, "alpha.txt"))
-    dc = surgery.build_deformed(target, alpha, r_code)
+    with _reading():
+        target = codes.load_manifest(
+            os.path.join(args.deformed, "target.manifest"))
+        r_code = codes.load_manifest(
+            os.path.join(args.deformed, "rcode.manifest"))
+        alpha = gf2.load_matrix(os.path.join(args.deformed, "alpha.txt"))
+        dc = surgery.build_deformed(target, alpha, r_code)
     return _print_rows(check_surgery(Desk(args.seed, args.max_weight,
                                           args.samples, dc=dc)))
 
@@ -198,15 +223,14 @@ def _load_sim_spec(path: str) -> dict:
 
 
 def cmd_sim_run(args) -> int:
-    spec = _load_sim_spec(args.circuit)
-    if spec.get("kind") != "surface_memory":
-        print("circuit spec must set kind=surface_memory", file=sys.stderr)
-        return 2
-    d = spec.get("d", "").strip()
-    if not (d.isdigit() and int(d) % 2 == 1):
-        print(f"circuit spec must set d=<odd positive integer>, not d={d!r}",
-              file=sys.stderr)
-        return 2
+    with _reading():
+        spec = _load_sim_spec(args.circuit)
+        if spec.get("kind") != "surface_memory":
+            raise ValueError("circuit spec must set kind=surface_memory")
+        d = spec.get("d", "").strip()
+        if not (d.isdigit() and int(d) % 2 == 1):
+            raise ValueError("circuit spec must set d=<odd positive "
+                             f"integer>, not d={d!r}")
     exp = sim.build_memory_experiment(codes.surface_code_via_hgp(int(d)))
     est = sim.logical_error_rate(exp, args.p, args.trials, args.seed)
     line = (f"{args.p:.10g}\t{est.trials}\t{est.failures}\t{est.rate:.10g}"
@@ -222,14 +246,9 @@ def cmd_sim_run(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    with open(args.circuit, encoding="ascii") as fh:
-        text = fh.read()
-    try:
-        ops = qcompile.parse_circuit(text)
+    with _reading(), open(args.circuit, encoding="ascii") as fh:
+        ops = qcompile.parse_circuit(fh.read())
         sched = qcompile.serialize(ops, args.k)
-    except ValueError as err:
-        print(f"compile: {err}", file=sys.stderr)
-        return 2
     bad = sched.validate(ops)
     sched_path, cost_path = args.out
     lines = ["class\tkind\tblocks\tqubits"]
@@ -650,7 +669,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_ledger)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as err:
+        print(f"{args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

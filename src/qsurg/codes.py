@@ -294,14 +294,6 @@ def steane() -> CssCode:
     return css_from_checks(h, h, d=3)
 
 
-def trivial_css() -> CssCode:
-    """[[1, 1, 1]] single qubit with no checks."""
-    return CssCode(
-        h_x=gf2.zeros(0, 1), h_z=gf2.zeros(0, 1),
-        j_x=gf2.eye(1), j_z=gf2.eye(1), n=1, k=1, d=1,
-    )
-
-
 def hypergraph_product(c1: ClassicalCode, c2: ClassicalCode) -> CssCode:
     """Hypergraph product of two classical codes.
 
@@ -316,17 +308,6 @@ def hypergraph_product(c1: ClassicalCode, c2: ClassicalCode) -> CssCode:
     h_x = np.concatenate([gf2.kron(h1, gf2.eye(n2)), gf2.kron(gf2.eye(r1), h2.T)], axis=1)
     h_z = np.concatenate([gf2.kron(gf2.eye(n1), h2), gf2.kron(h1.T, gf2.eye(r2))], axis=1)
     return css_from_checks(h_x, h_z)
-
-
-def rotated_css(code: CssCode) -> CssCode:
-    """The code seen through a transversal-Hadamard layer (X and Z swapped).
-
-    Measuring X-type logical factors reduces to pure-Z measurements on a
-    composite target in which the affected block is rotated; the physical
-    Hadamard layer is a frame relabeling outside this module's scope.
-    """
-    return CssCode(h_x=code.h_z, h_z=code.h_x, j_x=code.j_z, j_z=code.j_x,
-                   n=code.n, k=code.k, d=code.d)
 
 
 def direct_sum_css(a: CssCode, b: CssCode) -> CssCode:
@@ -358,13 +339,16 @@ def surface_code_via_hgp(d: int) -> CssCode:
 # bit-exact text format from qsurg.gf2.
 
 
-def save_css(code: CssCode, directory: str, name: str = "code") -> str:
+def _save(code, directory: str, name: str, kind: str, extra: list,
+          files) -> str:
+    """Write each (key, matrix) of `files` and the manifest naming them,
+    after its type, n, k, d and the `extra` lines; returns its path."""
     os.makedirs(directory, exist_ok=True)
-    files = {"hx": code.h_x, "hz": code.h_z, "jx": code.j_x, "jz": code.j_z}
-    lines = ["type=css", f"n={code.n}", f"k={code.k}"]
+    lines = [f"type={kind}", f"n={code.n}", f"k={code.k}"]
     if code.d is not None:
         lines.append(f"d={code.d}")
-    for key, m in files.items():
+    lines += extra
+    for key, m in files:
         fname = f"{name}.{key}.txt"
         gf2.save_matrix(os.path.join(directory, fname), m)
         lines.append(f"{key}={fname}")
@@ -372,27 +356,32 @@ def save_css(code: CssCode, directory: str, name: str = "code") -> str:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
+
+
+def save_css(code: CssCode, directory: str, name: str = "code") -> str:
+    return _save(code, directory, name, "css", [],
+                 (("hx", code.h_x), ("hz", code.h_z), ("jx", code.j_x),
+                  ("jz", code.j_z)))
 
 
 def save_classical(code: ClassicalCode, directory: str, name: str = "code") -> str:
-    os.makedirs(directory, exist_ok=True)
-    lines = ["type=classical", f"n={code.n}", f"k={code.k}"]
-    if code.d is not None:
-        lines.append(f"d={code.d}")
-    if code.soundness is not None:
-        lines.append(f"soundness={code.soundness.numerator}/{code.soundness.denominator}")
-    for key, m in (("h", code.h), ("g", code.g)):
-        fname = f"{name}.{key}.txt"
-        gf2.save_matrix(os.path.join(directory, fname), m)
-        lines.append(f"{key}={fname}")
-    path = os.path.join(directory, f"{name}.manifest")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    s = code.soundness
+    extra = [] if s is None else [f"soundness={s.numerator}/{s.denominator}"]
+    return _save(code, directory, name, "classical", extra,
+                 (("h", code.h), ("g", code.g)))
+
+
+# Per manifest type: its matrices, then those of them with k rows.
+_MATRICES = {"css": (("hx", "hz", "jx", "jz"), ("jx", "jz")),
+             "classical": (("h", "g"), ("g",))}
 
 
 def load_manifest(path: str):
-    """Load a code manifest; returns a ClassicalCode or CssCode."""
+    """Load a code manifest; returns a ClassicalCode or CssCode.
+
+    Raises ValueError, naming the manifest and the key, on a missing key,
+    an unknown type, or an n or k that disagrees with the matrix shapes.
+    """
     base = os.path.dirname(os.path.abspath(path))
     kv: dict[str, str] = {}
     with open(path, encoding="ascii") as fh:
@@ -402,16 +391,30 @@ def load_manifest(path: str):
                 continue
             key, val = line.split("=", 1)
             kv[key] = val
-    mat = lambda key: gf2.load_matrix(os.path.join(base, kv[key]))
-    n, k = int(kv["n"]), int(kv["k"])
+
+    def get(key):
+        if key not in kv:
+            raise ValueError(f"manifest {path}: missing key {key!r}")
+        return kv[key]
+
+    if get("type") not in _MATRICES:
+        raise ValueError(f"manifest {path}: unknown type {kv['type']!r}")
+    names, k_rows = _MATRICES[kv["type"]]
+    m = {key: gf2.load_matrix(os.path.join(base, get(key))) for key in names}
+    n, k = int(get("n")), int(get("k"))
+    for key in names:
+        if m[key].shape[1] != n:
+            raise ValueError(f"manifest {path}: n={n} but {key} has "
+                             f"{m[key].shape[1]} columns")
+        if key in k_rows and m[key].shape[0] != k:
+            raise ValueError(f"manifest {path}: k={k} but {key} has "
+                             f"{m[key].shape[0]} rows")
     d = int(kv["d"]) if "d" in kv else None
     if kv["type"] == "css":
-        return CssCode(h_x=mat("hx"), h_z=mat("hz"), j_x=mat("jx"), j_z=mat("jz"),
+        return CssCode(h_x=m["hx"], h_z=m["hz"], j_x=m["jx"], j_z=m["jz"],
                        n=n, k=k, d=d)
-    if kv["type"] == "classical":
-        s = None
-        if "soundness" in kv:
-            num, den = kv["soundness"].split("/")
-            s = Fraction(int(num), int(den))
-        return ClassicalCode(h=mat("h"), g=mat("g"), n=n, k=k, d=d, soundness=s)
-    raise ValueError(f"unknown manifest type {kv.get('type')!r}")
+    s = None
+    if "soundness" in kv:
+        num, den = kv["soundness"].split("/")
+        s = Fraction(int(num), int(den))
+    return ClassicalCode(h=m["h"], g=m["g"], n=n, k=k, d=d, soundness=s)

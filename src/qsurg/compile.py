@@ -13,11 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
-
-from . import gf2
 
 KINDS = ("INIT", "MEA", "H", "S", "T", "CNOT")
 
@@ -217,72 +212,6 @@ def serialize(ops, k: int) -> Schedule:
     return Schedule(classes=classes, colors=n_colors)
 
 
-# ── bipartite edge coloring (depth accounting) ──────────────────────────
-
-
-def bipartite_edge_coloring(a: np.ndarray) -> np.ndarray:
-    """Proper edge coloring of the bipartite graph of a 0/1 matrix.
-
-    Alternating-path recoloring, so the color count equals the maximum
-    degree.  Returns an integer matrix holding color + 1 on edges
-    (0 = no edge).
-    """
-    a = gf2.bitmat(a)
-    rows, cols = a.shape
-    row_color: list[dict] = [dict() for _ in range(rows)]  # color -> col
-    col_color: list[dict] = [dict() for _ in range(cols)]  # color -> row
-    out = np.zeros((rows, cols), dtype=np.int64)
-
-    def free(d: dict) -> int:
-        c = 0
-        while c in d:
-            c += 1
-        return c
-
-    for r, c in zip(*np.nonzero(a)):
-        r, c = int(r), int(c)
-        alpha = free(row_color[r])
-        beta = free(col_color[c])
-        if alpha != beta:
-            # Walk the alternating alpha/beta path that starts at column c
-            # (it cannot reach row r), collecting its edges.
-            edges = []
-            node, color, on_col = c, alpha, True
-            while True:
-                table = col_color[node] if on_col else row_color[node]
-                if color not in table:
-                    break
-                other_node = table[color]
-                edges.append(((other_node, node) if on_col else (node, other_node),
-                              color))
-                node = other_node
-                color = beta if color == alpha else alpha
-                on_col = not on_col
-            for (rr, cc), old in edges:
-                del row_color[rr][old]
-                del col_color[cc][old]
-            for (rr, cc), old in edges:
-                new = beta if old == alpha else alpha
-                row_color[rr][new] = cc
-                col_color[cc][new] = rr
-                out[rr, cc] = new + 1
-        row_color[r][alpha] = c
-        col_color[c][alpha] = r
-        out[r, c] = alpha + 1
-    return out
-
-
-def decomposed_depth(a: np.ndarray, projective: bool = False) -> int:
-    """Two-qubit-gate depth of a generalized CNOT given by coupling matrix a.
-
-    Scheduling the individual CNOTs is bipartite edge coloring, so the
-    depth equals the maximum row/column weight; a projective measurement
-    adds an initialization and a readout layer.
-    """
-    colors = int(bipartite_edge_coloring(a).max(initial=0))
-    return colors + (2 if projective else 0)
-
-
 # ── batch and cost arithmetic ───────────────────────────────────────────
 
 
@@ -323,23 +252,13 @@ class CostReport:
     resource_counts: dict    # resource-state label -> copies needed
     sum_batches: int
     sum_bound: Fraction
-    qubit_sectors: dict      # named qubit-count line items
-    time_steps: int          # sub-layer depth in factory bursts, d_s² steps
-    time_note: str
     t_magic_consumed: int
     s_magic_used: int
 
 
-def sublayer_cost(ops, k_r: int, k_f: int, d_s: int,
-                  memory_blocks: Optional[int] = None,
-                  block_qubits: Optional[int] = None,
-                  family_count: Optional[int] = None) -> CostReport:
-    """Batch counts, resource-state totals, and the Σ-batch bound.
-
-    family_count overrides the operation-family cardinality used in the
-    bound (aggregate constant of order k²); by default the families
-    actually present are counted.
-    """
+def sublayer_cost(ops, k_r: int, k_f: int, d_s: int) -> CostReport:
+    """Batch counts, resource-state totals, and the Σ-batch bound over the
+    operation families present."""
     ops = list(ops)
     if not is_block_disjoint(ops):
         raise ValueError("sub-layer must be block-disjoint")
@@ -359,40 +278,13 @@ def sublayer_cost(ops, k_r: int, k_f: int, d_s: int,
             resources[name] = resources.get(name, 0) + 1
     batches = {fam: batch(n, k_r, k_f, d_s) for fam, n in num.items()}
     total = sum(num.values())
-    fams = family_count if family_count is not None else len(num)
     sum_b = sum(batches.values())
-    bound = sum_batch_bound(total, fams, k_r, k_f, d_s)
+    bound = sum_batch_bound(total, len(num), k_r, k_f, d_s)
     if sum_b > bound:
         raise AssertionError("batch bound violated")
-    sectors = {}
-    if memory_blocks is not None and block_qubits is not None:
-        m, n = memory_blocks, block_qubits
-        sectors = {
-            "data_memory": m * n,
-            "ancilla_memory_sectors": 3 * m * n,
-            "resource_state_factory": m * n,
-            "magic_state_factory_surface": m * d_s * d_s,
-            "magic_state_factory_memory": m * n,
-        }
     return CostReport(num=num, batches=batches, resource_counts=resources,
                       sum_batches=sum_b, sum_bound=bound,
-                      qubit_sectors=sectors,
-                      time_steps=d_s * d_s,
-                      time_note="distillation adds a d^{o(1)} factor",
                       t_magic_consumed=t_used, s_magic_used=s_used)
-
-
-def inner_code_amplification(omega: int) -> int:
-    """Residual-error amplification from the inner per-qubit encoding.
-
-    When every circuit qubit of a preparation run is itself a small code
-    block, one physical failure can surface on two logical operands and
-    the readout coupling fans it out by at most the check weight omega,
-    so error-budget accounting multiplies residual weights by 2·omega.
-    """
-    if omega < 1:
-        raise ValueError("check weight must be positive")
-    return 2 * omega
 
 
 # ── overhead exponent table ─────────────────────────────────────────────

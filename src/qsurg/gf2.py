@@ -25,13 +25,11 @@ MIN_WEIGHT_KERNEL_CAP = 24
 
 def bitmat(data) -> np.ndarray:
     """Coerce nested lists / arrays to a 2-D uint8 matrix with entries in {0,1}."""
-    m = np.atleast_2d(np.asarray(data, dtype=np.uint8)) & 1
-    return m
+    return np.atleast_2d(np.asarray(data, dtype=np.uint8)) & 1
 
 
 def bitvec(data) -> np.ndarray:
-    v = np.asarray(data, dtype=np.uint8).reshape(-1) & 1
-    return v
+    return np.asarray(data, dtype=np.uint8).reshape(-1) & 1
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
@@ -55,11 +53,9 @@ def weight(v) -> int:
     return int(np.count_nonzero(np.asarray(v)))
 
 
-def as_rows(e) -> tuple[np.ndarray, bool]:
-    """A fault vector or fault matrix as a uint8 matrix with one fault per
-    row, and whether it was a single vector."""
-    e = np.asarray(e, dtype=np.uint8)
-    return np.atleast_2d(e), e.ndim == 1
+def as_rows(e) -> np.ndarray:
+    """A fault matrix, or a fault vector as a one-row matrix, as uint8."""
+    return np.atleast_2d(np.asarray(e, dtype=np.uint8))
 
 
 def fault_rows(rng: np.random.Generator, n: int, units, sizes) -> np.ndarray:
@@ -265,21 +261,16 @@ def unvec(v: np.ndarray, rows: int) -> np.ndarray:
     return v.reshape(v.shape[:-1] + (size // rows, rows)).swapaxes(-1, -2).copy()
 
 
-def solve_linear(
-    a: np.ndarray,
-    b: np.ndarray,
-    mode: str = "any",
-    kernel_cap: Optional[int] = None,
-) -> Optional[np.ndarray]:
+def solve_linear(a: np.ndarray, b: np.ndarray,
+                 mode: str = "any") -> Optional[np.ndarray]:
     """Solve a·xᵀ = bᵀ over GF(2).
 
     mode="any" returns one solution (or None when the system is
     inconsistent).  mode="min_weight" returns a minimum-Hamming-weight
     solution, the first one in the Gray-code walk (:func:`span_walk`) of
-    the solution coset; if the kernel dimension exceeds *kernel_cap*
-    (default: MIN_WEIGHT_KERNEL_CAP, read at call time) the search is
-    refused with :class:`SearchTooLarge` rather than answered
-    heuristically.
+    the solution coset; if the kernel dimension exceeds
+    MIN_WEIGHT_KERNEL_CAP (read at call time) the search is refused with
+    :class:`SearchTooLarge` rather than answered heuristically.
     """
     a = bitmat(a)
     b = bitvec(b)
@@ -301,10 +292,9 @@ def solve_linear(
         raise ValueError(f"unknown mode {mode!r}")
     kern = null_space(a)
     dim = kern.shape[0]
-    if kernel_cap is None:
-        kernel_cap = MIN_WEIGHT_KERNEL_CAP
-    if dim > kernel_cap:
-        raise SearchTooLarge(f"kernel dimension {dim} exceeds cap {kernel_cap}")
+    if dim > MIN_WEIGHT_KERNEL_CAP:
+        raise SearchTooLarge(
+            f"kernel dimension {dim} exceeds cap {MIN_WEIGHT_KERNEL_CAP}")
     # First minimum of x0 + span(kern) in Gray order.
     x = pack_words(x0[None])
     best, best_w = None, ncols + 1
@@ -497,23 +487,6 @@ class SyndromeTable:
         return idx, (self.keys[idx] == rows).all(axis=1)
 
 
-def standard_form(g: np.ndarray):
-    """Column-permute a full-row-rank generator matrix into (E_k | P) form.
-
-    Returns:
-        (g_std, perm): g_std = g[:, perm] with an identity in the first k
-        columns.  Raises ValueError when rows are dependent.
-    """
-    g = bitmat(g)
-    k, n = g.shape
-    r, pivots = row_echelon(g)
-    if len(pivots) < k:
-        raise ValueError("generator rows are dependent; no standard form")
-    rest = [c for c in range(n) if c not in pivots]
-    perm = np.array(list(pivots) + rest, dtype=np.int64)
-    return r[:, perm].copy(), perm
-
-
 def is_standard_form(g: np.ndarray) -> bool:
     g = bitmat(g)
     k = g.shape[0]
@@ -532,11 +505,20 @@ def to_text(m: np.ndarray) -> str:
 
 
 def from_text(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    rows, cols = (int(t) for t in lines[0].split())
+    """Inverse of to_text; raises ValueError unless the header is two
+    non-negative integers followed by that many rows (none for 0 columns,
+    whose rows to_text writes blank)."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or not all(t.isdecimal() for t in header):
+        raise ValueError(f"header {' '.join(header)!r} is not two "
+                         "non-negative integers")
+    rows, cols = map(int, header)
+    if len(lines) - 1 != rows * (cols > 0):
+        raise ValueError(f"{len(lines) - 1} row lines, expected "
+                         f"{rows * (cols > 0)}")
     m = zeros(rows, cols)
-    for i in range(rows):
-        row = lines[1 + i].strip()
+    for i, row in enumerate(lines[1:]):
         if len(row) != cols:
             raise ValueError(f"row {i} has {len(row)} entries, expected {cols}")
         if row.strip("01"):
@@ -552,4 +534,8 @@ def save_matrix(path, m: np.ndarray) -> None:
 
 def load_matrix(path) -> np.ndarray:
     with open(path, encoding="ascii") as fh:
-        return from_text(fh.read())
+        text = fh.read()
+    try:
+        return from_text(text)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err

@@ -86,7 +86,7 @@ def resource_state(source: CssCode) -> ResourceStateSpec:
 class PrepCircuit:
     """Built preparation circuit plus the lemma-level location dictionary.
 
-    Column groups (canonical layout): B1..B6 / C1..C6 with widths
+    Column groups (the layouts of sp_matrices): B1..B6 / C1..C6 with widths
     n_F·n_D (B6/C6: k_F·n_D), D1..D3 with width n_F·r_Z, and the two
     parity-check outcome groups meaB / meaC of width r_F·n_D.  col_locs
     maps each group to concrete circuit locations (None = no physical
@@ -96,8 +96,6 @@ class PrepCircuit:
     circuit: Circuit
     source: CssCode
     f: ClassicalCode
-    layout_z: Layout
-    layout_x: Layout
     col_locs: dict
     b_ids: np.ndarray
     c_ids: np.ndarray
@@ -209,14 +207,6 @@ def build_prep_circuit(source: CssCode, f: ClassicalCode) -> PrepCircuit:
             step = c.feedback("Z", head, p.T, mstart, n_f - k_f)
             dec_fb[(tag, a)] = step
 
-    widths = {"1": n_f * n_d, "2": n_f * n_d, "3": n_f * n_d,
-              "4": n_f * n_d, "5": n_f * n_d, "6": k_f * n_d}
-    groups_z = [(f"B{i}", widths[str(i)]) for i in range(1, 7)]
-    groups_z += [(f"C{i}", widths[str(i)]) for i in range(1, 7)]
-    groups_z += [(f"D{i}", n_f * r_z) for i in range(1, 4)]
-    layout_z = Layout(groups_z)
-    layout_x = Layout(groups_z + [("meaB", r_f * n_d), ("meaC", r_f * n_d)])
-
     # Concrete locations per layout column (level-major position f·n_D + a).
     def q_locs(ids, step):
         return [Loc("q", step, int(q)) for q in ids]
@@ -258,8 +248,7 @@ def build_prep_circuit(source: CssCode, f: ClassicalCode) -> PrepCircuit:
     }
     # Feedback layers sit inside column 5; their own after-locations are
     # equivalent to the ones above, so the canonical map stays injective.
-    return PrepCircuit(circuit=c, source=source, f=f, layout_z=layout_z,
-                       layout_x=layout_x, col_locs=col_locs,
+    return PrepCircuit(circuit=c, source=source, f=f, col_locs=col_locs,
                        b_ids=b_ids, c_ids=c_ids, d_start=d_start,
                        mea_b_start=mea_b_start, mea_c_start=mea_c_start)
 
@@ -306,26 +295,6 @@ class SpPropagation:
         if self.f.d is None:
             raise ValueError("test-code distance unknown")
         return Fraction(self.f.d) / (self.omega_dz * self.amplification())
-
-    def encoded_bounds(self) -> dict:
-        """Bound factors once every circuit qubit carries an inner code.
-
-        A two-qubit failure inside the inner encoding can surface on both
-        logical operands and the readout coupling fans it out by at most
-        the check weight, so both residual factors pick up 2·ω and the
-        admissible fault weight shrinks accordingly.  These factors feed
-        the cost accounting; the residual checks themselves run at the
-        unencoded level.
-        """
-        if self.f.d is None:
-            raise ValueError("test-code distance unknown")
-        amp = self.amplification()
-        lift = 2 * self.omega_dz
-        return {
-            "x_amplification": lift * amp,
-            "z_amplification": Fraction(lift),
-            "x_threshold": Fraction(self.f.d) / (lift * self.omega_dz * amp),
-        }
 
 
 def sp_matrices(source: CssCode, f: ClassicalCode, copy_j: int) -> SpPropagation:
@@ -409,13 +378,13 @@ def sp_matrices(source: CssCode, f: ClassicalCode, copy_j: int) -> SpPropagation
 def check_z_bound(spp: SpPropagation, e_sp_z: np.ndarray):
     """Residual Z error on the output copy for spacetime Z faults.
 
-    e_sp_z is one fault vector or a fault matrix with one fault per row.
-    Returns (e_rs_z, ok): the equivalent residual (0 | u_eff) satisfying
-    h_rs_x·e_rsᵀ = j_sp_x·e_spᵀ, and ok = (|e_rs| ≤ |e_sp|), one row and
-    one entry per fault for a matrix.
+    e_sp_z holds one fault per row (a vector is one row).  Returns
+    (e_rs_z, ok), one row and one entry per fault: the equivalent residual
+    (0 | u_eff) satisfying h_rs_x·e_rsᵀ = j_sp_x·e_spᵀ, and
+    ok = (|e_rs| ≤ |e_sp|).
     """
     lay = spp.layout_z
-    e, single = gf2.as_rows(e_sp_z)
+    e = gf2.as_rows(e_sp_z)
     u = gf2.unvec(lay.xor(e, "B2", "B3", "B4", "B5",
                           "C1", "C2", "C3", "C4", "C5"), spp.source.n)
     u6 = gf2.unvec(lay.xor(e, "B6", "C6"), spp.source.n)
@@ -424,15 +393,14 @@ def check_z_bound(spp: SpPropagation, e_sp_z: np.ndarray):
     if (gf2.row_images(spp.rs.h_rs_x, e_rs)
             != gf2.row_images(spp.j_sp_x, e)).any():
         raise ResourceStateError("Z-residual equivalence identity failed")
-    ok = np.count_nonzero(e_rs, axis=1) <= np.count_nonzero(e, axis=1)
-    return (e_rs[0], bool(ok[0])) if single else (e_rs, ok)
+    return e_rs, np.count_nonzero(e_rs, axis=1) <= np.count_nonzero(e, axis=1)
 
 
 @dataclass
 class XBoundResult:
-    status: str  # "detected", "ok", or "inequivalent"
-    e_rs_x: Optional[np.ndarray] = None
-    bound_ok: Optional[bool] = None
+    status: np.ndarray    # per fault: "detected", "ok", or "inequivalent"
+    e_rs_x: np.ndarray    # per fault: the residual, zero unless "ok"
+    bound_ok: np.ndarray  # per fault: the bound holds, False unless "ok"
 
 
 _X_FAILURES = {1: "undetected flips outside colsp(h_f)",
@@ -443,9 +411,8 @@ _X_FAILURES = {1: "undetected flips outside colsp(h_f)",
 def check_x_bound(spp: SpPropagation, e_sp_x: np.ndarray) -> XBoundResult:
     """Residual X error construction with the soundness-controlled bound.
 
-    e_sp_x is one fault vector or a fault matrix with one fault per row;
-    for a matrix each result field holds one entry per fault (e_rs_x zero
-    and bound_ok False unless the status is "ok").  Detected faults
+    e_sp_x holds one fault per row (a vector is one row), and each result
+    field holds one entry per fault.  Detected faults
     (nonzero h_sp_z syndrome) are "detected".  For undetected faults the
     F-syndrome preimages are taken minimum-weight per block, solved once
     per distinct syndrome; the two test-code equalities behind the
@@ -454,7 +421,7 @@ def check_x_bound(spp: SpPropagation, e_sp_x: np.ndarray) -> XBoundResult:
     first fault that fails one, as a row-by-row run would.
     """
     lay = spp.layout_x
-    e, single = gf2.as_rows(e_sp_x)
+    e = gf2.as_rows(e_sp_x)
     detected = gf2.row_images(spp.h_sp_z, e).any(axis=1)
     u = e[~detected]
     n_d, r_z, f = spp.source.n, spp.source.h_z.shape[0], spp.f
@@ -507,11 +474,7 @@ def check_x_bound(spp: SpPropagation, e_sp_x: np.ndarray) -> XBoundResult:
     e_rs_x[~detected] = e_rs * equivalent[:, None]
     bound = np.zeros(len(e), dtype=bool)
     bound[~detected] = bound_ok
-    if not single:
-        return XBoundResult(status=status, e_rs_x=e_rs_x, bound_ok=bound)
-    if status[0] != "ok":
-        return XBoundResult(status=str(status[0]))
-    return XBoundResult(status="ok", e_rs_x=e_rs_x[0], bound_ok=bool(bound[0]))
+    return XBoundResult(status=status, e_rs_x=e_rs_x, bound_ok=bound)
 
 
 # ── sweep drivers ───────────────────────────────────────────────────────

@@ -142,18 +142,17 @@ def build_tele_measurement(source: CssCode) -> TeleMeasurement:
 def effective_z_error(tm: TeleMeasurement, e_m_z: np.ndarray):
     """Push spacetime Z faults of the gadget to the end of block C.
 
-    e_m_z is one fault vector or a fault matrix with one fault per row.
-    Returns (e_eff, ok): e_eff supported on C3 only, equivalent under
-    j_m_x, with ok = (|e_eff| ≤ |e|), one row and one entry per fault.
+    e_m_z holds one fault per row (a vector is one row).  Returns
+    (e_eff, ok), one row and one entry per fault: e_eff supported on C3
+    only, equivalent under j_m_x, with ok = (|e_eff| ≤ |e|).
     """
     lay = tm.layout
-    e, single = gf2.as_rows(e_m_z)
+    e = gf2.as_rows(e_m_z)
     e_eff = np.zeros_like(e)
     e_eff[:, lay.sl("C3")] = lay.xor(e, "A1", "A2", "B1", "C1", "C2", "C3")
     if (gf2.row_images(tm.j_m_x, e_eff) != gf2.row_images(tm.j_m_x, e)).any():
         raise AssertionError("Z effective-error equivalence failed")
-    ok = np.count_nonzero(e_eff, axis=1) <= np.count_nonzero(e, axis=1)
-    return (e_eff[0], bool(ok[0])) if single else (e_eff, ok)
+    return e_eff, np.count_nonzero(e_eff, axis=1) <= np.count_nonzero(e, axis=1)
 
 
 def effective_x_error(tm: TeleMeasurement, e_m_x: np.ndarray):
@@ -164,15 +163,14 @@ def effective_x_error(tm: TeleMeasurement, e_m_x: np.ndarray):
     result are as in effective_z_error.
     """
     lay = tm.layout
-    e, single = gf2.as_rows(e_m_x)
+    e = gf2.as_rows(e_m_x)
     e_eff = np.zeros_like(e)
     e_eff[:, lay.sl("A1")] = lay.xor(e, "A1", "B1", "B2")
     e_eff[:, lay.sl("C3")] = lay.xor(e, "C1", "C2", "C3")
     for m in (tm.j_m_z, tm.j_m_mz, tm.j_m_oc):
         if (gf2.row_images(m, e_eff) != gf2.row_images(m, e)).any():
             raise AssertionError("X effective-error equivalence failed")
-    ok = np.count_nonzero(e_eff, axis=1) <= np.count_nonzero(e, axis=1)
-    return (e_eff[0], bool(ok[0])) if single else (e_eff, ok)
+    return e_eff, np.count_nonzero(e_eff, axis=1) <= np.count_nonzero(e, axis=1)
 
 
 # ── full surgery run ────────────────────────────────────────────────────
@@ -250,12 +248,9 @@ def _memory_prep(circ: Circuit, mem: np.ndarray, tilde_h_x: np.ndarray) -> int:
     return circ.feedback("Z", mem, hx_r.T, start, tilde_h_x.shape[0])
 
 
-def build_surgery_circuit(dc: DeformedCode, prepare: Optional[str] = "0") -> SurgeryRun:
-    """Assemble both realizations of one surgery run.
-
-    prepare="0" prepends transversal |0…0⟩ code-space preparation of the
-    memory; prepare=None leaves the memory as circuit input.
-    """
+def build_surgery_circuit(dc: DeformedCode) -> SurgeryRun:
+    """Assemble both realizations of one surgery run, each starting with
+    transversal |0…0⟩ code-space preparation of the memory."""
     k_r, n = dc.k_r, dc.target.n
     n_mem = k_r * n
     _, n2, n3 = dc.n_sectors
@@ -291,40 +286,27 @@ def build_surgery_circuit(dc: DeformedCode, prepare: Optional[str] = "0") -> Sur
         circ = Circuit()
         mem = circ.new_block("M", n_mem)
         anc = circ.new_block("ANC", n_anc)
-        if prepare == "0":
-            prep_step = _memory_prep(circ, mem, t_hx)
-        else:
-            circ.mark_input(mem)
-            prep_step = -1
+        prep_step = _memory_prep(circ, mem, t_hx)
         s_anc = circ.init(anc, "+")
         sys_ids = np.concatenate([mem, anc])
         if abstract:
-            s_round1, nu_start = circ.measure_pauli("Z", hdz, sys_ids)
-            nu_matrix = gf2.zeros(r_dz, 0)
+            round1, nu_start = circ.measure_pauli("Z", hdz, sys_ids)
             mem2, anc2 = mem, anc
-            m2_step = s_round1
-            a2_step = s_round1
         else:
-            out_ids, mu_x1, mu_z1, steps1 = append_tele_z(circ, sys_ids, hdz)
+            out_ids, _, nu_start, steps1 = append_tele_z(circ, sys_ids, hdz)
             mem2, anc2 = out_ids[:n_mem], out_ids[n_mem:]
-            m2_step = steps1["corr"]
-            a2_step = steps1["corr"]
-            nu_start = mu_z1
+            round1 = steps1["corr"]
         _, mu_start = circ.measure(anc2, "X")
         if abstract:
-            s_round2, nt_start = circ.measure_pauli("X", t_hx, mem2)
+            _, nt_start = circ.measure_pauli("X", t_hx, mem2)
             mem_out = mem2
-            m4_base = s_round2
         else:
             circ.h_layer(mem2)
-            mem_out, mu_x2, mu_z2, steps2 = append_tele_z(circ, mem2, t_hx)
+            mem_out, _, nt_start, _ = append_tele_z(circ, mem2, t_hx)
             circ.h_layer(mem_out)
-            nt_start = mu_z2
-            m4_base = steps2["corr"]
 
         # Repair feedback from (mu, nu_tilde): w = (d1 | mu β̃ᵀ) · q_solverᵀ.
         span = circ.n_outcomes - mu_start
-        m_v = gf2.zeros(span, n_mem)
         d1_rows = t_hx.shape[0]
         rhs_map = gf2.zeros(span, d1_rows + tap_jx.shape[0])
         for i in range(n_anc):  # mu columns
@@ -340,34 +322,25 @@ def build_surgery_circuit(dc: DeformedCode, prepare: Optional[str] = "0") -> Sur
         m_v = gf2.mul(rhs_map, q_solver.T)
         s_v = circ.feedback("Z", mem_out, m_v, mu_start, span)
 
+        nu_matrix = gf2.zeros(r_dz, circ.n_outcomes)
+        nt_matrix = gf2.zeros(t_hx.shape[0], circ.n_outcomes)
         if abstract:
-            nu_matrix = gf2.zeros(r_dz, circ.n_outcomes)
             nu_matrix[:, nu_start: nu_start + r_dz] = gf2.eye(r_dz)
-            nt_matrix = gf2.zeros(t_hx.shape[0], circ.n_outcomes)
             nt_matrix[:, nt_start: nt_start + t_hx.shape[0]] = gf2.eye(t_hx.shape[0])
         else:
-            nu_matrix = gf2.zeros(r_dz, circ.n_outcomes)
             nu_matrix[:, nu_start: nu_start + n_mem + n_anc] = hdz
-            nt_matrix = gf2.zeros(t_hx.shape[0], circ.n_outcomes)
             nt_matrix[:, nt_start: nt_start + n_mem] = t_hx
 
         q = lambda ids, step: [Loc("q", step, int(i)) for i in ids]
-        m1 = (q(mem, prep_step) if prep_step >= 0
-              else [Loc("q", -1, int(i)) for i in mem])
+        col_locs = {"M1": q(mem, prep_step), "M4": q(mem_out, s_v)}
         if abstract:
-            col_locs = {
-                "M1": m1,
-                "M2": q(mem, m2_step),
-                "M3": q(mem, m2_step),
-                "M4": q(mem_out, s_v),
-                "A1": q(anc, s_anc),
-                "A2": q(anc, a2_step),
+            col_locs.update({
+                "M2": q(mem, round1), "M3": q(mem, round1),
+                "A1": q(anc, s_anc), "A2": q(anc, round1),
                 "meaX": [Loc("flip", -1, nt_start + i)
                          for i in range(t_hx.shape[0])],
                 "meaZ": [Loc("flip", -1, nu_start + i) for i in range(r_dz)],
-            }
-        else:
-            col_locs = {"M1": m1, "M4": q(mem_out, s_v)}
+            })
         return SurgeryView(circuit=circ, nu_matrix=nu_matrix,
                            mu_start=mu_start, mu_count=n_anc,
                            nu_tilde_matrix=nt_matrix, mem_out=mem_out,
@@ -408,27 +381,26 @@ def build_surgery_circuit(dc: DeformedCode, prepare: Optional[str] = "0") -> Sur
 
 @dataclass
 class ResidualZ:
-    status: str                     # "ok" or "failure"
-    residual: Optional[np.ndarray]  # memory Z error at the output
-    bound_ok: Optional[bool] = None
+    status: np.ndarray    # per fault: "ok" or "failure"
+    residual: np.ndarray  # per fault: memory Z error at the output
+    bound_ok: np.ndarray
 
 
 def surgery_residual_z(run: SurgeryRun, e_before: np.ndarray,
                        e_after: np.ndarray) -> ResidualZ:
     """Residual Z error of undetectable fault splits (before | after).
 
-    e_before covers (M1, M2, M3, A1, A2), e_after covers M4; each is one
-    vector or a matrix with one fault per row, and then each result field
-    holds one entry per fault (residual zero and bound_ok False on
-    "failure" rows).  Requires every padded fault to pass h_ls_x; when
+    e_before covers (M1, M2, M3, A1, A2), e_after covers M4; each holds
+    one fault per row (a vector is one row), and each result field holds
+    one entry per fault (residual zero and bound_ok False on "failure"
+    rows).  Requires every padded fault to pass h_ls_x; when
     |e_before| is below the certified deformed distance floor the residual
     is exactly the M4 part.  A failed check raises for the first fault
     that fails one, as a row-by-row run would.
     """
     lay = run.layout
-    e, single = gf2.as_rows(e_before)
-    after = gf2.as_rows(e_after)[0]
-    e = e.copy()
+    e = gf2.as_rows(e_before).copy()
+    after = gf2.as_rows(e_after)
     e[:, lay.sl("M4")] ^= after
     detected = gf2.row_images(run.h_ls_x[:, :lay.total], e).any(axis=1)
     u_eff = np.concatenate([lay.xor(e, "M1", "M2", "M3"),
@@ -446,44 +418,35 @@ def surgery_residual_z(run: SurgeryRun, e_before: np.ndarray,
     residual = np.where(failure[:, None], np.uint8(0), u_res)
     bound_ok = ~failure & (np.count_nonzero(u_res, axis=1)
                            <= np.count_nonzero(after, axis=1))
-    if not single:
-        return ResidualZ(status=np.where(failure, "failure", "ok"),
-                         residual=residual, bound_ok=bound_ok)
-    if failure[0]:
-        return ResidualZ(status="failure", residual=None)
-    return ResidualZ(status="ok", residual=residual[0],
-                     bound_ok=bool(bound_ok[0]))
+    return ResidualZ(status=np.where(failure, "failure", "ok"),
+                     residual=residual, bound_ok=bound_ok)
 
 
 @dataclass
 class OutcomeX:
-    outcome_correct: bool
+    outcome_correct: np.ndarray  # per fault
     residual: np.ndarray
-    bound_ok: bool
+    bound_ok: np.ndarray
 
 
 def surgery_outcome_x(run: SurgeryRun, e_before: np.ndarray,
                       e_after: np.ndarray) -> OutcomeX:
     """Outcome correctness and residual X error for undetectable splits.
 
-    e_before covers (M1, A1), e_after covers (M2, M3, M4, A2); each is one
-    vector or a matrix with one fault per row, and then each result field
-    holds one entry per fault.  Requires every padded fault
+    e_before covers (M1, A1), e_after covers (M2, M3, M4, A2); each holds
+    one fault per row (a vector is one row), and each result field holds
+    one entry per fault.  Requires every padded fault
     to pass h_ls_z (ValueError otherwise); when |e_before| is below the
     target distance the reported logical outcomes are unflipped.
     """
     lay = run.layout
-    e, single = gf2.as_rows(e_before)
-    after = gf2.as_rows(e_after)[0]
-    e = e ^ after
+    after = gf2.as_rows(e_after)
+    e = gf2.as_rows(e_before) ^ after
     if gf2.row_images(run.h_ls_z[:, :lay.total], e).any():
         raise ValueError("fault is detectable; lemma precondition violated")
     correct = ~gf2.row_images(run.j_ls_oc[:, :lay.total], e).any(axis=1)
     u_res = lay.xor(e, "M2", "M3", "M4")
     bound_ok = (np.count_nonzero(u_res, axis=1)
                 <= np.count_nonzero(after, axis=1))
-    if not single:
-        return OutcomeX(outcome_correct=correct, residual=u_res,
-                        bound_ok=bound_ok)
-    return OutcomeX(outcome_correct=bool(correct[0]), residual=u_res[0],
-                    bound_ok=bool(bound_ok[0]))
+    return OutcomeX(outcome_correct=correct, residual=u_res,
+                    bound_ok=bound_ok)

@@ -66,34 +66,6 @@ def checked_rng(seed: int, index: int):
     _check_stream(rng, index)
 
 
-# ── closed-form reduced noise parameters ────────────────────────────────
-
-
-def merge_wait(p1: float, p2: float) -> float:
-    """Two sequential idle layers merge into one with p1 + p2 + p1·p2."""
-    if not (0 <= p1 < 1 and 0 <= p2 < 1):
-        raise ValueError("wait parameters must lie in [0, 1)")
-    return p1 + p2 + p1 * p2
-
-
-def reduced_error_params(p_phy: float, s1: int = 1, s2: int = 1) -> dict:
-    """Reduced per-location rates after boundary-pushing the standard gadgets.
-
-    q_bs: Bell-pair preparation (depth-1 readout), exactly 12·√p_phy.
-    q_ms: depth-s1 check-readout gadget pushed onto its trailing wait layer.
-    q_ltc: depth-s2 test-code check gadget pushed onto its leading wait layer.
-    """
-    if not 0 <= p_phy < 1:
-        raise ValueError("p_phy must lie in [0, 1)")
-    q_bs = 12.0 * math.sqrt(p_phy)
-    e1 = 1 << s1
-    q_ms = (2.0 * (2.0 ** (s1 * e1)) * (2.0 * p_phy) ** (1.0 / e1)
-            + (2.0 ** (s1 * e1)) * p_phy ** (1.0 / e1))
-    e2 = 1 << s2
-    q_ltc = 3.0 * (2.0 ** ((s2 + 1) * e2)) * p_phy ** (1.0 / e2)
-    return {"q_bs": q_bs, "q_ms": q_ms, "q_ltc": q_ltc}
-
-
 # ── lookup decoding ─────────────────────────────────────────────────────
 
 TABLE_CAP = 1 << 22
@@ -156,10 +128,6 @@ class LookupDecoder:
     def _lookup(self, table: gf2.SyndromeTable, syndrome: np.ndarray) -> Optional[np.ndarray]:
         idx, hit = table.find(gf2.pack_words(np.asarray(syndrome)[None]))
         return gf2.unpack_words(table.errors[idx], self.code.n)[0] if hit[0] else None
-
-
-def lookup_decoder(code: CssCode) -> LookupDecoder:
-    return LookupDecoder(code)
 
 
 def deep_decoder(code: CssCode, cap: int = TABLE_CAP) -> LookupDecoder:

@@ -20,7 +20,7 @@ linear solving instead of trusting the stored certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -58,13 +58,6 @@ class GlueSet:
         return self.h_g.shape[0]
 
 
-def _selection_matrix(columns: np.ndarray, n: int) -> np.ndarray:
-    s = gf2.zeros(len(columns), n)
-    for i, c in enumerate(columns):
-        s[i, int(c)] = 1
-    return s
-
-
 def build_glue(target: CssCode, alpha: np.ndarray) -> GlueSet:
     """Glue set for measuring Z(alpha·j_z) on the target code.
 
@@ -96,7 +89,7 @@ def build_glue(target: CssCode, alpha: np.ndarray) -> GlueSet:
         )
     measured = gf2.mul(alpha, target.j_z)
     cols = np.nonzero(measured.any(axis=0))[0]
-    s = _selection_matrix(cols, target.n)
+    s = gf2.eye(target.n)[cols]
     h_g = gf2.mul(target.h_x, s.T)
     r = s.T.copy()
     # Condition iii) may need glue checks beyond the restricted X checks:
@@ -158,9 +151,9 @@ def verify_glue(target: CssCode, glue: GlueSet) -> list[str]:
         report.append("condition ii) h_g·(alpha j_z r)ᵀ != 0")
     if q and _solve_r(measured, glue.s, glue.h_g) is None:
         report.append("condition ii) has no solution r at all")
-    if not np.array_equal(gf2.mul(ap, j_x, glue.s.T), gf2.mul(glue.beta, glue.h_g)):
-        report.append("condition iii) alpha_perp·j_x·sᵀ != beta·h_g")
     rhs = gf2.mul(ap, j_x, glue.s.T)
+    if not np.array_equal(rhs, gf2.mul(glue.beta, glue.h_g)):
+        report.append("condition iii) alpha_perp·j_x·sᵀ != beta·h_g")
     for j in range(km):
         if gf2.solve_linear(glue.h_g.T, rhs[j]) is None:
             report.append(f"condition iii) has no solution beta for row {j}")
@@ -181,7 +174,7 @@ def verify_glue(target: CssCode, glue: GlueSet) -> list[str]:
 
 def _solve_r(measured: np.ndarray, s: np.ndarray, h_g: np.ndarray) -> Optional[np.ndarray]:
     """Fresh solve of condition ii) as a linear system in the entries of r."""
-    n, n_g = s.shape[1], s.shape[0]
+    n = s.shape[1]
     # vec(M·R·S) = (Sᵀ ⊗ M)·vec(R), vec(M·R·h_gᵀ) = (h_g ⊗ M)·vec(R)
     sys = np.concatenate([gf2.kron(s.T, measured), gf2.kron(h_g, measured)])
     rhs = np.concatenate([gf2.vec(measured), gf2.zeros(1, measured.shape[0] * h_g.shape[0])[0]])
@@ -203,7 +196,6 @@ class DeformedCode:
     glue: GlueSet
     r_code: ClassicalCode
     target: CssCode
-    block_index: dict = field(default_factory=dict)
 
     @property
     def k_r(self) -> int:
@@ -241,7 +233,7 @@ class DeformedCode:
         return gf2.kron(gr, self.glue.s)
 
     def tilde_t(self) -> np.ndarray:
-        _, n2, n3 = self.n_sectors
+        n2 = self.n_sectors[1]
         gr = gf2.right_inverse(self.r_code.g)
         right = gf2.kron(gr.T, self.glue.t)
         return np.concatenate([gf2.zeros(right.shape[0], n2), right], axis=1)
@@ -262,7 +254,7 @@ class DeformedCode:
         return gf2.kron(self.r_code.g, self.glue.r)
 
     def tilde_beta(self) -> np.ndarray:
-        _, n2, n3 = self.n_sectors
+        n2 = self.n_sectors[1]
         gr = gf2.right_inverse(self.r_code.g)
         right = gf2.kron(gr.T, self.glue.beta)
         return np.concatenate([gf2.zeros(right.shape[0], n2), right], axis=1)
@@ -328,11 +320,7 @@ def build_deformed(
         floor = min(target.d, r_code.d)
     css = CssCode(h_x=hdx, h_z=hdz, j_x=jdx, j_z=jdz,
                   n=n1 + n2 + n3, k=k_r * km, d=floor)
-    block_index = {f"target_{m}": range(m * n, (m + 1) * n) for m in range(k_r)}
-    block_index["ancilla_grid"] = range(n1, n1 + n2)
-    block_index["ancilla_readout"] = range(n1 + n2, n1 + n2 + n3)
-    dc = DeformedCode(css=css, glue=glue, r_code=r_code, target=target,
-                      block_index=block_index)
+    dc = DeformedCode(css=css, glue=glue, r_code=r_code, target=target)
     bad = validate_css(css)
     if bad:
         raise InternalConsistencyError(f"deformed code invalid: {bad[0]}")
@@ -358,18 +346,6 @@ def verify_lifted_conditions(dc: DeformedCode) -> list[str]:
     if gf2.mul(thm, thg).any():
         report.append("lifted iv) h_m·h_g != 0")
     return report
-
-
-def deformed_weight_bound(dc: DeformedCode) -> tuple[gf2.WeightProfile, int]:
-    """Actual weight profile of the deformed checks and the input-derived cap."""
-    wp = [gf2.weight_profile(m) for m in (dc.css.h_x, dc.css.h_z)]
-    actual = gf2.WeightProfile(
-        max(p.max_row_weight for p in wp), max(p.max_col_weight for p in wp))
-    inputs = [gf2.weight_profile(m)
-              for m in (dc.target.h_x, dc.target.h_z, dc.r_code.h)]
-    cap = (max(p.max_row_weight for p in inputs)
-           + max(p.max_col_weight for p in inputs) + 1)
-    return actual, cap
 
 
 def measured_extraction(dc: DeformedCode) -> np.ndarray:

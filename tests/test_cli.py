@@ -2,7 +2,7 @@
 
 import pytest
 
-from qsurg import cli, gf2, protocol, surgery
+from qsurg import cli, codes, gf2, protocol, surgery
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,74 @@ class TestSurgeryCommand:
         hdx = gf2.load_matrix(out / "hdx.txt")
         assert hdx.shape[1] == 103
         assert (out / "report.txt").read_text().startswith("glue_report=ok")
+
+
+class TestBadInput:
+    """A bad input file ends a command with `<command>: <message>` on
+    stderr and exit 2, not a traceback."""
+
+    def run(self, capsys, argv, says):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: ") and says in err
+        assert "Traceback" not in err
+
+    @staticmethod
+    def surgery_build(manifests, alpha_text, tmp_path):
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text(alpha_text)
+        return ["surgery", "build",
+                "--target", str(manifests / "surface3.manifest"),
+                "--alpha", str(alpha),
+                "--rcode", str(manifests / "hamming.manifest"),
+                "--out", str(tmp_path / "dc")]
+
+    @pytest.mark.parametrize("alpha, says", [
+        ("2 1\n1\n1\n", "alpha rows are dependent"),
+        ("1 1\n1\n1\n", "alpha.txt: 2 row lines, expected 1")])
+    def test_bad_alpha(self, manifests, tmp_path, capsys, alpha, says):
+        self.run(capsys, self.surgery_build(manifests, alpha, tmp_path), says)
+
+    def test_manifest_n_disagrees(self, manifests, tmp_path, capsys):
+        path = tmp_path / "surface3.manifest"
+        text = (manifests / "surface3.manifest").read_text()
+        path.write_text(text.replace("n=13", "n=9").replace(
+            "=surface3", f"={manifests}/surface3"))
+        self.run(capsys, ["distance", "--manifest", str(path)],
+                 "n=9 but hx has 13 columns")
+
+    def test_missing_file(self, tmp_path, capsys):
+        self.run(capsys, ["distance", "--manifest",
+                          str(tmp_path / "nope.manifest")],
+                 "No such file or directory")
+
+    def test_soundness_of_css_manifest(self, manifests, capsys):
+        self.run(capsys, ["soundness", "--manifest",
+                          str(manifests / "surface3.manifest")],
+                 "is not a classical code")
+
+    def test_non_standard_test_code(self, manifests, tmp_path, capsys):
+        ham = codes.hamming_743()
+        ham.g, ham.h = ham.g[:, ::-1].copy(), ham.h[:, ::-1].copy()
+        path = codes.save_classical(ham, str(tmp_path), name="ham")
+        self.run(capsys, ["ltsp", "verify",
+                          "--source", str(manifests / "surface3.manifest"),
+                          "--fcode", path, "--seed", "1"],
+                 "test-code generator must be in standard form")
+
+    def test_kernel_errors_propagate(self, manifests, tmp_path, monkeypatch):
+        # Only building from the inputs is reported as bad input; an error
+        # a lemma kernel raises afterwards still ends the command.
+        assert cli.main(self.surgery_build(manifests, "1 1\n1\n",
+                                           tmp_path)) == 0
+
+        def broken(run, e_before, e_after):
+            raise ValueError("kernel broke")
+
+        monkeypatch.setattr(protocol, "surgery_residual_z", broken)
+        with pytest.raises(ValueError, match="kernel broke"):
+            cli.main(["protocol", "check", "--deformed", str(tmp_path / "dc"),
+                      "--seed", "1", "--samples", "10"])
 
 
 class TestSimCommand:

@@ -263,9 +263,8 @@ class TestConstructors:
         assert codes.distance(code).d == 3
         assert gf2.is_standard_form(code.g)
 
-    def test_trivial_css(self):
-        code = codes.trivial_css()
-        assert codes.validate_css(code) == []
+    def test_trivial_css(self, trivial_css):
+        assert codes.validate_css(trivial_css) == []
 
     def test_surface_requires_odd(self):
         with pytest.raises(ValueError):
@@ -280,6 +279,35 @@ class TestManifests:
         for attr in ("h_x", "h_z", "j_x", "j_z"):
             assert np.array_equal(getattr(loaded, attr), getattr(code, attr))
         assert (loaded.n, loaded.k, loaded.d) == (7, 1, 3)
+
+    @pytest.mark.parametrize("edit", [
+        ("n=13", "n=9", "n=9 but hx has 13 columns"),
+        ("k=1", "k=2", "k=2 but jx has 1 rows"),
+        ("hz=surface3.hz.txt\n", "", "missing key 'hz'"),
+        ("type=css\n", "", "missing key 'type'"),
+        ("type=css", "type=quantum", "unknown type 'quantum'")])
+    def test_css_manifest_checked(self, tmp_path, edit):
+        old, new, says = edit
+        path = tmp_path / "surface3.manifest"
+        codes.save_css(codes.surface_code_via_hgp(3), str(tmp_path),
+                       name="surface3")
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ValueError) as err:
+            codes.load_manifest(str(path))
+        assert str(err.value) == f"manifest {path}: {says}"
+
+    @pytest.mark.parametrize("edit", [
+        ("n=7", "n=8", "n=8 but h has 7 columns"),
+        ("k=4", "k=3", "k=3 but g has 4 rows"),
+        ("k=4\n", "", "missing key 'k'")])
+    def test_classical_manifest_checked(self, tmp_path, edit):
+        old, new, says = edit
+        path = tmp_path / "ham.manifest"
+        codes.save_classical(codes.hamming_743(), str(tmp_path), name="ham")
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ValueError) as err:
+            codes.load_manifest(str(path))
+        assert str(err.value) == f"manifest {path}: {says}"
 
     def test_classical_round_trip(self, tmp_path):
         code = codes.hamming_743()

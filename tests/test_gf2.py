@@ -171,7 +171,7 @@ class TestSolveLinear:
 
     def test_kernel_cap(self):
         with pytest.raises(gf2.SearchTooLarge):
-            gf2.solve_linear(gf2.zeros(1, 30), [0], mode="min_weight", kernel_cap=24)
+            gf2.solve_linear(gf2.zeros(1, 30), [0], mode="min_weight")
 
     def test_default_cap_read_at_call_time(self, monkeypatch):
         monkeypatch.setattr(gf2, "MIN_WEIGHT_KERNEL_CAP", 0)
@@ -192,9 +192,18 @@ class TestKernelsAndForms:
         assert l.shape[0] == 1
         assert not gf2.mul(l, m).any()
 
+    @staticmethod
+    def standard_form(g):
+        """Columns permuted so the pivots of g's echelon form come first,
+        and that echelon form so permuted: (E_k | P)."""
+        r, pivots = gf2.row_echelon(g)
+        rest = [c for c in range(g.shape[1]) if c not in pivots]
+        perm = np.array(pivots + rest)
+        return r[:, perm], perm
+
     def test_standard_form(self):
         g = gf2.bitmat([[0, 1, 1, 1], [1, 1, 0, 1]])
-        g_std, perm = gf2.standard_form(g)
+        g_std, perm = self.standard_form(g)
         assert gf2.is_standard_form(g_std)
         # Same row space after undoing the permutation.
         undone = gf2.zeros(*g.shape)
@@ -216,6 +225,29 @@ class TestTextFormat:
     def test_rejects_non_binary_entries(self, row):
         with pytest.raises(ValueError, match="row 1"):
             gf2.from_text(f"2 3\n101\n{row}\n")
+
+    @pytest.mark.parametrize("header", ["", "3", "3 3 3", "-1 3", "3 x",
+                                        "2.0 3", "010"])
+    def test_rejects_bad_header(self, header):
+        with pytest.raises(ValueError, match="not two non-negative integers"):
+            gf2.from_text(f"{header}\n010\n111\n")
+
+    @pytest.mark.parametrize("text", ["3 3\n010\n", "1 3\n010\n111\n",
+                                      "0 3\n010\n", "2 0\n010\n"])
+    def test_rejects_wrong_row_count(self, text):
+        with pytest.raises(ValueError, match="row lines, expected"):
+            gf2.from_text(text)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_round_trip(self, shape):
+        m = gf2.zeros(*shape)
+        assert gf2.from_text(gf2.to_text(m)).shape == shape
+
+    def test_load_names_the_file(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 3\n010\n")
+        with pytest.raises(ValueError, match="m.txt: 1 row lines"):
+            gf2.load_matrix(path)
 
 
 def random_bits(seed, rows, cols):
@@ -407,10 +439,9 @@ class TestFaultMatrices:
                 gf2.fault_rows(sim.trial_rng(1), 3, [], sizes)
 
     def test_as_rows(self):
-        rows, single = gf2.as_rows([1, 0, 1])
-        assert single and rows.shape == (1, 3) and rows.dtype == np.uint8
-        rows, single = gf2.as_rows(gf2.zeros(2, 3))
-        assert not single and rows.shape == (2, 3)
+        rows = gf2.as_rows([1, 0, 1])
+        assert rows.shape == (1, 3) and rows.dtype == np.uint8
+        assert gf2.as_rows(gf2.zeros(2, 3)).shape == (2, 3)
 
 
 class TestLeastPerKey:

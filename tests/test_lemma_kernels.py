@@ -9,6 +9,7 @@ what the first failing row raises.
 
 import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def ref_check_x_bound(spp, e_sp_x):
     lay = spp.layout_x
     e = np.asarray(e_sp_x, dtype=np.uint8)
     if gf2.mul(spp.h_sp_z, e).any():
-        return ltsp.XBoundResult(status="detected")
+        return SimpleNamespace(status="detected", e_rs_x=None, bound_ok=None)
     n_d, r_z = spp.source.n, spp.source.h_z.shape[0]
     f = spp.f
 
@@ -85,7 +86,8 @@ def ref_check_x_bound(spp, e_sp_x):
     eq2 = np.array_equal(gf2.mul(spp.source.h_z, u_c) ^ u_d,
                          gf2.mul(spp.source.h_z, ws["C"]))
     if not (eq1 and eq2):
-        return ltsp.XBoundResult(status="inequivalent")
+        return SimpleNamespace(status="inequivalent", e_rs_x=None,
+                               bound_ok=None)
 
     gr_j = gf2.right_inverse(f.g).T[spp.copy_j]
     e_jv = gf2.eye(f.k)[spp.copy_j]
@@ -95,7 +97,7 @@ def ref_check_x_bound(spp, e_sp_x):
     if not np.array_equal(gf2.mul(spp.rs.h_rs_z, e_rs), gf2.mul(spp.j_sp_z, e)):
         raise ltsp.ResourceStateError("X-residual equivalence identity failed")
     bound_ok = Fraction(int(gf2.weight(e_rs))) <= amp * gf2.weight(e)
-    return ltsp.XBoundResult(status="ok", e_rs_x=e_rs, bound_ok=bool(bound_ok))
+    return SimpleNamespace(status="ok", e_rs_x=e_rs, bound_ok=bool(bound_ok))
 
 
 def ref_effective_z_error(tm, e_m_z):
@@ -139,13 +141,13 @@ def ref_surgery_residual_z(run, e_before, e_after):
     u_res = lay.part(e, "M4")
     dc = run.deformed
     if gf2.mul(dc.css.j_x, u_eff).any():
-        return protocol.ResidualZ(status="failure", residual=None)
+        return SimpleNamespace(status="failure", residual=None, bound_ok=None)
     want = gf2.mul(run.j_ls_x, full)
     got = gf2.mul(gf2.mul(dc.tilde_alpha_perp(), dc.tilde_j_x()), u_res)
     if not np.array_equal(want, got):
         raise AssertionError("residual decomposition identity failed")
-    return protocol.ResidualZ(status="ok", residual=u_res,
-                              bound_ok=gf2.weight(u_res) <= gf2.weight(e_after))
+    return SimpleNamespace(status="ok", residual=u_res,
+                           bound_ok=gf2.weight(u_res) <= gf2.weight(e_after))
 
 
 def ref_surgery_outcome_x(run, e_before, e_after):
@@ -156,8 +158,8 @@ def ref_surgery_outcome_x(run, e_before, e_after):
         raise ValueError("fault is detectable; lemma precondition violated")
     flip = gf2.mul(run.j_ls_oc, full)
     u_res = lay.part(e, "M2") ^ lay.part(e, "M3") ^ lay.part(e, "M4")
-    return protocol.OutcomeX(outcome_correct=not flip.any(), residual=u_res,
-                             bound_ok=gf2.weight(u_res) <= gf2.weight(e_after))
+    return SimpleNamespace(outcome_correct=not flip.any(), residual=u_res,
+                           bound_ok=gf2.weight(u_res) <= gf2.weight(e_after))
 
 
 # ── fixtures and fault matrices ─────────────────────────────────────────
@@ -273,10 +275,6 @@ def compare_x(spp, faults):
             assert got.bound_ok[i] == want.bound_ok, i
         else:
             assert not got.e_rs_x[i].any() and not got.bound_ok[i]
-        one = ltsp.check_x_bound(spp, row)
-        assert one.status == want.status and one.bound_ok == want.bound_ok
-        assert (one.e_rs_x is None) == (want.e_rs_x is None)
-        assert want.e_rs_x is None or np.array_equal(one.e_rs_x, want.e_rs_x)
     return got
 
 
@@ -350,8 +348,6 @@ def test_check_z_bound_matches_rows(spp13, kinds, seed, corrupt):
     for i, row in enumerate(faults):
         want_rs, want_ok = ref_check_z_bound(spp, row)
         assert np.array_equal(e_rs[i], want_rs) and ok[i] == want_ok
-        one_rs, one_ok = ltsp.check_z_bound(spp, row)
-        assert np.array_equal(one_rs, want_rs) and one_ok is want_ok
 
 
 # ── teleported measurement ──────────────────────────────────────────────
@@ -378,8 +374,6 @@ def test_effective_errors_match_rows(tm13, kinds, seed, corrupt, basis):
     for i, row in enumerate(faults):
         want_eff, want_ok = ref(tm, row)
         assert np.array_equal(e_eff[i], want_eff) and ok[i] == want_ok
-        one_eff, one_ok = kernel(tm, row)
-        assert np.array_equal(one_eff, want_eff) and one_ok is want_ok
 
 
 # ── surgery ─────────────────────────────────────────────────────────────
@@ -416,9 +410,6 @@ def test_surgery_residual_z_matches_rows(run_pair, count, seed, detectable,
             assert got.bound_ok[i] == want.bound_ok
         else:
             assert not got.residual[i].any() and not got.bound_ok[i]
-        one = protocol.surgery_residual_z(run, b, a)
-        assert one.status == want.status and one.bound_ok == want.bound_ok
-        assert (one.residual is None) == (want.residual is None)
 
 
 def test_surgery_rows_cover_both_statuses(run_pair):
@@ -455,6 +446,3 @@ def test_surgery_outcome_x_matches_rows(run_pair, count, seed, detectable):
         assert got.outcome_correct[i] == want.outcome_correct
         assert np.array_equal(got.residual[i], want.residual)
         assert got.bound_ok[i] == want.bound_ok
-        one = protocol.surgery_outcome_x(run, b, a)
-        assert one.outcome_correct is want.outcome_correct
-        assert one.bound_ok is want.bound_ok

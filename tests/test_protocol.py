@@ -90,29 +90,29 @@ class TestTeleMeasurement:
                 tm13.j_m_oc[:, pos]), (name, i, "j_m_oc")
 
     def test_effective_errors_weight1_exhaustive(self, tm13):
-        n_tot = tm13.layout.total
-        for p in range(n_tot):
-            e = np.zeros(n_tot, dtype=np.uint8)
-            e[p] = 1
-            _, ok_z = protocol.effective_z_error(tm13, e)
-            _, ok_x = protocol.effective_x_error(tm13, e)
-            assert ok_z and ok_x
+        e = gf2.eye(tm13.layout.total)
+        _, ok_z = protocol.effective_z_error(tm13, e)
+        _, ok_x = protocol.effective_x_error(tm13, e)
+        assert ok_z.all() and ok_x.all()
 
     def test_effective_errors_random_weight4(self, tm13):
         rng = np.random.default_rng(17)
         n_tot = tm13.layout.total
-        for _ in range(500):
-            e = np.zeros(n_tot, dtype=np.uint8)
-            e[rng.choice(n_tot, size=4, replace=False)] = 1
-            _, ok_z = protocol.effective_z_error(tm13, e)
-            _, ok_x = protocol.effective_x_error(tm13, e)
-            assert ok_z and ok_x
+        e = np.zeros((500, n_tot), dtype=np.uint8)
+        for row in e:
+            row[rng.choice(n_tot, size=4, replace=False)] = 1
+        _, ok_z = protocol.effective_z_error(tm13, e)
+        _, ok_x = protocol.effective_x_error(tm13, e)
+        assert ok_z.all() and ok_x.all()
 
     def test_zero_error_maps_to_zero(self, tm13):
+        # A vector is a one-row batch.
         e = np.zeros(tm13.layout.total, dtype=np.uint8)
-        ez, _ = protocol.effective_z_error(tm13, e)
-        ex, _ = protocol.effective_x_error(tm13, e)
+        ez, ok_z = protocol.effective_z_error(tm13, e)
+        ex, ok_x = protocol.effective_x_error(tm13, e)
+        assert ez.shape == ex.shape == (1, e.size)
         assert not ez.any() and not ex.any()
+        assert ok_z.tolist() == ok_x.tolist() == [True]
 
 
 class TestSurgeryNoiseless:
@@ -241,9 +241,15 @@ class TestSurgeryDisplayedMatrices:
                 assert np.array_equal(got, run.j_ls_mz[:, pos_x])
 
 
+def rotated_css(code):
+    """The code seen through a transversal-Hadamard layer: X and Z swap."""
+    return codes.CssCode(h_x=code.h_z, h_z=code.h_x, j_x=code.j_z,
+                         j_z=code.j_x, n=code.n, k=code.k, d=code.d)
+
+
 @pytest.fixture(scope="module")
 def run_zx(memory13):
-    two = codes.direct_sum_css(memory13, codes.rotated_css(memory13))
+    two = codes.direct_sum_css(memory13, rotated_css(memory13))
     dc = surgery.build_deformed(two, gf2.bitmat([[1, 1]]),
                                 codes.hamming_743())
     return dc, protocol.build_surgery_circuit(dc)
@@ -309,59 +315,35 @@ class TestAbstractExpandedAgreement:
             assert results[0] == results[1], f"input fault {i}"
 
 
-class TestUnpreparedInput:
-    def test_input_frames_drive_outcomes(self, deformed13):
-        run = protocol.build_surgery_circuit(deformed13, prepare=None)
-        view = run.expanded
-        n = deformed13.target.n
-        jx = deformed13.target.j_x[0]
-        locs = [view.col_locs["M1"][0 * n + i] for i in np.nonzero(jx)[0]]
-        r = frame.run_frames(view.circuit, x_locs=locs)
-        bits = run.measured_bits(view, r.outcome_flips)
-        assert bits[0] == 1 and not bits[1:].any()
+def undetected_units(run, h, names):
+    """Every weight-1 fault on the named groups of run.layout that h
+    misses, one per row."""
+    lay = run.layout
+    e = np.concatenate([gf2.eye(lay.total)[lay.sl(name)] for name in names])
+    full = np.hstack([e, gf2.zeros(len(e), h.shape[1] - lay.total)])
+    return e[~gf2.mul(full, h.T).any(axis=1)]
 
 
 class TestSurgeryLemmas:
     def test_residual_z_weight1(self, run13):
-        lay = run13.layout
-        before_names = ("M1", "M2", "M3", "A1", "A2")
-        for name in before_names:
-            width = dict(lay.groups)[name]
-            for i in range(width):
-                e_b = lay.vector()
-                e_b[lay.offsets[name] + i] = 1
-                full = np.concatenate(
-                    [e_b, np.zeros(run13.h_ls_x.shape[1] - lay.total, np.uint8)])
-                if gf2.mul(run13.h_ls_x, full).any():
-                    continue
-                res = protocol.surgery_residual_z(
-                    run13, e_b, np.zeros(run13.n_mem, dtype=np.uint8))
-                assert res.status == "ok" and res.bound_ok
+        e_b = undetected_units(run13, run13.h_ls_x,
+                               ("M1", "M2", "M3", "A1", "A2"))
+        res = protocol.surgery_residual_z(
+            run13, e_b, gf2.zeros(len(e_b), run13.n_mem))
+        assert (res.status == "ok").all() and res.bound_ok.all()
 
     def test_outcome_x_weight1(self, run13):
-        lay = run13.layout
-        n_undetected = 0
-        for name in ("M1", "A1"):
-            width = dict(lay.groups)[name]
-            for i in range(width):
-                e_b = lay.vector()
-                e_b[lay.offsets[name] + i] = 1
-                full = np.concatenate(
-                    [e_b, np.zeros(run13.h_ls_z.shape[1] - lay.total, np.uint8)])
-                if gf2.mul(run13.h_ls_z, full).any():
-                    continue
-                n_undetected += 1
-                res = protocol.surgery_outcome_x(run13, e_b, lay.vector())
-                assert res.outcome_correct and res.bound_ok
-        assert n_undetected > 0  # ancilla faults are invisible to h_ls_z
+        e_b = undetected_units(run13, run13.h_ls_z, ("M1", "A1"))
+        # Ancilla faults are invisible to h_ls_z.
+        assert len(e_b) > 0
+        res = protocol.surgery_outcome_x(run13, e_b, np.zeros_like(e_b))
+        assert res.outcome_correct.all() and res.bound_ok.all()
 
     def test_residual_equals_after_part(self, run13):
-        lay = run13.layout
         rng = np.random.default_rng(3)
         n_mem = run13.n_mem
-        for _ in range(100):
-            after = np.zeros(n_mem, dtype=np.uint8)
-            after[rng.integers(0, n_mem)] = 1
-            res = protocol.surgery_residual_z(run13, lay.vector(), after)
-            assert res.status == "ok"
-            assert np.array_equal(res.residual, after)
+        after = gf2.eye(n_mem)[rng.integers(0, n_mem, size=100)]
+        res = protocol.surgery_residual_z(
+            run13, gf2.zeros(100, run13.layout.total), after)
+        assert (res.status == "ok").all()
+        assert np.array_equal(res.residual, after)

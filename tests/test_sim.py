@@ -1,4 +1,4 @@
-"""Wait merging, reduced rates, decoding, Monte Carlo."""
+"""Lookup decoding and Monte Carlo."""
 
 import hashlib
 import math
@@ -18,45 +18,15 @@ from qsurg import cli, codes, frame, gf2, sim
 SRC = pathlib.Path(sim.__file__).resolve().parents[1]
 
 
-class TestWaitMerge:
-    def test_zero_identity(self):
-        assert sim.merge_wait(0.0, 0.25) == 0.25
-
-    def test_arithmetic(self):
-        assert sim.merge_wait(0.1, 0.2) == pytest.approx(0.32)
-
-    def test_bound_on_random_pairs(self):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            p1, p2 = rng.random(2) * 0.99
-            merged = sim.merge_wait(p1, p2)
-            assert merged <= min(2 * p1 + p2, p1 + 2 * p2) + 1e-12
-
-
-class TestReducedParams:
-    def test_bell_rate_values(self):
-        assert sim.reduced_error_params(1e-4)["q_bs"] == pytest.approx(0.12)
-        assert sim.reduced_error_params(0.0)["q_bs"] == 0.0
-
-    def test_monotone_grid(self):
-        grid = np.linspace(0.0, 0.3, 40)
-        prev = {"q_bs": -1.0, "q_ms": -1.0, "q_ltc": -1.0}
-        for p in grid:
-            cur = sim.reduced_error_params(float(p), s1=2, s2=2)
-            for key in prev:
-                assert cur[key] >= prev[key]
-            prev = cur
-
-
 class TestLookupDecoder:
     def test_zero_syndrome_identity(self):
-        dec = sim.lookup_decoder(codes.surface_code_via_hgp(3))
+        dec = sim.LookupDecoder(codes.surface_code_via_hgp(3))
         out = dec.decode_x(np.zeros(6, dtype=np.uint8))
         assert out is not None and not out.any()
 
     def test_all_weight_one_exact(self):
         code = codes.surface_code_via_hgp(3)
-        dec = sim.lookup_decoder(code)
+        dec = sim.LookupDecoder(code)
         for q in range(code.n):
             e = gf2.zeros(1, code.n)[0]
             e[q] = 1
@@ -69,7 +39,7 @@ class TestLookupDecoder:
         # d=3: weight-2 errors either herald or return a syndrome-consistent
         # correction; the reported syndrome is never wrong.
         code = codes.surface_code_via_hgp(3)
-        dec = sim.lookup_decoder(code)
+        dec = sim.LookupDecoder(code)
         rng = np.random.default_rng(7)
         for _ in range(100):
             e = gf2.zeros(1, code.n)[0]

@@ -97,9 +97,16 @@ class TestBuildDeformed:
         assert np.array_equal(dc.css.h_x, expected_hdx)
 
     def test_weight_bound(self, deformed13):
-        actual, cap = surgery.deformed_weight_bound(deformed13)
-        assert actual.max_row_weight <= cap
-        assert actual.max_col_weight <= cap
+        # The deformed checks stay LDPC: no row or column outweighs the
+        # inputs' heaviest row plus heaviest column plus one.
+        dc = deformed13
+        inputs = [gf2.weight_profile(m)
+                  for m in (dc.target.h_x, dc.target.h_z, dc.r_code.h)]
+        cap = (max(p.max_row_weight for p in inputs)
+               + max(p.max_col_weight for p in inputs) + 1)
+        for m in (dc.css.h_x, dc.css.h_z):
+            wp = gf2.weight_profile(m)
+            assert max(wp.max_row_weight, wp.max_col_weight) <= cap
 
     def test_requires_standard_form_r(self, target13):
         bad = codes.hamming_743()

@@ -3,14 +3,18 @@ name and fails when one is gone, and its desk check (bench/checks.py)
 wants every ledger key; check both here, so a refactor that drops a name
 or a key fails the test suite as well."""
 
+import ast
 import importlib
 import importlib.util
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 from qsurg import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(cli.__file__).resolve().parent
 
 
 def test_traced_targets_resolve(monkeypatch):
@@ -42,3 +46,40 @@ def test_ledger_keys_are_the_benchmarks(monkeypatch):
     desk = cli.Desk(5, max_weight=1, samples=10, trials=1000, frames=10)
     keys = [key for check in cli.DESK_CHECKS for key, _, _ in check(desk)]
     assert keys == list(checks.DESK_KEYS)
+
+
+
+def _defined_names(tree):
+    """(name, def node) of every module-level function and class, and of
+    every method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")):
+                    yield item.name, item
+
+
+def _words(text):
+    return Counter(re.findall(r"\w+", text))
+
+
+def test_every_src_name_is_reached():
+    """A function, class or method of src/ that no text of src/ names
+    outside its own def, and that bench/ does not name, is reached only
+    from tests: it belongs in the tests or nowhere."""
+    texts = {path: path.read_text(encoding="utf-8")
+             for path in sorted(SRC.glob("*.py"))}
+    named = sum(map(_words, texts.values()), Counter())
+    bench = _words("".join(path.read_text(encoding="utf-8")
+                           for path in BENCH.glob("*.py")))
+    unreached = []
+    for path, text in texts.items():
+        lines = text.splitlines(keepends=True)
+        for name, node in _defined_names(ast.parse(text)):
+            own = _words("".join(lines[node.lineno - 1:node.end_lineno]))
+            if named[name] <= own[name] and not bench[name]:
+                unreached.append(f"{path.stem}.{name}")
+    assert unreached == []
