@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -117,12 +116,6 @@ class Layout:
         off = self.offsets[name]
         width = dict(self.groups)[name]
         return slice(off, off + width)
-
-    def vector(self, parts: Optional[dict] = None) -> np.ndarray:
-        v = np.zeros(self.total, dtype=np.uint8)
-        for name, arr in (parts or {}).items():
-            v[self.sl(name)] = arr
-        return v
 
     def part(self, v: np.ndarray, name: str) -> np.ndarray:
         """Group `name` of a fault vector, or of each row of a fault matrix."""

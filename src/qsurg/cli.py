@@ -86,9 +86,8 @@ def _weight_upto(top: int):
 # Site i owns trial_rng indices [i·2^32, (i+1)·2^32), so no two draws of one
 # ledger run share a (seed, index) stream; "sim.d3" starts at index 0.
 _SITES = {site: i << 32 for i, site in enumerate((
-    "sim.d3", "sim.d5", "prep.tableau", "ltsp.spZ", "tele.faults",
-    "tele.frames", "surgery.tableau", "cs.residualZ", "cs.outcomeX",
-    "compile.schedule", "compile.batch"))}
+    "sim.d3", "sim.d5", "prep.tableau", "ltsp.spZ", "tele.frames",
+    "surgery.tableau", "compile.schedule", "compile.batch"))}
 
 
 def _rng(seed: int, site: str, i: int = 0):
@@ -190,10 +189,10 @@ def cmd_ltsp_verify(args) -> int:
         prep = ltsp.build_prep_circuit(source, f)
     res = tableau.run_tableau(prep.circuit, force_zero=True)
     rows = [("ltsp.noiseless", not res.outcomes.any(), "all-zero reference")]
-    for j, (rz, rx) in enumerate(_ltsp_sweeps(source, f, args.max_weight,
-                                              args.samples, args.seed)):
+    for j, (rz, rx) in enumerate(_ltsp_sweeps(source, f, args.samples,
+                                              args.seed)):
         rows.append((f"lemma.ltsp.spX.copy{j}", rz.clean,
-                     f"checked={rz.checked}"))
+                     f"checked={rz.checked} units, all weights (linear)"))
         rows.append((f"lemma.ltsp.spZ.copy{j}", rx.clean,
                      f"checked={rx.checked} detected={rx.detected}"))
     return _print_rows(rows)
@@ -207,8 +206,9 @@ def cmd_protocol_check(args) -> int:
             os.path.join(args.deformed, "rcode.manifest"))
         alpha = gf2.load_matrix(os.path.join(args.deformed, "alpha.txt"))
         dc = surgery.build_deformed(target, alpha, r_code)
-    return _print_rows(check_surgery(Desk(args.seed, args.max_weight,
-                                          args.samples, dc=dc)))
+        if dc.css.d is None:
+            raise ValueError("the target and R code manifests must set d=")
+    return _print_rows(check_surgery(Desk(args.seed, args.max_weight, dc=dc)))
 
 
 def _load_sim_spec(path: str) -> dict:
@@ -272,50 +272,52 @@ def cmd_compile(args) -> int:
 # ── desk ledger ─────────────────────────────────────────────────────────
 
 
-def _ltsp_sweeps(source, f, max_weight, samples, seed):
-    """(Z sweep, X sweep) reports of every output copy."""
+def _ltsp_sweeps(source, f, samples, seed):
+    """(Z sweep, X sweep) reports of every output copy.  The Z-residual map
+    is linear, so its unit faults decide every weight; the X sweep checks
+    every unit fault plus `samples` random pairs."""
     for j in range(f.k):
         spp = ltsp.sp_matrices(source, f, j)
-        yield (ltsp.sweep_z_lemma(spp, max_weight=max_weight),
-               ltsp.sweep_x_lemma(spp, max_weight=max_weight, samples=samples,
+        yield (ltsp.sweep_z_lemma(spp, max_weight=1),
+               ltsp.sweep_x_lemma(spp, max_weight=1, samples=samples,
                                   seed=seed, stream=_SITES["ltsp.spZ"] + j))
 
 
-def _swept(checked: int, max_weight: int, samples: int) -> str:
-    """Detail of a weight-1 exhaustive plus sampled sweep."""
-    return (f"checked={checked} exhaustive_w={min(max_weight, 1)} "
-            f"samples={samples}")
-
-
-def _surgery_faults(run, h, names, max_weight, samples, rng):
-    """The faults on the named groups of the run's layout that h misses
-    (outcome flips zero): every single location when max_weight ≥ 1 (no
-    larger weight is swept exhaustively), then `samples` random pairs."""
+def _surgery_faults(run, h, names, w):
+    """Every fault of weight 1..w on the named groups of the run's layout
+    that h misses (outcome flips zero), in (weight, lexicographic) order:
+    one sweep of the groups' packed [syndrome | unit] columns."""
     lay = run.layout
     idx = np.concatenate([np.arange(lay.total)[lay.sl(nm)] for nm in names])
-    units = np.arange(len(idx) * min(max_weight, 1))
-    sub = gf2.fault_rows(rng, len(idx), units, np.full(samples, 2))
-    sub = sub[~gf2.row_images(h[:, idx], sub).any(axis=1)]
-    e = gf2.zeros(len(sub), lay.total)
-    e[:, idx] = sub
+    syn = gf2.pack_words(h[:, idx].T)
+    a = syn.shape[1]
+    cols = np.hstack([syn, gf2.pack_words(gf2.eye(len(idx)))])
+    # kept[0] is the empty set, whose syndrome is zero too.
+    kept = np.concatenate([words[~words[:, :a].any(axis=1), a:]
+                           for _, words in gf2.combination_sweep(cols, w)])
+    e = gf2.zeros(len(kept) - 1, lay.total)
+    e[:, idx] = gf2.unpack_words(kept[1:], len(idx))
     return e
 
 
-def _sweep_residual_z(run, max_weight, samples, rng):
-    e = _surgery_faults(run, run.h_ls_x, ("M1", "M2", "M3", "A1", "A2"),
-                        max_weight, samples, rng)
+def _sweep_residual_z(run, max_weight):
+    """lemma.cs.residualZ below the deformed distance floor."""
+    dc = run.deformed
+    w = min(max_weight, dc.css.d - 1)
+    e = _surgery_faults(run, run.h_ls_x, ("M1", "M2", "M3", "A1", "A2"), w)
     res = protocol.surgery_residual_z(run, e, gf2.zeros(len(e), run.n_mem))
     return (bool(np.all((res.status == "ok") & res.bound_ok)),
-            _swept(len(e), max_weight, samples))
+            f"checked={len(e)} exhaustive_w={w} k={dc.css.k}")
 
 
-def _sweep_outcome_x(run, max_weight, samples, rng):
-    e = _surgery_faults(run, run.h_ls_z, ("M1", "A1"), max_weight, samples,
-                        rng)
+def _sweep_outcome_x(run, max_weight):
+    """lemma.cs.outcomeX below the target distance."""
+    w = min(max_weight, run.deformed.target.d - 1)
+    e = _surgery_faults(run, run.h_ls_z, ("M1", "A1"), w)
     res = protocol.surgery_outcome_x(run, e, np.zeros_like(e))
     rate = np.count_nonzero(res.outcome_correct) / len(e) if len(e) else 1.0
     ok = bool(np.all(res.outcome_correct & res.bound_ok))
-    return ok, f"{_swept(len(e), max_weight, samples)} outcome_rate={rate:.6f}"
+    return ok, f"checked={len(e)} exhaustive_w={w} outcome_rate={rate:.6f}"
 
 
 @dataclass
@@ -376,7 +378,8 @@ def check_deformed(desk: Desk) -> list[tuple]:
     return [("lemma.pcs.glue", surgery.verify_glue(dc.target, dc.glue) == [], ""),
             ("lemma.pcs.lifted", surgery.verify_lifted_conditions(dc) == [], ""),
             ("lemma.pcs.extraction", *extraction),
-            ("lemma.pcs.distance", cert.ok, f"no logical error of weight<={budget}")]
+            ("lemma.pcs.distance", cert.ok,
+             f"no logical error of weight<={budget} k={dc.css.k}")]
 
 
 def check_preparation(desk: Desk) -> list[tuple]:
@@ -398,28 +401,27 @@ def check_preparation(desk: Desk) -> list[tuple]:
             noiseless &= tableau.stabilizer_phase(
                 tres.sim, qubits, np.zeros(2 * target.n), row) == 0
     rows = [("ltsp.noiseless", noiseless, "all copies exactly stabilized")]
-    sweeps = list(_ltsp_sweeps(target, ham, min(desk.max_weight, 2),
-                               desk.samples // 4, desk.seed))
-    for key, reps in zip(("lemma.ltsp.spX", "lemma.ltsp.spZ"), zip(*sweeps)):
-        rows.append((key, all(r.clean for r in reps),
-                     f"checked={sum(r.checked for r in reps)}"))
-    return rows
+    z_reps, x_reps = zip(*_ltsp_sweeps(target, ham, desk.samples // 4,
+                                       desk.seed))
+    return rows + [
+        ("lemma.ltsp.spX", all(r.clean for r in z_reps),
+         f"checked={sum(r.checked for r in z_reps)} units, all weights "
+         "(linear)"),
+        ("lemma.ltsp.spZ", all(r.clean for r in x_reps),
+         f"checked={sum(r.checked for r in x_reps)}")]
 
 
 def check_teleported(desk: Desk) -> list[tuple]:
     """5. The teleported measurement's error reductions and frames."""
     target, frames = desk.dc.target, desk.frames
     tm = protocol.build_tele_measurement(target)
-    n_tot = tm.layout.total
-    with _rng(desk.seed, "tele.faults") as rng:
-        faults = gf2.fault_rows(rng, n_tot,
-                                np.arange(n_tot * min(desk.max_weight, 1)),
-                                rng.integers(1, 5, size=desk.samples))
-    rows = [(key, kernel(tm, faults)[1].all(),
-             _swept(len(faults), desk.max_weight, desk.samples))
+    # Both reductions and their identities are linear: the unit faults
+    # decide every weight.
+    units = gf2.eye(tm.layout.total)
+    rows = [(key, kernel(tm, units)[1].all(),
+             f"checked={len(units)} units, all weights (linear)")
             for key, kernel in (("lemma.tele.effZ", protocol.effective_z_error),
                                 ("lemma.tele.effX", protocol.effective_x_error))]
-    del faults
     # One lane per frame: random X and Z inputs on A1, drawn X then Z.
     with _rng(desk.seed, "tele.frames") as rng:
         draws = rng.integers(0, 2, size=(2 * frames, target.n),
@@ -450,14 +452,10 @@ def check_surgery(desk: Desk) -> list[tuple]:
     with _rng(seed, "surgery.tableau", 1) as rng:
         res1 = tableau.run_tableau(view.circuit, x_errors=locs, rng=rng)
     ones_ok = bool(run.measured_bits(view, res1.outcomes).all())
-    with _rng(seed, "cs.residualZ") as rng:
-        residual = _sweep_residual_z(run, desk.max_weight, desk.samples, rng)
-    with _rng(seed, "cs.outcomeX") as rng:
-        outcome = _sweep_outcome_x(run, desk.max_weight, desk.samples, rng)
     return [("surgery.noiseless", zero_ok and ones_ok,
              "outcomes +1 on |0>, -1 on |1>"),
-            ("lemma.cs.residualZ", *residual),
-            ("lemma.cs.outcomeX", *outcome)]
+            ("lemma.cs.residualZ", *_sweep_residual_z(run, desk.max_weight)),
+            ("lemma.cs.outcomeX", *_sweep_outcome_x(run, desk.max_weight))]
 
 
 def check_monte_carlo(desk: Desk) -> list[tuple]:
@@ -617,10 +615,9 @@ def main(argv=None) -> int:
     pb = lsub.add_parser("verify")
     pb.add_argument("--source", required=True)
     pb.add_argument("--fcode", required=True)
-    pb.add_argument("--max-weight", type=_weight_upto(2), default=2,
-                    help="Z sweep exhaustive to this weight; X sweep "
-                         "exhaustive at weight 1 when it is at least 1")
-    pb.add_argument("--samples", type=_count, default=1000)
+    pb.add_argument("--samples", type=_count, default=1000,
+                    help="random pairs of the X sweep, beside every unit "
+                         "fault")
     pb.add_argument("--seed", type=int, required=True)
     pb.set_defaults(func=cmd_ltsp_verify)
 
@@ -628,8 +625,9 @@ def main(argv=None) -> int:
     psub = p.add_subparsers(dest="protocol_cmd", required=True)
     pb = psub.add_parser("check")
     pb.add_argument("--deformed", required=True)
-    pb.add_argument("--max-weight", type=_weight_upto(1), default=1)
-    pb.add_argument("--samples", type=_count, default=1000)
+    pb.add_argument("--max-weight", type=_weight_upto(2), default=2,
+                    help="exhaustive weight of the lemma.cs sweeps, each "
+                         "capped one below its lemma's distance")
     pb.add_argument("--seed", type=int, required=True)
     pb.set_defaults(func=cmd_protocol_check)
 
@@ -658,13 +656,12 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--max-weight", type=_weight_upto(2), default=2,
-                   help="exhaustive weight of the ltsp and pcs sweeps; the "
-                        "lemma.tele and lemma.cs rows check weight-1 faults "
-                        "exhaustively when it is at least 1, plus sampled "
-                        "faults (pairs for lemma.cs), sweep no higher "
-                        "weight exhaustively, and print exhaustive_w= and "
-                        "samples=")
-    p.add_argument("--samples", type=_count, default=10000)
+                   help="exhaustive weight of the lemma.pcs.distance and "
+                        "lemma.cs sweeps, each capped one below its lemma's "
+                        "distance; the linear lemma rows check every unit "
+                        "fault, which covers all weights")
+    p.add_argument("--samples", type=_count, default=10000,
+                   help="random pairs of lemma.ltsp.spZ, a quarter per copy")
     p.add_argument("--trials", type=_count, default=100000)
     p.set_defaults(func=cmd_ledger)
 

@@ -272,11 +272,6 @@ class SpPropagation:
     _amplification: Optional[Fraction] = field(
         default=None, init=False, repr=False, compare=False)
 
-    @property
-    def omega_dz(self) -> int:
-        wp = gf2.weight_profile(self.source.h_z)
-        return max(wp.max_row_weight, wp.max_col_weight)
-
     def amplification(self) -> Fraction:
         """max{1, n_F / (r_F·s)} with the exact computed soundness.
 
@@ -289,12 +284,6 @@ class SpPropagation:
             self._amplification = Fraction(1) if s is None else max(
                 Fraction(1), Fraction(self.f.n, self.f.h.shape[0]) / s)
         return self._amplification
-
-    def threshold(self) -> Fraction:
-        """Fault-weight threshold below which the X-error bound is proved."""
-        if self.f.d is None:
-            raise ValueError("test-code distance unknown")
-        return Fraction(self.f.d) / (self.omega_dz * self.amplification())
 
 
 def sp_matrices(source: CssCode, f: ClassicalCode, copy_j: int) -> SpPropagation:
@@ -417,7 +406,8 @@ def check_x_bound(spp: SpPropagation, e_sp_x: np.ndarray) -> XBoundResult:
     F-syndrome preimages are taken minimum-weight per block, solved once
     per distinct syndrome; the two test-code equalities behind the
     construction are then checked, and hold whenever the fault weight is
-    below threshold().  A failed check raises ResourceStateError for the
+    below d_F / (ω·amplification()), ω the largest row or column weight of
+    the source h_z.  A failed check raises ResourceStateError for the
     first fault that fails one, as a row-by-row run would.
     """
     lay = spp.layout_x

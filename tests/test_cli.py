@@ -2,7 +2,7 @@
 
 import pytest
 
-from qsurg import cli, codes, gf2, protocol, surgery
+from qsurg import cli, codes, gf2, ltsp, protocol, surgery
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +107,21 @@ class TestBadInput:
                           "--fcode", path, "--seed", "1"],
                  "test-code generator must be in standard form")
 
+    def test_protocol_check_needs_distances(self, manifests, tmp_path,
+                                            capsys):
+        # The lemma.cs sweeps stop one below the target distance and the
+        # deformed floor, so both manifests must give d=.
+        assert cli.main(self.surgery_build(manifests, "1 1\n1\n",
+                                           tmp_path)) == 0
+        check = ["protocol", "check", "--deformed", str(tmp_path / "dc"),
+                 "--seed", "1"]
+        assert cli.main(check) == 0
+        assert "checked=1326 exhaustive_w=2" in capsys.readouterr().out
+        target = tmp_path / "dc" / "target.manifest"
+        lines = target.read_text().splitlines(keepends=True)
+        target.write_text("".join(x for x in lines if not x.startswith("d=")))
+        self.run(capsys, check, "the target and R code manifests must set d=")
+
     def test_kernel_errors_propagate(self, manifests, tmp_path, monkeypatch):
         # Only building from the inputs is reported as bad input; an error
         # a lemma kernel raises afterwards still ends the command.
@@ -119,7 +134,7 @@ class TestBadInput:
         monkeypatch.setattr(protocol, "surgery_residual_z", broken)
         with pytest.raises(ValueError, match="kernel broke"):
             cli.main(["protocol", "check", "--deformed", str(tmp_path / "dc"),
-                      "--seed", "1", "--samples", "10"])
+                      "--seed", "1"])
 
 
 class TestSimCommand:
@@ -176,11 +191,9 @@ class TestSimCommand:
 
 class TestMaxWeightFlag:
     @pytest.mark.parametrize("command,value", [
-        (["ltsp", "verify", "--source", "s", "--fcode", "f"], "3"),
-        (["ltsp", "verify", "--source", "s", "--fcode", "f"], "-1"),
         (["ledger", "--preset", "desk"], "3"),
         (["ledger", "--preset", "desk"], "-1"),
-        (["protocol", "check", "--deformed", "d"], "2"),
+        (["protocol", "check", "--deformed", "d"], "3"),
         (["protocol", "check", "--deformed", "d"], "-1"),
     ])
     def test_out_of_range_rejected(self, capsys, command, value):
@@ -190,23 +203,24 @@ class TestMaxWeightFlag:
         assert "argument --max-weight" in capsys.readouterr().err
 
     def test_ltsp_weight_zero(self, manifests, capsys):
+        # ltsp verify has no --max-weight: with no samples, both sweeps
+        # check exactly the unit faults of each copy.
         assert cli.main(["ltsp", "verify",
                          "--source", str(manifests / "surface3.manifest"),
                          "--fcode", str(manifests / "hamming.manifest"),
-                         "--max-weight", "0", "--samples", "0",
-                         "--seed", "1"]) == 0
+                         "--samples", "0", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
         rows = [line.split("\t") for line in out.splitlines()]
-        sweeps = [r for r in rows if r[0].startswith("lemma.ltsp.")]
-        assert len(sweeps) == 8
-        assert all(r[2].split()[0] == "checked=0" for r in sweeps)
+        spx = [r[2] for r in rows if r[0].startswith("lemma.ltsp.spX.")]
+        spz = [r[2] for r in rows if r[0].startswith("lemma.ltsp.spZ.")]
+        assert spx == ["checked=1140 units, all weights (linear)"] * 4
+        assert [d.split()[0] for d in spz] == ["checked=1218"] * 4
 
 
 class TestSamplesFlag:
     @pytest.mark.parametrize("command", [
         ["ltsp", "verify", "--source", "s", "--fcode", "f"],
-        ["protocol", "check", "--deformed", "d"],
         ["ledger", "--preset", "desk"],
     ])
     def test_negative_rejected(self, capsys, command):
@@ -292,6 +306,25 @@ class TestLedgerCommand:
             seed=5, out_dir=None, max_weight=1, samples=10, trials=1000,
             frames=10)}
         assert rows["lemma.tele.effZ"] and not rows["lemma.tele.effX"]
+
+    def test_linear_certificate_can_fail(self, monkeypatch):
+        real = ltsp.check_z_bound
+
+        def one_image_weighs_two(spp, e):
+            e_rs, ok = real(spp, e)
+            e_rs[0, :2] = 1
+            return e_rs, ok
+
+        monkeypatch.setattr(ltsp, "check_z_bound", one_image_weighs_two)
+        rows = {key: good for key, good, _ in
+                cli.check_preparation(cli.Desk(5, samples=40))}
+        assert not rows["lemma.ltsp.spX"] and rows["lemma.ltsp.spZ"]
+
+    def test_vacuous_distance_row_says_k0(self):
+        # The desk deformed code encodes nothing, so the row checks nothing.
+        rows = {key: detail
+                for key, _, detail in cli.check_deformed(cli.Desk(5))}
+        assert rows["lemma.pcs.distance"] == "no logical error of weight<=2 k=0"
 
     def test_extraction_failure_is_a_fail_row(self, monkeypatch):
         def fails(dc):

@@ -100,13 +100,21 @@ def ref_check_x_bound(spp, e_sp_x):
     return SimpleNamespace(status="ok", e_rs_x=e_rs, bound_ok=bool(bound_ok))
 
 
+def vector(lay, **parts):
+    """A fault vector of the layout, zero outside the named groups."""
+    v = np.zeros(lay.total, dtype=np.uint8)
+    for name, arr in parts.items():
+        v[lay.sl(name)] = arr
+    return v
+
+
 def ref_effective_z_error(tm, e_m_z):
     lay = tm.layout
     e = np.asarray(e_m_z, dtype=np.uint8)
     u_eff = np.zeros(tm.source.n, dtype=np.uint8)
     for name in ("A1", "A2", "B1", "C1", "C2", "C3"):
         u_eff = u_eff ^ lay.part(e, name)
-    e_eff = lay.vector({"C3": u_eff})
+    e_eff = vector(lay, C3=u_eff)
     if not np.array_equal(gf2.mul(tm.j_m_x, e_eff), gf2.mul(tm.j_m_x, e)):
         raise AssertionError("Z effective-error equivalence failed")
     return e_eff, gf2.weight(e_eff) <= gf2.weight(e)
@@ -117,7 +125,7 @@ def ref_effective_x_error(tm, e_m_x):
     e = np.asarray(e_m_x, dtype=np.uint8)
     u_a = lay.part(e, "A1") ^ lay.part(e, "B1") ^ lay.part(e, "B2")
     u_c = lay.part(e, "C1") ^ lay.part(e, "C2") ^ lay.part(e, "C3")
-    e_eff = lay.vector({"A1": u_a, "C3": u_c})
+    e_eff = vector(lay, A1=u_a, C3=u_c)
     for m in (tm.j_m_z, tm.j_m_mz, tm.j_m_oc):
         if not np.array_equal(gf2.mul(m, e_eff), gf2.mul(m, e)):
             raise AssertionError("X effective-error equivalence failed")
@@ -131,7 +139,7 @@ def _pad(e, width):
 
 def ref_surgery_residual_z(run, e_before, e_after):
     lay = run.layout
-    e = np.asarray(e_before, dtype=np.uint8) ^ lay.vector({"M4": e_after})
+    e = np.asarray(e_before, dtype=np.uint8) ^ vector(lay, M4=e_after)
     full = _pad(e, run.h_ls_x.shape[1])
     if gf2.mul(run.h_ls_x, full).any():
         raise ValueError("fault is detectable; lemma precondition violated")
@@ -204,7 +212,7 @@ def x_row(kind, spp, rng):
     n_d, f = spp.source.n, spp.f
     if kind not in ("inequivalent", "repaired"):
         return plain_row(kind, lay.total, rng)
-    e = lay.vector()
+    e = vector(lay)
     a = int(rng.integers(n_d))
     if kind == "inequivalent":
         # A codeword of F on one B1 block passes every check round but

@@ -3,6 +3,7 @@ probed against the frame simulator, and both residual-error bounds."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsurg import codes, frame, gf2, ltsp, tableau
 
@@ -173,6 +174,22 @@ class TestZBound:
     def test_weight_zero_checks_nothing(self, spp13):
         assert ltsp.sweep_z_lemma(spp13, max_weight=0) == ltsp.LemmaSweepReport()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        min_size=1, max_size=6)))
+    def test_unit_images_decide_every_weight(self, rows):
+        # For a linear map R, |R·e| ≤ |e| holds for every e exactly when
+        # every unit image weighs at most 1: the certificate of the linear
+        # lemma rows, against the weight ≤ 3 sweep.
+        r = gf2.bitmat(rows)
+        units_ok = bool((gf2.row_images(r, gf2.eye(r.shape[1])).sum(axis=1)
+                         <= 1).all())
+        swept_ok = all(
+            (np.bitwise_count(words).sum(axis=1) <= w).all()
+            for w, words in gf2.combination_sweep(gf2.pack_words(r.T), 3))
+        assert units_ok == swept_ok
+
     def test_random_weight_three(self, spp13):
         rng = np.random.default_rng(31)
         n = spp13.layout_z.total
@@ -201,8 +218,6 @@ class TestXBound:
         from fractions import Fraction
         # n_F/(r_F s) = 7/(3·7/3) = 1 for the Hamming test code.
         assert spp13.amplification() == Fraction(1)
-        assert spp13.omega_dz == 4
-        assert spp13.threshold() == Fraction(3, 4)
 
     def test_weight_one_exhaustive(self, spp13):
         rep = ltsp.sweep_x_lemma(spp13, max_weight=1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsurg import codes, frame, gf2, protocol, surgery, tableau
+from qsurg import cli, codes, frame, gf2, protocol, surgery, tableau
 
 
 @pytest.fixture(scope="module")
@@ -324,13 +324,51 @@ def undetected_units(run, h, names):
     return e[~gf2.mul(full, h.T).any(axis=1)]
 
 
+RESIDUAL_GROUPS = ("M1", "M2", "M3", "A1", "A2")
+
+
 class TestSurgeryLemmas:
-    def test_residual_z_weight1(self, run13):
-        e_b = undetected_units(run13, run13.h_ls_x,
-                               ("M1", "M2", "M3", "A1", "A2"))
-        res = protocol.surgery_residual_z(
-            run13, e_b, gf2.zeros(len(e_b), run13.n_mem))
-        assert (res.status == "ok").all() and res.bound_ok.all()
+    def test_residual_z_weight1(self, run13, run_pair):
+        # h_ls_x catches every unit fault on both codes, so the weight-1
+        # sweep is empty and the lemma rests on the pairs alone.
+        for run in (run13, run_pair[1]):
+            assert len(undetected_units(run, run.h_ls_x, RESIDUAL_GROUPS)) == 0
+            assert len(cli._surgery_faults(run, run.h_ls_x, RESIDUAL_GROUPS,
+                                           1)) == 0
+
+    def test_residual_z_exhaustive(self, run13, run_pair):
+        # Every unit is detected, so only pairs remain.  The composite
+        # target has k=4: css.j_x has rows and the identity is exercised.
+        for run, want in ((run13, 231), (run_pair[1], 445)):
+            e = cli._surgery_faults(run, run.h_ls_x, RESIDUAL_GROUPS, 2)
+            assert len(e) == want
+            res = protocol.surgery_residual_z(run, e,
+                                              gf2.zeros(len(e), run.n_mem))
+            assert (res.status == "ok").all() and res.bound_ok.all()
+        assert run_pair[0].css.j_x.shape[0] == 4
+
+    @pytest.mark.parametrize("lemma", ["residualZ", "outcomeX"])
+    def test_surgery_faults_match_brute_force(self, run13, lemma):
+        h, names = {"residualZ": (run13.h_ls_x, RESIDUAL_GROUPS),
+                    "outcomeX": (run13.h_ls_z, ("M1", "A1"))}[lemma]
+        lay = run13.layout
+        idx = np.concatenate([np.arange(lay.total)[lay.sl(nm)]
+                              for nm in names])
+        # Units, then every pair in lexicographic order.
+        i, j = np.triu_indices(len(idx), k=1)
+        e = gf2.zeros(len(idx) + len(i), lay.total)
+        e[np.arange(len(idx)), idx] = 1
+        e[len(idx) + np.arange(len(i)), idx[i]] = 1
+        e[len(idx) + np.arange(len(i)), idx[j]] = 1
+        want = e[~gf2.row_images(h[:, :lay.total], e).any(axis=1)]
+        assert np.array_equal(cli._surgery_faults(run13, h, names, 2), want)
+
+    def test_outcome_x_fails_at_target_distance(self, run13):
+        # The sweep stops at weight 2 because weight 3, the target's
+        # distance, has real violations.
+        e = cli._surgery_faults(run13, run13.h_ls_z, ("M1", "A1"), 3)
+        res = protocol.surgery_outcome_x(run13, e, np.zeros_like(e))
+        assert not (res.outcome_correct & res.bound_ok).all()
 
     def test_outcome_x_weight1(self, run13):
         e_b = undetected_units(run13, run13.h_ls_z, ("M1", "A1"))
