@@ -189,7 +189,8 @@ def cmd_ltsp_verify(args) -> int:
         prep = ltsp.build_prep_circuit(source, f)
     res = tableau.run_tableau(prep.circuit, force_zero=True)
     rows = [("ltsp.noiseless", not res.outcomes.any(), "all-zero reference")]
-    for j, (rz, rx) in enumerate(_ltsp_sweeps(source, f, args.samples,
+    for j, (rz, rx) in enumerate(_ltsp_sweeps(source, f,
+                                              [args.samples] * f.k,
                                               args.seed)):
         rows.append((f"lemma.ltsp.spX.copy{j}", rz.clean,
                      f"checked={rz.checked} units, all weights (linear)"))
@@ -274,12 +275,12 @@ def cmd_compile(args) -> int:
 
 def _ltsp_sweeps(source, f, samples, seed):
     """(Z sweep, X sweep) reports of every output copy.  The Z-residual map
-    is linear, so its unit faults decide every weight; the X sweep checks
-    every unit fault plus `samples` random pairs."""
+    is linear, so its unit faults decide every weight; the X sweep of copy
+    j checks every unit fault plus samples[j] random pairs."""
     for j in range(f.k):
         spp = ltsp.sp_matrices(source, f, j)
         yield (ltsp.sweep_z_lemma(spp, max_weight=1),
-               ltsp.sweep_x_lemma(spp, max_weight=1, samples=samples,
+               ltsp.sweep_x_lemma(spp, max_weight=1, samples=samples[j],
                                   seed=seed, stream=_SITES["ltsp.spZ"] + j))
 
 
@@ -401,8 +402,11 @@ def check_preparation(desk: Desk) -> list[tuple]:
             noiseless &= tableau.stabilizer_phase(
                 tres.sim, qubits, np.zeros(2 * target.n), row) == 0
     rows = [("ltsp.noiseless", noiseless, "all copies exactly stabilized")]
-    z_reps, x_reps = zip(*_ltsp_sweeps(target, ham, desk.samples // 4,
-                                       desk.seed))
+    # The samples spread over the k_F copies, the first ones taking the
+    # remainder.
+    share, extra = divmod(desk.samples, ham.k)
+    z_reps, x_reps = zip(*_ltsp_sweeps(
+        target, ham, [share + (j < extra) for j in range(ham.k)], desk.seed))
     return rows + [
         ("lemma.ltsp.spX", all(r.clean for r in z_reps),
          f"checked={sum(r.checked for r in z_reps)} units, all weights "
@@ -661,7 +665,8 @@ def main(argv=None) -> int:
                         "distance; the linear lemma rows check every unit "
                         "fault, which covers all weights")
     p.add_argument("--samples", type=_count, default=10000,
-                   help="random pairs of lemma.ltsp.spZ, a quarter per copy")
+                   help="random pairs of lemma.ltsp.spZ, spread evenly over "
+                        "the k_F copies")
     p.add_argument("--trials", type=_count, default=100000)
     p.set_defaults(func=cmd_ledger)
 

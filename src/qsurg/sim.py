@@ -7,10 +7,15 @@ outcome bit flips with probability ≤ p_phy.  Sampling is counter-based:
 
 Monte Carlo is shot-batched.  One frame.run_lanes pass propagates every
 fault cell (an X or Z fault on a quantum location, or an outcome flip)
-into packed words; trials then run in blocks of BLOCK_CELLS cells, block
-b drawing its faults from trial_rng(seed, b), and each trial XORs the
-words of its faults and decodes them with sorted-array table lookups.
-A given (experiment, p_phy, trials, seed) thus gives byte-identical results.
+into packed words.  Blocks are the unit of randomness: trials run in
+blocks of BLOCK_CELLS cells, block b drawing its faults from
+trial_rng(seed, b).  Passes are the unit of decoding: a pass gathers
+consecutive blocks until it holds PASS_FAULTS faults (or BLOCK_CELLS
+trials, which bounds its per-trial arrays at low p), and each of its
+trials XORs the words of its faults and decodes them with sorted-array
+table lookups.  Trials decode independently, so the results do not
+depend on PASS_FAULTS, and a given (experiment, p_phy, trials, seed)
+gives byte-identical results.
 """
 
 from __future__ import annotations
@@ -304,6 +309,7 @@ def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
 
 
 BLOCK_CELLS = 1 << 20  # fault cells (trials × cells per trial) per block
+PASS_FAULTS = 1 << 16  # faults after which a decoding pass ends
 
 
 def _sample_block(seed: int, block: int, p_phy: float, trials: int,
@@ -330,9 +336,12 @@ def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
     Each trial runs the |0…0⟩-basis and |+…+⟩-basis circuits on
     independent fault draws; it fails on a heralded decode, a logical X
     flip in the first, or a logical Z flip in the second, and each basis's
-    heralded and silent failures are counted apart.  Trials run in
-    blocks of BLOCK_CELLS fault cells; block b draws from
-    trial_rng(seed, stream + b).
+    heralded and silent failures are counted apart.  Trials are drawn in
+    blocks of BLOCK_CELLS fault cells, block b from
+    trial_rng(seed, stream + b), and decoded in passes: a pass takes
+    consecutive blocks until it holds PASS_FAULTS faults or BLOCK_CELLS
+    trials, then makes one failures call per basis.  The result does not
+    depend on PASS_FAULTS.
     """
     if not 0 <= p_phy < 1:
         raise ValueError("p_phy must lie in [0, 1)")
@@ -343,9 +352,21 @@ def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
     cells = z_cells + len(exp.x_basis.cells)
     block = max(1, BLOCK_CELLS // cells)
     failures = z_heralded = z_silent = x_heralded = x_silent = 0
-    for b, start in enumerate(range(0, trials, block)):
-        size = min(block, trials - start)
-        trial, cell = _sample_block(seed, stream + b, p_phy, size, cells)
+    b = start = 0
+    while start < trials:
+        # One pass of whole blocks, each block's trials numbered on from
+        # the trials before it in the pass.
+        trial_parts, cell_parts, size, faults = [], [], 0, 0
+        while (start < trials and faults < PASS_FAULTS
+               and size < BLOCK_CELLS):
+            n = min(block, trials - start)
+            trial, cell = _sample_block(seed, stream + b, p_phy, n, cells)
+            trial_parts.append(trial + size)
+            cell_parts.append(cell)
+            b, start = b + 1, start + n
+            size, faults = size + n, faults + len(trial)
+        trial = np.concatenate(trial_parts)
+        cell = np.concatenate(cell_parts)
         in_z = cell < z_cells
         fail, heralded, silent = exp.z_basis.failures(
             exp.decoder, trial[in_z], cell[in_z], size)

@@ -320,6 +320,14 @@ class TestLedgerCommand:
                 cli.check_preparation(cli.Desk(5, samples=40))}
         assert not rows["lemma.ltsp.spX"] and rows["lemma.ltsp.spZ"]
 
+    @pytest.mark.parametrize("samples,checked", [(10, 4882), (3, 4875)])
+    def test_samples_spread_over_copies(self, samples, checked):
+        # 4872 unit faults over the four copies, plus every sample: the
+        # first samples % 4 copies take one pair more.
+        rows = {key: detail for key, _, detail in
+                cli.check_preparation(cli.Desk(42, samples=samples))}
+        assert rows["lemma.ltsp.spZ"] == f"checked={checked}"
+
     def test_vacuous_distance_row_says_k0(self):
         # The desk deformed code encodes nothing, so the row checks nothing.
         rows = {key: detail

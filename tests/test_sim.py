@@ -312,6 +312,106 @@ def test_batched_matches_per_trial(experiments, d, p, trials):
     assert {key: getattr(est, key) for key in counts} == counts
 
 
+def per_block_rate(exp, p, trials, seed, stream):
+    """The estimate with every block decoded on its own: block b is
+    _sample_block(seed, stream + b, ...), decoded through one failures call
+    per basis, and the counts summed.  Also the faults of each block."""
+    z_cells = len(exp.z_basis.cells)
+    cells = z_cells + len(exp.x_basis.cells)
+    block = max(1, sim.BLOCK_CELLS // cells)
+    counts = dict.fromkeys(("z_heralded", "z_silent", "x_heralded",
+                            "x_silent"), 0)
+    failures, block_faults = 0, []
+    for b, start in enumerate(range(0, trials, block)):
+        size = min(block, trials - start)
+        trial, cell = sim._sample_block(seed, stream + b, p, size, cells)
+        block_faults.append(len(trial))
+        fail = np.zeros(size, dtype=bool)
+        for basis, view, sel, offset in (
+                ("z", exp.z_basis, cell < z_cells, 0),
+                ("x", exp.x_basis, cell >= z_cells, z_cells)):
+            got, heralded, silent = view.failures(
+                exp.decoder, trial[sel], cell[sel] - offset, size)
+            counts[f"{basis}_heralded"] += heralded
+            counts[f"{basis}_silent"] += silent
+            fail |= got
+        failures += int(np.count_nonzero(fail))
+    lo, hi = sim.wilson_interval(failures, trials)
+    est = sim.RateEstimate(trials=trials, failures=failures,
+                           rate=failures / trials, ci_low=lo, ci_high=hi,
+                           **counts)
+    return est, block_faults
+
+
+# (d, p, trials, BLOCK_CELLS): every run ends in a partial block.  At
+# p = 0.25 one block holds more than the default PASS_FAULTS faults; the
+# small blocks at p = 1e-4 leave some blocks without faults, and at d=3
+# they close passes at BLOCK_CELLS trials before PASS_FAULTS faults.
+PASS_CASES = [(3, 5e-3, 2002, sim.BLOCK_CELLS), (5, 5e-3, 953, sim.BLOCK_CELLS),
+              (3, 0.25, 2002, sim.BLOCK_CELLS), (5, 0.25, 953, sim.BLOCK_CELLS),
+              (3, 1e-4, 2500, 1 << 10), (5, 1e-4, 1000, 1 << 14)]
+
+
+@pytest.mark.parametrize("d,p,trials,block_cells", PASS_CASES)
+def test_passes_match_per_block_decoding(experiments, monkeypatch, d, p,
+                                         trials, block_cells):
+    exp = experiments[d]
+    stream = (1 << 32) + 5
+    monkeypatch.setattr(sim, "BLOCK_CELLS", block_cells)
+    want, block_faults = per_block_rate(exp, p, trials, seed=17,
+                                        stream=stream)
+    if p == 0.25:
+        assert max(block_faults) > sim.PASS_FAULTS
+    if p == 1e-4:
+        assert 0 in block_faults
+    calls = []
+    real = sim._BasisView.failures
+
+    def counted(view, *args):
+        calls.append(args[-1])
+        return real(view, *args)
+
+    monkeypatch.setattr(sim._BasisView, "failures", counted)
+    # One block per pass, a few blocks per pass, and every block in one
+    # pass (up to BLOCK_CELLS trials).
+    for pass_faults in (1, max(1, sum(block_faults) // 3), 1 << 62):
+        monkeypatch.setattr(sim, "PASS_FAULTS", pass_faults)
+        calls.clear()
+        assert sim.logical_error_rate(exp, p, trials, seed=17,
+                                      stream=stream) == want
+        assert sum(calls) == 2 * trials
+        if pass_faults == 1:
+            # A pass ends at every block with faults, and at the last one.
+            ends = np.count_nonzero(block_faults[:-1]) + 1
+            assert len(calls) == 2 * ends
+        elif pass_faults == 1 << 62:
+            cells = len(exp.z_basis.cells) + len(exp.x_basis.cells)
+            block = max(1, block_cells // cells)
+            assert calls[0] == min(trials, -(-block_cells // block) * block)
+        else:
+            assert len(calls) > 2
+
+
+# RateEstimate counts (failures, z/x heralded, z/x silent) of the Monte
+# Carlo stream as block-by-block decoding gave them: a change to the
+# stream, the sampling or the decoding shows here first.
+GOLDEN_RATES = {
+    (3, 1e-3, 20000, 0): (194, 0, 72, 0, 122),
+    (3, 5e-3, 20000, 0): (2948, 0, 1204, 0, 1877),
+    (5, 1e-3, 5000, 1 << 32): (17, 0, 6, 0, 11),
+    (5, 5e-3, 5000, 1 << 32): (655, 21, 201, 123, 332),
+}
+
+
+@pytest.mark.parametrize("d,p,trials,stream", list(GOLDEN_RATES))
+def test_golden_stream(experiments, d, p, trials, stream):
+    est = sim.logical_error_rate(experiments[d], p, trials, seed=42,
+                                 stream=stream)
+    assert (est.trials, est.failures, est.z_heralded, est.z_silent,
+            est.x_heralded, est.x_silent) == (trials,) + GOLDEN_RATES[
+        d, p, trials, stream]
+
+
 class TestSampling:
     def test_bernoulli_counts(self):
         trials, cells, p = 500, 300, 0.02
