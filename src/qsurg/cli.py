@@ -153,9 +153,9 @@ def cmd_surgery_build(args) -> int:
     with _reading():
         target = codes.load_manifest(args.target)
         r_code = codes.load_manifest(args.rcode)
-        alpha = gf2.load_matrix(args.alpha)
-        glue = surgery.build_glue(target, alpha)
-        dc = surgery.build_deformed(target, alpha, r_code, glue)
+        dc = surgery.build_deformed(target, gf2.load_matrix(args.alpha),
+                                    r_code)
+    glue = dc.glue
     report = surgery.verify_glue(target, glue)
     lifted = surgery.verify_lifted_conditions(dc)
     surgery.measured_extraction(dc)
@@ -187,8 +187,7 @@ def cmd_ltsp_verify(args) -> int:
         source = codes.load_manifest(args.source)
         f = codes.load_manifest(args.fcode)
         prep = ltsp.build_prep_circuit(source, f)
-    res = tableau.run_tableau(prep.circuit, force_zero=True)
-    rows = [("ltsp.noiseless", not res.outcomes.any(), "all-zero reference")]
+    rows = [_prep_noiseless(prep, args.seed)]
     for j, (rz, rx) in enumerate(_ltsp_sweeps(source, f,
                                               [args.samples] * f.k,
                                               args.seed)):
@@ -271,6 +270,24 @@ def cmd_compile(args) -> int:
 
 
 # ── desk ledger ─────────────────────────────────────────────────────────
+
+
+def _prep_noiseless(prep, seed) -> tuple:
+    """The ltsp.noiseless row: the zero-forced run of the preparation
+    circuit reads zero, and a random-outcome run leaves every copy's
+    resource-state stabilizers exactly stabilized with phase +1."""
+    good = not tableau.run_tableau(prep.circuit, force_zero=True).outcomes.any()
+    rs = ltsp.resource_state(prep.source)
+    with _rng(seed, "prep.tableau") as rng:
+        tab = tableau.run_tableau(prep.circuit, rng=rng).sim
+    zero = np.zeros(2 * prep.source.n)
+    for j in range(prep.k_f):
+        qubits = np.concatenate(prep.copy_qubits(j))
+        for row in rs.h_rs_x:
+            good &= tableau.stabilizer_phase(tab, qubits, row, zero) == 0
+        for row in rs.h_rs_z:
+            good &= tableau.stabilizer_phase(tab, qubits, zero, row) == 0
+    return ("ltsp.noiseless", good, "all copies exactly stabilized")
 
 
 def _ltsp_sweeps(source, f, samples, seed):
@@ -386,22 +403,7 @@ def check_deformed(desk: Desk) -> list[tuple]:
 def check_preparation(desk: Desk) -> list[tuple]:
     """4. The preparation circuit's noiseless run and residual bounds."""
     target, ham = desk.dc.target, desk.dc.r_code
-    prep = ltsp.build_prep_circuit(target, ham)
-    res = tableau.run_tableau(prep.circuit, force_zero=True)
-    noiseless = not res.outcomes.any()
-    rs = ltsp.resource_state(target)
-    with _rng(desk.seed, "prep.tableau") as rng:
-        tres = tableau.run_tableau(prep.circuit, rng=rng)
-    for j in range(prep.k_f):
-        b, c = prep.copy_qubits(j)
-        qubits = np.concatenate([b, c])
-        for row in rs.h_rs_x:
-            noiseless &= tableau.stabilizer_phase(
-                tres.sim, qubits, row, np.zeros(2 * target.n)) == 0
-        for row in rs.h_rs_z:
-            noiseless &= tableau.stabilizer_phase(
-                tres.sim, qubits, np.zeros(2 * target.n), row) == 0
-    rows = [("ltsp.noiseless", noiseless, "all copies exactly stabilized")]
+    rows = [_prep_noiseless(ltsp.build_prep_circuit(target, ham), desk.seed)]
     # The samples spread over the k_F copies, the first ones taking the
     # remainder.
     share, extra = divmod(desk.samples, ham.k)

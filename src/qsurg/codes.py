@@ -9,6 +9,7 @@ certified lower bound or refuse with :class:`qsurg.gf2.SearchTooLarge`.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -380,7 +381,9 @@ def load_manifest(path: str):
     """Load a code manifest; returns a ClassicalCode or CssCode.
 
     Raises ValueError, naming the manifest and the key, on a missing key,
-    an unknown type, or an n or k that disagrees with the matrix shapes.
+    an unknown type, an n or k that disagrees with the matrix shapes, or a
+    soundness= that is not a positive p/q or, for n ≤
+    gf2.MIN_WEIGHT_KERNEL_CAP, not the code's exact soundness.
     """
     base = os.path.dirname(os.path.abspath(path))
     kv: dict[str, str] = {}
@@ -413,8 +416,18 @@ def load_manifest(path: str):
     if kv["type"] == "css":
         return CssCode(h_x=m["hx"], h_z=m["hz"], j_x=m["jx"], j_z=m["jz"],
                        n=n, k=k, d=d)
-    s = None
+    code = ClassicalCode(h=m["h"], g=m["g"], n=n, k=k, d=d)
     if "soundness" in kv:
-        num, den = kv["soundness"].split("/")
-        s = Fraction(int(num), int(den))
-    return ClassicalCode(h=m["h"], g=m["g"], n=n, k=k, d=d, soundness=s)
+        text = kv["soundness"]
+        pq = re.fullmatch(r"(\d+)/(\d+)", text)
+        if not pq or not int(pq[1]) or not int(pq[2]):
+            raise ValueError(f"manifest {path}: soundness={text} is not a "
+                             "positive p/q")
+        claimed = Fraction(int(pq[1]), int(pq[2]))
+        # Checked where the exhaustive sweep runs; trusted above its cap.
+        if n > gf2.MIN_WEIGHT_KERNEL_CAP:
+            code.soundness = claimed
+        elif (true := soundness(code)) != claimed:
+            raise ValueError(f"manifest {path}: soundness={text} but the "
+                             f"code's soundness is {true or 'undefined'}")
+    return code

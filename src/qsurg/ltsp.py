@@ -99,9 +99,6 @@ class PrepCircuit:
     col_locs: dict
     b_ids: np.ndarray
     c_ids: np.ndarray
-    d_start: int = 0
-    mea_b_start: Optional[list] = None
-    mea_c_start: Optional[list] = None
 
     @property
     def k_f(self) -> int:
@@ -113,33 +110,15 @@ class PrepCircuit:
                 self.c_ids[j * n_d:(j + 1) * n_d])
 
     def detector_matrix(self) -> np.ndarray:
-        """Single-round detection as combinations of raw circuit outcomes.
-
-        Row order matches sp_matrices().h_sp_z: test-code metachecks on the
-        B and C parity outcomes, the B/C outcome-consistency family, and
-        the readout-consistency family tying D to the C parity outcomes.
-        """
-        n_d, h_z, f = self.source.n, self.source.h_z, self.f
-        r_f = f.h.shape[0]
-        # Parity outcome phi of block a at phi·n_D + a, D readout bit
-        # (level, check b) at level·r_Z + b: the h_sp_z column orders.
-        mea_b = np.add.outer(np.arange(r_f), self.mea_b_start).ravel()
-        mea_c = np.add.outer(np.arange(r_f), self.mea_c_start).ravel()
-        d = self.d_start + np.arange(f.n * h_z.shape[0])
-        meta = gf2.kron(gf2.left_null_space(f.h), gf2.eye(n_d))
-        same = gf2.eye(r_f * n_d)
-
-        def rows(*blocks):
-            out = gf2.zeros(blocks[0][0].shape[0], self.circuit.n_outcomes)
-            for m, cols in blocks:
-                out[:, cols] ^= m
-            return out
-
-        return np.concatenate([
-            rows((meta, mea_b)), rows((meta, mea_c)),
-            rows((same, mea_b), (same, mea_c)),
-            rows((gf2.kron(f.h, gf2.eye(h_z.shape[0])), d),
-                 (gf2.kron(gf2.eye(r_f), h_z), mea_c))])
+        """Single-round detection as combinations of raw circuit outcomes:
+        the D3, meaB and meaC columns of h_sp_z, each at its outcome, so
+        the rows are those of sp_matrices().h_sp_z."""
+        _, lay, h_sp_z = _sp_checks(self.source, self.f)
+        out = gf2.zeros(h_sp_z.shape[0], self.circuit.n_outcomes)
+        for name in ("D3", "meaB", "meaC"):
+            cols = [loc.index for loc in self.col_locs[name]]
+            out[:, cols] = h_sp_z[:, lay.sl(name)]
+        return out
 
 
 def build_prep_circuit(source: CssCode, f: ClassicalCode) -> PrepCircuit:
@@ -249,8 +228,7 @@ def build_prep_circuit(source: CssCode, f: ClassicalCode) -> PrepCircuit:
     # Feedback layers sit inside column 5; their own after-locations are
     # equivalent to the ones above, so the canonical map stays injective.
     return PrepCircuit(circuit=c, source=source, f=f, col_locs=col_locs,
-                       b_ids=b_ids, c_ids=c_ids, d_start=d_start,
-                       mea_b_start=mea_b_start, mea_c_start=mea_c_start)
+                       b_ids=b_ids, c_ids=c_ids)
 
 
 # ── displayed propagation/check matrices ────────────────────────────────
@@ -286,38 +264,67 @@ class SpPropagation:
         return self._amplification
 
 
-def sp_matrices(source: CssCode, f: ClassicalCode, copy_j: int) -> SpPropagation:
-    """Block propagation/check matrices for output copy `copy_j` (0-based)."""
-    if not 0 <= copy_j < f.k:
-        raise ValueError("copy index out of range")
+def _assemble(layout: Layout, blocks: dict) -> np.ndarray:
+    """Rows over `layout`, each named group's columns set to its block."""
+    rows = max(m.shape[0] for m in blocks.values())
+    out = gf2.zeros(rows, layout.total)
+    for name, m in blocks.items():
+        out[:, layout.sl(name)] = m
+    return out
+
+
+def _sp_checks(source: CssCode, f: ClassicalCode):
+    """(layout_z, layout_x, h_sp_z): the column layouts of the Z and X
+    faults, and the single-round check matrix over layout_x.  None of them
+    depends on the output copy."""
     n_d, r_z = source.n, source.h_z.shape[0]
     n_f, k_f, r_f = f.n, f.k, f.h.shape[0]
-    rs = resource_state(source)
-
-    g_j = f.g[copy_j].reshape(1, -1)
-    e_j = gf2.eye(k_f)[copy_j].reshape(1, -1)
-    gr_j = gf2.right_inverse(f.g).T[copy_j].reshape(1, -1)
-
     groups_z = [(f"B{i}", n_f * n_d) for i in range(1, 6)] + [("B6", k_f * n_d)]
     groups_z += [(f"C{i}", n_f * n_d) for i in range(1, 6)] + [("C6", k_f * n_d)]
     groups_z += [(f"D{i}", n_f * r_z) for i in range(1, 4)]
     layout_z = Layout(groups_z)
     layout_x = Layout(groups_z + [("meaB", r_f * n_d), ("meaC", r_f * n_d)])
 
+    # Rows: test-code metachecks on the B and C parity outcomes, the B/C
+    # outcome-consistency family, and the readout-consistency family tying
+    # D to the C parity outcomes.
+    meta = gf2.kron(gf2.left_null_space(f.h), gf2.eye(n_d))
+    same = gf2.eye(r_f * n_d)
+    hf_e = gf2.kron(f.h, gf2.eye(n_d))
+    hf_hz = gf2.kron(f.h, source.h_z)
+    hf_d = gf2.kron(f.h, gf2.eye(r_z))
+    h_sp_z = np.concatenate([
+        _assemble(layout_x, {"meaB": meta}),
+        _assemble(layout_x, {"meaC": meta}),
+        _assemble(layout_x, {**{f"B{i}": hf_e for i in (1, 2, 3, 4)},
+                             **{f"C{i}": hf_e for i in (2, 3, 4)},
+                             "meaB": same, "meaC": same}),
+        _assemble(layout_x, {"C3": hf_hz, "C4": hf_hz,
+                             **{f"D{i}": hf_d for i in (1, 2, 3)},
+                             "meaC": gf2.kron(gf2.eye(r_f), source.h_z)})])
+    return layout_z, layout_x, h_sp_z
+
+
+def sp_matrices(source: CssCode, f: ClassicalCode, copy_j: int) -> SpPropagation:
+    """Block propagation/check matrices for output copy `copy_j` (0-based)."""
+    if not 0 <= copy_j < f.k:
+        raise ValueError("copy index out of range")
+    n_d, r_z = source.n, source.h_z.shape[0]
+    n_f, k_f = f.n, f.k
+    rs = resource_state(source)
+    layout_z, layout_x, h_sp_z = _sp_checks(source, f)
+
+    g_j = f.g[copy_j].reshape(1, -1)
+    e_j = gf2.eye(k_f)[copy_j].reshape(1, -1)
+    gr_j = gf2.right_inverse(f.g).T[copy_j].reshape(1, -1)
+
     # Sanity: operators on C never leak into D through the readout CNOT.
     assert not gf2.mul(gf2.kron(g_j, source.h_x),
                        gf2.kron(gf2.eye(n_f), source.h_z.T)).any()
 
-    def assemble(layout, blocks: dict) -> np.ndarray:
-        rows = max(m.shape[0] for m in blocks.values())
-        out = gf2.zeros(rows, layout.total)
-        for name, m in blocks.items():
-            out[:, layout.sl(name)] = m
-        return out
-
     hx_j = np.concatenate([gf2.kron(g_j, source.h_x), gf2.kron(g_j, source.j_x)])
     hx_e = np.concatenate([gf2.kron(e_j, source.h_x), gf2.kron(e_j, source.j_x)])
-    j_sp_x = assemble(layout_z, {
+    j_sp_x = _assemble(layout_z, {
         **{f"B{i}": hx_j for i in (2, 3, 4, 5)}, "B6": hx_e,
         **{f"C{i}": hx_j for i in (1, 2, 3, 4, 5)}, "C6": hx_e,
     })
@@ -327,34 +334,15 @@ def sp_matrices(source: CssCode, f: ClassicalCode, copy_j: int) -> SpPropagation
     hz_j = gf2.kron(gr_j, source.h_z)
     hz_e = gf2.kron(e_j, source.h_z)
     dd_j = gf2.kron(gr_j, gf2.eye(r_z))
-    top = assemble(layout_x, {
+    top = _assemble(layout_x, {
         **{f"B{i}": bell_j for i in (1, 2, 3, 4, 5)}, "B6": bell_e,
         **{f"C{i}": bell_j for i in (2, 3, 4, 5)}, "C6": bell_e,
     })
-    bot = assemble(layout_x, {
+    bot = _assemble(layout_x, {
         **{f"C{i}": hz_j for i in (3, 4, 5)}, "C6": hz_e,
         **{f"D{i}": dd_j for i in (1, 2, 3)},
     })
     j_sp_z = np.concatenate([top, bot])
-
-    h_fm = gf2.left_null_space(f.h)
-    meta_b = assemble(layout_x, {"meaB": gf2.kron(h_fm, gf2.eye(n_d))}) \
-        if h_fm.shape[0] else gf2.zeros(0, layout_x.total)
-    meta_c = assemble(layout_x, {"meaC": gf2.kron(h_fm, gf2.eye(n_d))}) \
-        if h_fm.shape[0] else gf2.zeros(0, layout_x.total)
-    hf_e = gf2.kron(f.h, gf2.eye(n_d))
-    row3 = assemble(layout_x, {
-        **{f"B{i}": hf_e for i in (1, 2, 3, 4)},
-        **{f"C{i}": hf_e for i in (2, 3, 4)},
-        "meaB": gf2.eye(r_f * n_d), "meaC": gf2.eye(r_f * n_d),
-    }) if r_f else gf2.zeros(0, layout_x.total)
-    hf_hz = gf2.kron(f.h, source.h_z)
-    row4 = assemble(layout_x, {
-        "C3": hf_hz, "C4": hf_hz,
-        **{f"D{i}": gf2.kron(f.h, gf2.eye(r_z)) for i in (1, 2, 3)},
-        "meaC": gf2.kron(gf2.eye(r_f), source.h_z),
-    }) if r_f else gf2.zeros(0, layout_x.total)
-    h_sp_z = np.concatenate([meta_b, meta_c, row3, row4])
 
     return SpPropagation(j_sp_x=j_sp_x, j_sp_z=j_sp_z, h_sp_z=h_sp_z,
                          layout_z=layout_z, layout_x=layout_x, copy_j=copy_j,

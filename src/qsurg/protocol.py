@@ -28,7 +28,7 @@ from . import gf2
 from .circuit import Circuit, Layout, Loc
 from .codes import CssCode
 from .ltsp import resource_state
-from .surgery import DeformedCode
+from .surgery import DeformedCode, measured_extraction
 
 
 # ── teleported measurement gadget ───────────────────────────────────────
@@ -213,7 +213,6 @@ class SurgeryRun:
     expanded: SurgeryView
     layout: Layout                      # M1..M4, A1, A2 (fault columns)
     gamma_1: np.ndarray
-    gamma_2: np.ndarray
     h_ls_x: np.ndarray
     h_ls_z: np.ndarray
     j_ls_x: np.ndarray
@@ -263,18 +262,13 @@ def build_surgery_circuit(dc: DeformedCode) -> SurgeryRun:
     t_hm = dc.tilde_h_m()
     t_beta = dc.tilde_beta()
     ta_jz = gf2.mul(dc.tilde_alpha(), dc.tilde_j_z())
-    tap_jx = gf2.mul(dc.tilde_alpha_perp(), dc.tilde_j_x())
-    ap_r = gf2.right_inverse(dc.glue.alpha_perp)
-    tapr_jz = gf2.kron(gf2.eye(k_r), gf2.mul(ap_r.T, dc.target.j_z))
+    # The deformed code's tracked logicals, cut to the memory columns.
+    tap_jx, tapr_jz = dc.css.j_x[:, :n_mem], dc.css.j_z[:, :n_mem]
     r_x = dc.target.h_x.shape[0]
     k_rz = k_r * dc.target.h_z.shape[0]
 
     gamma_1 = np.concatenate([gf2.eye(k_rz), gf2.zeros(k_rz, r_dz - k_rz)], axis=1)
-    gamma_2 = np.concatenate([gf2.zeros(r_dz - k_rz, k_rz), gf2.eye(r_dz - k_rz)], axis=1)
-    extract = gf2.mul(ta_jz, dc.tilde_r(), gamma_2)
-    # Extraction identity: reading γ2-selected checks recovers the logicals.
-    want = np.concatenate([ta_jz, gf2.zeros(ta_jz.shape[0], n_anc)], axis=1)
-    assert np.array_equal(gf2.mul(extract, hdz), want)
+    extract = measured_extraction(dc)
 
     # Pauli repair: solve [t_hx; tap_jx]·wᵀ = [nu_tilde + mu t̃ᵀ; mu β̃ᵀ].
     stack = np.concatenate([t_hx, tap_jx])
@@ -309,16 +303,12 @@ def build_surgery_circuit(dc: DeformedCode) -> SurgeryRun:
         span = circ.n_outcomes - mu_start
         d1_rows = t_hx.shape[0]
         rhs_map = gf2.zeros(span, d1_rows + tap_jx.shape[0])
-        for i in range(n_anc):  # mu columns
-            rhs_map[i, :d1_rows] = t_t.T[i]
-            rhs_map[i, d1_rows:] = t_beta.T[i]
-        if abstract:
-            for r in range(t_hx.shape[0]):  # nu_tilde bits directly
-                rhs_map[nt_start - mu_start + r, r] ^= 1
-        else:
-            # nu_tilde = t_hx · mu_z2; fold the combination into the map.
-            for c in range(n_mem):
-                rhs_map[nt_start - mu_start + c, :d1_rows] ^= t_hx[:, c]
+        rhs_map[:n_anc] = np.concatenate([t_t, t_beta]).T  # mu bits
+        # nu_tilde bits directly, or, expanded, nu_tilde = t_hx · mu_z2
+        # folded into the map.
+        nt = gf2.eye(d1_rows) if abstract else t_hx.T
+        row = nt_start - mu_start
+        rhs_map[row: row + len(nt), :d1_rows] ^= nt
         m_v = gf2.mul(rhs_map, q_solver.T)
         s_v = circ.feedback("Z", mem_out, m_v, mu_start, span)
 
@@ -373,7 +363,7 @@ def build_surgery_circuit(dc: DeformedCode) -> SurgeryRun:
         [t_hz, zee(t_hz.shape[0], 3 * n_mem + 2 * n_anc), gamma_1], axis=1)
 
     return SurgeryRun(deformed=dc, abstract=abstract, expanded=expanded,
-                      layout=layout, gamma_1=gamma_1, gamma_2=gamma_2,
+                      layout=layout, gamma_1=gamma_1,
                       h_ls_x=h_ls_x, h_ls_z=h_ls_z, j_ls_x=j_ls_x,
                       j_ls_z=j_ls_z, j_ls_mz=j_ls_mz, j_ls_oc=j_ls_oc,
                       extract=extract)
@@ -409,7 +399,7 @@ def surgery_residual_z(run: SurgeryRun, e_before: np.ndarray,
     dc = run.deformed
     failure = gf2.row_images(dc.css.j_x, u_eff).any(axis=1)
     want = gf2.row_images(run.j_ls_x[:, :lay.total], e)
-    got = gf2.row_images(gf2.mul(dc.tilde_alpha_perp(), dc.tilde_j_x()), u_res)
+    got = gf2.row_images(dc.css.j_x[:, :run.n_mem], u_res)
     bad = detected | ~failure & (want != got).any(axis=1)
     if bad.any() and detected[np.argmax(bad)]:
         raise ValueError("fault is detectable; lemma precondition violated")

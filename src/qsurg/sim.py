@@ -135,14 +135,14 @@ class LookupDecoder:
         return gf2.unpack_words(table.errors[idx], self.code.n)[0] if hit[0] else None
 
 
-def deep_decoder(code: CssCode, cap: int = TABLE_CAP) -> LookupDecoder:
-    """Lookup decoder with the deepest table that fits the memory cap.
+def deep_decoder(code: CssCode) -> LookupDecoder:
+    """Lookup decoder with the deepest table that fits TABLE_CAP.
 
     Scattered multi-fault configurations then decode to their true
     minimum-weight class instead of heralding.
     """
-    w = (code.d - 1) // 2
-    while w < code.n and sum(math.comb(code.n, i) for i in range(w + 2)) <= cap:
+    w, n = (code.d - 1) // 2, code.n
+    while w < n and sum(math.comb(n, i) for i in range(w + 2)) <= TABLE_CAP:
         w += 1
     return LookupDecoder(code, max_weight=w)
 
@@ -295,7 +295,12 @@ class RateEstimate:
     x_silent: int
 
 
-def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
+WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
+
+
+def wilson_interval(failures: int, trials: int):
+    """95% Wilson score interval of a binomial rate."""
+    z = WILSON_Z
     if trials == 0:
         return 0.0, 1.0
     phat = failures / trials

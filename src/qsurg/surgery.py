@@ -232,11 +232,14 @@ class DeformedCode:
         gr = gf2.right_inverse(self.r_code.g)
         return gf2.kron(gr, self.glue.s)
 
+    def _readout(self, m: np.ndarray) -> np.ndarray:
+        """[0 | g_R^{rT} ⊗ m] over the ancilla (glue | readout) columns."""
+        right = gf2.kron(gf2.right_inverse(self.r_code.g).T, m)
+        return np.concatenate([gf2.zeros(right.shape[0], self.n_sectors[1]),
+                               right], axis=1)
+
     def tilde_t(self) -> np.ndarray:
-        n2 = self.n_sectors[1]
-        gr = gf2.right_inverse(self.r_code.g)
-        right = gf2.kron(gr.T, self.glue.t)
-        return np.concatenate([gf2.zeros(right.shape[0], n2), right], axis=1)
+        return self._readout(self.glue.t)
 
     def tilde_h_g(self) -> np.ndarray:
         return np.concatenate([
@@ -254,10 +257,7 @@ class DeformedCode:
         return gf2.kron(self.r_code.g, self.glue.r)
 
     def tilde_beta(self) -> np.ndarray:
-        n2 = self.n_sectors[1]
-        gr = gf2.right_inverse(self.r_code.g)
-        right = gf2.kron(gr.T, self.glue.beta)
-        return np.concatenate([gf2.zeros(right.shape[0], n2), right], axis=1)
+        return self._readout(self.glue.beta)
 
 
 def build_deformed(
@@ -269,59 +269,41 @@ def build_deformed(
     """Assemble the deformed code from a verified glue set and an R code.
 
     Requires the R-code generator in standard form (E | P) and a full-rank
-    R check matrix, which the distance floor min{d, d_R} relies on.
+    R check matrix, which the distance floor min{d, d_R} relies on.  The
+    block matrices are assembled from the lifted blocks:
+    h_x^D = [[H̃_X, T̃], [0, H̃_M]], h_z^D = [[H̃_Z, 0], [S̃, H̃_Gᵀ]] and
+    j_x^D = [α̃⊥·J̃_X | β̃].
     """
     if glue is None:
-        glue = build_glue(target, alpha)
-    report = verify_glue(target, glue)
-    if report:
+        glue = build_glue(target, alpha)  # verified as it is built
+    elif report := verify_glue(target, glue):
         raise GlueConstructionError(f"invalid glue set: {report[0]}")
     if not gf2.is_standard_form(r_code.g):
         raise ValueError("R-code generator must be in standard form (E | P)")
     h_r = r_code.h
     if gf2.rank(h_r) != h_r.shape[0]:
         raise ValueError("R-code check matrix must be full rank")
-    k_r, n_r, r_r = r_code.k, r_code.n, h_r.shape[0]
-    n, r_x = target.n, target.h_x.shape[0]
-    n_g, r_g = glue.n_g, glue.r_g
-    gr = gf2.right_inverse(r_code.g)
 
-    e_kr, e_rr, e_nr = gf2.eye(k_r), gf2.eye(r_r), gf2.eye(n_r)
-    n1, n2, n3 = k_r * n, r_r * n_g, n_r * r_g
-
-    hdx = np.concatenate([
-        np.concatenate([gf2.kron(e_kr, target.h_x), gf2.zeros(k_r * r_x, n2),
-                        gf2.kron(gr.T, glue.t)], axis=1),
-        np.concatenate([gf2.zeros(r_r * r_g, n1), gf2.kron(e_rr, glue.h_g),
-                        gf2.kron(h_r, gf2.eye(r_g))], axis=1),
-    ])
-    hdz = np.concatenate([
-        np.concatenate([gf2.kron(e_kr, target.h_z),
-                        gf2.zeros(k_r * target.h_z.shape[0], n2 + n3)], axis=1),
-        np.concatenate([gf2.kron(gr, glue.s), gf2.kron(h_r.T, gf2.eye(n_g)),
-                        gf2.kron(e_nr, glue.h_g.T)], axis=1),
-    ])
-    km = glue.alpha_perp.shape[0]
-    jdx = np.concatenate([
-        gf2.kron(e_kr, gf2.mul(glue.alpha_perp, target.j_x)),
-        gf2.zeros(k_r * km, n2),
-        gf2.kron(gr.T, glue.beta),
-    ], axis=1)
+    # The lifted blocks read only the target, glue and R code, so they are
+    # taken from the code before its css is set.
+    dc = DeformedCode(css=None, glue=glue, r_code=r_code, target=target)
+    n1, n2, n3 = dc.n_sectors
+    t_hz, t_hm = dc.tilde_h_z(), dc.tilde_h_m()
+    hdx = np.block([[dc.tilde_h_x(), dc.tilde_t()],
+                    [gf2.zeros(t_hm.shape[0], n1), t_hm]])
+    hdz = np.block([[t_hz, gf2.zeros(t_hz.shape[0], n2 + n3)],
+                    [dc.tilde_s(), dc.tilde_h_g().T]])
+    jdx = np.concatenate([gf2.mul(dc.tilde_alpha_perp(), dc.tilde_j_x()),
+                          dc.tilde_beta()], axis=1)
+    # A verified alpha_perp has full row rank, so it has a right inverse.
     ap_r = gf2.right_inverse(glue.alpha_perp)
-    if ap_r is None:
-        raise GlueConstructionError("alpha_perp has no right inverse")
-    jdz = np.concatenate([
-        gf2.kron(e_kr, gf2.mul(ap_r.T, target.j_z)),
-        gf2.zeros(k_r * km, n2 + n3),
-    ], axis=1)
+    jdz = gf2.kron(gf2.eye(dc.k_r), gf2.mul(ap_r.T, target.j_z))
+    jdz = np.concatenate([jdz, gf2.zeros(jdz.shape[0], n2 + n3)], axis=1)
 
-    floor = None
-    if target.d is not None and r_code.d is not None:
-        floor = min(target.d, r_code.d)
-    css = CssCode(h_x=hdx, h_z=hdz, j_x=jdx, j_z=jdz,
-                  n=n1 + n2 + n3, k=k_r * km, d=floor)
-    dc = DeformedCode(css=css, glue=glue, r_code=r_code, target=target)
-    bad = validate_css(css)
+    floor = None if None in (target.d, r_code.d) else min(target.d, r_code.d)
+    dc.css = CssCode(h_x=hdx, h_z=hdz, j_x=jdx, j_z=jdz,
+                     n=n1 + n2 + n3, k=jdx.shape[0], d=floor)
+    bad = validate_css(dc.css)
     if bad:
         raise InternalConsistencyError(f"deformed code invalid: {bad[0]}")
     return dc

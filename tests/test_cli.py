@@ -2,7 +2,7 @@
 
 import pytest
 
-from qsurg import cli, codes, gf2, ltsp, protocol, surgery
+from qsurg import cli, codes, gf2, ltsp, protocol, surgery, tableau
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +106,24 @@ class TestBadInput:
                           "--source", str(manifests / "surface3.manifest"),
                           "--fcode", path, "--seed", "1"],
                  "test-code generator must be in standard form")
+
+    @pytest.mark.parametrize("value, says", [
+        ("1/0", "soundness=1/0 is not a positive p/q"),
+        ("-7/3", "soundness=-7/3 is not a positive p/q"),
+        ("0/3", "soundness=0/3 is not a positive p/q"),
+        ("abc", "soundness=abc is not a positive p/q"),
+        ("1/100", "soundness=1/100 but the code's soundness is 7/3")])
+    def test_bad_soundness(self, manifests, tmp_path, capsys, value, says):
+        # A manifest's soundness= sets the amplification of the spZ bound,
+        # so ltsp verify must not run on a wrong one.
+        path = codes.save_classical(codes.hamming_743(), str(tmp_path),
+                                    name="ham")
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write(f"soundness={value}\n")
+        self.run(capsys, ["ltsp", "verify",
+                          "--source", str(manifests / "surface3.manifest"),
+                          "--fcode", path, "--seed", "1", "--samples", "0"],
+                 f"manifest {path}: {says}")
 
     def test_protocol_check_needs_distances(self, manifests, tmp_path,
                                             capsys):
@@ -216,6 +234,24 @@ class TestMaxWeightFlag:
         spz = [r[2] for r in rows if r[0].startswith("lemma.ltsp.spZ.")]
         assert spx == ["checked=1140 units, all weights (linear)"] * 4
         assert [d.split()[0] for d in spz] == ["checked=1218"] * 4
+
+
+class TestLtspNoiseless:
+    def test_verify_checks_stabilizer_phases(self, manifests, capsys,
+                                             monkeypatch):
+        # ltsp.noiseless means one thing in ltsp verify and in the ledger:
+        # the zero-forced run reads zero and every copy is stabilized.
+        argv = ["ltsp", "verify",
+                "--source", str(manifests / "surface3.manifest"),
+                "--fcode", str(manifests / "hamming.manifest"),
+                "--samples", "0", "--seed", "1"]
+        assert cli.main(argv) == 0
+        assert ("ltsp.noiseless\tpass\tall copies exactly stabilized"
+                in capsys.readouterr().out)
+        monkeypatch.setattr(tableau, "stabilizer_phase", lambda *a: 1)
+        assert cli.main(argv) == 1
+        assert ("ltsp.noiseless\tFAIL\tall copies exactly stabilized"
+                in capsys.readouterr().out)
 
 
 class TestSamplesFlag:

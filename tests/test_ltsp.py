@@ -269,3 +269,27 @@ class TestXBound:
                 for j in range(f.k)]
         assert len(calls) == 1 and calls[0] is f and len(set(amps)) == 1
         assert f.soundness == real_soundness(codes.hamming_743())
+
+
+# sha256 (conftest.digest) of detector_matrix() per (source, test code),
+# taken when it wrote its check families out by hand.
+DETECTOR_DIGESTS = {
+    ("surface3", "hamming"):
+        "7e276bd9caa1e81e6262ea4d8e5fbac2be035020f778b71c3a27767276089401",
+    ("steane", "hamming"):
+        "67a171aad024bc3600a9f0871ba5c8a2477add356ba67c2ce898b4554b394ac0",
+    ("surface3", "rep3"):
+        "e29e796c8113713c0d4152e185a224452db790682e45ab6a2c8273522b62c54d",
+    ("surface5", "rep3"):
+        "65973931bc86aafac9a5a74fabbdbd287c48245b86d38eea63423fdad65b5f33",
+}
+
+
+@pytest.mark.parametrize("source, test_code", sorted(DETECTOR_DIGESTS))
+def test_detector_matrix_unchanged(source, test_code, digest):
+    build = {"surface3": lambda: codes.surface_code_via_hgp(3),
+             "surface5": lambda: codes.surface_code_via_hgp(5),
+             "steane": codes.steane, "hamming": codes.hamming_743,
+             "rep3": lambda: codes.repetition(3)}
+    prep = ltsp.build_prep_circuit(build[source](), build[test_code]())
+    assert digest(prep.detector_matrix()) == DETECTOR_DIGESTS[source, test_code]

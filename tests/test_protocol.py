@@ -385,3 +385,93 @@ class TestSurgeryLemmas:
             run13, gf2.zeros(100, run13.layout.total), after)
         assert (res.status == "ok").all()
         assert np.array_equal(res.residual, after)
+
+
+# sha256 (conftest.digest) of each golden deformed code's surgery-run
+# matrices, taken when build_surgery_circuit derived its logicals and its
+# extraction itself.
+SURGERY_RUN_DIGESTS = {
+    "composite": {
+        "extract":
+            "e64a013038a45e95b06d08f0e615869a69b6b7aadeb20e50a8d6d8aac522a973",
+        "h_ls_x":
+            "0b71a87ba7f3e045c1bb3723e97b8e649c2f7312cb405e3bfc01906331087c27",
+        "h_ls_z":
+            "dfd1620d13210037090bfd7a868fd9938f256433e020dc23a7ebf09ed95d4d73",
+        "j_ls_x":
+            "11f74aeff9125b6a9ef0350bc66b35d0e97f95fce095d23a20d1c52e37ab9f5d",
+        "j_ls_z":
+            "1b7880dd43ac760035816410d42e0b3222671e4dd68ba734dab08380cf641a99",
+        "j_ls_mz":
+            "be7b9fab5738b70ea2990957a01e6690a87b4e3998e689356a4ee113d1476f4e",
+        "j_ls_oc":
+            "8a65153e56b1276b05dd4894b4fbfdf3b8e0d0b4cec6b8958718294f44e29308",
+    },
+    "desk": {
+        "extract":
+            "481e179f4c455b38dc85034a62de80f51a7cbaadcac4a144683da76357dca0f2",
+        "h_ls_x":
+            "8fdecbcf5b73d099365ec008c68b708b72b8809697c62e3a35920be44c01ed4a",
+        "h_ls_z":
+            "41ec7deae4bf2b40f556d680c7f6c01cdb69ce2cca10df9776f0844617327001",
+        "j_ls_x":
+            "cd1ce5564624cd0bdd45c8fc642d192afd74c1f2117f943bd9c4757c25dcfe8a",
+        "j_ls_z":
+            "9b8f0ff3a652d1ba43dd957951c77611055f604c667fbf6dcfb98863bfe1d1d9",
+        "j_ls_mz":
+            "b115e3ab86fb2dfb1a3ebea1f8a58f03e1f38096e602ef3a9836f124fb907281",
+        "j_ls_oc":
+            "5199ca1950abd8959c87099ab9843b96619e165530826788b34241ee8f00ef42",
+    },
+    "surface5_rep3": {
+        "extract":
+            "44148787d0963138b5113576d88a3f36cd531a4b96c57d389bfb1fab9ce38cac",
+        "h_ls_x":
+            "2ae583521fc9688c61cc81371b16485fe1d2ff329c32383589cb3d985fa89abe",
+        "h_ls_z":
+            "a2150e01709a4cc37cef4e4d10e9ac121c908ec4c7f3a562c38ce0f99049722a",
+        "j_ls_x":
+            "75e61b2906f7283b21ddafbbeb80211688be21d01e901f2569df563a2b669a93",
+        "j_ls_z":
+            "6d7b2c0eeac51ff1af45f328e79120126b3fe4289bcd86142c5007efd47b5472",
+        "j_ls_mz":
+            "7e323dd1b83adef02f8c943af2bd3d3df598dc4feb27fafa9054510b0748f361",
+        "j_ls_oc":
+            "1e402501581cdbd8a19d83a61b55f1298d0982cf1bdb90047513dae8f187ba20",
+    },
+}
+
+
+# sha256 (conftest.digest) of each view's Pauli-repair feedback matrix,
+# taken when build_surgery_circuit filled the repair map row by row.
+REPAIR_DIGESTS = {
+    "composite": {
+        "abstract":
+            "a6297d2942fcfd9be2710eb687a29b4d18de018a77cf86f3e72cf68a27f642e8",
+        "expanded":
+            "da3456caab54dfbafd273293ebe4a318e92dce5d4d15f0c4a39b114e51597c14",
+    },
+    "desk": {
+        "abstract":
+            "e4daff42afc86a9480e59b675267935f8df102ddef1b4413508774de53ee68fa",
+        "expanded":
+            "377028d10a8f80da816bcc88f332c8d3e9771ff1babe1bdfa22a39e32fbc26ec",
+    },
+    "surface5_rep3": {
+        "abstract":
+            "3c7686d15e68531eb98869058a4a92d4273f2aeb626de0d6299c2a5f65e7a7d4",
+        "expanded":
+            "b07858f43187d44d3863662ec39334aab180ef62b700650a86853a3e58b0cf4d",
+    },
+}
+
+
+def test_surgery_run_matrices_unchanged(golden_build, digest):
+    name, dc = golden_build
+    run = protocol.build_surgery_circuit(dc)
+    for attr, want in SURGERY_RUN_DIGESTS[name].items():
+        assert digest(getattr(run, attr)) == want, attr
+    for attr, want in REPAIR_DIGESTS[name].items():
+        view = getattr(run, attr)
+        repair = view.circuit.ops[view.col_locs["M4"][0].step]
+        assert digest(repair.m) == want, attr

@@ -108,6 +108,25 @@ class TestBuildDeformed:
             wp = gf2.weight_profile(m)
             assert max(wp.max_row_weight, wp.max_col_weight) <= cap
 
+    def test_bad_supplied_glue_rejected(self, target13, hamming_r):
+        glue = surgery.build_glue(target13, [[1]])
+        glue.t = gf2.zeros(*glue.t.shape)
+        with pytest.raises(surgery.GlueConstructionError,
+                           match="invalid glue set: condition i"):
+            surgery.build_deformed(target13, [[1]], hamming_r, glue)
+
+    def test_glue_verified_once(self, target13, hamming_r, monkeypatch):
+        # A glue build_deformed builds itself is verified as it is built,
+        # and a supplied one as it is passed in: once either way.
+        calls = []
+        verify = surgery.verify_glue
+        monkeypatch.setattr(surgery, "verify_glue",
+                            lambda *a: calls.append(a) or verify(*a))
+        glue = surgery.build_deformed(target13, [[1]], hamming_r).glue
+        assert len(calls) == 1
+        surgery.build_deformed(target13, [[1]], hamming_r, glue)
+        assert len(calls) == 2
+
     def test_requires_standard_form_r(self, target13):
         bad = codes.hamming_743()
         bad.g = bad.g[:, ::-1].copy()
@@ -222,3 +241,45 @@ class TestDistanceBound:
         cert = surgery.verify_distance_bound(bad_dc, 2)
         assert not cert.ok
         assert gf2.weight(cert.violation) <= 2
+
+
+# sha256 (conftest.digest) of each golden deformed code's matrices, taken
+# when build_deformed wrote its block matrices out inline.
+DEFORMED_DIGESTS = {
+    "composite": {
+        "h_x":
+            "7f7220c5c145cc8d7199b17753b58de256e938a06a78c93ffa11c144dbedb435",
+        "h_z":
+            "c25bd6528715a9d4774fd57afbf94adf617cf9acde753f35cdc13f52d0d49b00",
+        "j_x":
+            "d16583f52279ad34ece2941acb9fd00cbcd7d309232e4720a9eddce09a397d70",
+        "j_z":
+            "8a9a5db184a1d28cdac301b8f54be77563cb35df3a3865a45bd30126fa14b5e1",
+    },
+    "desk": {
+        "h_x":
+            "6c456972f3a319dba363cb620a454a65f54a9869a2f2ae5f024056d762e37464",
+        "h_z":
+            "385b9facf31af900d4b624404e9dacb13649e38d46ccb4b99c63f87365b40d9f",
+        "j_x":
+            "9b31659983a89e9f9a17cb775b556dbe12a7cd32164d2a4a6ec416f18d4bf83d",
+        "j_z":
+            "9b31659983a89e9f9a17cb775b556dbe12a7cd32164d2a4a6ec416f18d4bf83d",
+    },
+    "surface5_rep3": {
+        "h_x":
+            "0d91d226c56330a1dd36df09cac71a75cf16e6aa2fde2950d95cbe4291ca3f68",
+        "h_z":
+            "77dcddd02fb48a6042d288599f8d4dd920b892ebfa561cb22754c3916e8f2acc",
+        "j_x":
+            "f89ead511948835dbe69cee7304a0d859e8851e4a154df4b49150be344be8db8",
+        "j_z":
+            "f89ead511948835dbe69cee7304a0d859e8851e4a154df4b49150be344be8db8",
+    },
+}
+
+
+def test_deformed_matrices_unchanged(golden_build, digest):
+    name, dc = golden_build
+    for attr, want in DEFORMED_DIGESTS[name].items():
+        assert digest(getattr(dc.css, attr)) == want, attr
