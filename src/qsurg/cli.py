@@ -675,7 +675,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as err:
+    except (_InputError, gf2.SearchTooLarge) as err:
         print(f"{args.command}: {err}", file=sys.stderr)
         return 2
 

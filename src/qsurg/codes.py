@@ -8,6 +8,7 @@ certified lower bound or refuse with :class:`qsurg.gf2.SearchTooLarge`.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, replace
@@ -161,15 +162,24 @@ def css_from_checks(h_x, h_z, d: Optional[int] = None) -> CssCode:
 # ── distance ────────────────────────────────────────────────────────────
 
 
+def _sides(code) -> list:
+    """Each error type with a logical to flag, as (checks, flags): its
+    logical errors are the words of ker(checks) with a nonzero flag."""
+    if isinstance(code, ClassicalCode):
+        # Nonzero codewords, flagged by any nonzero coordinate.
+        sides = [(code.h, gf2.eye(code.n))] if code.k else []
+    else:
+        # X-type errors live in ker(h_z) and are logical iff j_z·uᵀ != 0.
+        sides = [(code.h_z, code.j_z), (code.h_x, code.j_x)]
+    return [side for side in sides if side[1].shape[0]]
+
+
 def _min_weight_flagged(basis: np.ndarray, flag: np.ndarray) -> Optional[int]:
     """Min weight over span(basis) of vectors v with flag·vᵀ != 0.
 
     Each basis row v is packed as [v | flag·vᵀ], so one span walk carries
     both the vector and its flags.
     """
-    dim = basis.shape[0]
-    if dim > gf2.MIN_WEIGHT_KERNEL_CAP:
-        raise SearchTooLarge(f"span dimension {dim} exceeds cap")
     vecs = gf2.pack_words(basis)
     rows = np.hstack([vecs, gf2.pack_words(gf2.mul(flag, basis.T).T)])
     k = vecs.shape[1]
@@ -182,53 +192,63 @@ def _min_weight_flagged(basis: np.ndarray, flag: np.ndarray) -> Optional[int]:
     return best
 
 
-def distance(code, budget: Optional[int] = None) -> DistanceResult:
-    """Exact distance, or a certified lower bound when only swept to *budget*.
+def _exact_side(checks: np.ndarray, flags: np.ndarray) -> Optional[int]:
+    """Least weight of a flagged word of ker(checks), by collision while
+    the sets swept so far stay within 2^dim (and gf2.TABLE_CAP), else by
+    span walk."""
+    basis = gf2.null_space(checks)
+    dim = basis.shape[0]
+    if dim > gf2.MIN_WEIGHT_KERNEL_CAP:
+        raise SearchTooLarge(f"span dimension {dim} exceeds cap")
+    n, swept, half = checks.shape[1], 0, 1
+    while True:
+        swept += sum(math.comb(n, w) for w in range(min(half, n) + 1))
+        if swept > min(1 << dim, gf2.TABLE_CAP):
+            return _min_weight_flagged(basis, flags)
+        v = gf2.flagged_collision(checks, flags, half)
+        if v is not None:
+            return v
+        half += 1
 
-    Classical codes: min weight of a nonzero codeword (span of g).  CSS
-    codes: min over both error types of the min weight of an undetected
-    error with nonzero logical action.  Exhaustive strategies require the
-    relevant span dimension ≤ the gf2 cap; otherwise a weight-bounded sweep
-    up to *budget* runs, and `floor = budget` is certified.
+
+def _logical_upto(sides, budget: int) -> Optional[int]:
+    """Least weight of a logical error of weight ≤ budget, or None: one
+    collision per side to half = ⌈budget/2⌉, exact up to the budget."""
+    vals = [gf2.flagged_collision(checks, flags, -(-budget // 2))
+            for checks, flags in sides]
+    v = min((v for v in vals if v is not None), default=None)
+    return v if v is not None and v <= budget else None
+
+
+def distance(code, budget: Optional[int] = None) -> DistanceResult:
+    """Exact distance, or a certified lower bound when only searched to
+    *budget*.
+
+    Classical codes: min weight of a nonzero codeword.  CSS codes: min over
+    both error types of the min weight of an undetected error with nonzero
+    logical action.  The exact search runs when each side's kernel
+    dimension is ≤ gf2.MIN_WEIGHT_KERNEL_CAP: it raises the half-weight of
+    gf2.flagged_collision one layer at a time while the sets swept so far
+    stay within the 2^dim words of a span walk, answers a side with the
+    first collision value (exact, as v ≤ 2·half), and finishes a side not
+    answered by then with the walk.  Otherwise, given a budget, one collision per side to
+    ⌈budget/2⌉ finds the least logical of weight ≤ budget (`d` exact) or
+    certifies `floor = budget`.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget={budget} is negative")
-    n = code.n
-    if isinstance(code, ClassicalCode):
-        # Nonzero codewords: span of g, flagged by any nonzero coordinate.
-        sides = [(code.g, gf2.eye(n))] if code.k else []
-    else:
-        # X-type errors live in ker(h_z) and are logical iff j_z·uᵀ != 0.
-        sides = [(gf2.null_space(code.h_z), code.j_z),
-                 (gf2.null_space(code.h_x), code.j_x)]
+    sides = _sides(code)
     try:
-        exact_vals = []
-        for basis, flag in sides:
-            if flag.shape[0] == 0:
-                continue
-            val = _min_weight_flagged(basis, flag)
-            if val is not None:
-                exact_vals.append(val)
-        if not exact_vals:
-            return DistanceResult(d=None, floor=n)
-        d = min(exact_vals)
-        return DistanceResult(d=d, floor=d - 1)
+        vals = [_exact_side(checks, flags) for checks, flags in sides]
+        d = min((v for v in vals if v is not None), default=None)
+        floor = code.n
     except SearchTooLarge:
         if budget is None:
             raise
-    # Weight-bounded sweep fallback: every side at weight w before w + 1.
-    if isinstance(code, ClassicalCode):
-        sides = [(code.h, gf2.eye(n))]
-    else:
-        sides = [(code.h_z, code.j_z), (code.h_x, code.j_x)]
-    parts = [gf2.pack_words(m.T) for side in sides for m in side]
-    edges = np.cumsum([p.shape[1] for p in parts])[:-1]
-    for w, words in gf2.combination_sweep(np.hstack(parts), budget):
-        split = np.split(words, edges, axis=1)
-        for syn, flags in zip(split[::2], split[1::2]):
-            if (~syn.any(axis=1) & flags.any(axis=1)).any():
-                return DistanceResult(d=w, floor=w - 1)
-    return DistanceResult(d=None, floor=budget)
+        d, floor = _logical_upto(sides, budget), budget
+    if d is None:
+        return DistanceResult(d=None, floor=floor)
+    return DistanceResult(d=d, floor=d - 1)
 
 
 # ── local testability ───────────────────────────────────────────────────
@@ -381,8 +401,10 @@ def load_manifest(path: str):
     """Load a code manifest; returns a ClassicalCode or CssCode.
 
     Raises ValueError, naming the manifest and the key, on a missing key,
-    an unknown type, an n or k that disagrees with the matrix shapes, or a
-    soundness= that is not a positive p/q or, for n ≤
+    an unknown type, an n or k that disagrees with the matrix shapes, a d=
+    above the true distance (a logical of weight < d found by the collision
+    to ⌈(d−1)/2⌉; kept as given when that collision is refused as too
+    large), or a soundness= that is not a positive p/q or, for n ≤
     gf2.MIN_WEIGHT_KERNEL_CAP, not the code's exact soundness.
     """
     base = os.path.dirname(os.path.abspath(path))
@@ -414,10 +436,19 @@ def load_manifest(path: str):
                              f"{m[key].shape[0]} rows")
     d = int(kv["d"]) if "d" in kv else None
     if kv["type"] == "css":
-        return CssCode(h_x=m["hx"], h_z=m["hz"], j_x=m["jx"], j_z=m["jz"],
+        code = CssCode(h_x=m["hx"], h_z=m["hz"], j_x=m["jx"], j_z=m["jz"],
                        n=n, k=k, d=d)
-    code = ClassicalCode(h=m["h"], g=m["g"], n=n, k=k, d=d)
-    if "soundness" in kv:
+    else:
+        code = ClassicalCode(h=m["h"], g=m["g"], n=n, k=k, d=d)
+    if d is not None:
+        try:
+            low = _logical_upto(_sides(code), d - 1)
+        except SearchTooLarge:
+            low = None  # out of the collision's reach: d= is kept as given
+        if low is not None:
+            raise ValueError(f"manifest {path}: d={d} but the code has a "
+                             f"logical of weight {low}")
+    if isinstance(code, ClassicalCode) and "soundness" in kv:
         text = kv["soundness"]
         pq = re.fullmatch(r"(\d+)/(\d+)", text)
         if not pq or not int(pq[1]) or not int(pq[2]):

@@ -9,6 +9,7 @@ solutions are reproducible across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -342,6 +343,10 @@ def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
 # Rows per vectorised step of the two enumerators below.
 ENUM_CHUNK = 1 << 16
 
+# Most swept sets a lookup-table build or a collision holds at once; either
+# is refused with SearchTooLarge before it allocates anything.
+TABLE_CAP = 1 << 22
+
 
 def span_walk(basis: np.ndarray):
     """XORs of all 2^dim subsets of the packed rows `basis` (dim × words),
@@ -468,6 +473,42 @@ def _least_per_word(keys, flat, values, b):
     flat >>= b
     return keys[starts], least.astype(np.int64 if values is None
                                       else values.dtype)
+
+
+def flagged_collision(checks: np.ndarray, flags: np.ndarray,
+                      half: int) -> Optional[int]:
+    """Least |a| + |b| over sets a, b of at most `half` columns with equal
+    syndromes (checks·aᵀ = checks·bᵀ) and different flags (flags·aᵀ ≠
+    flags·bᵀ), or None when no such pair exists (Stern's collision step).
+
+    a ⊕ b is a kernel word of `checks` with a nonzero flag, so the value is
+    at least m, the least weight of such a word, and at most 2·half; a word
+    of weight m splits into halves of sizes ⌈m/2⌉ and ⌊m/2⌋.  So v ≤ 2·half
+    implies v = m: the value is m when m ≤ 2·half, and None (a certificate
+    that m > 2·half) otherwise.  One combination_sweep of the packed
+    [checks | flags] columns keys every set, least_per_key keeps the least
+    weight of each (syndrome, flag) key, and within each syndrome class
+    the two least of those are a candidate.
+    """
+    r, n = checks.shape
+    size = sum(math.comb(n, w) for w in range(min(half, n) + 1))
+    if size > TABLE_CAP:
+        raise SearchTooLarge(f"collision sweep of {size} sets refused")
+    cols = pack_words(np.vstack([checks, flags]).T)
+    keys = np.empty((size, cols.shape[1]), dtype=np.uint64)
+    weights = np.empty(size, dtype=np.uint8)
+    at = 0
+    for w, words in combination_sweep(cols, half):
+        keys[at: at + len(words)] = words
+        weights[at: at + len(words)] = w
+        at += len(words)
+    keys, least = least_per_key(keys, weights)
+    keys &= pack_words(np.arange(r + len(flags))[None] < r)
+    _, syndrome = np.unique(_row_keys(keys), return_inverse=True)
+    order = np.lexsort((least, syndrome))
+    syndrome, least = syndrome[order], least[order].astype(np.int64)
+    same = syndrome[1:] == syndrome[:-1]
+    return int((least[1:] + least[:-1])[same].min()) if same.any() else None
 
 
 @dataclass(eq=False)

@@ -73,8 +73,6 @@ def checked_rng(seed: int, index: int):
 
 # ── lookup decoding ─────────────────────────────────────────────────────
 
-TABLE_CAP = 1 << 22
-
 
 class LookupDecoder:
     """Minimum-weight table decoder, complete up to a chosen error weight.
@@ -102,7 +100,7 @@ class LookupDecoder:
         one sort pick the positions, a sweep of the unit columns writes them."""
         n = checks.shape[1]
         size = sum(math.comb(n, w) for w in range(t + 1))
-        if size > TABLE_CAP:
+        if size > gf2.TABLE_CAP:
             raise SearchTooLarge(f"lookup table of {size} entries refused")
         syn = gf2.pack_words(checks.T)
         keys = np.empty((size, syn.shape[1]), dtype=np.uint64)
@@ -136,13 +134,14 @@ class LookupDecoder:
 
 
 def deep_decoder(code: CssCode) -> LookupDecoder:
-    """Lookup decoder with the deepest table that fits TABLE_CAP.
+    """Lookup decoder with the deepest table that fits gf2.TABLE_CAP.
 
     Scattered multi-fault configurations then decode to their true
     minimum-weight class instead of heralding.
     """
     w, n = (code.d - 1) // 2, code.n
-    while w < n and sum(math.comb(n, i) for i in range(w + 2)) <= TABLE_CAP:
+    while w < n and (sum(math.comb(n, i) for i in range(w + 2))
+                     <= gf2.TABLE_CAP):
         w += 1
     return LookupDecoder(code, max_weight=w)
 

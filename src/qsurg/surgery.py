@@ -362,11 +362,14 @@ class DistanceCertificate:
 
 
 def verify_distance_bound(dc: DeformedCode, budget: int) -> DistanceCertificate:
-    """Exhaustively certify that no tracked logical error of weight ≤ budget exists.
+    """Exactly certify that no tracked logical error of weight ≤ budget exists.
 
     X side: u with h_z^D·uᵀ = 0 and j_z^D·uᵀ != 0; Z side dual.  The budget
-    must stay below the claimed floor min{d, d_R}.  A violation returned is
-    the first in (weight, lexicographic) order, the whole X side first.
+    must stay below the claimed floor min{d, d_R}.  Each side is certified
+    clean by gf2.flagged_collision to ⌈budget/2⌉, whose value is exact up
+    to the budget.  On a side with a violation, the weight-bounded sweep
+    of its [checks | flags | unit] columns finds the one returned: the
+    first in (weight, lexicographic) order, the whole X side first.
     """
     floor = dc.css.d
     if floor is not None and budget > floor - 1:
@@ -374,13 +377,16 @@ def verify_distance_bound(dc: DeformedCode, budget: int) -> DistanceCertificate:
     if budget <= 0:
         return DistanceCertificate(budget=budget, ok=True)
     n = dc.css.n
-    units = gf2.pack_words(gf2.eye(n))
     for side, checks, flags in (("X", dc.css.h_z, dc.css.j_z),
                                 ("Z", dc.css.h_x, dc.css.j_x)):
         if flags.shape[0] == 0:
             continue
+        least = gf2.flagged_collision(checks, flags, -(-budget // 2))
+        if least is None or least > budget:
+            continue
         syn, fl = gf2.pack_words(checks.T), gf2.pack_words(flags.T)
         a, b = syn.shape[1], syn.shape[1] + fl.shape[1]
+        units = gf2.pack_words(gf2.eye(n))
         for _, words in gf2.combination_sweep(np.hstack([syn, fl, units]),
                                               budget):
             hit = np.flatnonzero(~words[:, :a].any(axis=1)
@@ -389,4 +395,7 @@ def verify_distance_bound(dc: DeformedCode, budget: int) -> DistanceCertificate:
                 v = gf2.unpack_words(words[hit[:1], b:], n)[0]
                 return DistanceCertificate(budget=budget, ok=False,
                                            side=side, violation=v)
+        raise InternalConsistencyError(
+            f"collision found a weight-{least} {side} logical the sweep "
+            "missed")
     return DistanceCertificate(budget=budget, ok=True)

@@ -62,7 +62,7 @@ class TestBadInput:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{argv[0]}: ") and says in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     @staticmethod
     def surgery_build(manifests, alpha_text, tmp_path):
@@ -87,6 +87,25 @@ class TestBadInput:
             "=surface3", f"={manifests}/surface3"))
         self.run(capsys, ["distance", "--manifest", str(path)],
                  "n=9 but hx has 13 columns")
+
+    def test_manifest_d_above_distance(self, manifests, tmp_path, capsys):
+        path = tmp_path / "surface3.manifest"
+        text = (manifests / "surface3.manifest").read_text()
+        path.write_text(text.replace("d=3", "d=4").replace(
+            "=surface3", f"={manifests}/surface3"))
+        self.run(capsys, ["distance", "--manifest", str(path)],
+                 f"manifest {path}: d=4 but the code has a logical of "
+                 "weight 3\n")
+
+    def test_refused_search(self, manifests, capsys, monkeypatch):
+        # Out of every search's reach, the manifest's d=3 is kept unchecked
+        # and the budget search is refused.
+        monkeypatch.setattr(gf2, "MIN_WEIGHT_KERNEL_CAP", 0)
+        monkeypatch.setattr(gf2, "TABLE_CAP", 13)
+        self.run(capsys, ["distance", "--manifest",
+                          str(manifests / "surface3.manifest"),
+                          "--budget", "2"],
+                 "distance: collision sweep of 14 sets refused\n")
 
     def test_missing_file(self, tmp_path, capsys):
         self.run(capsys, ["distance", "--manifest",

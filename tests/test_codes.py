@@ -39,13 +39,24 @@ def brute_classical_distance(code):
 
 def check_both_paths(code, d, budget):
     """codes.distance against the true distance d (None: no logical), on
-    the exact path and, with the span cap at 0, on the budget path."""
+    the exact path and, with the span cap at 0, on the budget path; and
+    gf2.flagged_collision at every half-weight, which reads d once
+    2·half ≥ d and nothing before."""
     want = codes.DistanceResult(d, d - 1) if d else codes.DistanceResult(None, code.n)
     assert codes.distance(code) == want
     if d is not None and d > budget:
         want = codes.DistanceResult(None, budget)
     with span_cap(0):
         assert codes.distance(code, budget=budget) == want
+    if isinstance(code, codes.ClassicalCode):
+        sides = [(code.h, gf2.eye(code.n))]
+    else:
+        sides = [(code.h_z, code.j_z), (code.h_x, code.j_x)]
+    for half in range(code.n + 1):
+        vals = [gf2.flagged_collision(checks, flags, half)
+                for checks, flags in sides]
+        v = min((v for v in vals if v is not None), default=None)
+        assert v == (d if d is not None and 2 * half >= d else None)
 
 
 def brute_css_distance(code):
@@ -115,7 +126,9 @@ class TestDistance:
             h_x=code.h_x, h_z=code.h_z, j_x=code.j_x, j_z=code.j_z,
             n=code.n, k=code.k,
         )
-        # Force the sweep path by shrinking the span cap.
+        # Force the budget path by shrinking the span cap below the kernel
+        # dimension (6 on each side): one collision to half = 1 finds no
+        # logical of weight ≤ 2 and certifies d > 2.
         old = gf2.MIN_WEIGHT_KERNEL_CAP
         gf2.MIN_WEIGHT_KERNEL_CAP = 2
         try:
@@ -285,7 +298,8 @@ class TestManifests:
         ("k=1", "k=2", "k=2 but jx has 1 rows"),
         ("hz=surface3.hz.txt\n", "", "missing key 'hz'"),
         ("type=css\n", "", "missing key 'type'"),
-        ("type=css", "type=quantum", "unknown type 'quantum'")])
+        ("type=css", "type=quantum", "unknown type 'quantum'"),
+        ("d=3", "d=4", "d=4 but the code has a logical of weight 3")])
     def test_css_manifest_checked(self, tmp_path, edit):
         old, new, says = edit
         path = tmp_path / "surface3.manifest"
@@ -299,7 +313,8 @@ class TestManifests:
     @pytest.mark.parametrize("edit", [
         ("n=7", "n=8", "n=8 but h has 7 columns"),
         ("k=4", "k=3", "k=3 but g has 4 rows"),
-        ("k=4\n", "", "missing key 'k'")])
+        ("k=4\n", "", "missing key 'k'"),
+        ("d=3", "d=5", "d=5 but the code has a logical of weight 3")])
     def test_classical_manifest_checked(self, tmp_path, edit):
         old, new, says = edit
         path = tmp_path / "ham.manifest"

@@ -170,10 +170,10 @@ class TestTableBuild:
         h = codes.surface_code_via_hgp(5).h_z  # 41 columns
         monkeypatch.setattr(gf2, "combination_sweep", no_work)
         monkeypatch.setattr(gf2, "pack_words", no_work)
-        monkeypatch.setattr(sim, "TABLE_CAP", 41)
+        monkeypatch.setattr(gf2, "TABLE_CAP", 41)
         with pytest.raises(gf2.SearchTooLarge):
             sim.LookupDecoder._build(h, 1)  # 42 combinations
-        monkeypatch.setattr(sim, "TABLE_CAP", sum(
+        monkeypatch.setattr(gf2, "TABLE_CAP", sum(
             math.comb(41, w) for w in range(6)) - 1)
         with pytest.raises(gf2.SearchTooLarge):
             sim.LookupDecoder._build(h, 5)

@@ -171,12 +171,13 @@ def first_violation(css, budget):
 
 
 class TestDistanceBound:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 9), st.integers(0, 3), st.integers(0, 3),
-           st.integers(0, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 11), st.integers(0, 8), st.integers(0, 3),
+           st.integers(0, 4), st.integers(0, 2**32 - 1))
     def test_first_violation_vs_combinations(self, n, rows, k, budget, seed):
-        # Arbitrary matrices: the sweep's order does not depend on them
-        # forming a valid CSS code.
+        # Arbitrary matrices: neither the collision that certifies a clean
+        # side nor the sweep's order depends on them forming a valid CSS
+        # code.
         rng = np.random.default_rng(seed)
         bits = lambda r: rng.integers(0, 2, size=(r, n)).astype(np.uint8)
         css = codes.CssCode(h_x=bits(rows), h_z=bits(rows), j_x=bits(k),
@@ -214,6 +215,15 @@ class TestDistanceBound:
         assert surgery.verify_lifted_conditions(dc) == []
         surgery.measured_extraction(dc)
         assert surgery.verify_distance_bound(dc, 1).ok
+
+    def test_reach_surface5_pair(self):
+        # Beyond a plain sweep: C(327, ≤4) ≈ 4.7·10^8 sets per side, where
+        # the collision sweeps C(327, ≤2) = 53,629.
+        s5 = codes.surface_code_via_hgp(5)
+        dc = surgery.build_deformed(codes.direct_sum_css(s5, s5),
+                                    gf2.bitmat([[1, 1]]), codes.repetition(5))
+        assert (dc.css.n, dc.css.k, dc.css.d) == (327, 1, 5)
+        assert surgery.verify_distance_bound(dc, 4).ok
 
     def test_composite_build_certified(self, target13, hamming_r):
         two = codes.direct_sum_css(target13, target13)
