@@ -211,13 +211,17 @@ def _exact_side(checks: np.ndarray, flags: np.ndarray) -> Optional[int]:
         half += 1
 
 
-def _logical_upto(sides, budget: int) -> Optional[int]:
-    """Least weight of a logical error of weight ≤ budget, or None: one
-    collision per side to half = ⌈budget/2⌉, exact up to the budget."""
-    vals = [gf2.flagged_collision(checks, flags, -(-budget // 2))
-            for checks, flags in sides]
-    v = min((v for v in vals if v is not None), default=None)
+def least_logical(checks: np.ndarray, flags: np.ndarray,
+                  budget: int) -> Optional[int]:
+    """Least weight of a word of ker(checks) with a nonzero flag when it is
+    ≤ budget, else None: gf2.flagged_collision to ⌈budget/2⌉, whose value
+    is exact up to the budget."""
+    v = gf2.flagged_collision(checks, flags, -(-budget // 2))
     return v if v is not None and v <= budget else None
+
+
+def _least(vals) -> Optional[int]:
+    return min((v for v in vals if v is not None), default=None)
 
 
 def distance(code, budget: Optional[int] = None) -> DistanceResult:
@@ -231,21 +235,23 @@ def distance(code, budget: Optional[int] = None) -> DistanceResult:
     gf2.flagged_collision one layer at a time while the sets swept so far
     stay within the 2^dim words of a span walk, answers a side with the
     first collision value (exact, as v ≤ 2·half), and finishes a side not
-    answered by then with the walk.  Otherwise, given a budget, one collision per side to
-    ⌈budget/2⌉ finds the least logical of weight ≤ budget (`d` exact) or
-    certifies `floor = budget`.
+    answered by then with the walk.  Otherwise, given a budget, one
+    collision per side to ⌈budget/2⌉ (:func:`least_logical`) finds the
+    least logical of weight ≤ budget (`d` exact) or certifies
+    `floor = budget`.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget={budget} is negative")
     sides = _sides(code)
     try:
-        vals = [_exact_side(checks, flags) for checks, flags in sides]
-        d = min((v for v in vals if v is not None), default=None)
+        d = _least(_exact_side(checks, flags) for checks, flags in sides)
         floor = code.n
     except SearchTooLarge:
         if budget is None:
             raise
-        d, floor = _logical_upto(sides, budget), budget
+        d = _least(least_logical(checks, flags, budget)
+                   for checks, flags in sides)
+        floor = budget
     if d is None:
         return DistanceResult(d=None, floor=floor)
     return DistanceResult(d=d, floor=d - 1)
@@ -442,7 +448,8 @@ def load_manifest(path: str):
         code = ClassicalCode(h=m["h"], g=m["g"], n=n, k=k, d=d)
     if d is not None:
         try:
-            low = _logical_upto(_sides(code), d - 1)
+            low = _least(least_logical(checks, flags, d - 1)
+                         for checks, flags in _sides(code))
         except SearchTooLarge:
             low = None  # out of the collision's reach: d= is kept as given
         if low is not None:

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import gf2
-from .codes import ClassicalCode, CssCode, validate_css
+from .codes import ClassicalCode, CssCode, least_logical, validate_css
 
 
 class GlueConstructionError(Exception):
@@ -366,10 +366,10 @@ def verify_distance_bound(dc: DeformedCode, budget: int) -> DistanceCertificate:
 
     X side: u with h_z^D·uᵀ = 0 and j_z^D·uᵀ != 0; Z side dual.  The budget
     must stay below the claimed floor min{d, d_R}.  Each side is certified
-    clean by gf2.flagged_collision to ⌈budget/2⌉, whose value is exact up
-    to the budget.  On a side with a violation, the weight-bounded sweep
-    of its [checks | flags | unit] columns finds the one returned: the
-    first in (weight, lexicographic) order, the whole X side first.
+    clean by codes.least_logical (gf2.flagged_collision to ⌈budget/2⌉).
+    On a side with a violation, the weight-bounded sweep of its
+    [checks | flags | unit] columns finds the one returned: the first in
+    (weight, lexicographic) order, the whole X side first.
     """
     floor = dc.css.d
     if floor is not None and budget > floor - 1:
@@ -381,8 +381,8 @@ def verify_distance_bound(dc: DeformedCode, budget: int) -> DistanceCertificate:
                                 ("Z", dc.css.h_x, dc.css.j_x)):
         if flags.shape[0] == 0:
             continue
-        least = gf2.flagged_collision(checks, flags, -(-budget // 2))
-        if least is None or least > budget:
+        least = least_logical(checks, flags, budget)
+        if least is None:
             continue
         syn, fl = gf2.pack_words(checks.T), gf2.pack_words(flags.T)
         a, b = syn.shape[1], syn.shape[1] + fl.shape[1]
