@@ -369,15 +369,23 @@ def span_walk(basis: np.ndarray):
         yield low ^ np.bitwise_xor.reduce(basis[rows], axis=0)
 
 
-def _chunks(counts: np.ndarray, size: int):
-    """Consecutive slices of `counts` whose sums stay within `size` (at
-    least one entry each)."""
+def extend_sets(acc: np.ndarray, last: np.ndarray, cols: np.ndarray):
+    """The extensions of each set i in turn (XOR acc[i], largest index
+    last[i]) by every larger index of the n packed rows `cols`, as (index,
+    XOR) chunks of about ENUM_CHUNK (one set's at least).  Extension p overall
+    adds index n − ends[i] + p, ends the running sum of counts n − 1 − last."""
+    counts = len(cols) - 1 - last
     ends = np.cumsum(counts)
     lo = 0
-    while lo < len(counts):
-        base = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + size, side="right")))
-        yield slice(lo, hi)
+    while lo < len(ends):
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + ENUM_CHUNK,
+                                             side="right")))
+        parent = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        nxt = len(cols) - ends[parent] + start + np.arange(parent.size)
+        words = np.take(acc, parent, axis=0)
+        words ^= np.take(cols, nxt, axis=0)
+        yield nxt, words
         lo = hi
 
 
@@ -386,25 +394,17 @@ def combination_sweep(cols: np.ndarray, t: int):
     yielded as (w, chunk) in (weight, lexicographic) order, chunk holding
     XORs of w rows; the empty set comes first as (0, one zero row).
 
-    The weight-w sets, in lexicographic order, extend each weight-(w−1)
-    set in turn by every larger index; each weight is generated in chunks
-    of about ENUM_CHUNK sets and only the lower weights, which seed the
-    next, are kept whole; callers must not write to a yielded chunk.
+    The weight-w sets, in lexicographic order, are extend_sets of the
+    weight-(w−1) sets; each weight is generated in chunks of about
+    ENUM_CHUNK sets and only the lower weights, which seed the next, are
+    kept whole; callers must not write to a yielded chunk.
     """
-    n = cols.shape[0]
     last = np.array([-1])
     acc = np.zeros((1, cols.shape[1]), dtype=np.uint64)
     yield 0, acc
-    for w in range(1, min(t, n) + 1):
+    for w in range(1, min(t, cols.shape[0]) + 1):
         grown = []
-        counts = n - 1 - last
-        for part in _chunks(counts, ENUM_CHUNK):
-            parent = np.repeat(np.arange(part.start, part.stop), counts[part])
-            offset = np.arange(parent.size) - np.repeat(
-                np.cumsum(counts[part]) - counts[part], counts[part])
-            nxt = last[parent] + 1 + offset
-            words = np.take(acc, parent, axis=0)
-            words ^= np.take(cols, nxt, axis=0)
+        for nxt, words in extend_sets(acc, last, cols):
             yield w, words
             if w < t:
                 grown.append((nxt, words))
@@ -428,9 +428,10 @@ def least_per_key(keys: np.ndarray, values: Optional[np.ndarray] = None):
 
     One-word keys whose bits plus the value bits fit in 64, with no negative
     value, are sorted as the single words key << b | value: the first word
-    of each key then holds its least value, and the peak is the keys alone.
-    Other keys (several words, or a key and value too wide together) take an
-    argsort of the rows beside the sort, an int64 a row more."""
+    of each key then holds its least value, and beyond the keys the peak is
+    a byte a row and two words a distinct key.  Other keys (several words,
+    or a key and value too wide together) take an argsort of the rows beside
+    the sort, an int64 a row more."""
     keys = np.ascontiguousarray(keys)
     flat = _row_keys(keys)
     n = len(flat)
@@ -458,21 +459,21 @@ def _least_per_word(keys, flat, values, b):
     flat <<= b
     for lo in range(0, n, ENUM_CHUNK):
         hi = min(lo + ENUM_CHUNK, n)
-        part = np.arange(lo, hi) if values is None else values[lo:hi]
-        flat[lo:hi] |= part.astype(np.uint64)
+        flat[lo:hi] |= (np.arange(lo, hi, dtype=np.uint64) if values is None
+                        else values[lo:hi].astype(np.uint64))
     flat.sort()
     new = np.ones(n, dtype=bool)
     for lo in range(1, n, ENUM_CHUNK):
         hi = min(lo + ENUM_CHUNK, n)
         new[lo:hi] = (flat[lo:hi] ^ flat[lo - 1:hi - 1]) >> b != 0
-    starts = np.flatnonzero(new)
-    del new
     # Within a key the words rise with the value: its first is its least.
-    least = flat[starts]
+    least = np.compress(new, flat)
+    del new
+    keys = (least >> b).reshape(-1, 1)
     least &= np.uint64((1 << b) - 1)
     flat >>= b
-    return keys[starts], least.astype(np.int64 if values is None
-                                      else values.dtype)
+    return keys, (least.view(np.int64) if values is None
+                  else least.astype(values.dtype))
 
 
 def flagged_collision(checks: np.ndarray, flags: np.ndarray,

@@ -96,30 +96,39 @@ class LookupDecoder:
     @staticmethod
     def _build(checks: np.ndarray, t: int) -> gf2.SyndromeTable:
         """Errors of weight ≤ t keyed by syndrome, the first of each in
-        gf2.combination_sweep's order: a sweep of the syndrome columns and
-        one sort pick the positions, a sweep of the unit columns writes them."""
+        gf2.combination_sweep's order.  Less its largest index, such an error
+        is the first of its own syndrome, so each weight's entries are the
+        first gf2.extend_sets of the last weight's to reach a new syndrome:
+        one least_per_key of [keys | extensions] a weight finds them."""
         n = checks.shape[1]
         size = sum(math.comb(n, w) for w in range(t + 1))
         if size > gf2.TABLE_CAP:
             raise SearchTooLarge(f"lookup table of {size} entries refused")
-        syn = gf2.pack_words(checks.T)
-        keys = np.empty((size, syn.shape[1]), dtype=np.uint64)
-        at = 0
-        for _, words in gf2.combination_sweep(syn, t):
-            keys[at: at + len(words)] = words
-            at += len(words)
-        keys, first = gf2.least_per_key(keys)
-        # The first positions are distinct, so the least position of each
-        # is its slot in the table: one packed sort puts them in sweep order.
-        first, slot = gf2.least_per_key(first.astype(np.uint64)[:, None])
-        first = first[:, 0]
-        units = gf2.pack_words(gf2.eye(n))
-        errors = np.empty((len(keys), units.shape[1]), dtype=np.uint64)
-        at = lo = 0
-        for _, words in gf2.combination_sweep(units, t):
-            hi = np.searchsorted(first, at + len(words))
-            errors[slot[lo:hi]] = words[first[lo:hi] - at]
-            at, lo = at + len(words), hi
+        cols = gf2.pack_words(checks.T)
+        units = gf2.pack_words(np.eye(n + 1, n, dtype=np.uint8))
+        keys, errors = np.zeros((1, cols.shape[1]), np.uint64), units[n:]
+        # The last weight's rows in sweep order, and the largest index of each.
+        front, last = np.zeros(1, dtype=np.int64), np.array([-1])
+        for w in range(1, min(t, n) + 1):
+            s, counts = len(keys), n - 1 - last
+            keys, least = gf2.least_per_key(np.concatenate([keys] + [
+                words for _, words in gf2.extend_sets(keys[front], last, cols)]))
+            # Position p's error: row o = origin[p] of [old rows | front]
+            # plus unit base[o] + p, the zero row n when p < s (then o = p).
+            origin = np.repeat(np.arange(s + len(front), dtype=np.int32),
+                               np.r_[np.ones(s, dtype=np.int64), counts])
+            base = np.r_[n - np.arange(s), n - s - np.cumsum(counts)]
+            errors = np.concatenate([errors, errors[front]])
+            grown = np.empty((len(keys), errors.shape[1]), dtype=np.uint64)
+            for lo in range(0, len(keys), gf2.ENUM_CHUNK):
+                q = least[lo: lo + gf2.ENUM_CHUNK]
+                o = origin[q]
+                grown[lo: lo + len(q)] = np.take(errors, o, axis=0)
+                grown[lo: lo + len(q)] ^= np.take(units, base[o] + q, axis=0)
+            errors = grown
+            if w < t:  # the old rows' positions are the s least
+                front = np.argsort(least)[s:]
+                last = base[origin[least[front]]] + least[front]
         return gf2.SyndromeTable(keys, errors)
 
     def decode_x(self, syndrome: np.ndarray) -> Optional[np.ndarray]:

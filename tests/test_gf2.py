@@ -1,6 +1,7 @@
 """GF(2) kernel: oracle-checked elimination, inverses, kron, vec, solving."""
 
 import itertools
+import tracemalloc
 from contextlib import contextmanager
 from unittest.mock import patch
 
@@ -535,3 +536,20 @@ class TestLeastPerKey:
         keys[gf2.ENUM_CHUNK - 1: gf2.ENUM_CHUNK + 2] = 12345
         values = rng.integers(0, 1000, size=rows) if with_values else None
         self.check_one_word(keys, values, packed)
+
+    def test_one_word_peak(self):
+        # Beyond its input the packed path holds a byte a row and two words
+        # a distinct key, plus a few chunk-sized temporaries: no index of the
+        # distinct keys and no copy of their values.
+        rng = np.random.default_rng(17)
+        keys = rng.integers(0, 1 << 19, size=(443_000, 1), dtype=np.uint64)
+        distinct = len(np.unique(keys))
+        assert 250_000 < distinct < len(keys)
+        tracemalloc.start()
+        try:
+            got_keys, least = gf2.least_per_key(keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got_keys) == distinct and least.dtype == np.int64
+        assert peak <= len(keys) + 16 * distinct + 24 * gf2.ENUM_CHUNK

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsurg import cli, codes, frame, gf2, sim
@@ -110,6 +110,33 @@ def dict_table(checks, t):
     return table
 
 
+def two_sweep_table(checks, t):
+    """Reference build, the table as two full sweeps made it: a sweep of
+    the syndrome columns and one sort pick the first position of each
+    syndrome, and a sweep of the unit columns writes its error."""
+    n = checks.shape[1]
+    size = sum(math.comb(n, w) for w in range(t + 1))
+    syn = gf2.pack_words(checks.T)
+    keys = np.empty((size, syn.shape[1]), dtype=np.uint64)
+    at = 0
+    for _, words in gf2.combination_sweep(syn, t):
+        keys[at: at + len(words)] = words
+        at += len(words)
+    keys, first = gf2.least_per_key(keys)
+    # The first positions are distinct, so the least position of each
+    # is its slot in the table: one packed sort puts them in sweep order.
+    first, slot = gf2.least_per_key(first.astype(np.uint64)[:, None])
+    first = first[:, 0]
+    units = gf2.pack_words(gf2.eye(n))
+    errors = np.empty((len(keys), units.shape[1]), dtype=np.uint64)
+    at = lo = 0
+    for _, words in gf2.combination_sweep(units, t):
+        hi = np.searchsorted(first, at + len(words))
+        errors[slot[lo:hi]] = words[first[lo:hi] - at]
+        at, lo = at + len(words), hi
+    return gf2.SyndromeTable(keys, errors)
+
+
 def as_int(words):
     return sum(int(w) << (64 * i) for i, w in enumerate(words))
 
@@ -156,6 +183,38 @@ class TestTableBuild:
         finally:
             gf2.ENUM_CHUNK = old
 
+    # Shapes with two syndrome words (rows > 64, the argsort path of
+    # least_per_key) or two error words (columns > 64); t = 0 and t ≥ n;
+    # zeroed and repeated columns; tiny chunks split every build step.
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 140), st.integers(0, 8) | st.integers(0, 140),
+           st.integers(0, 9), st.integers(0, 4), st.integers(0, 4),
+           st.integers(1, 60), st.integers(0, 2**32 - 1))
+    @example(70, 70, 2, 1, 1, 7, 0).via("two words of both")
+    @example(3, 5, 0, 0, 0, 60, 1).via("t = 0")
+    @example(6, 5, 9, 1, 1, 2, 2).via("t > n, a zero and a repeated column")
+    @example(0, 4, 4, 0, 0, 1, 3).via("no checks")
+    def test_matches_two_sweeps(self, rows, cols, t, zero, repeat, chunk,
+                                seed):
+        while t and sum(math.comb(cols, w) for w in range(t + 1)) > 5000:
+            t -= 1
+        rng = np.random.default_rng(seed)
+        checks = rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
+        if cols:
+            checks[:, rng.integers(0, cols, size=zero)] = 0
+            checks[:, rng.integers(0, cols, size=repeat)] = checks[
+                :, rng.integers(0, cols, size=repeat)]
+        want = two_sweep_table(checks, t)
+        old = gf2.ENUM_CHUNK
+        try:
+            gf2.ENUM_CHUNK = chunk
+            got = sim.LookupDecoder._build(checks, t)
+        finally:
+            gf2.ENUM_CHUNK = old
+        for a, b in ((got.keys, want.keys), (got.errors, want.errors)):
+            assert (a.dtype.str, a.shape) == (b.dtype.str, b.shape)
+            assert a.tobytes() == b.tobytes()
+
     def test_decode_reads_the_table(self):
         code = codes.surface_code_via_hgp(3)
         dec = sim.deep_decoder(code)
@@ -169,6 +228,7 @@ class TestTableBuild:
 
         h = codes.surface_code_via_hgp(5).h_z  # 41 columns
         monkeypatch.setattr(gf2, "combination_sweep", no_work)
+        monkeypatch.setattr(gf2, "extend_sets", no_work)
         monkeypatch.setattr(gf2, "pack_words", no_work)
         monkeypatch.setattr(gf2, "TABLE_CAP", 41)
         with pytest.raises(gf2.SearchTooLarge):
@@ -234,6 +294,15 @@ DEEP_TABLE_DIGESTS = {
 }
 
 
+# sha256 of the depth-1 tables of the surface7 experiment (see
+# table_digest), as the two-sweep build (two_sweep_table) computed them:
+# its errors span two words.
+SURFACE7_TABLE_DIGESTS = {
+    "_x_table": "a91a04b06a99ebdd1e71b2f5aafd11f2abfca313fcd3856738c2680bfe1c476a",
+    "_z_table": "02f630ab06c03b83234f8ab6a47918fcac47fc49ef34e4376b2b92db1940d874",
+}
+
+
 def table_digest(table):
     h = hashlib.sha256()
     for part in (table.keys, table.errors):
@@ -246,6 +315,13 @@ def test_deep_tables_unchanged(experiments):
     dec = experiments[5].decoder
     assert dec.t == 5
     for name, digest in DEEP_TABLE_DIGESTS.items():
+        assert table_digest(getattr(dec, name)) == digest
+
+
+def test_surface7_tables_unchanged(experiments):
+    dec = experiments[7].decoder
+    assert dec.t == 1 and dec._x_table.errors.shape[1] == 2
+    for name, digest in SURFACE7_TABLE_DIGESTS.items():
         assert table_digest(getattr(dec, name)) == digest
 
 
