@@ -376,9 +376,8 @@ def extend_sets(acc: np.ndarray, last: np.ndarray, cols: np.ndarray):
     adds index n − ends[i] + p, ends the running sum of counts n − 1 − last."""
     counts = len(cols) - 1 - last
     ends = np.cumsum(counts)
-    lo = 0
+    start = lo = 0
     while lo < len(ends):
-        start = ends[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, start + ENUM_CHUNK,
                                              side="right")))
         parent = np.repeat(np.arange(lo, hi), counts[lo:hi])
@@ -386,7 +385,7 @@ def extend_sets(acc: np.ndarray, last: np.ndarray, cols: np.ndarray):
         words = np.take(acc, parent, axis=0)
         words ^= np.take(cols, nxt, axis=0)
         yield nxt, words
-        lo = hi
+        start, lo = ends[hi - 1], hi
 
 
 def combination_sweep(cols: np.ndarray, t: int):
@@ -399,8 +398,7 @@ def combination_sweep(cols: np.ndarray, t: int):
     ENUM_CHUNK sets and only the lower weights, which seed the next, are
     kept whole; callers must not write to a yielded chunk.
     """
-    last = np.array([-1])
-    acc = np.zeros((1, cols.shape[1]), dtype=np.uint64)
+    last, acc = np.array([-1]), np.zeros((1, cols.shape[1]), dtype=np.uint64)
     yield 0, acc
     for w in range(1, min(t, cols.shape[0]) + 1):
         grown = []
@@ -467,13 +465,14 @@ def _least_per_word(keys, flat, values, b):
         hi = min(lo + ENUM_CHUNK, n)
         new[lo:hi] = (flat[lo:hi] ^ flat[lo - 1:hi - 1]) >> b != 0
     # Within a key the words rise with the value: its first is its least.
-    least = np.compress(new, flat)
+    # The keys, which callers keep, are allocated before the values.
+    keys = np.compress(new, flat)
     del new
-    keys = (least >> b).reshape(-1, 1)
-    least &= np.uint64((1 << b) - 1)
+    least = keys & np.uint64((1 << b) - 1)
+    keys >>= b
     flat >>= b
-    return keys, (least.view(np.int64) if values is None
-                  else least.astype(values.dtype))
+    return keys.reshape(-1, 1), (least.view(np.int64) if values is None
+                                 else least.astype(values.dtype))
 
 
 def flagged_collision(checks: np.ndarray, flags: np.ndarray,

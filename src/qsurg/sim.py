@@ -113,13 +113,14 @@ class LookupDecoder:
             s, counts = len(keys), n - 1 - last
             keys, least = gf2.least_per_key(np.concatenate([keys] + [
                 words for _, words in gf2.extend_sets(keys[front], last, cols)]))
+            # Before the temporaries below, which then free to the heap's top.
+            grown = np.empty((len(keys), errors.shape[1]), dtype=np.uint64)
             # Position p's error: row o = origin[p] of [old rows | front]
             # plus unit base[o] + p, the zero row n when p < s (then o = p).
             origin = np.repeat(np.arange(s + len(front), dtype=np.int32),
                                np.r_[np.ones(s, dtype=np.int64), counts])
             base = np.r_[n - np.arange(s), n - s - np.cumsum(counts)]
             errors = np.concatenate([errors, errors[front]])
-            grown = np.empty((len(keys), errors.shape[1]), dtype=np.uint64)
             for lo in range(0, len(keys), gf2.ENUM_CHUNK):
                 q = least[lo: lo + gf2.ENUM_CHUNK]
                 o = origin[q]
