@@ -253,7 +253,6 @@ class CostReport:
     sum_batches: int
     sum_bound: Fraction
     t_magic_consumed: int
-    s_magic_used: int
 
 
 def sublayer_cost(ops, k_r: int, k_f: int, d_s: int) -> CostReport:
@@ -264,13 +263,12 @@ def sublayer_cost(ops, k_r: int, k_f: int, d_s: int) -> CostReport:
         raise ValueError("sub-layer must be block-disjoint")
     num: dict[str, int] = {}
     resources: dict[str, int] = {}
-    t_used = s_used = 0
+    t_used = 0
     for op in ops:
         key = op.kind if isinstance(op, LogicalOp) else str(op)
         num[key] = num.get(key, 0) + 1
         dec = decompose(op)
         t_used += dec.consumes_t_magic
-        s_used += dec.uses_s_magic
         for label in dec.measurements:
             for name, count in measurement_resources(label, k_r).items():
                 resources[name] = resources.get(name, 0) + count
@@ -284,7 +282,7 @@ def sublayer_cost(ops, k_r: int, k_f: int, d_s: int) -> CostReport:
         raise AssertionError("batch bound violated")
     return CostReport(num=num, batches=batches, resource_counts=resources,
                       sum_batches=sum_b, sum_bound=bound,
-                      t_magic_consumed=t_used, s_magic_used=s_used)
+                      t_magic_consumed=t_used)
 
 
 # ── overhead exponent table ─────────────────────────────────────────────

@@ -42,9 +42,7 @@ class TeleMeasurement:
     circuit: Circuit
     layout: Layout                      # A1 A2 B1 B2 C1 C2 C3, width n each
     col_locs: dict
-    a_ids: np.ndarray
     c_ids: np.ndarray
-    mu_x_start: int
     mu_z_start: int
     j_m_x: np.ndarray
     j_m_z: np.ndarray
@@ -102,7 +100,7 @@ def build_tele_measurement(source: CssCode) -> TeleMeasurement:
     circ = Circuit()
     a_ids = circ.new_block("A", n)
     circ.mark_input(a_ids)
-    c_ids, mu_x, mu_z, steps = append_tele_z(circ, a_ids, source.h_z)
+    c_ids, _, mu_z, steps = append_tele_z(circ, a_ids, source.h_z)
 
     layout = Layout([(name, n) for name in
                      ("A1", "A2", "B1", "B2", "C1", "C2", "C3")])
@@ -133,8 +131,7 @@ def build_tele_measurement(source: CssCode) -> TeleMeasurement:
     j_m_oc = np.concatenate(
         [hz, zero_hz, hz, hz, zero_hz, zero_hz, zero_hz], axis=1)
     return TeleMeasurement(source=source, circuit=circ, layout=layout,
-                           col_locs=col_locs, a_ids=a_ids, c_ids=c_ids,
-                           mu_x_start=mu_x, mu_z_start=mu_z,
+                           col_locs=col_locs, c_ids=c_ids, mu_z_start=mu_z,
                            j_m_x=j_m_x, j_m_z=j_m_z, j_m_mz=j_m_mz,
                            j_m_oc=j_m_oc)
 
