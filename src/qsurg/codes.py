@@ -87,9 +87,9 @@ def validate_css(code: CssCode) -> list[str]:
         report.append("j_x·h_zᵀ != 0")
     if not np.array_equal(gf2.mul(jx, jz.T), gf2.eye(code.k)):
         report.append("j_x·j_zᵀ != identity (symplectic pairing)")
-    if gf2.rank(np.concatenate([hx, jx])) != gf2.rank(hx) + code.k:
+    if len(_extend_basis(hx, jx)) != code.k:
         report.append("j_x rows not independent of the X stabilizer row space")
-    if gf2.rank(np.concatenate([hz, jz])) != gf2.rank(hz) + code.k:
+    if len(_extend_basis(hz, jz)) != code.k:
         report.append("j_z rows not independent of the Z stabilizer row space")
     return report
 
@@ -112,17 +112,11 @@ def validate_classical(code: ClassicalCode) -> list[str]:
 
 
 def _extend_basis(base: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Rows of *candidates* that extend span(base), taken in order."""
-    picked = []
-    acc = base
-    r = gf2.rank(acc)
-    for row in candidates:
-        trial = np.concatenate([acc, row.reshape(1, -1)])
-        tr = gf2.rank(trial)
-        if tr > r:
-            picked.append(row)
-            acc, r = trial, tr
-    return np.array(picked, dtype=np.uint8).reshape(len(picked), base.shape[1])
+    """Rows of *candidates* that extend span(base), taken in order: those
+    not in the span of base and the candidates before them, which are the
+    pivot columns past base in one elimination of [base; candidates]ᵀ."""
+    _, pivots = gf2.row_echelon(np.concatenate([base, candidates]).T)
+    return candidates[[p - len(base) for p in pivots if p >= len(base)]]
 
 
 def complete_logicals(h_x: np.ndarray, h_z: np.ndarray):
@@ -133,16 +127,15 @@ def complete_logicals(h_x: np.ndarray, h_z: np.ndarray):
     j_x·j_zᵀ = E_k.
     """
     h_x, h_z = gf2.bitmat(h_x), gf2.bitmat(h_z)
-    lx = _extend_basis(gf2.row_basis(h_x), gf2.null_space(h_z))
-    lz = _extend_basis(gf2.row_basis(h_z), gf2.null_space(h_x))
+    lx = _extend_basis(h_x, gf2.null_space(h_z))
+    lz = _extend_basis(h_z, gf2.null_space(h_x))
     if lx.shape[0] != lz.shape[0]:
         raise ValueError("logical X/Z dimensions disagree; bad check matrices")
     k = lx.shape[0]
     if k == 0:
         n = h_x.shape[1]
         return gf2.zeros(0, n), gf2.zeros(0, n)
-    m = gf2.mul(lx, lz.T)
-    minv = gf2.inverse(m)
+    minv = gf2.right_inverse(gf2.mul(lx, lz.T))
     if minv is None:
         raise ValueError("degenerate logical pairing; bad check matrices")
     jz = gf2.mul(minv.T, lz)
@@ -285,11 +278,12 @@ def soundness(code: ClassicalCode) -> Optional[Fraction]:
             np.concatenate([classes, words[:, k:]]),
             np.concatenate([least, wt]))
     syn_w = np.bitwise_count(classes).sum(axis=1, dtype=np.int64)
-    # least ≤ n, so syn_w·(n + 1) + least keys each (syn_w, least) pair.
-    pairs = np.unique((syn_w * (n + 1) + least)[syn_w > 0])
-    code.soundness = min((Fraction(n * int(a), r * int(b))
-                          for a, b in zip(*np.divmod(pairs, n + 1))),
-                         default=None)
+    a, b = syn_w[syn_w > 0], least[syn_w > 0]
+    # b ≤ n, so distinct ratios a/b differ by at least 1/n², far above the
+    # rounding of a float division: the float argmin is the exact minimum.
+    i = int(np.argmin(a / b)) if a.size else None
+    code.soundness = None if i is None else Fraction(n * int(a[i]),
+                                                     r * int(b[i]))
     return code.soundness
 
 

@@ -174,10 +174,16 @@ def rank(m: np.ndarray) -> int:
     return len(pivots)
 
 
-def row_basis(m: np.ndarray) -> np.ndarray:
-    """Rows forming a basis of the row space, in echelon order."""
-    r, pivots = row_echelon(m)
-    return r[: len(pivots)].copy()
+def _kernel(r: np.ndarray, pivots: list, nc: int) -> np.ndarray:
+    """Kernel basis of the first nc columns of a reduced echelon form r
+    with these pivots: one row per free column, in ascending order."""
+    free = np.ones(nc, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = zeros(len(free), nc)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = r[:len(pivots), free].T
+    return basis
 
 
 def null_space(m: np.ndarray) -> np.ndarray:
@@ -186,15 +192,7 @@ def null_space(m: np.ndarray) -> np.ndarray:
     One basis vector per free column, in ascending free-column order.
     """
     m = bitmat(m)
-    nc = m.shape[1]
-    r, pivots = row_echelon(m)
-    free = [c for c in range(nc) if c not in pivots]
-    basis = zeros(len(free), nc)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for prow, pc in enumerate(pivots):
-            basis[i, pc] = r[prow, fc]
-    return basis
+    return _kernel(*row_echelon(m), m.shape[1])
 
 
 def left_null_space(m: np.ndarray) -> np.ndarray:
@@ -219,14 +217,6 @@ def right_inverse(m: np.ndarray) -> Optional[np.ndarray]:
     for prow, pc in enumerate(pivots):
         inv[pc] = r[prow, ncols:]
     return inv
-
-
-def inverse(m: np.ndarray) -> Optional[np.ndarray]:
-    """Two-sided inverse of a square matrix, or None if singular."""
-    m = bitmat(m)
-    if m.shape[0] != m.shape[1]:
-        return None
-    return right_inverse(m)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -285,13 +275,12 @@ def solve_linear(a: np.ndarray, b: np.ndarray,
     if np.any(r[lead:, ncols]):
         return None
     x0 = zeros(1, ncols)[0]
-    for prow, pc in enumerate(pivots):
-        x0[pc] = r[prow, ncols]
+    x0[pivots] = r[:lead, ncols]
     if mode == "any":
         return x0
     if mode != "min_weight":
         raise ValueError(f"unknown mode {mode!r}")
-    kern = null_space(a)
+    kern = _kernel(r, pivots, ncols)
     dim = kern.shape[0]
     if dim > MIN_WEIGHT_KERNEL_CAP:
         raise SearchTooLarge(

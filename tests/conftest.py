@@ -26,6 +26,38 @@ def digest():
     return of
 
 
+@pytest.fixture(scope="session")
+def mixed_rows():
+    """A seeded random 0/1 matrix whose rows are each, at random, fresh,
+    zero, a copy of an earlier row or the XOR of two earlier rows."""
+    def of(seed, rows, cols):
+        rng = np.random.default_rng(seed)
+        m = gf2.zeros(rows, cols)
+        for i in range(rows):
+            kind = int(rng.integers(4 if i else 2))
+            if kind == 0:
+                m[i] = rng.integers(0, 2, size=cols)
+            elif kind == 2:
+                m[i] = m[rng.integers(i)]
+            elif kind == 3:
+                m[i] = m[rng.integers(i)] ^ m[rng.integers(i)]
+        return m
+    return of
+
+
+@pytest.fixture
+def row_echelon_calls(monkeypatch):
+    """A list that gains one entry per gf2.row_echelon call in the test."""
+    calls = []
+    real = gf2.row_echelon
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(gf2, "row_echelon", counted)
+    return calls
+
+
 # Deformed codes whose matrices the golden tests pin: (target, alpha, R code).
 GOLDEN_BUILDS = {
     "desk": lambda: (codes.surface_code_via_hgp(3), [[1]], codes.hamming_743()),

@@ -1,12 +1,16 @@
 """Code objects: validation, distance vs brute force, soundness, constructors."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsurg import codes, gf2
@@ -74,6 +78,33 @@ def brute_css_distance(code):
     return best
 
 
+def rank_per_candidate_extend(base, candidates):
+    """codes._extend_basis as a rank per candidate: a row is kept when it
+    raises the rank of base and the rows kept before it (the earlier code,
+    kept as a reference)."""
+    picked = []
+    acc = base
+    r = gf2.rank(acc)
+    for row in candidates:
+        trial = np.concatenate([acc, row.reshape(1, -1)])
+        tr = gf2.rank(trial)
+        if tr > r:
+            picked.append(row)
+            acc, r = trial, tr
+    return np.array(picked, dtype=np.uint8).reshape(len(picked), base.shape[1])
+
+
+def two_rank_independence(code):
+    """validate_css's independence lines from two ranks a side (the
+    earlier code, kept as a reference)."""
+    report = []
+    for h, j, name in ((code.h_x, code.j_x, "X"), (code.h_z, code.j_z, "Z")):
+        if gf2.rank(np.concatenate([h, j])) != gf2.rank(h) + code.k:
+            report.append(f"j_{name.lower()} rows not independent of the "
+                          f"{name} stabilizer row space")
+    return report
+
+
 class TestValidate:
     def test_steane_valid(self):
         code = codes.steane()
@@ -90,6 +121,78 @@ class TestValidate:
     def test_hgp_output_valid(self):
         code = codes.hypergraph_product(codes.hamming_743(), codes.repetition(3))
         assert codes.validate_css(code) == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 4), st.integers(0, 6),
+           st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_independence_matches_two_ranks(self, mixed_rows, rx, k, rz, n,
+                                            seed):
+        # Logical rows drawn with the checks: zero, repeated or in their span.
+        x = mixed_rows(seed, rx + k, n)
+        z = mixed_rows(seed + 1, rz + k, n)
+        code = codes.CssCode(h_x=x[:rx], h_z=z[:rz], j_x=x[rx:], j_z=z[rz:],
+                             n=n, k=k)
+        got = [line for line in codes.validate_css(code)
+               if "independent" in line]
+        assert got == two_rank_independence(code)
+
+    def test_two_eliminations(self, row_echelon_calls):
+        code = codes.surface_code_via_hgp(3)
+        row_echelon_calls.clear()
+        codes.validate_css(code)
+        assert len(row_echelon_calls) == 2
+
+
+# sha256 (conftest.digest) of (j_x, j_z) of hypergraph products whose
+# check matrices have redundant rows, as the rank-per-candidate completion
+# gave them.
+REDUNDANT_CHECK_DIGESTS = {
+    "cycle3_hamming": (
+        "879ebb41c6d51bcd6a40371b870bc4958edfb56c02a912dbe3eb0938f36844ae",
+        "f1bfd537f240a19a8150e5a3b39a6f7793e175071dfd425e16d5d5e8095e94dd"),
+    "cycle3_cycle3": (
+        "2eafa914abfaca7cb3f1e1811fe502a546b6ce423a49246bb8a8d6fd34a6bd68",
+        "0bba553cae809803dfe9adb9ce082664ad1d684b0ebb7351eaea9dd846445e03"),
+}
+
+
+def cycle3():
+    """The length-3 repetition code with all three ring checks, one of
+    them the sum of the other two."""
+    h = gf2.bitmat([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    return codes.ClassicalCode(h=h, g=gf2.null_space(h), n=3, k=1)
+
+
+class TestLogicalCompletion:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 8), st.integers(1, 10),
+           st.integers(0, 2**32 - 1))
+    @example(0, 0, 4, 0)
+    @example(0, 3, 4, 1)
+    @example(3, 0, 4, 2)
+    def test_extend_basis_matches_rank_per_candidate(self, mixed_rows, nb, nc,
+                                                     n, seed):
+        # Base and candidates drawn together: zero, repeated and dependent
+        # base rows, and candidates in the span of the base or of each other.
+        m = mixed_rows(seed, nb + nc, n)
+        got = codes._extend_basis(m[:nb], m[nb:])
+        want = rank_per_candidate_extend(m[:nb], m[nb:])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(REDUNDANT_CHECK_DIGESTS))
+    def test_redundant_checks_digests(self, name, digest):
+        second = codes.hamming_743() if name.endswith("hamming") else cycle3()
+        code = codes.hypergraph_product(cycle3(), second)
+        assert gf2.rank(code.h_x) < len(code.h_x)
+        assert (digest(code.j_x), digest(code.j_z)) == \
+            REDUNDANT_CHECK_DIGESTS[name]
+        assert codes.validate_css(code) == []
+
+    def test_surface5_eliminations(self, row_echelon_calls):
+        # Two kernels, two extensions and the pairing's inverse.
+        codes.surface_code_via_hgp(5)
+        assert len(row_echelon_calls) <= 5
 
 
 class TestHypergraphProduct:
@@ -221,6 +324,25 @@ class TestSoundness:
                 dist = min(gf2.weight(u ^ c) for c in words)
                 ratios.append(Fraction(n * syn, rows * dist))
         assert codes.soundness(code) == min(ratios, default=None)
+
+    def test_zero_checks_undefined(self):
+        # Every word is a codeword, so no ratio exists.
+        code = codes.ClassicalCode(h=gf2.zeros(2, 4), g=gf2.eye(4), n=4, k=4)
+        assert codes.soundness(code) is None
+
+    def test_desk_ledger_leaves_numpy_ma_unloaded(self):
+        # A plain np.unique imports numpy.ma, a megabyte of resident memory.
+        src = pathlib.Path(codes.__file__).resolve().parents[1]
+        code = ("import sys\n"
+                "from qsurg import cli\n"
+                "cli.run_desk_ledger(seed=5, out_dir=None, max_weight=1,\n"
+                "                    samples=10, trials=1000, frames=10)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout == "False\n", out.stderr
 
     def test_preimage_bound_all_syndromes(self):
         # For every v in colsp(h): min-weight u with h·uᵀ = v has

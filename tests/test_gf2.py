@@ -209,7 +209,8 @@ class TestKernelsAndForms:
         # Same row space after undoing the permutation.
         undone = gf2.zeros(*g.shape)
         undone[:, perm] = g_std
-        assert np.array_equal(gf2.row_basis(undone), gf2.row_basis(g))
+        assert np.array_equal(gf2.row_echelon(undone)[0],
+                              gf2.row_echelon(g)[0])
 
 
 class TestTextFormat:
@@ -273,6 +274,96 @@ def gray_loop_min_weight(a, b):
         if cur.bit_count() < best_w:
             best, best_w = cur, cur.bit_count()
     return gf2._unpack(best, a.shape[1])
+
+
+def row_loop_null_space(m):
+    """null_space with the kernel read by a loop over free and pivot
+    columns (the earlier code, kept as a reference)."""
+    m = gf2.bitmat(m)
+    nc = m.shape[1]
+    r, pivots = gf2.row_echelon(m)
+    free = [c for c in range(nc) if c not in pivots]
+    basis = gf2.zeros(len(free), nc)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for prow, pc in enumerate(pivots):
+            basis[i, pc] = r[prow, fc]
+    return basis
+
+
+def two_elimination_min_weight(a, b):
+    """solve_linear(mode="min_weight") with the kernel from a second
+    elimination, of a alone (the earlier code, kept as a reference)."""
+    a, b = gf2.bitmat(a), gf2.bitvec(b)
+    ncols = a.shape[1]
+    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
+    r, pivots = gf2.row_echelon(aug, ncols=ncols)
+    if np.any(r[len(pivots):, ncols]):
+        return None
+    x0 = gf2.zeros(1, ncols)[0]
+    for prow, pc in enumerate(pivots):
+        x0[pc] = r[prow, ncols]
+    kern = row_loop_null_space(a)
+    if kern.shape[0] > gf2.MIN_WEIGHT_KERNEL_CAP:
+        raise gf2.SearchTooLarge(f"kernel dimension {kern.shape[0]}")
+    x = gf2.pack_words(x0[None])
+    best, best_w = None, ncols + 1
+    for words in gf2.span_walk(gf2.pack_words(kern)):
+        words ^= x
+        wt = np.bitwise_count(words).sum(axis=1)
+        i = int(np.argmin(wt))
+        if wt[i] < best_w:
+            best, best_w = words[i], wt[i]
+    return gf2.unpack_words(best[None], ncols)[0]
+
+
+def same_bytes(got, want):
+    """Both None, or arrays of one dtype, shape and bytes."""
+    if got is None or want is None:
+        return got is want
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+class TestOneElimination:
+    """The kernel and the min-weight solve read from one elimination equal
+    the earlier row-loop and two-elimination code byte for byte."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10), st.integers(0, 70), st.integers(0, 2**32 - 1))
+    def test_null_space_matches_row_loop(self, mixed_rows, rows, cols, seed):
+        m = mixed_rows(seed, rows, cols)
+        assert same_bytes(gf2.null_space(m), row_loop_null_space(m))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 10), st.integers(1, 12), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_min_weight_matches_two_eliminations(self, mixed_rows, rows, cols,
+                                                 consistent, seed):
+        a = mixed_rows(seed, rows, cols)
+        rng = np.random.default_rng(seed + 1)
+        b = (gf2.mul(a, rng.integers(0, 2, size=cols)).reshape(-1)
+             if consistent else rng.integers(0, 2, size=rows))
+        assert same_bytes(gf2.solve_linear(a, b, mode="min_weight"),
+                          two_elimination_min_weight(a, b))
+
+    @pytest.mark.parametrize("b", [[1, 0, 1, 1], [1, 0, 1, 0]])
+    def test_kernel_dimension_zero(self, b):
+        # Full column rank: the solution is unique when there is one.
+        a = gf2.bitmat([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]])
+        got = gf2.solve_linear(a, b, mode="min_weight")
+        assert same_bytes(got, two_elimination_min_weight(a, b))
+        assert (got is None) == (b[3] == 0)
+
+    def test_inconsistent(self):
+        a = gf2.bitmat([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+        for b in ([1, 0, 0], [0, 0, 1]):
+            assert gf2.solve_linear(a, b, mode="min_weight") is None
+            assert two_elimination_min_weight(a, b) is None
+
+    def test_one_elimination_per_min_weight_solve(self, row_echelon_calls):
+        gf2.solve_linear(HAMMING_H, [1, 0, 0], mode="min_weight")
+        assert len(row_echelon_calls) == 1
 
 
 @contextmanager
