@@ -71,10 +71,14 @@ def run_lanes(circ: Circuit, faults) -> FrameResult:
                          f"one row per lane and one column per location, "
                          f"{len(cols.qubit)}")
     allowed = np.where(cols.qubit >= 0, X | Z, FLIP)
-    bad = np.flatnonzero(faults.max(axis=0, initial=0) & ~allowed)
+    used = faults.max(axis=0, initial=0)
+    bad = np.flatnonzero(used & ~allowed)
     if bad.size:
         raise ValueError(f"fault code {faults[:, bad[0]].max()} at "
                          f"location {circ.locations()[bad[0]]}")
+    # The columns before each that hold a fault in some lane: a span is
+    # injected only if this count rises across it.
+    before = np.concatenate([[0], np.cumsum(used != 0)])
     fx, fz = (gf2.pack_words((faults >> bit & 1).T) for bit in (0, 1))
     xs = np.zeros((circ.n_qubits, fx.shape[1]), dtype=np.uint64)
     zs = np.zeros_like(xs)
@@ -82,7 +86,7 @@ def run_lanes(circ: Circuit, faults) -> FrameResult:
 
     def inject(step: int) -> None:
         start, stop = cols.spans[step + 1]
-        if stop > start:
+        if before[stop] > before[start]:
             qubits = cols.qubit[start:stop]
             xs[qubits] ^= fx[start:stop]
             zs[qubits] ^= fz[start:stop]

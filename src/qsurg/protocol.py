@@ -79,8 +79,8 @@ def _append_resource_prep(circ: Circuit, h_z: np.ndarray, n: int):
 def append_tele_z(circ: Circuit, sys_ids: np.ndarray, h_z: np.ndarray):
     """Inline one teleported Z(h_z) round; the state moves to a fresh block.
 
-    Returns (c_ids, mu_x_start, mu_z_start, steps) where steps names the
-    op indices needed for location bookkeeping.
+    Returns (c_ids, mu_z_start, steps) where steps names the op indices
+    needed for location bookkeeping.
     """
     n = len(sys_ids)
     b_ids, c_ids, s_fb_b, s_fb_c = _append_resource_prep(circ, h_z, n)
@@ -90,7 +90,7 @@ def append_tele_z(circ: Circuit, sys_ids: np.ndarray, h_z: np.ndarray):
     circ.feedback("X", c_ids, gf2.eye(n), mu_z, n)
     s_corr = circ.feedback("Z", c_ids, gf2.eye(n), mu_x, n)
     steps = {"fb_b": s_fb_b, "fb_c": s_fb_c, "cnot": s_cnot, "corr": s_corr}
-    return c_ids, mu_x, mu_z, steps
+    return c_ids, mu_z, steps
 
 
 def build_tele_measurement(source: CssCode) -> TeleMeasurement:
@@ -100,7 +100,7 @@ def build_tele_measurement(source: CssCode) -> TeleMeasurement:
     circ = Circuit()
     a_ids = circ.new_block("A", n)
     circ.mark_input(a_ids)
-    c_ids, _, mu_z, steps = append_tele_z(circ, a_ids, source.h_z)
+    c_ids, mu_z, steps = append_tele_z(circ, a_ids, source.h_z)
 
     layout = Layout([(name, n) for name in
                      ("A1", "A2", "B1", "B2", "C1", "C2", "C3")])
@@ -284,7 +284,7 @@ def build_surgery_circuit(dc: DeformedCode) -> SurgeryRun:
             round1, nu_start = circ.measure_pauli("Z", hdz, sys_ids)
             mem2, anc2 = mem, anc
         else:
-            out_ids, _, nu_start, steps1 = append_tele_z(circ, sys_ids, hdz)
+            out_ids, nu_start, steps1 = append_tele_z(circ, sys_ids, hdz)
             mem2, anc2 = out_ids[:n_mem], out_ids[n_mem:]
             round1 = steps1["corr"]
         _, mu_start = circ.measure(anc2, "X")
@@ -293,7 +293,7 @@ def build_surgery_circuit(dc: DeformedCode) -> SurgeryRun:
             mem_out = mem2
         else:
             circ.h_layer(mem2)
-            mem_out, _, nt_start, _ = append_tele_z(circ, mem2, t_hx)
+            mem_out, nt_start, _ = append_tele_z(circ, mem2, t_hx)
             circ.h_layer(mem_out)
 
         # Repair feedback from (mu, nu_tilde): w = (d1 | mu β̃ᵀ) · q_solverᵀ.

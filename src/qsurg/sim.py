@@ -264,9 +264,9 @@ def _build_basis(code: CssCode, basis: str) -> _BasisView:
         _, start = circ.measure_pauli("Z", code.h_z, mem)
         hz_r = gf2.right_inverse(code.h_z)
         circ.feedback("X", mem, hz_r.T, start, code.h_z.shape[0])
-    mem2, _, mu_z1, _ = protocol.append_tele_z(circ, mem, code.h_z)
+    mem2, mu_z1, _ = protocol.append_tele_z(circ, mem, code.h_z)
     circ.h_layer(mem2)
-    mem3, _, mu_z2, _ = protocol.append_tele_z(circ, mem2, code.h_x)
+    mem3, mu_z2, _ = protocol.append_tele_z(circ, mem2, code.h_x)
     circ.h_layer(mem3)
     if basis == "z":
         syn = gf2.zeros(code.h_z.shape[0], circ.n_outcomes)

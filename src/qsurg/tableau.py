@@ -10,7 +10,9 @@ bitsets both ways round (cf. Stim, arXiv:2103.02202) and each op costs the
 bits it touches: `xr[h]`, `zr[h]` hold generator h's X and Z qubit bits,
 `xc[q]`, `zc[q]` the same bits transposed, and bit h of `r` is its sign.
 Generators 0..n-1 are destabilizers, n..2n-1 stabilizers.  Paulis are
-passed as X and Z qubit bitmasks.
+passed as X and Z qubit bitmasks; a random outcome updates each column it
+changes in one pass.  `run_tableau` executes a program of Python ints built
+once per circuit (`_program`), cached until an op or input is added.
 """
 
 from __future__ import annotations
@@ -20,21 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import gf2
 from .circuit import (Circuit, FeedbackOp, GCnotOp, HLayerOp, InitOp,
                       MeasureOp, ProjectiveOp, fault_locs)
 
 
 class NotStabilized(ValueError):
     """The Pauli commutes with the stabilizer group but is not in it."""
-
-
-def _ones(m: int):
-    """Indices of the set bits of m, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
 
 
 def _mask(indices) -> int:
@@ -56,20 +49,23 @@ class Tableau:
         self.r = 0
 
     def h(self, q: int) -> None:
-        x, z = self.xc[q], self.zc[q]
+        xr, zr, x, z = self.xr, self.zr, self.xc[q], self.zc[q]
         self.r ^= x & z
-        for h in _ones(x ^ z):
-            self.xr[h] ^= 1 << q
-            self.zr[h] ^= 1 << q
+        bit, m = 1 << q, x ^ z
+        while m:
+            m ^= (low := m & -m)
+            h = low.bit_length() - 1
+            xr[h] ^= bit
+            zr[h] ^= bit
         self.xc[q], self.zc[q] = z, x
 
     def cnot(self, c: int, t: int) -> None:
-        xc, zc = self.xc, self.zc
+        xr, zr, xc, zc = self.xr, self.zr, self.xc, self.zc
         self.r ^= xc[c] & zc[t] & ~(xc[t] ^ zc[c])
-        for h in _ones(xc[c]):
-            self.xr[h] ^= 1 << t
-        for h in _ones(zc[t]):
-            self.zr[h] ^= 1 << c
+        for rows, m, bit in ((xr, xc[c], 1 << t), (zr, zc[t], 1 << c)):
+            while m:
+                m ^= (low := m & -m)
+                rows[low.bit_length() - 1] ^= bit
         xc[t] ^= xc[c]
         zc[c] ^= zc[t]
 
@@ -82,20 +78,23 @@ class Tableau:
     def _anticommuting(self, x: int, z: int) -> int:
         """Generators anticommuting with P, as bits."""
         anti = 0
-        for q in _ones(z):
-            anti ^= self.xc[q]
-        for q in _ones(x):
-            anti ^= self.zc[q]
+        for cols, m in ((self.xc, z), (self.zc, x)):
+            while m:
+                m ^= (low := m & -m)
+                anti ^= cols[low.bit_length() - 1]
         return anti
 
     def _sign(self, anti: int, x: int, z: int) -> int:
         """Sign bit of +P, the product of the stabilizers paired with `anti`
         destabilizers, kept as i^e X^xa Z^za: multiplying in (-1)^r i^|x&z|
         X^x Z^z adds 2r + |x&z| + 2|za&x| to e, and ±P = i^(e - |x&z|) P."""
+        xr, zr, r, m = self.xr, self.zr, self.r, anti << self.n
         xa = za = e = 0
-        for h in _ones(anti << self.n):
-            xh, zh = self.xr[h], self.zr[h]
-            e += (2 * (self.r >> h & 1) + (xh & zh).bit_count()
+        while m:
+            m ^= (low := m & -m)
+            h = low.bit_length() - 1
+            xh, zh = xr[h], zr[h]
+            e += (2 * (r & low != 0) + (xh & zh).bit_count()
                   + 2 * (za & xh).bit_count())
             xa ^= xh
             za ^= zh
@@ -126,29 +125,37 @@ class Tableau:
             raise ValueError(f"forced outcome {forced!r} is not 0 or 1")
         # Multiply pivot stabilizer p into each other anticommuting row h, all
         # from the same row p; P_p·P_h is i^e times a Hermitian Pauli.
+        xr, zr, r = self.xr, self.zr, self.r
         p = self.n + (stab & -stab).bit_length() - 1
-        xp, zp, rp = self.xr[p], self.zr[p], self.r >> p & 1
-        rows = anti ^ (1 << p)
+        d, bd, bp = p - self.n, 1 << p - self.n, 1 << p
+        xp, zp, rp = xr[p], zr[p], r >> p & 1
+        rows = anti ^ bp
         base = 2 * rp + (xp & zp).bit_count()
-        for h in _ones(rows):
-            xh, zh = self.xr[h], self.zr[h]
+        m = rows
+        while m:
+            m ^= (low := m & -m)
+            h = low.bit_length() - 1
+            xh, zh = xr[h], zr[h]
             e = (base + (xh & zh).bit_count() + 2 * (zp & xh).bit_count()
                  - ((xh ^ xp) & (zh ^ zp)).bit_count())
-            self.r ^= (e >> 1 & 1) << h
-            self.xr[h], self.zr[h] = xh ^ xp, zh ^ zp
-        for q in _ones(xp):
-            self.xc[q] ^= rows
-        for q in _ones(zp):
-            self.zc[q] ^= rows
-        # The pivot becomes its destabilizer, and +P or -P the stabilizer.
-        d = p - self.n
-        for g, gx, gz in ((d, xp, zp), (p, x, z)):
-            for q in _ones(self.xr[g] ^ gx):
-                self.xc[q] ^= 1 << g
-            for q in _ones(self.zr[g] ^ gz):
-                self.zc[q] ^= 1 << g
-            self.xr[g], self.zr[g] = gx, gz
-        self.r = self.r & ~(1 << d | 1 << p) | rp << d | bit << p
+            r ^= low if e & 2 else 0
+            xr[h], zr[h] = xh ^ xp, zh ^ zp
+        # The pivot becomes its destabilizer, +P or -P the stabilizer; each
+        # column changes once, by its XORed share of `rows`, d and p.
+        for cols, gens, pivot, new in ((self.xc, xr, xp, x),
+                                       (self.zc, zr, zp, z)):
+            to_d, to_p = gens[d] ^ pivot, pivot ^ new
+            m = pivot | gens[d] | new
+            while m:
+                m ^= (low := m & -m)
+                change = rows if pivot & low else 0
+                if to_d & low:
+                    change ^= bd
+                if to_p & low:
+                    change ^= bp
+                cols[low.bit_length() - 1] ^= change
+            gens[d], gens[p] = pivot, new
+        self.r = r & ~(bd | bp) | rp << d | bit << p
         return bit, False
 
 
@@ -157,6 +164,43 @@ class TableauResult:
     outcomes: np.ndarray        # uint8 reported outcome bits
     deterministic: np.ndarray   # bool per outcome bit
     sim: Tableau
+
+
+def _program(circ: Circuit) -> list:
+    """run_tableau's work at each op of circ: ("h", qubits), ("cnot", pairs),
+    ("measure", (first slot, sigma, masks)) or (feedback pauli, (first
+    source outcome, qubits per source outcome)).  The tableau never resets
+    a qubit, so an init on one that an earlier op or the input used fails."""
+    used = set(circ.input_qubits)
+    program = []
+    for step, op in enumerate(circ.ops):
+        if isinstance(op, InitOp):
+            reused = [q for q in op.qubits.tolist() if q in used]
+            if reused:
+                raise ValueError(f"init at op {step} names qubit "
+                                 f"{reused[0]}, which is already in use")
+            program.append(("h", op.qubits.tolist() if op.basis == "+"
+                            else []))
+        elif isinstance(op, HLayerOp):
+            program.append(("h", op.qubits.tolist()))
+        elif isinstance(op, GCnotOp):
+            j, i = np.nonzero(op.a)
+            program.append(("cnot", list(zip(op.controls[j].tolist(),
+                                             op.targets[i].tolist()))))
+        elif isinstance(op, MeasureOp):
+            program.append(("measure", (op.start, op.basis, [
+                1 << q for q in op.qubits.tolist()])))
+        elif isinstance(op, ProjectiveOp):
+            program.append(("measure", (op.start, op.sigma, [
+                _mask(op.qubits[row != 0]) for row in op.a])))
+        elif isinstance(op, FeedbackOp):
+            program.append((op.pauli, (op.src, [
+                op.qubits[row != 0].tolist() for row in op.m])))
+        else:
+            raise TypeError(f"unknown op {op!r}")
+        used.update(np.concatenate([op.controls, op.targets]).tolist()
+                    if isinstance(op, GCnotOp) else op.qubits.tolist())
+    return program
 
 
 def run_tableau(circ: Circuit, rng=None, force_zero: bool = False,
@@ -171,74 +215,55 @@ def run_tableau(circ: Circuit, rng=None, force_zero: bool = False,
     locations, invert the *reported* bit; projections follow the true bit.
     """
     x_errors, z_errors, flip_locs = fault_locs(x_errors, z_errors, flip_locs)
+    n_out = circ.n_outcomes
     if forced_outcomes is not None:
         forced_outcomes = np.asarray(forced_outcomes)
-        if (forced_outcomes.shape != (circ.n_outcomes,)
+        if (forced_outcomes.shape != (n_out,)
                 or not np.isin(forced_outcomes, (0, 1)).all()):
-            raise ValueError(f"forced_outcomes must be {circ.n_outcomes} bits,"
+            raise ValueError(f"forced_outcomes must be {n_out} bits,"
                              f" each 0 or 1; got shape {forced_outcomes.shape}")
-    elif force_zero:
-        forced_outcomes = np.zeros(circ.n_outcomes, dtype=np.uint8)
+        forced = forced_outcomes.astype(np.uint8).tolist()
+    else:
+        forced = [0] * n_out if force_zero else None
+    program = circ.cached("tableau", _program)
     sim = Tableau(circ.n_qubits)
-    outcomes = np.zeros(circ.n_outcomes, dtype=np.uint8)
-    deterministic = np.zeros(circ.n_outcomes, dtype=bool)
+    outcomes, deterministic = [0] * n_out, [False] * n_out
     errors: dict[int, list] = {}
     for locs, pauli in ((x_errors, sim.pauli_x), (z_errors, sim.pauli_z)):
         for loc in locs:
             errors.setdefault(loc.step, []).append((pauli, loc.index))
     flips = {loc.index for loc in flip_locs}
-
-    def apply_errors(step: int) -> None:
+    for pauli, q in errors.get(-1, ()):
+        pauli(q)
+    h, cnot, measure = sim.h, sim.cnot, sim.measure_pauli
+    for step, (kind, args) in enumerate(program):
+        if kind == "h":
+            for q in args:
+                h(q)
+        elif kind == "cnot":
+            for c, t in args:
+                cnot(c, t)
+        elif kind == "measure":
+            start, sigma, masks = args
+            for slot, m in enumerate(masks, start):
+                flip = slot in flips
+                x, z = (m, 0) if sigma == "X" else (0, m)
+                # A random outcome reports the forced bit; the projection
+                # follows the true bit, i.e. the reported one XOR the flip.
+                bit, det = measure(x, z, rng=rng, forced=None if forced is None
+                                   else forced[slot] ^ flip)
+                outcomes[slot] = bit ^ flip
+                deterministic[slot] = det
+        else:
+            src, targets = args
+            pauli = sim.pauli_x if kind == "X" else sim.pauli_z
+            for bit, qubits in zip(outcomes[src:src + len(targets)], targets):
+                for q in qubits if bit else ():
+                    pauli(q)
         for pauli, q in errors.get(step, ()):
             pauli(q)
-
-    def measure(sigma: str, masks, start: int) -> None:
-        for slot, mask in enumerate(masks, start):
-            flip = 1 if slot in flips else 0
-            # A random outcome reports the forced bit; the projection
-            # follows the true bit, i.e. the reported one XOR the flip.
-            forced = (None if forced_outcomes is None
-                      else int(forced_outcomes[slot]) ^ flip)
-            x, z = (mask, 0) if sigma == "X" else (0, mask)
-            bit, det = sim.measure_pauli(x, z, rng=rng, forced=forced)
-            outcomes[slot] = bit ^ flip
-            deterministic[slot] = det
-
-    # The tableau starts every qubit in |0⟩ and never resets one, so an
-    # init is only valid on a qubit no earlier op (or the input) has used.
-    used = set(circ.input_qubits)
-    apply_errors(-1)
-    for step, op in enumerate(circ.ops):
-        if isinstance(op, InitOp):
-            reused = [int(q) for q in op.qubits if int(q) in used]
-            if reused:
-                raise ValueError(f"init at op {step} names qubit "
-                                 f"{reused[0]}, which is already in use")
-            if op.basis == "+":
-                for q in op.qubits:
-                    sim.h(int(q))
-        elif isinstance(op, HLayerOp):
-            for q in op.qubits:
-                sim.h(int(q))
-        elif isinstance(op, GCnotOp):
-            for j, i in zip(*np.nonzero(op.a)):
-                sim.cnot(int(op.controls[j]), int(op.targets[i]))
-        elif isinstance(op, MeasureOp):
-            measure(op.basis, [1 << int(q) for q in op.qubits], op.start)
-        elif isinstance(op, ProjectiveOp):
-            measure(op.sigma, [_mask(op.qubits[np.nonzero(row)[0]])
-                               for row in op.a], op.start)
-        elif isinstance(op, FeedbackOp):
-            supp = gf2.mul(outcomes[op.src: op.src + op.count], op.m)
-            pauli = sim.pauli_x if op.pauli == "X" else sim.pauli_z
-            for q in op.qubits[np.nonzero(supp)[0]]:
-                pauli(int(q))
-        else:
-            raise TypeError(f"unknown op {op!r}")
-        used.update(map(int, np.concatenate([op.controls, op.targets])
-                        if isinstance(op, GCnotOp) else op.qubits))
-        apply_errors(step)
-    return TableauResult(outcomes=outcomes, deterministic=deterministic, sim=sim)
+    return TableauResult(np.array(outcomes, dtype=np.uint8),
+                         np.array(deterministic, dtype=bool), sim)
 
 
 def stabilizer_phase(sim: Tableau, qubits, x_support, z_support) -> Optional[int]:

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsurg import frame, gf2, tableau
+from qsurg import codes, frame, gf2, ltsp, protocol, surgery, tableau
 from qsurg.circuit import (Circuit, FeedbackOp, GCnotOp, HLayerOp, InitOp, Loc,
-                           MeasureOp, ProjectiveOp)
+                           MeasureOp, ProjectiveOp, fault_locs)
 
 
 def build_mixed_circuit():
@@ -299,6 +299,79 @@ class RowByRowTableau:
         return bit, False
 
 
+def per_op_run_tableau(circ, rng=None, force_zero=False, forced_outcomes=None,
+                       x_errors=(), z_errors=(), flip_locs=()):
+    """The earlier tableau.run_tableau: one interpreter step per op, masks,
+    couplings and feedback supports read from the ops' numpy arrays on
+    every run, and the init-reuse check made as the ops run."""
+    x_errors, z_errors, flip_locs = fault_locs(x_errors, z_errors, flip_locs)
+    if forced_outcomes is not None:
+        forced_outcomes = np.asarray(forced_outcomes)
+        if (forced_outcomes.shape != (circ.n_outcomes,)
+                or not np.isin(forced_outcomes, (0, 1)).all()):
+            raise ValueError(f"forced_outcomes must be {circ.n_outcomes} bits,"
+                             f" each 0 or 1; got shape {forced_outcomes.shape}")
+    elif force_zero:
+        forced_outcomes = np.zeros(circ.n_outcomes, dtype=np.uint8)
+    sim = tableau.Tableau(circ.n_qubits)
+    outcomes = np.zeros(circ.n_outcomes, dtype=np.uint8)
+    deterministic = np.zeros(circ.n_outcomes, dtype=bool)
+    errors: dict[int, list] = {}
+    for locs, pauli in ((x_errors, sim.pauli_x), (z_errors, sim.pauli_z)):
+        for loc in locs:
+            errors.setdefault(loc.step, []).append((pauli, loc.index))
+    flips = {loc.index for loc in flip_locs}
+
+    def apply_errors(step: int) -> None:
+        for pauli, q in errors.get(step, ()):
+            pauli(q)
+
+    def measure(sigma: str, masks, start: int) -> None:
+        for slot, mask in enumerate(masks, start):
+            flip = 1 if slot in flips else 0
+            forced = (None if forced_outcomes is None
+                      else int(forced_outcomes[slot]) ^ flip)
+            x, z = (mask, 0) if sigma == "X" else (0, mask)
+            bit, det = sim.measure_pauli(x, z, rng=rng, forced=forced)
+            outcomes[slot] = bit ^ flip
+            deterministic[slot] = det
+
+    used = set(circ.input_qubits)
+    apply_errors(-1)
+    for step, op in enumerate(circ.ops):
+        if isinstance(op, InitOp):
+            reused = [int(q) for q in op.qubits if int(q) in used]
+            if reused:
+                raise ValueError(f"init at op {step} names qubit "
+                                 f"{reused[0]}, which is already in use")
+            if op.basis == "+":
+                for q in op.qubits:
+                    sim.h(int(q))
+        elif isinstance(op, HLayerOp):
+            for q in op.qubits:
+                sim.h(int(q))
+        elif isinstance(op, GCnotOp):
+            for j, i in zip(*np.nonzero(op.a)):
+                sim.cnot(int(op.controls[j]), int(op.targets[i]))
+        elif isinstance(op, MeasureOp):
+            measure(op.basis, [1 << int(q) for q in op.qubits], op.start)
+        elif isinstance(op, ProjectiveOp):
+            measure(op.sigma, [_mask(op.qubits[np.nonzero(row)[0]])
+                               for row in op.a], op.start)
+        elif isinstance(op, FeedbackOp):
+            supp = gf2.mul(outcomes[op.src: op.src + op.count], op.m)
+            pauli = sim.pauli_x if op.pauli == "X" else sim.pauli_z
+            for q in op.qubits[np.nonzero(supp)[0]]:
+                pauli(int(q))
+        else:
+            raise TypeError(f"unknown op {op!r}")
+        used.update(map(int, np.concatenate([op.controls, op.targets])
+                        if isinstance(op, GCnotOp) else op.qubits))
+        apply_errors(step)
+    return tableau.TableauResult(outcomes=outcomes,
+                                 deterministic=deterministic, sim=sim)
+
+
 def bool_view(sim):
     """x, z and r of a tableau as bool/uint8 arrays, one row per generator."""
     if isinstance(sim, RowByRowTableau):
@@ -322,6 +395,13 @@ def clear_destabilizer(sim, k):
         sim.xc[q] &= ~(1 << k)
         sim.zc[q] &= ~(1 << k)
     sim.xr[k] = sim.zr[k] = 0
+
+
+def columns_are_transposes(sim) -> bool:
+    """Whether xc and zc hold the bits of xr and zr, transposed."""
+    x, z, _ = bool_view(sim)
+    return all(sim.xc[q] == gf2._pack(x[:, q])
+               and sim.zc[q] == gf2._pack(z[:, q]) for q in range(sim.n))
 
 
 def bits(draw, n, min_weight=0):
@@ -447,10 +527,7 @@ class TestVectorisedTableau:
         n, steps, _ = program
         sim = tableau.Tableau(n)
         run_program(sim, steps)
-        x, z, _ = bool_view(sim)
-        for q in range(n):
-            assert sim.xc[q] == gf2._pack(x[:, q])
-            assert sim.zc[q] == gf2._pack(z[:, q])
+        assert columns_are_transposes(sim)
 
     @settings(max_examples=100, deadline=None)
     @given(random_circuits())
@@ -469,6 +546,117 @@ class TestVectorisedTableau:
             assert np.array_equal(fast.outcomes, ref.outcomes)
             assert np.array_equal(fast.deterministic, ref.deterministic)
             assert same_state(fast.sim, ref.sim)
+
+
+def assert_runs_agree(circ, seed=None, **kwargs):
+    """run_tableau and per_op_run_tableau give byte-identical outcomes,
+    deterministic flags and final tableaux, with consistent columns."""
+    fast, ref = (run(circ, rng=None if seed is None
+                     else np.random.default_rng(seed), **kwargs)
+                 for run in (tableau.run_tableau, per_op_run_tableau))
+    for field in ("outcomes", "deterministic"):
+        got, want = getattr(fast, field), getattr(ref, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    state = lambda sim: (sim.xr, sim.zr, sim.xc, sim.zc, sim.r)
+    assert state(fast.sim) == state(ref.sim)
+    assert columns_are_transposes(fast.sim)
+
+
+def drawn_faults(circ, pick):
+    """X and Z errors at quantum locations (those right after feedback
+    layers too) and flips of outcome bits, each kept where pick says."""
+    qlocs = list(circ.columns().at)
+    flocs = [loc for loc in circ.locations() if loc.kind == "flip"]
+    return {key: [loc for loc, keep in zip(locs, pick(len(locs))) if keep]
+            for key, locs in (("x_errors", qlocs), ("z_errors", qlocs),
+                              ("flip_locs", flocs))}
+
+
+def paper_circuits():
+    """The preparation circuit and the expanded desk surgery circuit."""
+    s3, ham = codes.surface_code_via_hgp(3), codes.hamming_743()
+    desk = surgery.build_deformed(s3, gf2.bitmat([[1]]), ham)
+    surgery_run = protocol.build_surgery_circuit(desk)
+    return {"prep": ltsp.build_prep_circuit(s3, ham).circuit,
+            "desk-surgery": surgery_run.expanded.circuit}
+
+
+@pytest.fixture(scope="module")
+def paper_circuit_set():
+    return paper_circuits()
+
+
+class TestTableauProgram:
+    """run_tableau runs a program built once per circuit; the per-op loop
+    it replaced is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_circuits(), random_circuits(inputs=True)),
+           st.data())
+    def test_matches_per_op_loop(self, drawn, data):
+        circ, forced, seed = drawn
+        faults = drawn_faults(circ, lambda n: data.draw(
+            st.lists(st.booleans(), min_size=n, max_size=n)))
+        for run in ({"seed": seed}, {"forced_outcomes": forced},
+                    {"force_zero": True}):
+            assert_runs_agree(circ, **run)
+            assert_runs_agree(circ, **run, **faults)
+
+    @pytest.mark.parametrize("name", ["prep", "desk-surgery"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_paper_circuits_match_per_op_loop(self, paper_circuit_set, name,
+                                              seed):
+        circ = paper_circuit_set[name]
+        rng = np.random.default_rng(seed)
+        faults = drawn_faults(circ, lambda n: rng.random(n) < 8 / n)
+        forced = rng.integers(0, 2, size=circ.n_outcomes, dtype=np.uint8)
+        for run in ({"seed": seed}, {"forced_outcomes": forced},
+                    {"force_zero": True}):
+            assert_runs_agree(circ, **run)
+            assert_runs_agree(circ, **run, **faults)
+
+    def test_rebuilt_after_an_op_or_input_is_added(self):
+        c = Circuit()
+        a = c.new_block("a", 2)
+        c.init(a, "0")
+        c.measure(a[:1], "Z")
+        assert tableau.run_tableau(c).deterministic.all()
+        # A stale program would measure X on |0⟩: a random outcome, which
+        # needs an rng or a forced value.
+        c.h_layer(a[1:])
+        c.measure(a[1:], "X")
+        res = tableau.run_tableau(c)
+        assert res.deterministic.tolist() == [True, True]
+        assert_runs_agree(c)
+        c.mark_input(a[:1])
+        with pytest.raises(ValueError, match="init at op 0 names qubit 0"):
+            tableau.run_tableau(c)
+
+    def test_bad_init_raises_on_every_run(self):
+        c = Circuit()
+        a = c.new_block("a", 2)
+        c.init(a, "+")
+        c.measure(a[:1], "X")
+        c.init(a[:1], "0")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                tableau.run_tableau(c, force_zero=True)
+            messages.append(str(err.value))
+        assert messages == ["init at op 2 names qubit 0, which is already "
+                            "in use"] * 2
+
+    def test_one_measure_pauli_call_per_outcome(self):
+        # The benchmark's traced tableau.Tableau.measure_pauli.calls counts
+        # outcomes, on the run that builds the program and on later ones.
+        circ = paper_circuits()["desk-surgery"]
+        real = tableau.Tableau.measure_pauli
+        with mock.patch.object(tableau.Tableau, "measure_pauli",
+                               autospec=True, side_effect=real) as spy:
+            for seed in range(2):
+                spy.reset_mock()
+                tableau.run_tableau(circ, rng=np.random.default_rng(seed))
+                assert spy.call_count == circ.n_outcomes
 
 
 class TestInitReuse:
