@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -502,7 +503,14 @@ def flagged_collision(checks: np.ndarray, flags: np.ndarray,
 
 @dataclass(eq=False)
 class SyndromeTable:
-    """Syndrome → error map, looked up by binary search on the keys."""
+    """Syndrome → error map.
+
+    One-word keys are looked up in a rank index (Jacobson, FOCS 1989) when
+    it takes no more bytes than the keys: a bitmap of the keys over
+    0..max(keys), one uint64 word per 64 syndromes, and beside each word the
+    int32 count of keys in the words before it, 12 bytes per 64 syndromes
+    against 8 per key.  Other tables are looked up by binary search on the
+    keys."""
 
     keys: np.ndarray    # (entries, syndrome words) uint64, distinct, sorted
     errors: np.ndarray  # (entries, error words) uint64
@@ -510,11 +518,45 @@ class SyndromeTable:
     def __len__(self) -> int:
         return len(self.keys)
 
+    @cached_property
+    def rank_index(self) -> Optional[tuple]:
+        """(bitmap, prefix) of the rank index, or None when the table takes
+        binary search; built on first use, ENUM_CHUNK keys at a time."""
+        if self.keys.shape[1] != 1:
+            return None
+        flat = self.keys.reshape(-1)
+        words = (int(flat[-1]) >> 6) + 1
+        if 12 * words > 8 * len(flat):
+            return None
+        # Both allocated before the temporaries, which then free to the
+        # heap's top.
+        bitmap = np.zeros(words, dtype=np.uint64)
+        prefix = np.empty(words, dtype=np.int32)
+        for lo in range(0, len(flat), ENUM_CHUNK):
+            keys = flat[lo: lo + ENUM_CHUNK]
+            word = keys >> 6
+            starts = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
+            bitmap[word[starts]] |= np.bitwise_or.reduceat(
+                np.uint64(1) << (keys & 63), starts)
+        counts = np.bitwise_count(bitmap)
+        np.cumsum(counts, out=prefix)
+        prefix -= counts
+        return bitmap, prefix
+
     def find(self, rows: np.ndarray):
-        """Row index of each packed syndrome and whether it is present."""
-        pos = np.searchsorted(_row_keys(self.keys), _row_keys(rows))
-        idx = np.minimum(pos, len(self) - 1)
-        return idx, (self.keys[idx] == rows).all(axis=1)
+        """Row index of each packed syndrome and whether it is present; a
+        missing syndrome gets some valid row."""
+        if self.rank_index is None:
+            pos = np.searchsorted(_row_keys(self.keys), _row_keys(rows))
+            idx = np.minimum(pos, len(self) - 1)
+            return idx, (self.keys[idx] == rows).all(axis=1)
+        bitmap, prefix = self.rank_index
+        s = rows.reshape(-1)
+        w = np.minimum(s >> 6, len(bitmap) - 1)
+        word, bit = bitmap[w], s & 63
+        idx = prefix[w] + np.bitwise_count(word & ((1 << bit) - 1))
+        hit = (word >> bit & 1).astype(bool) & (s <= self.keys[-1, 0])
+        return np.minimum(idx, len(self) - 1), hit
 
 
 def is_standard_form(g: np.ndarray) -> bool:

@@ -166,6 +166,15 @@ class TableauResult:
     sim: Tableau
 
 
+def _row_supports(m: np.ndarray, qubits: np.ndarray) -> list:
+    """qubits[row != 0].tolist() for each row of m, from one np.nonzero."""
+    rows, cols = np.nonzero(m)
+    supports = [[] for _ in range(len(m))]
+    for row, q in zip(rows.tolist(), qubits[cols].tolist()):
+        supports[row].append(q)
+    return supports
+
+
 def _program(circ: Circuit) -> list:
     """run_tableau's work at each op of circ: ("h", qubits), ("cnot", pairs),
     ("measure", (first slot, sigma, masks)) or (feedback pauli, (first
@@ -192,10 +201,10 @@ def _program(circ: Circuit) -> list:
                 1 << q for q in op.qubits.tolist()])))
         elif isinstance(op, ProjectiveOp):
             program.append(("measure", (op.start, op.sigma, [
-                _mask(op.qubits[row != 0]) for row in op.a])))
+                _mask(qubits) for qubits in _row_supports(op.a, op.qubits)])))
         elif isinstance(op, FeedbackOp):
-            program.append((op.pauli, (op.src, [
-                op.qubits[row != 0].tolist() for row in op.m])))
+            program.append((op.pauli, (op.src,
+                                       _row_supports(op.m, op.qubits))))
         else:
             raise TypeError(f"unknown op {op!r}")
         used.update(np.concatenate([op.controls, op.targets]).tolist()

@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsurg import gf2, sim
@@ -644,3 +644,70 @@ class TestLeastPerKey:
             tracemalloc.stop()
         assert len(got_keys) == distinct and least.dtype == np.int64
         assert peak <= len(keys) + 16 * distinct + 24 * gf2.ENUM_CHUNK
+
+
+def binary_search_find(table, rows):
+    """SyndromeTable.find by binary search on the keys: the reference for
+    the rank index."""
+    pos = np.searchsorted(gf2._row_keys(table.keys), gf2._row_keys(rows))
+    idx = np.minimum(pos, len(table) - 1)
+    return idx, (table.keys[idx] == rows).all(axis=1)
+
+
+def indexed(keys) -> bool:
+    """The size rule: a rank index of 12 bytes per 64 syndromes up to the
+    largest key, against 8 bytes per key."""
+    return 12 * (int(keys[-1]) // 64 + 1) <= 8 * len(keys)
+
+
+@st.composite
+def one_word_keys(draw):
+    """Distinct sorted one-word keys below 64·words, or anywhere in 64 bits."""
+    words = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([64 * words - 1, 2**64 - 1]))
+    keys = draw(st.lists(st.integers(0, top), min_size=1, max_size=64 * words,
+                         unique=True))
+    return sorted(keys)
+
+
+# Examples: key 0; a single key; a full bitmap word; bit 63 set; and three
+# keys whose largest is in word 1 (inside the size rule, 24 ≤ 24 bytes) or
+# word 2 (outside, 36 > 24).
+class TestSyndromeTableFind:
+    @settings(max_examples=150, deadline=None)
+    @given(one_word_keys(), st.lists(st.integers(0, 2**64 - 1), max_size=20),
+           st.integers(1, 70))
+    @example([0], [], 64)
+    @example([5], [4, 6], 64)
+    @example(list(range(64, 128)), [0, 63, 128], 7)
+    @example([1, 63, 127], [62, 64, 126], 2)
+    @example([0, 1, 64], [2, 63, 65, 128], 64)
+    @example([0, 1, 128], [2, 63, 64, 129], 64)
+    def test_matches_binary_search(self, keys, others, chunk):
+        keys = np.array(keys, dtype=np.uint64)[:, None]
+        table = gf2.SyndromeTable(keys, np.arange(len(keys),
+                                                  dtype=np.uint64)[:, None])
+        largest = int(keys[-1, 0])
+        # Present, mostly absent, and past the largest key.
+        past = [q for q in (largest + 1, largest + 64, 2**64 - 1)
+                if q > largest and q < 2**64]
+        rows = np.array(keys[:, 0].tolist() + others + past,
+                        dtype=np.uint64)[:, None]
+        with enum_chunk(chunk):
+            idx, hit = table.find(rows)
+        assert (table.rank_index is not None) == indexed(keys[:, 0])
+        want_idx, want_hit = binary_search_find(table, rows)
+        assert np.array_equal(hit, want_hit)
+        assert np.array_equal(idx[hit], want_idx[hit])
+        assert ((0 <= idx) & (idx < len(table))).all()
+        assert hit[:len(keys)].all() and not hit[len(rows) - len(past):].any()
+
+    def test_multiword_keys_take_binary_search(self):
+        # Sorted as the rows' bytes, which put the low word first.
+        keys = np.array([[0, 0], [0, 1], [5, 0]], dtype=np.uint64)
+        table = gf2.SyndromeTable(keys, keys)
+        rows = np.array([[5, 0], [6, 0], [0, 1], [0, 2]], dtype=np.uint64)
+        idx, hit = table.find(rows)
+        assert table.rank_index is None
+        assert hit.tolist() == [True, False, True, False]
+        assert idx[hit].tolist() == [2, 1]

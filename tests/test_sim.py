@@ -325,6 +325,23 @@ def test_surface7_tables_unchanged(experiments):
         assert table_digest(getattr(dec, name)) == digest
 
 
+@pytest.mark.parametrize("d,bits,indexed", [(3, 6, True), (5, 20, True),
+                                             (7, 42, False)])
+def test_lookup_path(experiments, d, bits, indexed):
+    # A rank index where it takes no more bytes than the keys: one bitmap
+    # word and one int32 count per 64 syndromes of `bits`-bit keys.
+    dec = experiments[d].decoder
+    for table in (dec._x_table, dec._z_table):
+        assert table.keys.shape[1] == 1
+        assert int(table.keys[-1, 0]).bit_length() <= bits
+        if not indexed:
+            assert table.rank_index is None
+            continue
+        bitmap, prefix = table.rank_index
+        assert len(bitmap) == len(prefix) <= 1 << max(0, bits - 6)
+        assert bitmap.nbytes + prefix.nbytes <= table.keys.nbytes
+
+
 def reference_failures(view, dec, trial_faults):
     """Each trial decoded on its own: the frame run of its sampled fault set
     (one lane per trial, built from the cells' locations), two table
@@ -470,12 +487,15 @@ def test_passes_match_per_block_decoding(experiments, monkeypatch, d, p,
 
 # RateEstimate counts (failures, z/x heralded, z/x silent) of the Monte
 # Carlo stream as block-by-block decoding gave them: a change to the
-# stream, the sampling or the decoding shows here first.
+# stream, the sampling or the decoding shows here first.  The d=3 and d=5
+# tables are looked up by rank index, the d=7 ones (42-bit keys, two-word
+# errors) by binary search, as binary search alone gave all of them.
 GOLDEN_RATES = {
     (3, 1e-3, 20000, 0): (194, 0, 72, 0, 122),
     (3, 5e-3, 20000, 0): (2948, 0, 1204, 0, 1877),
     (5, 1e-3, 5000, 1 << 32): (17, 0, 6, 0, 11),
     (5, 5e-3, 5000, 1 << 32): (655, 21, 201, 123, 332),
+    (7, 5e-4, 2000, 0): (484, 208, 0, 318, 0),
 }
 
 

@@ -586,9 +586,38 @@ def paper_circuit_set():
     return paper_circuits()
 
 
+def per_row_entry(op):
+    """The program entry of a projective or feedback op with one boolean
+    index per row of its matrix: the reference for tableau._row_supports."""
+    if isinstance(op, ProjectiveOp):
+        return ("measure", (op.start, op.sigma, [
+            _mask(op.qubits[row != 0]) for row in op.a]))
+    return (op.pauli, (op.src, [op.qubits[row != 0].tolist() for row in op.m]))
+
+
+def assert_program_per_row(circ):
+    program = tableau._program(circ)
+    assert len(program) == len(circ.ops)
+    for op, entry in zip(circ.ops, program):
+        if isinstance(op, (ProjectiveOp, FeedbackOp)):
+            assert entry == per_row_entry(op)
+
+
 class TestTableauProgram:
     """run_tableau runs a program built once per circuit; the per-op loop
     it replaced is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_circuits(), random_circuits(inputs=True)))
+    def test_row_supports_match_per_row_build(self, drawn):
+        assert_program_per_row(drawn[0])
+
+    @pytest.mark.parametrize("name", ["prep", "desk-surgery"])
+    def test_paper_programs_match_per_row_build(self, paper_circuit_set,
+                                                name):
+        circ = paper_circuit_set[name]
+        assert any(isinstance(op, FeedbackOp) for op in circ.ops)
+        assert_program_per_row(circ)
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(random_circuits(), random_circuits(inputs=True)),
