@@ -12,10 +12,11 @@ blocks of BLOCK_CELLS cells, block b drawing its faults from
 trial_rng(seed, b).  Passes are the unit of decoding: a pass gathers
 consecutive blocks until it holds PASS_FAULTS faults (or BLOCK_CELLS
 trials, which bounds its per-trial arrays at low p), and each of its
-trials XORs the words of its faults and decodes them with sorted-array
-table lookups.  Trials decode independently, so the results do not
-depend on PASS_FAULTS, and a given (experiment, p_phy, trials, seed)
-gives byte-identical results.
+trials XORs the words of its faults and decodes them with two lookups in
+a gf2.SyndromeTable: a rank index for one-word syndromes when it is no
+larger than the keys (d=3 and d=5), else binary search.  Trials decode
+independently, so the results do not depend on PASS_FAULTS, and a given
+(experiment, p_phy, trials, seed) gives byte-identical results.
 """
 
 from __future__ import annotations

@@ -670,10 +670,10 @@ def one_word_keys(draw):
     return sorted(keys)
 
 
-# Examples: key 0; a single key; a full bitmap word; bit 63 set; and three
-# keys whose largest is in word 1 (inside the size rule, 24 ≤ 24 bytes) or
-# word 2 (outside, 36 > 24).
 class TestSyndromeTableFind:
+    # Examples: key 0; a single key; a full bitmap word; bit 63 set; and
+    # three keys whose largest is in word 1 (inside the size rule, 24 ≤ 24
+    # bytes) or word 2 (outside, 36 > 24).
     @settings(max_examples=150, deadline=None)
     @given(one_word_keys(), st.lists(st.integers(0, 2**64 - 1), max_size=20),
            st.integers(1, 70))
@@ -690,7 +690,7 @@ class TestSyndromeTableFind:
         largest = int(keys[-1, 0])
         # Present, mostly absent, and past the largest key.
         past = [q for q in (largest + 1, largest + 64, 2**64 - 1)
-                if q > largest and q < 2**64]
+                if largest < q < 2**64]
         rows = np.array(keys[:, 0].tolist() + others + past,
                         dtype=np.uint64)[:, None]
         with enum_chunk(chunk):
