@@ -1,9 +1,9 @@
 """Classical and CSS code objects, example constructors, exact metrics.
 
 Codes are kept as plain dataclasses over GF(2) matrices.  Distances and
-soundness are computed exhaustively (desk scale) and never estimated; when
-an instance is too large for the exhaustive strategy the functions return a
-certified lower bound or refuse with :class:`qsurg.gf2.SearchTooLarge`.
+soundness are computed exhaustively (desk scale) and never estimated; a
+search past gf2.TABLE_CAP sets or words gives a certified lower bound or
+is refused with :class:`qsurg.gf2.SearchTooLarge`.
 """
 
 from __future__ import annotations
@@ -187,12 +187,10 @@ def _min_weight_flagged(basis: np.ndarray, flag: np.ndarray) -> Optional[int]:
 
 def _exact_side(checks: np.ndarray, flags: np.ndarray) -> Optional[int]:
     """Least weight of a flagged word of ker(checks), by collision while
-    the sets swept so far stay within 2^dim (and gf2.TABLE_CAP), else by
-    span walk."""
+    the sets swept so far stay within 2^dim and gf2.TABLE_CAP, else by
+    span walk (which refuses more than gf2.TABLE_CAP words)."""
     basis = gf2.null_space(checks)
     dim = basis.shape[0]
-    if dim > gf2.MIN_WEIGHT_KERNEL_CAP:
-        raise SearchTooLarge(f"span dimension {dim} exceeds cap")
     n, swept, half = checks.shape[1], 0, 1
     while True:
         swept += sum(math.comb(n, w) for w in range(min(half, n) + 1))
@@ -223,15 +221,14 @@ def distance(code, budget: Optional[int] = None) -> DistanceResult:
 
     Classical codes: min weight of a nonzero codeword.  CSS codes: min over
     both error types of the min weight of an undetected error with nonzero
-    logical action.  The exact search runs when each side's kernel
-    dimension is ≤ gf2.MIN_WEIGHT_KERNEL_CAP: it raises the half-weight of
+    logical action.  The exact search raises the half-weight of
     gf2.flagged_collision one layer at a time while the sets swept so far
-    stay within the 2^dim words of a span walk, answers a side with the
-    first collision value (exact, as v ≤ 2·half), and finishes a side not
-    answered by then with the walk.  Otherwise, given a budget, one
-    collision per side to ⌈budget/2⌉ (:func:`least_logical`) finds the
-    least logical of weight ≤ budget (`d` exact) or certifies
-    `floor = budget`.
+    stay within the 2^dim words of a span walk and gf2.TABLE_CAP, answers
+    a side with the first collision value (exact, as v ≤ 2·half), and
+    finishes a side not answered by then with the walk, refused past
+    gf2.TABLE_CAP words.  Then, given a budget, one collision per side to
+    ⌈budget/2⌉ (:func:`least_logical`) finds the least logical of weight
+    ≤ budget (`d` exact) or certifies `floor = budget`.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget={budget} is negative")
@@ -256,28 +253,16 @@ def distance(code, budget: Optional[int] = None) -> DistanceResult:
 def soundness(code: ClassicalCode) -> Optional[Fraction]:
     """Largest s with (1/r)·|H uᵀ| ≥ (s/n)·dist(u, C) for all u ∉ C = ker H.
 
-    Exact rational from a full 2^n sweep (n ≤ cap), also kept in
-    `code.soundness`.  None when the code has no checks (every word is a
-    codeword, so the bound is vacuous).
+    Exact rational from a table of every syndrome (gf2.syndrome_table,
+    refused past gf2.TABLE_CAP), also kept in `code.soundness`.  None when
+    every word is a codeword (no nonzero syndrome), so the bound is vacuous.
     """
     r, n = code.h.shape
-    if r == 0:
-        return None
-    if n > gf2.MIN_WEIGHT_KERNEL_CAP:
-        raise SearchTooLarge(f"soundness sweep over 2^{n} refused")
-    # dist(u, C) is the least weight in u's syndrome class u + C, so one
-    # walk over all 2^n words and their syndromes gives every class's
-    # least weight, and the ratio is the same for all u in a class.
-    units = gf2.pack_words(gf2.eye(n))
-    syn_cols = gf2.pack_words(code.h.T)
-    k = units.shape[1]
-    classes, least = syn_cols[:0], np.zeros(0, dtype=np.int64)
-    for words in gf2.span_walk(np.hstack([units, syn_cols])):
-        wt = np.bitwise_count(words[:, :k]).sum(axis=1, dtype=np.int64)
-        classes, least = gf2.least_per_key(
-            np.concatenate([classes, words[:, k:]]),
-            np.concatenate([least, wt]))
-    syn_w = np.bitwise_count(classes).sum(axis=1, dtype=np.int64)
+    # dist(u, C) is the least weight in u's syndrome class u + C, the weight
+    # of the class's table entry, and the ratio is the same for all u in it.
+    table = gf2.syndrome_table(code.h, n)
+    syn_w = np.bitwise_count(table.keys).sum(axis=1, dtype=np.int64)
+    least = np.bitwise_count(table.errors).sum(axis=1, dtype=np.int64)
     a, b = syn_w[syn_w > 0], least[syn_w > 0]
     # b ≤ n, so distinct ratios a/b differ by at least 1/n², far above the
     # rounding of a float division: the float argmin is the exact minimum.
@@ -401,11 +386,12 @@ def load_manifest(path: str):
     """Load a code manifest; returns a ClassicalCode or CssCode.
 
     Raises ValueError, naming the manifest and the key, on a missing key,
-    an unknown type, an n or k that disagrees with the matrix shapes, a d=
-    above the true distance (a logical of weight < d found by the collision
-    to ⌈(d−1)/2⌉; kept as given when that collision is refused as too
-    large), or a soundness= that is not a positive p/q or, for n ≤
-    gf2.MIN_WEIGHT_KERNEL_CAP, not the code's exact soundness.
+    an unknown type, an n or k that is not a non-negative integer or
+    disagrees with the matrix shapes, a d= that is not a positive integer
+    or is above the true distance (a logical of weight < d found by the
+    collision to ⌈(d−1)/2⌉), or a soundness= that is not a positive p/q or
+    not the code's exact soundness.  A d= or soundness= whose check is
+    refused as too large (gf2.SearchTooLarge) is kept as given.
     """
     base = os.path.dirname(os.path.abspath(path))
     kv: dict[str, str] = {}
@@ -422,11 +408,18 @@ def load_manifest(path: str):
             raise ValueError(f"manifest {path}: missing key {key!r}")
         return kv[key]
 
+    def integer(key, least):
+        text = get(key)
+        if not text.isdecimal() or int(text) < least:
+            raise ValueError(f"manifest {path}: {key}={text} is not a "
+                             f"{('non-negative', 'positive')[least]} integer")
+        return int(text)
+
     if get("type") not in _MATRICES:
         raise ValueError(f"manifest {path}: unknown type {kv['type']!r}")
     names, k_rows = _MATRICES[kv["type"]]
     m = {key: gf2.load_matrix(os.path.join(base, get(key))) for key in names}
-    n, k = int(get("n")), int(get("k"))
+    n, k = integer("n", 0), integer("k", 0)
     for key in names:
         if m[key].shape[1] != n:
             raise ValueError(f"manifest {path}: n={n} but {key} has "
@@ -434,7 +427,7 @@ def load_manifest(path: str):
         if key in k_rows and m[key].shape[0] != k:
             raise ValueError(f"manifest {path}: k={k} but {key} has "
                              f"{m[key].shape[0]} rows")
-    d = int(kv["d"]) if "d" in kv else None
+    d = integer("d", 1) if "d" in kv else None
     if kv["type"] == "css":
         code = CssCode(h_x=m["hx"], h_z=m["hz"], j_x=m["jx"], j_z=m["jz"],
                        n=n, k=k, d=d)
@@ -456,10 +449,11 @@ def load_manifest(path: str):
             raise ValueError(f"manifest {path}: soundness={text} is not a "
                              "positive p/q")
         claimed = Fraction(int(pq[1]), int(pq[2]))
-        # Checked where the exhaustive sweep runs; trusted above its cap.
-        if n > gf2.MIN_WEIGHT_KERNEL_CAP:
-            code.soundness = claimed
-        elif (true := soundness(code)) != claimed:
+        try:
+            true = soundness(code)
+        except SearchTooLarge:  # out of the table's reach: kept as given
+            true = code.soundness = claimed
+        if true != claimed:
             raise ValueError(f"manifest {path}: soundness={text} but the "
                              f"code's soundness is {true or 'undefined'}")
     return code

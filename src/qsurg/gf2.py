@@ -21,8 +21,10 @@ class SearchTooLarge(Exception):
     """Raised when an exhaustive search would exceed its configured cap."""
 
 
-# Exhaustive coset enumeration is allowed up to this kernel dimension.
-MIN_WEIGHT_KERNEL_CAP = 24
+# Most sets or words any exhaustive search holds or walks: a lookup table,
+# a collision, a span walk or a min-weight coset is refused with
+# SearchTooLarge, before it allocates anything, when it would exceed this.
+TABLE_CAP = 1 << 22
 
 
 def bitmat(data) -> np.ndarray:
@@ -260,9 +262,9 @@ def solve_linear(a: np.ndarray, b: np.ndarray,
     mode="any" returns one solution (or None when the system is
     inconsistent).  mode="min_weight" returns a minimum-Hamming-weight
     solution, the first one in the Gray-code walk (:func:`span_walk`) of
-    the solution coset; if the kernel dimension exceeds
-    MIN_WEIGHT_KERNEL_CAP (read at call time) the search is refused with
-    :class:`SearchTooLarge` rather than answered heuristically.
+    the solution coset; a coset of more than TABLE_CAP words (read at call
+    time) is refused by that walk with :class:`SearchTooLarge` rather than
+    answered heuristically.
     """
     a = bitmat(a)
     b = bitvec(b)
@@ -281,15 +283,10 @@ def solve_linear(a: np.ndarray, b: np.ndarray,
         return x0
     if mode != "min_weight":
         raise ValueError(f"unknown mode {mode!r}")
-    kern = _kernel(r, pivots, ncols)
-    dim = kern.shape[0]
-    if dim > MIN_WEIGHT_KERNEL_CAP:
-        raise SearchTooLarge(
-            f"kernel dimension {dim} exceeds cap {MIN_WEIGHT_KERNEL_CAP}")
-    # First minimum of x0 + span(kern) in Gray order.
+    # First minimum of x0 + span(kernel) in Gray order.
     x = pack_words(x0[None])
     best, best_w = None, ncols + 1
-    for words in span_walk(pack_words(kern)):
+    for words in span_walk(pack_words(_kernel(r, pivots, ncols))):
         words ^= x
         wt = np.bitwise_count(words).sum(axis=1)
         i = int(np.argmin(wt))
@@ -333,10 +330,6 @@ def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
 # Rows per vectorised step of the two enumerators below.
 ENUM_CHUNK = 1 << 16
 
-# Most swept sets a lookup-table build or a collision holds at once; either
-# is refused with SearchTooLarge before it allocates anything.
-TABLE_CAP = 1 << 22
-
 
 def span_walk(basis: np.ndarray):
     """XORs of all 2^dim subsets of the packed rows `basis` (dim × words),
@@ -346,9 +339,12 @@ def span_walk(basis: np.ndarray):
     A table of the 2^m subsets of the first m rows (2^m ≤ ENUM_CHUNK) is
     built once.  For a multiple a of 2^m and j < 2^m,
     gray(a + j) = gray(a) ^ gray(j), so each chunk is that table XOR the
-    rows at the set bits of gray(a); these can include row m − 1.
+    rows at the set bits of gray(a); these can include row m − 1.  A walk
+    of more than TABLE_CAP words is refused with SearchTooLarge.
     """
     dim = basis.shape[0]
+    if 1 << dim > TABLE_CAP:
+        raise SearchTooLarge(f"span walk of 2^{dim} words refused")
     m = min(dim, ENUM_CHUNK.bit_length() - 1)
     low = np.zeros((1, basis.shape[1]), dtype=np.uint64)
     for b in range(m):
@@ -557,6 +553,50 @@ class SyndromeTable:
         idx = prefix[w] + np.bitwise_count(word & ((1 << bit) - 1))
         hit = (word >> bit & 1).astype(bool) & (s <= self.keys[-1, 0])
         return np.minimum(idx, len(self) - 1), hit
+
+
+def syndrome_table(checks: np.ndarray, t: int) -> SyndromeTable:
+    """Errors of weight ≤ t keyed by syndrome, the first of each in
+    combination_sweep's order.  Less its largest index, such an error is
+    the first of its own syndrome, so each weight's entries are the first
+    extend_sets of the last weight's to reach a new syndrome (one
+    least_per_key of [keys | extensions] finds them), and a weight that
+    adds none ends the build.  A weight holds at most 2^rows keys and n
+    extensions of each, so the build is refused, before it allocates
+    anything, when both (n + 1)·2^rows and C(n, ≤t) exceed TABLE_CAP."""
+    rows, n = checks.shape
+    size = min(sum(math.comb(n, w) for w in range(t + 1)), (n + 1) << rows)
+    if size > TABLE_CAP:
+        raise SearchTooLarge(f"syndrome table of {size} sets refused")
+    cols = pack_words(checks.T)
+    units = pack_words(np.eye(n + 1, n, dtype=np.uint8))
+    keys, errors = np.zeros((1, cols.shape[1]), np.uint64), units[n:]
+    # The last weight's rows in sweep order, and the largest index of each.
+    front, last = np.zeros(1, dtype=np.int64), np.array([-1])
+    for w in range(1, min(t, n) + 1):
+        s, counts = len(keys), n - 1 - last
+        keys, least = least_per_key(np.concatenate([keys] + [
+            words for _, words in extend_sets(keys[front], last, cols)]))
+        if len(keys) == s:
+            break
+        # Before the temporaries below, which then free to the heap's top.
+        grown = np.empty((len(keys), errors.shape[1]), dtype=np.uint64)
+        # Position p's error: row o = origin[p] of [old rows | front]
+        # plus unit base[o] + p, the zero row n when p < s (then o = p).
+        origin = np.repeat(np.arange(s + len(front), dtype=np.int32),
+                           np.r_[np.ones(s, dtype=np.int64), counts])
+        base = np.r_[n - np.arange(s), n - s - np.cumsum(counts)]
+        errors = np.concatenate([errors, errors[front]])
+        for lo in range(0, len(keys), ENUM_CHUNK):
+            q = least[lo: lo + ENUM_CHUNK]
+            o = origin[q]
+            grown[lo: lo + len(q)] = np.take(errors, o, axis=0)
+            grown[lo: lo + len(q)] ^= np.take(units, base[o] + q, axis=0)
+        errors = grown
+        if w < t:  # the old rows' positions are the s least
+            front = np.argsort(least)[s:]
+            last = base[origin[least[front]]] + least[front]
+    return SyndromeTable(keys, errors)
 
 
 def is_standard_form(g: np.ndarray) -> bool:

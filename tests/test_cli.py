@@ -25,6 +25,13 @@ class TestCodesCommands:
                          str(manifests / "surface3.manifest")]) == 0
         assert "d=3 exact" in capsys.readouterr().out
 
+    def test_distance_constant_rate(self, tmp_path, capsys):
+        ham = codes.hamming_743()
+        path = codes.save_css(codes.hypergraph_product(ham, ham),
+                              str(tmp_path), name="hgp")
+        assert cli.main(["distance", "--manifest", path]) == 0
+        assert capsys.readouterr().out == "d=3 exact\n"
+
     def test_negative_budget_rejected(self, manifests, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["distance", "--manifest",
@@ -97,10 +104,30 @@ class TestBadInput:
                  f"manifest {path}: d=4 but the code has a logical of "
                  "weight 3\n")
 
+    @pytest.mark.parametrize("old, new, says", [
+        ("d=3", "d=x", "d=x is not a positive integer"),
+        ("d=3", "d=-3", "d=-3 is not a positive integer"),
+        ("d=3", "d=0", "d=0 is not a positive integer"),
+        ("n=13", "n=x", "n=x is not a non-negative integer")])
+    def test_manifest_integer(self, manifests, tmp_path, capsys, old, new,
+                              says):
+        path = tmp_path / "surface3.manifest"
+        text = (manifests / "surface3.manifest").read_text()
+        path.write_text(text.replace(old, new).replace(
+            "=surface3", f"={manifests}/surface3"))
+        self.run(capsys, ["distance", "--manifest", str(path)],
+                 f"manifest {path}: {says}\n")
+
+    def test_refused_soundness(self, tmp_path, capsys):
+        # C(30, ≤30) = 2^30 sets and the 31·2^29 bound both exceed the cap.
+        path = codes.save_classical(codes.repetition(30), str(tmp_path),
+                                    name="rep30")
+        self.run(capsys, ["soundness", "--manifest", path],
+                 "soundness: syndrome table of 1073741824 sets refused\n")
+
     def test_refused_search(self, manifests, capsys, monkeypatch):
         # Out of every search's reach, the manifest's d=3 is kept unchecked
         # and the budget search is refused.
-        monkeypatch.setattr(gf2, "MIN_WEIGHT_KERNEL_CAP", 0)
         monkeypatch.setattr(gf2, "TABLE_CAP", 13)
         self.run(capsys, ["distance", "--manifest",
                           str(manifests / "surface3.manifest"),

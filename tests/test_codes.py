@@ -17,14 +17,25 @@ from qsurg import codes, gf2
 
 
 @contextmanager
-def span_cap(cap):
-    """gf2.MIN_WEIGHT_KERNEL_CAP set to `cap` inside the block."""
-    old = gf2.MIN_WEIGHT_KERNEL_CAP
-    gf2.MIN_WEIGHT_KERNEL_CAP = cap
+def exact_refused():
+    """codes._exact_side refuses every side inside the block, which forces
+    codes.distance onto its budget path."""
+    def refuse(checks, flags):
+        raise gf2.SearchTooLarge("exact search refused")
+
+    old = codes._exact_side
+    codes._exact_side = refuse
     try:
         yield
     finally:
-        gf2.MIN_WEIGHT_KERNEL_CAP = old
+        codes._exact_side = old
+
+
+def hamming_31():
+    """[31, 26, 3] Hamming code: the checks' columns are the 31 nonzero
+    5-bit words."""
+    h = ((np.arange(1, 32) >> np.arange(5)[:, None]) & 1).astype(np.uint8)
+    return codes.ClassicalCode(h=h, g=gf2.null_space(h), n=31, k=26)
 
 
 def random_classical(seed, rows, n):
@@ -43,14 +54,14 @@ def brute_classical_distance(code):
 
 def check_both_paths(code, d, budget):
     """codes.distance against the true distance d (None: no logical), on
-    the exact path and, with the span cap at 0, on the budget path; and
-    gf2.flagged_collision at every half-weight, which reads d once
+    the exact path and, with the exact search refused, on the budget path;
+    and gf2.flagged_collision at every half-weight, which reads d once
     2·half ≥ d and nothing before."""
     want = codes.DistanceResult(d, d - 1) if d else codes.DistanceResult(None, code.n)
     assert codes.distance(code) == want
     if d is not None and d > budget:
         want = codes.DistanceResult(None, budget)
-    with span_cap(0):
+    with exact_refused():
         assert codes.distance(code, budget=budget) == want
     if isinstance(code, codes.ClassicalCode):
         sides = [(code.h, gf2.eye(code.n))]
@@ -61,6 +72,28 @@ def check_both_paths(code, d, budget):
                 for checks, flags in sides]
         v = min((v for v in vals if v is not None), default=None)
         assert v == (d if d is not None and 2 * half >= d else None)
+
+
+def span_walk_soundness(code):
+    """codes.soundness by one gf2.span_walk over all 2^n words, folding each
+    chunk's (syndrome, weight) pairs through gf2.least_per_key (the earlier
+    code, kept as a reference)."""
+    r, n = code.h.shape
+    if r == 0:
+        return None
+    units = gf2.pack_words(gf2.eye(n))
+    syn_cols = gf2.pack_words(code.h.T)
+    k = units.shape[1]
+    classes, least = syn_cols[:0], np.zeros(0, dtype=np.int64)
+    for words in gf2.span_walk(np.hstack([units, syn_cols])):
+        wt = np.bitwise_count(words[:, :k]).sum(axis=1, dtype=np.int64)
+        classes, least = gf2.least_per_key(
+            np.concatenate([classes, words[:, k:]]),
+            np.concatenate([least, wt]))
+    syn_w = np.bitwise_count(classes).sum(axis=1, dtype=np.int64)
+    a, b = syn_w[syn_w > 0], least[syn_w > 0]
+    return min((Fraction(n * int(x), r * int(y)) for x, y in zip(a, b)),
+               default=None)
 
 
 def brute_css_distance(code):
@@ -223,21 +256,24 @@ class TestDistance:
         assert (code.n, code.k, code.d) == (13, 1, 3)
         assert codes.distance(code).d == 3
 
+    def test_constant_rate_product(self):
+        # [[58, 16, 3]]: kernels of dimension 37 on each side, answered by
+        # one collision at half 2 without a budget.
+        code = codes.hypergraph_product(codes.hamming_743(),
+                                        codes.hamming_743())
+        assert (code.n, code.k) == (58, 16)
+        assert codes.distance(code) == codes.DistanceResult(3, 2)
+
     def test_bounded_sweep_certificate(self):
         code = codes.surface_code_via_hgp(3)
         wide = codes.CssCode(
             h_x=code.h_x, h_z=code.h_z, j_x=code.j_x, j_z=code.j_z,
             n=code.n, k=code.k,
         )
-        # Force the budget path by shrinking the span cap below the kernel
-        # dimension (6 on each side): one collision to half = 1 finds no
-        # logical of weight ≤ 2 and certifies d > 2.
-        old = gf2.MIN_WEIGHT_KERNEL_CAP
-        gf2.MIN_WEIGHT_KERNEL_CAP = 2
-        try:
+        # Force the budget path by refusing the exact search: one collision
+        # to half = 1 finds no logical of weight ≤ 2 and certifies d > 2.
+        with exact_refused():
             res = codes.distance(wide, budget=2)
-        finally:
-            gf2.MIN_WEIGHT_KERNEL_CAP = old
         assert not res.exact and res.floor == 2
 
     def test_bounded_sweep_sees_both_sides(self):
@@ -245,7 +281,7 @@ class TestDistance:
         # reach the Z side's weight-2 error before the X side's weight 3.
         code = codes.hypergraph_product(codes.repetition(2), codes.repetition(3))
         assert brute_css_distance(code) == 2
-        with span_cap(0):
+        with exact_refused():
             assert codes.distance(code, budget=3) == codes.DistanceResult(2, 1)
             ham = codes.hamming_743()
             assert codes.distance(ham, budget=3) == codes.DistanceResult(3, 2)
@@ -253,7 +289,7 @@ class TestDistance:
 
     def test_negative_budget_rejected(self):
         # Out of the exact search's reach, budget -3 once certified d > -3.
-        with span_cap(0), pytest.raises(ValueError, match="budget=-3"):
+        with exact_refused(), pytest.raises(ValueError, match="budget=-3"):
             codes.distance(codes.hamming_743(), budget=-3)
 
     @settings(max_examples=40, deadline=None)
@@ -283,6 +319,18 @@ class TestSoundness:
         # n = 20 walks 2^20 words in many chunks.
         assert codes.soundness(codes.repetition(n)) == Fraction(
             n, (n - 1) * (n // 2))
+
+    def test_hamming_31(self):
+        # A perfect code: every class leader has weight 1, and the lightest
+        # column has weight 1, so s = (31 / 5) · 1 / 1.
+        assert codes.soundness(hamming_31()) == Fraction(31, 5)
+
+    def test_walks_no_span(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("soundness must not walk a span")
+
+        monkeypatch.setattr(gf2, "span_walk", no_walk)
+        assert codes.soundness(codes.hamming_743()) == Fraction(7, 3)
 
     def test_hamming_vs_plain_oracle(self):
         code = codes.hamming_743()
@@ -324,6 +372,16 @@ class TestSoundness:
                 dist = min(gf2.weight(u ^ c) for c in words)
                 ratios.append(Fraction(n * syn, rows * dist))
         assert codes.soundness(code) == min(ratios, default=None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 14), st.integers(0, 2**32 - 1))
+    def test_table_vs_span_walk(self, mixed_rows, rows, n, seed):
+        # Dependent, zero and repeated check rows leave fewer classes than
+        # 2^rows.
+        h = mixed_rows(seed, rows, n)
+        code = codes.ClassicalCode(h=h, g=gf2.null_space(h), n=n,
+                                   k=n - gf2.rank(h))
+        assert codes.soundness(code) == span_walk_soundness(code)
 
     def test_zero_checks_undefined(self):
         # Every word is a codeword, so no ratio exists.
@@ -445,6 +503,15 @@ class TestManifests:
         with pytest.raises(ValueError) as err:
             codes.load_manifest(str(path))
         assert str(err.value) == f"manifest {path}: {says}"
+
+    def test_soundness_checked_past_24_bits(self, tmp_path):
+        code = hamming_31()
+        code.soundness = Fraction(31, 4)
+        path = codes.save_classical(code, str(tmp_path), name="ham31")
+        with pytest.raises(ValueError) as err:
+            codes.load_manifest(path)
+        assert str(err.value) == (f"manifest {path}: soundness=31/4 but the "
+                                  "code's soundness is 31/5")
 
     def test_classical_round_trip(self, tmp_path):
         code = codes.hamming_743()

@@ -175,7 +175,8 @@ class TestSolveLinear:
             gf2.solve_linear(gf2.zeros(1, 30), [0], mode="min_weight")
 
     def test_default_cap_read_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(gf2, "MIN_WEIGHT_KERNEL_CAP", 0)
+        # Hamming's kernel has dimension 4: a coset of 16 words.
+        monkeypatch.setattr(gf2, "TABLE_CAP", 15)
         with pytest.raises(gf2.SearchTooLarge):
             gf2.solve_linear(HAMMING_H, [1, 0, 0], mode="min_weight")
 
@@ -304,7 +305,7 @@ def two_elimination_min_weight(a, b):
     for prow, pc in enumerate(pivots):
         x0[pc] = r[prow, ncols]
     kern = row_loop_null_space(a)
-    if kern.shape[0] > gf2.MIN_WEIGHT_KERNEL_CAP:
+    if 1 << kern.shape[0] > gf2.TABLE_CAP:
         raise gf2.SearchTooLarge(f"kernel dimension {kern.shape[0]}")
     x = gf2.pack_words(x0[None])
     best, best_w = None, ncols + 1
