@@ -232,8 +232,8 @@ def batch(num: int, k_r: int, k_f: int, d_s: int) -> int:
 
 def batch_bound(num: int, k_r: int, k_f: int, d_s: int) -> Fraction:
     """Closed-form upper bound batch ≤ (num/k_r + 1)/k_f/d_s² + 1/d_s² + 1."""
-    return (Fraction(num, k_r * k_f * d_s * d_s)
-            + Fraction(1, k_f * d_s * d_s) + Fraction(1, d_s * d_s) + 1)
+    den = k_r * k_f * d_s * d_s
+    return Fraction(num + k_r + k_r * k_f + den, den)
 
 
 def sum_batch_bound(total: int, families: int, k_r: int, k_f: int,

@@ -1,6 +1,7 @@
 """Operation decomposition, scheduling, cost arithmetic."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,6 +154,16 @@ class TestBatchArithmetic:
             d_s = int(rng.integers(1, 6))
             b = qc.batch(num, k_r, k_f, d_s)
             assert b <= qc.batch_bound(num, k_r, k_f, d_s)
+
+    def test_bound_equals_its_four_terms(self):
+        # Over the ledger's grid ranges (num < 5000, k_r, k_f < 9, d_s < 6).
+        for k_r, k_f, d_s in itertools.product(range(1, 9), range(1, 9),
+                                               range(1, 6)):
+            for num in [*range(0, 5000, 97), 4999]:
+                terms = (Fraction(num, k_r * k_f * d_s * d_s)
+                         + Fraction(1, k_f * d_s * d_s)
+                         + Fraction(1, d_s * d_s) + 1)
+                assert qc.batch_bound(num, k_r, k_f, d_s) == terms
 
     def test_sublayer_cost(self):
         ops = [qc.LogicalOp("CNOT", ("u", "v"), (0, 0)),

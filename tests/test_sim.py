@@ -436,6 +436,45 @@ def per_block_rate(exp, p, trials, seed, stream):
     return est, block_faults
 
 
+def live_faults(exp, p, trials, seed, stream):
+    """Per block of per_block_rate, its faults on live cells (those with a
+    nonzero compiled word) and its trials whose faults all lie on dead
+    cells."""
+    live = np.concatenate([view.words.any(axis=1)
+                           for view in (exp.z_basis, exp.x_basis)])
+    block = max(1, sim.BLOCK_CELLS // len(live))
+    out = []
+    for b, start in enumerate(range(0, trials, block)):
+        size = min(block, trials - start)
+        trial, cell = sim._sample_block(seed, stream + b, p, size, len(live))
+        keep = live[cell]
+        out.append((int(np.count_nonzero(keep)),
+                    len(np.setdiff1d(trial, trial[keep]))))
+    return out
+
+
+# Per d and basis, the fault cells with a nonzero compiled word, and all
+# fault cells: Monte Carlo decodes the faults on the first alone.
+LIVE_CELLS = {(3, "z"): (214, 538), (3, "x"): (227, 564),
+              (5, "z"): (676, 1700), (5, "x"): (717, 1782)}
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_live_cells(experiments, d):
+    exp = experiments[d]
+    route = exp.route
+    z_cells = len(exp.z_basis.cells)
+    for basis, view, row, part in (
+            ("z", exp.z_basis, sim.MemoryExperiment.Z_ROW, route[:z_cells]),
+            ("x", exp.x_basis, sim.MemoryExperiment.X_ROW, route[z_cells:])):
+        live = view.words.any(axis=1)
+        assert (int(np.count_nonzero(live)), len(view.cells)) == LIVE_CELLS[
+            d, basis]
+        assert np.array_equal(part, np.where(live, row, sim.MemoryExperiment.DEAD))
+    sim.logical_error_rate(exp, 1e-3, 100, seed=1)
+    assert exp.route is route  # recorded once, by compile_faults
+
+
 # (d, p, trials, BLOCK_CELLS): every run ends in a partial block.  At
 # p = 0.25 one block holds more than the default PASS_FAULTS faults; the
 # small blocks at p = 1e-4 leave some blocks without faults, and at d=3
@@ -457,11 +496,18 @@ def test_passes_match_per_block_decoding(experiments, monkeypatch, d, p,
         assert max(block_faults) > sim.PASS_FAULTS
     if p == 1e-4:
         assert 0 in block_faults
-    calls = []
+    live = live_faults(exp, p, trials, seed=17, stream=stream)
+    if p < 0.25:
+        # Some trials hold only dead faults, which are drawn, not decoded.
+        assert any(dead_only for _, dead_only in live)
+    calls, passed = [], []
     real = sim._BasisView.failures
 
     def counted(view, *args):
         calls.append(args[-1])
+        _, trial, cell, _ = args
+        assert view.words[cell].any(axis=1).all()  # live cells only
+        passed.append(len(trial))
         return real(view, *args)
 
     monkeypatch.setattr(sim._BasisView, "failures", counted)
@@ -470,9 +516,11 @@ def test_passes_match_per_block_decoding(experiments, monkeypatch, d, p,
     for pass_faults in (1, max(1, sum(block_faults) // 3), 1 << 62):
         monkeypatch.setattr(sim, "PASS_FAULTS", pass_faults)
         calls.clear()
+        passed.clear()
         assert sim.logical_error_rate(exp, p, trials, seed=17,
                                       stream=stream) == want
         assert sum(calls) == 2 * trials
+        assert sum(passed) == sum(faults for faults, _ in live)
         if pass_faults == 1:
             # A pass ends at every block with faults, and at the last one.
             ends = np.count_nonzero(block_faults[:-1]) + 1

@@ -4,6 +4,9 @@ overrun one."""
 
 import pathlib
 
+import numpy as np
+import pytest
+
 from qsurg import cli, sim
 
 SRC = pathlib.Path(cli.__file__).parent
@@ -38,3 +41,32 @@ def test_ledger_streams_are_disjoint(monkeypatch):
     # Every sampling site drew at least once.
     sites = {trial >> 32 for _, trial in pairs}
     assert sites == set(range(len(cli._SITES)))
+
+
+def philox_advanced(seed, trial):
+    """The reference stream: Philox keyed through its own key argument
+    (which builds a SeedSequence), then advanced to the stream's counter."""
+    bg = np.random.Philox(key=seed)
+    bg.advance(trial * sim._TRIAL_STRIDE)
+    return np.random.Generator(bg)
+
+
+@pytest.mark.parametrize("seed", [0, 42, (1 << 63) - 1])
+@pytest.mark.parametrize("trial", [0, 5, 7 * (1 << 32) + 5])
+def test_trial_rng_matches_advanced_philox(seed, trial):
+    got, want = sim.trial_rng(seed, trial), philox_advanced(seed, trial)
+    state, ref = got.bit_generator.state, want.bit_generator.state
+    for key in ("counter", "key"):
+        assert np.array_equal(state["state"][key], ref["state"][key])
+    assert np.array_equal(got.integers(0, 1 << 62, 300),
+                          want.integers(0, 1 << 62, 300))
+    assert np.array_equal(got.random(50), want.random(50))
+    assert sim._stream_position(got) == sim._stream_position(want)
+
+
+@pytest.mark.parametrize("seed,error", [(-1, ValueError),
+                                        (1 << 128, ValueError),
+                                        (1.5, TypeError)])
+def test_trial_rng_rejects_bad_seed(seed, error):
+    with pytest.raises(error):
+        sim.trial_rng(seed, 0)
