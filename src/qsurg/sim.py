@@ -22,6 +22,7 @@ and a given (experiment, p_phy, trials, seed) gives byte-identical results.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from contextlib import contextmanager
@@ -37,14 +38,18 @@ from .codes import CssCode
 _TRIAL_STRIDE = 1 << 24
 
 
-class _PhiloxKey(np.random.bit_generator.ISeedSequence):
-    """A seed as Philox's key words, skipping Philox(key=)'s SeedSequence."""
+@functools.cache
+def _philox():
+    """Generator, Philox and a key class passing a seed as Philox's key words
+    (no SeedSequence), built on first use: `import sim` skips numpy.random."""
+    from numpy.random import Generator, Philox, bit_generator
+    class PhiloxKey(bit_generator.ISeedSequence):
+        def __init__(self, seed: int) -> None:
+            self.words = np.array([seed & (1 << 64) - 1, seed >> 64], np.uint64)
 
-    def __init__(self, seed: int) -> None:
-        self.words = np.array([seed & (1 << 64) - 1, seed >> 64], np.uint64)
-
-    def generate_state(self, n_words, dtype=np.uint64):
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint64):
+            return self.words
+    return Generator, Philox, PhiloxKey
 
 
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
@@ -52,8 +57,8 @@ def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
     seed = operator.index(seed)
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed {seed} is not in [0, 2^128)")
-    return np.random.Generator(
-        np.random.Philox(_PhiloxKey(seed), counter=trial * _TRIAL_STRIDE))
+    generator, philox, key = _philox()
+    return generator(philox(key(seed), counter=trial * _TRIAL_STRIDE))
 
 
 class StreamOverrun(RuntimeError):

@@ -1,6 +1,9 @@
 """Resource-state preparation: noiseless correctness, propagation matrices
 probed against the frame simulator, and both residual-error bounds."""
 
+from types import SimpleNamespace
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +163,30 @@ class TestFrameVsTableauOnPrep:
             assert np.array_equal(tr.outcomes, fr.outcome_flips)
 
 
+def reference_z_sweep(contrib, max_weight):
+    """sweep_z_lemma's report from listing every fault set of weight
+    1..max_weight: one combination_sweep of the unit contributions."""
+    rep = ltsp.LemmaSweepReport()
+    for w, words in gf2.combination_sweep(gf2.pack_words(contrib), max_weight):
+        if w == 0:
+            continue
+        good = int(np.count_nonzero(np.bitwise_count(words).sum(axis=1) <= w))
+        rep.checked += len(words)
+        rep.ok += good
+        rep.violations += len(words) - good
+    return rep
+
+
+def unit_contributions(spp):
+    return ltsp.check_z_bound(spp, gf2.eye(spp.layout_z.total))[0]
+
+
+@pytest.fixture(scope="module")
+def desk_copies(memory13):
+    ham = codes.hamming_743()
+    return [ltsp.sp_matrices(memory13, ham, j) for j in range(ham.k)]
+
+
 class TestZBound:
     def test_zero_fault(self, spp13):
         e = np.zeros(spp13.layout_z.total, dtype=np.uint8)
@@ -173,6 +200,47 @@ class TestZBound:
 
     def test_weight_zero_checks_nothing(self, spp13):
         assert ltsp.sweep_z_lemma(spp13, max_weight=0) == ltsp.LemmaSweepReport()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda b: st.tuples(
+        st.lists(st.lists(st.integers(0, 1), min_size=b, max_size=b),
+                 min_size=1, max_size=5),
+        st.lists(st.integers(0, 4), min_size=6, max_size=14))),
+        st.integers(0, 3))
+    def test_counts_match_listed_sets(self, draw, max_weight):
+        # Rows picked from at most 5 distinct ones, so some repeat; the
+        # first weighs at least 2, so there are violations to count.
+        base, picks = draw
+        base = gf2.bitmat(base)
+        base[0, :2] = 1
+        contrib = base[[0] + [i % len(base) for i in picks]]
+        spp = SimpleNamespace(layout_z=SimpleNamespace(total=len(contrib)))
+        with patch.object(ltsp, "check_z_bound",
+                          lambda spp, e: (contrib, None)):
+            got = ltsp.sweep_z_lemma(spp, max_weight)
+        assert got == reference_z_sweep(contrib, max_weight)
+
+    def test_desk_copies_weight_two(self, desk_copies):
+        for spp in desk_copies:
+            contrib = gf2.pack_words(unit_contributions(spp))
+            # 1,140 contributions in 14 classes: zero and 13 unit words.
+            assert len(np.unique(contrib)) == 14
+            rep = ltsp.sweep_z_lemma(spp, max_weight=2)
+            assert rep == reference_z_sweep(unit_contributions(spp), 2)
+            assert rep.checked == 650_370 and rep.clean
+
+    def test_desk_copies_weight_three(self, desk_copies):
+        # C(1140, 1) + C(1140, 2) + C(1140, 3) sets, which are not listed.
+        for spp in desk_copies:
+            rep = ltsp.sweep_z_lemma(spp, max_weight=3)
+            assert rep.checked == 246_924_950 and rep.violations == 0
+
+    def test_refused_past_table_cap(self, spp13, monkeypatch):
+        monkeypatch.setattr(gf2, "TABLE_CAP", 64)
+        with pytest.raises(gf2.SearchTooLarge):
+            ltsp.sweep_z_lemma(spp13, max_weight=2)
+        # Weight 1 holds at most n + 1 rows and is never refused.
+        assert ltsp.sweep_z_lemma(spp13, max_weight=1).checked == 1140
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10).flatmap(lambda n: st.lists(

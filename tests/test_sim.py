@@ -602,6 +602,18 @@ class TestSampling:
                              capture_output=True, text=True, timeout=60)
         assert out.stdout == "raised False\n", out.stderr
 
+    def test_cli_import_loads_no_numpy_random(self):
+        # Commands that never draw (distance, soundness, compile) should not
+        # pay for importing numpy.random.
+        code = ("import sys\n"
+                "from qsurg import cli\n"
+                "print('numpy.random' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout == "False\n", out.stderr
+
     def test_ledger_site_overrun_is_caught(self, monkeypatch):
         monkeypatch.setattr(sim, "_TRIAL_STRIDE", 1)
         with pytest.raises(sim.StreamOverrun,
