@@ -465,15 +465,6 @@ class TestEnumerators:
         assert [int(c) for c in counts[1]] == [
             math.comb(70, w) * (w % 2) for w in range(41)]
 
-    def test_combination_counts_refused_past_cap(self, monkeypatch):
-        cols = gf2.pack_words(np.eye(6, dtype=np.uint8))
-        monkeypatch.setattr(gf2, "TABLE_CAP", 20)
-        with pytest.raises(gf2.SearchTooLarge):
-            gf2.combination_counts(cols, 2)
-        # At t ≤ 1 the n + 1 rows are never refused.
-        words, counts = gf2.combination_counts(cols, 1)
-        assert counts.sum() == 7 and len(words) == 7
-
 
 class TestIdentities:
     @settings(max_examples=60, deadline=None)

@@ -177,10 +177,6 @@ def reference_z_sweep(contrib, max_weight):
     return rep
 
 
-def unit_contributions(spp):
-    return ltsp.check_z_bound(spp, gf2.eye(spp.layout_z.total))[0]
-
-
 @pytest.fixture(scope="module")
 def desk_copies(memory13):
     ham = codes.hamming_743()
@@ -222,11 +218,11 @@ class TestZBound:
 
     def test_desk_copies_weight_two(self, desk_copies):
         for spp in desk_copies:
-            contrib = gf2.pack_words(unit_contributions(spp))
+            contrib, _ = ltsp.check_z_bound(spp, gf2.eye(spp.layout_z.total))
             # 1,140 contributions in 14 classes: zero and 13 unit words.
-            assert len(np.unique(contrib)) == 14
+            assert len(np.unique(contrib, axis=0)) == 14
             rep = ltsp.sweep_z_lemma(spp, max_weight=2)
-            assert rep == reference_z_sweep(unit_contributions(spp), 2)
+            assert rep == reference_z_sweep(contrib, 2)
             assert rep.checked == 650_370 and rep.clean
 
     def test_desk_copies_weight_three(self, desk_copies):
