@@ -144,7 +144,7 @@ def cmd_soundness(args) -> int:
         code = codes.load_manifest(args.manifest)
         if not isinstance(code, codes.ClassicalCode):
             raise ValueError(f"{args.manifest} is not a classical code")
-    s = codes.soundness(code)
+    s = code.soundness if code.soundness_exact else codes.soundness(code)
     print("undefined" if s is None else f"{s.numerator}/{s.denominator}")
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -31,6 +31,8 @@ class ClassicalCode:
     k: int
     d: Optional[int] = None
     soundness: Optional[Fraction] = None  # from a manifest or soundness()
+    # soundness() computed it (a manifest's claim may be kept unchecked).
+    soundness_exact: bool = field(default=False, init=False, compare=False)
 
 
 @dataclass
@@ -269,6 +271,7 @@ def soundness(code: ClassicalCode) -> Optional[Fraction]:
     i = int(np.argmin(a / b)) if a.size else None
     code.soundness = None if i is None else Fraction(n * int(a[i]),
                                                      r * int(b[i]))
+    code.soundness_exact = True
     return code.soundness
 
 

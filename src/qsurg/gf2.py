@@ -94,11 +94,11 @@ def xor_map(sel: np.ndarray):
     The set entries are found on sel packed eight to a byte: first the
     nonzero bytes, then the set bits of each, in row-major order."""
     packed = np.packbits(sel, axis=1)
-    nonzero = np.flatnonzero(packed)
-    byte, bit = np.nonzero(np.unpackbits(packed.reshape(-1)[nonzero, None],
-                                         axis=1))
-    at = (nonzero[byte] % packed.shape[1]) * 8 + bit
-    counts = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+    nonzero = np.flatnonzero(packed != 0)
+    bits = np.flatnonzero(np.unpackbits(packed.reshape(-1)[nonzero]) != 0)
+    row, col = np.divmod(nonzero[bits >> 3], max(packed.shape[1], 1))
+    at = col * 8 + (bits & 7)
+    counts = np.bincount(row, minlength=len(sel))
     hit = np.flatnonzero(counts)
     starts = (np.cumsum(counts) - counts)[hit]
 

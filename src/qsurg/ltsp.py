@@ -249,6 +249,8 @@ class SpPropagation:
     rs: ResourceStateSpec
     _amplification: Optional[Fraction] = field(
         default=None, init=False, repr=False, compare=False)
+    _units: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def amplification(self) -> Fraction:
         """max{1, n_F / (r_F·s)} with the exact computed soundness.
@@ -263,6 +265,43 @@ class SpPropagation:
                 Fraction(1), Fraction(self.f.n, self.f.h.shape[0]) / s)
         return self._amplification
 
+    def _to_copy(self, *rows: np.ndarray) -> list:
+        """Each m[copy_j] ⊗ E_n_D: a level-major group's map to the copy."""
+        return [gf2.kron(m[self.copy_j:][:1], gf2.eye(self.source.n)) for m in rows]
+
+    def z_units(self) -> tuple[Layout, np.ndarray]:
+        """(fields, packed rows), built on first use from the fields as they
+        are then: per layout_z location, the residual u_eff of its unit
+        fault and the defect h_rs_x·(0 | u_eff) ⊕ j_sp_x·e."""
+        if "z" not in self._units:
+            g_j, e_j = self._to_copy(self.f.g, gf2.eye(self.f.k))
+            u_eff = _assemble(self.layout_z, {
+                **{f"B{i}": g_j for i in (2, 3, 4, 5)}, "B6": e_j,
+                **{f"C{i}": g_j for i in (1, 2, 3, 4, 5)}, "C6": e_j}).T
+            defect = gf2.row_images(self.rs.h_rs_x[:, self.source.n:], u_eff)
+            self._units["z"] = _unit_table(u_eff=u_eff, defect=defect ^ self.j_sp_x.T)
+        return self._units["z"]
+
+    def x_units(self) -> tuple[Layout, np.ndarray]:
+        """As z_units(), per layout_x location, for each linear map that
+        check_x_bound reads: h_sp_z, the meaB and meaC flips, the targets
+        vec(u_b ⊕ u_c) | vec(h_z·u_c ⊕ u_d), the residual's linear B | C
+        parts and the defect h_rs_z·e_rs ⊕ j_sp_z·e."""
+        if "x" not in self._units:
+            lay, hz = self.layout_x, gf2.kron(gf2.eye(self.f.n), self.source.h_z)
+            gr_j, e_j = self._to_copy(gf2.right_inverse(self.f.g).T, gf2.eye(self.f.k))
+            eye = lambda *names: {nm: gf2.eye(dict(lay.groups)[nm]) for nm in names}
+            residual = np.concatenate([_assemble(lay, {"B5": gr_j, "B6": e_j}),
+                                       _assemble(lay, {"C5": gr_j, "C6": e_j})]).T
+            self._units["x"] = _unit_table(
+                syn=self.h_sp_z.T, meaB=_assemble(lay, eye("meaB")).T,
+                meaC=_assemble(lay, eye("meaC")).T, targets=np.concatenate([
+                    _assemble(lay, eye("B1", "B2", "B3", "B4", "C2", "C3", "C4")),
+                    _assemble(lay, {"C3": hz, "C4": hz, **eye("D1", "D2", "D3")})]).T,
+                residual=residual,
+                defect=gf2.row_images(self.rs.h_rs_z, residual) ^ self.j_sp_z.T)
+        return self._units["x"]
+
 
 def _assemble(layout: Layout, blocks: dict) -> np.ndarray:
     """Rows over `layout`, each named group's columns set to its block."""
@@ -271,6 +310,23 @@ def _assemble(layout: Layout, blocks: dict) -> np.ndarray:
     for name, m in blocks.items():
         out[:, layout.sl(name)] = m
     return out
+
+
+def _unit_table(**fields) -> tuple[Layout, np.ndarray]:
+    """(field layout, packed rows): the named unit images side by side."""
+    return (Layout([(nm, m.shape[1]) for nm, m in fields.items()]),
+            gf2.pack_words(np.concatenate(list(fields.values()), axis=1)))
+
+
+def _images(units: tuple, e) -> tuple[Layout, np.ndarray, np.ndarray]:
+    """(fields, images, weights) of the fault rows e (one xor_map of the
+    table), or of the unit batch, each location's unit fault in order."""
+    fields, table = units
+    if e is None:
+        return fields, gf2.unpack_words(table, fields.total), np.ones(len(table), int)
+    e = gf2.as_rows(e)
+    weight = np.bitwise_count(np.packbits(e, axis=1)).sum(axis=1, dtype=int)
+    return fields, gf2.unpack_words(gf2.xor_map(e)(table), fields.total), weight
 
 
 def _sp_checks(source: CssCode, f: ClassicalCode):
@@ -309,18 +365,12 @@ def sp_matrices(source: CssCode, f: ClassicalCode, copy_j: int) -> SpPropagation
     """Block propagation/check matrices for output copy `copy_j` (0-based)."""
     if not 0 <= copy_j < f.k:
         raise ValueError("copy index out of range")
-    n_d, r_z = source.n, source.h_z.shape[0]
-    n_f, k_f = f.n, f.k
+    n_d, r_z, k_f = source.n, source.h_z.shape[0], f.k
     rs = resource_state(source)
     layout_z, layout_x, h_sp_z = _sp_checks(source, f)
 
-    g_j = f.g[copy_j].reshape(1, -1)
-    e_j = gf2.eye(k_f)[copy_j].reshape(1, -1)
-    gr_j = gf2.right_inverse(f.g).T[copy_j].reshape(1, -1)
-
-    # Sanity: operators on C never leak into D through the readout CNOT.
-    assert not gf2.mul(gf2.kron(g_j, source.h_x),
-                       gf2.kron(gf2.eye(n_f), source.h_z.T)).any()
+    g_j, e_j = f.g[copy_j:][:1], gf2.eye(k_f)[copy_j:][:1]
+    gr_j = gf2.right_inverse(f.g).T[copy_j:][:1]
 
     hx_j = np.concatenate([gf2.kron(g_j, source.h_x), gf2.kron(g_j, source.j_x)])
     hx_e = np.concatenate([gf2.kron(e_j, source.h_x), gf2.kron(e_j, source.j_x)])
@@ -329,10 +379,8 @@ def sp_matrices(source: CssCode, f: ClassicalCode, copy_j: int) -> SpPropagation
         **{f"C{i}": hx_j for i in (1, 2, 3, 4, 5)}, "C6": hx_e,
     })
 
-    bell_j = gf2.kron(gr_j, gf2.eye(n_d))
-    bell_e = gf2.kron(e_j, gf2.eye(n_d))
-    hz_j = gf2.kron(gr_j, source.h_z)
-    hz_e = gf2.kron(e_j, source.h_z)
+    bell_j, bell_e = (gf2.kron(v, gf2.eye(n_d)) for v in (gr_j, e_j))
+    hz_j, hz_e = (gf2.kron(v, source.h_z) for v in (gr_j, e_j))
     dd_j = gf2.kron(gr_j, gf2.eye(r_z))
     top = _assemble(layout_x, {
         **{f"B{i}": bell_j for i in (1, 2, 3, 4, 5)}, "B6": bell_e,
@@ -352,25 +400,20 @@ def sp_matrices(source: CssCode, f: ClassicalCode, copy_j: int) -> SpPropagation
 # ── residual-error constructions ────────────────────────────────────────
 
 
-def check_z_bound(spp: SpPropagation, e_sp_z: np.ndarray):
+def check_z_bound(spp: SpPropagation, e_sp_z: Optional[np.ndarray]):
     """Residual Z error on the output copy for spacetime Z faults.
 
-    e_sp_z holds one fault per row (a vector is one row).  Returns
-    (e_rs_z, ok), one row and one entry per fault: the equivalent residual
-    (0 | u_eff) satisfying h_rs_x·e_rsᵀ = j_sp_x·e_spᵀ, and
-    ok = (|e_rs| ≤ |e_sp|).
+    e_sp_z holds one fault per row (a vector is one row), or is None for
+    the unit batch (see _images).  Returns (e_rs_z, ok), one row and one
+    entry per fault: the equivalent residual (0 | u_eff) satisfying
+    h_rs_x·e_rsᵀ = j_sp_x·e_spᵀ, and ok = (|e_rs| ≤ |e_sp|).
     """
-    lay = spp.layout_z
-    e = gf2.as_rows(e_sp_z)
-    u = gf2.unvec(lay.xor(e, "B2", "B3", "B4", "B5",
-                          "C1", "C2", "C3", "C4", "C5"), spp.source.n)
-    u6 = gf2.unvec(lay.xor(e, "B6", "C6"), spp.source.n)
-    u_eff = gf2.mul(u, spp.f.g[spp.copy_j]) ^ u6[:, :, spp.copy_j]
-    e_rs = np.concatenate([np.zeros_like(u_eff), u_eff], axis=1)
-    if (gf2.row_images(spp.rs.h_rs_x, e_rs)
-            != gf2.row_images(spp.j_sp_x, e)).any():
+    fields, images, weight = _images(spp.z_units(), e_sp_z)
+    if fields.part(images, "defect").any():
         raise ResourceStateError("Z-residual equivalence identity failed")
-    return e_rs, np.count_nonzero(e_rs, axis=1) <= np.count_nonzero(e, axis=1)
+    u_eff = fields.part(images, "u_eff")
+    e_rs = np.concatenate([np.zeros_like(u_eff), u_eff], axis=1)
+    return e_rs, np.count_nonzero(u_eff, axis=1) <= weight
 
 
 @dataclass
@@ -385,34 +428,35 @@ _X_FAILURES = {1: "undetected flips outside colsp(h_f)",
                3: "X-residual equivalence identity failed"}
 
 
-def check_x_bound(spp: SpPropagation, e_sp_x: np.ndarray) -> XBoundResult:
+def check_x_bound(spp: SpPropagation, e_sp_x: Optional[np.ndarray]) -> XBoundResult:
     """Residual X error construction with the soundness-controlled bound.
 
-    e_sp_x holds one fault per row (a vector is one row), and each result
-    field holds one entry per fault.  Detected faults
-    (nonzero h_sp_z syndrome) are "detected".  For undetected faults the
-    F-syndrome preimages are taken minimum-weight per block, solved once
-    per distinct syndrome; the two test-code equalities behind the
-    construction are then checked, and hold whenever the fault weight is
-    below d_F / (ω·amplification()), ω the largest row or column weight of
-    the source h_z.  A failed check raises ResourceStateError for the
-    first fault that fails one, as a row-by-row run would.
+    e_sp_x holds one fault per row (a vector is one row; None is the unit
+    batch, see _images), and each result field holds one entry per fault.
+    Detected faults (nonzero h_sp_z syndrome) are "detected".  For
+    undetected faults the F-syndrome preimages are taken minimum-weight per
+    block, solved once per distinct syndrome; the two test-code equalities
+    behind the construction are then checked, and hold whenever the fault
+    weight is below d_F / (ω·amplification()), ω the largest row or column
+    weight of the source h_z.  A failed check raises ResourceStateError for
+    the first fault that fails one, as a row-by-row run would.
     """
-    lay = spp.layout_x
-    e = gf2.as_rows(e_sp_x)
-    detected = gf2.row_images(spp.h_sp_z, e).any(axis=1)
-    u = e[~detected]
-    n_d, r_z, f = spp.source.n, spp.source.h_z.shape[0], spp.f
-    amp = spp.amplification()
+    fields, images, weight = _images(spp.x_units(), e_sp_x)
+    n_d, f, amp = spp.source.n, spp.f, spp.amplification()
+    detected = fields.part(images, "syn").any(axis=1)
+    u, weight = images[~detected], weight[~detected]
 
-    # Flip patterns per (fault, B/C, block a); each nonzero one maps to its
-    # minimum-weight preimage under h_F.
-    v = np.stack([gf2.unvec(lay.part(u, "meaB"), n_d),
-                  gf2.unvec(lay.part(u, "meaC"), n_d)], axis=1)
-    v = v.reshape(len(u) * 2 * n_d, f.h.shape[0])
+    # Flip patterns per (fault, B/C, block a): each nonzero one maps to its
+    # minimum-weight preimage under h_F, solved once per distinct pattern,
+    # and a fault's preimages w add vec(w_b ⊕ w_c) | vec(h_z·w_c) to its
+    # targets, r = w·gr_j to its residual and h_rs_z·r to its defect.
+    v = np.concatenate([gf2.unvec(fields.part(u, nm), n_d)
+                        for nm in ("meaB", "meaC")], axis=1)
+    has = v.any(axis=(1, 2))
+    v = v[has].reshape(-1, f.h.shape[0])
     _, first, which = np.unique(gf2._row_keys(gf2.pack_words(v)),
                                 return_index=True, return_inverse=True)
-    syndromes, which = v[first], which.reshape(len(u), 2 * n_d)
+    syndromes, which = v[first], which.reshape(-1, 2 * n_d)
     table = gf2.zeros(len(syndromes), f.n)
     failure = np.zeros(len(syndromes), dtype=np.int8)
     for i, syn in enumerate(syndromes):
@@ -423,35 +467,28 @@ def check_x_bound(spp: SpPropagation, e_sp_x: np.ndarray) -> XBoundResult:
             failure[i] = 2
         else:
             table[i] = sol
-    w_b, w_c = table[which[:, :n_d]], table[which[:, n_d:]]
-
-    u_b = gf2.unvec(lay.xor(u, "B1", "B2", "B3", "B4", "C2"), n_d)
-    u_c = gf2.unvec(lay.xor(u, "C3", "C4"), n_d)
-    u_d = gf2.unvec(lay.xor(u, "D1", "D2", "D3"), r_z)
-    equivalent = ((u_b ^ u_c == w_b ^ w_c).all(axis=(1, 2))
-                  & (gf2.mul(spp.source.h_z, u_c ^ w_c) == u_d).all(axis=(1, 2)))
-
-    gr_j = gf2.right_inverse(f.g).T[spp.copy_j]
-    e_rs = np.concatenate([
-        gf2.mul(w_t ^ gf2.unvec(lay.part(u, f"{t}5"), n_d), gr_j)
-        ^ gf2.unvec(lay.part(u, f"{t}6"), n_d)[:, :, spp.copy_j]
-        for t, w_t in (("B", w_b), ("C", w_c))], axis=1)
-    broken = (gf2.row_images(spp.rs.h_rs_z, e_rs)
-              != gf2.row_images(spp.j_sp_z, u)).any(axis=1)
+    fails = np.zeros((len(u), 2 * n_d), dtype=np.int8)
+    fails[has], w = failure[which], table[which]
+    r = gf2.mul(w, gf2.right_inverse(f.g).T[spp.copy_j])
+    vecs = lambda m: m.swapaxes(1, 2).reshape(len(m), m.shape[1] * m.shape[2])
+    u[has, fields.offsets["targets"]:] ^= np.concatenate([  # and the two after
+        vecs(w[:, :n_d] ^ w[:, n_d:]), vecs(gf2.mul(spp.source.h_z, w[:, n_d:])),
+        r, gf2.mul(r, spp.rs.h_rs_z.T)], axis=1)
+    e_rs = fields.part(u, "residual")
+    equivalent = ~fields.part(u, "targets").any(axis=1)
     # Row-major order of the checks a row-by-row run makes: each fault's B
     # then C blocks, then its identity (when equivalent).
-    codes = np.column_stack([failure[which], 3 * (equivalent & broken)])
+    codes = np.column_stack([
+        fails, 3 * (equivalent & fields.part(u, "defect").any(axis=1))])
     if codes.any():
         raise ResourceStateError(_X_FAILURES[int(codes[codes != 0][0])])
     bound_ok = equivalent & (np.count_nonzero(e_rs, axis=1) * amp.denominator
-                             <= amp.numerator * np.count_nonzero(u, axis=1))
+                             <= amp.numerator * weight)
 
-    status = np.full(len(e), "detected", dtype="<U12")
+    status = np.full(len(detected), "detected", dtype="<U12")
     status[~detected] = np.where(equivalent, "ok", "inequivalent")
-    e_rs_x = gf2.zeros(len(e), 2 * n_d)
-    e_rs_x[~detected] = e_rs * equivalent[:, None]
-    bound = np.zeros(len(e), dtype=bool)
-    bound[~detected] = bound_ok
+    e_rs_x, bound = gf2.zeros(len(detected), 2 * n_d), np.zeros(len(detected), bool)
+    e_rs_x[~detected], bound[~detected] = e_rs * equivalent[:, None], bound_ok
     return XBoundResult(status=status, e_rs_x=e_rs_x, bound_ok=bound)
 
 
@@ -476,7 +513,7 @@ def sweep_z_lemma(spp: SpPropagation, max_weight: int = 2) -> LemmaSweepReport:
     map is linear, so a w-fault's residual is the XOR of its locations'
     contributions, each checked by check_z_bound, and must weigh at most w;
     the sets are counted per class of equal contributions, not listed."""
-    contrib, _ = check_z_bound(spp, gf2.eye(spp.layout_z.total))
+    contrib, _ = check_z_bound(spp, None)
     words, counts = gf2.combination_counts(gf2.pack_words(contrib), max_weight)
     fits = np.bitwise_count(words).sum(axis=1)[:, None] <= np.arange(counts.shape[1])
     checked, ok = int(counts[:, 1:].sum()), int((counts * fits)[:, 1:].sum())
@@ -486,21 +523,20 @@ def sweep_z_lemma(spp: SpPropagation, max_weight: int = 2) -> LemmaSweepReport:
 def sweep_x_lemma(spp: SpPropagation, max_weight: int = 1,
                   samples: int = 0, seed: int = 0,
                   stream: int = 0) -> LemmaSweepReport:
-    """Weight-1 exhaustive plus sampled weight-2 checks of the X bound,
-    checked as one batch; the pairs come from
-    sim.checked_rng(seed, stream)."""
+    """Weight-1 exhaustive plus sampled weight-2 checks of the X bound: the
+    unit faults as one batch, then the pairs, drawn from
+    sim.checked_rng(seed, stream), as another."""
     from . import sim  # sim imports protocol, which imports this module
-    rep = LemmaSweepReport()
-    n = spp.layout_x.total
-    units = np.arange(n if max_weight >= 1 else 0)
-    if not len(units) + samples:
-        return rep
+    if max_weight < 1 and not samples:
+        return LemmaSweepReport()
     with sim.checked_rng(seed, stream) as rng:
-        faults = gf2.fault_rows(rng, n, units, np.full(samples, 2))
-    res = check_x_bound(spp, faults)
+        pairs = gf2.fault_rows(rng, spp.layout_x.total, [], np.full(samples, 2))
+    res = [check_x_bound(spp, faults)
+           for faults in [None] * (max_weight >= 1) + [pairs] * (samples > 0)]
+    status, bound_ok = (np.concatenate([getattr(r, name) for r in res])
+                        for name in ("status", "bound_ok"))
     count = lambda mask: int(np.count_nonzero(mask))
-    rep.checked, rep.ok = len(res.status), count(res.status == "ok")
-    rep.detected = count(res.status == "detected")
-    rep.inequivalent = count(res.status == "inequivalent")
-    rep.violations = rep.inequivalent + rep.ok - count(res.bound_ok)
-    return rep
+    ok, inequivalent = count(status == "ok"), count(status == "inequivalent")
+    return LemmaSweepReport(checked=len(status), ok=ok, inequivalent=inequivalent,
+                            detected=count(status == "detected"),
+                            violations=inequivalent + ok - count(bound_ok))

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, artifacts, determinism."""
 
+from fractions import Fraction
+
 import pytest
 
 from qsurg import cli, codes, gf2, ltsp, protocol, surgery, tableau
@@ -43,6 +45,20 @@ class TestCodesCommands:
         assert cli.main(["soundness", "--manifest",
                          str(manifests / "hamming.manifest")]) == 0
         assert "7/3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("claim", [None, Fraction(7, 3)])
+    def test_soundness_table_built_once(self, tmp_path, capsys, monkeypatch,
+                                        claim):
+        # A manifest's checked soundness= is the answer: one table either way.
+        code = codes.hamming_743()
+        code.soundness = claim
+        path = codes.save_classical(code, str(tmp_path), name="ham")
+        calls = []
+        real = gf2.syndrome_table
+        monkeypatch.setattr(gf2, "syndrome_table",
+                            lambda *a: calls.append(a) or real(*a))
+        assert cli.main(["soundness", "--manifest", path]) == 0
+        assert capsys.readouterr().out == "7/3\n" and len(calls) == 1
 
 
 class TestSurgeryCommand:
@@ -122,6 +138,16 @@ class TestBadInput:
         # C(30, ≤30) = 2^30 sets and the 31·2^29 bound both exceed the cap.
         path = codes.save_classical(codes.repetition(30), str(tmp_path),
                                     name="rep30")
+        self.run(capsys, ["soundness", "--manifest", path],
+                 "soundness: syndrome table of 1073741824 sets refused\n")
+
+    def test_refused_soundness_claim(self, tmp_path, capsys):
+        # load_manifest keeps a claim it cannot check, but qsurg soundness
+        # must compute the soundness, so it is refused, not the claim printed.
+        code = codes.repetition(30)
+        code.soundness = Fraction(2, 1)
+        path = codes.save_classical(code, str(tmp_path), name="rep30")
+        assert codes.load_manifest(path).soundness == Fraction(2, 1)
         self.run(capsys, ["soundness", "--manifest", path],
                  "soundness: syndrome table of 1073741824 sets refused\n")
 

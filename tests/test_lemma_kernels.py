@@ -358,6 +358,176 @@ def test_check_z_bound_matches_rows(spp13, kinds, seed, corrupt):
         assert np.array_equal(e_rs[i], want_rs) and ok[i] == want_ok
 
 
+# ── ltsp unit tables ────────────────────────────────────────────────────
+
+
+def standard_form(p):
+    """The classical code with generator (E_k | P) and checks (Pᵀ | E_r)."""
+    k, r = p.shape
+    return codes.ClassicalCode(h=np.concatenate([p.T, gf2.eye(r)], axis=1),
+                               g=np.concatenate([gf2.eye(k), p], axis=1),
+                               n=k + r, k=k)
+
+
+SOURCES = {"surface3": lambda: codes.surface_code_via_hgp(3),
+           "steane": codes.steane}
+TEST_CODES = st.one_of(
+    st.sampled_from([codes.hamming_743, lambda: codes.repetition(3)]).map(
+        lambda build: build()),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda kr: st.lists(st.integers(0, 1), min_size=kr[0] * kr[1],
+                            max_size=kr[0] * kr[1]).map(
+            lambda bits: standard_form(
+                np.array(bits, dtype=np.uint8).reshape(kr)))))
+
+
+def assert_units_match_identity(spp):
+    """The unit batch (e=None) equals the dense eye(n) batch, field by
+    field, for both kernels."""
+    units = ltsp.check_z_bound(spp, None)
+    dense = ltsp.check_z_bound(spp, gf2.eye(spp.layout_z.total))
+    assert all(np.array_equal(a, b) for a, b in zip(units, dense))
+    units = ltsp.check_x_bound(spp, None)
+    dense = ltsp.check_x_bound(spp, gf2.eye(spp.layout_x.total))
+    for fld in dataclasses.fields(ltsp.XBoundResult):
+        assert np.array_equal(getattr(units, fld.name),
+                              getattr(dense, fld.name)), fld.name
+
+
+def equivalent_rows(spp, count, rng):
+    """Undetected X faults that pass both test-code equalities, over every
+    layout group: random sums of flip-free ones (the kernel of the syndrome,
+    flips and targets, written from the layout groups as the references
+    read them), each plus flips v on one block of meaB, of meaC or of both,
+    with the faults their preimage w needs (w on B1 for one side only, and
+    h_z's column ⊗ w on D3 for meaC)."""
+    lay, n_d, h_z, h_f = spp.layout_x, spp.source.n, spp.source.h_z, spp.f.h
+    e = gf2.eye(lay.total)
+    u_c = gf2.unvec(lay.xor(e, "C3", "C4"), n_d)
+    t_d = gf2.mul(h_z, u_c).swapaxes(1, 2).reshape(lay.total, -1)
+    maps = np.concatenate([
+        spp.h_sp_z.T, lay.part(e, "meaB"), lay.part(e, "meaC"),
+        lay.xor(e, "B1", "B2", "B3", "B4", "C2", "C3", "C4"),
+        t_d ^ lay.xor(e, "D1", "D2", "D3")], axis=1)
+    rows = undetectable_rows(maps.T, lay.total, count, rng)
+    for row in rows:
+        a = int(rng.integers(n_d))
+        sides = [["meaB"], ["meaC"], ["meaB", "meaC"]][int(rng.integers(3))]
+        v = rng.integers(0, 2, len(h_f)).astype(np.uint8)
+        v[int(rng.integers(len(h_f)))] = 1
+        w = gf2.solve_linear(h_f, v, mode="min_weight")
+        for tag in sides:
+            row[lay.offsets[tag] + np.arange(len(h_f)) * n_d + a] ^= v
+        if len(sides) == 1:
+            row[lay.offsets["B1"] + np.flatnonzero(w) * n_d + a] ^= 1
+        if "meaC" in sides:
+            row[lay.sl("D3")] ^= gf2.vec(np.outer(h_z[:, a], w))
+    return rows
+
+
+@pytest.mark.parametrize("copy_j", range(4))
+def test_desk_equivalent_rows_match_references(memory13, copy_j):
+    spp = ltsp.sp_matrices(memory13, codes.hamming_743(), copy_j)
+    got = compare_x(spp, equivalent_rows(spp, 30, np.random.default_rng(copy_j)))
+    assert (got.status == "ok").all() and got.e_rs_x.any()
+
+
+@pytest.mark.parametrize("copy_j", range(4))
+def test_desk_unit_batches_match_identity(memory13, copy_j):
+    assert_units_match_identity(
+        ltsp.sp_matrices(memory13, codes.hamming_743(), copy_j))
+
+
+def test_unit_batches_match_rows(spp13):
+    # Every unit fault of a desk copy against the per-vector references.
+    e_rs, ok = ltsp.check_z_bound(spp13, None)
+    for i, row in enumerate(gf2.eye(spp13.layout_z.total)):
+        want_rs, want_ok = ref_check_z_bound(spp13, row)
+        assert np.array_equal(e_rs[i], want_rs) and ok[i] == want_ok
+    got = ltsp.check_x_bound(spp13, None)
+    for i, row in enumerate(gf2.eye(spp13.layout_x.total)):
+        want = ref_check_x_bound(spp13, row)
+        assert got.status[i] == want.status
+        if want.status == "ok":
+            assert np.array_equal(got.e_rs_x[i], want.e_rs_x)
+            assert got.bound_ok[i] == want.bound_ok
+
+
+@settings(max_examples=15, deadline=None)
+@given(source=st.sampled_from(sorted(SOURCES)), f=TEST_CODES,
+       data=st.data(), seed=SEED)
+def test_unit_tables_on_code_families(source, f, data, seed):
+    # Other sources and test codes (r_F = 1..3, flips that need a
+    # preimage): the tables give the identity batch and the references.
+    spp = ltsp.sp_matrices(SOURCES[source](), f,
+                           data.draw(st.integers(0, f.k - 1)))
+    assert_units_match_identity(spp)
+    rng = np.random.default_rng(seed)
+    kinds = ["zero", "sparse", "dense", "inequivalent", "repaired"] * 2
+    compare_x(spp, np.array([x_row(k, spp, rng) for k in kinds]))
+    assert (compare_x(spp, equivalent_rows(spp, 8, rng)).status == "ok").all()
+    faults = np.array([plain_row(k, spp.layout_z.total, rng)
+                       for k in ("zero", "sparse", "dense") * 2])
+    e_rs, ok = ltsp.check_z_bound(spp, faults)
+    for i, row in enumerate(faults):
+        want_rs, want_ok = ref_check_z_bound(spp, row)
+        assert np.array_equal(e_rs[i], want_rs) and ok[i] == want_ok
+
+
+@pytest.mark.parametrize("name", ["j_sp_x", "j_sp_z", "f"])
+def test_replaced_spp_builds_its_own_table(spp13, name):
+    # The tables are built on first use from the fields as they are then,
+    # so a copy corrupted after dataclasses.replace fails its identity
+    # while the original, whose tables exist already, still passes.
+    ltsp.check_z_bound(spp13, None)
+    ltsp.check_x_bound(spp13, None)
+    if name == "f":
+        g = spp13.f.g.copy()
+        g[spp13.copy_j, -1] ^= 1
+        bad = dataclasses.replace(spp13, f=dataclasses.replace(spp13.f, g=g))
+    else:
+        bad = dataclasses.replace(spp13, **{name: getattr(spp13, name).copy()})
+        getattr(bad, name)[0] ^= 1
+    kernel, says = ((ltsp.check_x_bound, "X-residual equivalence identity")
+                    if name == "j_sp_z" else
+                    (ltsp.check_z_bound, "Z-residual equivalence identity"))
+    with pytest.raises(ltsp.ResourceStateError, match=says):
+        kernel(bad, None)
+    assert bad.z_units() is not spp13.z_units()
+    assert bad.x_units() is not spp13.x_units()
+    assert_units_match_identity(spp13)
+
+
+def test_preimages_solved_once_per_pattern(spp13, monkeypatch):
+    rng = np.random.default_rng(7)
+    faults = np.array([x_row(k, spp13, rng)
+                       for k in ["repaired"] * 12 + ["sparse"] * 20])
+    calls = []
+    real = gf2.solve_linear
+    monkeypatch.setattr(gf2, "solve_linear", lambda a, b, mode="any": (
+        calls.append(b.tobytes()) or real(a, b, mode)))
+    # No undetected unit fault of a desk copy has flips: nothing is solved.
+    assert (ltsp.check_x_bound(spp13, None).status != "detected").any()
+    assert calls == []
+    res = ltsp.check_x_bound(spp13, faults)
+    lay, n_d = spp13.layout_x, spp13.source.n
+    patterns = {gf2.unvec(lay.part(row, tag), n_d)[a].tobytes()
+                for row in faults[res.status != "detected"]
+                for tag in ("meaB", "meaC") for a in range(n_d)}
+    patterns.discard(bytes(spp13.f.h.shape[0]))
+    assert len(patterns) > 1 and sorted(calls) == sorted(patterns)
+
+
+def test_sweeps_build_no_identity_of_the_layout(memory13, monkeypatch):
+    spp = ltsp.sp_matrices(memory13, codes.hamming_743(), copy_j=2)
+    sizes = []
+    real = gf2.eye
+    monkeypatch.setattr(gf2, "eye", lambda n: sizes.append(n) or real(n))
+    ltsp.sweep_z_lemma(spp, max_weight=2)
+    ltsp.sweep_x_lemma(spp, max_weight=1, samples=50, seed=1)
+    assert sizes and max(sizes) < spp.layout_z.total
+
+
 # ── teleported measurement ──────────────────────────────────────────────
 
 

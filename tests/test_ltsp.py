@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsurg import codes, frame, gf2, ltsp, tableau
+from qsurg import codes, frame, gf2, ltsp, sim, tableau
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +40,14 @@ class TestResourceState:
     def test_steane_commutation(self):
         rs = ltsp.resource_state(codes.steane())
         assert not gf2.mul(rs.h_rs_x, rs.h_rs_z.T).any()
+
+    def test_noncommuting_source_rejected(self, memory13):
+        h_x = memory13.h_x.copy()
+        h_x[0, np.flatnonzero(memory13.h_z[0])[0]] ^= 1
+        bad = codes.CssCode(h_x=h_x, h_z=memory13.h_z, j_x=memory13.j_x,
+                            j_z=memory13.j_z, n=memory13.n, k=memory13.k)
+        with pytest.raises(ltsp.ResourceStateError, match="h_x·h_zᵀ"):
+            ltsp.sp_matrices(bad, codes.hamming_743(), 0)
 
     def test_incomplete_code_rejected(self, memory13):
         crippled = codes.CssCode(
@@ -291,6 +299,22 @@ class TestXBound:
     def test_sampled_weight_two(self, spp13):
         rep = ltsp.sweep_x_lemma(spp13, max_weight=0, samples=300, seed=3)
         assert rep.clean
+
+    def test_sweep_counts_as_one_batch(self, spp13):
+        # The units and then the pairs, drawn on the same stream as when
+        # both were one batch, give that batch's counts.
+        n = spp13.layout_x.total
+        with sim.checked_rng(4, 9) as rng:
+            faults = gf2.fault_rows(rng, n, np.arange(n), np.full(300, 2))
+        res = ltsp.check_x_bound(spp13, faults)
+        count = lambda status: int(np.count_nonzero(res.status == status))
+        rep = ltsp.sweep_x_lemma(spp13, max_weight=1, samples=300, seed=4,
+                                 stream=9)
+        assert rep == ltsp.LemmaSweepReport(
+            checked=len(faults), detected=count("detected"), ok=count("ok"),
+            inequivalent=count("inequivalent"),
+            violations=count("inequivalent") + count("ok")
+            - int(np.count_nonzero(res.bound_ok)))
 
     def test_amplification_computed_once(self, memory13, monkeypatch):
         from fractions import Fraction
