@@ -471,7 +471,7 @@ def check_x_bound(spp: SpPropagation, e_sp_x: Optional[np.ndarray]) -> XBoundRes
     fails[has], w = failure[which], table[which]
     r = gf2.mul(w, gf2.right_inverse(f.g).T[spp.copy_j])
     vecs = lambda m: m.swapaxes(1, 2).reshape(len(m), m.shape[1] * m.shape[2])
-    u[has, fields.offsets["targets"]:] ^= np.concatenate([  # and the two after
+    u[has, fields.offsets["targets"]:] ^= np.concatenate([  # targets, residual, defect
         vecs(w[:, :n_d] ^ w[:, n_d:]), vecs(gf2.mul(spp.source.h_z, w[:, n_d:])),
         r, gf2.mul(r, spp.rs.h_rs_z.T)], axis=1)
     e_rs = fields.part(u, "residual")
