@@ -9,8 +9,9 @@ feedback.
 Fault locations follow the usual convention: quantum locations sit on each
 touched qubit immediately after an operation (plus optional input locations
 before the first step), and classical locations are single outcome bits.
-Location enumeration is total and stable: `finalize()` assigns indices once
-and builders may tag index groups with names.
+Location enumeration is total and stable: `Circuit.columns()` numbers the
+locations in op order from the ops' qubit arrays, and builds their `Loc`
+objects only when something asks for them.
 """
 
 from __future__ import annotations
@@ -198,46 +199,39 @@ class Circuit:
         return self._cache[key]
 
     def locations(self) -> list[Loc]:
-        return self.cached("locations", Circuit._enumerate)[0]
+        return self.columns().locs
 
     def columns(self) -> "Columns":
         """Where each location sits in a fault matrix over locations()."""
-        return self.cached("locations", Circuit._enumerate)[1]
+        return self.cached("columns", Circuit._columns)
 
-    def _enumerate(self) -> tuple[list[Loc], "Columns"]:
-        locs: list[Loc] = [Loc("q", -1, q) for q in self.input_qubits]
-        spans = [(0, len(locs))]
-        at = {loc: c for c, loc in enumerate(locs)}
-        latest = {loc.index: c for loc, c in at.items()}  # qubit -> column
-        for step, op in enumerate(self.ops):
+    def _columns(self) -> "Columns":
+        # Read from the ops' qubit arrays: no Loc is built here.
+        parts = [np.asarray(self.input_qubits, dtype=np.intp)]
+        spans = [(0, len(parts[0]))]
+        for op in self.ops:
             if isinstance(op, FeedbackOp):
                 # Conditioned Pauli layers are classical frame bookkeeping;
                 # their fault layer merges into the adjacent wait location
                 # (each qubit's latest), which a Loc right after them names.
                 qubits, flips = (), 0
-                at.update((Loc("q", step, int(q)), latest[int(q)])
-                          for q in op.qubits if int(q) in latest)
             elif isinstance(op, (InitOp, HLayerOp)):
                 qubits, flips = op.qubits, 0
             elif isinstance(op, GCnotOp):
                 qubits, flips = np.concatenate([op.controls, op.targets]), 0
             elif isinstance(op, MeasureOp):
                 qubits, flips = (), len(op.qubits)
-                for q in op.qubits:
-                    latest.pop(int(q), None)
             elif isinstance(op, ProjectiveOp):
                 qubits, flips = op.qubits, op.a.shape[0]
             else:
                 raise TypeError(f"unknown op {op!r}")
-            locs.extend(Loc("flip", step, op.start + i) for i in range(flips))
-            start = len(locs)
-            for q in qubits:
-                at[Loc("q", step, int(q))] = latest[int(q)] = len(locs)
-                locs.append(Loc("q", step, int(q)))
-            spans.append((start, len(locs)))
-        qubit = np.array([loc.index if loc.kind == "q" else -1 for loc in locs],
-                         dtype=np.intp)
-        return locs, Columns(qubit, np.flatnonzero(qubit < 0), spans, at)
+            parts += [np.full(flips, -1, dtype=np.intp),
+                      np.asarray(qubits, dtype=np.intp)]
+            start = spans[-1][1] + flips
+            spans.append((start, start + len(qubits)))
+        qubit = np.concatenate(parts)
+        return Columns(qubit, np.flatnonzero(qubit < 0), spans,
+                       tuple(self.ops))
 
 
 @dataclass(frozen=True)
@@ -247,14 +241,41 @@ class Columns:
     qubit: the qubit of each column, −1 at a flip location.  flips: the
     column of each outcome bit's flip location, in outcome order.  spans:
     the (start, stop) columns of the quantum locations right after each
-    op, the circuit input first.  at: the column of each quantum Loc, and
-    of each Loc right after a FeedbackOp (see Circuit._enumerate).
+    op, the circuit input first.  ops: the circuit's ops, as read.  The
+    Locs are built on first use: locs, the Loc of each column, and at,
+    the column of each quantum Loc and of each Loc right after a
+    FeedbackOp (that qubit's latest location).
     """
 
     qubit: np.ndarray
     flips: np.ndarray
     spans: list
-    at: dict
+    ops: tuple
+
+    @functools.cached_property
+    def locs(self) -> list[Loc]:
+        qubit, locs, bit = self.qubit.tolist(), [], 0
+        for step, (start, stop) in enumerate(self.spans, start=-1):
+            measured = start - len(locs)
+            locs += [Loc("flip", step, bit + i) for i in range(measured)]
+            locs += [Loc("q", step, qubit[c]) for c in range(start, stop)]
+            bit += measured
+        return locs
+
+    @functools.cached_property
+    def at(self) -> dict:
+        at, latest = {}, {}  # latest: qubit -> column
+        for step, (start, stop) in enumerate(self.spans, start=-1):
+            op = self.ops[step] if step >= 0 else None
+            if isinstance(op, FeedbackOp):
+                at.update((Loc("q", step, q), latest[q])
+                          for q in op.qubits.tolist() if q in latest)
+            elif isinstance(op, MeasureOp):
+                for q in op.qubits.tolist():
+                    latest.pop(q, None)
+            for c in range(start, stop):
+                at[self.locs[c]] = latest[self.locs[c].index] = c
+        return at
 
     def column(self, loc: Loc) -> int:
         """A flip Loc is found by its outcome bit alone, whatever its step."""

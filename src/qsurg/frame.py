@@ -14,6 +14,8 @@ as Stim's frame simulator does (Gidney, arXiv:2103.02202): fault set i is
 lane i; the X frame and Z frame of each qubit and the flip of each outcome
 bit are rows of lane bits packed into uint64 words, so every op is a few
 row XORs for all lanes at once.  `run_frames` is its one-lane call.
+`unit_lanes` feeds the same op pass one lane per unit fault, writing each
+lane's bit straight into the packed injection rows, with no fault matrix.
 """
 
 from __future__ import annotations
@@ -76,10 +78,42 @@ def run_lanes(circ: Circuit, faults) -> FrameResult:
     if bad.size:
         raise ValueError(f"fault code {faults[:, bad[0]].max()} at "
                          f"location {circ.locations()[bad[0]]}")
+    fx, fz = (gf2.pack_words((faults >> bit & 1).T) for bit in (0, 1))
+    return FrameResult(*(
+        np.ascontiguousarray(gf2.unpack_words(rows, len(faults)).T)
+        for rows in _propagate(circ, fx, fz, used != 0)))
+
+
+def unit_lanes(circ: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Propagate every unit fault, one lane each: per location in column
+    order, one flip lane for a flip location, an X lane then a Z lane for
+    a quantum location.  Each lane's one bit is written straight into the
+    packed injection rows.  Returns the outcome flips, X frames and Z
+    frames as packed rows (outcomes or qubits × lane words), bit c of a
+    row for lane c: run_lanes on the unit fault matrix, transposed."""
+    on_q = circ.columns().qubit >= 0
+    width = 1 + on_q  # lanes per location
+    x_lane = np.cumsum(width) - width
+    z_lane = x_lane[on_q] + 1
+    fx = np.zeros((len(on_q), max(1, -(-int(width.sum()) // 64))),
+                  dtype=np.uint64)
+    fz = np.zeros_like(fx)
+    bit = lambda lane: np.uint64(1) << (lane & 63).astype(np.uint64)
+    fx[np.arange(len(on_q)), x_lane >> 6] = bit(x_lane)
+    fz[on_q, z_lane >> 6] = bit(z_lane)
+    return _propagate(circ, fx, fz, np.ones(len(on_q), dtype=bool))
+
+
+def _propagate(circ: Circuit, fx: np.ndarray, fz: np.ndarray,
+               used: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The op pass of run_lanes and unit_lanes.  fx and fz hold, per
+    location, the packed lanes of its X fault (a flip, at a flip location)
+    and of its Z fault; `used` marks the locations that hold a fault in
+    some lane.  Returns the packed outcome, X frame and Z frame rows."""
+    cols = circ.columns()
     # The columns before each that hold a fault in some lane: a span is
     # injected only if this count rises across it.
-    before = np.concatenate([[0], np.cumsum(used != 0)])
-    fx, fz = (gf2.pack_words((faults >> bit & 1).T) for bit in (0, 1))
+    before = np.concatenate([[0], np.cumsum(used)])
     xs = np.zeros((circ.n_qubits, fx.shape[1]), dtype=np.uint64)
     zs = np.zeros_like(xs)
     out = fx[cols.flips]
@@ -114,9 +148,7 @@ def run_lanes(circ: Circuit, faults) -> FrameResult:
         else:
             raise TypeError(f"unknown op {op!r}")
         inject(step)
-    return FrameResult(*(
-        np.ascontiguousarray(gf2.unpack_words(rows, len(faults)).T)
-        for rows in (out, xs, zs)))
+    return out, xs, zs
 
 
 def run_frames(circ: Circuit, x_locs=(), z_locs=(), flip_locs=()) -> FrameResult:

@@ -5,7 +5,7 @@ and, independently, a Z error each with probability ≤ p_phy, and every
 outcome bit flips with probability ≤ p_phy.  Sampling is counter-based:
 `trial_rng(seed, index)` is a Philox stream at a fixed counter offset.
 
-Monte Carlo is shot-batched.  One frame.run_lanes pass propagates every
+Monte Carlo is shot-batched.  One frame.unit_lanes pass propagates every
 fault cell (an X or Z fault on a quantum location, or an outcome flip)
 into packed words.  Blocks are the unit of randomness: trials run in
 blocks of BLOCK_CELLS cells, block b drawing its faults from
@@ -159,39 +159,39 @@ class _BasisView:
     checks: np.ndarray        # final-syndrome check matrix
     logicals: np.ndarray      # logical rows tested on the residue
     frame_is_x: bool
-    # Filled by compile_faults: the fault cells as (channel, Loc), and per
-    # cell the packed words [mid syndrome | final syndrome | frame], each
-    # syndrome `syn_words` wide; the logical rows packed likewise.
-    cells: Optional[list] = None
+    # Filled by compile_faults: per fault cell (frame.unit_lanes' lanes,
+    # see cells) the packed words [mid syndrome | final syndrome | frame],
+    # each syndrome `syn_words` wide; the logical rows packed likewise.
     words: Optional[np.ndarray] = None
     syn_words: int = 0
     logical_words: Optional[np.ndarray] = None
 
+    @functools.cached_property
+    def cells(self) -> list:
+        """The fault cells as (channel, Loc), in the order of words' rows:
+        per location, a flip, or an X then a Z."""
+        return [(ch, loc) for loc in self.circuit.locations()
+                for ch in (("X", "Z") if loc.kind == "q" else ("flip",))]
+
     def compile_faults(self) -> None:
         """Fold every fault cell, an X or Z fault on a quantum location or
         a flip of an outcome bit, into packed words: its mid syndrome, the
-        final syndrome of its frame, and its frame on mem_out."""
+        final syndrome of its frame, and its frame on mem_out.  Each part
+        is taken over rows of lane bits, one lane per cell, and only those
+        rows are transposed into per-cell words."""
         if self.words is not None:
             return
-        locs = self.circuit.locations()
-        self.cells = [(ch, loc) for loc in locs
-                      for ch in (("X", "Z") if loc.kind == "q" else ("flip",))]
-        # One lane per cell, in location order: a flip, or an X then a Z.
-        on_q = self.circuit.columns().qubit >= 0
-        first = np.cumsum(1 + on_q) - (1 + on_q)
-        faults = np.zeros((len(self.cells), len(locs)), dtype=np.uint8)
-        q, f = np.flatnonzero(on_q), np.flatnonzero(~on_q)
-        faults[first[q], q], faults[first[q] + 1, q] = frame.X, frame.Z
-        faults[first[f], f] = frame.FLIP
-        res = frame.run_lanes(self.circuit, faults)
-        del faults
-        frames = (res.x_on(self.mem_out) if self.frame_is_x
-                  else res.z_on(self.mem_out))
-        mid = gf2.pack_words(gf2.row_images(self.syn, res.outcome_flips))
-        final = gf2.pack_words(gf2.row_images(self.checks, frames))
+        qubit = self.circuit.columns().qubit
+        cells = len(qubit) + int(np.count_nonzero(qubit >= 0))
+        out, xs, zs = frame.unit_lanes(self.circuit)
+        frames = (xs if self.frame_is_x else zs)[self.mem_out]
+        mid, final, frames = (
+            gf2.pack_words(gf2.unpack_words(rows, cells).T)
+            for rows in (gf2.xor_map(self.syn)(out),
+                         gf2.xor_map(self.checks)(frames), frames))
         self.syn_words = mid.shape[1]
         self.logical_words = gf2.pack_words(self.logicals)
-        self.words = np.hstack([mid, final, gf2.pack_words(frames)])
+        self.words = np.hstack([mid, final, frames])
 
     def failures(self, dec: LookupDecoder, trial: np.ndarray,
                  cell: np.ndarray, trials: int):
@@ -356,7 +356,7 @@ def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
     if trials < 0:
         raise ValueError("trials must be non-negative")
     exp.compile_faults()
-    z_cells, cells = len(exp.z_basis.cells), len(exp.route)
+    z_cells, cells = len(exp.z_basis.words), len(exp.route)
     block = max(1, BLOCK_CELLS // cells)
     failures = z_heralded = z_silent = x_heralded = x_silent = 0
     b = start = 0

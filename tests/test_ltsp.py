@@ -330,8 +330,9 @@ class TestXBound:
             return max(Fraction(1), Fraction(spp.f.n, spp.f.h.shape[0]) / s)
 
         def sweeps(spp):
-            # A sweep checks its faults in one batch: two sweeps make two
-            # check_x_bound calls.
+            # A sweep checks its faults in two batches, the unit faults and
+            # then the sampled pairs: two sweeps make four check_x_bound
+            # calls, each reading the amplification.
             return [ltsp.sweep_x_lemma(spp, max_weight=1, samples=200, seed=5)
                     for _ in range(2)]
 

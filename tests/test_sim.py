@@ -475,6 +475,39 @@ def test_live_cells(experiments, d):
     assert exp.route is route  # recorded once, by compile_faults
 
 
+def test_compile_builds_no_lane_matrix_or_locs(monkeypatch):
+    """compile_faults writes each unit fault's lane bit straight into packed
+    rows: it calls no dense run_lanes, builds no Loc, and neither
+    allocates, packs nor unpacks an array with an entry per (cell,
+    location) pair, as a cells × locations fault matrix has."""
+    from qsurg import circuit
+    views = [sim._build_basis(codes.surface_code_via_hgp(5), basis)
+             for basis in "zx"]
+    sizes, locs = [], []
+    real_loc = circuit.Loc
+    monkeypatch.setattr(circuit, "Loc",
+                        lambda *args: locs.append(args) or real_loc(*args))
+    monkeypatch.setattr(frame, "run_lanes",
+                        lambda *args: pytest.fail("dense run_lanes"))
+    for module, name in ((np, "zeros"), (np, "empty"), (np, "full"),
+                         (gf2, "pack_words"), (gf2, "unpack_words")):
+        real = getattr(module, name)
+
+        def recorded(*args, real=real, **kwargs):
+            out = real(*args, **kwargs)
+            sizes.append(max(out.size, np.asarray(args[0]).size))
+            return out
+        monkeypatch.setattr(module, name, recorded)
+    for view in views:
+        view.compile_faults()
+        cells, width = len(view.words), len(view.circuit.columns().qubit)
+        assert sizes and max(sizes) < cells * width // 8
+        sizes.clear()
+    assert locs == []
+    monkeypatch.undo()
+    assert [len(view.cells) for view in views] == [1700, 1782]
+
+
 # (d, p, trials, BLOCK_CELLS): every run ends in a partial block.  At
 # p = 0.25 one block holds more than the default PASS_FAULTS faults; the
 # small blocks at p = 1e-4 leave some blocks without faults, and at d=3

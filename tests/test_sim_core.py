@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsurg import codes, frame, gf2, ltsp, protocol, surgery, tableau
+from qsurg import codes, frame, gf2, ltsp, protocol, sim, surgery, tableau
 from qsurg.circuit import (Circuit, FeedbackOp, GCnotOp, HLayerOp, InitOp, Loc,
                            MeasureOp, ProjectiveOp, fault_locs)
 
@@ -892,6 +892,127 @@ class TestLaneEngine:
             _, x, z = bigint_run_frames(c, *paulis)
             assert np.array_equal(res.x_final[lane], gf2._unpack(x, 8))
             assert np.array_equal(res.z_final[lane], gf2._unpack(z, 8))
+
+
+def unit_fault_matrix(circ):
+    """The dense run_lanes matrix of frame.unit_lanes' lanes: per location
+    in column order, a flip lane, or an X lane then a Z lane."""
+    lanes = [(c, code) for c, q in enumerate(circ.columns().qubit.tolist())
+             for code in ((frame.X, frame.Z) if q >= 0 else (frame.FLIP,))]
+    faults = gf2.zeros(len(lanes), len(circ.columns().qubit))
+    for lane, (c, code) in enumerate(lanes):
+        faults[lane, c] = code
+    return faults
+
+
+def assert_unit_lanes_match_dense(circ):
+    """unit_lanes equals run_lanes on the unit fault matrix, field by field,
+    as packed rows over the lanes (padding bits zero)."""
+    dense = frame.run_lanes(circ, unit_fault_matrix(circ))
+    units = frame.unit_lanes(circ)
+    fields = ("outcome_flips", "x_final", "z_final")
+    assert len(units) == len(fields)
+    for name, rows in zip(fields, units):
+        want = gf2.pack_words(getattr(dense, name).T)
+        assert rows.dtype == want.dtype and np.array_equal(rows, want), name
+
+
+def enumerated_locations(circ):
+    """The Loc-by-Loc enumeration that columns() replaced, as reference:
+    every location's Loc in column order, the (start, stop) spans, and
+    the column of each quantum Loc and of each Loc right after a feedback
+    layer (the qubit's latest location)."""
+    locs = [Loc("q", -1, q) for q in circ.input_qubits]
+    spans = [(0, len(locs))]
+    at = {loc: c for c, loc in enumerate(locs)}
+    latest = {loc.index: c for loc, c in at.items()}
+    for step, op in enumerate(circ.ops):
+        qubits, flips = (), 0
+        if isinstance(op, FeedbackOp):
+            at.update((Loc("q", step, int(q)), latest[int(q)])
+                      for q in op.qubits if int(q) in latest)
+        elif isinstance(op, (InitOp, HLayerOp)):
+            qubits = op.qubits
+        elif isinstance(op, GCnotOp):
+            qubits = np.concatenate([op.controls, op.targets])
+        elif isinstance(op, MeasureOp):
+            flips = len(op.qubits)
+            for q in op.qubits:
+                latest.pop(int(q), None)
+        else:
+            qubits, flips = op.qubits, op.a.shape[0]
+        locs.extend(Loc("flip", step, op.start + i) for i in range(flips))
+        start = len(locs)
+        for q in qubits:
+            at[Loc("q", step, int(q))] = latest[int(q)] = len(locs)
+            locs.append(Loc("q", step, int(q)))
+        spans.append((start, len(locs)))
+    return locs, spans, at
+
+
+def assert_columns_match_enumeration(circ):
+    """columns(), read from the op arrays, against the Loc enumeration:
+    qubit, flips, spans, locations(), and column(loc) for every Loc and
+    every feedback-step alias.  Returns the number of aliases."""
+    locs, spans, at = enumerated_locations(circ)
+    cols = circ.columns()
+    assert cols.qubit.tolist() == [loc.index if loc.kind == "q" else -1
+                                   for loc in locs]
+    assert cols.flips.tolist() == [c for c, loc in enumerate(locs)
+                                   if loc.kind == "flip"]
+    assert cols.spans == spans
+    assert circ.locations() == locs
+    assert list(cols.at.items()) == list(at.items())
+    for c, loc in enumerate(locs):
+        assert cols.column(loc) == c
+    aliases = {loc: c for loc, c in at.items() if loc.step >= 0
+               and isinstance(circ.ops[loc.step], FeedbackOp)}
+    for loc, c in aliases.items():
+        assert cols.column(loc) == c
+    return len(aliases)
+
+
+@pytest.fixture(scope="module")
+def unit_lane_circuits(paper_circuit_set):
+    """The paper's circuits: preparation, expanded desk surgery, the
+    teleported measurement on surface3, and the memory circuits at d=3
+    and d=5 in both bases."""
+    out = dict(paper_circuit_set)
+    s3 = codes.surface_code_via_hgp(3)
+    out["tele"] = protocol.build_tele_measurement(s3).circuit
+    for d in (3, 5):
+        code = codes.surface_code_via_hgp(d)
+        for basis in "zx":
+            out[f"memory-d{d}-{basis}"] = sim._build_basis(code, basis).circuit
+    return out
+
+
+UNIT_LANE_CIRCUITS = ["prep", "desk-surgery", "tele", "memory-d3-z",
+                      "memory-d3-x", "memory-d5-z", "memory-d5-x"]
+
+
+class TestUnitLanes:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(random_circuits(), random_circuits(inputs=True)))
+    def test_random_circuits(self, drawn):
+        assert_unit_lanes_match_dense(drawn[0])
+
+    @pytest.mark.parametrize("name", UNIT_LANE_CIRCUITS)
+    def test_paper_circuits(self, unit_lane_circuits, name):
+        assert_unit_lanes_match_dense(unit_lane_circuits[name])
+
+
+class TestColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_circuits(), random_circuits(inputs=True)))
+    def test_random_circuits(self, drawn):
+        assert_columns_match_enumeration(drawn[0])
+
+    @pytest.mark.parametrize("name", UNIT_LANE_CIRCUITS)
+    def test_paper_circuits(self, unit_lane_circuits, name):
+        # Each of them corrects its checked rounds by feedback on live
+        # qubits, so the aliases are checked too.
+        assert assert_columns_match_enumeration(unit_lane_circuits[name])
 
 
 class TestFrameInputs:
