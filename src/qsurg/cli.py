@@ -294,8 +294,7 @@ def _ltsp_sweeps(source, f, samples, seed):
     """(Z sweep, X sweep) reports of every output copy.  The Z-residual map
     is linear, so its unit faults decide every weight; the X sweep of copy
     j checks every unit fault plus samples[j] random pairs."""
-    for j in range(f.k):
-        spp = ltsp.sp_matrices(source, f, j)
+    for j, spp in enumerate(ltsp.sp_copies(source, f, range(f.k))):
         yield (ltsp.sweep_z_lemma(spp, max_weight=1),
                ltsp.sweep_x_lemma(spp, max_weight=1, samples=samples[j],
                                   seed=seed, stream=_SITES["ltsp.spZ"] + j))

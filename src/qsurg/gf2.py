@@ -536,9 +536,8 @@ class SyndromeTable:
     One-word keys are looked up in a rank index (Jacobson, FOCS 1989) when
     it takes no more bytes than the keys: a bitmap of the keys over
     0..max(keys), one uint64 word per 64 syndromes, and beside each word the
-    int32 count of keys in the words before it, 12 bytes per 64 syndromes
-    against 8 per key.  Other tables are looked up by binary search on the
-    keys."""
+    int32 count of keys up to its end, 12 bytes per 64 syndromes against 8
+    per key.  Other tables are looked up by binary search on the keys."""
 
     keys: np.ndarray    # (entries, syndrome words) uint64, distinct, sorted
     errors: np.ndarray  # (entries, error words) uint64
@@ -566,9 +565,7 @@ class SyndromeTable:
             starts = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
             bitmap[word[starts]] |= np.bitwise_or.reduceat(
                 np.uint64(1) << (keys & 63), starts)
-        counts = np.bitwise_count(bitmap)
-        np.cumsum(counts, out=prefix)
-        prefix -= counts
+        np.cumsum(np.bitwise_count(bitmap), out=prefix)
         return bitmap, prefix
 
     def find(self, rows: np.ndarray):
@@ -580,10 +577,12 @@ class SyndromeTable:
             return idx, (self.keys[idx] == rows).all(axis=1)
         bitmap, prefix = self.rank_index
         s = rows.reshape(-1)
-        w = np.minimum(s >> 6, len(bitmap) - 1)
-        word, bit = bitmap[w], s & 63
-        idx = prefix[w] + np.bitwise_count(word & ((1 << bit) - 1))
-        hit = (word >> bit & 1).astype(bool) & (s <= self.keys[-1, 0])
+        # Keys below s: those to the end of its word less those at or above
+        # its bit.  A syndrome past the bitmap reads the last word and misses.
+        w = s >> 6
+        high = bitmap.take(w, mode="clip") >> (s & 63)
+        idx = prefix.take(w, mode="clip") - np.bitwise_count(high)
+        hit = (high & (s <= self.keys[-1, 0])).astype(bool)
         return np.minimum(idx, len(self) - 1), hit
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -365,36 +365,42 @@ def sp_matrices(source: CssCode, f: ClassicalCode, copy_j: int) -> SpPropagation
     """Block propagation/check matrices for output copy `copy_j` (0-based)."""
     if not 0 <= copy_j < f.k:
         raise ValueError("copy index out of range")
+    return next(sp_copies(source, f, [copy_j]))
+
+
+def sp_copies(source: CssCode, f: ClassicalCode, copies: Iterable[int]):
+    """Yield sp_matrices(source, f, j) for each j of copies in turn, built
+    on one resource state and one _sp_checks, which no copy changes."""
     n_d, r_z, k_f = source.n, source.h_z.shape[0], f.k
     rs = resource_state(source)
     layout_z, layout_x, h_sp_z = _sp_checks(source, f)
+    gr = gf2.right_inverse(f.g).T
+    for copy_j in copies:
+        g_j, e_j, gr_j = (m[copy_j:][:1] for m in (f.g, gf2.eye(k_f), gr))
 
-    g_j, e_j = f.g[copy_j:][:1], gf2.eye(k_f)[copy_j:][:1]
-    gr_j = gf2.right_inverse(f.g).T[copy_j:][:1]
+        hx_j = np.concatenate([gf2.kron(g_j, source.h_x), gf2.kron(g_j, source.j_x)])
+        hx_e = np.concatenate([gf2.kron(e_j, source.h_x), gf2.kron(e_j, source.j_x)])
+        j_sp_x = _assemble(layout_z, {
+            **{f"B{i}": hx_j for i in (2, 3, 4, 5)}, "B6": hx_e,
+            **{f"C{i}": hx_j for i in (1, 2, 3, 4, 5)}, "C6": hx_e,
+        })
 
-    hx_j = np.concatenate([gf2.kron(g_j, source.h_x), gf2.kron(g_j, source.j_x)])
-    hx_e = np.concatenate([gf2.kron(e_j, source.h_x), gf2.kron(e_j, source.j_x)])
-    j_sp_x = _assemble(layout_z, {
-        **{f"B{i}": hx_j for i in (2, 3, 4, 5)}, "B6": hx_e,
-        **{f"C{i}": hx_j for i in (1, 2, 3, 4, 5)}, "C6": hx_e,
-    })
+        bell_j, bell_e = (gf2.kron(v, gf2.eye(n_d)) for v in (gr_j, e_j))
+        hz_j, hz_e = (gf2.kron(v, source.h_z) for v in (gr_j, e_j))
+        dd_j = gf2.kron(gr_j, gf2.eye(r_z))
+        top = _assemble(layout_x, {
+            **{f"B{i}": bell_j for i in (1, 2, 3, 4, 5)}, "B6": bell_e,
+            **{f"C{i}": bell_j for i in (2, 3, 4, 5)}, "C6": bell_e,
+        })
+        bot = _assemble(layout_x, {
+            **{f"C{i}": hz_j for i in (3, 4, 5)}, "C6": hz_e,
+            **{f"D{i}": dd_j for i in (1, 2, 3)},
+        })
+        j_sp_z = np.concatenate([top, bot])
 
-    bell_j, bell_e = (gf2.kron(v, gf2.eye(n_d)) for v in (gr_j, e_j))
-    hz_j, hz_e = (gf2.kron(v, source.h_z) for v in (gr_j, e_j))
-    dd_j = gf2.kron(gr_j, gf2.eye(r_z))
-    top = _assemble(layout_x, {
-        **{f"B{i}": bell_j for i in (1, 2, 3, 4, 5)}, "B6": bell_e,
-        **{f"C{i}": bell_j for i in (2, 3, 4, 5)}, "C6": bell_e,
-    })
-    bot = _assemble(layout_x, {
-        **{f"C{i}": hz_j for i in (3, 4, 5)}, "C6": hz_e,
-        **{f"D{i}": dd_j for i in (1, 2, 3)},
-    })
-    j_sp_z = np.concatenate([top, bot])
-
-    return SpPropagation(j_sp_x=j_sp_x, j_sp_z=j_sp_z, h_sp_z=h_sp_z,
-                         layout_z=layout_z, layout_x=layout_x, copy_j=copy_j,
-                         source=source, f=f, rs=rs)
+        yield SpPropagation(j_sp_x=j_sp_x, j_sp_z=j_sp_z, h_sp_z=h_sp_z,
+                            layout_z=layout_z, layout_x=layout_x, copy_j=copy_j,
+                            source=source, f=f, rs=rs)
 
 
 # ── residual-error constructions ────────────────────────────────────────

@@ -256,6 +256,13 @@ def experiments():
     return out
 
 
+def fault_cells(view):
+    """The fault cells of a basis as (channel, Loc), in the order of its
+    words' rows: per location, a flip, or an X then a Z."""
+    return [(ch, loc) for loc in view.circuit.locations()
+            for ch in (("X", "Z") if loc.kind == "q" else ("flip",))]
+
+
 # sha256 of compile_faults' output (see compiled_digest) as the earlier
 # engine, one big-int frame run per fault cell, computed it.
 COMPILED_DIGESTS = {
@@ -275,7 +282,7 @@ def compiled_digest(view):
         h.update(part.tobytes())
     h.update(repr(view.syn_words).encode())
     h.update("".join(f"{ch} {loc.kind} {loc.step} {loc.index}\n"
-                     for ch, loc in view.cells).encode())
+                     for ch, loc in fault_cells(view)).encode())
     return h.hexdigest()
 
 
@@ -379,8 +386,8 @@ def test_batched_matches_per_trial(experiments, d, p, trials):
     if d == 7:
         assert exp.z_basis.words.shape[1] > 3  # frames span two words
     seed = 31
-    z_cells = len(exp.z_basis.cells)
-    cells = z_cells + len(exp.x_basis.cells)
+    z_cells = len(exp.z_basis.words)
+    cells = z_cells + len(exp.x_basis.words)
     trial, cell = sim._sample_block(seed, 0, p, trials, cells)
     ref = np.zeros(trials, dtype=bool)
     counts = {}
@@ -389,8 +396,9 @@ def test_batched_matches_per_trial(experiments, d, p, trials):
                                       z_cells)):
         got, heralded, silent = view.failures(
             exp.decoder, trial[sel], cell[sel] - offset, trials)
+        view_cells = fault_cells(view)
         want = reference_failures(
-            view, exp.decoder, [[view.cells[c] for c in
+            view, exp.decoder, [[view_cells[c] for c in
                                  cell[sel & (trial == t)] - offset]
                                 for t in range(trials)])
         assert np.array_equal(got, [kind is not None for kind in want])
@@ -409,8 +417,8 @@ def per_block_rate(exp, p, trials, seed, stream):
     """The estimate with every block decoded on its own: block b is
     _sample_block(seed, stream + b, ...), decoded through one failures call
     per basis, and the counts summed.  Also the faults of each block."""
-    z_cells = len(exp.z_basis.cells)
-    cells = z_cells + len(exp.x_basis.cells)
+    z_cells = len(exp.z_basis.words)
+    cells = z_cells + len(exp.x_basis.words)
     block = max(1, sim.BLOCK_CELLS // cells)
     counts = dict.fromkeys(("z_heralded", "z_silent", "x_heralded",
                             "x_silent"), 0)
@@ -463,12 +471,12 @@ LIVE_CELLS = {(3, "z"): (214, 538), (3, "x"): (227, 564),
 def test_live_cells(experiments, d):
     exp = experiments[d]
     route = exp.route
-    z_cells = len(exp.z_basis.cells)
+    z_cells = len(exp.z_basis.words)
     for basis, view, row, part in (
             ("z", exp.z_basis, sim.MemoryExperiment.Z_ROW, route[:z_cells]),
             ("x", exp.x_basis, sim.MemoryExperiment.X_ROW, route[z_cells:])):
         live = view.words.any(axis=1)
-        assert (int(np.count_nonzero(live)), len(view.cells)) == LIVE_CELLS[
+        assert (int(np.count_nonzero(live)), len(fault_cells(view))) == LIVE_CELLS[
             d, basis]
         assert np.array_equal(part, np.where(live, row, sim.MemoryExperiment.DEAD))
     sim.logical_error_rate(exp, 1e-3, 100, seed=1)
@@ -505,7 +513,7 @@ def test_compile_builds_no_lane_matrix_or_locs(monkeypatch):
         sizes.clear()
     assert locs == []
     monkeypatch.undo()
-    assert [len(view.cells) for view in views] == [1700, 1782]
+    assert [len(fault_cells(view)) for view in views] == [1700, 1782]
 
 
 # (d, p, trials, BLOCK_CELLS): every run ends in a partial block.  At
@@ -559,11 +567,36 @@ def test_passes_match_per_block_decoding(experiments, monkeypatch, d, p,
             ends = np.count_nonzero(block_faults[:-1]) + 1
             assert len(calls) == 2 * ends
         elif pass_faults == 1 << 62:
-            cells = len(exp.z_basis.cells) + len(exp.x_basis.cells)
+            cells = len(exp.route)
             block = max(1, block_cells // cells)
             assert calls[0] == min(trials, -(-block_cells // block) * block)
         else:
             assert len(calls) > 2
+
+
+@pytest.mark.parametrize("d,p,trials", [(5, 5e-3, 953), (7, 5e-4, 1000)])
+def test_one_find_per_basis_per_pass(experiments, monkeypatch, d, p, trials):
+    """A failures call looks both decoding stages of its trials up in one
+    SyndromeTable.find, of two rows per trial with faults ([mid ; final ^
+    mid]), and a call without faults looks nothing up.  d=5 takes the rank
+    index, d=7 binary search."""
+    monkeypatch.setattr(sim, "PASS_FAULTS", 1000)
+    calls = []
+    real_failures, real_find = sim._BasisView.failures, gf2.SyndromeTable.find
+
+    def failures(view, dec, trial, cell, size):
+        calls.append([len(np.unique(trial))])
+        return real_failures(view, dec, trial, cell, size)
+
+    def find(table, rows):
+        calls[-1].append(len(rows))
+        return real_find(table, rows)
+
+    monkeypatch.setattr(sim._BasisView, "failures", failures)
+    monkeypatch.setattr(gf2.SyndromeTable, "find", find)
+    sim.logical_error_rate(experiments[d], p, trials, seed=17)
+    assert len(calls) > 4 and len(calls) % 2 == 0  # two bases a pass
+    assert calls == [[m, 2 * m] if m else [0] for m, *_ in calls]
 
 
 # RateEstimate counts (failures, z/x heralded, z/x silent) of the Monte

@@ -50,27 +50,30 @@ def test_ledger_keys_are_the_benchmarks(monkeypatch):
 
 
 def _defined_names(tree):
-    """(name, def node) of every module-level function and class, and of
-    every method that is not a dunder."""
+    """(name, def node, whether it is a method) of every module-level
+    function and class, and of every method that is not a dunder."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not item.name.startswith("__")):
-                    yield item.name, item
+                    yield item.name, item, True
 
 
-def _uses(tree):
-    """How often each name is used in code: as a variable, an attribute
-    or an imported name (docstrings and comments do not count)."""
+def _uses(tree, attributes=False):
+    """How often each name is used in code: as an attribute, and unless
+    `attributes` is set as a variable or an imported name (docstrings and
+    comments do not count)."""
     uses = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            uses[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             uses[node.attr] += 1
+        elif attributes:
+            continue
+        elif isinstance(node, ast.Name):
+            uses[node.id] += 1
         elif isinstance(node, ast.alias):
             uses[node.name.split(".")[-1]] += 1
     return uses
@@ -79,15 +82,19 @@ def _uses(tree):
 def test_every_src_name_is_reached():
     """A function, class or method of src/ that no code of src/ uses
     outside its own def, and that bench/ does not name, is reached only
-    from tests: it belongs in the tests or nowhere.  bench/ is scanned
-    word by word, as its TARGETS name functions in strings."""
+    from tests: it belongs in the tests or nowhere.  A method or property
+    is reached only as an attribute, so a local variable of the same name
+    does not count.  bench/ is scanned word by word, as its TARGETS name
+    functions in strings."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
-    used = sum(map(_uses, trees.values()), Counter())
+    used = [sum((_uses(tree, method) for tree in trees.values()), Counter())
+            for method in (False, True)]
     bench = Counter(re.findall(r"\w+", "".join(
         path.read_text(encoding="utf-8") for path in BENCH.glob("*.py"))))
     unreached = [f"{path.stem}.{name}"
                  for path, tree in trees.items()
-                 for name, node in _defined_names(tree)
-                 if used[name] <= _uses(node)[name] and not bench[name]]
+                 for name, node, method in _defined_names(tree)
+                 if used[method][name] <= _uses(node, method)[name]
+                 and not bench[name]]
     assert unreached == []
