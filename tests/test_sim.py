@@ -574,13 +574,18 @@ def test_passes_match_per_block_decoding(experiments, monkeypatch, d, p,
             assert len(calls) > 2
 
 
-@pytest.mark.parametrize("d,p,trials", [(5, 5e-3, 953), (7, 5e-4, 1000)])
-def test_one_find_per_basis_per_pass(experiments, monkeypatch, d, p, trials):
+@pytest.mark.parametrize("d,p,trials,block_cells,pass_faults", [
+    (5, 5e-3, 953, sim.BLOCK_CELLS, 1000), (7, 5e-4, 1000, sim.BLOCK_CELLS, 1000),
+    (5, 1e-4, 1000, 1 << 14, 1)])
+def test_one_find_per_basis_per_pass(experiments, monkeypatch, d, p, trials,
+                                     block_cells, pass_faults):
     """A failures call looks both decoding stages of its trials up in one
     SyndromeTable.find, of two rows per trial with faults ([mid ; final ^
     mid]), and a call without faults looks nothing up.  d=5 takes the rank
-    index, d=7 binary search."""
-    monkeypatch.setattr(sim, "PASS_FAULTS", 1000)
+    index, d=7 binary search; at p = 1e-4 a pass ends at every block with
+    faults, so some passes have faults in one basis only."""
+    monkeypatch.setattr(sim, "BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(sim, "PASS_FAULTS", pass_faults)
     calls = []
     real_failures, real_find = sim._BasisView.failures, gf2.SyndromeTable.find
 
@@ -597,6 +602,7 @@ def test_one_find_per_basis_per_pass(experiments, monkeypatch, d, p, trials):
     sim.logical_error_rate(experiments[d], p, trials, seed=17)
     assert len(calls) > 4 and len(calls) % 2 == 0  # two bases a pass
     assert calls == [[m, 2 * m] if m else [0] for m, *_ in calls]
+    assert ([0] in calls) == (p == 1e-4)
 
 
 # RateEstimate counts (failures, z/x heralded, z/x silent) of the Monte
