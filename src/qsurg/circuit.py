@@ -202,7 +202,7 @@ class Circuit:
         return self.columns().locs
 
     def columns(self) -> "Columns":
-        """Where each location sits in a fault matrix over locations()."""
+        """Each location's column: its index in locations()."""
         return self.cached("columns", Circuit._columns)
 
     def _columns(self) -> "Columns":
@@ -236,7 +236,7 @@ class Circuit:
 
 @dataclass(frozen=True)
 class Columns:
-    """The columns of a fault matrix over Circuit.locations().
+    """The columns of Circuit.locations(), one per location.
 
     qubit: the qubit of each column, −1 at a flip location.  flips: the
     column of each outcome bit's flip location, in outcome order.  spans:

@@ -432,8 +432,8 @@ def check_teleported(desk: Desk) -> list[tuple]:
         draws = rng.integers(0, 2, size=(2 * frames, target.n),
                              dtype=np.uint8)
     x_in, z_in = draws.reshape(frames, 2, target.n).transpose(1, 0, 2)
-    fr = frame.run_lanes(tm.circuit, frame.fault_matrix(
-        tm.circuit, tm.col_locs["A1"], x_in * frame.X | z_in * frame.Z))
+    fr = frame.run_lanes(tm.circuit, tm.col_locs["A1"],
+                         x_in * frame.X | z_in * frame.Z)
     mis = int(np.count_nonzero(
         (tm.derived_outcome(fr.outcome_flips)
          != gf2.row_images(target.h_z, x_in)).any(axis=1)))
@@ -539,14 +539,20 @@ DESK_CHECKS = (check_code_suite, check_soundness, check_deformed,
 def run_desk_ledger(seed: int, out_dir: str, max_weight: int = Desk.max_weight,
                     samples: int = Desk.samples, trials: int = Desk.trials,
                     frames: int = Desk.frames) -> list[tuple]:
-    """Run DESK_CHECKS in order; returns their (key, pass, detail) rows."""
-    desk = Desk(seed, max_weight, samples, trials, frames)
-    rows = [(key, bool(good), detail) for check in DESK_CHECKS
-            for key, good, detail in check(desk)]
+    """Run DESK_CHECKS in order; returns their (key, pass, detail) rows.
+    A glue that cannot be built gives one lemma.pcs.glue FAIL row."""
+    try:
+        desk = Desk(seed, max_weight, samples, trials, frames)
+    except surgery.GlueConstructionError as err:
+        desk, rows = None, [("lemma.pcs.glue", False, str(err))]
+    else:
+        rows = [(key, bool(good), detail) for check in DESK_CHECKS
+                for key, good, detail in check(desk)]
     if out_dir:
         lines = ["key\tstatus\tdetail"]
         lines += [f"{k}\t{'pass' if g else 'FAIL'}\t{d}" for k, g, d in rows]
         _write(os.path.join(out_dir, "ledger.tsv"), "\n".join(lines) + "\n")
+    if out_dir and desk:
         for name, table in desk.tables.items():
             _write(os.path.join(out_dir, name), "\n".join(table) + "\n")
         dc = desk.dc

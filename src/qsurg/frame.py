@@ -13,9 +13,9 @@ back into frame updates.
 as Stim's frame simulator does (Gidney, arXiv:2103.02202): fault set i is
 lane i; the X frame and Z frame of each qubit and the flip of each outcome
 bit are rows of lane bits packed into uint64 words, so every op is a few
-row XORs for all lanes at once.  `run_frames` is its one-lane call.
-`unit_lanes` feeds the same op pass one lane per unit fault, writing each
-lane's bit straight into the packed injection rows, with no fault matrix.
+row XORs for all lanes at once.  Faults enter as sparse (lane, column,
+code) entries that one writer XORs straight into the packed injection rows,
+for `run_lanes`, its one-lane call `run_frames` and `unit_lanes`.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .circuit import (Circuit, FeedbackOp, GCnotOp, HLayerOp, InitOp,
                       MeasureOp, ProjectiveOp, fault_locs)
 
 
-# Fault codes, the entries of a run_lanes fault matrix: an X or Z fault on
-# a quantum location (X | Z: both), a flip of a flip location's outcome bit.
+# Fault codes, the entries of run_lanes' rows: an X or Z fault on a
+# quantum location (X | Z: both), a flip of a flip location's outcome bit.
 X, Z, FLIP = 1, 2, 1
 
 
@@ -60,56 +60,60 @@ def _maps(circ: Circuit) -> list[tuple]:
             else () for op in circ.ops]
 
 
-def run_lanes(circ: Circuit, faults) -> FrameResult:
-    """Propagate fault sets, one per row (lane) of `faults`, whose columns
-    are circ.locations() and entries fault codes.  Input faults act before
-    the first op, other quantum faults right after their op.  Returns each
-    lane's outcome flips relative to the zero-forced noiseless run and its
-    final frames."""
+def run_lanes(circ: Circuit, locs, rows) -> FrameResult:
+    """Propagate fault sets, one per row (lane) of `rows`: rows[i, j] is
+    lane i's fault code at locs[j]; codes at a repeated location XOR.  Input
+    faults act before the first op, other quantum faults right after their
+    op.  Returns each lane's outcome flips and final frames."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    if rows.ndim != 2 or rows.shape[1] != len(locs):
+        raise ValueError(f"fault rows {rows.shape}: need one row per lane "
+                         f"and one column per location, {len(locs)}")
     cols = circ.columns()
-    faults = np.asarray(faults, dtype=np.uint8)
-    if faults.ndim != 2 or faults.shape[1] != len(cols.qubit):
-        raise ValueError(f"fault matrix of shape {faults.shape}: it needs "
-                         f"one row per lane and one column per location, "
-                         f"{len(cols.qubit)}")
-    allowed = np.where(cols.qubit >= 0, X | Z, FLIP)
-    used = faults.max(axis=0, initial=0)
-    bad = np.flatnonzero(used & ~allowed)
-    if bad.size:
-        raise ValueError(f"fault code {faults[:, bad[0]].max()} at "
-                         f"location {circ.locations()[bad[0]]}")
-    fx, fz = (gf2.pack_words((faults >> bit & 1).T) for bit in (0, 1))
+    at = np.array([cols.column(loc) for loc in locs], dtype=np.intp)
+    entry = np.flatnonzero(rows)
+    lane, j = np.divmod(entry, len(locs))
     return FrameResult(*(
-        np.ascontiguousarray(gf2.unpack_words(rows, len(faults)).T)
-        for rows in _propagate(circ, fx, fz, used != 0)))
+        np.ascontiguousarray(gf2.unpack_words(words, len(rows)).T)
+        for words in _propagate(circ, *_inject(
+            circ, lane, at[j], rows.reshape(-1)[entry], len(rows)))))
 
 
 def unit_lanes(circ: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Propagate every unit fault, one lane each: per location in column
-    order, one flip lane for a flip location, an X lane then a Z lane for
-    a quantum location.  Each lane's one bit is written straight into the
-    packed injection rows.  Returns the outcome flips, X frames and Z
-    frames as packed rows (outcomes or qubits × lane words), bit c of a
-    row for lane c: run_lanes on the unit fault matrix, transposed."""
-    on_q = circ.columns().qubit >= 0
-    width = 1 + on_q  # lanes per location
-    x_lane = np.cumsum(width) - width
-    z_lane = x_lane[on_q] + 1
-    fx = np.zeros((len(on_q), max(1, -(-int(width.sum()) // 64))),
-                  dtype=np.uint64)
-    fz = np.zeros_like(fx)
-    bit = lambda lane: np.uint64(1) << (lane & 63).astype(np.uint64)
-    fx[np.arange(len(on_q)), x_lane >> 6] = bit(x_lane)
-    fz[on_q, z_lane >> 6] = bit(z_lane)
-    return _propagate(circ, fx, fz, np.ones(len(on_q), dtype=bool))
+    order, a flip lane, or an X lane then a Z lane.  Returns the outcome
+    flips, X frames and Z frames as packed rows (outcomes or qubits × lane
+    words, bit c for lane c): run_lanes on the unit faults, transposed."""
+    width = 1 + (circ.columns().qubit >= 0)  # lanes per location
+    column = np.repeat(np.arange(len(width)), width)
+    code = np.where(np.diff(column, prepend=-1) == 0, Z, X)  # X, then Z
+    return _propagate(circ, *_inject(circ, np.arange(len(column)), column,
+                                     code, len(column)))
 
 
-def _propagate(circ: Circuit, fx: np.ndarray, fz: np.ndarray,
-               used: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The op pass of run_lanes and unit_lanes.  fx and fz hold, per
-    location, the packed lanes of its X fault (a flip, at a flip location)
-    and of its Z fault; `used` marks the locations that hold a fault in
-    some lane.  Returns the packed outcome, X frame and Z frame rows."""
+def _inject(circ: Circuit, lane, column, code, lanes: int) -> tuple:
+    """The one fault entry: fault code code[i] at column[i] in lane
+    lane[i], of `lanes`, checked against its location and XORed into the
+    packed rows that _propagate reads: its fx, fz and used."""
+    qubit = circ.columns().qubit
+    bad = np.flatnonzero(code & ~np.where(qubit[column] >= 0, X | Z, FLIP))
+    if bad.size:
+        raise ValueError(f"fault code {code[bad[0]]} at location "
+                         f"{circ.locations()[column[bad[0]]]}")
+    words = max(1, -(-lanes // 64))
+    fx, fz = np.zeros((2, len(qubit), words), dtype=np.uint64)
+    at = column * words + (lane >> 6)
+    bit = np.uint64(1) << (lane & 63).astype(np.uint64)
+    for fault, rows in ((X, fx), (Z, fz)):
+        np.bitwise_xor.at(rows.reshape(-1), at, bit * ((code & fault) > 0))
+    return fx, fz, np.bincount(column, minlength=len(qubit)) > 0
+
+
+def _propagate(circ: Circuit, fx: np.ndarray, fz: np.ndarray, used) -> tuple:
+    """The one op pass, over _inject's rows: per location, the packed lanes
+    of its X fault (a flip, at a flip location) and of its Z fault, and
+    whether some entry is there.  Returns the packed outcome, X frame and
+    Z frame rows."""
     cols = circ.columns()
     # The columns before each that hold a fault in some lane: a span is
     # injected only if this count rises across it.
@@ -152,23 +156,11 @@ def _propagate(circ: Circuit, fx: np.ndarray, fz: np.ndarray,
 
 
 def run_frames(circ: Circuit, x_locs=(), z_locs=(), flip_locs=()) -> FrameResult:
-    """Propagate the faults at the given locations through the circuit.
-
-    x_locs / z_locs are iterables of quantum :class:`Loc` entries (X / Z
-    faults); flip_locs are classical flip locations.  The one-lane call of
-    run_lanes: outcome flips and final frames as 1-D rows.
-    """
+    """Propagate the faults at the given locations: x_locs / z_locs are
+    quantum :class:`Loc` entries (X / Z faults), flip_locs flip locations.
+    The one-lane call of run_lanes: outcome flips and final frames as 1-D
+    rows."""
     xs, zs, fs = fault_locs(x_locs, z_locs, flip_locs)
     codes = [X] * len(xs) + [Z] * len(zs) + [FLIP] * len(fs)
-    res = run_lanes(circ, fault_matrix(circ, xs + zs + fs, [codes]))
+    res = run_lanes(circ, xs + zs + fs, [codes])
     return FrameResult(res.outcome_flips[0], res.x_final[0], res.z_final[0])
-
-
-def fault_matrix(circ: Circuit, locs, rows) -> np.ndarray:
-    """A run_lanes fault matrix, one lane per row of fault codes `rows`,
-    with rows[:, i] XORed into the column of locs[i]."""
-    cols = circ.columns()
-    at = np.array([cols.column(loc) for loc in locs], dtype=np.intp)
-    m = gf2.zeros(len(cols.qubit), len(rows))
-    np.bitwise_xor.at(m, at, np.asarray(rows, dtype=np.uint8).T)
-    return m.T

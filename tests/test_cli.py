@@ -455,6 +455,19 @@ class TestLedgerCommand:
     def test_unknown_preset(self):
         assert cli.main(["ledger", "--preset", "galaxy", "--seed", "1"]) == 2
 
+    def test_glue_failure_is_a_fail_row(self, monkeypatch, tmp_path, capsys):
+        def fails(target, alpha):
+            raise surgery.GlueConstructionError("no glue for this alpha")
+
+        monkeypatch.setattr(surgery, "build_glue", fails)
+        code = cli.main(["ledger", "--preset", "desk", "--seed", "7",
+                         "--out", str(tmp_path / "out")])
+        row = "lemma.pcs.glue\tFAIL\tno glue for this alpha\n"
+        assert code == 1 and capsys.readouterr().out == row
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["ledger.tsv"]
+        text = (tmp_path / "out" / "ledger.tsv").read_text()
+        assert text == "key\tstatus\tdetail\n" + row
+
     def test_small_ledger_deterministic(self, tmp_path):
         args = ["ledger", "--preset", "desk", "--seed", "11",
                 "--max-weight", "1", "--samples", "50", "--trials", "20000"]

@@ -107,8 +107,8 @@ def probes(circ, locs, pauli):
     a flip on a flip location."""
     codes = [getattr(frame, pauli) if loc.kind == "q" else frame.FLIP
              for loc in locs]
-    return frame.run_lanes(circ, frame.fault_matrix(
-        circ, locs, gf2.eye(len(locs)) * np.array(codes, dtype=np.uint8)))
+    return frame.run_lanes(
+        circ, locs, gf2.eye(len(locs)) * np.array(codes, dtype=np.uint8))
 
 
 class TestDisplayedMatricesVsFrameProbes:

@@ -30,9 +30,9 @@ def probes(circ, locs):
     """Frame runs with one lane per location, X faults then Z faults: a
     flip on a flip location in both."""
     unit = gf2.eye(len(locs))
-    return tuple(frame.run_lanes(circ, frame.fault_matrix(
+    return tuple(frame.run_lanes(
         circ, locs, unit * np.array([code if loc.kind == "q" else frame.FLIP
-                                     for loc in locs], dtype=np.uint8)))
+                                     for loc in locs], dtype=np.uint8))
         for code in (frame.X, frame.Z))
 
 
@@ -49,8 +49,7 @@ class TestTeleMeasurement:
             x_row[:] = rng.integers(0, 2, size=memory13.n)
             z_row[:] = rng.integers(0, 2, size=memory13.n)
         locs = tm13.col_locs["A1"]
-        r = frame.run_lanes(tm13.circuit, frame.fault_matrix(
-            tm13.circuit, locs, x_in * frame.X | z_in * frame.Z))
+        r = frame.run_lanes(tm13.circuit, locs, x_in * frame.X | z_in * frame.Z)
         # Reported check values match the direct projective syndrome.
         assert np.array_equal(tm13.derived_outcome(r.outcome_flips),
                               gf2.mul(x_in, memory13.h_z.T))

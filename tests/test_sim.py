@@ -356,12 +356,12 @@ def reference_failures(view, dec, trial_faults):
     of failure: "heralded" (a table miss), "silent" (a logical flip) or
     None."""
     code = {"X": frame.X, "Z": frame.Z, "flip": frame.FLIP}
-    lanes = np.zeros((len(trial_faults), len(view.circuit.locations())),
-                     dtype=np.uint8)
+    locs = view.circuit.locations()
+    lanes = np.zeros((len(trial_faults), len(locs)), dtype=np.uint8)
     for t, faults in enumerate(trial_faults):
         for ch, loc in faults:
-            lanes[t] ^= frame.fault_matrix(view.circuit, [loc], [[code[ch]]])[0]
-    res = frame.run_lanes(view.circuit, lanes)
+            lanes[t, view.circuit.columns().column(loc)] ^= code[ch]
+    res = frame.run_lanes(view.circuit, locs, lanes)
     frames = (res.x_on(view.mem_out) if view.frame_is_x
               else res.z_on(view.mem_out))
     decode = dec.decode_x if view.frame_is_x else dec.decode_z

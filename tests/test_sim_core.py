@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsurg import codes, frame, gf2, ltsp, protocol, sim, surgery, tableau
+from qsurg import (cli, codes, frame, gf2, ltsp, protocol, sim, surgery,
+                   tableau)
 from qsurg.circuit import (Circuit, FeedbackOp, GCnotOp, HLayerOp, InitOp, Loc,
                            MeasureOp, ProjectiveOp, fault_locs)
 
@@ -850,10 +851,9 @@ class TestLaneEngine:
         and the tableau's outcomes; XORing lanes XORs their results."""
         circ, qlocs, flocs, rows = batch
         xr, zr, fr = rows
-        faults = frame.fault_matrix(
-            circ, qlocs + qlocs + flocs,
-            np.hstack([xr * frame.X, zr * frame.Z, fr * frame.FLIP]))
-        res = frame.run_lanes(circ, faults)
+        locs = qlocs + qlocs + flocs
+        faults = np.hstack([xr * frame.X, zr * frame.Z, fr * frame.FLIP])
+        res = frame.run_lanes(circ, locs, faults)
         fields = ("outcome_flips", "x_final", "z_final")
         n = circ.n_qubits
         for lane in range(len(faults)):
@@ -868,7 +868,7 @@ class TestLaneEngine:
             assert np.array_equal(one.z_final, gf2._unpack(z, n))
             assert frame_vs_tableau(circ, xl, zl, fl, flips=one.outcome_flips)
         perm = np.roll(np.arange(len(faults)), 1)
-        mixed = frame.run_lanes(circ, faults ^ faults[perm])
+        mixed = frame.run_lanes(circ, locs, faults ^ faults[perm])
         for field in fields:
             got = getattr(res, field)
             assert np.array_equal(getattr(mixed, field), got ^ got[perm])
@@ -885,8 +885,8 @@ class TestLaneEngine:
         c.gcnot(v, w, [[1, 0], [1, 1], [0, 1]])
         locs = c.locations()
         codes = [frame.X] * len(locs) + [frame.Z] * len(locs)
-        res = frame.run_lanes(c, frame.fault_matrix(
-            c, locs + locs, gf2.eye(len(codes)) * np.array(codes, np.uint8)))
+        res = frame.run_lanes(
+            c, locs + locs, gf2.eye(len(codes)) * np.array(codes, np.uint8))
         for lane, loc in enumerate(locs + locs):
             paulis = ([loc], []) if lane < len(locs) else ([], [loc])
             _, x, z = bigint_run_frames(c, *paulis)
@@ -908,7 +908,7 @@ def unit_fault_matrix(circ):
 def assert_unit_lanes_match_dense(circ):
     """unit_lanes equals run_lanes on the unit fault matrix, field by field,
     as packed rows over the lanes (padding bits zero)."""
-    dense = frame.run_lanes(circ, unit_fault_matrix(circ))
+    dense = frame.run_lanes(circ, circ.locations(), unit_fault_matrix(circ))
     units = frame.unit_lanes(circ)
     fields = ("outcome_flips", "x_final", "z_final")
     assert len(units) == len(fields)
@@ -1002,6 +1002,96 @@ class TestUnitLanes:
         assert_unit_lanes_match_dense(unit_lane_circuits[name])
 
 
+def allocated_shapes(monkeypatch):
+    """A list that gains the (dtype, shape) of every array numpy's zeros,
+    empty, full, ones or gf2.zeros returns in the test, and of every array
+    gf2.pack_words is given."""
+    seen = []
+    for module, name, arg in ((np, "zeros", False), (np, "empty", False),
+                              (np, "full", False), (np, "ones", False),
+                              (gf2, "zeros", False), (gf2, "pack_words", True)):
+        real = getattr(module, name)
+
+        def recorded(*args, real=real, arg=arg, **kwargs):
+            out = real(*args, **kwargs)
+            shown = np.asarray(args[0]) if arg else out
+            seen.append((shown.dtype, shown.shape))
+            return out
+        monkeypatch.setattr(module, name, recorded)
+    return seen
+
+
+def assert_no_lane_matrix(seen, lanes, locations):
+    """No uint8 array of lanes × locations, nor its transpose, is in `seen`;
+    the lanes' packed injection rows (uint64, locations × lane words) are."""
+    dense = {(lanes, locations), (locations, lanes)}
+    assert not [shape for dtype, shape in seen
+                if dtype == np.uint8 and shape in dense]
+    assert any(dtype == np.uint64 and shape[-2:] == (locations, -(-lanes // 64))
+               for dtype, shape in seen)
+
+
+class TestLaneEntry:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(random_circuits(), random_circuits(inputs=True)),
+           st.integers(1, 70))
+    def test_repeated_locations_xor(self, drawn, lanes):
+        """Codes entered at one location twice, or at a location and its
+        feedback-step alias, act as their XOR."""
+        circ, _, seed = drawn
+        locs = list(circ.columns().at) + [
+            loc for loc in circ.locations() if loc.kind == "flip"]
+        top = np.array([frame.X | frame.Z if loc.kind == "q" else frame.FLIP
+                        for loc in locs])
+        rng = np.random.default_rng(seed)
+        a, b = (rng.integers(0, top + 1, size=(lanes, len(locs)),
+                             dtype=np.uint8) for _ in "ab")
+        twice = frame.run_lanes(circ, locs + locs, np.hstack([a, b]))
+        once = frame.run_lanes(circ, locs, a ^ b)
+        for field in ("outcome_flips", "x_final", "z_final"):
+            assert np.array_equal(getattr(twice, field), getattr(once, field))
+
+    def test_each_entry_is_checked(self):
+        """A Z entered twice at one flip location is refused, though the
+        two cancel."""
+        c = TestFrameInputs.circuit()
+        flip = [loc for loc in c.locations() if loc.kind == "flip"][0]
+        with pytest.raises(ValueError, match=f"fault code {frame.Z} at"):
+            frame.run_lanes(c, [flip, flip], [[frame.Z, frame.Z]])
+
+    def test_one_writer(self, monkeypatch):
+        """run_lanes, unit_lanes and run_frames each enter their faults
+        through one _inject call."""
+        c = build_mixed_circuit()
+        locs = c.locations()
+        calls, real = [], frame._inject
+        monkeypatch.setattr(frame, "_inject",
+                            lambda *args: calls.append(args) or real(*args))
+        for run in (lambda: frame.run_lanes(c, locs, gf2.eye(len(locs))),
+                    lambda: frame.unit_lanes(c),
+                    lambda: frame.run_frames(c, x_locs=locs[:1],
+                                             flip_locs=locs[-1:])):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+
+    def test_run_frames_builds_no_lane_matrix(self, paper_circuit_set,
+                                              monkeypatch):
+        circ = paper_circuit_set["desk-surgery"]
+        locs = circ.locations()
+        seen = allocated_shapes(monkeypatch)
+        frame.run_frames(circ, x_locs=[loc for loc in locs[:50]
+                                       if loc.kind == "q"])
+        assert_no_lane_matrix(seen, 1, len(locs))
+
+    def test_check_teleported_builds_no_lane_matrix(self, monkeypatch):
+        desk = cli.Desk(5, frames=300)
+        tm = protocol.build_tele_measurement(desk.dc.target)
+        seen = allocated_shapes(monkeypatch)
+        assert all(good for _, good, _ in cli.check_teleported(desk))
+        assert_no_lane_matrix(seen, desk.frames, len(tm.circuit.locations()))
+
+
 class TestColumns:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(random_circuits(), random_circuits(inputs=True)))
@@ -1042,16 +1132,16 @@ class TestFrameInputs:
         c = self.circuit()
         width = len(c.locations())
         flip = c.columns().flips[0]
-        frame.run_lanes(c, gf2.zeros(3, width))
+        frame.run_lanes(c, c.locations(), gf2.zeros(3, width))
         for bad in (gf2.zeros(3, width - 1), gf2.zeros(3, width + 1),
                     np.zeros(width, dtype=np.uint8)):
             with pytest.raises(ValueError, match="one row per lane"):
-                frame.run_lanes(c, bad)
+                frame.run_lanes(c, c.locations(), bad)
         for col, code in ((0, 4), (flip, frame.Z), (flip, frame.X | frame.Z)):
             faults = gf2.zeros(3, width)
             faults[1, col] = code
             with pytest.raises(ValueError, match=f"fault code {code} at"):
-                frame.run_lanes(c, faults)
+                frame.run_lanes(c, c.locations(), faults)
 
     def test_input_marked_after_enumeration(self):
         c = self.circuit()
