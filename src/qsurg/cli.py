@@ -212,14 +212,8 @@ def cmd_protocol_check(args) -> int:
 
 
 def _load_sim_spec(path: str) -> dict:
-    spec = {}
     with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                key, val = line.split("=", 1)
-                spec[key] = val
-    return spec
+        return dict(line.strip().split("=", 1) for line in fh if "=" in line)
 
 
 def cmd_sim_run(args) -> int:

@@ -105,7 +105,8 @@ def _inject(circ: Circuit, lane, column, code, lanes: int) -> tuple:
     at = column * words + (lane >> 6)
     bit = np.uint64(1) << (lane & 63).astype(np.uint64)
     for fault, rows in ((X, fx), (Z, fz)):
-        np.bitwise_xor.at(rows.reshape(-1), at, bit * ((code & fault) > 0))
+        hit = np.flatnonzero(code & fault)  # only the entries it carries
+        np.bitwise_xor.at(rows.reshape(-1), at[hit], bit[hit])
     return fx, fz, np.bincount(column, minlength=len(qubit)) > 0
 
 

@@ -355,19 +355,19 @@ def span_walk(basis: np.ndarray):
         yield low ^ np.bitwise_xor.reduce(basis[rows], axis=0)
 
 
-def extend_sets(acc: np.ndarray, last: np.ndarray, cols: np.ndarray):
-    """The extensions of each set i in turn (XOR acc[i], largest index
-    last[i]) by every larger index of the n packed rows `cols`, as (index,
-    XOR) chunks of about ENUM_CHUNK (one set's at least).  Extension p overall
-    adds index n − ends[i] + p, ends the running sum of counts n − 1 − last."""
-    counts = len(cols) - 1 - last
+def extend_sets(acc: np.ndarray, first, stop, cols: np.ndarray):
+    """The extensions of each set i in turn (XOR acc[i]) by each row of the
+    packed rows `cols` from first[i] to stop[i] − 1, as (row, XOR) chunks of
+    about ENUM_CHUNK (one set's at least).  Extension p overall takes row
+    p + stop[i] − ends[i], ends the running sum of counts stop − first."""
+    counts = stop - first
     ends = np.cumsum(counts)
-    start = lo = 0
+    shift, start, lo = stop - ends, 0, 0
     while lo < len(ends):
         hi = max(lo + 1, int(np.searchsorted(ends, start + ENUM_CHUNK,
                                              side="right")))
         parent = np.repeat(np.arange(lo, hi), counts[lo:hi])
-        nxt = len(cols) - ends[parent] + start + np.arange(parent.size)
+        nxt = shift[parent] + start + np.arange(parent.size)
         words = np.take(acc, parent, axis=0)
         words ^= np.take(cols, nxt, axis=0)
         yield nxt, words
@@ -388,7 +388,7 @@ def combination_sweep(cols: np.ndarray, t: int):
     yield 0, acc
     for w in range(1, min(t, cols.shape[0]) + 1):
         grown = []
-        for nxt, words in extend_sets(acc, last, cols):
+        for nxt, words in extend_sets(acc, last + 1, len(cols), cols):
             yield w, words
             if w < t:
                 grown.append((nxt, words))
@@ -588,45 +588,60 @@ class SyndromeTable:
 
 def syndrome_table(checks: np.ndarray, t: int) -> SyndromeTable:
     """Errors of weight ≤ t keyed by syndrome, the first of each in
-    combination_sweep's order.  Less its largest index, such an error is
-    the first of its own syndrome, so each weight's entries are the first
-    extend_sets of the last weight's to reach a new syndrome (one
-    least_per_key of [keys | extensions] finds them), and a weight that
-    adds none ends the build.  A weight holds at most 2^rows keys and n
-    extensions of each, so the build is refused, before it allocates
-    anything, when both (n + 1)·2^rows and C(n, ≤t) exceed TABLE_CAP."""
+    combination_sweep's order.  These first sets are downward closed: less
+    any index j, such a set E is the first of its own syndrome, or an
+    earlier set T of it would put T ⊕ {j} before E.  So a weight-w entry is
+    a new weight-(w−1) entry P plus the largest index of a later sibling of
+    P (a set that differs from P only there), and each weight's new entries
+    are the first of those extend_sets to reach a new syndrome (one
+    least_per_key of [keys | joins]; surface5 h_z to depth 5 joins 316,125
+    sets, where extending by every larger index took 462,961).  A weight
+    that adds none ends the build.  A weight holds at most 2^rows keys and
+    n joins of each, so the build is refused, before it allocates anything,
+    when both (n + 1)·2^rows and C(n, ≤t) exceed TABLE_CAP."""
     rows, n = checks.shape
     size = min(sum(math.comb(n, w) for w in range(t + 1)), (n + 1) << rows)
     if size > TABLE_CAP:
         raise SearchTooLarge(f"syndrome table of {size} sets refused")
     cols = pack_words(checks.T)
-    units = pack_words(np.eye(n + 1, n, dtype=np.uint8))
-    keys, errors = np.zeros((1, cols.shape[1]), np.uint64), units[n:]
-    # The last weight's rows in sweep order, and the largest index of each.
-    front, last = np.zeros(1, dtype=np.int64), np.array([-1])
+    units = pack_words(np.eye(n + 1, n, k=-1, dtype=np.uint8))
+    keys, errors = np.zeros((1, cols.shape[1]), np.uint64), units[:1]
+    # The last weight's new rows in sweep order, each one's largest index
+    # and end of siblings; the empty set's (−1) siblings are the n units.
+    front, last, stop = np.zeros(1, np.int64), np.arange(-1, n), np.r_[n + 1]
     for w in range(1, min(t, n) + 1):
-        s, counts = len(keys), n - 1 - last
+        s, first = len(keys), np.arange(1, len(front) + 1)
         keys, least = least_per_key(np.concatenate([keys] + [
-            words for _, words in extend_sets(keys[front], last, cols)]))
+            words for _, words in extend_sets(keys[front], first, stop,
+                                              cols[last])]))
         if len(keys) == s:
             break
         # Before the temporaries below, which then free to the heap's top.
         grown = np.empty((len(keys), errors.shape[1]), dtype=np.uint64)
-        # Position p's error: row o = origin[p] of [old rows | front]
-        # plus unit base[o] + p, the zero row n when p < s (then o = p).
+        # Position p's error: row o = origin[p] of [old rows | front] OR row
+        # base[o] + p, its sibling's (or itself when p < s, and then o = p).
         origin = np.repeat(np.arange(s + len(front), dtype=np.int32),
-                           np.r_[np.ones(s, dtype=np.int64), counts])
-        base = np.r_[n - np.arange(s), n - s - np.cumsum(counts)]
-        errors = np.concatenate([errors, errors[front]])
+                           np.concatenate([np.ones(s, np.int64), stop - first]))
+        base = np.concatenate([np.zeros(s, np.int64),
+                               stop - np.cumsum(stop - first)])
+        errors = np.concatenate([errors, errors[front] if w > 1 else units])
+        del first  # before the loop's temporaries, which then peak lower
         for lo in range(0, len(keys), ENUM_CHUNK):
-            q = least[lo: lo + ENUM_CHUNK]
-            o = origin[q]
-            grown[lo: lo + len(q)] = np.take(errors, o, axis=0)
-            grown[lo: lo + len(q)] ^= np.take(units, base[o] + q, axis=0)
+            p = least[lo: lo + ENUM_CHUNK]
+            o, rows = origin[p], grown[lo: lo + len(p)]
+            np.take(errors, o, axis=0, out=rows, mode="wrap")  # unbuffered
+            rows |= np.take(errors, base[o] + p, axis=0)
         errors = grown
-        if w < t:  # the old rows' positions are the s least
-            front = np.argsort(least)[s:]
-            last = base[origin[least[front]]] + least[front]
+        if w < t:  # new rows by position (after the s old), sorted packed
+            p = np.sort(least.astype(np.uint64) << 32
+                        | np.arange(len(keys), dtype=np.uint64))[s:]
+            front = (p & 0xFFFFFFFF).astype(np.intp)
+            p = (p >> 32).astype(np.intp)
+            o = origin[p]
+            last = last[base[o] + p - s]
+            # A parent's new rows are siblings: each ends where its run ends.
+            stop = np.cumsum(np.bincount(o - s))[o - s]
+            del p, o  # before the next weight's sort
     return SyndromeTable(keys, errors)
 
 

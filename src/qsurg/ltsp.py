@@ -150,16 +150,10 @@ def build_prep_circuit(source: CssCode, f: ClassicalCode) -> PrepCircuit:
     _, d_start = c.measure(d_ids, "Z")
 
     block = lambda ids, a: ids[[fi * n_d + a for fi in range(n_f)]]
-    pcm_b, pcm_c = [], []
-    mea_b_start, mea_c_start = [], []
-    for a in range(n_d):
-        step, start = c.measure_pauli("Z", f.h, block(b_ids, a))
-        pcm_b.append(step)
-        mea_b_start.append(start)
-    for a in range(n_d):
-        step, start = c.measure_pauli("Z", f.h, block(c_ids, a))
-        pcm_c.append(step)
-        mea_c_start.append(start)
+    pcm_b, mea_b_start = zip(*[c.measure_pauli("Z", f.h, block(b_ids, a))
+                               for a in range(n_d)])
+    pcm_c, mea_c_start = zip(*[c.measure_pauli("Z", f.h, block(c_ids, a))
+                               for a in range(n_d)])
 
     # X feedback from the D readout, on both blocks so the Bell-type
     # stabilizers keep their signs.  Support W = h_z^r · V · (g^r g); the
@@ -174,31 +168,23 @@ def build_prep_circuit(source: CssCode, f: ClassicalCode) -> PrepCircuit:
 
     # Decode: measure tail levels in X, fix head X-logicals with Z feedback.
     p = f.g[:, k_f:]
-    dec_fb = {}
+    dec_fb = {}  # (block, a) -> the decode's feedback step, if a has a tail
     for ids, tag in ((b_ids, "B"), (c_ids, "C")):
         for a in range(n_d):
             tail = ids[[fi * n_d + a for fi in range(k_f, n_f)]]
             head = ids[[fi * n_d + a for fi in range(k_f)]]
-            if len(tail) == 0:
-                dec_fb[(tag, a)] = None
-                continue
-            _, mstart = c.measure(tail, "X")
-            step = c.feedback("Z", head, p.T, mstart, n_f - k_f)
-            dec_fb[(tag, a)] = step
+            if len(tail):
+                _, mstart = c.measure(tail, "X")
+                dec_fb[tag, a] = c.feedback("Z", head, p.T, mstart, n_f - k_f)
 
     # Concrete locations per layout column (level-major position f·n_D + a).
     def q_locs(ids, step):
         return [Loc("q", step, int(q)) for q in ids]
 
     def head_locs(ids, tag):
-        out = []
-        for fi in range(k_f):
-            for a in range(n_d):
-                step = dec_fb[(tag, a)]
-                if step is None:
-                    step = s_fb_b if tag == "B" else s_fb_c
-                out.append(Loc("q", step, int(ids[fi * n_d + a])))
-        return out
+        fb = s_fb_b if tag == "B" else s_fb_c
+        return [Loc("q", dec_fb.get((tag, a), fb), int(ids[fi * n_d + a]))
+                for fi in range(k_f) for a in range(n_d)]
 
     def pcm_locs(ids, steps):
         return [Loc("q", steps[pos % n_d], int(ids[pos]))

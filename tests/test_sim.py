@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -237,6 +238,61 @@ class TestTableBuild:
             math.comb(41, w) for w in range(6)) - 1)
         with pytest.raises(gf2.SearchTooLarge):
             sim.LookupDecoder._build(h, 5)
+        # Not vacuous: a table the cap admits makes its sets in extend_sets.
+        monkeypatch.undo()
+        monkeypatch.setattr(gf2, "extend_sets", no_work)
+        monkeypatch.setattr(gf2, "TABLE_CAP", 42)
+        with pytest.raises(AssertionError, match="must not be swept"):
+            sim.LookupDecoder._build(h, 1)
+
+    # Random checks of low rank (a product through `rank` rows, when
+    # nonzero) with zeroed and repeated columns, so syndromes collide.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 24), st.integers(0, 6),
+           st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+           st.integers(0, 2**32 - 1))
+    def test_downward_closed(self, rows, cols, t, rank, zero, repeat, seed):
+        # Less any one index, a table entry is the table's entry for its
+        # own syndrome: the invariant that lets each weight grow from the
+        # last weight's entries and their siblings alone.
+        while t and sum(math.comb(cols, w) for w in range(t + 1)) > 5000:
+            t -= 1
+        rng = np.random.default_rng(seed)
+        checks = rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
+        if rank:
+            checks = gf2.mul(rng.integers(0, 2, size=(rows, rank)),
+                             rng.integers(0, 2, size=(rank, cols)))
+        if cols:
+            checks[:, rng.integers(0, cols, size=zero)] = 0
+            checks[:, rng.integers(0, cols, size=repeat)] = checks[
+                :, rng.integers(0, cols, size=repeat)]
+        table = gf2.syndrome_table(checks, t)
+        entry = {as_int(k): as_int(e) for k, e in zip(table.keys, table.errors)}
+        syn = [gf2._pack(col) for col in checks.T]
+        for err in entry.values():
+            key = 0
+            for j in range(cols):
+                key ^= syn[j] * (err >> j & 1)
+            for j in range(cols):
+                if err >> j & 1:
+                    assert entry[key ^ syn[j]] == err ^ 1 << j
+
+    # Traced peaks, in bytes, of each build as it was before the sibling
+    # join (extensions by every larger index), which a build must not pass.
+    @pytest.mark.parametrize("checks, t, parent_peak", [
+        (codes.surface_code_via_hgp(5).h_z, 5, 11_600_558),
+        (codes.hypergraph_product(codes.hamming_743(),
+                                  codes.hamming_743()).h_z, 4, 8_778_084)],
+        ids=["surface5", "hgp_hamming"])
+    def test_build_peak(self, checks, t, parent_peak):
+        gf2.syndrome_table(checks, t)  # warm
+        tracemalloc.start()
+        try:
+            gf2.syndrome_table(checks, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_peak
 
 
 # ── batched Monte Carlo against per-trial decoding ──────────────────────
