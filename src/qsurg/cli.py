@@ -56,6 +56,13 @@ def _count(text: str) -> int:
     return n
 
 
+def _seed(text: str) -> int:
+    n = int(text)
+    if not 0 <= n < 1 << 128:
+        raise argparse.ArgumentTypeError(f"{text} is not a seed in [0, 2^128)")
+    return n
+
+
 def _positive(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -368,10 +375,14 @@ def check_soundness(desk: Desk) -> list[tuple]:
     s = codes.soundness(ham)
     good = s == Fraction(7, 3)
     r, n = ham.h.shape
-    for bits in range(1 << r):
-        v = gf2._unpack(bits, r)
-        u = gf2.solve_linear(ham.h, v, mode="min_weight")
-        good &= u is not None and gf2.weight(u) <= Fraction(n, r) / s * gf2.weight(v)
+    # Each syndrome v's coset leader u (its min-weight preimage) has
+    # |u| ≤ (n / (r·s))·|v|.
+    v = (np.arange(1 << r)[:, None] >> np.arange(r)) & 1
+    table = gf2.syndrome_table(ham.h, n)
+    idx, hit = table.find(gf2.pack_words(v))
+    u_w = np.bitwise_count(table.errors[idx]).sum(axis=1)
+    good &= bool(hit.all() and (r * s.numerator * u_w
+                                <= n * s.denominator * v.sum(axis=1)).all())
     return [("soundness.hamming", s == Fraction(7, 3), f"s={s}"),
             ("lemma.ltc.preimage", good, "all 8 syndromes")]
 
@@ -623,7 +634,7 @@ def main(argv=None) -> int:
     pb.add_argument("--samples", type=_count, default=1000,
                     help="random pairs of the X sweep, beside every unit "
                          "fault")
-    pb.add_argument("--seed", type=int, required=True)
+    pb.add_argument("--seed", type=_seed, required=True)
     pb.set_defaults(func=cmd_ltsp_verify)
 
     p = sub.add_parser("protocol", help="surgery lemma checks")
@@ -633,7 +644,7 @@ def main(argv=None) -> int:
     pb.add_argument("--max-weight", type=_weight_upto(2), default=2,
                     help="exhaustive weight of the lemma.cs sweeps, each "
                          "capped one below its lemma's distance")
-    pb.add_argument("--seed", type=int, required=True)
+    pb.add_argument("--seed", type=_seed, required=True)
     pb.set_defaults(func=cmd_protocol_check)
 
     p = sub.add_parser("sim", help="Monte Carlo memory runs")
@@ -642,7 +653,7 @@ def main(argv=None) -> int:
     pb.add_argument("--circuit", required=True)
     pb.add_argument("--p", type=_probability, required=True)
     pb.add_argument("--trials", type=_count, required=True)
-    pb.add_argument("--seed", type=int, required=True)
+    pb.add_argument("--seed", type=_seed, required=True)
     pb.add_argument("--out", default=None)
     pb.set_defaults(func=cmd_sim_run)
 
@@ -658,7 +669,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("ledger", help="run the full desk-scale check suite")
     p.add_argument("--preset", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--max-weight", type=_weight_upto(2), default=2,
                    help="exhaustive weight of the lemma.pcs.distance and "

@@ -172,14 +172,19 @@ def _sides(code) -> list:
 def _min_weight_flagged(basis: np.ndarray, flag: np.ndarray) -> Optional[int]:
     """Min weight over span(basis) of vectors v with flag·vᵀ != 0.
 
-    Each basis row v is packed as [v | flag·vᵀ], so one span walk carries
-    both the vector and its flags.
+    Each basis row v is packed as [v | flag·vᵀ], and the span is every set
+    of basis rows: one combination_sweep to size dim carries both the
+    vector and its flags.  A span of more than gf2.TABLE_CAP words is
+    refused with SearchTooLarge.
     """
+    dim = basis.shape[0]
+    if 1 << dim > gf2.TABLE_CAP:
+        raise SearchTooLarge(f"span of 2^{dim} words refused")
     vecs = gf2.pack_words(basis)
     rows = np.hstack([vecs, gf2.pack_words(gf2.mul(flag, basis.T).T)])
     k = vecs.shape[1]
     best: Optional[int] = None
-    for words in gf2.span_walk(rows):
+    for _, words in gf2.combination_sweep(rows, dim):
         flagged = words[:, k:].any(axis=1)
         if flagged.any():
             w = int(np.bitwise_count(words[flagged, :k]).sum(axis=1).min())
@@ -190,7 +195,7 @@ def _min_weight_flagged(basis: np.ndarray, flag: np.ndarray) -> Optional[int]:
 def _exact_side(checks: np.ndarray, flags: np.ndarray) -> Optional[int]:
     """Least weight of a flagged word of ker(checks), by collision while
     the sets swept so far stay within 2^dim and gf2.TABLE_CAP, else by
-    span walk (which refuses more than gf2.TABLE_CAP words)."""
+    listing the 2^dim kernel words (refused past gf2.TABLE_CAP)."""
     basis = gf2.null_space(checks)
     dim = basis.shape[0]
     n, swept, half = checks.shape[1], 0, 1
@@ -225,10 +230,10 @@ def distance(code, budget: Optional[int] = None) -> DistanceResult:
     both error types of the min weight of an undetected error with nonzero
     logical action.  The exact search raises the half-weight of
     gf2.flagged_collision one layer at a time while the sets swept so far
-    stay within the 2^dim words of a span walk and gf2.TABLE_CAP, answers
+    stay within the 2^dim words of ker(checks) and gf2.TABLE_CAP, answers
     a side with the first collision value (exact, as v ≤ 2·half), and
-    finishes a side not answered by then with the walk, refused past
-    gf2.TABLE_CAP words.  Then, given a budget, one collision per side to
+    finishes a side not answered by then by listing those words, refused
+    past gf2.TABLE_CAP.  Then, given a budget, one collision per side to
     ⌈budget/2⌉ (:func:`least_logical`) finds the least logical of weight
     ≤ budget (`d` exact) or certifies `floor = budget`.
     """

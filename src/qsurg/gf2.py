@@ -21,8 +21,8 @@ class SearchTooLarge(Exception):
     """Raised when an exhaustive search would exceed its configured cap."""
 
 
-# Most sets or words any exhaustive search holds or walks: a lookup table,
-# a collision, a span walk or a min-weight coset is refused with
+# Most sets any exhaustive search holds or sweeps: a lookup table (and with
+# it a min-weight solve), a collision or a span listing is refused with
 # SearchTooLarge, before it allocates anything, when it would exceed this.
 TABLE_CAP = 1 << 22
 
@@ -261,10 +261,12 @@ def solve_linear(a: np.ndarray, b: np.ndarray,
 
     mode="any" returns one solution (or None when the system is
     inconsistent).  mode="min_weight" returns a minimum-Hamming-weight
-    solution, the first one in the Gray-code walk (:func:`span_walk`) of
-    the solution coset; a coset of more than TABLE_CAP words (read at call
-    time) is refused by that walk with :class:`SearchTooLarge` rather than
-    answered heuristically.
+    solution, the first in (weight, lexicographic) order: the coset leader
+    that syndrome_table keeps for b's syndrome under the lead independent
+    rows of the one elimination.  That table is refused with
+    :class:`SearchTooLarge`, rather than answered heuristically, only when
+    both (n + 1)·2^rank(a) and 2^n exceed TABLE_CAP (read at call time),
+    n the number of unknowns: high-rate checks are cheap.
     """
     a = bitmat(a)
     b = bitvec(b)
@@ -283,16 +285,9 @@ def solve_linear(a: np.ndarray, b: np.ndarray,
         return x0
     if mode != "min_weight":
         raise ValueError(f"unknown mode {mode!r}")
-    # First minimum of x0 + span(kernel) in Gray order.
-    x = pack_words(x0[None])
-    best, best_w = None, ncols + 1
-    for words in span_walk(pack_words(_kernel(r, pivots, ncols))):
-        words ^= x
-        wt = np.bitwise_count(words).sum(axis=1)
-        i = int(np.argmin(wt))
-        if wt[i] < best_w:
-            best, best_w = words[i], wt[i]
-    return unpack_words(best[None], ncols)[0]
+    table = syndrome_table(r[:lead, :ncols], ncols)
+    idx, _ = table.find(pack_words(r[None, :lead, ncols]))
+    return unpack_words(table.errors[idx], ncols)[0]
 
 
 def _pack(v: np.ndarray) -> int:
@@ -327,32 +322,8 @@ def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :n]
 
 
-# Rows per vectorised step of the two enumerators below.
+# Rows per vectorised step of the enumerator and the table code below.
 ENUM_CHUNK = 1 << 16
-
-
-def span_walk(basis: np.ndarray):
-    """XORs of all 2^dim subsets of the packed rows `basis` (dim × words),
-    yielded in chunks of at most ENUM_CHUNK rows, in Gray-code order: entry
-    i is the XOR of the rows at the set bits of gray(i) = i ^ (i >> 1).
-
-    A table of the 2^m subsets of the first m rows (2^m ≤ ENUM_CHUNK) is
-    built once.  For a multiple a of 2^m and j < 2^m,
-    gray(a + j) = gray(a) ^ gray(j), so each chunk is that table XOR the
-    rows at the set bits of gray(a); these can include row m − 1.  A walk
-    of more than TABLE_CAP words is refused with SearchTooLarge.
-    """
-    dim = basis.shape[0]
-    if 1 << dim > TABLE_CAP:
-        raise SearchTooLarge(f"span walk of 2^{dim} words refused")
-    m = min(dim, ENUM_CHUNK.bit_length() - 1)
-    low = np.zeros((1, basis.shape[1]), dtype=np.uint64)
-    for b in range(m):
-        low = np.concatenate([low, low[::-1] ^ basis[b]])
-    for a in range(0, 1 << dim, 1 << m):
-        gray = a ^ (a >> 1)
-        rows = [b for b in range(dim) if gray >> b & 1]
-        yield low ^ np.bitwise_xor.reduce(basis[rows], axis=0)
 
 
 def extend_sets(acc: np.ndarray, first, stop, cols: np.ndarray):
@@ -596,9 +567,10 @@ def syndrome_table(checks: np.ndarray, t: int) -> SyndromeTable:
     are the first of those extend_sets to reach a new syndrome (one
     least_per_key of [keys | joins]; surface5 h_z to depth 5 joins 316,125
     sets, where extending by every larger index took 462,961).  A weight
-    that adds none ends the build.  A weight holds at most 2^rows keys and
-    n joins of each, so the build is refused, before it allocates anything,
-    when both (n + 1)·2^rows and C(n, ≤t) exceed TABLE_CAP."""
+    that adds none, or that completes all 2^rows syndromes, ends the build.
+    A weight holds at most 2^rows keys and n joins of each, so the build is
+    refused, before it allocates anything, when both (n + 1)·2^rows and
+    C(n, ≤t) exceed TABLE_CAP."""
     rows, n = checks.shape
     size = min(sum(math.comb(n, w) for w in range(t + 1)), (n + 1) << rows)
     if size > TABLE_CAP:
@@ -632,6 +604,8 @@ def syndrome_table(checks: np.ndarray, t: int) -> SyndromeTable:
             np.take(errors, o, axis=0, out=rows, mode="wrap")  # unbuffered
             rows |= np.take(errors, base[o] + p, axis=0)
         errors = grown
+        if len(keys) == 1 << len(checks):  # every syndrome in: none to add
+            break
         if w < t:  # new rows by position (after the s old), sorted packed
             p = np.sort(least.astype(np.uint64) << 32
                         | np.arange(len(keys), dtype=np.uint64))[s:]

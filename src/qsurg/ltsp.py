@@ -427,39 +427,40 @@ def check_x_bound(spp: SpPropagation, e_sp_x: Optional[np.ndarray]) -> XBoundRes
     batch, see _images), and each result field holds one entry per fault.
     Detected faults (nonzero h_sp_z syndrome) are "detected".  For
     undetected faults the F-syndrome preimages are taken minimum-weight per
-    block, solved once per distinct syndrome; the two test-code equalities
-    behind the construction are then checked, and hold whenever the fault
-    weight is below d_F / (ω·amplification()), ω the largest row or column
-    weight of the source h_z.  A failed check raises ResourceStateError for
-    the first fault that fails one, as a row-by-row run would.
+    block, read once per distinct syndrome from one gf2.syndrome_table of
+    h_F (built only when some undetected fault has flips); the two
+    test-code equalities behind the construction are then checked, and
+    hold whenever the fault weight is below d_F / (ω·amplification()), ω
+    the largest row or column weight of the source h_z.  A failed check
+    raises ResourceStateError for the first fault that fails one, as a
+    row-by-row run would.
     """
     fields, images, weight = _images(spp.x_units(), e_sp_x)
     n_d, f, amp = spp.source.n, spp.f, spp.amplification()
     detected = fields.part(images, "syn").any(axis=1)
     u, weight = images[~detected], weight[~detected]
 
-    # Flip patterns per (fault, B/C, block a): each nonzero one maps to its
-    # minimum-weight preimage under h_F, solved once per distinct pattern,
-    # and a fault's preimages w add vec(w_b ⊕ w_c) | vec(h_z·w_c) to its
-    # targets, r = w·gr_j to its residual and h_rs_z·r to its defect.
+    # Flip patterns per (fault, B/C, block a): each maps to its
+    # minimum-weight preimage under h_F, read once per distinct pattern
+    # from h_F's coset table, and a fault's preimages w add
+    # vec(w_b ⊕ w_c) | vec(h_z·w_c) to its targets, r = w·gr_j to its
+    # residual and h_rs_z·r to its defect.
     v = np.concatenate([gf2.unvec(fields.part(u, nm), n_d)
                         for nm in ("meaB", "meaC")], axis=1)
     has = v.any(axis=(1, 2))
-    v = v[has].reshape(-1, f.h.shape[0])
-    _, first, which = np.unique(gf2._row_keys(gf2.pack_words(v)),
-                                return_index=True, return_inverse=True)
-    syndromes, which = v[first], which.reshape(-1, 2 * n_d)
-    table = gf2.zeros(len(syndromes), f.n)
-    failure = np.zeros(len(syndromes), dtype=np.int8)
-    for i, syn in enumerate(syndromes):
-        sol = gf2.solve_linear(f.h, syn, mode="min_weight") if syn.any() else 0
-        if sol is None:
-            failure[i] = 1
-        elif gf2.weight(sol) > amp * gf2.weight(syn):
-            failure[i] = 2
-        else:
-            table[i] = sol
+    v = gf2.pack_words(v[has].reshape(-1, f.h.shape[0]))
+    _, first, which = np.unique(gf2._row_keys(v), return_index=True,
+                                return_inverse=True)
+    table, failure = gf2.zeros(len(first), f.n), np.zeros(len(first), np.int8)
+    if len(first):  # a pattern outside colsp(h_F) gets some row, unused
+        coset = gf2.syndrome_table(f.h, f.n)
+        idx, hit = coset.find(v[first])
+        table = gf2.unpack_words(coset.errors[idx], f.n)
+        over = (np.count_nonzero(table, axis=1) * amp.denominator
+                > amp.numerator * np.bitwise_count(v[first]).sum(axis=1))
+        failure = np.where(hit, 2 * over, 1)
     fails = np.zeros((len(u), 2 * n_d), dtype=np.int8)
+    which = which.reshape(-1, 2 * n_d)
     fails[has], w = failure[which], table[which]
     r = gf2.mul(w, gf2.right_inverse(f.g).T[spp.copy_j])
     vecs = lambda m: m.swapaxes(1, 2).reshape(len(m), m.shape[1] * m.shape[2])

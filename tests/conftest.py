@@ -45,6 +45,30 @@ def mixed_rows():
     return of
 
 
+@pytest.fixture(scope="session")
+def span_walk():
+    """The reference span walk: XORs of all 2^dim subsets of the packed rows
+    `basis` (dim × words), yielded in chunks of at most gf2.ENUM_CHUNK rows,
+    in Gray-code order: entry i is the XOR of the rows at the set bits of
+    gray(i) = i ^ (i >> 1).
+
+    A table of the 2^m subsets of the first m rows (2^m ≤ ENUM_CHUNK) is
+    built once.  For a multiple a of 2^m and j < 2^m,
+    gray(a + j) = gray(a) ^ gray(j), so each chunk is that table XOR the
+    rows at the set bits of gray(a); these can include row m − 1."""
+    def walk(basis):
+        dim = basis.shape[0]
+        m = min(dim, gf2.ENUM_CHUNK.bit_length() - 1)
+        low = np.zeros((1, basis.shape[1]), dtype=np.uint64)
+        for b in range(m):
+            low = np.concatenate([low, low[::-1] ^ basis[b]])
+        for a in range(0, 1 << dim, 1 << m):
+            gray = a ^ (a >> 1)
+            rows = [b for b in range(dim) if gray >> b & 1]
+            yield low ^ np.bitwise_xor.reduce(basis[rows], axis=0)
+    return walk
+
+
 @pytest.fixture
 def row_echelon_calls(monkeypatch):
     """A list that gains one entry per gf2.row_echelon call in the test."""

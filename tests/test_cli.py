@@ -340,6 +340,23 @@ class TestSamplesFlag:
         assert "Traceback" not in msg
 
 
+class TestSeedFlag:
+    @pytest.mark.parametrize("command,value", [
+        (["ledger", "--preset", "desk"], "-1"),
+        (["sim", "run", "--circuit", "c", "--p", "0", "--trials", "1"],
+         str(1 << 128)),
+        (["ltsp", "verify", "--source", "s", "--fcode", "f"], "-1"),
+        (["protocol", "check", "--deformed", "d"], str(1 << 128)),
+    ])
+    def test_out_of_range_rejected(self, capsys, command, value):
+        with pytest.raises(SystemExit) as err:
+            cli.main(command + ["--seed", value])
+        assert err.value.code == 2
+        msg = capsys.readouterr().err
+        assert f"argument --seed: {value} is not a seed in [0, 2^128)" in msg
+        assert "Traceback" not in msg
+
+
 class TestCompileCommand:
     def test_outputs(self, tmp_path, capsys):
         ops = tmp_path / "ops.txt"

@@ -74,10 +74,10 @@ def check_both_paths(code, d, budget):
         assert v == (d if d is not None and 2 * half >= d else None)
 
 
-def span_walk_soundness(code):
-    """codes.soundness by one gf2.span_walk over all 2^n words, folding each
-    chunk's (syndrome, weight) pairs through gf2.least_per_key (the earlier
-    code, kept as a reference)."""
+def span_walk_soundness(code, span_walk):
+    """codes.soundness by one reference span walk over all 2^n words,
+    folding each chunk's (syndrome, weight) pairs through gf2.least_per_key
+    (the earlier code, kept as a reference)."""
     r, n = code.h.shape
     if r == 0:
         return None
@@ -85,7 +85,7 @@ def span_walk_soundness(code):
     syn_cols = gf2.pack_words(code.h.T)
     k = units.shape[1]
     classes, least = syn_cols[:0], np.zeros(0, dtype=np.int64)
-    for words in gf2.span_walk(np.hstack([units, syn_cols])):
+    for words in span_walk(np.hstack([units, syn_cols])):
         wt = np.bitwise_count(words[:, :k]).sum(axis=1, dtype=np.int64)
         classes, least = gf2.least_per_key(
             np.concatenate([classes, words[:, k:]]),
@@ -292,6 +292,21 @@ class TestDistance:
         with exact_refused(), pytest.raises(ValueError, match="budget=-3"):
             codes.distance(codes.hamming_743(), budget=-3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 9), st.integers(1, 130), st.integers(0, 4),
+           st.integers(0, 2**32 - 1))
+    def test_min_weight_flagged_vs_span_walk(self, mixed_rows, span_walk, dim,
+                                             n, flags, seed):
+        # Dependent and repeated basis rows, and flags that may flag none.
+        basis = mixed_rows(seed, dim, n)
+        flag = mixed_rows(seed + 1, flags, n)
+        rows = gf2.pack_words(np.hstack([basis, gf2.mul(flag, basis.T).T]))
+        vecs = gf2.unpack_words(np.concatenate(list(span_walk(rows))),
+                                n + flags)
+        flagged = vecs[:, n:].any(axis=1)
+        want = int(vecs[flagged, :n].sum(axis=1).min()) if flagged.any() else None
+        assert codes._min_weight_flagged(basis, flag) == want
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 4), st.integers(1, 9), st.integers(1, 9),
            st.integers(0, 2**32 - 1))
@@ -324,13 +339,6 @@ class TestSoundness:
         # A perfect code: every class leader has weight 1, and the lightest
         # column has weight 1, so s = (31 / 5) · 1 / 1.
         assert codes.soundness(hamming_31()) == Fraction(31, 5)
-
-    def test_walks_no_span(self, monkeypatch):
-        def no_walk(*args):
-            raise AssertionError("soundness must not walk a span")
-
-        monkeypatch.setattr(gf2, "span_walk", no_walk)
-        assert codes.soundness(codes.hamming_743()) == Fraction(7, 3)
 
     def test_hamming_vs_plain_oracle(self):
         code = codes.hamming_743()
@@ -375,13 +383,13 @@ class TestSoundness:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 12), st.integers(1, 14), st.integers(0, 2**32 - 1))
-    def test_table_vs_span_walk(self, mixed_rows, rows, n, seed):
+    def test_table_vs_span_walk(self, mixed_rows, span_walk, rows, n, seed):
         # Dependent, zero and repeated check rows leave fewer classes than
         # 2^rows.
         h = mixed_rows(seed, rows, n)
         code = codes.ClassicalCode(h=h, g=gf2.null_space(h), n=n,
                                    k=n - gf2.rank(h))
-        assert codes.soundness(code) == span_walk_soundness(code)
+        assert codes.soundness(code) == span_walk_soundness(code, span_walk)
 
     def test_zero_checks_undefined(self):
         # Every word is a codeword, so no ratio exists.
@@ -413,6 +421,15 @@ class TestSoundness:
             u = gf2.solve_linear(code.h, v, mode="min_weight")
             assert u is not None
             assert gf2.weight(u) <= Fraction(n, r) / s * gf2.weight(v)
+
+    def test_hamming_31_preimages_have_weight_1(self):
+        # Rank 5: a coset table of 32·2^5 sets, where the 2^26 words of the
+        # kernel were once refused.  Syndrome j is column j − 1.
+        h = hamming_31().h
+        for j in range(1, 32):
+            v = h[:, j - 1]
+            u = gf2.solve_linear(h, v, mode="min_weight")
+            assert np.array_equal(u, gf2.eye(31)[j - 1])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 130), st.integers(1, 8), st.integers(1, 40),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsurg import gf2, sim
+from qsurg import codes, gf2, sim
 
 HAMMING_H = gf2.bitmat(
     [
@@ -171,12 +171,19 @@ class TestSolveLinear:
             if np.array_equal(gf2.mul(a, u), b):
                 assert gf2.weight(u) >= gf2.weight(x)
 
-    def test_kernel_cap(self):
+    def test_table_cap_refuses_repetition_31(self):
+        # Rank 30: a coset table of both 32·2^30 and 2^31 sets.
         with pytest.raises(gf2.SearchTooLarge):
-            gf2.solve_linear(gf2.zeros(1, 30), [0], mode="min_weight")
+            gf2.solve_linear(codes.repetition(31).h, gf2.zeros(1, 30)[0],
+                             mode="min_weight")
+
+    def test_rank_zero_answered(self):
+        # A coset of 2^30 words, but a table of 31 sets: the zero vector.
+        x = gf2.solve_linear(gf2.zeros(1, 30), [0], mode="min_weight")
+        assert same_bytes(x, gf2.zeros(1, 30)[0])
 
     def test_default_cap_read_at_call_time(self, monkeypatch):
-        # Hamming's kernel has dimension 4: a coset of 16 words.
+        # Hamming's coset table holds up to (7 + 1)·2^3 = 64 sets.
         monkeypatch.setattr(gf2, "TABLE_CAP", 15)
         with pytest.raises(gf2.SearchTooLarge):
             gf2.solve_linear(HAMMING_H, [1, 0, 0], mode="min_weight")
@@ -259,23 +266,30 @@ def random_bits(seed, rows, cols):
         0, 2, size=(rows, cols)).astype(np.uint8)
 
 
-def gray_loop_min_weight(a, b):
-    """solve_linear(mode="min_weight") as a Python Gray-code loop over
-    integer-packed vectors: the first minimum of the coset in Gray order."""
-    x0 = gf2.solve_linear(a, b)
-    if x0 is None:
-        return None
-    basis = [gf2._pack(row) for row in gf2.null_space(a)]
-    cur = gf2._pack(x0)
-    best, best_w = cur, cur.bit_count()
+def first_least(x0, kernel):
+    """The first word of the coset x0 + span(kernel) in (weight,
+    lexicographic) order, by a Python Gray-code loop over integer-packed
+    vectors.  Of two words of one weight, the one holding the lowest index
+    where they differ comes first."""
+    basis = [gf2._pack(row) for row in kernel]
+    cur = best = gf2._pack(x0)
     gray_prev = 0
     for i in range(1, 1 << len(basis)):
         gray = i ^ (i >> 1)
         cur ^= basis[(gray ^ gray_prev).bit_length() - 1]
         gray_prev = gray
-        if cur.bit_count() < best_w:
-            best, best_w = cur, cur.bit_count()
-    return gf2._unpack(best, a.shape[1])
+        w, best_w = cur.bit_count(), best.bit_count()
+        low = (cur ^ best) & -(cur ^ best)
+        if w < best_w or (w == best_w and cur & low):
+            best = cur
+    return gf2._unpack(best, len(x0))
+
+
+def gray_loop_min_weight(a, b):
+    """solve_linear(mode="min_weight") as a Gray-code loop over the coset
+    of solve_linear's solution and null_space's kernel."""
+    x0 = gf2.solve_linear(a, b)
+    return None if x0 is None else first_least(x0, gf2.null_space(a))
 
 
 def row_loop_null_space(m):
@@ -295,7 +309,8 @@ def row_loop_null_space(m):
 
 def two_elimination_min_weight(a, b):
     """solve_linear(mode="min_weight") with the kernel from a second
-    elimination, of a alone (the earlier code, kept as a reference)."""
+    elimination, of a alone, and the coset's first least word by
+    first_least (the earlier code, kept as a reference)."""
     a, b = gf2.bitmat(a), gf2.bitvec(b)
     ncols = a.shape[1]
     aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
@@ -305,18 +320,7 @@ def two_elimination_min_weight(a, b):
     x0 = gf2.zeros(1, ncols)[0]
     for prow, pc in enumerate(pivots):
         x0[pc] = r[prow, ncols]
-    kern = row_loop_null_space(a)
-    if 1 << kern.shape[0] > gf2.TABLE_CAP:
-        raise gf2.SearchTooLarge(f"kernel dimension {kern.shape[0]}")
-    x = gf2.pack_words(x0[None])
-    best, best_w = None, ncols + 1
-    for words in gf2.span_walk(gf2.pack_words(kern)):
-        words ^= x
-        wt = np.bitwise_count(words).sum(axis=1)
-        i = int(np.argmin(wt))
-        if wt[i] < best_w:
-            best, best_w = words[i], wt[i]
-    return gf2.unpack_words(best[None], ncols)[0]
+    return first_least(x0, row_loop_null_space(a))
 
 
 def same_bytes(got, want):
@@ -348,6 +352,24 @@ class TestOneElimination:
              if consistent else rng.integers(0, 2, size=rows))
         assert same_bytes(gf2.solve_linear(a, b, mode="min_weight"),
                           two_elimination_min_weight(a, b))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 10), st.integers(0, 2**32 - 1))
+    def test_min_weight_is_the_coset_leader(self, mixed_rows, rows, cols,
+                                            seed):
+        # The table of a itself, dependent rows and all, keys the same
+        # vector, and no solution among all 2^cols words is lighter.
+        a = mixed_rows(seed, rows, cols)
+        x = np.random.default_rng(seed + 1).integers(0, 2, size=cols)
+        b = gf2.mul(a, x).reshape(-1)
+        got = gf2.solve_linear(a, b, mode="min_weight")
+        table = gf2.syndrome_table(a, cols)
+        idx, hit = table.find(gf2.pack_words(b[None]))
+        assert hit[0] and same_bytes(
+            got, gf2.unpack_words(table.errors[idx], cols)[0])
+        words = (np.arange(1 << cols)[:, None] >> np.arange(cols)) & 1
+        solves = ~(gf2.mul(words, a.T) ^ b).any(axis=1)
+        assert gf2.weight(got) == words[solves].sum(axis=1).min()
 
     @pytest.mark.parametrize("b", [[1, 0, 1, 1], [1, 0, 1, 0]])
     def test_kernel_dimension_zero(self, b):
@@ -385,10 +407,10 @@ class TestEnumerators:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 8), st.integers(1, 130), st.integers(1, 40),
            st.integers(0, 2**32 - 1))
-    def test_span_walk_vs_product(self, dim, width, chunk, seed):
+    def test_span_walk_vs_product(self, span_walk, dim, width, chunk, seed):
         basis = random_bits(seed, dim, width)
         with enum_chunk(chunk):
-            parts = list(gf2.span_walk(gf2.pack_words(basis)))
+            parts = list(span_walk(gf2.pack_words(basis)))
         assert all(len(p) <= chunk for p in parts)
         got = gf2.unpack_words(np.concatenate(parts), width)
         by_subset = {}
@@ -431,11 +453,7 @@ class TestEnumerators:
              else rng.integers(0, 2, size=rows).astype(np.uint8))
         with enum_chunk(chunk):
             got = gf2.solve_linear(a, b, mode="min_weight")
-        want = gray_loop_min_weight(a, b)
-        if want is None:
-            assert got is None
-        else:
-            assert np.array_equal(got, want)
+        assert same_bytes(got, gray_loop_min_weight(a, b))
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 14), st.integers(1, 70),

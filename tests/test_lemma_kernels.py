@@ -498,24 +498,29 @@ def test_replaced_spp_builds_its_own_table(spp13, name):
     assert_units_match_identity(spp13)
 
 
-def test_preimages_solved_once_per_pattern(spp13, monkeypatch):
+def test_preimages_read_from_one_table(spp13, monkeypatch):
     rng = np.random.default_rng(7)
     faults = np.array([x_row(k, spp13, rng)
                        for k in ["repaired"] * 12 + ["sparse"] * 20])
-    calls = []
-    real = gf2.solve_linear
-    monkeypatch.setattr(gf2, "solve_linear", lambda a, b, mode="any": (
-        calls.append(b.tobytes()) or real(a, b, mode)))
-    # No undetected unit fault of a desk copy has flips: nothing is solved.
+    tables = []
+    real = gf2.syndrome_table
+    monkeypatch.setattr(gf2, "syndrome_table", lambda *a: (
+        tables.append(a) or real(*a)))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("check_x_bound must not call solve_linear")
+
+    monkeypatch.setattr(gf2, "solve_linear", no_solve)
+    # No undetected unit fault of a desk copy has flips: no table is built.
     assert (ltsp.check_x_bound(spp13, None).status != "detected").any()
-    assert calls == []
+    assert tables == []
     res = ltsp.check_x_bound(spp13, faults)
     lay, n_d = spp13.layout_x, spp13.source.n
-    patterns = {gf2.unvec(lay.part(row, tag), n_d)[a].tobytes()
-                for row in faults[res.status != "detected"]
-                for tag in ("meaB", "meaC") for a in range(n_d)}
-    patterns.discard(bytes(spp13.f.h.shape[0]))
-    assert len(patterns) > 1 and sorted(calls) == sorted(patterns)
+    flips = [gf2.unvec(lay.part(row, tag), n_d).any()
+             for row in faults[res.status != "detected"]
+             for tag in ("meaB", "meaC")]
+    assert any(flips) and len(tables) == 1
+    assert tables[0][0] is spp13.f.h and tables[0][1] == spp13.f.n
 
 
 def test_sweeps_build_no_identity_of_the_layout(memory13, monkeypatch):

@@ -223,6 +223,15 @@ class TestTableBuild:
             syn = gf2._unpack(key, code.h_z.shape[0])
             assert gf2._pack(dec.decode_x(syn)) == err
 
+    def test_full_table_ends_the_build(self, monkeypatch):
+        # Hamming's 8 syndromes are all in after weight 1: no weight 2 pass.
+        calls = []
+        real = gf2.extend_sets
+        monkeypatch.setattr(gf2, "extend_sets",
+                            lambda *a: calls.append(a) or real(*a))
+        table = gf2.syndrome_table(codes.hamming_743().h, 7)
+        assert len(table) == 8 and len(calls) == 1
+
     def test_cap_refuses_before_sweeping(self, monkeypatch):
         def no_work(*args):
             raise AssertionError("a refused table must not be swept")
