@@ -218,14 +218,9 @@ def cmd_protocol_check(args) -> int:
     return _print_rows(check_surgery(Desk(args.seed, args.max_weight, dc=dc)))
 
 
-def _load_sim_spec(path: str) -> dict:
-    with open(path, encoding="ascii") as fh:
-        return dict(line.strip().split("=", 1) for line in fh if "=" in line)
-
-
 def cmd_sim_run(args) -> int:
     with _reading():
-        spec = _load_sim_spec(args.circuit)
+        spec = codes.read_pairs(args.circuit, "circuit spec")
         if spec.get("kind") != "surface_memory":
             raise ValueError("circuit spec must set kind=surface_memory")
         d = spec.get("d", "").strip()

@@ -390,26 +390,39 @@ _MATRICES = {"css": (("hx", "hz", "jx", "jz"), ("jx", "jz")),
              "classical": (("h", "g"), ("g",))}
 
 
+def read_pairs(path: str, what: str) -> dict:
+    """The key=value lines of a text file, blank lines skipped; raises
+    ValueError, naming `what` and the path, on a line without '=' or a
+    repeated key."""
+    kv: dict[str, str] = {}
+    with open(path, encoding="ascii") as fh:
+        for i, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{what} {path}: line {i} ({line!r}) has no '='")
+            key, val = line.split("=", 1)
+            if key in kv:
+                raise ValueError(f"{what} {path}: repeated key {key!r}")
+            kv[key] = val
+    return kv
+
+
 def load_manifest(path: str):
     """Load a code manifest; returns a ClassicalCode or CssCode.
 
-    Raises ValueError, naming the manifest and the key, on a missing key,
-    an unknown type, an n or k that is not a non-negative integer or
-    disagrees with the matrix shapes, a d= that is not a positive integer
-    or is above the true distance (a logical of weight < d found by the
-    collision to ⌈(d−1)/2⌉), or a soundness= that is not a positive p/q or
-    not the code's exact soundness.  A d= or soundness= whose check is
-    refused as too large (gf2.SearchTooLarge) is kept as given.
+    Raises ValueError, naming the manifest and the key, on a line without
+    '=', a repeated or missing key, an unknown type, an n or k that is not
+    a non-negative integer or disagrees with the matrix shapes, a d= that
+    is not a positive integer or is above the true distance (a logical of
+    weight < d found by the collision to ⌈(d−1)/2⌉), or a soundness= that
+    is not a positive p/q or not the code's exact soundness.  A d= or
+    soundness= whose check is refused as too large (gf2.SearchTooLarge) is
+    kept as given.
     """
     base = os.path.dirname(os.path.abspath(path))
-    kv: dict[str, str] = {}
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, val = line.split("=", 1)
-            kv[key] = val
+    kv = read_pairs(path, "manifest")
 
     def get(key):
         if key not in kv:

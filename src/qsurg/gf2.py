@@ -367,38 +367,6 @@ def combination_sweep(cols: np.ndarray, t: int):
             last, acc = (np.concatenate(a) for a in zip(*grown))
 
 
-def combination_counts(cols: np.ndarray, t: int):
-    """combination_sweep's sets counted, not listed: `words`, the distinct
-    XORs of sets of at most t of the packed rows `cols`, and counts[i, w],
-    how many w-sets XOR to words[i] (exact).  k of a row's m copies stand for
-    C(m, k) sets, XORing it in when k is odd, so the distinct rows fold in one
-    by one, into one count per (XOR, size); past TABLE_CAP, SearchTooLarge."""
-    n, t, width = len(cols), min(t, len(cols)), cols.shape[1]
-    rows = np.concatenate([np.zeros((1, width), np.uint64), cols])
-    keys, mult = np.unique(_row_keys(rows), return_counts=True)
-    rows = keys.view(np.uint64).reshape(-1, width)
-    mult[0] -= 1  # rows[0] is the zero word, less the one added above
-    dtype = object if sum(math.comb(n, w) for w in range(t + 1)) >> 63 else np.int64
-    if t <= 1:  # the empty set and each row on its own
-        counts = np.column_stack([np.eye(len(rows), 1, dtype=dtype), mult])[:, :t + 1]
-        return rows[counts.any(axis=1)], counts[counts.any(axis=1)]
-    # steps[a][i, p·(t+1) + j] = C(m_a, j − i) for j − i ≥ 0 of parity p.
-    steps = np.array([[[math.comb(int(m), j - i) if j >= i and (j - i) % 2 == p
-                        else 0 for p in (0, 1) for j in range(t + 1)]
-                       for i in range(t + 1)] for m in mult], dtype=dtype)
-    words, counts = rows[:1], np.eye(1, t + 1, dtype=dtype)
-    for step, row in zip(steps, rows):
-        if 2 * counts.size > TABLE_CAP:
-            raise SearchTooLarge(f"{2 * counts.size} counts refused")
-        words = np.stack([words, words ^ row], axis=1).reshape(-1, width)
-        _, first, which = np.unique(_row_keys(words), return_index=True,
-                                    return_inverse=True)
-        words, summed = words[first], np.zeros((len(first), t + 1), dtype)
-        np.add.at(summed, which, (counts @ step).reshape(-1, t + 1))
-        words, counts = words[summed.any(axis=1)], summed[summed.any(axis=1)]
-    return words, counts
-
-
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One sortable key per packed row, a view of a C-contiguous `rows`: the
     word itself, or the row's bytes as one np.void when it has several."""
@@ -474,28 +442,20 @@ def flagged_collision(checks: np.ndarray, flags: np.ndarray,
     at least m, the least weight of such a word, and at most 2·half; a word
     of weight m splits into halves of sizes ⌈m/2⌉ and ⌊m/2⌋.  So v ≤ 2·half
     implies v = m: the value is m when m ≤ 2·half, and None (a certificate
-    that m > 2·half) otherwise.  One combination_sweep of the packed
-    [checks | flags] columns keys every set, least_per_key keeps the least
-    weight of each (syndrome, flag) key, and within each syndrome class
-    the two least of those are a candidate.
+    that m > 2·half) otherwise.  The syndrome_table of [checks; flags] to
+    `half` keeps the least set of each (syndrome, flag) key, and within
+    each syndrome class the two least of those weights are a candidate.
     """
     r, n = checks.shape
     size = sum(math.comb(n, w) for w in range(min(half, n) + 1))
     if size > TABLE_CAP:
         raise SearchTooLarge(f"collision sweep of {size} sets refused")
-    cols = pack_words(np.vstack([checks, flags]).T)
-    keys = np.empty((size, cols.shape[1]), dtype=np.uint64)
-    weights = np.empty(size, dtype=np.uint8)
-    at = 0
-    for w, words in combination_sweep(cols, half):
-        keys[at: at + len(words)] = words
-        weights[at: at + len(words)] = w
-        at += len(words)
-    keys, least = least_per_key(keys, weights)
-    keys &= pack_words(np.arange(r + len(flags))[None] < r)
+    table = syndrome_table(np.vstack([checks, flags]), half)
+    keys = table.keys & pack_words(np.arange(r + len(flags))[None] < r)
+    least = np.bitwise_count(table.errors).sum(axis=1, dtype=np.int64)
     _, syndrome = np.unique(_row_keys(keys), return_inverse=True)
     order = np.lexsort((least, syndrome))
-    syndrome, least = syndrome[order], least[order].astype(np.int64)
+    syndrome, least = syndrome[order], least[order]
     same = syndrome[1:] == syndrome[:-1]
     return int((least[1:] + least[:-1])[same].min()) if same.any() else None
 

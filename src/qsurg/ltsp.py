@@ -11,11 +11,13 @@ on the output copies, and Z errors never grow at all.
 
 The module provides the block propagation/check matrices of the circuit,
 both residual-error constructions with their weight bounds, and sweeps of
-them: exhaustive for Z, the fault sets counted per distinct contribution.
+them: exhaustive for Z, decided by the unit contributions when each weighs
+at most 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -504,28 +506,41 @@ class LemmaSweepReport:
 def sweep_z_lemma(spp: SpPropagation, max_weight: int = 2) -> LemmaSweepReport:
     """Exhaustive weight ≤ max_weight check of the Z-residual bound.  The
     map is linear, so a w-fault's residual is the XOR of its locations'
-    contributions, each checked by check_z_bound, and must weigh at most w;
-    the sets are counted per class of equal contributions, not listed."""
+    contributions, each checked by check_z_bound, and must weigh at most w.
+    When every contribution weighs at most 1, every XOR of w of them weighs
+    at most w, so the C(n, ≤ max_weight) sets pass unlisted; else one
+    combination_sweep lists them, refused past TABLE_CAP beyond weight 1."""
     contrib, _ = check_z_bound(spp, None)
-    words, counts = gf2.combination_counts(gf2.pack_words(contrib), max_weight)
-    fits = np.bitwise_count(words).sum(axis=1)[:, None] <= np.arange(counts.shape[1])
-    checked, ok = int(counts[:, 1:].sum()), int((counts * fits)[:, 1:].sum())
-    return LemmaSweepReport(checked=checked, ok=ok, violations=checked - ok)
+    n, t = len(contrib), min(max_weight, len(contrib))
+    checked = sum(math.comb(n, w) for w in range(1, t + 1))
+    violations = 0
+    if np.count_nonzero(contrib, axis=1).max(initial=0) > 1:
+        if t > 1 and checked + 1 > gf2.TABLE_CAP:
+            raise gf2.SearchTooLarge(f"Z sweep of {checked + 1} sets refused")
+        for w, words in gf2.combination_sweep(gf2.pack_words(contrib), t):
+            weights = np.bitwise_count(words).sum(axis=1)
+            violations += int(np.count_nonzero(weights > w))
+    return LemmaSweepReport(checked=checked, ok=checked - violations,
+                            violations=violations)
 
 
 def sweep_x_lemma(spp: SpPropagation, max_weight: int = 1,
                   samples: int = 0, seed: int = 0,
                   stream: int = 0) -> LemmaSweepReport:
     """Weight-1 exhaustive plus sampled weight-2 checks of the X bound: the
-    unit faults as one batch, then the pairs, drawn from
-    sim.checked_rng(seed, stream), as another."""
+    unit faults as one batch (max_weight 1; 0 skips them), then the pairs,
+    drawn from sim.checked_rng(seed, stream), as another.  A max_weight
+    other than 0 or 1 raises ValueError."""
     from . import sim  # sim imports protocol, which imports this module
-    if max_weight < 1 and not samples:
+    if max_weight not in (0, 1):
+        raise ValueError(f"max_weight={max_weight} is not 0 or 1: the X sweep "
+                         "is exhaustive at weight 1 only")
+    if not max_weight and not samples:
         return LemmaSweepReport()
     with sim.checked_rng(seed, stream) as rng:
         pairs = gf2.fault_rows(rng, spp.layout_x.total, [], np.full(samples, 2))
     res = [check_x_bound(spp, faults)
-           for faults in [None] * (max_weight >= 1) + [pairs] * (samples > 0)]
+           for faults in [None] * max_weight + [pairs] * (samples > 0)]
     status, bound_ok = (np.concatenate([getattr(r, name) for r in res])
                         for name in ("status", "bound_ok"))
     count = lambda mask: int(np.count_nonzero(mask))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qsurg import cli, codes, gf2, ltsp, protocol, surgery, tableau
@@ -49,7 +50,8 @@ class TestCodesCommands:
     @pytest.mark.parametrize("claim", [None, Fraction(7, 3)])
     def test_soundness_table_built_once(self, tmp_path, capsys, monkeypatch,
                                         claim):
-        # A manifest's checked soundness= is the answer: one table either way.
+        # A manifest's checked soundness= is the answer: one soundness table
+        # either way, after the d=3 check's collision table to weight 1.
         code = codes.hamming_743()
         code.soundness = claim
         path = codes.save_classical(code, str(tmp_path), name="ham")
@@ -58,7 +60,9 @@ class TestCodesCommands:
         monkeypatch.setattr(gf2, "syndrome_table",
                             lambda *a: calls.append(a) or real(*a))
         assert cli.main(["soundness", "--manifest", path]) == 0
-        assert capsys.readouterr().out == "7/3\n" and len(calls) == 1
+        assert capsys.readouterr().out == "7/3\n"
+        assert [(m.tolist(), t) for m, t in calls] == [
+            (np.vstack([code.h, gf2.eye(7)]).tolist(), 1), (code.h.tolist(), 7)]
 
 
 class TestSurgeryCommand:
@@ -268,6 +272,8 @@ class TestSimCommand:
         ("kind=surface_memory\nd=three\n", "d='three'"),
         ("kind=surface_memory\nd=4\n", "d='4'"),
         ("kind=surface_memory\nd=-3\n", "d='-3'"),
+        ("kind=surface_memory\nd=3\nd=5\n", "repeated key 'd'"),
+        ("kind=surface_memory\n\nd 3\n", "line 3 ('d 3') has no '='"),
     ])
     def test_rejects_bad_spec(self, tmp_path, capsys, text, says):
         spec = tmp_path / "mem.spec"
@@ -275,7 +281,10 @@ class TestSimCommand:
         assert cli.main(["sim", "run", "--circuit", str(spec), "--p", "0",
                          "--trials", "5", "--seed", "1"]) == 2
         err = capsys.readouterr().err
-        assert f"circuit spec must set d=<odd positive integer>, not {says}" in err
+        if says.startswith("d="):
+            assert f"circuit spec must set d=<odd positive integer>, not {says}" in err
+        else:
+            assert f"circuit spec {spec}: {says}" in err
         assert "Traceback" not in err
 
 

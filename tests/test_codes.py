@@ -496,7 +496,9 @@ class TestManifests:
         ("hz=surface3.hz.txt\n", "", "missing key 'hz'"),
         ("type=css\n", "", "missing key 'type'"),
         ("type=css", "type=quantum", "unknown type 'quantum'"),
-        ("d=3", "d=4", "d=4 but the code has a logical of weight 3")])
+        ("d=3", "d=4", "d=4 but the code has a logical of weight 3"),
+        ("n=13\n", "n=13\nn=9\n", "repeated key 'n'"),
+        ("k=1\n", "k=1\n# a comment\n", "line 4 ('# a comment') has no '='")])
     def test_css_manifest_checked(self, tmp_path, edit):
         old, new, says = edit
         path = tmp_path / "surface3.manifest"

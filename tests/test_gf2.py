@@ -1,7 +1,6 @@
 """GF(2) kernel: oracle-checked elimination, inverses, kron, vec, solving."""
 
 import itertools
-import math
 import tracemalloc
 from contextlib import contextmanager
 from unittest.mock import patch
@@ -454,34 +453,6 @@ class TestEnumerators:
         with enum_chunk(chunk):
             got = gf2.solve_linear(a, b, mode="min_weight")
         assert same_bytes(got, gray_loop_min_weight(a, b))
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 5), st.integers(0, 14), st.integers(1, 70),
-           st.integers(0, 5), st.integers(0, 2**32 - 1))
-    def test_combination_counts_vs_sweep(self, classes, n, width, t, seed):
-        # Rows drawn from a few distinct ones, so most repeat.
-        rng = np.random.default_rng(seed)
-        base = random_bits(seed, classes, width)
-        cols = gf2.pack_words(base[rng.integers(0, classes, size=n)])
-        words, counts = gf2.combination_counts(cols, t)
-        got = {(bytes(word), w): int(c) for word, row in zip(words, counts)
-               for w, c in enumerate(row) if c}
-        want = {}
-        for w, chunk in gf2.combination_sweep(cols, t):
-            for word in chunk:
-                want[bytes(word), w] = want.get((bytes(word), w), 0) + 1
-        assert got == want
-        assert len({bytes(word) for word in words}) == len(words)
-
-    def test_combination_counts_past_int64(self):
-        # C(70, ≤40) > 2^63: the counts are Python ints, exact.
-        cols = gf2.pack_words(np.ones((70, 3), dtype=np.uint8))
-        words, counts = gf2.combination_counts(cols, 40)
-        assert words.ravel().tolist() == [0, 7]
-        assert [int(c) for c in counts[0]] == [
-            math.comb(70, w) * (w % 2 == 0) for w in range(41)]
-        assert [int(c) for c in counts[1]] == [
-            math.comb(70, w) * (w % 2) for w in range(41)]
 
 
 class TestIdentities:

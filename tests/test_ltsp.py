@@ -233,18 +233,39 @@ class TestZBound:
             assert rep == reference_z_sweep(contrib, 2)
             assert rep.checked == 650_370 and rep.clean
 
-    def test_desk_copies_weight_three(self, desk_copies):
+    def test_desk_copies_weight_three(self, desk_copies, monkeypatch):
         # C(1140, 1) + C(1140, 2) + C(1140, 3) sets, which are not listed.
+        def no_listing(*args):
+            raise AssertionError("unit contributions decide the sweep")
+
+        monkeypatch.setattr(gf2, "combination_sweep", no_listing)
         for spp in desk_copies:
             rep = ltsp.sweep_z_lemma(spp, max_weight=3)
             assert rep.checked == 246_924_950 and rep.violations == 0
 
+    @pytest.mark.parametrize("source", ["surface3", "hgp_hamming"])
+    def test_unit_contributions_weigh_at_most_one(self, desk_copies, source):
+        # Each u_eff row is a column of g_j ⊗ E or e_j ⊗ E.
+        ham = codes.hamming_743()
+        copies = desk_copies if source == "surface3" else list(ltsp.sp_copies(
+            codes.hypergraph_product(ham, ham), ham, range(ham.k)))
+        for spp in copies:
+            contrib, _ = ltsp.check_z_bound(spp, None)
+            assert len(contrib) == spp.layout_z.total
+            assert np.count_nonzero(contrib, axis=1).max() == 1
+
     def test_refused_past_table_cap(self, spp13, monkeypatch):
         monkeypatch.setattr(gf2, "TABLE_CAP", 64)
+        # A passing map is answered whatever the cap.
+        assert ltsp.sweep_z_lemma(spp13, max_weight=2).checked == 650_370
+        contrib, _ = ltsp.check_z_bound(spp13, None)
+        contrib[0, :2] = 1  # one contribution of weight 2: the sets are listed
+        monkeypatch.setattr(ltsp, "check_z_bound", lambda spp, e: (contrib, None))
         with pytest.raises(gf2.SearchTooLarge):
             ltsp.sweep_z_lemma(spp13, max_weight=2)
         # Weight 1 holds at most n + 1 rows and is never refused.
-        assert ltsp.sweep_z_lemma(spp13, max_weight=1).checked == 1140
+        rep = ltsp.sweep_z_lemma(spp13, max_weight=1)
+        assert (rep.checked, rep.violations) == (1140, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10).flatmap(lambda n: st.lists(
@@ -295,6 +316,11 @@ class TestXBound:
         rep = ltsp.sweep_x_lemma(spp13, max_weight=1)
         assert rep.clean
         assert rep.detected + rep.ok == rep.checked
+
+    @pytest.mark.parametrize("max_weight", [-1, 2, 3])
+    def test_weight_outside_zero_one_rejected(self, spp13, max_weight):
+        with pytest.raises(ValueError, match=f"max_weight={max_weight} is not"):
+            ltsp.sweep_x_lemma(spp13, max_weight=max_weight, samples=10)
 
     def test_sampled_weight_two(self, spp13):
         rep = ltsp.sweep_x_lemma(spp13, max_weight=0, samples=300, seed=3)
