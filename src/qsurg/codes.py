@@ -8,6 +8,7 @@ is refused with :class:`qsurg.gf2.SearchTooLarge`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
@@ -193,20 +194,16 @@ def _min_weight_flagged(basis: np.ndarray, flag: np.ndarray) -> Optional[int]:
 
 
 def _exact_side(checks: np.ndarray, flags: np.ndarray) -> Optional[int]:
-    """Least weight of a flagged word of ker(checks), by collision while
-    the sets swept so far stay within 2^dim and gf2.TABLE_CAP, else by
-    listing the 2^dim kernel words (refused past gf2.TABLE_CAP)."""
+    """Least weight of a flagged word of ker(checks), by one collision at
+    the deepest half whose C(n, ≤half) sets fit both 2^dim and
+    gf2.TABLE_CAP, else, when that finds none, by listing the 2^dim kernel
+    words (refused past gf2.TABLE_CAP)."""
     basis = gf2.null_space(checks)
-    dim = basis.shape[0]
-    n, swept, half = checks.shape[1], 0, 1
-    while True:
-        swept += sum(math.comb(n, w) for w in range(min(half, n) + 1))
-        if swept > min(1 << dim, gf2.TABLE_CAP):
-            return _min_weight_flagged(basis, flags)
-        v = gf2.flagged_collision(checks, flags, half)
-        if v is not None:
-            return v
-        half += 1
+    n, fits = checks.shape[1], min(1 << basis.shape[0], gf2.TABLE_CAP)
+    sizes = itertools.accumulate(math.comb(n, w) for w in range(n + 1))
+    half = sum(1 for _ in itertools.takewhile(fits.__ge__, sizes)) - 1
+    v = gf2.flagged_collision(checks, flags, half)
+    return v if v is not None else _min_weight_flagged(basis, flags)
 
 
 def least_logical(checks: np.ndarray, flags: np.ndarray,
@@ -228,14 +225,14 @@ def distance(code, budget: Optional[int] = None) -> DistanceResult:
 
     Classical codes: min weight of a nonzero codeword.  CSS codes: min over
     both error types of the min weight of an undetected error with nonzero
-    logical action.  The exact search raises the half-weight of
-    gf2.flagged_collision one layer at a time while the sets swept so far
-    stay within the 2^dim words of ker(checks) and gf2.TABLE_CAP, answers
-    a side with the first collision value (exact, as v ≤ 2·half), and
-    finishes a side not answered by then by listing those words, refused
-    past gf2.TABLE_CAP.  Then, given a budget, one collision per side to
-    ⌈budget/2⌉ (:func:`least_logical`) finds the least logical of weight
-    ≤ budget (`d` exact) or certifies `floor = budget`.
+    logical action.  The exact search makes one gf2.flagged_collision per
+    side, at the deepest half-weight whose sets fit both the 2^dim words of
+    ker(checks) and gf2.TABLE_CAP; it grows one table a weight at a time
+    and answers the side with the first collision value (exact, as v ≤
+    2·weight).  A side it does not answer is finished by listing those
+    words, refused past gf2.TABLE_CAP.  Then, given a budget, one collision
+    per side to ⌈budget/2⌉ (:func:`least_logical`) finds the least logical
+    of weight ≤ budget (`d` exact) or certifies `floor = budget`.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget={budget} is negative")

@@ -376,60 +376,46 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(f"V{rows.itemsize * rows.shape[1]}").reshape(-1)
 
 
-def least_per_key(keys: np.ndarray, values: Optional[np.ndarray] = None):
-    """Distinct packed rows of `keys` in key order and the least of `values`
-    (default: the positions) over each.  A C-contiguous `keys` ends sorted in
-    place.
+def least_per_key(keys: np.ndarray):
+    """Distinct packed rows of `keys` in key order and the first position of
+    each.  A C-contiguous `keys` ends sorted in place.
 
-    One-word keys whose bits plus the value bits fit in 64, with no negative
-    value, are sorted as the single words key << b | value: the first word
-    of each key then holds its least value, and beyond the keys the peak is
-    a byte a row and two words a distinct key.  Other keys (several words,
-    or a key and value too wide together) take an argsort of the rows beside
-    the sort, an int64 a row more."""
+    One-word keys whose bits plus the b position bits fit in 64 are sorted
+    as the single words key << b | position, written and compared
+    ENUM_CHUNK words at a time: the first word of each key then holds its
+    first position, and beyond the keys the peak is a byte a row and two
+    words a distinct key.  Other keys (several words, or a key and position
+    too wide together) take an argsort of the rows beside the sort, an
+    int64 a row more."""
     keys = np.ascontiguousarray(keys)
     flat = _row_keys(keys)
     n = len(flat)
-    if values is not None:
-        values = np.asarray(values)
-    b = (n - 1 if values is None else int(values.max(initial=0))).bit_length()
-    if (flat.dtype == np.uint64
-            and (values is None or values.min(initial=0) >= 0)
-            and int(flat.max(initial=0)).bit_length() + b <= 64):
-        return _least_per_word(keys, flat, values, b)
-    order = np.argsort(flat)
-    flat.sort()
-    starts = np.flatnonzero(np.r_[n > 0, flat[1:] != flat[:-1]])
-    least = np.minimum.reduceat(
-        order if values is None else values[order], starts)
-    del order
-    return keys[starts], least
-
-
-def _least_per_word(keys, flat, values, b):
-    """least_per_key on the words `flat` of one-word `keys`, sorted as
-    key << b | value; the values are written, and the key changes found,
-    ENUM_CHUNK words at a time."""
-    n = len(flat)
+    b = (n - 1).bit_length()
+    if (flat.dtype != np.uint64
+            or int(flat.max(initial=0)).bit_length() + b > 64):
+        order = np.argsort(flat)
+        flat.sort()
+        starts = np.flatnonzero(np.r_[n > 0, flat[1:] != flat[:-1]])
+        least = np.minimum.reduceat(order, starts)
+        del order
+        return keys[starts], least
     flat <<= b
     for lo in range(0, n, ENUM_CHUNK):
         hi = min(lo + ENUM_CHUNK, n)
-        flat[lo:hi] |= (np.arange(lo, hi, dtype=np.uint64) if values is None
-                        else values[lo:hi].astype(np.uint64))
+        flat[lo:hi] |= np.arange(lo, hi, dtype=np.uint64)
     flat.sort()
     new = np.ones(n, dtype=bool)
     for lo in range(1, n, ENUM_CHUNK):
         hi = min(lo + ENUM_CHUNK, n)
         new[lo:hi] = (flat[lo:hi] ^ flat[lo - 1:hi - 1]) >> b != 0
-    # Within a key the words rise with the value: its first is its least.
-    # The keys, which callers keep, are allocated before the values.
-    keys = np.compress(new, flat)
+    # Within a key the words rise with the position: its first is its least.
+    # The keys, which callers keep, are allocated before the positions.
+    distinct = np.compress(new, flat)
     del new
-    least = keys & np.uint64((1 << b) - 1)
-    keys >>= b
+    least = distinct & np.uint64((1 << b) - 1)
+    distinct >>= b
     flat >>= b
-    return keys.reshape(-1, 1), (least.view(np.int64) if values is None
-                                 else least.astype(values.dtype))
+    return distinct.reshape(-1, 1), least.view(np.int64)
 
 
 def flagged_collision(checks: np.ndarray, flags: np.ndarray,
@@ -442,22 +428,25 @@ def flagged_collision(checks: np.ndarray, flags: np.ndarray,
     at least m, the least weight of such a word, and at most 2·half; a word
     of weight m splits into halves of sizes ⌈m/2⌉ and ⌊m/2⌋.  So v ≤ 2·half
     implies v = m: the value is m when m ≤ 2·half, and None (a certificate
-    that m > 2·half) otherwise.  The syndrome_table of [checks; flags] to
-    `half` keeps the least set of each (syndrome, flag) key, and within
-    each syndrome class the two least of those weights are a candidate.
-    """
+    that m > 2·half) otherwise.  syndrome_tables of [checks; flags] keeps
+    the least set of each (syndrome, flag) key; after each weight w, the two
+    least weights of a syndrome class are a candidate, and the first value,
+    at most 2·w, is m: the table is grown to weight ⌈m/2⌉ and no further."""
     r, n = checks.shape
     size = sum(math.comb(n, w) for w in range(min(half, n) + 1))
     if size > TABLE_CAP:
         raise SearchTooLarge(f"collision sweep of {size} sets refused")
-    table = syndrome_table(np.vstack([checks, flags]), half)
-    keys = table.keys & pack_words(np.arange(r + len(flags))[None] < r)
-    least = np.bitwise_count(table.errors).sum(axis=1, dtype=np.int64)
-    _, syndrome = np.unique(_row_keys(keys), return_inverse=True)
-    order = np.lexsort((least, syndrome))
-    syndrome, least = syndrome[order], least[order]
-    same = syndrome[1:] == syndrome[:-1]
-    return int((least[1:] + least[:-1])[same].min()) if same.any() else None
+    syndrome_bits = pack_words(np.arange(r + len(flags))[None] < r)
+    for table in syndrome_tables(np.vstack([checks, flags]), half):
+        least = np.bitwise_count(table.errors).sum(axis=1, dtype=np.int64)
+        _, syndrome = np.unique(_row_keys(table.keys & syndrome_bits),
+                                return_inverse=True)
+        order = np.lexsort((least, syndrome))
+        syndrome, least = syndrome[order], least[order]
+        same = syndrome[1:] == syndrome[:-1]
+        if same.any():
+            return int((least[1:] + least[:-1])[same].min())
+    return None
 
 
 @dataclass(eq=False)
@@ -517,8 +506,11 @@ class SyndromeTable:
         return np.minimum(idx, len(self) - 1), hit
 
 
-def syndrome_table(checks: np.ndarray, t: int) -> SyndromeTable:
-    """Errors of weight ≤ t keyed by syndrome, the first of each in
+def syndrome_tables(checks: np.ndarray, t: int):
+    """syndrome_table(checks, w) for w = 0, 1, …, t: one SyndromeTable,
+    yielded after each weight and grown in place (its keys and errors
+    rebound, its rank index dropped), so no weight is built twice and none
+    outlives its step.  Each entry is the first error of its syndrome in
     combination_sweep's order.  These first sets are downward closed: less
     any index j, such a set E is the first of its own syndrome, or an
     earlier set T of it would put T ⊕ {j} before E.  So a weight-w entry is
@@ -537,38 +529,42 @@ def syndrome_table(checks: np.ndarray, t: int) -> SyndromeTable:
         raise SearchTooLarge(f"syndrome table of {size} sets refused")
     cols = pack_words(checks.T)
     units = pack_words(np.eye(n + 1, n, k=-1, dtype=np.uint8))
-    keys, errors = np.zeros((1, cols.shape[1]), np.uint64), units[:1]
+    table = SyndromeTable(np.zeros((1, cols.shape[1]), np.uint64), units[:1])
+    yield table
     # The last weight's new rows in sweep order, each one's largest index
     # and end of siblings; the empty set's (−1) siblings are the n units.
     front, last, stop = np.zeros(1, np.int64), np.arange(-1, n), np.r_[n + 1]
     for w in range(1, min(t, n) + 1):
-        s, first = len(keys), np.arange(1, len(front) + 1)
-        keys, least = least_per_key(np.concatenate([keys] + [
-            words for _, words in extend_sets(keys[front], first, stop,
+        s, first = len(table), np.arange(1, len(front) + 1)
+        table.keys, least = least_per_key(np.concatenate([table.keys] + [
+            words for _, words in extend_sets(table.keys[front], first, stop,
                                               cols[last])]))
-        if len(keys) == s:
-            break
+        vars(table).pop("rank_index", None)
+        if len(table) == s:
+            return
         # Before the temporaries below, which then free to the heap's top.
-        grown = np.empty((len(keys), errors.shape[1]), dtype=np.uint64)
+        grown = np.empty((len(table), table.errors.shape[1]), dtype=np.uint64)
         # Position p's error: row o = origin[p] of [old rows | front] OR row
         # base[o] + p, its sibling's (or itself when p < s, and then o = p).
         origin = np.repeat(np.arange(s + len(front), dtype=np.int32),
                            np.concatenate([np.ones(s, np.int64), stop - first]))
         base = np.concatenate([np.zeros(s, np.int64),
                                stop - np.cumsum(stop - first)])
-        errors = np.concatenate([errors, errors[front] if w > 1 else units])
+        table.errors = np.concatenate(
+            [table.errors, table.errors[front] if w > 1 else units])
         del first  # before the loop's temporaries, which then peak lower
-        for lo in range(0, len(keys), ENUM_CHUNK):
+        for lo in range(0, len(table), ENUM_CHUNK):
             p = least[lo: lo + ENUM_CHUNK]
             o, rows = origin[p], grown[lo: lo + len(p)]
-            np.take(errors, o, axis=0, out=rows, mode="wrap")  # unbuffered
-            rows |= np.take(errors, base[o] + p, axis=0)
-        errors = grown
-        if len(keys) == 1 << len(checks):  # every syndrome in: none to add
-            break
+            np.take(table.errors, o, axis=0, out=rows, mode="wrap")  # unbuffered
+            rows |= np.take(table.errors, base[o] + p, axis=0)
+        table.errors = grown
+        yield table
+        if len(table) == 1 << len(checks):  # every syndrome in: none to add
+            return
         if w < t:  # new rows by position (after the s old), sorted packed
             p = np.sort(least.astype(np.uint64) << 32
-                        | np.arange(len(keys), dtype=np.uint64))[s:]
+                        | np.arange(len(table), dtype=np.uint64))[s:]
             front = (p & 0xFFFFFFFF).astype(np.intp)
             p = (p >> 32).astype(np.intp)
             o = origin[p]
@@ -576,7 +572,12 @@ def syndrome_table(checks: np.ndarray, t: int) -> SyndromeTable:
             # A parent's new rows are siblings: each ends where its run ends.
             stop = np.cumsum(np.bincount(o - s))[o - s]
             del p, o  # before the next weight's sort
-    return SyndromeTable(keys, errors)
+
+
+def syndrome_table(checks: np.ndarray, t: int) -> SyndromeTable:
+    """Errors of weight ≤ t by syndrome: the last of syndrome_tables."""
+    *_, table = syndrome_tables(checks, t)
+    return table
 
 
 def is_standard_form(g: np.ndarray) -> bool:

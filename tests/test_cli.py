@@ -56,8 +56,8 @@ class TestCodesCommands:
         code.soundness = claim
         path = codes.save_classical(code, str(tmp_path), name="ham")
         calls = []
-        real = gf2.syndrome_table
-        monkeypatch.setattr(gf2, "syndrome_table",
+        real = gf2.syndrome_tables
+        monkeypatch.setattr(gf2, "syndrome_tables",
                             lambda *a: calls.append(a) or real(*a))
         assert cli.main(["soundness", "--manifest", path]) == 0
         assert capsys.readouterr().out == "7/3\n"

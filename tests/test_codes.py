@@ -1,6 +1,7 @@
 """Code objects: validation, distance vs brute force, soundness, constructors."""
 
 import itertools
+import math
 import os
 import pathlib
 import subprocess
@@ -74,10 +75,26 @@ def check_both_paths(code, d, budget):
         assert v == (d if d is not None and 2 * half >= d else None)
 
 
+def spy_growth(monkeypatch):
+    """A list that gets, per gf2.syndrome_tables call, the list of weights
+    its table is grown to, as each is yielded."""
+    grown = []
+    real = gf2.syndrome_tables
+
+    def spy(checks, t):
+        grown.append([])
+        for table in real(checks, t):
+            grown[-1].append(int(np.bitwise_count(table.errors).sum(
+                axis=1).max()))
+            yield table
+    monkeypatch.setattr(gf2, "syndrome_tables", spy)
+    return grown
+
+
 def span_walk_soundness(code, span_walk):
     """codes.soundness by one reference span walk over all 2^n words,
-    folding each chunk's (syndrome, weight) pairs through gf2.least_per_key
-    (the earlier code, kept as a reference)."""
+    folding each chunk's (syndrome, weight) pairs, in weight order, through
+    gf2.least_per_key (the earlier code, kept as a reference)."""
     r, n = code.h.shape
     if r == 0:
         return None
@@ -86,10 +103,12 @@ def span_walk_soundness(code, span_walk):
     k = units.shape[1]
     classes, least = syn_cols[:0], np.zeros(0, dtype=np.int64)
     for words in span_walk(np.hstack([units, syn_cols])):
-        wt = np.bitwise_count(words[:, :k]).sum(axis=1, dtype=np.int64)
-        classes, least = gf2.least_per_key(
-            np.concatenate([classes, words[:, k:]]),
-            np.concatenate([least, wt]))
+        wt = np.concatenate([least, np.bitwise_count(words[:, :k]).sum(
+            axis=1, dtype=np.int64)])
+        by_weight = np.argsort(wt, kind="stable")
+        classes, first = gf2.least_per_key(
+            np.concatenate([classes, words[:, k:]])[by_weight])
+        least = wt[by_weight][first]
     syn_w = np.bitwise_count(classes).sum(axis=1, dtype=np.int64)
     a, b = syn_w[syn_w > 0], least[syn_w > 0]
     return min((Fraction(n * int(x), r * int(y)) for x, y in zip(a, b)),
@@ -258,11 +277,39 @@ class TestDistance:
 
     def test_constant_rate_product(self):
         # [[58, 16, 3]]: kernels of dimension 37 on each side, answered by
-        # one collision at half 2 without a budget.
+        # one collision that stops at weight 2 without a budget.
         code = codes.hypergraph_product(codes.hamming_743(),
                                         codes.hamming_743())
         assert (code.n, code.k) == (58, 16)
         assert codes.distance(code) == codes.DistanceResult(3, 2)
+
+    def test_surface5_grows_each_weight_once(self, monkeypatch):
+        # One table per side, grown to weight 3 and read there: no weight
+        # is built twice and none past ⌈5/2⌉.
+        grown = spy_growth(monkeypatch)
+        assert codes.distance(codes.surface_code_via_hgp(5)).d == 5
+        assert grown == [[0, 1, 2, 3], [0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("code", [
+        codes.hamming_743(), codes.steane(), codes.surface_code_via_hgp(3),
+        codes.surface_code_via_hgp(5),
+        codes.hypergraph_product(codes.hamming_743(), codes.hamming_743())],
+        ids=["hamming", "steane", "surface3", "surface5", "hgp_hamming"])
+    def test_collision_stops_at_half_the_least_weight(self, code, monkeypatch):
+        # Whatever half ≥ ⌈m/2⌉ it is given, the collision reads m at weight
+        # ⌈m/2⌉ and grows its table no further.
+        sides = codes._sides(code)
+        least = [codes._exact_side(checks, flags) for checks, flags in sides]
+        grown = spy_growth(monkeypatch)
+        for (checks, flags), m in zip(sides, least):
+            n, stop = checks.shape[1], -(-m // 2)
+            for half in range(stop, n + 1):
+                size = sum(math.comb(n, w) for w in range(half + 1))
+                if size > gf2.TABLE_CAP:
+                    break
+                assert gf2.flagged_collision(checks, flags, half) == m
+                assert grown.pop() == list(range(stop + 1))
+        assert grown == []
 
     def test_bounded_sweep_certificate(self):
         code = codes.surface_code_via_hgp(3)

@@ -556,35 +556,23 @@ class TestFaultMatrices:
 
 
 class TestLeastPerKey:
-    # Keys are drawn from a small pool of distinct rows, so most repeat;
-    # with `first_high` the first row of every key carries the largest
-    # value, so no least value sits at its key's first row.
+    # Keys are drawn from a small pool of distinct rows, so most repeat.
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 8), st.integers(1, 200),
-           st.booleans(), st.integers(0, 2**32 - 1))
-    def test_vs_dict(self, words, pool, rows, first_high, seed):
+           st.integers(0, 2**32 - 1))
+    def test_vs_dict(self, words, pool, rows, seed):
         rng = np.random.default_rng(seed)
         distinct = rng.integers(0, 2**64, size=(pool, words), dtype=np.uint64)
         keys = distinct[rng.integers(0, pool, size=rows)]
-        values = rng.integers(-3, 4, size=rows)
-        seen = set()
+        first = {}
         for i, row in enumerate(keys):
-            if row.tobytes() not in seen:
-                seen.add(row.tobytes())
-                values[i] = 10 if first_high else values[i]
-        least, first = {}, {}
-        for i, (row, v) in enumerate(zip(keys, values)):
-            least[row.tobytes()] = min(v, least.get(row.tobytes(), v))
             first.setdefault(row.tobytes(), i)
         # Key order: the word for one-word rows, else the row's bytes.
-        order = sorted(least, key=lambda b: (
+        order = sorted(first, key=lambda b: (
             int(np.frombuffer(b, np.uint64)[0]) if words == 1 else b))
         strided = np.hstack([keys, keys])[:, :words]
-        got_keys, got = gf2.least_per_key(strided, values)
+        got_keys, got = gf2.least_per_key(strided)
         assert np.array_equal(strided, keys)  # a strided view is copied
-        assert [k.tobytes() for k in got_keys] == order
-        assert got.tolist() == [least[b] for b in order]
-        got_keys, got = gf2.least_per_key(keys.copy())
         assert [k.tobytes() for k in got_keys] == order
         assert got.tolist() == [first[b] for b in order]
         table = gf2.SyndromeTable(got_keys, got[:, None])
@@ -594,58 +582,45 @@ class TestLeastPerKey:
         assert hit.tolist() == [r.tobytes() in first for r in ~distinct]
 
     @staticmethod
-    def check_one_word(keys, values, packed):
+    def check_one_word(keys, packed):
         """least_per_key on one-word keys against a dict, with the path it
         must take: one packed word per row, or the argsort of the rows when
-        the key and value bits exceed 64 or a value is negative."""
-        least = {}
-        pairs = zip(keys[:, 0].tolist(),
-                    range(len(keys)) if values is None else values.tolist())
-        for key, v in pairs:
-            least[key] = min(v, least.get(key, v))
-        order = sorted(least)
+        the key and position bits exceed 64."""
+        first = {}
+        for i, key in enumerate(keys[:, 0].tolist()):
+            first.setdefault(key, i)
+        order = sorted(first)
         given_keys = keys.copy()
         with patch.object(np, "argsort", wraps=np.argsort) as argsort:
-            got_keys, got = gf2.least_per_key(keys, values)
+            got_keys, got = gf2.least_per_key(keys)
         assert argsort.called != packed
         assert got_keys[:, 0].tolist() == order
-        assert got.tolist() == [least[k] for k in order]
-        assert got.dtype == (np.int64 if values is None else values.dtype)
+        assert got.tolist() == [first[k] for k in order]
+        assert got.dtype == np.int64
         assert np.array_equal(keys, np.sort(given_keys, axis=0))  # in place
 
-    # One-word keys below 2^bits drawn from a small pool, with the positions
-    # or with values of up to value_bits bits, some of them negative.
+    # One-word keys below 2^bits drawn from a small pool.
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 64), st.integers(1, 8), st.integers(0, 300),
-           st.none() | st.integers(0, 63), st.booleans(),
            st.integers(0, 2**32 - 1))
-    def test_one_word_vs_dict(self, bits, pool, rows, value_bits, negative,
-                              seed):
+    def test_one_word_vs_dict(self, bits, pool, rows, seed):
         rng = np.random.default_rng(seed)
         distinct = rng.integers(0, 1 << bits, size=pool, dtype=np.uint64)
         keys = distinct[rng.integers(0, pool, size=rows)][:, None]
-        values = None
-        if value_bits is not None:
-            values = rng.integers(-(1 << value_bits) if negative else 0,
-                                  1 << value_bits, size=rows, dtype=np.int64)
-        top = rows - 1 if values is None else int(values.max(initial=0))
-        packed = ((values is None or values.min(initial=0) >= 0)
-                  and int(keys.max(initial=0)).bit_length()
-                  + top.bit_length() <= 64)
-        self.check_one_word(keys, values, packed)
+        packed = (int(keys.max(initial=0)).bit_length()
+                  + (rows - 1).bit_length() <= 64)
+        self.check_one_word(keys, packed)
 
-    @pytest.mark.parametrize("bits, with_values, packed", [
-        (20, False, True), (20, True, True), (60, False, False)])
-    def test_one_word_longer_than_a_chunk(self, bits, with_values, packed):
-        # More rows than ENUM_CHUNK, so the values are written and the key
-        # changes found over several chunks.
+    @pytest.mark.parametrize("bits, packed", [(20, True), (60, False)])
+    def test_one_word_longer_than_a_chunk(self, bits, packed):
+        # More rows than ENUM_CHUNK, so the positions are written and the
+        # key changes found over several chunks.
         rng = np.random.default_rng(bits)
         rows = 2 * gf2.ENUM_CHUNK + 5
         keys = rng.integers(0, 1 << bits, size=(rows, 1), dtype=np.uint64)
         keys[1::3] = keys[::3][: len(keys[1::3])]  # repeats across chunks
         keys[gf2.ENUM_CHUNK - 1: gf2.ENUM_CHUNK + 2] = 12345
-        values = rng.integers(0, 1000, size=rows) if with_values else None
-        self.check_one_word(keys, values, packed)
+        self.check_one_word(keys, packed)
 
     def test_one_word_peak(self):
         # Beyond its input the packed path holds a byte a row and two words

@@ -503,8 +503,8 @@ def test_preimages_read_from_one_table(spp13, monkeypatch):
     faults = np.array([x_row(k, spp13, rng)
                        for k in ["repaired"] * 12 + ["sparse"] * 20])
     tables = []
-    real = gf2.syndrome_table
-    monkeypatch.setattr(gf2, "syndrome_table", lambda *a: (
+    real = gf2.syndrome_tables
+    monkeypatch.setattr(gf2, "syndrome_tables", lambda *a: (
         tables.append(a) or real(*a)))
 
     def no_solve(*args, **kwargs):

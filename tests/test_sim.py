@@ -232,6 +232,25 @@ class TestTableBuild:
         table = gf2.syndrome_table(codes.hamming_743().h, 7)
         assert len(table) == 8 and len(calls) == 1
 
+    # The last weight yielded: surface3's 64 and Hamming's 8 syndromes are
+    # all in at weights 3 and 1.
+    @pytest.mark.parametrize("checks, t, last", [
+        (codes.surface_code_via_hgp(3).h_z, 4, 3),
+        (codes.hamming_743().h, 7, 1), (codes.surface_code_via_hgp(5).h_x, 3, 3)],
+        ids=["surface3", "hamming", "surface5"])
+    def test_each_weight_yields_its_table(self, checks, t, last):
+        # The one table grown in place is, after each weight w, the table
+        # to depth w, and its lookups read that weight's rows and index.
+        for w, table in enumerate(gf2.syndrome_tables(checks, t)):
+            want = gf2.syndrome_table(checks, w)
+            assert table_digest(table) == table_digest(want)
+            index, fresh = table.rank_index, want.rank_index
+            assert (index is None) == (fresh is None)
+            assert fresh is None or all(map(np.array_equal, index, fresh))
+            idx, hit = table.find(want.keys)
+            assert hit.all() and np.array_equal(idx, np.arange(len(want)))
+        assert w == last
+
     def test_cap_refuses_before_sweeping(self, monkeypatch):
         def no_work(*args):
             raise AssertionError("a refused table must not be swept")
@@ -546,6 +565,52 @@ def test_live_cells(experiments, d):
         assert np.array_equal(part, np.where(live, row, sim.MemoryExperiment.DEAD))
     sim.logical_error_rate(exp, 1e-3, 100, seed=1)
     assert exp.route is route  # recorded once, by compile_faults
+
+
+@pytest.mark.parametrize("d, columns", [(3, 32), (5, 102)])
+def test_fault_distance(experiments, d, columns):
+    # The memory cycle's circuit-level fault distance: the fewest live
+    # cells whose [mid | final] syndromes cancel while their frames flip a
+    # logical.  A repeated column cancels, so one collision over each
+    # basis's distinct live columns finds it.
+    exp = experiments[d]
+    for view in (exp.z_basis, exp.x_basis):
+        cols = np.unique(view.words[view.words.any(axis=1)], axis=0)
+        assert len(cols) == columns
+        s = view.syn_words
+        checks = np.vstack([gf2.unpack_words(cols[:, :s], len(view.syn)).T,
+                            gf2.unpack_words(cols[:, s: 2 * s],
+                                             len(view.checks)).T])
+        frames = gf2.unpack_words(cols[:, 2 * s:], len(view.mem_out))
+        flags = gf2.mul(view.logicals, frames.T)
+        assert gf2.flagged_collision(checks, flags, 3) == d
+
+
+# Per d and basis (|0…0⟩ then |+…+⟩), the pairs of live cells and how many
+# of them the two-stage decoder fails.
+FAILING_PAIRS = {3: ((22_791, 3_374), (25_651, 6_065)),
+                 5: ((228_150, 1_248), (256_686, 1_054))}
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_two_stage_fails_pairs_only(experiments, d):
+    # The two-stage decoder's baseline: every live cell alone is corrected,
+    # and the failing pairs all fail silently.
+    exp = experiments[d]
+    for view, (pairs, failing) in zip((exp.z_basis, exp.x_basis),
+                                      FAILING_PAIRS[d]):
+        live = view.words.any(axis=1).nonzero()[0]
+        i, j = np.triu_indices(len(live), 1)
+        assert len(i) == pairs
+        trials = len(live) + pairs
+        trial = np.r_[np.arange(len(live)),
+                      np.repeat(np.arange(len(live), trials), 2)]
+        cell = np.r_[live, np.stack([live[i], live[j]], axis=1).reshape(-1)]
+        fail, heralded, silent = view.failures(exp.decoder, trial, cell,
+                                               trials)
+        assert not fail[:len(live)].any()
+        assert (int(np.count_nonzero(fail)), heralded, silent) == (
+            failing, 0, failing)
 
 
 def test_compile_builds_no_lane_matrix_or_locs(monkeypatch):
