@@ -7,18 +7,18 @@ outcome bit flips with probability ≤ p_phy.  Sampling is counter-based:
 
 Monte Carlo is shot-batched.  One frame.unit_lanes pass propagates every
 fault cell (an X or Z fault on a quantum location, or an outcome flip)
-into packed words.  Blocks are the unit of randomness: trials run in
-blocks of BLOCK_CELLS cells, block b drawing its faults from
-trial_rng(seed, b).  Passes are the unit of decoding: a pass gathers
-consecutive blocks until it holds PASS_FAULTS faults (or BLOCK_CELLS
-trials, which bounds its per-trial arrays at low p).  Each of its trials
-XORs the words of its faults per basis, and one gf2.SyndromeTable.find
-per basis looks up both decoding stages of every trial: a rank index for
-one-word syndromes when it is no larger than the keys (d=3 and d=5), else
-binary search.  Faults on dead cells (all words zero) are drawn, keeping
-the stream, but not decoded.  Trials decode independently, so the results
-do not depend on PASS_FAULTS, and a given (experiment, p_phy, trials,
-seed) gives byte-identical results.
+into packed words.  Faults are drawn on live cells only: a dead cell's
+words are all zero, so its fault could move nothing.  Blocks are the
+unit of randomness: trials run in blocks of BLOCK_CELLS live cells,
+block b drawing its faults from trial_rng(seed, b).  Passes are the unit
+of decoding: a pass gathers consecutive blocks until it holds PASS_FAULTS
+faults (or BLOCK_CELLS trials, which bounds its per-trial arrays at low
+p).  Each of its trials XORs the words of its faults per basis, and one
+gf2.SyndromeTable.find per basis looks up both decoding stages of every
+trial: a rank index for one-word syndromes when it is no larger than the
+keys (d=3 and d=5), else binary search.  Trials decode independently, so
+the results do not depend on PASS_FAULTS, and a given (experiment, p_phy,
+trials, seed) gives byte-identical results.
 """
 
 from __future__ import annotations
@@ -228,19 +228,16 @@ class MemoryExperiment:
     decoder: LookupDecoder
     z_basis: _BasisView
     x_basis: _BasisView
-    # By compile_faults, per cell (z_basis's, then x_basis's): DEAD when its
-    # words are all zero, else the basis that decodes its faults.
-    DEAD, Z_ROW, X_ROW = 0, 1, 2
-    route: Optional[np.ndarray] = None
+    # By compile_faults: the live cells, those whose words are not all zero,
+    # as indices into z_basis's cells followed by x_basis's.
+    live: Optional[np.ndarray] = None
 
     def compile_faults(self) -> None:
-        if self.route is None:
+        if self.live is None:
             self.z_basis.compile_faults()
             self.x_basis.compile_faults()
-            self.route = np.concatenate(
-                [np.where(v.words.any(axis=1), row, self.DEAD).astype(np.int8)
-                 for v, row in ((self.z_basis, self.Z_ROW),
-                                (self.x_basis, self.X_ROW))])
+            self.live = np.flatnonzero(np.concatenate(
+                [v.words.any(axis=1) for v in (self.z_basis, self.x_basis)]))
 
 
 def _build_basis(code: CssCode, basis: str) -> _BasisView:
@@ -312,7 +309,7 @@ def wilson_interval(failures: int, trials: int):
     return lo, hi
 
 
-BLOCK_CELLS = 1 << 20  # fault cells (trials × cells per trial) per block
+BLOCK_CELLS = 1 << 20  # live cells (trials × live cells a trial) per block
 PASS_FAULTS = 1 << 16  # faults after which a decoding pass ends
 
 
@@ -330,7 +327,8 @@ def _sample_block(seed: int, block: int, p_phy: float, trials: int,
     count = rng.binomial(total, p_phy)
     pos = np.sort(rng.choice(total, size=count, replace=False, shuffle=False))
     _check_stream(rng, block)
-    return np.divmod(pos, cells)
+    trial = pos // cells
+    return trial, pos - trial * cells  # np.divmod takes twice as long
 
 
 def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
@@ -340,9 +338,9 @@ def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
     Each trial runs the |0…0⟩-basis and |+…+⟩-basis circuits on
     independent fault draws; it fails on a heralded decode, a logical X
     flip in the first, or a logical Z flip in the second, and each basis's
-    heralded and silent failures are counted apart.  Trials are drawn in
-    blocks of BLOCK_CELLS fault cells, block b from
-    trial_rng(seed, stream + b), and decoded in passes: a pass takes
+    heralded and silent failures are counted apart.  Faults are drawn on
+    the live cells of both bases (exp.live) in blocks of BLOCK_CELLS, block
+    b from trial_rng(seed, stream + b), and decoded in passes: a pass takes
     consecutive blocks until it holds PASS_FAULTS faults or BLOCK_CELLS
     trials, then makes one failures call per basis.  The result does not
     depend on PASS_FAULTS.
@@ -352,8 +350,8 @@ def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
     if trials < 0:
         raise ValueError("trials must be non-negative")
     exp.compile_faults()
-    z_cells, cells = len(exp.z_basis.words), len(exp.route)
-    block = max(1, BLOCK_CELLS // cells)
+    live, z_cells = exp.live, len(exp.z_basis.words)
+    block = max(1, BLOCK_CELLS // len(live))
     failures = z_heralded = z_silent = x_heralded = x_silent = 0
     b = start = 0
     while start < trials:
@@ -363,15 +361,15 @@ def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
         while (start < trials and faults < PASS_FAULTS
                and size < BLOCK_CELLS):
             n = min(block, trials - start)
-            trial, cell = _sample_block(seed, stream + b, p_phy, n, cells)
+            trial, cell = _sample_block(seed, stream + b, p_phy, n, len(live))
             trial_parts.append(trial + size)
             cell_parts.append(cell)
             b, start = b + 1, start + n
             size, faults = size + n, faults + len(trial)
-        trial, cell = map(np.concatenate, (trial_parts, cell_parts))
-        route = exp.route[cell]  # indices, not masks: those branch per fault
-        in_z = (route == exp.Z_ROW).nonzero()[0]
-        in_x = (route == exp.X_ROW).nonzero()[0]
+        trial = np.concatenate(trial_parts)
+        cell = live.take(np.concatenate(cell_parts))
+        in_z = cell < z_cells  # to indices: masks branch per fault
+        in_z, in_x = in_z.nonzero()[0], (~in_z).nonzero()[0]
         fail, heralded, silent = exp.z_basis.failures(
             exp.decoder, trial[in_z], cell[in_z], size)
         z_heralded, z_silent = z_heralded + heralded, z_silent + silent

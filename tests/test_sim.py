@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsurg import cli, codes, frame, gf2, sim
+from qsurg import cli, codes, frame, gf2, sim, tableau
 
 SRC = pathlib.Path(sim.__file__).resolve().parents[1]
 
@@ -470,9 +470,9 @@ def test_batched_matches_per_trial(experiments, d, p, trials):
     if d == 7:
         assert exp.z_basis.words.shape[1] > 3  # frames span two words
     seed = 31
-    z_cells = len(exp.z_basis.words)
-    cells = z_cells + len(exp.x_basis.words)
-    trial, cell = sim._sample_block(seed, 0, p, trials, cells)
+    live, z_cells = exp.live, len(exp.z_basis.words)
+    trial, cell = sim._sample_block(seed, 0, p, trials, len(live))
+    cell = live[cell]
     ref = np.zeros(trials, dtype=bool)
     counts = {}
     for basis, view, sel, offset in (("z", exp.z_basis, cell < z_cells, 0),
@@ -499,17 +499,18 @@ def test_batched_matches_per_trial(experiments, d, p, trials):
 
 def per_block_rate(exp, p, trials, seed, stream):
     """The estimate with every block decoded on its own: block b is
-    _sample_block(seed, stream + b, ...), decoded through one failures call
-    per basis, and the counts summed.  Also the faults of each block."""
-    z_cells = len(exp.z_basis.words)
-    cells = z_cells + len(exp.x_basis.words)
-    block = max(1, sim.BLOCK_CELLS // cells)
+    _sample_block(seed, stream + b, ...) over the live cells, mapped to its
+    cells, decoded through one failures call per basis, and the counts
+    summed.  Also the faults of each block."""
+    live, z_cells = exp.live, len(exp.z_basis.words)
+    block = max(1, sim.BLOCK_CELLS // len(live))
     counts = dict.fromkeys(("z_heralded", "z_silent", "x_heralded",
                             "x_silent"), 0)
     failures, block_faults = 0, []
     for b, start in enumerate(range(0, trials, block)):
         size = min(block, trials - start)
-        trial, cell = sim._sample_block(seed, stream + b, p, size, cells)
+        trial, cell = sim._sample_block(seed, stream + b, p, size, len(live))
+        cell = live[cell]
         block_faults.append(len(trial))
         fail = np.zeros(size, dtype=bool)
         for basis, view, sel, offset in (
@@ -530,23 +531,20 @@ def per_block_rate(exp, p, trials, seed, stream):
 
 def live_faults(exp, p, trials, seed, stream):
     """Per block of per_block_rate, its faults on live cells (those with a
-    nonzero compiled word) and its trials whose faults all lie on dead
-    cells."""
+    nonzero compiled word), read from the words, not from exp.live."""
     live = np.concatenate([view.words.any(axis=1)
                            for view in (exp.z_basis, exp.x_basis)])
-    block = max(1, sim.BLOCK_CELLS // len(live))
+    block = max(1, sim.BLOCK_CELLS // len(exp.live))
     out = []
     for b, start in enumerate(range(0, trials, block)):
         size = min(block, trials - start)
-        trial, cell = sim._sample_block(seed, stream + b, p, size, len(live))
-        keep = live[cell]
-        out.append((int(np.count_nonzero(keep)),
-                    len(np.setdiff1d(trial, trial[keep]))))
+        _, cell = sim._sample_block(seed, stream + b, p, size, len(exp.live))
+        out.append(int(np.count_nonzero(live[exp.live[cell]])))
     return out
 
 
 # Per d and basis, the fault cells with a nonzero compiled word, and all
-# fault cells: Monte Carlo decodes the faults on the first alone.
+# fault cells: Monte Carlo draws faults on the first alone.
 LIVE_CELLS = {(3, "z"): (214, 538), (3, "x"): (227, 564),
               (5, "z"): (676, 1700), (5, "x"): (717, 1782)}
 
@@ -554,17 +552,17 @@ LIVE_CELLS = {(3, "z"): (214, 538), (3, "x"): (227, 564),
 @pytest.mark.parametrize("d", [3, 5])
 def test_live_cells(experiments, d):
     exp = experiments[d]
-    route = exp.route
+    live = exp.live
     z_cells = len(exp.z_basis.words)
-    for basis, view, row, part in (
-            ("z", exp.z_basis, sim.MemoryExperiment.Z_ROW, route[:z_cells]),
-            ("x", exp.x_basis, sim.MemoryExperiment.X_ROW, route[z_cells:])):
-        live = view.words.any(axis=1)
-        assert (int(np.count_nonzero(live)), len(fault_cells(view))) == LIVE_CELLS[
-            d, basis]
-        assert np.array_equal(part, np.where(live, row, sim.MemoryExperiment.DEAD))
+    parts = []
+    for basis, view in (("z", exp.z_basis), ("x", exp.x_basis)):
+        part = view.words.any(axis=1).nonzero()[0]
+        assert (len(part), len(fault_cells(view))) == LIVE_CELLS[d, basis]
+        parts.append(part)
+    # z_basis's live cells, then x_basis's, numbered on after z_basis's.
+    assert np.array_equal(live, np.r_[parts[0], parts[1] + z_cells])
     sim.logical_error_rate(exp, 1e-3, 100, seed=1)
-    assert exp.route is route  # recorded once, by compile_faults
+    assert exp.live is live  # recorded once, by compile_faults
 
 
 @pytest.mark.parametrize("d, columns", [(3, 32), (5, 102)])
@@ -613,6 +611,66 @@ def test_two_stage_fails_pairs_only(experiments, d):
             failing, 0, failing)
 
 
+def test_d3_rate_meets_exact_bracket(experiments):
+    # Faults are i.i.d. on the m live cells of a basis.  No live cell fails
+    # alone and A_2 pairs fail (FAILING_PAIRS), so the basis fails with
+    # probability in [A_2 p² (1−p)^(m−2), that + P(Bin(m, p) ≥ 3)].  The
+    # bases are independent.  Missing the bracket needs a 5σ estimate.
+    p = 1e-3
+    ok_low = ok_high = 1.0  # the chance that neither basis fails
+    for basis, (_, failing) in zip("zx", FAILING_PAIRS[3]):
+        m = LIVE_CELLS[3, basis][0]
+        low = failing * p ** 2 * (1 - p) ** (m - 2)
+        tail = 1 - sum(math.comb(m, w) * p ** w * (1 - p) ** (m - w)
+                       for w in range(3))
+        ok_low, ok_high = ok_low * (1 - low), ok_high * (1 - low - tail)
+    low, high = 1 - ok_low, 1 - ok_high
+    assert (round(low, 6), round(high, 6)) == (0.007558, 0.010549)
+    est = sim.logical_error_rate(experiments[3], p, 100_000, seed=42)
+    assert est.ci_low <= high and est.ci_high >= low
+
+
+def test_failing_pair_replays_on_tableau(experiments):
+    # The first failing pair of the d=3 |0⟩ basis, run on the tableau with
+    # the frame's outcome flips forced: the tableau reports those flips, and
+    # decoding its own bits flips the logical with both table lookups hit.
+    exp = experiments[3]
+    view, decode = exp.z_basis, exp.decoder.decode_x
+    live = view.words.any(axis=1).nonzero()[0]
+    i, j = np.triu_indices(len(live), 1)
+    fail, _, _ = view.failures(
+        exp.decoder, np.repeat(np.arange(len(i)), 2),
+        np.stack([live[i], live[j]], axis=1).reshape(-1), len(i))
+    first = int(np.argmax(fail))
+    pair = [fault_cells(view)[c] for c in (live[i[first]], live[j[first]])]
+    code = {"X": frame.X, "Z": frame.Z, "flip": frame.FLIP}
+    res = frame.run_lanes(view.circuit, [loc for _, loc in pair],
+                          [[code[ch] for ch, _ in pair]])
+    flips = res.outcome_flips[0]
+    locs = {ch: [loc for c, loc in pair if c == ch] for ch in code}
+    tab = tableau.run_tableau(view.circuit, forced_outcomes=flips,
+                              x_errors=locs["X"], z_errors=locs["Z"],
+                              flip_locs=locs["flip"])
+    assert np.array_equal(tab.outcomes, flips)
+    zero = np.zeros(len(view.mem_out), dtype=np.uint8)
+
+    def phases(run, rows):  # of the Z-type rows on mem_out
+        return np.array([tableau.stabilizer_phase(run.sim, view.mem_out, zero,
+                                                  row) for row in rows],
+                        dtype=np.uint8)
+
+    # The noiseless run reads every phase 0, so the noisy phases are flips.
+    noiseless = tableau.run_tableau(view.circuit, force_zero=True)
+    assert not phases(noiseless, np.vstack([view.checks, view.logicals])).any()
+    final, logical = phases(tab, view.checks), phases(tab, view.logicals)
+    assert np.array_equal(final, gf2.mul(view.checks,
+                                         res.x_on(view.mem_out)[0]))
+    c1 = decode(gf2.mul(view.syn, tab.outcomes))
+    c2 = decode(final ^ gf2.mul(view.checks, c1))
+    assert c1 is not None and c2 is not None
+    assert (logical ^ gf2.mul(view.logicals, c1 ^ c2)).any()
+
+
 def test_compile_builds_no_lane_matrix_or_locs(monkeypatch):
     """compile_faults writes each unit fault's lane bit straight into packed
     rows: it calls no dense run_lanes, builds no Loc, and neither
@@ -646,12 +704,14 @@ def test_compile_builds_no_lane_matrix_or_locs(monkeypatch):
     assert [len(fault_cells(view)) for view in views] == [1700, 1782]
 
 
-# (d, p, trials, BLOCK_CELLS): every run ends in a partial block.  At
-# p = 0.25 one block holds more than the default PASS_FAULTS faults; the
-# small blocks at p = 1e-4 leave some blocks without faults, and at d=3
-# they close passes at BLOCK_CELLS trials before PASS_FAULTS faults.
-PASS_CASES = [(3, 5e-3, 2002, sim.BLOCK_CELLS), (5, 5e-3, 953, sim.BLOCK_CELLS),
-              (3, 0.25, 2002, sim.BLOCK_CELLS), (5, 0.25, 953, sim.BLOCK_CELLS),
+# (d, p, trials, BLOCK_CELLS): every run takes two or more blocks and ends
+# in a partial one (a d=3 block at the default BLOCK_CELLS would hold all
+# 2002 trials).  At p = 0.25 one block holds more than the default
+# PASS_FAULTS faults; the small blocks at p = 1e-4 leave some blocks
+# without faults, and at d=3 they close passes at BLOCK_CELLS trials
+# before PASS_FAULTS faults.
+PASS_CASES = [(3, 5e-3, 2002, 1 << 19), (5, 5e-3, 953, sim.BLOCK_CELLS),
+              (3, 0.25, 2002, 1 << 19), (5, 0.25, 953, sim.BLOCK_CELLS),
               (3, 1e-4, 2500, 1 << 10), (5, 1e-4, 1000, 1 << 14)]
 
 
@@ -667,10 +727,8 @@ def test_passes_match_per_block_decoding(experiments, monkeypatch, d, p,
         assert max(block_faults) > sim.PASS_FAULTS
     if p == 1e-4:
         assert 0 in block_faults
-    live = live_faults(exp, p, trials, seed=17, stream=stream)
-    if p < 0.25:
-        # Some trials hold only dead faults, which are drawn, not decoded.
-        assert any(dead_only for _, dead_only in live)
+    # No sampled fault lands on a dead cell.
+    assert live_faults(exp, p, trials, seed=17, stream=stream) == block_faults
     calls, passed = [], []
     real = sim._BasisView.failures
 
@@ -691,21 +749,22 @@ def test_passes_match_per_block_decoding(experiments, monkeypatch, d, p,
         assert sim.logical_error_rate(exp, p, trials, seed=17,
                                       stream=stream) == want
         assert sum(calls) == 2 * trials
-        assert sum(passed) == sum(faults for faults, _ in live)
+        assert sum(passed) == sum(block_faults)
         if pass_faults == 1:
             # A pass ends at every block with faults, and at the last one.
             ends = np.count_nonzero(block_faults[:-1]) + 1
             assert len(calls) == 2 * ends
         elif pass_faults == 1 << 62:
-            cells = len(exp.route)
-            block = max(1, block_cells // cells)
+            block = max(1, block_cells // len(exp.live))
             assert calls[0] == min(trials, -(-block_cells // block) * block)
         else:
             assert len(calls) > 2
 
 
+# Each case makes several passes: one block a pass at d=5, and about
+# three at d=7.
 @pytest.mark.parametrize("d,p,trials,block_cells,pass_faults", [
-    (5, 5e-3, 953, sim.BLOCK_CELLS, 1000), (7, 5e-4, 1000, sim.BLOCK_CELLS, 1000),
+    (5, 5e-3, 953, 1 << 18, 1000), (7, 5e-4, 1000, 1 << 18, 300),
     (5, 1e-4, 1000, 1 << 14, 1)])
 def test_one_find_per_basis_per_pass(experiments, monkeypatch, d, p, trials,
                                      block_cells, pass_faults):
@@ -741,11 +800,11 @@ def test_one_find_per_basis_per_pass(experiments, monkeypatch, d, p, trials,
 # tables are looked up by rank index, the d=7 ones (42-bit keys, two-word
 # errors) by binary search, as binary search alone gave all of them.
 GOLDEN_RATES = {
-    (3, 1e-3, 20000, 0): (194, 0, 72, 0, 122),
-    (3, 5e-3, 20000, 0): (2948, 0, 1204, 0, 1877),
-    (5, 1e-3, 5000, 1 << 32): (17, 0, 6, 0, 11),
-    (5, 5e-3, 5000, 1 << 32): (655, 21, 201, 123, 332),
-    (7, 5e-4, 2000, 0): (484, 208, 0, 318, 0),
+    (3, 1e-3, 20000, 0): (177, 0, 68, 0, 109),
+    (3, 5e-3, 20000, 0): (2943, 0, 1227, 0, 1835),
+    (5, 1e-3, 5000, 1 << 32): (12, 0, 4, 0, 8),
+    (5, 5e-3, 5000, 1 << 32): (703, 18, 221, 125, 360),
+    (7, 5e-4, 2000, 0): (463, 220, 0, 275, 0),
 }
 
 

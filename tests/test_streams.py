@@ -32,8 +32,10 @@ def test_ledger_streams_are_disjoint(monkeypatch):
 
     monkeypatch.setattr(sim, "trial_rng", recorded)
     monkeypatch.setattr(sim, "_check_stream", recorded_check)
+    # The desk's trials: at a few thousand, the sim.trend row passes or
+    # fails by the luck of the stream.
     rows = cli.run_desk_ledger(seed=3, out_dir=None, max_weight=1,
-                               samples=20, trials=3000, frames=10)
+                               samples=20, frames=10)
     assert all(good for _, good, _ in rows)
     assert len(pairs) == len(set(pairs))
     # Every stream is checked against overrunning into the next one.
