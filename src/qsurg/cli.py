@@ -563,22 +563,22 @@ def run_desk_ledger(seed: int, out_dir: str, max_weight: int = Desk.max_weight,
 
 
 def _random_layer(rng, n_blocks, k):
-    free = [(f"b{b}", j) for b in range(n_blocks) for j in range(k)]
-    order = rng.permutation(len(free))
-    ops = []
-    i = 0
+    """A qubit-disjoint layer of fewer than max(2, n_blocks·k // 2) ops,
+    so never short of slots: each op takes the next slot s, block s // k and
+    qubit s % k, of one permutation (a CNOT two), and one drawn kind."""
+    order = rng.permutation(n_blocks * k).tolist()
     n_ops = int(rng.integers(1, max(2, n_blocks * k // 2)))
-    while len(ops) < n_ops and i < len(free):
-        kind = ["MEA", "H", "S", "T", "CNOT"][int(rng.integers(0, 5))]
-        if kind == "CNOT" and i + 1 < len(free):
-            b1, q1 = free[order[i]]
-            b2, q2 = free[order[i + 1]]
-            ops.append(qcompile.LogicalOp("CNOT", (b1, b2), (q1, q2)))
+    ops, i = [], 0
+    for kind in rng.integers(0, 5, size=n_ops).tolist():
+        s = order[i]
+        if kind == 4 and i + 1 < len(order):
+            t = order[i + 1]
+            ops.append(qcompile.LogicalOp(
+                "CNOT", (f"b{s // k}", f"b{t // k}"), (s % k, t % k)))
             i += 2
         else:
-            b, q = free[order[i]]
-            kind = kind if kind != "CNOT" else "MEA"
-            ops.append(qcompile.LogicalOp(kind, (b,), (q,)))
+            ops.append(qcompile.LogicalOp(
+                ("MEA", "H", "S", "T", "MEA")[kind], (f"b{s // k}",), (s % k,)))
             i += 1
     return ops
 

@@ -10,7 +10,6 @@ into resource-state batch counts and check the closed-form batch bound.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,13 +22,14 @@ class LogicalOp:
     blocks: tuple            # one block name, or (control, target) for CNOT
     qubits: tuple            # logical indices within the blocks
 
-    def qubit_support(self) -> frozenset:
-        """The (block, index) pairs named; empty for an INIT, which
-        occupies its whole block (see is_qubit_disjoint)."""
-        return frozenset(zip(self.blocks, self.qubits))
 
-    def block_support(self) -> frozenset:
-        return frozenset(self.blocks)
+def _operand(text: str) -> tuple[str, int]:
+    """`block.qubit`: a non-empty block name and a decimal index."""
+    block, dot, index = text.rpartition(".")
+    if not (dot and block and index.isascii() and index.isdigit()):
+        raise ValueError(f"{text!r}: operands are block.qubit, a non-empty "
+                         "block name and a decimal qubit index")
+    return block, int(index)
 
 
 def parse_op(line: str) -> LogicalOp:
@@ -43,11 +43,9 @@ def parse_op(line: str) -> LogicalOp:
         if len(parts) != 2:
             raise ValueError("INIT takes one block")
         return LogicalOp(kind, (parts[1],), ())
-    if not all("." in p for p in parts[1:]):
-        raise ValueError(f"{line!r}: operands are block.qubit")
-    operands = [tuple(p.rsplit(".", 1)) for p in parts[1:]]
+    operands = [_operand(p) for p in parts[1:]]
     blocks = tuple(b for b, _ in operands)
-    qubits = tuple(int(j) for _, j in operands)
+    qubits = tuple(j for _, j in operands)
     if kind == "CNOT" and len(blocks) != 2:
         raise ValueError("CNOT takes two operands")
     if kind != "CNOT" and len(blocks) != 1:
@@ -56,11 +54,16 @@ def parse_op(line: str) -> LogicalOp:
 
 
 def parse_circuit(text: str) -> list[LogicalOp]:
+    """parse_op on each line that is neither blank nor a `#` comment; a
+    rejected line raises ValueError prefixed with its line number."""
     ops = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line and not line.startswith("#"):
-            ops.append(parse_op(line))
+            try:
+                ops.append(parse_op(line))
+            except ValueError as err:
+                raise ValueError(f"line {number}: {err}") from None
     return ops
 
 
@@ -127,29 +130,13 @@ def measurement_resources(label: str, k_r: int) -> dict:
 # ── disjointness and serialization ──────────────────────────────────────
 
 
-def is_qubit_disjoint(ops) -> bool:
-    """No two operations share a logical qubit.  An INIT prepares every
-    qubit of its block, so it shares one with any other op on that block."""
-    ops = list(ops)
-    load = Counter(b for op in ops for b in op.block_support())
-    if any(load[op.blocks[0]] > 1 for op in ops if op.kind == "INIT"):
-        return False
-    seen: set = set()
-    for op in ops:
-        sup = op.qubit_support()
-        if seen & sup:
-            return False
-        seen |= sup
-    return True
-
-
 def is_block_disjoint(ops) -> bool:
+    """No two operations share a block (a CNOT may name one block twice)."""
     seen: set = set()
     for op in ops:
-        sup = op.block_support()
-        if seen & sup:
+        if not seen.isdisjoint(op.blocks):
             return False
-        seen |= sup
+        seen.update(op.blocks)
     return True
 
 
@@ -174,42 +161,51 @@ def serialize(ops, k: int) -> Schedule:
 
     The input layer must hold at most k operations per block and be
     qubit-disjoint with qubit indices in 0..k−1 (k ≥ 1; an INIT occupies
-    its whole block); then greedy needs at most 2k − 1 colors.  Raises
-    ValueError otherwise, the block load checked before disjointness.
+    its whole block, so it shares a qubit with any other op there); then
+    greedy needs at most 2k − 1 colors.  Raises ValueError otherwise: the
+    first op with an index outside 0..k−1, then the first block, in the
+    order the ops name them, that hosts more than k ops, then a shared
+    qubit.  One pass checks and colors: each op takes the lowest color
+    absent from the bitmasks of colors its blocks already carry.
     """
     ops = list(ops)
     if k < 1:
         raise ValueError(f"k={k}: a block holds at least one logical qubit")
+    load: dict[str, int] = {}
+    busy: dict[str, int] = {}
+    seen: set = set()
+    inits, classes, shared = [], [], False
     for op in ops:
-        if any(not 0 <= j < k for j in op.qubits):
-            raise ValueError(f"{op.kind} on {op.blocks} qubits {op.qubits}: "
-                             f"an index is outside 0..{k - 1}")
-    load = Counter(b for op in ops for b in op.block_support())
+        blocks, qubits = op.blocks, op.qubits
+        for j in qubits:
+            if not 0 <= j < k:
+                raise ValueError(f"{op.kind} on {blocks} qubits {qubits}: "
+                                 f"an index is outside 0..{k - 1}")
+        if len(blocks) == 2 and blocks[0] == blocks[1]:
+            blocks = blocks[:1]
+        used = 0
+        for b in blocks:
+            load[b] = load.get(b, 0) + 1
+            used |= busy.get(b, 0)
+        c = (~used & (used + 1)).bit_length() - 1
+        for b in blocks:
+            busy[b] = busy.get(b, 0) | 1 << c
+        if c == len(classes):
+            classes.append([])
+        classes[c].append(op)
+        if op.kind == "INIT":
+            inits.append(blocks[0])
+        pairs = tuple(zip(op.blocks, qubits))
+        shared = shared or not seen.isdisjoint(pairs)
+        seen.update(pairs)
     for b, m in load.items():
         if m > k:
             raise ValueError(f"block {b} hosts {m} operations, more than k={k}")
-    if not is_qubit_disjoint(ops):
+    if shared or any(load[b] > 1 for b in inits):
         raise ValueError("operation set is not qubit-disjoint")
-    color_of: dict[int, int] = {}
-    by_block: dict[str, list[int]] = {}
-    for idx, op in enumerate(ops):
-        used = set()
-        for b in op.block_support():
-            for other in by_block.get(b, ()):
-                used.add(color_of[other])
-        c = 0
-        while c in used:
-            c += 1
-        color_of[idx] = c
-        for b in op.block_support():
-            by_block.setdefault(b, []).append(idx)
-    n_colors = max(color_of.values(), default=-1) + 1
-    if n_colors > max(2 * k - 1, 1):
+    if len(classes) > max(2 * k - 1, 1):
         raise AssertionError("greedy coloring exceeded the 2k-1 bound")
-    classes = [[] for _ in range(n_colors)]
-    for idx, op in enumerate(ops):
-        classes[color_of[idx]].append(op)
-    return Schedule(classes=classes, colors=n_colors)
+    return Schedule(classes=classes, colors=len(classes))
 
 
 # ── batch and cost arithmetic ───────────────────────────────────────────

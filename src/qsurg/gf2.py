@@ -62,28 +62,22 @@ def as_rows(e) -> np.ndarray:
     return np.atleast_2d(np.asarray(e, dtype=np.uint8))
 
 
-def fault_rows(rng: np.random.Generator, n: int, units, sizes) -> np.ndarray:
-    """An n-column fault matrix: a unit row for each index in `units`, then
-    one row per entry of `sizes` with that many distinct ones, uniform over
-    the C(n, size) subsets.  A row's k-th one is drawn uniform on [0, n − k)
-    and shifted up past each earlier one in ascending order (for pairs:
-    j uniform on n − 1, j += j ≥ i); all rows are drawn at once."""
-    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
-    top = int(sizes.max(initial=0))
-    if sizes.min(initial=0) < 0 or top > n:
-        raise ValueError(f"set sizes must lie in 0..{n}")
-    m = zeros(len(units) + len(sizes), n)
-    m[np.arange(len(units)), units] = 1
-    picks = rng.integers(0, n - np.arange(top), size=(len(sizes), top),
+def fault_sets(rng: np.random.Generator, n: int, count: int,
+               size: int) -> np.ndarray:
+    """`count` rows of `size` distinct indices in [0, n), each row's set
+    uniform over the C(n, size) subsets.  A row's k-th index is drawn
+    uniform on [0, n − k) and shifted up past each earlier one in ascending
+    order (for pairs: j uniform on n − 1, j += j ≥ i); all rows are drawn
+    at once."""
+    if not 0 <= size <= n:
+        raise ValueError(f"set size {size} is outside 0..{n}")
+    picks = rng.integers(0, n - np.arange(size), size=(count, size),
                          dtype=np.int32)
-    for k in range(1, top):
+    for k in range(1, size):
         taken = np.sort(picks[:, :k], axis=1)
         for i in range(k):
             picks[:, k] += picks[:, k] >= taken[:, i]
-    for k in range(top):
-        row = np.flatnonzero(sizes > k)
-        m[len(units) + row, picks[row, k]] = 1
-    return m
+    return picks
 
 
 def xor_map(sel: np.ndarray):

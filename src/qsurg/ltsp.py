@@ -306,15 +306,20 @@ def _unit_table(**fields) -> tuple[Layout, np.ndarray]:
             gf2.pack_words(np.concatenate(list(fields.values()), axis=1)))
 
 
-def _images(units: tuple, e) -> tuple[Layout, np.ndarray, np.ndarray]:
+def _images(units: tuple, e, sets=None) -> tuple[Layout, np.ndarray, np.ndarray]:
     """(fields, images, weights) of the fault rows e (one xor_map of the
-    table), or of the unit batch, each location's unit fault in order."""
+    table), or of each row of distinct locations in `sets` (the XOR of its
+    table rows); with neither, the unit batch: each location alone."""
     fields, table = units
-    if e is None:
-        return fields, gf2.unpack_words(table, fields.total), np.ones(len(table), int)
-    e = gf2.as_rows(e)
-    weight = np.bitwise_count(np.packbits(e, axis=1)).sum(axis=1, dtype=int)
-    return fields, gf2.unpack_words(gf2.xor_map(e)(table), fields.total), weight
+    if e is not None:
+        e = gf2.as_rows(e)
+        weight = np.bitwise_count(np.packbits(e, axis=1)).sum(axis=1, dtype=int)
+        return fields, gf2.unpack_words(gf2.xor_map(e)(table), fields.total), weight
+    if sets is None:
+        sets = np.arange(len(table))[:, None]
+    images = np.bitwise_xor.reduce(table[np.transpose(sets)], axis=0)
+    return (fields, gf2.unpack_words(images, fields.total),
+            np.full(len(sets), np.shape(sets)[1]))
 
 
 def _sp_checks(source: CssCode, f: ClassicalCode):
@@ -422,11 +427,14 @@ _X_FAILURES = {1: "undetected flips outside colsp(h_f)",
                3: "X-residual equivalence identity failed"}
 
 
-def check_x_bound(spp: SpPropagation, e_sp_x: Optional[np.ndarray]) -> XBoundResult:
+def check_x_bound(spp: SpPropagation, e_sp_x: Optional[np.ndarray] = None,
+                  sets: Optional[np.ndarray] = None) -> XBoundResult:
     """Residual X error construction with the soundness-controlled bound.
 
-    e_sp_x holds one fault per row (a vector is one row; None is the unit
-    batch, see _images), and each result field holds one entry per fault.
+    e_sp_x holds one fault per row (a vector is one row), or `sets` holds
+    each fault's distinct locations as one row of layout_x indices; with
+    neither, the unit batch (see _images).  Each result field holds one
+    entry per fault.
     Detected faults (nonzero h_sp_z syndrome) are "detected".  For
     undetected faults the F-syndrome preimages are taken minimum-weight per
     block, read once per distinct syndrome from one gf2.syndrome_table of
@@ -437,7 +445,7 @@ def check_x_bound(spp: SpPropagation, e_sp_x: Optional[np.ndarray]) -> XBoundRes
     raises ResourceStateError for the first fault that fails one, as a
     row-by-row run would.
     """
-    fields, images, weight = _images(spp.x_units(), e_sp_x)
+    fields, images, weight = _images(spp.x_units(), e_sp_x, sets)
     n_d, f, amp = spp.source.n, spp.f, spp.amplification()
     detected = fields.part(images, "syn").any(axis=1)
     u, weight = images[~detected], weight[~detected]
@@ -537,10 +545,11 @@ def sweep_x_lemma(spp: SpPropagation, max_weight: int = 1,
                          "is exhaustive at weight 1 only")
     if not max_weight and not samples:
         return LemmaSweepReport()
-    with sim.checked_rng(seed, stream) as rng:
-        pairs = gf2.fault_rows(rng, spp.layout_x.total, [], np.full(samples, 2))
-    res = [check_x_bound(spp, faults)
-           for faults in [None] * max_weight + [pairs] * (samples > 0)]
+    res = [check_x_bound(spp, None)] if max_weight else []
+    if samples:
+        with sim.checked_rng(seed, stream) as rng:
+            pairs = gf2.fault_sets(rng, spp.layout_x.total, samples, 2)
+        res.append(check_x_bound(spp, sets=pairs))
     status, bound_ok = (np.concatenate([getattr(r, name) for r in res])
                         for name in ("status", "bound_ok"))
     count = lambda mask: int(np.count_nonzero(mask))

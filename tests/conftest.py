@@ -99,3 +99,13 @@ def golden_build(request):
     target, alpha, r_code = GOLDEN_BUILDS[request.param]()
     return request.param, surgery.build_deformed(target, gf2.bitmat(alpha),
                                                  r_code)
+
+
+@pytest.fixture(scope="session")
+def set_rows():
+    """The 0/1 rows of n columns with ones at each row of location sets."""
+    def of(sets, n):
+        rows = gf2.zeros(len(sets), n)
+        rows[np.arange(len(sets))[:, None], sets] = 1
+        return rows
+    return of

@@ -1,11 +1,16 @@
 """Operation decomposition, scheduling, cost arithmetic."""
 
 import itertools
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qsurg import cli
 from qsurg import compile as qc
 
 
@@ -40,6 +45,24 @@ class TestParsing:
         with pytest.raises(ValueError):
             qc.parse_op("CZ u.1 v.2")
 
+    @pytest.mark.parametrize("line", [
+        "MEA u.1_0", "MEA u.+1", "MEA u.-1", "MEA u. 1", "MEA .0", "MEA u.",
+        "MEA u.\u0661", "CNOT u.0 v.0x1"])
+    def test_non_decimal_operands_rejected(self, line):
+        with pytest.raises(ValueError, match="decimal qubit index"):
+            qc.parse_op(line)
+
+    def test_decimal_operands(self):
+        op = qc.parse_op("CNOT a.b.007 c.12")
+        assert op.blocks == ("a.b", "c") and op.qubits == (7, 12)
+
+    def test_errors_name_their_line(self):
+        text = "H u.0\n# MEA u.x\n\n  MEA u.+1\n"
+        with pytest.raises(ValueError, match=r"^line 4: 'u\.\+1': "):
+            qc.parse_circuit(text)
+        with pytest.raises(ValueError, match="^line 2: unknown operation"):
+            qc.parse_circuit("H u.0\nCZ u.1 v.2\n")
+
 
 class TestDecomposition:
     def test_table_rows_verbatim(self):
@@ -72,36 +95,51 @@ class TestDecomposition:
         assert res == {"HD_Z(Zj*Z1*X1)": 1, "HM_X": 6, "HM_Z": 6}
 
 
+def qubit_disjoint(ops):
+    """serialize's verdict on shared qubits alone: its k exceeds every
+    block load and qubit index."""
+    k = len(ops) + max((j for op in ops for j in op.qubits), default=0) + 1
+    try:
+        qc.serialize(ops, k)
+    except ValueError as err:
+        assert str(err) == "operation set is not qubit-disjoint"
+        return False
+    return True
+
+
 class TestDisjointness:
     def test_shared_block_not_block_disjoint(self):
         a = qc.LogicalOp("CNOT", ("u", "v"), (0, 0))
         b = qc.LogicalOp("CNOT", ("u", "v"), (1, 1))
-        assert qc.is_qubit_disjoint([a, b])
+        assert qubit_disjoint([a, b])
         assert not qc.is_block_disjoint([a, b])
 
     def test_init_occupies_its_block(self):
         init = qc.LogicalOp("INIT", ("a",), ())
-        assert not qc.is_qubit_disjoint([init, qc.LogicalOp("MEA", ("a",), (0,))])
-        assert not qc.is_qubit_disjoint(
+        assert not qubit_disjoint([init, qc.LogicalOp("MEA", ("a",), (0,))])
+        assert not qubit_disjoint(
             [qc.LogicalOp("CNOT", ("b", "a"), (0, 1)), init])
-        assert qc.is_qubit_disjoint([init, qc.LogicalOp("MEA", ("b",), (0,))])
+        assert qubit_disjoint([init, qc.LogicalOp("MEA", ("b",), (0,))])
         with pytest.raises(ValueError, match="not qubit-disjoint"):
             qc.serialize([init, qc.LogicalOp("H", ("a",), (1,))], k=2)
 
     def test_empty_set(self):
-        assert qc.is_qubit_disjoint([]) and qc.is_block_disjoint([])
+        assert qubit_disjoint([]) and qc.is_block_disjoint([])
 
     def test_against_pairwise_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
             ops = random_layer(rng, 6, 3, 8)
+            # Half the layers get a clash: an op repeated on its qubits.
+            if rng.integers(2):
+                ops.append(ops[int(rng.integers(len(ops)))])
             brute_q = all(
-                not (o1.qubit_support() & o2.qubit_support())
+                not (set(zip(o1.blocks, o1.qubits)) & set(zip(o2.blocks, o2.qubits)))
                 for o1, o2 in itertools.combinations(ops, 2))
             brute_b = all(
-                not (o1.block_support() & o2.block_support())
+                not (set(o1.blocks) & set(o2.blocks))
                 for o1, o2 in itertools.combinations(ops, 2))
-            assert qc.is_qubit_disjoint(ops) == brute_q
+            assert qubit_disjoint(ops) == brute_q
             assert qc.is_block_disjoint(ops) == brute_b
 
 
@@ -133,11 +171,166 @@ class TestSerialize:
 
     @pytest.mark.parametrize("text,k,match", [
         ("H u.0", 0, "k=0"),  # the CLI's --k stops this before serialize
-        ("MEA u.-1", 2, "outside 0..1"),
+        ("MEA u.-1", 2, "decimal qubit index"),  # rejected as it is parsed
     ])
     def test_rejects_out_of_range(self, text, k, match):
         with pytest.raises(ValueError, match=match):
             qc.serialize(qc.parse_circuit(text), k)
+
+
+# ── the one-pass scheduler and the ledger's layers against references ──
+
+
+def ref_serialize(ops, k):
+    """serialize as it was written with frozenset supports and Counters."""
+    ops = list(ops)
+    if k < 1:
+        raise ValueError(f"k={k}: a block holds at least one logical qubit")
+    for op in ops:
+        if any(not 0 <= j < k for j in op.qubits):
+            raise ValueError(f"{op.kind} on {op.blocks} qubits {op.qubits}: "
+                             f"an index is outside 0..{k - 1}")
+    load = Counter(b for op in ops for b in frozenset(op.blocks))
+    for b, m in load.items():
+        if m > k:
+            raise ValueError(f"block {b} hosts {m} operations, more than k={k}")
+    seen, disjoint = set(), not any(load[op.blocks[0]] > 1
+                                    for op in ops if op.kind == "INIT")
+    for op in ops:
+        sup = frozenset(zip(op.blocks, op.qubits))
+        disjoint &= not seen & sup
+        seen |= sup
+    if not disjoint:
+        raise ValueError("operation set is not qubit-disjoint")
+    color_of, by_block = {}, {}
+    for idx, op in enumerate(ops):
+        used = {color_of[other] for b in frozenset(op.blocks)
+                for other in by_block.get(b, ())}
+        c = 0
+        while c in used:
+            c += 1
+        color_of[idx] = c
+        for b in frozenset(op.blocks):
+            by_block.setdefault(b, []).append(idx)
+    n_colors = max(color_of.values(), default=-1) + 1
+    if n_colors > max(2 * k - 1, 1):
+        raise AssertionError("greedy coloring exceeded the 2k-1 bound")
+    classes = [[] for _ in range(n_colors)]
+    for idx, op in enumerate(ops):
+        classes[color_of[idx]].append(op)
+    return qc.Schedule(classes=classes, colors=n_colors)
+
+
+def ref_random_layer(rng, n_blocks, k):
+    """cli._random_layer as it was written: one scalar kind draw per op,
+    slots read from a list of (block, qubit) tuples."""
+    free = [(f"b{b}", j) for b in range(n_blocks) for j in range(k)]
+    order = rng.permutation(len(free))
+    ops = []
+    i = 0
+    n_ops = int(rng.integers(1, max(2, n_blocks * k // 2)))
+    while len(ops) < n_ops and i < len(free):
+        kind = ["MEA", "H", "S", "T", "CNOT"][int(rng.integers(0, 5))]
+        if kind == "CNOT" and i + 1 < len(free):
+            b1, q1 = free[order[i]]
+            b2, q2 = free[order[i + 1]]
+            ops.append(qc.LogicalOp("CNOT", (b1, b2), (q1, q2)))
+            i += 2
+        else:
+            b, q = free[order[i]]
+            kind = kind if kind != "CNOT" else "MEA"
+            ops.append(qc.LogicalOp(kind, (b,), (q,)))
+            i += 1
+    return ops
+
+
+OVERFULL = re.compile(r"block (\S+) hosts \d+ operations, more than k=\d+")
+
+
+def assert_serializes_as_reference(ops, k):
+    """Equal classes (the same op objects, in order) and colors, or the
+    same exception type and message."""
+    try:
+        want = ref_serialize(ops, k)
+    except (ValueError, AssertionError) as err:
+        with pytest.raises(type(err)) as got:
+            qc.serialize(ops, k)
+        if str(got.value) != str(err):
+            # Two over-full blocks first named by one CNOT: the reference
+            # reports whichever its frozenset iterates first, serialize
+            # the one the CNOT names first.
+            named = [OVERFULL.fullmatch(str(e)) for e in (err, got.value)]
+            assert all(named), (str(err), str(got.value))
+            first = {}
+            for i, op in enumerate(ops):
+                for b in op.blocks:
+                    first.setdefault(b, i)
+            want_b, got_b = (m.group(1) for m in named)
+            op = ops[first[got_b]]
+            assert first[want_b] == first[got_b] and op.blocks[0] == got_b
+        return
+    got = qc.serialize(ops, k)
+    assert got.colors == want.colors
+    assert [list(map(id, c)) for c in got.classes] == [
+        list(map(id, c)) for c in want.classes]
+    assert got.validate(ops) == []
+
+
+BLOCK = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+def layer_ops(k):
+    """Ops on five blocks: INITs, single-qubit ops and CNOTs (a CNOT may
+    name one block twice), so layers can over-fill a block, share a qubit
+    or name an index out of range (−1 or k, about one index in ten)."""
+    index = st.integers(0, 20).map(
+        lambda j: -1 if j == 0 else k if j == 1 else j % k)
+    return st.lists(st.one_of(
+        st.builds(lambda b: qc.LogicalOp("INIT", (b,), ()), BLOCK),
+        st.builds(lambda kind, b, j: qc.LogicalOp(kind, (b,), (j,)),
+                  st.sampled_from(["MEA", "H", "S", "T"]), BLOCK, index),
+        st.builds(lambda b1, b2, j1, j2: qc.LogicalOp("CNOT", (b1, b2), (j1, j2)),
+                  BLOCK, BLOCK, index, index)), max_size=14)
+
+
+class TestAgainstReferences:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda k: st.tuples(st.just(k), layer_ops(k))))
+    def test_drawn_layers(self, case):
+        k, ops = case
+        assert_serializes_as_reference(ops, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 12))
+    def test_valid_layers(self, seed, k, blocks):
+        ops = cli._random_layer(np.random.default_rng(seed), blocks, k)
+        assert_serializes_as_reference(ops, k)
+
+    def test_overfull_blocks_named_in_order(self):
+        ops = [qc.LogicalOp("CNOT", ("v", "u"), (0, 0)),
+               qc.LogicalOp("CNOT", ("u", "v"), (0, 0)),
+               qc.LogicalOp("H", ("w",), (0,))]
+        with pytest.raises(ValueError, match="^block v hosts 2 operations"):
+            qc.serialize(ops, k=1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2024])
+    def test_ledger_layers(self, seed):
+        # check_scheduler's 200 layers: the same ops from the same stream
+        # as the per-op draws, each scheduled as the reference schedules it.
+        layers = []
+        for draw in (ref_random_layer, cli._random_layer):
+            with cli._rng(seed, "compile.schedule") as rng:
+                layers.append([])
+                for _ in range(200):
+                    k = int(rng.integers(1, 7))
+                    blocks = int(rng.integers(2, 33))
+                    layers[-1].append((k, draw(rng, blocks, k)))
+                layers[-1].append(rng.integers(2**63))
+        assert layers[0] == layers[1]
+        for k, ops in layers[1][:-1]:
+            assert all(type(j) is int for op in ops for j in op.qubits)
+            assert_serializes_as_reference(ops, k)
 
 
 class TestBatchArithmetic:

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 from unittest.mock import patch
 
@@ -509,23 +510,17 @@ class TestFaultMatrices:
     @settings(max_examples=80, deadline=None)
     @given(st.data(), st.integers(0, 70), st.integers(0, 2**32 - 1))
     def test_fault_rows(self, data, n, seed):
-        units = data.draw(st.lists(st.integers(0, max(n - 1, 0)),
-                                   max_size=n and 12))
-        sizes = data.draw(st.lists(st.integers(0, min(n, 5)), max_size=40))
-        m = gf2.fault_rows(sim.trial_rng(seed), n, np.array(units, dtype=int),
-                           np.array(sizes, dtype=int))
-        assert m.shape == (len(units) + len(sizes), n) and m.dtype == np.uint8
-        assert set(np.unique(m)) <= {0, 1}
-        head = gf2.zeros(len(units), n)
-        head[np.arange(len(units)), units] = 1
-        assert np.array_equal(m[:len(units)], head)
-        # Each set is written as ones, so `size` ones means `size` distinct
-        # locations inside [0, n).
-        assert np.array_equal(m[len(units):].sum(axis=1), sizes)
+        count = data.draw(st.integers(0, 40))
+        size = data.draw(st.integers(0, min(n, 5)))
+        sets = gf2.fault_sets(sim.trial_rng(seed), n, count, size)
+        assert sets.shape == (count, size)
+        # Each row names `size` distinct locations inside [0, n).
+        assert ((sets >= 0) & (sets < n)).all()
+        assert all(len(set(row)) == size for row in sets.tolist())
 
     def test_fault_rows_keyed_by_stream(self):
-        draw = lambda seed, index: gf2.fault_rows(
-            sim.trial_rng(seed, index), 50, np.arange(3), np.arange(200) % 5)
+        draw = lambda seed, index: gf2.fault_sets(
+            sim.trial_rng(seed, index), 50, 200, 3)
         assert np.array_equal(draw(7, 2), draw(7, 2))
         assert not np.array_equal(draw(7, 2), draw(7, 3))
         assert not np.array_equal(draw(7, 2), draw(8, 2))
@@ -535,19 +530,18 @@ class TestFaultMatrices:
         # Every one of the C(6, size) sets, 20,000 draws: the chi-square
         # statistic stays below its 1 - 1e-6 quantile (14 and 19 degrees of
         # freedom), which a sampler off by one in the shift rule exceeds.
-        m = gf2.fault_rows(sim.trial_rng(2024), 6, [], np.full(20000, size))
-        sets = [gf2._pack(row) for row in m]
-        keys = [sum(1 << i for i in c)
-                for c in itertools.combinations(range(6), size)]
-        counts = np.array([sets.count(k) for k in keys])
+        sets = gf2.fault_sets(sim.trial_rng(2024), 6, 20000, size)
+        drawn = Counter(frozenset(row) for row in sets.tolist())
+        counts = np.array([drawn[frozenset(c)]
+                           for c in itertools.combinations(range(6), size)])
         assert counts.sum() == 20000
-        expected = 20000 / len(keys)
+        expected = 20000 / len(counts)
         assert ((counts - expected) ** 2 / expected).sum() < bound
 
     def test_fault_rows_rejects_sizes(self):
-        for sizes in ([4], [-1]):
-            with pytest.raises(ValueError, match="sizes"):
-                gf2.fault_rows(sim.trial_rng(1), 3, [], sizes)
+        for size in (4, -1):
+            with pytest.raises(ValueError, match="set size"):
+                gf2.fault_sets(sim.trial_rng(1), 3, 1, size)
 
     def test_as_rows(self):
         rows = gf2.as_rows([1, 0, 1])

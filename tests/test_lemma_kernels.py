@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsurg import codes, gf2, ltsp, protocol, surgery
+from qsurg import codes, gf2, ltsp, protocol, sim, surgery
 
 SETTINGS = settings(max_examples=40, deadline=None)
 ERRORS = (ltsp.ResourceStateError, AssertionError, ValueError)
@@ -436,6 +436,23 @@ def test_desk_equivalent_rows_match_references(memory13, copy_j):
 def test_desk_unit_batches_match_identity(memory13, copy_j):
     assert_units_match_identity(
         ltsp.sp_matrices(memory13, codes.hamming_743(), copy_j))
+
+
+@pytest.mark.parametrize("copy_j", range(4))
+@pytest.mark.parametrize("seed", [0, 42, 2024])
+def test_desk_pair_sets_match_dense_rows(memory13, set_rows, copy_j, seed):
+    # The sweep's index pairs and the same pairs as dense rows give equal
+    # results, field by field.
+    spp = ltsp.sp_matrices(memory13, codes.hamming_743(), copy_j)
+    n = spp.layout_x.total
+    with sim.checked_rng(seed, copy_j) as rng:
+        pairs = gf2.fault_sets(rng, n, 500, 2)
+    by_sets = ltsp.check_x_bound(spp, sets=pairs)
+    by_rows = ltsp.check_x_bound(spp, set_rows(pairs, n))
+    assert (by_sets.status != "detected").any()
+    for fld in dataclasses.fields(ltsp.XBoundResult):
+        assert np.array_equal(getattr(by_sets, fld.name),
+                              getattr(by_rows, fld.name)), fld.name
 
 
 def test_unit_batches_match_rows(spp13):

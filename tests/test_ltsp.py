@@ -326,12 +326,13 @@ class TestXBound:
         rep = ltsp.sweep_x_lemma(spp13, max_weight=0, samples=300, seed=3)
         assert rep.clean
 
-    def test_sweep_counts_as_one_batch(self, spp13):
-        # The units and then the pairs, drawn on the same stream as when
-        # both were one batch, give that batch's counts.
+    def test_sweep_counts_as_one_batch(self, spp13, set_rows):
+        # The units and then the pairs, drawn on the same stream, as one
+        # batch of dense rows give the sweep's counts.
         n = spp13.layout_x.total
         with sim.checked_rng(4, 9) as rng:
-            faults = gf2.fault_rows(rng, n, np.arange(n), np.full(300, 2))
+            pairs = gf2.fault_sets(rng, n, 300, 2)
+        faults = np.concatenate([gf2.eye(n), set_rows(pairs, n)])
         res = ltsp.check_x_bound(spp13, faults)
         count = lambda status: int(np.count_nonzero(res.status == status))
         rep = ltsp.sweep_x_lemma(spp13, max_weight=1, samples=300, seed=4,
