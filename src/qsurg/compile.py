@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 KINDS = ("INIT", "MEA", "H", "S", "T", "CNOT")
 
 
-@dataclass(frozen=True)
-class LogicalOp:
+class LogicalOp(NamedTuple):
     kind: str
     blocks: tuple            # one block name, or (control, target) for CNOT
     qubits: tuple            # logical indices within the blocks

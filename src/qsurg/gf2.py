@@ -423,15 +423,18 @@ def flagged_collision(checks: np.ndarray, flags: np.ndarray,
     of weight m splits into halves of sizes ⌈m/2⌉ and ⌊m/2⌋.  So v ≤ 2·half
     implies v = m: the value is m when m ≤ 2·half, and None (a certificate
     that m > 2·half) otherwise.  syndrome_tables of [checks; flags] keeps
-    the least set of each (syndrome, flag) key; after each weight w, the two
-    least weights of a syndrome class are a candidate, and the first value,
-    at most 2·w, is m: the table is grown to weight ⌈m/2⌉ and no further."""
+    the least set of each (syndrome, flag) key; after each weight w ≥ 1
+    (the weight-0 table, one row, holds no pair), the two least weights of
+    a syndrome class are a candidate, and the first value, at most 2·w, is
+    m: the table is grown to weight ⌈m/2⌉ and no further."""
     r, n = checks.shape
     size = sum(math.comb(n, w) for w in range(min(half, n) + 1))
     if size > TABLE_CAP:
         raise SearchTooLarge(f"collision sweep of {size} sets refused")
     syndrome_bits = pack_words(np.arange(r + len(flags))[None] < r)
-    for table in syndrome_tables(np.vstack([checks, flags]), half):
+    tables = syndrome_tables(np.vstack([checks, flags]), half)
+    next(tables)
+    for table in tables:
         least = np.bitwise_count(table.errors).sum(axis=1, dtype=np.int64)
         _, syndrome = np.unique(_row_keys(table.keys & syndrome_bits),
                                 return_inverse=True)
@@ -498,6 +501,61 @@ class SyndromeTable:
         idx = prefix.take(w, mode="clip") - np.bitwise_count(high)
         hit = (high & (s <= self.keys[-1, 0])).astype(bool)
         return np.minimum(idx, len(self) - 1), hit
+
+
+class TableStack:
+    """SyndromeTables looked up as one, each row of a find in its own table.
+    A found index is a row of `errors`, the tables' errors stacked in order;
+    each table's errors is rebound to a view of its part, so none is held
+    twice.
+
+    When every table has a rank index, their bitmaps sit side by side in
+    regions of equal length, each padded with at least one zero word, and
+    one prefix counts the keys across them: a syndrome's word is clipped to
+    the region's last word, where past its table's keys it misses, and
+    offset by its table's region.  Otherwise each table is searched for its
+    own rows: keys tagged by table would be a second copy of every key."""
+
+    def __init__(self, tables) -> None:
+        self.tables = tables
+        sizes = [len(table) for table in tables]
+        self.starts = np.cumsum(sizes) - sizes
+        self.errors = np.concatenate([table.errors for table in tables])
+        for table, part in zip(tables, np.split(self.errors, self.starts[1:])):
+            table.errors = part
+        indexes = [table.rank_index for table in tables]
+        self.bitmap = None
+        if all(index is not None for index in indexes):
+            self.words = 1 + max(len(bitmap) for bitmap, _ in indexes)
+            self.bitmap = np.zeros((len(tables), self.words), dtype=np.uint64)
+            for region, (bitmap, _) in zip(self.bitmap, indexes):
+                region[:len(bitmap)] = bitmap
+            self.bitmap = self.bitmap.reshape(-1)
+            self.prefix = np.cumsum(np.bitwise_count(self.bitmap),
+                                    dtype=np.int32)
+            for table in tables:  # the stack's bitmap replaces them
+                del table.rank_index
+
+    def find(self, rows: np.ndarray, which: np.ndarray):
+        """Row of `errors` of each packed syndrome, looked up in table
+        which[i], and whether it is present; a missing syndrome gets some
+        valid row.  A syndrome narrower than the rows ends in zero words."""
+        if self.bitmap is not None:
+            s = rows.reshape(-1)
+            w = (np.minimum(s >> 6, self.words - 1).view(np.int64)
+                 + which * self.words)
+            high = self.bitmap.take(w) >> (s & 63)
+            idx = self.prefix.take(w) - np.bitwise_count(high)
+            return (np.minimum(idx, len(self.errors) - 1),
+                    (high & 1).astype(bool))
+        idx = np.empty(len(rows), dtype=np.intp)
+        hit = np.empty(len(rows), dtype=bool)
+        for i, (table, start) in enumerate(zip(self.tables, self.starts)):
+            mine = np.flatnonzero(which == i)
+            idx[mine], hit[mine] = table.find(
+                rows[mine, :table.keys.shape[1]])
+            idx[mine] += start
+        return idx, hit
 
 
 def syndrome_tables(checks: np.ndarray, t: int):

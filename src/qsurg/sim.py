@@ -13,10 +13,12 @@ unit of randomness: trials run in blocks of BLOCK_CELLS live cells,
 block b drawing its faults from trial_rng(seed, b).  Passes are the unit
 of decoding: a pass gathers consecutive blocks until it holds PASS_FAULTS
 faults (or BLOCK_CELLS trials, which bounds its per-trial arrays at low
-p).  Each of its trials XORs the words of its faults per basis, and one
-gf2.SyndromeTable.find per basis looks up both decoding stages of every
-trial: a rank index for one-word syndromes when it is no larger than the
-keys (d=3 and d=5), else binary search.  Trials decode independently, so
+p).  A pass gathers the words of all its faults, of both bases, from one
+matrix, XORs each (trial, basis) group's with one reduceat, and looks up
+both decoding stages of every group in one probe of the decoder's two
+tables (gf2.TableStack): a rank index for one-word syndromes when each
+table's is no larger than its keys (d=3 and d=5), else binary search of
+each table for its own groups.  Trials decode independently, so
 the results do not depend on PASS_FAULTS, and a given (experiment, p_phy,
 trials, seed) gives byte-identical results.
 """
@@ -117,6 +119,12 @@ class LookupDecoder:
     def _build(checks: np.ndarray, t: int) -> gf2.SyndromeTable:
         return gf2.syndrome_table(checks, t)
 
+    @functools.cached_property
+    def stack(self) -> gf2.TableStack:
+        """The X table (table 0) and the Z table (1) as one lookup, built on
+        first use."""
+        return gf2.TableStack([self._x_table, self._z_table])
+
     def decode_x(self, syndrome: np.ndarray) -> Optional[np.ndarray]:
         return self._lookup(self._x_table, syndrome)
 
@@ -187,38 +195,6 @@ class _BasisView:
         self.logical_words = gf2.pack_words(self.logicals)
         self.words = np.hstack([mid, final, frames])
 
-    def failures(self, dec: LookupDecoder, trial: np.ndarray,
-                 cell: np.ndarray, trials: int):
-        """Per-trial failure bits, given each fault's trial (sorted) and cell,
-        and how many trials failed heralded and how many silently.
-
-        A trial fails heralded when either decoding stage misses its table
-        and silently when both hit and the corrected residue flips a
-        logical; a trial without faults never fails.
-        """
-        out = np.zeros(trials, dtype=bool)
-        if not trial.size:
-            return out, 0, 0
-        first = np.ones(len(trial), dtype=bool)
-        np.not_equal(trial[1:], trial[:-1], out=first[1:])
-        starts = first.nonzero()[0]
-        # take gathers rows several times faster than fancy indexing.
-        acc = np.bitwise_xor.reduceat(self.words.take(cell, 0), starts, axis=0)
-        m, s = len(starts), self.syn_words
-        mid = acc[:, :s]
-        table = dec._x_table if self.frame_is_x else dec._z_table
-        # Both stages in one lookup: checks·(fr ^ c1) = final ^ mid, as the
-        # first correction c1 has syndrome mid by construction of the table.
-        idx, hit = table.find(np.concatenate([mid, acc[:, s: 2 * s] ^ mid]))
-        fix = table.errors.take(idx, 0)
-        resid = acc[:, 2 * s:] ^ fix[:m] ^ fix[m:]
-        odd = np.bitwise_count(resid[:, None] & self.logical_words).sum(axis=2)
-        hit = hit[:m] & hit[m:]
-        fail = ~hit | (odd & 1).any(axis=1)
-        out[trial[starts]] = fail
-        heralded = m - int(np.count_nonzero(hit))
-        return out, heralded, int(np.count_nonzero(fail)) - heralded
-
 
 @dataclass
 class MemoryExperiment:
@@ -229,15 +205,67 @@ class MemoryExperiment:
     z_basis: _BasisView
     x_basis: _BasisView
     # By compile_faults: the live cells, those whose words are not all zero,
-    # as indices into z_basis's cells followed by x_basis's.
+    # as indices into z_basis's cells followed by x_basis's; their words in
+    # that order (z_basis's z_live first), each syndrome widened to
+    # syn_words; and the logical words of z_basis, then of x_basis.
     live: Optional[np.ndarray] = None
+    words: Optional[np.ndarray] = None
+    z_live: int = 0
+    syn_words: int = 0
+    logical_words: Optional[np.ndarray] = None
 
     def compile_faults(self) -> None:
-        if self.live is None:
-            self.z_basis.compile_faults()
-            self.x_basis.compile_faults()
-            self.live = np.flatnonzero(np.concatenate(
-                [v.words.any(axis=1) for v in (self.z_basis, self.x_basis)]))
+        if self.live is not None:
+            return
+        views = (self.z_basis, self.x_basis)
+        for view in views:
+            view.compile_faults()
+        live = [view.words.any(axis=1) for view in views]
+        self.live = np.flatnonzero(np.concatenate(live))
+        self.z_live = int(np.count_nonzero(live[0]))
+        s = self.syn_words = max(view.syn_words for view in views)
+        parts = []
+        for view, rows in zip(views, live):
+            t = view.syn_words  # zero words widen each syndrome to s
+            widen = [t] * (s - t) + [2 * t] * (s - t)
+            parts.append(np.insert(view.words[rows], widen, 0, axis=1))
+        self.words = np.vstack(parts)
+        self.logical_words = np.stack([view.logical_words for view in views])
+
+    def failures(self, trial: np.ndarray, cell: np.ndarray):
+        """Decode a pass, given each fault's trial and live cell (a row of
+        words), sorted by trial, then cell.  Returns the key 2·trial + basis
+        (0 for z_basis, 1 for x_basis) of each (trial, basis) group with
+        faults, in order, and per group whether it failed heralded and
+        whether silently.
+
+        A group fails heralded when either decoding stage misses its table
+        and silently when both hit and the corrected residue flips a logical
+        of its basis; one bitwise_xor.reduceat sums every group's words, and
+        one probe of the decoder's table stack looks both stages of every
+        group up.
+        """
+        key = 2 * trial + (cell >= self.z_live)  # a trial's |0⟩ cells first
+        first = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        # take gathers rows several times faster than fancy indexing.
+        acc = np.bitwise_xor.reduceat(self.words.take(cell, 0), starts, axis=0)
+        group = key[starts]
+        basis = group & 1
+        m, s = len(starts), self.syn_words
+        mid = acc[:, :s]
+        # Both stages in one lookup: checks·(fr ^ c1) = final ^ mid, as the
+        # first correction c1 has syndrome mid by construction of the table.
+        stack = self.decoder.stack
+        idx, hit = stack.find(np.concatenate([mid, acc[:, s: 2 * s] ^ mid]),
+                              np.concatenate([basis, basis]))
+        fix = stack.errors.take(idx, 0)
+        resid = acc[:, 2 * s:] ^ fix[:m] ^ fix[m:]
+        odd = np.bitwise_count(
+            resid[:, None] & self.logical_words.take(basis, 0)).sum(axis=2)
+        hit = hit[:m] & hit[m:]
+        return group, ~hit, hit & (odd & 1).any(axis=1)
 
 
 def _build_basis(code: CssCode, basis: str) -> _BasisView:
@@ -310,7 +338,7 @@ def wilson_interval(failures: int, trials: int):
 
 
 BLOCK_CELLS = 1 << 20  # live cells (trials × live cells a trial) per block
-PASS_FAULTS = 1 << 16  # faults after which a decoding pass ends
+PASS_FAULTS = 1 << 15  # faults after which a decoding pass ends
 
 
 def _sample_block(seed: int, block: int, p_phy: float, trials: int,
@@ -342,17 +370,18 @@ def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
     the live cells of both bases (exp.live) in blocks of BLOCK_CELLS, block
     b from trial_rng(seed, stream + b), and decoded in passes: a pass takes
     consecutive blocks until it holds PASS_FAULTS faults or BLOCK_CELLS
-    trials, then makes one failures call per basis.  The result does not
-    depend on PASS_FAULTS.
+    trials, then decodes both bases of all its trials in one exp.failures
+    call.  The result does not depend on PASS_FAULTS.
     """
     if not 0 <= p_phy < 1:
         raise ValueError("p_phy must lie in [0, 1)")
     if trials < 0:
         raise ValueError("trials must be non-negative")
     exp.compile_faults()
-    live, z_cells = exp.live, len(exp.z_basis.words)
-    block = max(1, BLOCK_CELLS // len(live))
-    failures = z_heralded = z_silent = x_heralded = x_silent = 0
+    cells = len(exp.live)
+    block = max(1, BLOCK_CELLS // cells)
+    failures = 0
+    heralded_by_basis, silent_by_basis = np.zeros((2, 2), dtype=np.int64)
     b = start = 0
     while start < trials:
         # One pass of whole blocks, each block's trials numbered on from
@@ -361,22 +390,21 @@ def logical_error_rate(exp: MemoryExperiment, p_phy: float, trials: int,
         while (start < trials and faults < PASS_FAULTS
                and size < BLOCK_CELLS):
             n = min(block, trials - start)
-            trial, cell = _sample_block(seed, stream + b, p_phy, n, len(live))
+            trial, cell = _sample_block(seed, stream + b, p_phy, n, cells)
             trial_parts.append(trial + size)
             cell_parts.append(cell)
             b, start = b + 1, start + n
             size, faults = size + n, faults + len(trial)
-        trial = np.concatenate(trial_parts)
-        cell = live.take(np.concatenate(cell_parts))
-        in_z = cell < z_cells  # to indices: masks branch per fault
-        in_z, in_x = in_z.nonzero()[0], (~in_z).nonzero()[0]
-        fail, heralded, silent = exp.z_basis.failures(
-            exp.decoder, trial[in_z], cell[in_z], size)
-        z_heralded, z_silent = z_heralded + heralded, z_silent + silent
-        fail_x, heralded, silent = exp.x_basis.failures(
-            exp.decoder, trial[in_x], cell[in_x] - z_cells, size)
-        x_heralded, x_silent = x_heralded + heralded, x_silent + silent
-        failures += int(np.count_nonzero(fail | fail_x))
+        group, heralded, silent = exp.failures(np.concatenate(trial_parts),
+                                               np.concatenate(cell_parts))
+        # Per basis (group & 1), the groups that failed each way.
+        heralded_by_basis += np.bincount(group[heralded] & 1, minlength=2)
+        silent_by_basis += np.bincount(group[silent] & 1, minlength=2)
+        failed = group[heralded | silent] >> 1  # a trial's groups adjacent
+        failures += len(failed) - int(np.count_nonzero(
+            failed[1:] == failed[:-1]))
+    z_heralded, x_heralded = heralded_by_basis.tolist()
+    z_silent, x_silent = silent_by_basis.tolist()
     lo, hi = wilson_interval(failures, trials)
     return RateEstimate(trials=trials, failures=failures,
                         rate=failures / trials if trials else 0.0,

@@ -56,6 +56,18 @@ class TestParsing:
         op = qc.parse_op("CNOT a.b.007 c.12")
         assert op.blocks == ("a.b", "c") and op.qubits == (7, 12)
 
+    def test_op_is_an_immutable_value(self):
+        op = qc.parse_op("CNOT u.0 v.1")
+        assert (op.kind, op.blocks, op.qubits) == ("CNOT", ("u", "v"), (0, 1))
+        assert repr(op) == ("LogicalOp(kind='CNOT', blocks=('u', 'v'), "
+                            "qubits=(0, 1))")
+        twin = qc.LogicalOp("CNOT", ("u", "v"), (0, 1))
+        assert op == twin and hash(op) == hash(twin)
+        assert op != qc.LogicalOp("CNOT", ("u", "v"), (1, 0))
+        assert len({op, twin}) == 1
+        with pytest.raises(AttributeError):
+            op.kind = "H"
+
     def test_errors_name_their_line(self):
         text = "H u.0\n# MEA u.x\n\n  MEA u.+1\n"
         with pytest.raises(ValueError, match=r"^line 4: 'u\.\+1': "):

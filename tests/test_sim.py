@@ -1,5 +1,6 @@
 """Lookup decoding and Monte Carlo."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -433,6 +434,50 @@ def test_lookup_path(experiments, d, bits, indexed):
         assert bitmap.nbytes + prefix.nbytes <= table.keys.nbytes
 
 
+@pytest.mark.parametrize("rows,t,indexed", [
+    ((9, 7), 1, True), ((9, 7), 2, True), ((6, 9), 3, True),
+    ((9, 40), 1, False), ((70, 9), 1, False)])
+def test_table_stack_finds_as_each_table(rows, t, indexed):
+    """A TableStack answers each row as its own table does: the same hit,
+    and for a hit the row of the same error.  The rows are every key,
+    every key + 1, the all-ones syndrome and random ones; the last three
+    checks are zero, so every key lies below an eighth of the syndromes
+    and many rows lie past the rank index's words.  With a 40- or 70-row
+    table
+    one table is binary searched, so each is searched for its own rows
+    (the 70-row one with two-word keys)."""
+    rng = np.random.default_rng(sum(rows) + t)
+    checks = [rng.integers(0, 2, size=(r, 14), dtype=np.uint8) for r in rows]
+    for c in checks:
+        c[-3:] = 0
+    tables = [gf2.syndrome_table(c, t) for c in checks]
+    width = max(table.keys.shape[1] for table in tables)
+    queries, which, want = [], [], []
+    for i, (r, table) in enumerate(zip(rows, tables)):
+        bits = np.vstack([gf2.unpack_words(table.keys, r),
+                          gf2.unpack_words(table.keys + np.uint64(1), r),
+                          np.ones((1, r), dtype=np.uint8),
+                          rng.integers(0, 2, size=(200, r), dtype=np.uint8)])
+        q = gf2.pack_words(bits)
+        idx, hit = table.find(q)
+        want.append((hit, table.errors[idx[hit]]))
+        queries.append(np.hstack([q, np.zeros((len(q), width - q.shape[1]),
+                                               dtype=np.uint64)]))
+        which.append(np.full(len(q), i))
+    stack = gf2.TableStack(tables)
+    assert (stack.bitmap is not None) == indexed
+    idx, hit = stack.find(np.vstack(queries), np.concatenate(which))
+    for i, (want_hit, want_errors) in enumerate(want):
+        mine = np.concatenate(which) == i
+        assert np.array_equal(hit[mine], want_hit)
+        assert np.array_equal(stack.errors[idx[mine][want_hit]], want_errors)
+    assert hit.any() and not hit.all()
+    for table, part in zip(tables, np.split(stack.errors,
+                                            np.cumsum([len(tables[0])]))):
+        assert table.errors.base is stack.errors  # a view, not a copy
+        assert np.array_equal(table.errors, part)
+
+
 def reference_failures(view, dec, trial_faults):
     """Each trial decoded on its own: the frame run of its sampled fault set
     (one lane per trial, built from the cells' locations), two table
@@ -462,6 +507,21 @@ def reference_failures(view, dec, trial_faults):
     return out
 
 
+def basis_failures(exp, trial, row, trials):
+    """exp.failures per basis: for "z" and "x", the failure bit of each of
+    the `trials` trials, and how many groups failed heralded and how many
+    silently."""
+    group, heralded, silent = exp.failures(trial, row)
+    out = {}
+    for b, basis in enumerate("zx"):
+        mine = group & 1 == b
+        fail = np.zeros(trials, dtype=bool)
+        fail[group[mine & (heralded | silent)] >> 1] = True
+        out[basis] = (fail, int(np.count_nonzero(heralded & mine)),
+                      int(np.count_nonzero(silent & mine)))
+    return out
+
+
 @pytest.mark.parametrize("d,p,trials", [(3, 5e-3, 400), (3, 2e-2, 400),
                                         (5, 5e-3, 200), (5, 2e-2, 200),
                                         (7, 1e-4, 100)])
@@ -471,26 +531,26 @@ def test_batched_matches_per_trial(experiments, d, p, trials):
         assert exp.z_basis.words.shape[1] > 3  # frames span two words
     seed = 31
     live, z_cells = exp.live, len(exp.z_basis.words)
-    trial, cell = sim._sample_block(seed, 0, p, trials, len(live))
-    cell = live[cell]
+    trial, row = sim._sample_block(seed, 0, p, trials, len(live))
+    cell = live[row]
+    got = basis_failures(exp, trial, row, trials)
     ref = np.zeros(trials, dtype=bool)
     counts = {}
     for basis, view, sel, offset in (("z", exp.z_basis, cell < z_cells, 0),
                                      ("x", exp.x_basis, cell >= z_cells,
                                       z_cells)):
-        got, heralded, silent = view.failures(
-            exp.decoder, trial[sel], cell[sel] - offset, trials)
+        fail, heralded, silent = got[basis]
         view_cells = fault_cells(view)
         want = reference_failures(
             view, exp.decoder, [[view_cells[c] for c in
                                  cell[sel & (trial == t)] - offset]
                                 for t in range(trials)])
-        assert np.array_equal(got, [kind is not None for kind in want])
+        assert np.array_equal(fail, [kind is not None for kind in want])
         assert (heralded, silent) == (want.count("heralded"),
                                       want.count("silent"))
         counts[f"{basis}_heralded"] = heralded
         counts[f"{basis}_silent"] = silent
-        ref |= got
+        ref |= fail
     assert ref.any() and not ref.all()
     est = sim.logical_error_rate(exp, p, trials, seed)
     assert est.failures == ref.sum()
@@ -499,25 +559,21 @@ def test_batched_matches_per_trial(experiments, d, p, trials):
 
 def per_block_rate(exp, p, trials, seed, stream):
     """The estimate with every block decoded on its own: block b is
-    _sample_block(seed, stream + b, ...) over the live cells, mapped to its
-    cells, decoded through one failures call per basis, and the counts
-    summed.  Also the faults of each block."""
-    live, z_cells = exp.live, len(exp.z_basis.words)
-    block = max(1, sim.BLOCK_CELLS // len(live))
+    _sample_block(seed, stream + b, ...) over the live cells, decoded
+    through one failures call, and the counts summed.  Also the faults of
+    each block."""
+    block = max(1, sim.BLOCK_CELLS // len(exp.live))
     counts = dict.fromkeys(("z_heralded", "z_silent", "x_heralded",
                             "x_silent"), 0)
     failures, block_faults = 0, []
     for b, start in enumerate(range(0, trials, block)):
         size = min(block, trials - start)
-        trial, cell = sim._sample_block(seed, stream + b, p, size, len(live))
-        cell = live[cell]
+        trial, row = sim._sample_block(seed, stream + b, p, size,
+                                       len(exp.live))
         block_faults.append(len(trial))
         fail = np.zeros(size, dtype=bool)
-        for basis, view, sel, offset in (
-                ("z", exp.z_basis, cell < z_cells, 0),
-                ("x", exp.x_basis, cell >= z_cells, z_cells)):
-            got, heralded, silent = view.failures(
-                exp.decoder, trial[sel], cell[sel] - offset, size)
+        for basis, (got, heralded, silent) in basis_failures(
+                exp, trial, row, size).items():
             counts[f"{basis}_heralded"] += heralded
             counts[f"{basis}_silent"] += silent
             fail |= got
@@ -527,6 +583,130 @@ def per_block_rate(exp, p, trials, seed, stream):
                            rate=failures / trials, ci_low=lo, ci_high=hi,
                            **counts)
     return est, block_faults
+
+
+def per_basis_failures(view, table, trial, cell, trials):
+    """The per-basis decode that logical_error_rate made before both bases
+    shared one pass: one basis's faults, given each one's trial (sorted) and
+    cell of the basis, through its own table.  Per-trial failure bits, and
+    how many trials failed heralded and how many silently."""
+    out = np.zeros(trials, dtype=bool)
+    if not trial.size:
+        return out, 0, 0
+    first = np.ones(len(trial), dtype=bool)
+    np.not_equal(trial[1:], trial[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    acc = np.bitwise_xor.reduceat(view.words.take(cell, 0), starts, axis=0)
+    m, s = len(starts), view.syn_words
+    mid = acc[:, :s]
+    idx, hit = table.find(np.concatenate([mid, acc[:, s: 2 * s] ^ mid]))
+    fix = table.errors.take(idx, 0)
+    resid = acc[:, 2 * s:] ^ fix[:m] ^ fix[m:]
+    odd = np.bitwise_count(resid[:, None] & view.logical_words).sum(axis=2)
+    hit = hit[:m] & hit[m:]
+    fail = ~hit | (odd & 1).any(axis=1)
+    out[trial[starts]] = fail
+    heralded = m - int(np.count_nonzero(hit))
+    return out, heralded, int(np.count_nonzero(fail)) - heralded
+
+
+def per_basis_rate(exp, p, trials, seed, stream=0):
+    """logical_error_rate as it decoded before both bases shared one pass:
+    the same blocks and passes, each pass split by basis and decoded by
+    per_basis_failures."""
+    live, z_cells = exp.live, len(exp.z_basis.words)
+    block = max(1, sim.BLOCK_CELLS // len(live))
+    counts = dict.fromkeys(("z_heralded", "z_silent", "x_heralded",
+                            "x_silent"), 0)
+    failures = b = start = 0
+    while start < trials:
+        trial_parts, cell_parts, size, faults = [], [], 0, 0
+        while (start < trials and faults < sim.PASS_FAULTS
+               and size < sim.BLOCK_CELLS):
+            n = min(block, trials - start)
+            trial, cell = sim._sample_block(seed, stream + b, p, n,
+                                            len(live))
+            trial_parts.append(trial + size)
+            cell_parts.append(cell)
+            b, start = b + 1, start + n
+            size, faults = size + n, faults + len(trial)
+        trial = np.concatenate(trial_parts)
+        cell = live.take(np.concatenate(cell_parts))
+        fail = np.zeros(size, dtype=bool)
+        for basis, view, table, sel, offset in (
+                ("z", exp.z_basis, exp.decoder._x_table, cell < z_cells, 0),
+                ("x", exp.x_basis, exp.decoder._z_table, cell >= z_cells,
+                 z_cells)):
+            got, heralded, silent = per_basis_failures(
+                view, table, trial[sel], cell[sel] - offset, size)
+            counts[f"{basis}_heralded"] += heralded
+            counts[f"{basis}_silent"] += silent
+            fail |= got
+        failures += int(np.count_nonzero(fail))
+    lo, hi = sim.wilson_interval(failures, trials)
+    return sim.RateEstimate(trials=trials, failures=failures,
+                            rate=failures / trials if trials else 0.0,
+                            ci_low=lo, ci_high=hi, **counts)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_one_pass_matches_per_basis_decoding(experiments, monkeypatch, d):
+    """logical_error_rate equals the per-basis decode field for field at
+    p = 1e-3, 5e-3 and 2e-2, over several passes of several blocks: d=3
+    and d=5 look up by rank index, d=7 by binary search, its frames two
+    words wide.  d=3 also takes a weight-1 table, as its deep table holds
+    every syndrome and never heralds.  Each basis fails both heralded and
+    silently, but at d=7: its weight-1 table passes no draw of a silent
+    flip, which takes more faults than any table reachable here corrects."""
+    monkeypatch.setattr(sim, "BLOCK_CELLS", 1 << 14)
+    monkeypatch.setattr(sim, "PASS_FAULTS", 50)
+    exp = experiments[d]
+    exps = [exp]
+    if d == 3:
+        exps.append(sim.MemoryExperiment(
+            code=exp.code, decoder=sim.LookupDecoder(exp.code, max_weight=1),
+            z_basis=exp.z_basis, x_basis=exp.x_basis))
+    passes, real = [], sim.MemoryExperiment.failures
+
+    def counted(*args):
+        passes.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(sim.MemoryExperiment, "failures", counted)
+    totals = dict.fromkeys(("z_heralded", "z_silent", "x_heralded",
+                            "x_silent"), 0)
+    for e in exps:
+        for p, trials in ((1e-3, 3000), (5e-3, 1000), (2e-2, 300)):
+            passes.clear()
+            est = sim.logical_error_rate(e, p, trials, seed=7, stream=d)
+            assert len(passes) > 2
+            assert est == per_basis_rate(e, p, trials, seed=7, stream=d)
+            for key in totals:
+                totals[key] += getattr(est, key)
+    assert all(totals[f"{basis}_heralded"] for basis in "zx")
+    assert all(totals[f"{basis}_silent"] for basis in "zx") == (d != 7)
+
+
+def test_unequal_syndrome_widths_match_per_basis_decoding(monkeypatch):
+    """HGP(rep 3, rep 30) has 87 Z checks and 60 X checks: the |0⟩ basis's
+    syndromes take two words and the |+⟩ basis's one, so the live words
+    widen the narrower syndromes with zero words and the table stack
+    searches keys of both widths as one; the estimate still equals the
+    per-basis decode."""
+    monkeypatch.setattr(sim, "BLOCK_CELLS", 1 << 14)
+    monkeypatch.setattr(sim, "PASS_FAULTS", 50)
+    code = dataclasses.replace(codes.hypergraph_product(
+        codes.repetition(3), codes.repetition(30)), d=3)
+    exp = sim.MemoryExperiment(code=code,
+                               decoder=sim.LookupDecoder(code, max_weight=2),
+                               z_basis=sim._build_basis(code, "z"),
+                               x_basis=sim._build_basis(code, "x"))
+    exp.compile_faults()
+    assert (exp.z_basis.syn_words, exp.x_basis.syn_words) == (2, 1)
+    est = sim.logical_error_rate(exp, 1e-3, 3000, seed=7)
+    assert exp.decoder.stack.bitmap is None  # binary search
+    assert est == per_basis_rate(exp, 1e-3, 3000, seed=7)
+    assert est.z_heralded and est.x_heralded and est.x_silent
 
 
 def live_faults(exp, p, trials, seed, stream):
@@ -559,8 +739,12 @@ def test_live_cells(experiments, d):
         part = view.words.any(axis=1).nonzero()[0]
         assert (len(part), len(fault_cells(view))) == LIVE_CELLS[d, basis]
         parts.append(part)
-    # z_basis's live cells, then x_basis's, numbered on after z_basis's.
+    # z_basis's live cells, then x_basis's, numbered on after z_basis's,
+    # and their words in that order.
     assert np.array_equal(live, np.r_[parts[0], parts[1] + z_cells])
+    assert exp.z_live == len(parts[0])
+    assert np.array_equal(exp.words, np.vstack(
+        [exp.z_basis.words[parts[0]], exp.x_basis.words[parts[1]]]))
     sim.logical_error_rate(exp, 1e-3, 100, seed=1)
     assert exp.live is live  # recorded once, by compile_faults
 
@@ -595,20 +779,22 @@ def test_two_stage_fails_pairs_only(experiments, d):
     # The two-stage decoder's baseline: every live cell alone is corrected,
     # and the failing pairs all fail silently.
     exp = experiments[d]
-    for view, (pairs, failing) in zip((exp.z_basis, exp.x_basis),
-                                      FAILING_PAIRS[d]):
-        live = view.words.any(axis=1).nonzero()[0]
-        i, j = np.triu_indices(len(live), 1)
+    for basis, rows, (pairs, failing) in zip(
+            "zx", np.split(np.arange(len(exp.words)), [exp.z_live]),
+            FAILING_PAIRS[d]):
+        i, j = np.triu_indices(len(rows), 1)
         assert len(i) == pairs
-        trials = len(live) + pairs
-        trial = np.r_[np.arange(len(live)),
-                      np.repeat(np.arange(len(live), trials), 2)]
-        cell = np.r_[live, np.stack([live[i], live[j]], axis=1).reshape(-1)]
-        fail, heralded, silent = view.failures(exp.decoder, trial, cell,
-                                               trials)
-        assert not fail[:len(live)].any()
+        trials = len(rows) + pairs
+        trial = np.r_[np.arange(len(rows)),
+                      np.repeat(np.arange(len(rows), trials), 2)]
+        row = np.r_[rows, np.stack([rows[i], rows[j]], axis=1).reshape(-1)]
+        got = basis_failures(exp, trial, row, trials)
+        fail, heralded, silent = got[basis]
+        assert not fail[:len(rows)].any()
         assert (int(np.count_nonzero(fail)), heralded, silent) == (
             failing, 0, failing)
+        other = got["x" if basis == "z" else "z"]
+        assert not other[0].any() and other[1:] == (0, 0)
 
 
 def test_d3_rate_meets_exact_bracket(experiments):
@@ -637,10 +823,11 @@ def test_failing_pair_replays_on_tableau(experiments):
     exp = experiments[3]
     view, decode = exp.z_basis, exp.decoder.decode_x
     live = view.words.any(axis=1).nonzero()[0]
+    assert np.array_equal(exp.live[:exp.z_live], live)  # rows of exp.words
     i, j = np.triu_indices(len(live), 1)
-    fail, _, _ = view.failures(
-        exp.decoder, np.repeat(np.arange(len(i)), 2),
-        np.stack([live[i], live[j]], axis=1).reshape(-1), len(i))
+    fail, _, _ = basis_failures(
+        exp, np.repeat(np.arange(len(i)), 2),
+        np.stack([i, j], axis=1).reshape(-1), len(i))["z"]
     first = int(np.argmax(fail))
     pair = [fault_cells(view)[c] for c in (live[i[first]], live[j[first]])]
     code = {"X": frame.X, "Z": frame.Z, "flip": frame.FLIP}
@@ -729,17 +916,22 @@ def test_passes_match_per_block_decoding(experiments, monkeypatch, d, p,
         assert 0 in block_faults
     # No sampled fault lands on a dead cell.
     assert live_faults(exp, p, trials, seed=17, stream=stream) == block_faults
-    calls, passed = [], []
-    real = sim._BasisView.failures
+    sizes, calls, passed = [], [], []
+    real_sample, real = sim._sample_block, sim.MemoryExperiment.failures
 
-    def counted(view, *args):
-        calls.append(args[-1])
-        _, trial, cell, _ = args
-        assert view.words[cell].any(axis=1).all()  # live cells only
+    def sample(*args):
+        sizes.append(args[3])  # the block's trials
+        return real_sample(*args)
+
+    def counted(exp, trial, cell):
+        calls.append(sum(sizes))  # the pass's trials
+        sizes.clear()
+        assert exp.words[cell].any(axis=1).all()  # live cells only
         passed.append(len(trial))
-        return real(view, *args)
+        return real(exp, trial, cell)
 
-    monkeypatch.setattr(sim._BasisView, "failures", counted)
+    monkeypatch.setattr(sim, "_sample_block", sample)
+    monkeypatch.setattr(sim.MemoryExperiment, "failures", counted)
     # One block per pass, a few blocks per pass, and every block in one
     # pass (up to BLOCK_CELLS trials).
     for pass_faults in (1, max(1, sum(block_faults) // 3), 1 << 62):
@@ -748,17 +940,17 @@ def test_passes_match_per_block_decoding(experiments, monkeypatch, d, p,
         passed.clear()
         assert sim.logical_error_rate(exp, p, trials, seed=17,
                                       stream=stream) == want
-        assert sum(calls) == 2 * trials
+        assert sum(calls) == trials
         assert sum(passed) == sum(block_faults)
         if pass_faults == 1:
             # A pass ends at every block with faults, and at the last one.
             ends = np.count_nonzero(block_faults[:-1]) + 1
-            assert len(calls) == 2 * ends
+            assert len(calls) == ends
         elif pass_faults == 1 << 62:
             block = max(1, block_cells // len(exp.live))
             assert calls[0] == min(trials, -(-block_cells // block) * block)
         else:
-            assert len(calls) > 2
+            assert len(calls) > 1
 
 
 # Each case makes several passes: one block a pass at d=5, and about
@@ -766,32 +958,41 @@ def test_passes_match_per_block_decoding(experiments, monkeypatch, d, p,
 @pytest.mark.parametrize("d,p,trials,block_cells,pass_faults", [
     (5, 5e-3, 953, 1 << 18, 1000), (7, 5e-4, 1000, 1 << 18, 300),
     (5, 1e-4, 1000, 1 << 14, 1)])
-def test_one_find_per_basis_per_pass(experiments, monkeypatch, d, p, trials,
-                                     block_cells, pass_faults):
-    """A failures call looks both decoding stages of its trials up in one
-    SyndromeTable.find, of two rows per trial with faults ([mid ; final ^
-    mid]), and a call without faults looks nothing up.  d=5 takes the rank
-    index, d=7 binary search; at p = 1e-4 a pass ends at every block with
-    faults, so some passes have faults in one basis only."""
+def test_one_probe_per_pass(experiments, monkeypatch, d, p, trials,
+                            block_cells, pass_faults):
+    """A pass looks both decoding stages of both bases of its trials up in
+    one TableStack.find, of two rows per (trial, basis) group with faults
+    ([mid ; final ^ mid]).  d=5 takes the stacked rank index, which probes
+    no single table; d=7 binary search, which searches each table once for
+    its own rows.  At p = 1e-4 a pass ends at every block with faults, so
+    some passes have faults in one basis only."""
     monkeypatch.setattr(sim, "BLOCK_CELLS", block_cells)
     monkeypatch.setattr(sim, "PASS_FAULTS", pass_faults)
     calls = []
-    real_failures, real_find = sim._BasisView.failures, gf2.SyndromeTable.find
+    real_failures = sim.MemoryExperiment.failures
+    real_find, real_table_find = gf2.TableStack.find, gf2.SyndromeTable.find
 
-    def failures(view, dec, trial, cell, size):
-        calls.append([len(np.unique(trial))])
-        return real_failures(view, dec, trial, cell, size)
+    def failures(exp, trial, cell):
+        group = np.unique(2 * trial + (cell >= exp.z_live))
+        calls.append([np.count_nonzero(group & 1 == b) for b in (0, 1)])
+        return real_failures(exp, trial, cell)
 
-    def find(table, rows):
+    def find(stack, rows, which):
         calls[-1].append(len(rows))
-        return real_find(table, rows)
+        return real_find(stack, rows, which)
 
-    monkeypatch.setattr(sim._BasisView, "failures", failures)
-    monkeypatch.setattr(gf2.SyndromeTable, "find", find)
+    def table_find(table, rows):
+        calls[-1].append(len(rows))
+        return real_table_find(table, rows)
+
+    monkeypatch.setattr(sim.MemoryExperiment, "failures", failures)
+    monkeypatch.setattr(gf2.TableStack, "find", find)
+    monkeypatch.setattr(gf2.SyndromeTable, "find", table_find)
     sim.logical_error_rate(experiments[d], p, trials, seed=17)
-    assert len(calls) > 4 and len(calls) % 2 == 0  # two bases a pass
-    assert calls == [[m, 2 * m] if m else [0] for m, *_ in calls]
-    assert ([0] in calls) == (p == 1e-4)
+    assert len(calls) > 2  # several passes
+    assert calls == [[z, x, 2 * (z + x)] + ([2 * z, 2 * x] if d == 7 else [])
+                     for z, x, *_ in calls]
+    assert any(0 in (z, x) for z, x, *_ in calls) == (p == 1e-4)
 
 
 # RateEstimate counts (failures, z/x heralded, z/x silent) of the Monte
