@@ -514,7 +514,9 @@ class TableStack:
     one prefix counts the keys across them: a syndrome's word is clipped to
     the region's last word, where past its table's keys it misses, and
     offset by its table's region.  Otherwise each table is searched for its
-    own rows: keys tagged by table would be a second copy of every key."""
+    own rows: keys tagged by table would be a second copy of every key, as
+    views of one tagged array would need the tables' keys to sort alike
+    (one-word keys sort as numbers, wider ones as bytes)."""
 
     def __init__(self, tables) -> None:
         self.tables = tables

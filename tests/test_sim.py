@@ -443,9 +443,8 @@ def test_table_stack_finds_as_each_table(rows, t, indexed):
     every key + 1, the all-ones syndrome and random ones; the last three
     checks are zero, so every key lies below an eighth of the syndromes
     and many rows lie past the rank index's words.  With a 40- or 70-row
-    table
-    one table is binary searched, so each is searched for its own rows
-    (the 70-row one with two-word keys)."""
+    table one table is binary searched, so each is searched for its own
+    rows (the 70-row one with two-word keys)."""
     rng = np.random.default_rng(sum(rows) + t)
     checks = [rng.integers(0, 2, size=(r, 14), dtype=np.uint8) for r in rows]
     for c in checks:
