@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -448,13 +447,7 @@ def flagged_collision(checks: np.ndarray, flags: np.ndarray,
 
 @dataclass(eq=False)
 class SyndromeTable:
-    """Syndrome → error map.
-
-    One-word keys are looked up in a rank index (Jacobson, FOCS 1989) when
-    it takes no more bytes than the keys: a bitmap of the keys over
-    0..max(keys), one uint64 word per 64 syndromes, and beside each word the
-    int32 count of keys up to its end, 12 bytes per 64 syndromes against 8
-    per key.  Other tables are looked up by binary search on the keys."""
+    """Syndrome → error map, binary searched; TableStack holds the rank index."""
 
     keys: np.ndarray    # (entries, syndrome words) uint64, distinct, sorted
     errors: np.ndarray  # (entries, error words) uint64
@@ -462,45 +455,12 @@ class SyndromeTable:
     def __len__(self) -> int:
         return len(self.keys)
 
-    @cached_property
-    def rank_index(self) -> Optional[tuple]:
-        """(bitmap, prefix) of the rank index, or None when the table takes
-        binary search; built on first use, ENUM_CHUNK keys at a time."""
-        if self.keys.shape[1] != 1:
-            return None
-        flat = self.keys.reshape(-1)
-        words = (int(flat[-1]) >> 6) + 1
-        if 12 * words > 8 * len(flat):
-            return None
-        # Both allocated before the temporaries, which then free to the
-        # heap's top.
-        bitmap = np.zeros(words, dtype=np.uint64)
-        prefix = np.empty(words, dtype=np.int32)
-        for lo in range(0, len(flat), ENUM_CHUNK):
-            keys = flat[lo: lo + ENUM_CHUNK]
-            word = keys >> 6
-            starts = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
-            bitmap[word[starts]] |= np.bitwise_or.reduceat(
-                np.uint64(1) << (keys & 63), starts)
-        np.cumsum(np.bitwise_count(bitmap), out=prefix)
-        return bitmap, prefix
-
     def find(self, rows: np.ndarray):
         """Row index of each packed syndrome and whether it is present; a
         missing syndrome gets some valid row."""
-        if self.rank_index is None:
-            pos = np.searchsorted(_row_keys(self.keys), _row_keys(rows))
-            idx = np.minimum(pos, len(self) - 1)
-            return idx, (self.keys[idx] == rows).all(axis=1)
-        bitmap, prefix = self.rank_index
-        s = rows.reshape(-1)
-        # Keys below s: those to the end of its word less those at or above
-        # its bit.  A syndrome past the bitmap reads the last word and misses.
-        w = s >> 6
-        high = bitmap.take(w, mode="clip") >> (s & 63)
-        idx = prefix.take(w, mode="clip") - np.bitwise_count(high)
-        hit = (high & (s <= self.keys[-1, 0])).astype(bool)
-        return np.minimum(idx, len(self) - 1), hit
+        pos = np.searchsorted(_row_keys(self.keys), _row_keys(rows))
+        idx = np.minimum(pos, len(self) - 1)
+        return idx, (self.keys[idx] == rows).all(axis=1)
 
 
 class TableStack:
@@ -509,14 +469,17 @@ class TableStack:
     each table's errors is rebound to a view of its part, so none is held
     twice.
 
-    When every table has a rank index, their bitmaps sit side by side in
-    regions of equal length, each padded with at least one zero word, and
-    one prefix counts the keys across them: a syndrome's word is clipped to
-    the region's last word, where past its table's keys it misses, and
-    offset by its table's region.  Otherwise each table is searched for its
-    own rows: keys tagged by table would be a second copy of every key, as
-    views of one tagged array would need the tables' keys to sort alike
-    (one-word keys sort as numbers, wider ones as bytes)."""
+    When every table has one-word keys and a rank index (Jacobson, FOCS
+    1989) of them takes no more bytes than they do (12 bytes per 64
+    syndromes up to the largest key, against 8 per key), the stack holds
+    one: a bitmap of the keys, each table's in a region of equal length
+    padded with at least one zero word, and beside each word the int32
+    count of keys to its end.  A syndrome's word is clipped to the region's
+    last word, where past its table's keys it misses, and offset by its
+    table's region.  Otherwise each table is searched for its own rows:
+    keys tagged by table would be a second copy of every key, as views of
+    one tagged array would need the tables' keys to sort alike (one-word
+    keys sort as numbers, wider ones as bytes)."""
 
     def __init__(self, tables) -> None:
         self.tables = tables
@@ -525,18 +488,23 @@ class TableStack:
         self.errors = np.concatenate([table.errors for table in tables])
         for table, part in zip(tables, np.split(self.errors, self.starts[1:])):
             table.errors = part
-        indexes = [table.rank_index for table in tables]
+        ends = [(int(table.keys[-1, 0]) >> 6) + 1 for table in tables]
         self.bitmap = None
-        if all(index is not None for index in indexes):
-            self.words = 1 + max(len(bitmap) for bitmap, _ in indexes)
-            self.bitmap = np.zeros((len(tables), self.words), dtype=np.uint64)
-            for region, (bitmap, _) in zip(self.bitmap, indexes):
-                region[:len(bitmap)] = bitmap
-            self.bitmap = self.bitmap.reshape(-1)
-            self.prefix = np.cumsum(np.bitwise_count(self.bitmap),
-                                    dtype=np.int32)
-            for table in tables:  # the stack's bitmap replaces them
-                del table.rank_index
+        if any(table.keys.shape[1] > 1 or 12 * end > 8 * len(table)
+               for table, end in zip(tables, ends)):
+            return
+        self.words = 1 + max(ends)
+        # Both allocated before the temporaries, which free to the heap's top.
+        self.bitmap = np.zeros(len(tables) * self.words, dtype=np.uint64)
+        self.prefix = np.empty(len(self.bitmap), dtype=np.int32)
+        for region, table in enumerate(tables):  # ENUM_CHUNK keys at a time
+            for lo in range(0, len(table), ENUM_CHUNK):
+                keys = table.keys[lo: lo + ENUM_CHUNK, 0]
+                word = (keys >> 6) + region * self.words
+                starts = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
+                self.bitmap[word[starts]] |= np.bitwise_or.reduceat(
+                    np.uint64(1) << (keys & 63), starts)
+        np.cumsum(np.bitwise_count(self.bitmap), out=self.prefix)
 
     def find(self, rows: np.ndarray, which: np.ndarray):
         """Row of `errors` of each packed syndrome, looked up in table
@@ -563,20 +531,23 @@ class TableStack:
 def syndrome_tables(checks: np.ndarray, t: int):
     """syndrome_table(checks, w) for w = 0, 1, …, t: one SyndromeTable,
     yielded after each weight and grown in place (its keys and errors
-    rebound, its rank index dropped), so no weight is built twice and none
-    outlives its step.  Each entry is the first error of its syndrome in
-    combination_sweep's order.  These first sets are downward closed: less
-    any index j, such a set E is the first of its own syndrome, or an
-    earlier set T of it would put T ⊕ {j} before E.  So a weight-w entry is
-    a new weight-(w−1) entry P plus the largest index of a later sibling of
-    P (a set that differs from P only there), and each weight's new entries
-    are the first of those extend_sets to reach a new syndrome (one
-    least_per_key of [keys | joins]; surface5 h_z to depth 5 joins 316,125
-    sets, where extending by every larger index took 462,961).  A weight
-    that adds none, or that completes all 2^rows syndromes, ends the build.
-    A weight holds at most 2^rows keys and n joins of each, so the build is
-    refused, before it allocates anything, when both (n + 1)·2^rows and
-    C(n, ≤t) exceed TABLE_CAP."""
+    rebound), so no weight is built twice and none outlives its step.  Each
+    entry is the first error of its syndrome in combination_sweep's order.
+    These first sets are downward closed: less any index j, such a set E is
+    the first of its own syndrome, or an earlier set T of it would put
+    T ⊕ {j} before E.  So a weight-w entry is a new weight-(w−1) entry P
+    plus the largest index of a later sibling of P (a set that differs from
+    P only there), and each weight's new entries are the first of those
+    extend_sets to reach a new syndrome (one least_per_key of
+    [keys | joins]; surface5 h_z to depth 5 joins 316,125 sets, where
+    extending by every larger index took 462,961).  A weight that adds
+    none, or that completes all 2^rows syndromes, ends the build.  A weight
+    holds at most 2^rows keys and n joins of each, so the build is refused,
+    before it allocates anything, when both (n + 1)·2^rows and C(n, ≤t)
+    exceed TABLE_CAP, and with ValueError when t < 0.  Lookups in it are
+    binary searches: the only rank index is TableStack's."""
+    if t < 0:
+        raise ValueError(f"table weight {t} is negative")
     rows, n = checks.shape
     size = min(sum(math.comb(n, w) for w in range(t + 1)), (n + 1) << rows)
     if size > TABLE_CAP:
@@ -593,7 +564,6 @@ def syndrome_tables(checks: np.ndarray, t: int):
         table.keys, least = least_per_key(np.concatenate([table.keys] + [
             words for _, words in extend_sets(table.keys[front], first, stop,
                                               cols[last])]))
-        vars(table).pop("rank_index", None)
         if len(table) == s:
             return
         # Before the temporaries below, which then free to the heap's top.

@@ -16,11 +16,11 @@ faults (or BLOCK_CELLS trials, which bounds its per-trial arrays at low
 p).  A pass gathers the words of all its faults, of both bases, from one
 matrix, XORs each (trial, basis) group's with one reduceat, and looks up
 both decoding stages of every group in one probe of the decoder's two
-tables (gf2.TableStack): a rank index for one-word syndromes when each
-table's is no larger than its keys (d=3 and d=5), else binary search of
-each table for its own groups.  Trials decode independently, so
-the results do not depend on PASS_FAULTS, and a given (experiment, p_phy,
-trials, seed) gives byte-identical results.
+tables (gf2.TableStack, as decode_x and decode_z do): the only rank index,
+for one-word syndromes when each table's is no larger than its keys (d=3
+and d=5), else binary search of each table for its own groups.  Trials
+decode independently, so the results do not depend on PASS_FAULTS, and a
+given (experiment, p_phy, trials, seed) gives byte-identical results.
 """
 
 from __future__ import annotations
@@ -126,14 +126,15 @@ class LookupDecoder:
         return gf2.TableStack([self._x_table, self._z_table])
 
     def decode_x(self, syndrome: np.ndarray) -> Optional[np.ndarray]:
-        return self._lookup(self._x_table, syndrome)
+        return self._lookup(0, syndrome)
 
     def decode_z(self, syndrome: np.ndarray) -> Optional[np.ndarray]:
-        return self._lookup(self._z_table, syndrome)
+        return self._lookup(1, syndrome)
 
-    def _lookup(self, table: gf2.SyndromeTable, syndrome: np.ndarray) -> Optional[np.ndarray]:
-        idx, hit = table.find(gf2.pack_words(np.asarray(syndrome)[None]))
-        return gf2.unpack_words(table.errors[idx], self.code.n)[0] if hit[0] else None
+    def _lookup(self, which: int, syndrome: np.ndarray) -> Optional[np.ndarray]:
+        idx, hit = self.stack.find(gf2.pack_words(np.asarray(syndrome)[None]),
+                                   np.array([which]))
+        return gf2.unpack_words(self.stack.errors[idx], self.code.n)[0] if hit[0] else None
 
 
 def deep_decoder(code: CssCode) -> LookupDecoder:
@@ -142,6 +143,8 @@ def deep_decoder(code: CssCode) -> LookupDecoder:
     Scattered multi-fault configurations then decode to their true
     minimum-weight class instead of heralding.
     """
+    if code.d is None:
+        raise ValueError("code distance must be known")
     w, n = (code.d - 1) // 2, code.n
     while w < n and (sum(math.comb(n, i) for i in range(w + 2))
                      <= gf2.TABLE_CAP):
@@ -191,6 +194,8 @@ class _BasisView:
             gf2.pack_words(gf2.unpack_words(rows, cells).T)
             for rows in (gf2.xor_map(self.syn)(out),
                          gf2.xor_map(self.checks)(frames), frames))
+        if mid.shape[1] != final.shape[1]:  # syn_words is both widths
+            raise ValueError("mid and final syndromes differ in words")
         self.syn_words = mid.shape[1]
         self.logical_words = gf2.pack_words(self.logicals)
         self.words = np.hstack([mid, final, frames])

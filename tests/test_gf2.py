@@ -672,6 +672,8 @@ class TestSyndromeTableFind:
     @example([0, 1, 64], [2, 63, 65, 128], 64)
     @example([0, 1, 128], [2, 63, 64, 129], 64)
     def test_matches_binary_search(self, keys, others, chunk):
+        # A one-table TableStack: its rank index, where the size rule
+        # gives one, answers as binary search of the table does.
         keys = np.array(keys, dtype=np.uint64)[:, None]
         table = gf2.SyndromeTable(keys, np.arange(len(keys),
                                                   dtype=np.uint64)[:, None])
@@ -682,8 +684,9 @@ class TestSyndromeTableFind:
         rows = np.array(keys[:, 0].tolist() + others + past,
                         dtype=np.uint64)[:, None]
         with enum_chunk(chunk):
-            idx, hit = table.find(rows)
-        assert (table.rank_index is not None) == indexed(keys[:, 0])
+            stack = gf2.TableStack([table])
+        idx, hit = stack.find(rows, np.zeros(len(rows), dtype=np.intp))
+        assert (stack.bitmap is not None) == indexed(keys[:, 0])
         want_idx, want_hit = binary_search_find(table, rows)
         assert np.array_equal(hit, want_hit)
         assert np.array_equal(idx[hit], want_idx[hit])
@@ -693,9 +696,9 @@ class TestSyndromeTableFind:
     def test_multiword_keys_take_binary_search(self):
         # Sorted as the rows' bytes, which put the low word first.
         keys = np.array([[0, 0], [0, 1], [5, 0]], dtype=np.uint64)
-        table = gf2.SyndromeTable(keys, keys)
+        stack = gf2.TableStack([gf2.SyndromeTable(keys, keys)])
         rows = np.array([[5, 0], [6, 0], [0, 1], [0, 2]], dtype=np.uint64)
-        idx, hit = table.find(rows)
-        assert table.rank_index is None
+        idx, hit = stack.find(rows, np.zeros(len(rows), dtype=np.intp))
+        assert stack.bitmap is None
         assert hit.tolist() == [True, False, True, False]
         assert idx[hit].tolist() == [2, 1]

@@ -241,13 +241,10 @@ class TestTableBuild:
         ids=["surface3", "hamming", "surface5"])
     def test_each_weight_yields_its_table(self, checks, t, last):
         # The one table grown in place is, after each weight w, the table
-        # to depth w, and its lookups read that weight's rows and index.
+        # to depth w, and its lookups read that weight's rows.
         for w, table in enumerate(gf2.syndrome_tables(checks, t)):
             want = gf2.syndrome_table(checks, w)
             assert table_digest(table) == table_digest(want)
-            index, fresh = table.rank_index, want.rank_index
-            assert (index is None) == (fresh is None)
-            assert fresh is None or all(map(np.array_equal, index, fresh))
             idx, hit = table.find(want.keys)
             assert hit.all() and np.array_equal(idx, np.arange(len(want)))
         assert w == last
@@ -420,18 +417,54 @@ def test_surface7_tables_unchanged(experiments):
 @pytest.mark.parametrize("d,bits,indexed", [(3, 6, True), (5, 20, True),
                                              (7, 42, False)])
 def test_lookup_path(experiments, d, bits, indexed):
-    # A rank index where it takes no more bytes than the keys: one bitmap
-    # word and one int32 count per 64 syndromes of `bits`-bit keys.
+    # The stack's rank index where, for each table, it takes no more bytes
+    # than the keys: one bitmap word and one int32 count per 64 syndromes
+    # of `bits`-bit keys, in a region padded with one zero word or more.
     dec = experiments[d].decoder
-    for table in (dec._x_table, dec._z_table):
+    stack = dec.stack
+    assert (stack.bitmap is not None) == indexed
+    for region, table in enumerate(stack.tables):
         assert table.keys.shape[1] == 1
         assert int(table.keys[-1, 0]).bit_length() <= bits
         if not indexed:
-            assert table.rank_index is None
             continue
-        bitmap, prefix = table.rank_index
-        assert len(bitmap) == len(prefix) <= 1 << max(0, bits - 6)
-        assert bitmap.nbytes + prefix.nbytes <= table.keys.nbytes
+        words = slice(region * stack.words, (region + 1) * stack.words)
+        bitmap, prefix = stack.bitmap[words], stack.prefix[words]
+        assert len(bitmap) == len(prefix) <= (1 << max(0, bits - 6)) + 1
+        assert not bitmap[-1]  # the padding word
+        used = np.flatnonzero(bitmap)[-1] + 1
+        assert 12 * used <= table.keys.nbytes
+
+
+def test_decode_reads_the_stack(experiments, monkeypatch):
+    """decode_x and decode_z look up through the decoder's table stack,
+    never a table's own find, so a stacked table is indexed once: at d=5
+    (the stack's rank index) each answers a sample of every table's keys,
+    and misses, as binary search of that table does."""
+    dec = experiments[5].decoder
+
+    def no_find(*args):
+        raise AssertionError("a stacked table must not be looked up alone")
+
+    monkeypatch.setattr(gf2.SyndromeTable, "find", no_find)
+    assert dec.stack.bitmap is not None
+    rng = np.random.default_rng(93)
+    misses = 0
+    for decode, table, checks in ((dec.decode_x, dec._x_table, dec.code.h_z),
+                                  (dec.decode_z, dec._z_table, dec.code.h_x)):
+        rows = len(checks)
+        keys = table.keys[np.r_[0, rng.choice(len(table), 300), -1], 0]
+        queries = np.r_[keys, rng.integers(0, 1 << rows, 300, np.uint64)]
+        for s in queries:
+            got = decode((int(s) >> np.arange(rows)) & 1)
+            pos = min(np.searchsorted(table.keys[:, 0], s), len(table) - 1)
+            if table.keys[pos, 0] != s:
+                assert got is None
+                misses += 1
+                continue
+            want = gf2.unpack_words(table.errors[pos: pos + 1], dec.code.n)[0]
+            assert np.array_equal(got, want)
+    assert misses
 
 
 @pytest.mark.parametrize("rows,t,indexed", [
@@ -706,6 +739,12 @@ def test_unequal_syndrome_widths_match_per_basis_decoding(monkeypatch):
     assert exp.decoder.stack.bitmap is None  # binary search
     assert est == per_basis_rate(exp, 1e-3, 3000, seed=7)
     assert est.z_heralded and est.x_heralded and est.x_silent
+    # decode_x (two-word syndromes) and decode_z (one word) look up through
+    # the same stack.
+    e = gf2.zeros(1, code.n)[0]
+    e[3] = 1
+    assert np.array_equal(exp.decoder.decode_x(gf2.mul(code.h_z, e)), e)
+    assert np.array_equal(exp.decoder.decode_z(gf2.mul(code.h_x, e)), e)
 
 
 def live_faults(exp, p, trials, seed, stream):
@@ -1108,3 +1147,32 @@ class TestInputChecks:
         exp = sim.build_memory_experiment(codes.surface_code_via_hgp(3))
         est = sim.logical_error_rate(exp, 1e-3, 0, seed=1)
         assert est.trials == est.failures == 0
+
+    @pytest.mark.parametrize("decoder", [
+        sim.LookupDecoder, sim.deep_decoder], ids=["lookup", "deep"])
+    def test_decoders_need_the_distance(self, decoder):
+        code = dataclasses.replace(codes.surface_code_via_hgp(3), d=None)
+        with pytest.raises(ValueError, match="code distance must be known"):
+            decoder(code)
+
+    def test_negative_table_weight(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a refused table must not be built")
+
+        code = codes.surface_code_via_hgp(3)
+        for name in ("pack_words", "extend_sets", "least_per_key"):
+            monkeypatch.setattr(gf2, name, no_work)
+        with pytest.raises(ValueError, match="table weight -3 is negative"):
+            gf2.syndrome_table(code.h_z, -3)
+        with pytest.raises(ValueError, match="table weight -2 is negative"):
+            sim.LookupDecoder(code, max_weight=-2)
+
+    def test_unequal_mid_and_final_widths(self):
+        # syn_words is the width of both syndromes: a mid syndrome padded
+        # past 64 rows (two words) beside surface3's 6-row final one is
+        # refused, not misread.
+        view = sim._build_basis(codes.surface_code_via_hgp(3), "z")
+        view.syn = np.vstack([view.syn, gf2.zeros(64, view.syn.shape[1])])
+        with pytest.raises(ValueError, match="differ in words"):
+            view.compile_faults()
+        assert view.words is None
