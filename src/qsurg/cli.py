@@ -15,7 +15,9 @@ sim.checked_rng, which raises when a site's draws overrun its stream.
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -43,31 +45,31 @@ def _write(path: str, text: str) -> None:
 
 
 def _probability(text: str) -> float:
-    p = float(text)
-    if not 0 <= p < 1:
+    plain = re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?",
+                         text)
+    if not plain or not 0 <= float(text) < 1:
         raise argparse.ArgumentTypeError(f"{text} is not a probability in [0, 1)")
-    return p
+    return float(text)
 
 
-def _count(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"{text} is negative")
-    return n
+def _integer(least: int, top: int | None = None):
+    """argparse type: an integer in least..top (top None: unbounded) written
+    as ASCII digits after an optional '-'; int() alone would also take
+    '1_0', ' 10', '+10' and non-ASCII digits."""
+    if top is None:
+        why = ("is negative", "is not a positive integer")[least]
+    elif top == (1 << 128) - 1:
+        why = "is not a seed in [0, 2^128)"
+    else:
+        why = f"is not in {least}..{top}"
 
-
-def _seed(text: str) -> int:
-    n = int(text)
-    if not 0 <= n < 1 << 128:
-        raise argparse.ArgumentTypeError(f"{text} is not a seed in [0, 2^128)")
-    return n
-
-
-def _positive(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return n
+    def integer(text: str) -> int:
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if int(text) < least or top is not None and int(text) > top:
+            raise argparse.ArgumentTypeError(f"{text} {why}")
+        return int(text)
+    return integer
 
 
 def _path_pair(text: str) -> tuple[str, str]:
@@ -76,16 +78,6 @@ def _path_pair(text: str) -> tuple[str, str]:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not two comma-separated paths")
     return paths[0], paths[1]
-
-
-def _weight_upto(top: int):
-    """argparse type: an exhaustive sweep weight in 0..top."""
-    def weight(text: str) -> int:
-        n = int(text)
-        if not 0 <= n <= top:
-            raise argparse.ArgumentTypeError(f"{text} is not in 0..{top}")
-        return n
-    return weight
 
 
 # ── random streams ──────────────────────────────────────────────────────
@@ -299,9 +291,13 @@ def _ltsp_sweeps(source, f, samples, seed):
 def _surgery_faults(run, h, names, w):
     """Every fault of weight 1..w on the named groups of the run's layout
     that h misses (outcome flips zero), in (weight, lexicographic) order:
-    one sweep of the groups' packed [syndrome | unit] columns."""
+    one sweep of the groups' packed [syndrome | unit] columns, refused past
+    gf2.TABLE_CAP sets beyond weight 1."""
     lay = run.layout
     idx = np.concatenate([np.arange(lay.total)[lay.sl(nm)] for nm in names])
+    size = sum(math.comb(len(idx), v) for v in range(w + 1))
+    if w > 1 and size > gf2.TABLE_CAP:
+        raise gf2.SearchTooLarge(f"surgery fault sweep of {size} sets refused")
     syn = gf2.pack_words(h[:, idx].T)
     a = syn.shape[1]
     cols = np.hstack([syn, gf2.pack_words(gf2.eye(len(idx)))])
@@ -593,6 +589,7 @@ def cmd_ledger(args) -> int:
 
 
 def main(argv=None) -> int:
+    seed = _integer(0, (1 << 128) - 1)
     parser = argparse.ArgumentParser(prog="qsurg")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -605,7 +602,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("distance", help="exact or certified code distance")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--budget", type=_count, default=None)
+    p.add_argument("--budget", type=_integer(0), default=None)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("soundness", help="exact local-testability constant")
@@ -626,20 +623,20 @@ def main(argv=None) -> int:
     pb = lsub.add_parser("verify")
     pb.add_argument("--source", required=True)
     pb.add_argument("--fcode", required=True)
-    pb.add_argument("--samples", type=_count, default=1000,
+    pb.add_argument("--samples", type=_integer(0), default=1000,
                     help="random pairs of the X sweep, beside every unit "
                          "fault")
-    pb.add_argument("--seed", type=_seed, required=True)
+    pb.add_argument("--seed", type=seed, required=True)
     pb.set_defaults(func=cmd_ltsp_verify)
 
     p = sub.add_parser("protocol", help="surgery lemma checks")
     psub = p.add_subparsers(dest="protocol_cmd", required=True)
     pb = psub.add_parser("check")
     pb.add_argument("--deformed", required=True)
-    pb.add_argument("--max-weight", type=_weight_upto(2), default=2,
+    pb.add_argument("--max-weight", type=_integer(0, 2), default=2,
                     help="exhaustive weight of the lemma.cs sweeps, each "
                          "capped one below its lemma's distance")
-    pb.add_argument("--seed", type=_seed, required=True)
+    pb.add_argument("--seed", type=seed, required=True)
     pb.set_defaults(func=cmd_protocol_check)
 
     p = sub.add_parser("sim", help="Monte Carlo memory runs")
@@ -647,34 +644,34 @@ def main(argv=None) -> int:
     pb = msub.add_parser("run")
     pb.add_argument("--circuit", required=True)
     pb.add_argument("--p", type=_probability, required=True)
-    pb.add_argument("--trials", type=_count, required=True)
-    pb.add_argument("--seed", type=_seed, required=True)
+    pb.add_argument("--trials", type=_integer(0), required=True)
+    pb.add_argument("--seed", type=seed, required=True)
     pb.add_argument("--out", default=None)
     pb.set_defaults(func=cmd_sim_run)
 
     p = sub.add_parser("compile", help="schedule and cost a logical circuit")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--k", type=_positive, required=True)
-    p.add_argument("--k-r", type=_positive, default=4)
-    p.add_argument("--k-f", type=_positive, default=4)
-    p.add_argument("--d-s", type=_positive, default=3)
+    p.add_argument("--k", type=_integer(1), required=True)
+    p.add_argument("--k-r", type=_integer(1), default=4)
+    p.add_argument("--k-f", type=_integer(1), default=4)
+    p.add_argument("--d-s", type=_integer(1), default=3)
     p.add_argument("--out", type=_path_pair, required=True,
                    help="schedule and cost paths, comma-separated")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("ledger", help="run the full desk-scale check suite")
     p.add_argument("--preset", required=True)
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=seed, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--max-weight", type=_weight_upto(2), default=2,
+    p.add_argument("--max-weight", type=_integer(0, 2), default=2,
                    help="exhaustive weight of the lemma.pcs.distance and "
                         "lemma.cs sweeps, each capped one below its lemma's "
                         "distance; the linear lemma rows check every unit "
                         "fault, which covers all weights")
-    p.add_argument("--samples", type=_count, default=10000,
+    p.add_argument("--samples", type=_integer(0), default=10000,
                    help="random pairs of lemma.ltsp.spZ, spread evenly over "
                         "the k_F copies")
-    p.add_argument("--trials", type=_count, default=100000)
+    p.add_argument("--trials", type=_integer(0), default=100000)
     p.set_defaults(func=cmd_ledger)
 
     args = parser.parse_args(argv)

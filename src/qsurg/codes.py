@@ -203,20 +203,27 @@ def _exact_side(checks: np.ndarray, flags: np.ndarray) -> Optional[int]:
     sizes = itertools.accumulate(math.comb(n, w) for w in range(n + 1))
     half = sum(1 for _ in itertools.takewhile(fits.__ge__, sizes)) - 1
     v = gf2.flagged_collision(checks, flags, half)
-    return v if v is not None else _min_weight_flagged(basis, flags)
+    return _min_weight_flagged(basis, flags) if v is None else gf2.weight(v)
 
 
 def least_logical(checks: np.ndarray, flags: np.ndarray,
-                  budget: int) -> Optional[int]:
-    """Least weight of a word of ker(checks) with a nonzero flag when it is
-    ≤ budget, else None: gf2.flagged_collision to ⌈budget/2⌉, whose value
-    is exact up to the budget."""
+                  budget: int) -> Optional[np.ndarray]:
+    """A least-weight word of ker(checks) with a nonzero flag, as a 0/1
+    vector, when its weight is ≤ budget, else None: the word of
+    gf2.flagged_collision to ⌈budget/2⌉, which is a least one up to the
+    budget."""
     v = gf2.flagged_collision(checks, flags, -(-budget // 2))
-    return v if v is not None and v <= budget else None
+    return v if v is not None and gf2.weight(v) <= budget else None
 
 
 def _least(vals) -> Optional[int]:
     return min((v for v in vals if v is not None), default=None)
+
+
+def _lightest(sides, budget: int) -> Optional[int]:
+    """Least weight of a logical of weight ≤ budget on any side, else None."""
+    words = [least_logical(checks, flags, budget) for checks, flags in sides]
+    return _least(gf2.weight(v) for v in words if v is not None)
 
 
 def distance(code, budget: Optional[int] = None) -> DistanceResult:
@@ -228,11 +235,12 @@ def distance(code, budget: Optional[int] = None) -> DistanceResult:
     logical action.  The exact search makes one gf2.flagged_collision per
     side, at the deepest half-weight whose sets fit both the 2^dim words of
     ker(checks) and gf2.TABLE_CAP; it grows one table a weight at a time
-    and answers the side with the first collision value (exact, as v ≤
-    2·weight).  A side it does not answer is finished by listing those
-    words, refused past gf2.TABLE_CAP.  Then, given a budget, one collision
-    per side to ⌈budget/2⌉ (:func:`least_logical`) finds the least logical
-    of weight ≤ budget (`d` exact) or certifies `floor = budget`.
+    and answers the side with the weight of the first collision word (a
+    least one, as its pair sums to at most 2·weight).  A side it does not
+    answer is finished by listing those words, refused past
+    gf2.TABLE_CAP.  Then, given a budget, one collision per side to
+    ⌈budget/2⌉ (:func:`least_logical`) finds the least logical of weight
+    ≤ budget (`d` exact) or certifies `floor = budget`.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget={budget} is negative")
@@ -243,8 +251,7 @@ def distance(code, budget: Optional[int] = None) -> DistanceResult:
     except SearchTooLarge:
         if budget is None:
             raise
-        d = _least(least_logical(checks, flags, budget)
-                   for checks, flags in sides)
+        d = _lightest(sides, budget)
         floor = budget
     if d is None:
         return DistanceResult(d=None, floor=floor)
@@ -453,8 +460,7 @@ def load_manifest(path: str):
         code = ClassicalCode(h=m["h"], g=m["g"], n=n, k=k, d=d)
     if d is not None:
         try:
-            low = _least(least_logical(checks, flags, d - 1)
-                         for checks, flags in _sides(code))
+            low = _lightest(_sides(code), d - 1)
         except SearchTooLarge:
             low = None  # out of the collision's reach: d= is kept as given
         if low is not None:

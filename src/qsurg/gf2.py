@@ -412,20 +412,20 @@ def least_per_key(keys: np.ndarray):
 
 
 def flagged_collision(checks: np.ndarray, flags: np.ndarray,
-                      half: int) -> Optional[int]:
-    """Least |a| + |b| over sets a, b of at most `half` columns with equal
-    syndromes (checks·aᵀ = checks·bᵀ) and different flags (flags·aᵀ ≠
-    flags·bᵀ), or None when no such pair exists (Stern's collision step).
+                      half: int) -> Optional[np.ndarray]:
+    """A least-weight word of ker(checks) with a nonzero flag, as a 0/1
+    vector, when its weight m is at most 2·half, else None (a certificate
+    that m > 2·half): Stern's collision step.
 
-    a ⊕ b is a kernel word of `checks` with a nonzero flag, so the value is
-    at least m, the least weight of such a word, and at most 2·half; a word
-    of weight m splits into halves of sizes ⌈m/2⌉ and ⌊m/2⌋.  So v ≤ 2·half
-    implies v = m: the value is m when m ≤ 2·half, and None (a certificate
-    that m > 2·half) otherwise.  syndrome_tables of [checks; flags] keeps
-    the least set of each (syndrome, flag) key; after each weight w ≥ 1
-    (the weight-0 table, one row, holds no pair), the two least weights of
-    a syndrome class are a candidate, and the first value, at most 2·w, is
-    m: the table is grown to weight ⌈m/2⌉ and no further."""
+    Over sets a, b of at most `half` columns with equal syndromes
+    (checks·aᵀ = checks·bᵀ) and different flags, |a| + |b| ≥ |a ⊕ b| ≥ m,
+    and a word of weight m splits into halves of sizes ⌈m/2⌉ and ⌊m/2⌋.
+    syndrome_tables of [checks; flags] keeps the least set of each
+    (syndrome, flag) key; after each weight w ≥ 1 (the weight-0 table, one
+    row, holds no pair), the two least sets of a syndrome class are a
+    candidate, and the first pair found, of summed weight at most 2·w, sums
+    to m: its a ⊕ b, disjoint, is returned, and the table is grown to
+    weight ⌈m/2⌉ and no further."""
     r, n = checks.shape
     size = sum(math.comb(n, w) for w in range(min(half, n) + 1))
     if size > TABLE_CAP:
@@ -439,9 +439,11 @@ def flagged_collision(checks: np.ndarray, flags: np.ndarray,
                                 return_inverse=True)
         order = np.lexsort((least, syndrome))
         syndrome, least = syndrome[order], least[order]
-        same = syndrome[1:] == syndrome[:-1]
-        if same.any():
-            return int((least[1:] + least[:-1])[same].min())
+        same = np.flatnonzero(syndrome[1:] == syndrome[:-1])
+        if same.size:
+            i = same[(least[same] + least[same + 1]).argmin()]
+            a, b = table.errors[order[i: i + 2]]
+            return unpack_words((a ^ b)[None], n)[0]
     return None
 
 

@@ -365,37 +365,27 @@ def verify_distance_bound(dc: DeformedCode, budget: int) -> DistanceCertificate:
     """Exactly certify that no tracked logical error of weight ≤ budget exists.
 
     X side: u with h_z^D·uᵀ = 0 and j_z^D·uᵀ != 0; Z side dual.  The budget
-    must stay below the claimed floor min{d, d_R}.  Each side is certified
-    clean by codes.least_logical (gf2.flagged_collision to ⌈budget/2⌉).
-    On a side with a violation, the weight-bounded sweep of its
-    [checks | flags | unit] columns finds the one returned: the first in
-    (weight, lexicographic) order, the whole X side first.
+    must be non-negative and stay below the claimed floor min{d, d_R}.
+    Each side, X first, is searched by one codes.least_logical
+    (gf2.flagged_collision to ⌈budget/2⌉); the first side with a logical of
+    weight ≤ budget returns the collision's word, a least-weight one, as the
+    violation, once its checks, flags and weight are confirmed bit for bit.
     """
+    if budget < 0:
+        raise ValueError(f"budget={budget} is negative")
     floor = dc.css.d
     if floor is not None and budget > floor - 1:
         raise ValueError(f"budget {budget} exceeds certifiable floor {floor} - 1")
-    if budget <= 0:
-        return DistanceCertificate(budget=budget, ok=True)
-    n = dc.css.n
     for side, checks, flags in (("X", dc.css.h_z, dc.css.j_z),
                                 ("Z", dc.css.h_x, dc.css.j_x)):
-        if flags.shape[0] == 0:
+        v = least_logical(checks, flags, budget) if len(flags) else None
+        if v is None:
             continue
-        least = least_logical(checks, flags, budget)
-        if least is None:
-            continue
-        syn, fl = gf2.pack_words(checks.T), gf2.pack_words(flags.T)
-        a, b = syn.shape[1], syn.shape[1] + fl.shape[1]
-        units = gf2.pack_words(gf2.eye(n))
-        for _, words in gf2.combination_sweep(np.hstack([syn, fl, units]),
-                                              budget):
-            hit = np.flatnonzero(~words[:, :a].any(axis=1)
-                                 & words[:, a:b].any(axis=1))
-            if hit.size:
-                v = gf2.unpack_words(words[hit[:1], b:], n)[0]
-                return DistanceCertificate(budget=budget, ok=False,
-                                           side=side, violation=v)
-        raise InternalConsistencyError(
-            f"collision found a weight-{least} {side} logical the sweep "
-            "missed")
+        if (gf2.mul(checks, v).any() or not gf2.mul(flags, v).any()
+                or not 0 < gf2.weight(v) <= budget):
+            raise InternalConsistencyError(
+                f"collision returned a {side} word that is not a logical of "
+                f"weight 1..{budget}")
+        return DistanceCertificate(budget=budget, ok=False, side=side,
+                                   violation=v)
     return DistanceCertificate(budget=budget, ok=True)

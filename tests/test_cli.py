@@ -164,6 +164,23 @@ class TestBadInput:
                           "--budget", "2"],
                  "distance: collision sweep of 14 sets refused\n")
 
+    def test_refused_surgery_sweep(self, manifests, tmp_path, capsys,
+                                   monkeypatch):
+        # lemma.cs.residualZ sweeps C(258, ≤2) = 33,412 sets on the desk
+        # code; one cap below, it is refused before any is listed.
+        assert cli.main(self.surgery_build(manifests, "1 1\n1\n",
+                                           tmp_path)) == 0
+        capsys.readouterr()
+
+        def no_listing(cols, t):
+            raise AssertionError("combination_sweep called")
+
+        monkeypatch.setattr(gf2, "TABLE_CAP", 33411)
+        monkeypatch.setattr(gf2, "combination_sweep", no_listing)
+        self.run(capsys, ["protocol", "check", "--deformed",
+                          str(tmp_path / "dc"), "--seed", "1"],
+                 "surgery fault sweep of 33412 sets refused")
+
     def test_missing_file(self, tmp_path, capsys):
         self.run(capsys, ["distance", "--manifest",
                           str(tmp_path / "nope.manifest")],
@@ -364,6 +381,43 @@ class TestSeedFlag:
         msg = capsys.readouterr().err
         assert f"argument --seed: {value} is not a seed in [0, 2^128)" in msg
         assert "Traceback" not in msg
+
+
+class TestNumberFlags:
+    """Number flags take plain ASCII text: int() and float() alone would
+    read each rejected form below as a number."""
+
+    @pytest.mark.parametrize("flag,value", [
+        *((flag, value) for flag in ("--trials", "--seed")
+          for value in ("1_0", " 10", "+10", "\u0661\u0660")),
+        *(("--p", value) for value in ("0.00_1", " 0.001", "+0.001",
+                                       "\u0660.\u0660\u0660\u0661")),
+    ])
+    def test_sim_run_rejects(self, tmp_path, capsys, flag, value):
+        spec = tmp_path / "mem.spec"
+        spec.write_text("kind=surface_memory\nd=3\n")
+        args = {"--p": "0.001", "--trials": "10", "--seed": "1"}
+        args[flag] = value
+        with pytest.raises(SystemExit) as err:
+            cli.main(["sim", "run", "--circuit", str(spec),
+                      *(x for kv in args.items() for x in kv)])
+        assert err.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1_0", " 10", "+10", "\u0661\u0660"])
+    def test_compile_k_rejects(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["compile", "--circuit", str(tmp_path / "ops.txt"),
+                      "--k", value, "--out", "s.tsv,c.tsv"])
+        assert err.value.code == 2
+        assert f"argument --k: {value!r} is not an integer" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text,p", [("0", 0.0), ("0.001", 1e-3),
+                                        ("1e-3", 1e-3), ("5E-3", 5e-3),
+                                        (".5", 0.5), ("1.e-1", 0.1)])
+    def test_probability_forms(self, text, p):
+        assert cli._probability(text) == p
 
 
 class TestCompileCommand:

@@ -56,8 +56,8 @@ def brute_classical_distance(code):
 def check_both_paths(code, d, budget):
     """codes.distance against the true distance d (None: no logical), on
     the exact path and, with the exact search refused, on the budget path;
-    and gf2.flagged_collision at every half-weight, which reads d once
-    2·half ≥ d and nothing before."""
+    and gf2.flagged_collision at every half-weight, which returns a flagged
+    kernel word of weight d once 2·half ≥ d and nothing before."""
     want = codes.DistanceResult(d, d - 1) if d else codes.DistanceResult(None, code.n)
     assert codes.distance(code) == want
     if d is not None and d > budget:
@@ -69,9 +69,13 @@ def check_both_paths(code, d, budget):
     else:
         sides = [(code.h_z, code.j_z), (code.h_x, code.j_x)]
     for half in range(code.n + 1):
-        vals = [gf2.flagged_collision(checks, flags, half)
-                for checks, flags in sides]
-        v = min((v for v in vals if v is not None), default=None)
+        vals = []
+        for checks, flags in sides:
+            u = gf2.flagged_collision(checks, flags, half)
+            if u is not None:
+                assert not gf2.mul(checks, u).any() and gf2.mul(flags, u).any()
+                vals.append(gf2.weight(u))
+        v = min(vals, default=None)
         assert v == (d if d is not None and 2 * half >= d else None)
 
 
@@ -307,7 +311,8 @@ class TestDistance:
                 size = sum(math.comb(n, w) for w in range(half + 1))
                 if size > gf2.TABLE_CAP:
                     break
-                assert gf2.flagged_collision(checks, flags, half) == m
+                assert gf2.weight(gf2.flagged_collision(checks, flags,
+                                                        half)) == m
                 assert grown.pop() == list(range(stop + 1))
         assert grown == []
 

@@ -803,7 +803,7 @@ def test_fault_distance(experiments, d, columns):
                                              len(view.checks)).T])
         frames = gf2.unpack_words(cols[:, 2 * s:], len(view.mem_out))
         flags = gf2.mul(view.logicals, frames.T)
-        assert gf2.flagged_collision(checks, flags, 3) == d
+        assert gf2.weight(gf2.flagged_collision(checks, flags, 3)) == d
 
 
 # Per d and basis (|0…0⟩ then |+…+⟩), the pairs of live cells and how many

@@ -1,5 +1,6 @@
 """Deformed-code construction: glue conditions, block structure, distance."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -156,7 +157,9 @@ class TestExtraction:
 
 def first_violation(css, budget):
     """(side, vector) of the first weight-≤budget logical error in
-    (weight, lexicographic) order, the whole X side first, else None."""
+    (weight, lexicographic) order, the whole X side first, else None: its
+    side is the first with such an error, and its weight that side's
+    least."""
     for side, checks, flags in (("X", css.h_z, css.j_z),
                                 ("Z", css.h_x, css.j_x)):
         if flags.shape[0] == 0:
@@ -175,9 +178,10 @@ class TestDistanceBound:
     @given(st.integers(1, 11), st.integers(0, 8), st.integers(0, 3),
            st.integers(0, 4), st.integers(0, 2**32 - 1))
     def test_first_violation_vs_combinations(self, n, rows, k, budget, seed):
-        # Arbitrary matrices: neither the collision that certifies a clean
-        # side nor the sweep's order depends on them forming a valid CSS
-        # code.
+        # Arbitrary matrices: the collision that certifies a clean side or
+        # returns a violation does not depend on them forming a valid CSS
+        # code.  The violation is a least-weight logical of the first side
+        # that has one, not necessarily the lexicographically first.
         rng = np.random.default_rng(seed)
         bits = lambda r: rng.integers(0, 2, size=(r, n)).astype(np.uint8)
         css = codes.CssCode(h_x=bits(rows), h_z=bits(rows), j_x=bits(k),
@@ -187,11 +191,20 @@ class TestDistanceBound:
         want = first_violation(css, budget)
         assert cert.ok == (want is None)
         if want is not None:
-            assert cert.side == want[0]
-            assert np.array_equal(cert.violation, want[1])
+            side, u = want
+            checks, flags = ((css.h_z, css.j_z) if side == "X"
+                             else (css.h_x, css.j_x))
+            assert cert.side == side
+            assert gf2.weight(cert.violation) == gf2.weight(u)
+            assert not gf2.mul(checks, cert.violation).any()
+            assert gf2.mul(flags, cert.violation).any()
 
     def test_budget_zero(self, deformed13):
         assert surgery.verify_distance_bound(deformed13, 0).ok
+
+    def test_negative_budget_rejected(self, deformed13):
+        with pytest.raises(ValueError, match="budget=-3 is negative"):
+            surgery.verify_distance_bound(deformed13, -3)
 
     def test_weight2_certified(self, deformed13):
         cert = surgery.verify_distance_bound(deformed13, 2)
@@ -225,16 +238,31 @@ class TestDistanceBound:
         assert (dc.css.n, dc.css.k, dc.css.d) == (327, 1, 5)
         assert surgery.verify_distance_bound(dc, 4).ok
 
+    def test_surface5_pair_violation(self):
+        # With d unset the budget may reach d: the X side's collision to
+        # weight 3 returns a weight-5 logical, where a sweep to the budget
+        # would list C(82, ≤5) ≈ 2.6·10^7 sets.
+        s5 = codes.surface_code_via_hgp(5)
+        css = replace(codes.direct_sum_css(s5, s5), d=None)
+        dc = surgery.DeformedCode(css=css, glue=None, r_code=None,
+                                  target=None)
+        cert = surgery.verify_distance_bound(dc, 5)
+        assert (cert.ok, cert.side, gf2.weight(cert.violation)) == (
+            False, "X", 5)
+        assert not gf2.mul(css.h_z, cert.violation).any()
+        assert gf2.mul(css.j_z, cert.violation).any()
+
     def test_composite_build_certified(self, target13, hamming_r):
         two = codes.direct_sum_css(target13, target13)
         dc = surgery.build_deformed(two, gf2.bitmat([[1, 1]]), hamming_r)
         assert surgery.verify_lifted_conditions(dc) == []
         assert surgery.verify_distance_bound(dc, 2).ok
 
-    def test_corrupted_checks_flagged(self, target13, hamming_r):
-        # A composite target with one unmeasured logical per copy; zeroing
-        # target-code Z checks lets low-weight X errors slip through as
-        # logical errors, which the sweep must find.
+    @staticmethod
+    def corrupted(target13, hamming_r):
+        """A composite target with one unmeasured logical per copy, its
+        target-code Z checks and readout couplings of copy 0 zeroed: low
+        weight X errors slip through as logical errors."""
         two = codes.direct_sum_css(target13, target13)
         dc = surgery.build_deformed(two, gf2.bitmat([[1, 1]]), hamming_r)
         assert dc.css.k == 4
@@ -246,11 +274,45 @@ class TestDistanceBound:
         zapped[4 * r_z: 4 * r_z + n_g] = 0
         corrupt = codes.CssCode(h_x=corrupt.h_x, h_z=zapped, j_x=corrupt.j_x,
                                 j_z=corrupt.j_z, n=corrupt.n, k=corrupt.k)
-        bad_dc = surgery.DeformedCode(css=corrupt, glue=dc.glue,
-                                      r_code=dc.r_code, target=dc.target)
-        cert = surgery.verify_distance_bound(bad_dc, 2)
+        return surgery.DeformedCode(css=corrupt, glue=dc.glue,
+                                    r_code=dc.r_code, target=dc.target)
+
+    def test_corrupted_checks_flagged(self, target13, hamming_r):
+        cert = surgery.verify_distance_bound(
+            self.corrupted(target13, hamming_r), 2)
         assert not cert.ok
         assert gf2.weight(cert.violation) <= 2
+
+    def test_violation_without_listing(self, target13, hamming_r,
+                                       monkeypatch):
+        # The collision's own word is the violation: no combination_sweep.
+        bad_dc = self.corrupted(target13, hamming_r)
+
+        def no_listing(cols, t):
+            raise AssertionError("combination_sweep called")
+
+        monkeypatch.setattr(gf2, "combination_sweep", no_listing)
+        cert = surgery.verify_distance_bound(bad_dc, 2)
+        v, css = cert.violation, bad_dc.css
+        assert not cert.ok and 0 < gf2.weight(v) <= 2
+        checks, flags = ((css.h_z, css.j_z) if cert.side == "X"
+                         else (css.h_x, css.j_x))
+        assert not gf2.mul(checks, v).any() and gf2.mul(flags, v).any()
+
+    @pytest.mark.parametrize("bad", ["unflagged", "detected", "heavy"])
+    def test_wrong_word_raises(self, target13, hamming_r, monkeypatch, bad):
+        # The certificate confirms the word it returns bit for bit.
+        bad_dc = self.corrupted(target13, hamming_r)
+        v = surgery.verify_distance_bound(bad_dc, 2).violation
+        u = {"unflagged": gf2.zeros(1, len(v))[0],
+             "detected": np.eye(len(v), dtype=np.uint8)[
+                 np.flatnonzero(bad_dc.css.h_z.any(axis=0))[0]],
+             "heavy": np.ones_like(v)}[bad]
+        monkeypatch.setattr(surgery, "least_logical",
+                            lambda checks, flags, budget: u)
+        with pytest.raises(surgery.InternalConsistencyError,
+                           match="not a logical of weight 1..2"):
+            surgery.verify_distance_bound(bad_dc, 2)
 
 
 # sha256 (conftest.digest) of each golden deformed code's matrices, taken
