@@ -8,8 +8,6 @@ is refused with :class:`qsurg.gf2.SearchTooLarge`.
 
 from __future__ import annotations
 
-import itertools
-import math
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -175,17 +173,13 @@ def _min_weight_flagged(basis: np.ndarray, flag: np.ndarray) -> Optional[int]:
 
     Each basis row v is packed as [v | flag·vᵀ], and the span is every set
     of basis rows: one combination_sweep to size dim carries both the
-    vector and its flags.  A span of more than gf2.TABLE_CAP words is
-    refused with SearchTooLarge.
+    vector and its flags (its 2^dim sets refused past gf2.TABLE_CAP).
     """
-    dim = basis.shape[0]
-    if 1 << dim > gf2.TABLE_CAP:
-        raise SearchTooLarge(f"span of 2^{dim} words refused")
     vecs = gf2.pack_words(basis)
     rows = np.hstack([vecs, gf2.pack_words(gf2.mul(flag, basis.T).T)])
     k = vecs.shape[1]
     best: Optional[int] = None
-    for _, words in gf2.combination_sweep(rows, dim):
+    for _, words in gf2.combination_sweep(rows, basis.shape[0]):
         flagged = words[:, k:].any(axis=1)
         if flagged.any():
             w = int(np.bitwise_count(words[flagged, :k]).sum(axis=1).min())
@@ -193,17 +187,25 @@ def _min_weight_flagged(basis: np.ndarray, flag: np.ndarray) -> Optional[int]:
     return best
 
 
-def _exact_side(checks: np.ndarray, flags: np.ndarray) -> Optional[int]:
-    """Least weight of a flagged word of ker(checks), by one collision at
-    the deepest half whose C(n, ≤half) sets fit both 2^dim and
-    gf2.TABLE_CAP, else, when that finds none, by listing the 2^dim kernel
-    words (refused past gf2.TABLE_CAP)."""
+def _exact_side(checks: np.ndarray, flags: np.ndarray):
+    """(m, floor) for the least weight m of a flagged word of ker(checks):
+    (m, m − 1) when m is found, (None, n) when there is no such word, and
+    (None, 2·half) when only the collision's None, which certifies
+    m > 2·half, is in reach.  One collision runs at the deepest half whose
+    C(n, ≤half) sets fit both 2^dim and gf2.TABLE_CAP; when it finds none,
+    the 2^dim kernel words are listed.  A refused listing at half 0, which
+    certifies nothing, raises SearchTooLarge."""
     basis = gf2.null_space(checks)
-    n, fits = checks.shape[1], min(1 << basis.shape[0], gf2.TABLE_CAP)
-    sizes = itertools.accumulate(math.comb(n, w) for w in range(n + 1))
-    half = sum(1 for _ in itertools.takewhile(fits.__ge__, sizes)) - 1
+    n = checks.shape[1]
+    half = gf2.sweep_depth(n, min(1 << basis.shape[0], gf2.TABLE_CAP))
     v = gf2.flagged_collision(checks, flags, half)
-    return _min_weight_flagged(basis, flags) if v is None else gf2.weight(v)
+    try:
+        m = _min_weight_flagged(basis, flags) if v is None else gf2.weight(v)
+    except SearchTooLarge:
+        if half == 0:
+            raise
+        return None, 2 * half
+    return (None, n) if m is None else (m, m - 1)
 
 
 def least_logical(checks: np.ndarray, flags: np.ndarray,
@@ -216,46 +218,22 @@ def least_logical(checks: np.ndarray, flags: np.ndarray,
     return v if v is not None and gf2.weight(v) <= budget else None
 
 
-def _least(vals) -> Optional[int]:
-    return min((v for v in vals if v is not None), default=None)
-
-
-def _lightest(sides, budget: int) -> Optional[int]:
-    """Least weight of a logical of weight ≤ budget on any side, else None."""
-    words = [least_logical(checks, flags, budget) for checks, flags in sides]
-    return _least(gf2.weight(v) for v in words if v is not None)
-
-
-def distance(code, budget: Optional[int] = None) -> DistanceResult:
-    """Exact distance, or a certified lower bound when only searched to
-    *budget*.
+def distance(code) -> DistanceResult:
+    """Exact distance, or the floor it certifies when out of reach.
 
     Classical codes: min weight of a nonzero codeword.  CSS codes: min over
     both error types of the min weight of an undetected error with nonzero
-    logical action.  The exact search makes one gf2.flagged_collision per
-    side, at the deepest half-weight whose sets fit both the 2^dim words of
-    ker(checks) and gf2.TABLE_CAP; it grows one table a weight at a time
-    and answers the side with the weight of the first collision word (a
-    least one, as its pair sums to at most 2·weight).  A side it does not
-    answer is finished by listing those words, refused past
-    gf2.TABLE_CAP.  Then, given a budget, one collision per side to
-    ⌈budget/2⌉ (:func:`least_logical`) finds the least logical of weight
-    ≤ budget (`d` exact) or certifies `floor = budget`.
+    logical action.  Each side is answered by :func:`_exact_side`, with its
+    least weight or a floor below it.  `d` is the least weight found when
+    no side's floor is below it less one; else `d` is None and `floor`, the
+    least floor, is certified.
     """
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget={budget} is negative")
-    sides = _sides(code)
-    try:
-        d = _least(_exact_side(checks, flags) for checks, flags in sides)
-        floor = code.n
-    except SearchTooLarge:
-        if budget is None:
-            raise
-        d = _lightest(sides, budget)
-        floor = budget
-    if d is None:
-        return DistanceResult(d=None, floor=floor)
-    return DistanceResult(d=d, floor=d - 1)
+    sides = [_exact_side(checks, flags) for checks, flags in _sides(code)]
+    d = min((m for m, _ in sides if m is not None), default=None)
+    floor = min((f for _, f in sides), default=code.n)
+    if d is not None and floor == d - 1:
+        return DistanceResult(d=d, floor=floor)
+    return DistanceResult(d=None, floor=floor)
 
 
 # ── local testability ───────────────────────────────────────────────────
@@ -460,7 +438,10 @@ def load_manifest(path: str):
         code = ClassicalCode(h=m["h"], g=m["g"], n=n, k=k, d=d)
     if d is not None:
         try:
-            low = _lightest(_sides(code), d - 1)
+            words = [least_logical(checks, flags, d - 1)
+                     for checks, flags in _sides(code)]
+            low = min((gf2.weight(v) for v in words if v is not None),
+                      default=None)
         except SearchTooLarge:
             low = None  # out of the collision's reach: d= is kept as given
         if low is not None:

@@ -9,6 +9,7 @@ solutions are reproducible across runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -20,9 +21,9 @@ class SearchTooLarge(Exception):
     """Raised when an exhaustive search would exceed its configured cap."""
 
 
-# Most sets any exhaustive search holds or sweeps: a lookup table (and with
-# it a min-weight solve), a collision or a span listing is refused with
-# SearchTooLarge, before it allocates anything, when it would exceed this.
+# Most sets any exhaustive search holds or sweeps: combination_sweep and
+# syndrome_tables, the only code that refuses, raise SearchTooLarge before
+# they allocate anything for a search that would exceed this.
 TABLE_CAP = 1 << 22
 
 
@@ -338,6 +339,13 @@ def extend_sets(acc: np.ndarray, first, stop, cols: np.ndarray):
         start, lo = ends[hi - 1], hi
 
 
+def sweep_depth(n: int, fits: int) -> int:
+    """Deepest t ≤ n whose C(n, ≤t) sets number at most `fits` (−1 when
+    not even the empty set fits)."""
+    sizes = itertools.accumulate(math.comb(n, w) for w in range(n + 1))
+    return sum(1 for _ in itertools.takewhile(fits.__ge__, sizes)) - 1
+
+
 def combination_sweep(cols: np.ndarray, t: int):
     """XORs of every set of at most t of the packed rows `cols` (n × words),
     yielded as (w, chunk) in (weight, lexicographic) order, chunk holding
@@ -346,8 +354,13 @@ def combination_sweep(cols: np.ndarray, t: int):
     The weight-w sets, in lexicographic order, are extend_sets of the
     weight-(w−1) sets; each weight is generated in chunks of about
     ENUM_CHUNK sets and only the lower weights, which seed the next, are
-    kept whole; callers must not write to a yielded chunk.
+    kept whole; callers must not write to a yielded chunk.  Past weight 1,
+    more than TABLE_CAP sets, C(n, ≤min(t, n)), are refused with
+    SearchTooLarge before any set is made.
     """
+    size = sum(math.comb(len(cols), w) for w in range(min(t, len(cols)) + 1))
+    if t > 1 and size > TABLE_CAP:
+        raise SearchTooLarge(f"sweep of {size} sets refused")
     last, acc = np.array([-1]), np.zeros((1, cols.shape[1]), dtype=np.uint64)
     yield 0, acc
     for w in range(1, min(t, cols.shape[0]) + 1):
@@ -425,11 +438,10 @@ def flagged_collision(checks: np.ndarray, flags: np.ndarray,
     row, holds no pair), the two least sets of a syndrome class are a
     candidate, and the first pair found, of summed weight at most 2·w, sums
     to m: its a ⊕ b, disjoint, is returned, and the table is grown to
-    weight ⌈m/2⌉ and no further."""
+    weight ⌈m/2⌉ and no further.  No weight of it holds more than
+    C(n, ≤half) or (n + 1)·2^rows sets: syndrome_tables refuses it (before
+    anything is allocated) only when both exceed TABLE_CAP."""
     r, n = checks.shape
-    size = sum(math.comb(n, w) for w in range(min(half, n) + 1))
-    if size > TABLE_CAP:
-        raise SearchTooLarge(f"collision sweep of {size} sets refused")
     syndrome_bits = pack_words(np.arange(r + len(flags))[None] < r)
     tables = syndrome_tables(np.vstack([checks, flags]), half)
     next(tables)

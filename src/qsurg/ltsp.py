@@ -517,14 +517,13 @@ def sweep_z_lemma(spp: SpPropagation, max_weight: int = 2) -> LemmaSweepReport:
     contributions, each checked by check_z_bound, and must weigh at most w.
     When every contribution weighs at most 1, every XOR of w of them weighs
     at most w, so the C(n, ≤ max_weight) sets pass unlisted; else one
-    combination_sweep lists them, refused past TABLE_CAP beyond weight 1."""
+    combination_sweep lists them, which refuses past gf2.TABLE_CAP sets
+    beyond weight 1."""
     contrib, _ = check_z_bound(spp, None)
     n, t = len(contrib), min(max_weight, len(contrib))
     checked = sum(math.comb(n, w) for w in range(1, t + 1))
     violations = 0
     if np.count_nonzero(contrib, axis=1).max(initial=0) > 1:
-        if t > 1 and checked + 1 > gf2.TABLE_CAP:
-            raise gf2.SearchTooLarge(f"Z sweep of {checked + 1} sets refused")
         for w, words in gf2.combination_sweep(gf2.pack_words(contrib), t):
             weights = np.bitwise_count(words).sum(axis=1)
             violations += int(np.count_nonzero(weights > w))

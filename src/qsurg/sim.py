@@ -145,11 +145,8 @@ def deep_decoder(code: CssCode) -> LookupDecoder:
     """
     if code.d is None:
         raise ValueError("code distance must be known")
-    w, n = (code.d - 1) // 2, code.n
-    while w < n and (sum(math.comb(n, i) for i in range(w + 2))
-                     <= gf2.TABLE_CAP):
-        w += 1
-    return LookupDecoder(code, max_weight=w)
+    return LookupDecoder(code, max_weight=max(
+        (code.d - 1) // 2, gf2.sweep_depth(code.n, gf2.TABLE_CAP)))
 
 
 # ── memory experiment ───────────────────────────────────────────────────

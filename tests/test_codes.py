@@ -6,7 +6,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -15,21 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsurg import codes, gf2
-
-
-@contextmanager
-def exact_refused():
-    """codes._exact_side refuses every side inside the block, which forces
-    codes.distance onto its budget path."""
-    def refuse(checks, flags):
-        raise gf2.SearchTooLarge("exact search refused")
-
-    old = codes._exact_side
-    codes._exact_side = refuse
-    try:
-        yield
-    finally:
-        codes._exact_side = old
 
 
 def hamming_31():
@@ -46,6 +30,15 @@ def random_classical(seed, rows, n):
     return codes.ClassicalCode(h=h, g=g, n=n, k=g.shape[0])
 
 
+def distinct_columns(seed, rows, n):
+    """A code whose n checks' columns are distinct and nonzero: d ≥ 3."""
+    cols = np.random.default_rng(seed).choice(np.arange(1, 1 << rows), n,
+                                              replace=False)
+    h = ((cols >> np.arange(rows)[:, None]) & 1).astype(np.uint8)
+    g = gf2.null_space(h)
+    return codes.ClassicalCode(h=h, g=g, n=n, k=g.shape[0])
+
+
 def brute_classical_distance(code):
     """Least weight of a nonzero word with h·uᵀ = 0, over all 2^n words."""
     weights = [sum(bits) for bits in itertools.product([0, 1], repeat=code.n)
@@ -53,17 +46,12 @@ def brute_classical_distance(code):
     return min(weights, default=None)
 
 
-def check_both_paths(code, d, budget):
-    """codes.distance against the true distance d (None: no logical), on
-    the exact path and, with the exact search refused, on the budget path;
-    and gf2.flagged_collision at every half-weight, which returns a flagged
+def check_both_paths(code, d):
+    """codes.distance against the true distance d (None: no logical), and
+    gf2.flagged_collision at every half-weight, which returns a flagged
     kernel word of weight d once 2·half ≥ d and nothing before."""
     want = codes.DistanceResult(d, d - 1) if d else codes.DistanceResult(None, code.n)
     assert codes.distance(code) == want
-    if d is not None and d > budget:
-        want = codes.DistanceResult(None, budget)
-    with exact_refused():
-        assert codes.distance(code, budget=budget) == want
     if isinstance(code, codes.ClassicalCode):
         sides = [(code.h, gf2.eye(code.n))]
     else:
@@ -303,7 +291,7 @@ class TestDistance:
         # Whatever half ≥ ⌈m/2⌉ it is given, the collision reads m at weight
         # ⌈m/2⌉ and grows its table no further.
         sides = codes._sides(code)
-        least = [codes._exact_side(checks, flags) for checks, flags in sides]
+        least = [codes._exact_side(checks, flags)[0] for checks, flags in sides]
         grown = spy_growth(monkeypatch)
         for (checks, flags), m in zip(sides, least):
             n, stop = checks.shape[1], -(-m // 2)
@@ -316,33 +304,68 @@ class TestDistance:
                 assert grown.pop() == list(range(stop + 1))
         assert grown == []
 
-    def test_bounded_sweep_certificate(self):
-        code = codes.surface_code_via_hgp(3)
-        wide = codes.CssCode(
-            h_x=code.h_x, h_z=code.h_z, j_x=code.j_x, j_z=code.j_z,
-            n=code.n, k=code.k,
-        )
-        # Force the budget path by refusing the exact search: one collision
-        # to half = 1 finds no logical of weight ≤ 2 and certifies d > 2.
-        with exact_refused():
-            res = codes.distance(wide, budget=2)
-        assert not res.exact and res.floor == 2
+    def test_bounded_sweep_certificate(self, monkeypatch):
+        # A cap of C(13, ≤1) = 14 sets gives each side one collision to
+        # half = 1, which finds no logical of weight ≤ 2, and refuses the
+        # listing of 2^7 kernel words: d > 2 is certified.
+        monkeypatch.setattr(gf2, "TABLE_CAP", 14)
+        res = codes.distance(codes.surface_code_via_hgp(3))
+        assert res == codes.DistanceResult(None, 2)
 
-    def test_bounded_sweep_sees_both_sides(self):
-        # Weight 3 on the X side, weight 2 on the Z side: the sweep must
-        # reach the Z side's weight-2 error before the X side's weight 3.
+    def test_bounded_sweep_sees_both_sides(self, monkeypatch):
+        # Weight 3 on the X side, weight 2 on the Z side: under a cap that
+        # refuses the X side's listing, its floor 2 still lets the Z side's
+        # weight 2 stand as exact.
         code = codes.hypergraph_product(codes.repetition(2), codes.repetition(3))
         assert brute_css_distance(code) == 2
-        with exact_refused():
-            assert codes.distance(code, budget=3) == codes.DistanceResult(2, 1)
-            ham = codes.hamming_743()
-            assert codes.distance(ham, budget=3) == codes.DistanceResult(3, 2)
-            assert codes.distance(ham, budget=2) == codes.DistanceResult(None, 2)
+        ham = codes.hamming_743()
+        monkeypatch.setattr(gf2, "TABLE_CAP", 9)
+        assert codes.distance(code) == codes.DistanceResult(2, 1)
+        assert codes.distance(ham) == codes.DistanceResult(None, 2)
+        monkeypatch.setattr(gf2, "TABLE_CAP", 16)  # Hamming's 2^4 words
+        assert codes.distance(ham) == codes.DistanceResult(3, 2)
 
-    def test_negative_budget_rejected(self):
-        # Out of the exact search's reach, budget -3 once certified d > -3.
-        with exact_refused(), pytest.raises(ValueError, match="budget=-3"):
-            codes.distance(codes.hamming_743(), budget=-3)
+    def test_surface9_certifies_its_floor(self):
+        # 2^73 kernel words and C(145, ≤4) sets are out of reach: the
+        # collision to half 3 finds no logical and certifies d > 6.
+        res = codes.distance(codes.surface_code_via_hgp(9))
+        assert res == codes.DistanceResult(None, 6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["random", "distinct", "css"]),
+           st.integers(0, 2**32 - 1),
+           st.one_of(st.integers(1, 100), st.just(1 << 22)))
+    def test_floor_below_true_distance(self, kind, seed, cap):
+        # Under any cap an answer is exact, or a floor below the true
+        # distance; a refusal comes only from a collision at half 0 (a cap
+        # under n + 1 sets), which certifies nothing.  Distinct nonzero
+        # columns give d ≥ 3, so a collision to half 1 certifies a floor.
+        rng = np.random.default_rng(seed)
+        if kind == "css":
+            r1, n1, r2, n2 = rng.integers(1, [3, 4, 3, 3])
+            code = codes.hypergraph_product(
+                random_classical(seed, r1, n1),
+                random_classical(seed + 1, r2, n2))
+            d = brute_css_distance(code)
+        else:
+            rows = 4 + seed % 2
+            n = int(rng.integers(rows + 1, 13))
+            code = (distinct_columns if kind == "distinct"
+                    else random_classical)(seed, rows, n)
+            d = brute_classical_distance(code)
+        assert code.n <= 12
+        gf2.TABLE_CAP, cap = cap, gf2.TABLE_CAP
+        try:
+            res = codes.distance(code)
+        except gf2.SearchTooLarge:
+            assert gf2.TABLE_CAP <= code.n
+            return
+        finally:
+            gf2.TABLE_CAP = cap
+        if res.exact:
+            assert res == codes.DistanceResult(d, d - 1)
+        else:
+            assert res.floor < (code.n + 1 if d is None else d)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 9), st.integers(1, 130), st.integers(0, 4),
@@ -360,19 +383,18 @@ class TestDistance:
         assert codes._min_weight_flagged(basis, flag) == want
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 4), st.integers(1, 9), st.integers(1, 9),
-           st.integers(0, 2**32 - 1))
-    def test_classical_vs_brute_force(self, rows, n, budget, seed):
+    @given(st.integers(0, 4), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_classical_vs_brute_force(self, rows, n, seed):
         code = random_classical(seed, rows, n)
-        check_both_paths(code, brute_classical_distance(code), budget)
+        check_both_paths(code, brute_classical_distance(code))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2),
-           st.integers(1, 3), st.integers(1, 5), st.integers(0, 2**32 - 1))
-    def test_css_vs_brute_force(self, r1, n1, r2, n2, budget, seed):
+           st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_css_vs_brute_force(self, r1, n1, r2, n2, seed):
         code = codes.hypergraph_product(random_classical(seed, r1, n1),
                                         random_classical(seed + 1, r2, n2))
-        check_both_paths(code, brute_css_distance(code), budget)
+        check_both_paths(code, brute_css_distance(code))
 
 
 class TestSoundness:

@@ -1,6 +1,7 @@
 """GF(2) kernel: oracle-checked elimination, inverses, kron, vec, solving."""
 
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
@@ -441,6 +442,49 @@ class TestEnumerators:
                     cols[list(combo)], axis=0, initial=0))
         assert got_w == want_w
         assert np.array_equal(got, np.array(want, dtype=np.uint8))
+
+    def test_combination_sweep_cap(self, monkeypatch):
+        # Past weight 1, a sweep of more than TABLE_CAP sets, C(n, ≤min(t, n)),
+        # is refused before extend_sets makes any; one at the cap runs, and
+        # one to weight 1 runs whatever the cap.
+        calls, real = [], gf2.extend_sets
+        monkeypatch.setattr(gf2, "extend_sets",
+                            lambda *args: calls.append(1) or real(*args))
+        for n, t in ((10, 2), (3, 5)):
+            cols = gf2.pack_words(random_bits(n, n, 20))
+            size = sum(math.comb(n, w) for w in range(min(t, n) + 1))
+            monkeypatch.setattr(gf2, "TABLE_CAP", size - 1)
+            with pytest.raises(gf2.SearchTooLarge,
+                               match=f"^sweep of {size} sets refused$"):
+                list(gf2.combination_sweep(cols, t))
+            assert calls == []
+            monkeypatch.setattr(gf2, "TABLE_CAP", size)
+            assert sum(len(words) for _, words
+                       in gf2.combination_sweep(cols, t)) == size
+            monkeypatch.setattr(gf2, "TABLE_CAP", 0)
+            assert sum(len(words) for _, words
+                       in gf2.combination_sweep(cols, 1)) == n + 1
+            calls.clear()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_collision_answers_where_its_table_fits(self, seed):
+        # 3 checks and 1 flag over 12 columns: a table of at most
+        # (12 + 1)·2^4 = 208 sets fits a cap of 250, though C(12, ≤3) = 299
+        # does not, so the collision to half 3 answers, as brute force does.
+        checks, flags = random_bits(seed, 3, 12), random_bits(seed + 1, 1, 12)
+        words = np.array(list(itertools.product([0, 1], repeat=12)),
+                         dtype=np.uint8)
+        logical = (~gf2.mul(words, checks.T).any(axis=1)
+                   & gf2.mul(words, flags.T).any(axis=1))
+        m = int(words[logical].sum(axis=1).min()) if logical.any() else None
+        with patch.object(gf2, "TABLE_CAP", 250):
+            v = gf2.flagged_collision(checks, flags, 3)
+        if m is None or m > 6:
+            assert v is None
+        else:
+            assert gf2.weight(v) == m
+            assert not gf2.mul(checks, v).any() and gf2.mul(flags, v).any()
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 7), st.integers(1, 14), st.integers(1, 40),

@@ -98,3 +98,22 @@ def test_every_src_name_is_reached():
                  if used[method][name] <= _uses(node, method)[name]
                  and not bench[name]]
     assert unreached == []
+
+
+def test_every_src_import_is_used():
+    """A module-level import of src/ that its module's code never names
+    (docstrings and comments do not count) is dead: a refactor that drops
+    a module's last use of an import drops the import too."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused += [f"{path.stem}: {alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0])
+                           not in names]
+    assert unused == []
