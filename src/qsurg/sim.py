@@ -21,6 +21,12 @@ for one-word syndromes when each table's is no larger than its keys (d=3
 and d=5), else binary search of each table for its own groups.  Trials
 decode independently, so the results do not depend on PASS_FAULTS, and a
 given (experiment, p_phy, trials, seed) gives byte-identical results.
+
+A memory experiment decodes as deep_decoder's tables, which deep_decoder
+builds every level of at once; build_memory_experiment builds them one
+weight short and answers the last level's lookups with probe_level, one
+more stack probe per column, until those probes have cost about what the
+level's build would, and then builds deep_decoder's (MemoryExperiment).
 """
 
 from __future__ import annotations
@@ -137,16 +143,49 @@ class LookupDecoder:
         return gf2.unpack_words(self.stack.errors[idx], self.code.n)[0] if hit[0] else None
 
 
+def deep_depth(code: CssCode) -> int:
+    """The table weight of deep_decoder: the deepest whose C(n, ≤t) sets fit
+    gf2.TABLE_CAP, and at least ⌊(d−1)/2⌋."""
+    if code.d is None:
+        raise ValueError("code distance must be known")
+    return max((code.d - 1) // 2, gf2.sweep_depth(code.n, gf2.TABLE_CAP))
+
+
 def deep_decoder(code: CssCode) -> LookupDecoder:
-    """Lookup decoder with the deepest table that fits gf2.TABLE_CAP.
+    """Lookup decoder with the deepest table that fits gf2.TABLE_CAP, every
+    level built at once.
 
     Scattered multi-fault configurations then decode to their true
     minimum-weight class instead of heralding.
     """
-    if code.d is None:
-        raise ValueError("code distance must be known")
-    return LookupDecoder(code, max_weight=max(
-        (code.d - 1) // 2, gf2.sweep_depth(code.n, gf2.TABLE_CAP)))
+    return LookupDecoder(code, max_weight=deep_depth(code))
+
+
+def probe_level(stack: gf2.TableStack, rows: np.ndarray, which: np.ndarray,
+                cols: np.ndarray, t: int):
+    """The weight-t table entries of packed syndromes that miss the stack's
+    weight-≤(t−1) tables, row i of `rows` in table which[i] with check
+    columns cols[which[i]] (n packed syndromes as wide as the rows).
+    Returns each row's error and whether it has one, as
+    gf2.syndrome_table(checks, t) would: the first weight-t set E of the
+    syndrome s in combination_sweep's (lexicographic) order, or a miss; a
+    miss gets some error.
+
+    One stack.find of s ⊕ col_j for every j.  An entry P found there has
+    weight t − 1 and no index j, or P ⊕ {j} would reach s below weight t, so
+    P ∪ {j} is a weight-t set of syndrome s: no j below the least index j₀
+    of E hits, as that set would precede E.  E less j₀ has syndrome
+    s ⊕ col_j₀, so j₀ hits, and its entry, the first set of that syndrome,
+    is at most E less j₀; so its union with {j₀} is E.  E is the entry of
+    the least j that hits, plus j."""
+    k, n, words = len(rows), cols.shape[1], cols.shape[2]
+    keys = (rows[:, None] ^ cols.take(which, 0)).reshape(k * n, words)
+    idx, hit = stack.find(keys, np.repeat(which, n))
+    hit = hit.reshape(k, n)
+    j = hit.argmax(axis=1)
+    errors = stack.errors.take(idx.reshape(k, n)[np.arange(k), j], 0)
+    errors |= gf2.pack_words(np.eye(n, dtype=np.uint8)[j])
+    return errors, hit.any(axis=1)
 
 
 # ── memory experiment ───────────────────────────────────────────────────
@@ -200,12 +239,25 @@ class _BasisView:
 
 @dataclass
 class MemoryExperiment:
-    """One EC cycle of a CSS memory with teleported check readout."""
+    """One EC cycle of a CSS memory with teleported check readout.
+
+    While `depth` is set (build_memory_experiment sets it), the decoder's
+    tables stop at weight depth − 1 and the weight-`depth` level is
+    deferred: a syndrome that misses them is looked up at that weight by
+    probe_level, exactly as the full table would answer.  `probed` counts
+    the keys those probes looked up, n per missed syndrome; once it exceeds
+    C(n, depth), at least the sets a build of the level would extend, the
+    decoder is dropped, deep_decoder(code) built in its place and `depth`
+    cleared (ski rental: probing costs at most about as much as the build).
+    With `depth` None the decoder's tables answer alone.
+    """
 
     code: CssCode
     decoder: LookupDecoder
     z_basis: _BasisView
     x_basis: _BasisView
+    depth: Optional[int] = None
+    probed: int = 0
     # By compile_faults: the live cells, those whose words are not all zero,
     # as indices into z_basis's cells followed by x_basis's; their words in
     # that order (z_basis's z_live first), each syndrome widened to
@@ -245,7 +297,8 @@ class MemoryExperiment:
         and silently when both hit and the corrected residue flips a logical
         of its basis; one bitwise_xor.reduceat sums every group's words, and
         one probe of the decoder's table stack looks both stages of every
-        group up.
+        group up (then, while a level is deferred, one probe_level of the
+        stages that missed).
         """
         key = 2 * trial + (cell >= self.z_live)  # a trial's |0⟩ cells first
         first = np.ones(len(key), dtype=bool)
@@ -259,15 +312,42 @@ class MemoryExperiment:
         mid = acc[:, :s]
         # Both stages in one lookup: checks·(fr ^ c1) = final ^ mid, as the
         # first correction c1 has syndrome mid by construction of the table.
-        stack = self.decoder.stack
-        idx, hit = stack.find(np.concatenate([mid, acc[:, s: 2 * s] ^ mid]),
-                              np.concatenate([basis, basis]))
-        fix = stack.errors.take(idx, 0)
+        fix, hit = self._lookup(np.concatenate([mid, acc[:, s: 2 * s] ^ mid]),
+                                np.concatenate([basis, basis]))
         resid = acc[:, 2 * s:] ^ fix[:m] ^ fix[m:]
         odd = np.bitwise_count(
             resid[:, None] & self.logical_words.take(basis, 0)).sum(axis=2)
         hit = hit[:m] & hit[m:]
         return group, ~hit, hit & (odd & 1).any(axis=1)
+
+    def _lookup(self, rows: np.ndarray, which: np.ndarray):
+        """The error of each packed syndrome in table which[i] (0 the X
+        table, 1 the Z table) and whether it has one, deepening the decoder
+        once the deferred level's probes exceed C(n, depth) keys."""
+        stack = self.decoder.stack
+        idx, hit = stack.find(rows, which)
+        fix = stack.errors.take(idx, 0)
+        if self.depth is None or hit.all():
+            return fix, hit
+        miss = np.flatnonzero(~hit)
+        self.probed += len(miss) * self.code.n
+        if self.probed > math.comb(self.code.n, self.depth):
+            del stack  # the shallow tables go before the deep ones are built
+            self.decoder = self.depth = None
+            self.decoder = deep_decoder(self.code)
+            return self._lookup(rows, which)
+        fix[miss], hit[miss] = probe_level(stack, rows[miss], which[miss],
+                                           self._columns, self.depth)
+        return fix, hit
+
+    @functools.cached_property
+    def _columns(self) -> np.ndarray:
+        """Per table, the columns of its checks (z_basis's, then x_basis's)
+        as packed syndromes, syn_words wide."""
+        cols = [gf2.pack_words(view.checks.T)
+                for view in (self.z_basis, self.x_basis)]
+        return np.stack([np.pad(c, ((0, 0), (0, self.syn_words - c.shape[1])))
+                         for c in cols])
 
 
 def _build_basis(code: CssCode, basis: str) -> _BasisView:
@@ -299,9 +379,19 @@ def _build_basis(code: CssCode, basis: str) -> _BasisView:
 
 
 def build_memory_experiment(code: CssCode) -> MemoryExperiment:
-    return MemoryExperiment(code=code, decoder=deep_decoder(code),
+    """The memory experiment of `code`, decoding as deep_decoder(code) does
+    with its last level deferred: its tables are built to one weight below
+    deep_depth(code), and that weight is probed for (see MemoryExperiment)
+    unless those tables already hold every syndrome (surface3's hold all
+    64)."""
+    depth = deep_depth(code)
+    decoder = LookupDecoder(code, max_weight=depth - 1)
+    full = all(len(table) == 1 << len(checks) for table, checks in (
+        (decoder._x_table, code.h_z), (decoder._z_table, code.h_x)))
+    return MemoryExperiment(code=code, decoder=decoder,
                             z_basis=_build_basis(code, "z"),
-                            x_basis=_build_basis(code, "x"))
+                            x_basis=_build_basis(code, "x"),
+                            depth=None if full else depth)
 
 
 @dataclass

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -338,6 +339,16 @@ def experiments():
     return out
 
 
+@pytest.fixture(scope="module")
+def deep_decoders(experiments):
+    """Per d, the decoder whose tables every Monte Carlo answer must match:
+    deep_decoder's, built here, at d=3 and d=5 (whatever the experiments'
+    own decoders have deepened to), and the d=7 experiment's weight-1 one."""
+    out = {d: sim.deep_decoder(experiments[d].code) for d in (3, 5)}
+    out[7] = experiments[7].decoder
+    return out
+
+
 def fault_cells(view):
     """The fault cells of a basis as (channel, Loc), in the order of its
     words' rows: per location, a flip, or an X then a Z."""
@@ -400,10 +411,11 @@ def table_digest(table):
     return h.hexdigest()
 
 
-def test_deep_tables_unchanged(experiments):
-    dec = experiments[5].decoder
+def test_deep_tables_unchanged(deep_decoders):
+    dec = deep_decoders[5]  # sim.deep_decoder(surface5)
     assert dec.t == 5
     for name, digest in DEEP_TABLE_DIGESTS.items():
+        assert len(getattr(dec, name)) == 228_461
         assert table_digest(getattr(dec, name)) == digest
 
 
@@ -510,6 +522,56 @@ def test_table_stack_finds_as_each_table(rows, t, indexed):
         assert np.array_equal(table.errors, part)
 
 
+# Random check matrices, two over the same columns (as a memory
+# experiment's X and Z tables are), of low rank when `rank` is nonzero and
+# with zeroed columns, so that some syndromes stay unreachable.  Depth t runs
+# from 1 to one past the last weight either table grows at, where the probed
+# level adds nothing.
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 14),
+       st.integers(0, 4), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example(8, 7, 70, 0, 0, 5).via("errors of two words")
+@example(8, 8, 12, 3, 1, 6).via("rank 3 of 8 rows")
+def test_probe_matches_the_full_level(rows_a, rows_b, cols, rank, zero, seed):
+    """The weight-≤(t−1) tables plus probe_level answer every syndrome of
+    each table as syndrome_table(checks, t) does: the same hits and misses,
+    and the same error words."""
+    rng = np.random.default_rng(seed)
+    checks = []
+    for rows in (rows_a, rows_b):
+        c = rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
+        if rank:
+            c = gf2.mul(rng.integers(0, 2, size=(rows, rank)),
+                        rng.integers(0, 2, size=(rank, cols)))
+        c[:, rng.integers(0, cols, size=zero)] = 0
+        checks.append(c)
+    queries = np.concatenate([np.arange(1 << len(c), dtype=np.uint64)
+                              for c in checks])[:, None]
+    which = np.repeat([0, 1], [1 << len(c) for c in checks])
+    cols_packed = np.stack([gf2.pack_words(c.T) for c in checks])
+    probed = 0
+    for t in range(1, cols + 1):
+        stack = gf2.TableStack([gf2.syndrome_table(c, t - 1) for c in checks])
+        full = [gf2.syndrome_table(c, t) for c in checks]
+        idx, hit = stack.find(queries, which)
+        errors = stack.errors[idx]
+        miss = np.flatnonzero(~hit)
+        errors[miss], hit[miss] = sim.probe_level(
+            stack, queries[miss], which[miss], cols_packed, t)
+        probed += int(np.count_nonzero(hit[miss]))
+        for i, table in enumerate(full):
+            mine = which == i
+            want_idx, want_hit = table.find(queries[mine])
+            assert np.array_equal(hit[mine], want_hit)
+            assert np.array_equal(errors[mine][want_hit],
+                                  table.errors[want_idx[want_hit]])
+        if all(len(a) == len(b) for a, b in zip(full, stack.tables)):
+            break  # the level added nothing, and no deeper one adds any
+    assert t == cols or all(len(table) == 1 << gf2.rank(c)
+                            for table, c in zip(full, checks))
+    assert probed == sum(len(table) for table in full) - len(checks)
+
+
 def reference_failures(view, dec, trial_faults):
     """Each trial decoded on its own: the frame run of its sampled fault set
     (one lane per trial, built from the cells' locations), two table
@@ -557,7 +619,8 @@ def basis_failures(exp, trial, row, trials):
 @pytest.mark.parametrize("d,p,trials", [(3, 5e-3, 400), (3, 2e-2, 400),
                                         (5, 5e-3, 200), (5, 2e-2, 200),
                                         (7, 1e-4, 100)])
-def test_batched_matches_per_trial(experiments, d, p, trials):
+def test_batched_matches_per_trial(experiments, deep_decoders, d, p,
+                                   trials):
     exp = experiments[d]
     if d == 7:
         assert exp.z_basis.words.shape[1] > 3  # frames span two words
@@ -574,7 +637,7 @@ def test_batched_matches_per_trial(experiments, d, p, trials):
         fail, heralded, silent = got[basis]
         view_cells = fault_cells(view)
         want = reference_failures(
-            view, exp.decoder, [[view_cells[c] for c in
+            view, deep_decoders[d], [[view_cells[c] for c in
                                  cell[sel & (trial == t)] - offset]
                                 for t in range(trials)])
         assert np.array_equal(fail, [kind is not None for kind in want])
@@ -642,10 +705,10 @@ def per_basis_failures(view, table, trial, cell, trials):
     return out, heralded, int(np.count_nonzero(fail)) - heralded
 
 
-def per_basis_rate(exp, p, trials, seed, stream=0):
+def per_basis_rate(exp, dec, p, trials, seed, stream=0):
     """logical_error_rate as it decoded before both bases shared one pass:
     the same blocks and passes, each pass split by basis and decoded by
-    per_basis_failures."""
+    per_basis_failures with the tables of the decoder `dec`."""
     live, z_cells = exp.live, len(exp.z_basis.words)
     block = max(1, sim.BLOCK_CELLS // len(live))
     counts = dict.fromkeys(("z_heralded", "z_silent", "x_heralded",
@@ -666,9 +729,8 @@ def per_basis_rate(exp, p, trials, seed, stream=0):
         cell = live.take(np.concatenate(cell_parts))
         fail = np.zeros(size, dtype=bool)
         for basis, view, table, sel, offset in (
-                ("z", exp.z_basis, exp.decoder._x_table, cell < z_cells, 0),
-                ("x", exp.x_basis, exp.decoder._z_table, cell >= z_cells,
-                 z_cells)):
+                ("z", exp.z_basis, dec._x_table, cell < z_cells, 0),
+                ("x", exp.x_basis, dec._z_table, cell >= z_cells, z_cells)):
             got, heralded, silent = per_basis_failures(
                 view, table, trial[sel], cell[sel] - offset, size)
             counts[f"{basis}_heralded"] += heralded
@@ -682,22 +744,26 @@ def per_basis_rate(exp, p, trials, seed, stream=0):
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
-def test_one_pass_matches_per_basis_decoding(experiments, monkeypatch, d):
+def test_one_pass_matches_per_basis_decoding(experiments, deep_decoders,
+                                             monkeypatch, d):
     """logical_error_rate equals the per-basis decode field for field at
-    p = 1e-3, 5e-3 and 2e-2, over several passes of several blocks: d=3
-    and d=5 look up by rank index, d=7 by binary search, its frames two
-    words wide.  d=3 also takes a weight-1 table, as its deep table holds
-    every syndrome and never heralds.  Each basis fails both heralded and
-    silently, but at d=7: its weight-1 table passes no draw of a silent
-    flip, which takes more faults than any table reachable here corrects."""
+    p = 1e-3, 5e-3 and 2e-2, over several passes of several blocks, the
+    reference decoding with deep_decoder's tables (at d=7 the experiment's
+    weight-1 ones): d=3 and d=5 look up by rank index, d=7 by binary
+    search, its frames two words wide.  d=3 also takes a weight-1 table, as
+    its deep table holds every syndrome and never heralds.  Each basis
+    fails both heralded and silently, but at d=7: its weight-1 table passes
+    no draw of a silent flip, which takes more faults than any table
+    reachable here corrects."""
     monkeypatch.setattr(sim, "BLOCK_CELLS", 1 << 14)
     monkeypatch.setattr(sim, "PASS_FAULTS", 50)
     exp = experiments[d]
-    exps = [exp]
+    exps = [(exp, deep_decoders[d])]
     if d == 3:
-        exps.append(sim.MemoryExperiment(
-            code=exp.code, decoder=sim.LookupDecoder(exp.code, max_weight=1),
-            z_basis=exp.z_basis, x_basis=exp.x_basis))
+        weight1 = sim.LookupDecoder(exp.code, max_weight=1)
+        exps.append((sim.MemoryExperiment(
+            code=exp.code, decoder=weight1, z_basis=exp.z_basis,
+            x_basis=exp.x_basis), weight1))
     passes, real = [], sim.MemoryExperiment.failures
 
     def counted(*args):
@@ -707,16 +773,74 @@ def test_one_pass_matches_per_basis_decoding(experiments, monkeypatch, d):
     monkeypatch.setattr(sim.MemoryExperiment, "failures", counted)
     totals = dict.fromkeys(("z_heralded", "z_silent", "x_heralded",
                             "x_silent"), 0)
-    for e in exps:
+    for e, dec in exps:
         for p, trials in ((1e-3, 3000), (5e-3, 1000), (2e-2, 300)):
             passes.clear()
             est = sim.logical_error_rate(e, p, trials, seed=7, stream=d)
             assert len(passes) > 2
-            assert est == per_basis_rate(e, p, trials, seed=7, stream=d)
+            assert est == per_basis_rate(e, dec, p, trials, seed=7, stream=d)
             for key in totals:
                 totals[key] += getattr(est, key)
     assert all(totals[f"{basis}_heralded"] for basis in "zx")
     assert all(totals[f"{basis}_silent"] for basis in "zx") == (d != 7)
+
+
+def test_deferred_level_answers_as_the_deep_tables(experiments, deep_decoders,
+                                                  monkeypatch):
+    """build_memory_experiment(surface5) builds weight 4 and defers weight
+    5 (deep_depth 5); surface3's tables hold all 64 syndromes, so it defers
+    nothing.  At p = 1e-3 and 5e-3 the probes stay under C(41, 5) keys and
+    the decoder keeps weight 4; at 2e-2 they pass it on a later pass of the
+    call, the weight-4 decoder is released before deep_decoder's is built,
+    and the run equals the same run on a fresh experiment that is deep from
+    the start.  Every estimate equals per-basis decoding with deep_decoder's
+    tables, field for field."""
+    assert [sim.deep_depth(experiments[d].code) for d in (3, 5, 7)] == [
+        13, 5, 4]
+    assert experiments[3].depth is None
+    assert [len(t) for t in experiments[3].decoder.stack.tables] == [64, 64]
+    base, deep = experiments[5], deep_decoders[5]
+    exp = sim.build_memory_experiment(base.code)
+    assert (exp.depth, exp.decoder.t, exp.probed) == (5, 4, 0)
+    for p, trials in ((1e-3, 3000), (5e-3, 1000)):
+        est = sim.logical_error_rate(exp, p, trials, seed=11)
+        assert (exp.depth, exp.decoder.t) == (5, 4)
+        assert est == per_basis_rate(exp, deep, p, trials, seed=11)
+    assert 0 < exp.probed <= math.comb(41, 5)
+    shallow = weakref.ref(exp.decoder)
+    depths, built, real = [], [], sim.MemoryExperiment.failures
+    real_deep = sim.deep_decoder
+
+    def failures(e, trial, cell):
+        depths.append(e.depth)
+        return real(e, trial, cell)
+
+    def deep_decoder(code):
+        built.append(shallow() is None)
+        return real_deep(code)
+
+    monkeypatch.setattr(sim.MemoryExperiment, "failures", failures)
+    monkeypatch.setattr(sim, "deep_decoder", deep_decoder)
+    est = sim.logical_error_rate(exp, 2e-2, 20_000, seed=11)
+    assert depths[:2] == [5, 5] and depths[-1] is None  # mid-call
+    assert built == [True]
+    assert (exp.depth, exp.decoder.t) == (None, 5)
+    for name, digest in DEEP_TABLE_DIGESTS.items():
+        assert table_digest(getattr(exp.decoder, name)) == digest
+    fresh = sim.MemoryExperiment(code=base.code, decoder=deep,
+                                 z_basis=base.z_basis, x_basis=base.x_basis)
+    assert est == sim.logical_error_rate(fresh, 2e-2, 20_000, seed=11)
+    assert est == per_basis_rate(exp, deep, 2e-2, 20_000, seed=11)
+    assert est.z_heralded and est.x_heralded
+
+
+def test_desk_stream_keeps_the_level_deferred():
+    """The desk ledger's d=5 run (seed 42, stream sim.d5, 100k trials at
+    p = 1e-3) misses the weight-4 tables with 28 syndromes: 1,148 probe keys
+    against C(41, 5) = 749,398, so the weight-5 level is never built."""
+    exp = sim.build_memory_experiment(codes.surface_code_via_hgp(5))
+    sim.logical_error_rate(exp, 1e-3, 100_000, 42, cli._SITES["sim.d5"])
+    assert (exp.decoder.t, exp.depth, exp.probed) == (4, 5, 28 * 41)
 
 
 def test_unequal_syndrome_widths_match_per_basis_decoding(monkeypatch):
@@ -724,7 +848,9 @@ def test_unequal_syndrome_widths_match_per_basis_decoding(monkeypatch):
     syndromes take two words and the |+⟩ basis's one, so the live words
     widen the narrower syndromes with zero words and the table stack
     searches keys of both widths as one; the estimate still equals the
-    per-basis decode."""
+    per-basis decode.  With weight 3 deferred, probe_level's keys take
+    both widths too, and the estimate equals the weight-3 tables' (not the
+    weight-2 ones')."""
     monkeypatch.setattr(sim, "BLOCK_CELLS", 1 << 14)
     monkeypatch.setattr(sim, "PASS_FAULTS", 50)
     code = dataclasses.replace(codes.hypergraph_product(
@@ -737,7 +863,7 @@ def test_unequal_syndrome_widths_match_per_basis_decoding(monkeypatch):
     assert (exp.z_basis.syn_words, exp.x_basis.syn_words) == (2, 1)
     est = sim.logical_error_rate(exp, 1e-3, 3000, seed=7)
     assert exp.decoder.stack.bitmap is None  # binary search
-    assert est == per_basis_rate(exp, 1e-3, 3000, seed=7)
+    assert est == per_basis_rate(exp, exp.decoder, 1e-3, 3000, seed=7)
     assert est.z_heralded and est.x_heralded and est.x_silent
     # decode_x (two-word syndromes) and decode_z (one word) look up through
     # the same stack.
@@ -745,6 +871,14 @@ def test_unequal_syndrome_widths_match_per_basis_decoding(monkeypatch):
     e[3] = 1
     assert np.array_equal(exp.decoder.decode_x(gf2.mul(code.h_z, e)), e)
     assert np.array_equal(exp.decoder.decode_z(gf2.mul(code.h_x, e)), e)
+    deferred = sim.MemoryExperiment(code=code, decoder=exp.decoder,
+                                    z_basis=exp.z_basis, x_basis=exp.x_basis,
+                                    depth=3)
+    est = sim.logical_error_rate(deferred, 1e-3, 3000, seed=7)
+    assert (deferred.depth, deferred.decoder.t) == (3, 2)
+    assert est == per_basis_rate(deferred, sim.LookupDecoder(code, 3), 1e-3,
+                                 3000, seed=7)
+    assert est != per_basis_rate(deferred, exp.decoder, 1e-3, 3000, seed=7)
 
 
 def live_faults(exp, p, trials, seed, stream):
@@ -1002,11 +1136,18 @@ def test_one_probe_per_pass(experiments, monkeypatch, d, p, trials,
     one TableStack.find, of two rows per (trial, basis) group with faults
     ([mid ; final ^ mid]).  d=5 takes the stacked rank index, which probes
     no single table; d=7 binary search, which searches each table once for
-    its own rows.  At p = 1e-4 a pass ends at every block with faults, so
-    some passes have faults in one basis only."""
+    its own rows.  At d=5, a fresh experiment whose weight-5 level is
+    deferred, a pass whose rows miss makes one more TableStack.find of n
+    keys per missed row (at p = 5e-3 only; no run here deepens).  At
+    p = 1e-4 a pass ends at every block with faults, so some passes have
+    faults in one basis only."""
     monkeypatch.setattr(sim, "BLOCK_CELLS", block_cells)
     monkeypatch.setattr(sim, "PASS_FAULTS", pass_faults)
-    calls = []
+    exp = experiments[d]
+    if d == 5:
+        exp = sim.build_memory_experiment(exp.code)
+        assert exp.depth == 5
+    calls, missed = [], []
     real_failures = sim.MemoryExperiment.failures
     real_find, real_table_find = gf2.TableStack.find, gf2.SyndromeTable.find
 
@@ -1017,7 +1158,10 @@ def test_one_probe_per_pass(experiments, monkeypatch, d, p, trials,
 
     def find(stack, rows, which):
         calls[-1].append(len(rows))
-        return real_find(stack, rows, which)
+        idx, hit = real_find(stack, rows, which)
+        if len(missed) < len(calls):  # the pass's first find
+            missed.append(int(np.count_nonzero(~hit)))
+        return idx, hit
 
     def table_find(table, rows):
         calls[-1].append(len(rows))
@@ -1026,11 +1170,15 @@ def test_one_probe_per_pass(experiments, monkeypatch, d, p, trials,
     monkeypatch.setattr(sim.MemoryExperiment, "failures", failures)
     monkeypatch.setattr(gf2.TableStack, "find", find)
     monkeypatch.setattr(gf2.SyndromeTable, "find", table_find)
-    sim.logical_error_rate(experiments[d], p, trials, seed=17)
+    sim.logical_error_rate(exp, p, trials, seed=17)
     assert len(calls) > 2  # several passes
-    assert calls == [[z, x, 2 * (z + x)] + ([2 * z, 2 * x] if d == 7 else [])
-                     for z, x, *_ in calls]
+    n = exp.code.n
+    assert calls == [[z, x, 2 * (z + x)] + ([n * m] if d == 5 and m else [])
+                     + ([2 * z, 2 * x] if d == 7 else [])
+                     for (z, x, *_), m in zip(calls, missed)]
     assert any(0 in (z, x) for z, x, *_ in calls) == (p == 1e-4)
+    if d == 5:
+        assert exp.depth == 5 and bool(sum(missed)) == (p == 5e-3)
 
 
 # RateEstimate counts (failures, z/x heralded, z/x silent) of the Monte
