@@ -262,11 +262,13 @@ def cmd_compile(args) -> int:
 def _prep_noiseless(prep, seed) -> tuple:
     """The ltsp.noiseless row: the zero-forced run of the preparation
     circuit reads zero, and a random-outcome run leaves every copy's
-    resource-state stabilizers exactly stabilized with phase +1."""
-    good = not tableau.run_tableau(prep.circuit, force_zero=True).outcomes.any()
+    resource-state stabilizers exactly stabilized with phase +1.  The two
+    runs are two lanes of one tableau pass."""
     rs = ltsp.resource_state(prep.source)
     with _rng(seed, "prep.tableau") as rng:
-        tab = tableau.run_tableau(prep.circuit, rng=rng).sim
+        zero, run = tableau.run_lanes(prep.circuit,
+                                      [{"force_zero": True}, {"rng": rng}])
+    good, tab = not zero.outcomes.any(), run.sim
     zero = np.zeros(2 * prep.source.n)
     for j in range(prep.k_f):
         qubits = np.concatenate(prep.copy_qubits(j))
@@ -436,19 +438,22 @@ def check_teleported(desk: Desk) -> list[tuple]:
 
 
 def check_surgery(desk: Desk) -> list[tuple]:
-    """6. Surgery end to end on the deformed code."""
+    """6. Surgery end to end on the deformed code: the |0> run and the
+    X-logical run are two lanes of one tableau pass, and neither fires a
+    detector."""
     dc, seed = desk.dc, desk.seed
     run = protocol.build_surgery_circuit(dc)
     view, n = run.expanded, dc.target.n
-    with _rng(seed, "surgery.tableau") as rng:
-        res = tableau.run_tableau(view.circuit, rng=rng)
-    zero_ok = (not run.measured_bits(view, res.outcomes).any()
-               and not run.detector_bits(view, res.outcomes).any())
     locs = [view.col_locs["M1"][copy * n + i] for copy in range(dc.k_r)
             for i in np.flatnonzero(dc.target.j_x[0])]
-    with _rng(seed, "surgery.tableau", 1) as rng:
-        res1 = tableau.run_tableau(view.circuit, x_errors=locs, rng=rng)
-    ones_ok = bool(run.measured_bits(view, res1.outcomes).all())
+    with (_rng(seed, "surgery.tableau") as rng,
+          _rng(seed, "surgery.tableau", 1) as rng1):
+        res, res1 = tableau.run_lanes(view.circuit, [
+            {"rng": rng}, {"rng": rng1, "x_errors": locs}])
+    zero_ok = (not run.measured_bits(view, res.outcomes).any()
+               and not run.detector_bits(view, res.outcomes).any())
+    ones_ok = (bool(run.measured_bits(view, res1.outcomes).all())
+               and not run.detector_bits(view, res1.outcomes).any())
     return [("surgery.noiseless", zero_ok and ones_ok,
              "outcomes +1 on |0>, -1 on |1>"),
             ("lemma.cs.residualZ", *_sweep_residual_z(run, desk.max_weight)),

@@ -353,6 +353,28 @@ class TestLtspNoiseless:
                 in capsys.readouterr().out)
 
 
+class TestSurgeryNoiseless:
+    def test_row_reads_the_x_logical_detectors(self, monkeypatch):
+        # surgery.noiseless fails when the X-logical run (every measured
+        # bit -1) fires a detector, as when the |0> run does.
+        desk = cli.Desk(5, max_weight=1)
+
+        def row():
+            return {key: ok for key, ok, _ in cli.check_surgery(desk)
+                    }["surgery.noiseless"]
+        assert row()
+        real = protocol.SurgeryRun.detector_bits
+
+        def fired_on_ones(run, view, bits):
+            fired = real(run, view, bits)
+            if run.measured_bits(view, bits).all():
+                fired[0] ^= 1
+            return fired
+        monkeypatch.setattr(protocol.SurgeryRun, "detector_bits",
+                            fired_on_ones)
+        assert not row()
+
+
 class TestSamplesFlag:
     @pytest.mark.parametrize("command", [
         ["ltsp", "verify", "--source", "s", "--fcode", "f"],

@@ -1,5 +1,6 @@
 """Circuit IR, frame simulation vs tableau oracle, primitive decompositions."""
 
+import copy
 import itertools
 from typing import Optional
 from unittest import mock
@@ -275,7 +276,31 @@ class RowByRowTableau:
             raise tableau.NotStabilized("operator is not in the stabilizer group")
         return int(rh)
 
-    def measure_pauli(self, x, z, rng=None, forced=None):
+    def sign_delta(self):
+        """A reference sharing x and z, with zero signs: a lane of
+        tableau.run_lanes keeps its sign delta in it."""
+        view = copy.copy(self)
+        view.r = np.zeros_like(self.r)
+        return view
+
+    def measure_pauli(self, x, z, rng=None, forced=None, lanes=(), slot=0):
+        # Each lane measures on a copy holding its whole signs, as a run of
+        # its own would; its delta is then taken against the new signs.
+        alone = []
+        for lane in lanes:
+            run = copy.deepcopy(self)
+            run.r = self.r ^ lane.signs.r
+            alone.append((run, run.measure_pauli(x, z, lane.rng,
+                                                 lane.forced[slot])[0]))
+        bit, det = self._measure(x, z, rng, forced)
+        for lane, (run, lane_bit) in zip(lanes, alone):
+            assert np.array_equal(run.x, self.x)
+            assert np.array_equal(run.z, self.z)
+            lane.signs.r[:] = run.r ^ self.r
+            lane.report(slot, lane_bit)
+        return bit, det
+
+    def _measure(self, x, z, rng, forced):
         xv, zv = self._vectors(x, z)
         anti = self._anticommute(xv, zv)
         stab_anti = np.nonzero(anti[self.n:])[0]
@@ -689,6 +714,97 @@ class TestTableauProgram:
                 assert spy.call_count == circ.n_outcomes
 
 
+def lane_draw(data, circ, index):
+    """One lane's outcome source ("rng", "forced", "zero" or none) and
+    faults, drawn for run_lanes; `lane_kwargs` turns it into settings."""
+    source = data.draw(st.sampled_from(["rng", "forced", "zero", None]))
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=circ.n_outcomes,
+                              max_size=circ.n_outcomes))
+    faults = drawn_faults(circ, lambda n: data.draw(
+        st.lists(st.booleans(), min_size=n, max_size=n)))
+    return source, np.array(bits, dtype=np.uint8), index, faults
+
+
+def lane_kwargs(lane):
+    """The lane's settings, with a fresh generator for an rng lane."""
+    source, bits, index, faults = lane
+    return {**{"rng": {"rng": np.random.default_rng(index)},
+               "forced": {"forced_outcomes": bits},
+               "zero": {"force_zero": True}, None: {}}[source], **faults}
+
+
+def assert_lanes_match_solo_runs(circ, lanes):
+    """run_lanes gives each lane the outcomes, deterministic flags and
+    final tableau of its own run_tableau, byte for byte, and so does the
+    row-by-row reference behind run_lanes; a lane whose solo run raises
+    makes the pass raise the same error."""
+    solo = []
+    for lane in lanes:
+        try:
+            solo.append(tableau.run_tableau(circ, **lane_kwargs(lane)))
+        except ValueError as err:
+            solo.append(str(err))
+    errors = {res for res in solo if isinstance(res, str)}
+    if errors:
+        assert len(errors) == 1
+        for engine in (tableau.Tableau, RowByRowTableau):
+            with (mock.patch.object(tableau, "Tableau", engine),
+                  pytest.raises(ValueError) as err):
+                tableau.run_lanes(circ, [lane_kwargs(lane) for lane in lanes])
+            assert str(err.value) in errors
+        return
+    fast = tableau.run_lanes(circ, [lane_kwargs(lane) for lane in lanes])
+    with mock.patch.object(tableau, "Tableau", RowByRowTableau):
+        ref = tableau.run_lanes(circ, [lane_kwargs(lane) for lane in lanes])
+    assert len(fast) == len(ref) == len(lanes)
+    state = lambda sim: (sim.xr, sim.zr, sim.xc, sim.zc, sim.r)
+    for got, want, other in zip(fast, solo, ref):
+        for field in ("outcomes", "deterministic"):
+            a, b, c = (getattr(res, field) for res in (got, want, other))
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert np.array_equal(a, c)
+        assert state(got.sim) == state(want.sim)
+        assert same_state(got.sim, want.sim) and same_state(other.sim, want.sim)
+        assert columns_are_transposes(got.sim)
+
+
+class TestLanes:
+    """run_lanes runs L lanes in one pass; each equals its own run."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_circuits(inputs=True), st.data())
+    def test_lanes_match_solo_runs(self, drawn, data):
+        circ, _, seed = drawn
+        lanes = [lane_draw(data, circ, seed + i)
+                 for i in range(data.draw(st.integers(1, 4)))]
+        assert_lanes_match_solo_runs(circ, lanes)
+
+    @pytest.mark.parametrize("name", ["prep", "desk-surgery"])
+    def test_paper_circuits(self, paper_circuit_set, name):
+        circ = paper_circuit_set[name]
+        rng = np.random.default_rng(3)
+        pick = lambda n: rng.random(n) < 8 / n
+        bits = rng.integers(0, 2, size=circ.n_outcomes, dtype=np.uint8)
+        lanes = [("zero", bits, 0, {}), ("rng", bits, 1, {}),
+                 ("rng", bits, 2, drawn_faults(circ, pick)),
+                 ("forced", bits, 3, drawn_faults(circ, pick))]
+        assert_lanes_match_solo_runs(circ, lanes)
+
+    def test_no_lanes(self, paper_circuit_set):
+        assert tableau.run_lanes(paper_circuit_set["prep"], []) == []
+
+    def test_one_measure_pauli_call_per_outcome(self, paper_circuit_set):
+        # Lanes share each measurement: the traced call count stays one per
+        # outcome whatever the lane count.
+        circ = paper_circuit_set["desk-surgery"]
+        real = tableau.Tableau.measure_pauli
+        with mock.patch.object(tableau.Tableau, "measure_pauli",
+                               autospec=True, side_effect=real) as spy:
+            tableau.run_lanes(circ, [{"force_zero": True},
+                                     {"rng": np.random.default_rng(0)}])
+        assert spy.call_count == circ.n_outcomes
+
+
 class TestInitReuse:
     def test_reinitialised_qubit_rejected(self):
         c = Circuit()
@@ -735,6 +851,25 @@ class TestTableauInputs:
     def test_forced_outcomes_must_be_one_bit_each(self, forced):
         with pytest.raises(ValueError, match="forced_outcomes must be 2 bits"):
             tableau.run_tableau(self.circuit(), forced_outcomes=forced)
+
+    @pytest.mark.parametrize("sources", [
+        {"rng": 0, "force_zero": True},
+        {"rng": 0, "forced_outcomes": [0, 0]},
+        {"force_zero": True, "forced_outcomes": [1, 1]},
+        {"rng": 0, "force_zero": True, "forced_outcomes": [1, 1]},
+    ])
+    def test_one_outcome_source_per_run(self, sources):
+        # Neither source may silently win over another: before, forced
+        # bits beat force_zero and an rng beside either went unused.
+        if "rng" in sources:
+            sources = {**sources, "rng": np.random.default_rng(0)}
+        names = " and ".join(sources)
+        for run in (lambda: tableau.run_tableau(self.circuit(), **sources),
+                    lambda: tableau.run_lanes(self.circuit(), [
+                        {"force_zero": True}, sources])):
+            with pytest.raises(ValueError, match=f"^a run takes one outcome "
+                               f"source; got {names}$"):
+                run()
 
     def test_forced_outcome_must_be_a_bit(self):
         sim = tableau.Tableau(2)
