@@ -5,6 +5,10 @@ deformed-code builds with verification reports, preparation-circuit lemma
 sweeps, teleported-measurement and surgery lemma checks, Monte Carlo
 memory runs, logical-circuit scheduling/cost, and the full desk-scale
 `ledger` that runs every check and emits one stable pass/fail row each.
+Where os.fork exists, no other thread runs and ≥ 2 CPUs are usable, the
+ledger runs its sections 7–9 in one forked child beside sections 1–6, so
+its memory spans two processes; its rows and files are byte-identical to
+an in-order run.
 
 All stochastic subcommands require an explicit seed, and a fixed
 (config, seed) pair produces byte-identical artifacts.  Every draw comes
@@ -16,8 +20,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
 import re
+import signal
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -531,20 +538,94 @@ def check_costs(desk: Desk) -> list[tuple]:
 DESK_CHECKS = (check_code_suite, check_soundness, check_deformed,
                check_preparation, check_teleported, check_surgery,
                check_monte_carlo, check_scheduler, check_costs)
+# Sections 1–6 and 7–9 take about the same time, and each section draws
+# only from its own _SITES streams, so the two halves can run side by side.
+_FORKED = DESK_CHECKS.index(check_monte_carlo)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _beside(first, second):
+    """(first(), second()): second() runs in a forked child beside first()
+    when os.fork exists, no other thread runs and ≥ 2 CPUs are usable, else
+    after it.  The child pickles its result or exception (as a RuntimeError
+    naming it if it does not unpickle) down a pipe and ends with os._exit;
+    a child that writes nothing raises RuntimeError, and one still running
+    when first() raises is killed.  Every path reaps the child."""
+    if not (hasattr(os, "fork") and threading.active_count() == 1
+            and _usable_cpus() >= 2):
+        return first(), second()
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            try:
+                data = pickle.dumps((True, second()))
+            except BaseException as err:
+                try:
+                    data = pickle.dumps((False, err))
+                    pickle.loads(data)
+                except Exception:
+                    data = pickle.dumps((False, RuntimeError(
+                        f"{type(err).__name__}: {err}")))
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(w)
+    try:
+        with os.fdopen(r, "rb") as pipe:
+            mine = first()
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if not data:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError("the forked child wrote nothing: " + (
+            f"killed by signal {-code}" if code < 0 else f"exit status {code}"))
+    ok, theirs = pickle.loads(data)
+    if not ok:
+        raise theirs
+    return mine, theirs
+
+
+def _run_checks(checks, desk: Desk) -> list[tuple]:
+    """The checks' (key, pass, detail) rows, in order."""
+    return [(key, bool(good), detail) for check in checks
+            for key, good, detail in check(desk)]
 
 
 def run_desk_ledger(seed: int, out_dir: str, max_weight: int = Desk.max_weight,
                     samples: int = Desk.samples, trials: int = Desk.trials,
                     frames: int = Desk.frames) -> list[tuple]:
-    """Run DESK_CHECKS in order; returns their (key, pass, detail) rows.
-    A glue that cannot be built gives one lemma.pcs.glue FAIL row."""
+    """Run DESK_CHECKS; returns their (key, pass, detail) rows in order.
+    Sections 7–9 run in a forked child beside sections 1–6 when _beside
+    can fork, with the same rows and tables either way.  A glue that
+    cannot be built gives one lemma.pcs.glue FAIL row."""
     try:
         desk = Desk(seed, max_weight, samples, trials, frames)
     except surgery.GlueConstructionError as err:
         desk, rows = None, [("lemma.pcs.glue", False, str(err))]
     else:
-        rows = [(key, bool(good), detail) for check in DESK_CHECKS
-                for key, good, detail in check(desk)]
+        rows, (rest, tables) = _beside(
+            lambda: _run_checks(DESK_CHECKS[:_FORKED], desk),
+            lambda: (_run_checks(DESK_CHECKS[_FORKED:], desk), desk.tables))
+        rows += rest
+        desk.tables.update(tables)
     if out_dir:
         lines = ["key\tstatus\tdetail"]
         lines += [f"{k}\t{'pass' if g else 'FAIL'}\t{d}" for k, g, d in rows]

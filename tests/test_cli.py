@@ -1,12 +1,19 @@
 """Command-line interface: subcommands, artifacts, determinism."""
 
 import argparse
+import hashlib
+import os
+import signal
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_acceptance import DESK_DIGESTS
 
-from qsurg import cli, codes, gf2, ltsp, protocol, surgery, tableau
+from qsurg import cli, codes, gf2, ltsp, protocol, sim, surgery, tableau
+from qsurg import compile as qcompile
 
 
 @pytest.fixture(scope="module")
@@ -586,3 +593,138 @@ class TestLedgerCommand:
         a = (tmp_path / "a" / "ledger.tsv").read_bytes()
         b = (tmp_path / "b" / "ledger.tsv").read_bytes()
         assert a == b
+
+
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: its constructor wants two values."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def no_child_left():
+    """No child of this process is running or a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestLedgerFork:
+    """Sections 7–9 run in one forked child beside sections 1–6 when two
+    CPUs are usable, and in order on one; no call leaves a child behind."""
+
+    SMALL = dict(max_weight=1, samples=10, trials=1000, frames=10)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The os.fork calls made in this process."""
+        calls, real = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
+        return calls
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 42])
+    def test_paths_agree(self, monkeypatch, tmp_path, forks, seed):
+        runs = []
+        for n in (2, 1):
+            self.cpus(monkeypatch, n)
+            out = tmp_path / str(n)
+            rows = cli.run_desk_ledger(seed, str(out))
+            runs.append((rows, {p.name: p.read_bytes()
+                                for p in sorted(out.iterdir())}))
+            # One fork on two CPUs, none on one.
+            assert len(forks) == 1
+        assert runs[0] == runs[1]
+        files = runs[0][1]
+        assert sorted(files) == sorted(
+            ["ledger.tsv", "sim_memory.tsv"]
+            + [f"deformed_{m}.txt" for m in ("hdx", "hdz", "jdx", "jdz")])
+        if seed == 42:
+            assert {name: hashlib.sha256(files[name]).hexdigest()
+                    for name in DESK_DIGESTS} == DESK_DIGESTS
+        no_child_left()
+
+    def test_no_fork_beside_another_thread(self, monkeypatch, forks):
+        self.cpus(monkeypatch, 2)
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait)
+        waiter.start()
+        try:
+            rows = cli.run_desk_ledger(5, None, **self.SMALL)
+        finally:
+            done.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive() and forks == []
+        self.cpus(monkeypatch, 1)
+        assert rows == cli.run_desk_ledger(5, None, **self.SMALL)
+
+    @pytest.mark.parametrize("n", [2, 1])
+    def test_child_error_keeps_its_type(self, monkeypatch, n):
+        def boom(*args):
+            raise ValueError("boom")
+
+        self.cpus(monkeypatch, n)
+        monkeypatch.setattr(qcompile, "serialize", boom)
+        with pytest.raises(ValueError) as err:
+            cli.run_desk_ledger(5, None, **self.SMALL)
+        assert err.type is ValueError and str(err.value) == "boom"
+        no_child_left()
+
+    def test_child_error_that_does_not_unpickle(self, monkeypatch):
+        def fails(*args):
+            raise TwoArgError("batch", "refused")
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(qcompile, "batch", fails)
+        with pytest.raises(RuntimeError,
+                           match="^TwoArgError: batch: refused$"):
+            cli.run_desk_ledger(5, None, **self.SMALL)
+        no_child_left()
+
+    def test_killed_child(self, monkeypatch, forks):
+        parent = os.getpid()
+
+        def killed(*args):
+            assert os.getpid() != parent, "section 7 ran in the parent"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(sim, "logical_error_rate", killed)
+        with pytest.raises(RuntimeError, match="killed by signal 9"):
+            cli.run_desk_ledger(5, None, **self.SMALL)
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_parent_error_kills_the_child(self, monkeypatch):
+        parent = os.getpid()
+
+        def stalls(*args):
+            assert os.getpid() != parent, "section 7 ran in the parent"
+            time.sleep(20)
+
+        def fails(*args):
+            raise LookupError("no prep circuit")
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(sim, "logical_error_rate", stalls)
+        monkeypatch.setattr(ltsp, "build_prep_circuit", fails)
+        t0 = time.monotonic()
+        with pytest.raises(LookupError, match="^no prep circuit$"):
+            cli.run_desk_ledger(5, None, **self.SMALL)
+        assert time.monotonic() - t0 < 10
+        no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd to list open files")
+    def test_refused_fork_closes_its_pipe(self, monkeypatch):
+        def refused():
+            raise BlockingIOError("fork refused")
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", refused)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError, match="^fork refused$"):
+            cli.run_desk_ledger(5, None, **self.SMALL)
+        assert sorted(os.listdir("/proc/self/fd")) == fds

@@ -32,6 +32,10 @@ def test_ledger_streams_are_disjoint(monkeypatch):
 
     monkeypatch.setattr(sim, "trial_rng", recorded)
     monkeypatch.setattr(sim, "_check_stream", recorded_check)
+    # On one CPU the ledger runs every section in this process, where the
+    # recorders see them; tests/test_cli.py::TestLedgerFork shows the forked
+    # path gives the same rows and files.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     # The desk's trials: at a few thousand, the sim.trend row passes or
     # fails by the luck of the stream.
     rows = cli.run_desk_ledger(seed=3, out_dir=None, max_weight=1,
